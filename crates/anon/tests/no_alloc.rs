@@ -3,37 +3,12 @@
 //! no heap allocation, and DC-net pad accumulation expands every keystream
 //! directly into the slot accumulator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../devshims/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_in;
 
 use nymix_anon::tor::{TorClient, TorDirectory};
 use nymix_sim::Rng;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// lint:allow(forbid-unsafe): GlobalAlloc is an unsafe trait; this counting shim only delegates to System
-unsafe impl GlobalAlloc for CountingAlloc {
-    // lint:allow(forbid-unsafe): signature dictated by the GlobalAlloc contract
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) } // lint:allow(forbid-unsafe): direct pass-through to the System allocator
-    }
-    // lint:allow(forbid-unsafe): signature dictated by the GlobalAlloc contract
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) } // lint:allow(forbid-unsafe): direct pass-through to the System allocator
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_in(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
-}
 
 #[test]
 fn onion_wrap_peel_allocation_free_post_setup() {

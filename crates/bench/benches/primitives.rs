@@ -16,18 +16,13 @@ fn bench_crypto(c: &mut Criterion) {
     });
     // The same digest once per installed backend: the scalar floor,
     // the 4-lane portable batcher, and — when the `simd-kernels`
-    // feature and the CPU both allow — the AVX2 and SHA-NI kernels.
-    // Unsupported backends install as the x4 floor and are skipped so
-    // each name means what it says.
+    // feature and the CPU both allow — the SHA-NI kernel. Unsupported
+    // backends install as the x4 floor and are skipped so each name
+    // means what it says.
     {
         use nymix_crypto::ShaBackend;
         let prev = nymix_crypto::sha256_backend();
-        for backend in [
-            ShaBackend::Scalar,
-            ShaBackend::X4,
-            ShaBackend::Avx2,
-            ShaBackend::ShaNi,
-        ] {
+        for backend in [ShaBackend::Scalar, ShaBackend::X4, ShaBackend::ShaNi] {
             if nymix_crypto::set_sha_backend(backend) != backend {
                 continue;
             }

@@ -1,5 +1,5 @@
 //! Runs every table and figure reproduction in sequence — the one-shot
-//! harness behind `EXPERIMENTS.md`.
+//! harness over the individual `fig*`/`table*` binaries.
 
 #![forbid(unsafe_code)]
 

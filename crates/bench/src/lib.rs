@@ -3,8 +3,9 @@
 //! Every function is deterministic given its seed and returns the data
 //! the paper plots; the `fig*`/`table*` binaries print the same
 //! rows/series the paper reports, and the Criterion benches time the
-//! underlying operations. `EXPERIMENTS.md` records paper-vs-measured
-//! values for each experiment.
+//! underlying operations. Measured baselines live in the repository's
+//! `BENCH_*.json` files, and `nymbench/README.md` documents the
+//! end-to-end nym-lifecycle benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -299,17 +299,6 @@ impl ChaCha20 {
             }
         }
     }
-
-    /// Produces `len` bytes of raw keystream.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a keystream Vec per call; use `xor_into` on a caller buffer instead"
-    )]
-    pub fn keystream(&mut self, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        self.xor_into(&mut out);
-        out
-    }
 }
 
 /// Encrypts (or decrypts) `data` in place with the RFC 8439 convention of
@@ -418,15 +407,17 @@ only one tip for the future, sunscreen would be it.";
     }
 
     #[test]
-    #[allow(deprecated)]
     fn keystream_is_deterministic() {
+        // XOR into zeroed buffers exposes the raw keystream.
         let key = [9u8; 32];
         let nonce = [4u8; 12];
-        let k1 = ChaCha20::new(&key, &nonce, 0).keystream(100);
-        let k2 = ChaCha20::new(&key, &nonce, 0).keystream(100);
-        assert_eq!(k1, k2);
-        let k3 = ChaCha20::new(&key, &nonce, 1).keystream(100);
-        assert_ne!(k1, k3);
+        let keystream = |counter| {
+            let mut out = [0u8; 100];
+            ChaCha20::new(&key, &nonce, counter).xor_into(&mut out);
+            out
+        };
+        assert_eq!(keystream(0), keystream(0));
+        assert_ne!(keystream(0), keystream(1));
     }
 
     #[test]

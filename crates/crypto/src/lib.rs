@@ -24,7 +24,7 @@
 //! * [`ChaCha20::xor_into`] XORs keystream directly into a caller buffer,
 //!   word-vectorized over 64-byte blocks (4-block batched kernel), with
 //!   [`ChaCha20::seek`] for repositioning. No keystream `Vec` is ever
-//!   allocated; `ChaCha20::keystream` is deprecated accordingly.
+//!   allocated.
 //! * [`Poly1305`] is an incremental `update`/`finalize` hasher, so MACs
 //!   stream over scattered slices without a scratch copy.
 //! * [`seal_in_place_detached`] / [`open_in_place_detached`] encrypt and
@@ -37,30 +37,32 @@
 //!   schedule window, and [`Sha256::update`] compresses aligned input
 //!   directly from the caller's slice (no staging buffer).
 //! * [`sha256_x4`] hashes four equal-length messages (with a shared
-//!   prefix) in one interleaved pass; [`MerkleTree::build`] batches leaf
-//!   and interior-node hashing on it.
-//! * [`MerkleAccumulator`] keeps a tree's leaf and interior nodes cached
-//!   between root computations, so recommitting after a few leaf edits
-//!   costs O(dirty · log n) hashes instead of O(n) — the delta-snapshot
-//!   save and restore-replay paths both ride on it.
-//!
-//! # SHA-256 backend dispatch
-//!
-//! The SHA-256 compression kernel is selected once per process at
-//! runtime rather than at compile time: the `NYMIX_SHA_BACKEND` env
-//! var (`scalar|x4|avx2|shani`) overrides, otherwise CPUID picks
-//! SHA-NI, then AVX2, then the portable [`sha256_x4`]/scalar floor
-//! that every build retains. The accelerated kernels exist only under
-//! the opt-in `simd-kernels` feature (without it this crate still
-//! `forbid(unsafe_code)`s), and every backend is proptested
-//! bit-identical to the scalar floor. See the
-//! [`sha256`](mod@crate::sha256) module docs for the full model;
-//! [`sha256_backend`] / [`set_sha_backend`] expose the selection.
+//!   prefix) in one interleaved pass.
+//! * [`MerkleAccumulator`] is the one Merkle tree: a flat node array
+//!   whose leaf and interior hashing batch on [`sha256_x4`]. It keeps
+//!   every node cached between root computations, so recommitting after
+//!   a few leaf edits costs O(dirty · log n) hashes instead of O(n) —
+//!   the delta-snapshot save and restore-replay paths both ride on it —
+//!   and [`MerkleAccumulator::from_blocks`] plus
+//!   [`MerkleAccumulator::prove`] serve the base-image read check.
 //! * [`HmacKey`] caches the ipad/opad midstates so every MAC under a
 //!   reused key skips the key-block compressions; [`HmacKey::mac32`] is
 //!   the two-compression PBKDF2 iteration shape, and
 //!   [`pbkdf2_hmac_sha256_into`] derives keys into a caller buffer with
 //!   a multi-part salt and no allocation.
+//!
+//! # SHA-256 backend dispatch
+//!
+//! The SHA-256 compression kernel is selected once per process at
+//! runtime rather than at compile time: the `NYMIX_SHA_BACKEND` env
+//! var (`scalar|x4|shani`) overrides, otherwise CPUID picks SHA-NI,
+//! then the portable [`sha256_x4`]/scalar floor that every build
+//! retains. The SHA-NI kernel exists only under the opt-in
+//! `simd-kernels` feature (without it this crate still
+//! `forbid(unsafe_code)`s), and every backend is proptested
+//! bit-identical to the scalar floor. See the
+//! [`sha256`](mod@crate::sha256) module docs for the full model;
+//! [`sha256_backend`] / [`set_sha_backend`] expose the selection.
 //!
 //! # AEAD counter convention
 //!
@@ -81,8 +83,8 @@
 //! their module tests. The crate has no dependencies and performs no I/O.
 
 // Without the opt-in kernels this crate carries no unsafe code at all;
-// with them, unsafe stays denied everywhere except the two cfg-gated
-// kernel modules, which override with a file-level allow that
+// with them, unsafe stays denied everywhere except the cfg-gated
+// SHA-NI kernel module, which overrides with a file-level allow that
 // nymix-lint cross-checks against its registered unsafe-kernel
 // exemptions (forbid could not be overridden, hence the downgrade).
 #![cfg_attr(not(feature = "simd-kernels"), forbid(unsafe_code))]
@@ -104,7 +106,7 @@ pub use aead::{open, open_in_place_detached, seal, seal_in_place_detached, AeadE
 pub use chacha20::ChaCha20;
 pub use hkdf::{hkdf_expand, hkdf_extract};
 pub use hmac::{hmac_sha256, HmacKey};
-pub use merkle::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator, MerkleTree};
+pub use merkle::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator};
 pub use pbkdf2::{pbkdf2_hmac_sha256, pbkdf2_hmac_sha256_into};
 pub use poly1305::{poly1305_tag, Poly1305};
 pub use sha256::{set_sha_backend, sha256, sha256_backend, sha256_x4, Sha256, ShaBackend};

@@ -7,14 +7,17 @@
 //! from the host OS partition ... against a well-known Merkle tree as they
 //! are accessed, and safely shut\[s\] down ... if a modified block is
 //! detected". This module implements that tree; `nymix-fs` wires it into
-//! the base-image read path.
+//! the base-image read path, and the store crate's delta commitments
+//! keep one warm across saves.
 //!
-//! Tree construction is built on the interleaved multi-buffer SHA-256
-//! kernel ([`sha256_x4`]): runs of four equal-length blocks hash in one
-//! lockstep pass (disk blocks are uniform, so in practice every leaf
-//! group batches), and interior levels — whose inputs are always exactly
-//! two 32-byte child hashes — batch four parents at a time. All levels
-//! live in one flat node array instead of per-level allocations.
+//! [`MerkleAccumulator`] is the one tree: a flat node array (leaves,
+//! then each interior level bottom-up) built on the interleaved
+//! multi-buffer SHA-256 kernel ([`sha256_x4`]). Runs of four
+//! equal-length blocks hash in one lockstep pass (disk blocks are
+//! uniform, so in practice every leaf group batches), and interior
+//! levels — whose inputs are always exactly two 32-byte child hashes —
+//! batch four parents at a time. [`merkle_root_from_leaves`] folds the
+//! same tree from scratch and serves as the tests' oracle.
 
 use crate::sha256::{sha256_x4, Sha256, DIGEST_LEN};
 
@@ -43,9 +46,9 @@ fn node_hash(left: &Hash, right: &Hash) -> Hash {
 
 /// Hashes one leaf supplied as scattered parts, without materializing
 /// the concatenation. `leaf_hash_parts(&[a, b])` equals the leaf hash
-/// [`MerkleTree::build`] computes over the contiguous block `a ‖ b`, so
-/// callers whose leaves are framed records (length prefix + name +
-/// payload) can hash them with zero copies.
+/// [`MerkleAccumulator::from_blocks`] computes over the contiguous
+/// block `a ‖ b`, so callers whose leaves are framed records (length
+/// prefix + name + payload) can hash them with zero copies.
 pub fn leaf_hash_parts(parts: &[&[u8]]) -> Hash {
     let mut h = Sha256::new();
     h.update(&[LEAF_TAG]);
@@ -58,15 +61,10 @@ pub fn leaf_hash_parts(parts: &[&[u8]]) -> Hash {
 /// Computes the root over an already-hashed leaf level, folding the
 /// scratch slice in place level by level — four parent nodes per
 /// [`sha256_x4`] pass, no per-level allocations. Commits to exactly the
-/// same root as [`MerkleTree::build`] over the corresponding blocks
-/// (odd nodes promote unchanged; the empty set commits to the stable
-/// empty-tree root).
-///
-/// The caller's buffer is consumed as working memory: reusing one
-/// buffer across calls makes repeated root computations (the delta-
-/// snapshot save path) allocation-free. Borrowing a slice instead of a
-/// `Vec` means callers that already own a hash array never copy it
-/// into a fresh vector just to fold it.
+/// same root as [`MerkleAccumulator`] over the same leaves (odd nodes
+/// promote unchanged; the empty set commits to the stable empty-tree
+/// root) — the independent from-scratch oracle its tests compare
+/// against. The caller's buffer is consumed as working memory.
 pub fn merkle_root_from_leaves(leaves: &mut [Hash]) -> Hash {
     let Some(&first) = leaves.first() else {
         return leaf_hash(b"nymix:empty-merkle-tree");
@@ -112,8 +110,10 @@ pub fn merkle_root_from_leaves(leaves: &mut [Hash]) -> Hash {
 /// and the restore-replay verify side reuses the same structure.
 ///
 /// Commits to *exactly* the same root as [`merkle_root_from_leaves`]
-/// and [`MerkleTree::build`] over the same leaves (odd nodes promote
-/// unchanged; the empty set commits to the stable empty-tree root) —
+/// over the same leaves (odd nodes promote unchanged — Bitcoin-style
+/// duplication is avoided, which cannot introduce ambiguity because
+/// the block count is part of the committed header; the empty set
+/// commits to the stable empty-tree root) —
 /// `incremental_matches_scratch` in this module and the crypto crate's
 /// proptests pin the equivalence bit-for-bit.
 ///
@@ -124,6 +124,21 @@ pub fn merkle_root_from_leaves(leaves: &mut [Hash]) -> Hash {
 /// steady-state allocation). The warm path — `update_leaf` on an
 /// unchanged leaf count followed by `root` — allocates nothing, which
 /// the store crate's no-alloc guard pins.
+///
+/// Over raw blocks ([`MerkleAccumulator::from_blocks`]) the same tree
+/// also answers inclusion proofs ([`MerkleAccumulator::prove`] /
+/// [`MerkleAccumulator::verify`]) — the §3.4 base-image read check.
+///
+/// # Examples
+///
+/// ```
+/// use nymix_crypto::MerkleAccumulator;
+///
+/// let blocks: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
+/// let mut tree = MerkleAccumulator::from_blocks(blocks.iter().map(|b| b.as_slice()));
+/// let proof = tree.prove(2).unwrap();
+/// assert!(MerkleAccumulator::verify(&tree.root(), 2, &blocks[2], &proof, 4));
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct MerkleAccumulator {
     /// Leaves first (`nodes[..leaf_count]`), then — when
@@ -141,6 +156,46 @@ impl MerkleAccumulator {
     /// An empty accumulator (commits to the empty-tree root).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Builds a tree over raw `blocks`, one leaf per block, with the
+    /// interior ready for [`MerkleAccumulator::prove`].
+    ///
+    /// Leaves batch runs of four equal-length blocks through the
+    /// interleaved kernel; ragged runs fall back to scalar hashing.
+    pub fn from_blocks<'a, I>(blocks: I) -> Self
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+    {
+        let blocks: Vec<&[u8]> = blocks.into_iter().collect();
+        let block_count = blocks.len();
+        // A tree over n leaves has at most 2n nodes (plus promotions).
+        let mut nodes: Vec<Hash> = Vec::with_capacity(2 * block_count + 2);
+        let mut i = 0;
+        while i < block_count {
+            if i + 4 <= block_count
+                && blocks[i + 1..i + 4]
+                    .iter()
+                    .all(|b| b.len() == blocks[i].len())
+            {
+                nodes.extend_from_slice(&sha256_x4(
+                    &[LEAF_TAG],
+                    [blocks[i], blocks[i + 1], blocks[i + 2], blocks[i + 3]],
+                ));
+                i += 4;
+            } else {
+                nodes.push(leaf_hash(blocks[i]));
+                i += 1;
+            }
+        }
+        let mut acc = Self {
+            nodes,
+            level_starts: Vec::new(),
+            leaf_count: block_count,
+            interior_valid: false,
+        };
+        acc.rebuild_interior();
+        acc
     }
 
     /// Number of committed leaves.
@@ -246,9 +301,9 @@ impl MerkleAccumulator {
     }
 
     /// Rebuilds every interior level bottom-up in the flat node array,
-    /// batching four parents per [`sha256_x4`] pass — the same
-    /// traversal as [`MerkleTree::build`], reusing this accumulator's
-    /// buffers.
+    /// batching four parents per [`sha256_x4`] pass (pair inputs are
+    /// 64 bytes of adjacent child hashes, staged four pairs at a time
+    /// for the lockstep kernel), reusing this accumulator's buffers.
     fn rebuild_interior(&mut self) {
         self.nodes.truncate(self.leaf_count);
         self.level_starts.clear();
@@ -302,146 +357,22 @@ impl MerkleAccumulator {
             None => leaf_hash(b"nymix:empty-merkle-tree"),
         }
     }
-}
 
-/// A Merkle tree committed over an ordered sequence of blocks.
-///
-/// Levels are stored bottom-up, concatenated in one flat node array with
-/// a start offset per level; an odd node at any level is promoted
-/// unchanged (Bitcoin-style duplication is avoided, which cannot
-/// introduce ambiguity because the block count is part of the committed
-/// header).
-#[derive(Debug, Clone)]
-pub struct MerkleTree {
-    /// Every level's nodes, bottom-up: leaves first, root last.
-    nodes: Vec<Hash>,
-    /// Start index of each level within `nodes`.
-    level_starts: Vec<usize>,
-    block_count: usize,
-}
-
-impl MerkleTree {
-    /// Builds a tree over `blocks`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nymix_crypto::MerkleTree;
-    ///
-    /// let blocks: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
-    /// let tree = MerkleTree::build(blocks.iter().map(|b| b.as_slice()));
-    /// let proof = tree.prove(2).unwrap();
-    /// assert!(MerkleTree::verify(&tree.root(), 2, &blocks[2], &proof, 4));
-    /// ```
-    pub fn build<'a, I>(blocks: I) -> Self
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let blocks: Vec<&[u8]> = blocks.into_iter().collect();
-        let block_count = blocks.len();
-        // A tree over n leaves has at most 2n nodes (plus promotions).
-        let mut nodes: Vec<Hash> = Vec::with_capacity(2 * block_count + 2);
-
-        // Leaves: batch runs of four equal-length blocks through the
-        // interleaved kernel; ragged runs fall back to scalar hashing.
-        let mut i = 0;
-        while i < block_count {
-            if i + 4 <= block_count
-                && blocks[i + 1..i + 4]
-                    .iter()
-                    .all(|b| b.len() == blocks[i].len())
-            {
-                nodes.extend_from_slice(&sha256_x4(
-                    &[LEAF_TAG],
-                    [blocks[i], blocks[i + 1], blocks[i + 2], blocks[i + 3]],
-                ));
-                i += 4;
-            } else {
-                nodes.push(leaf_hash(blocks[i]));
-                i += 1;
-            }
-        }
-
-        // Interior levels: pair inputs are 64 bytes of adjacent child
-        // hashes, staged four pairs at a time for the lockstep kernel.
-        let mut level_starts = vec![0usize];
-        let mut start = 0usize;
-        let mut width = block_count;
-        while width > 1 {
-            let next_start = nodes.len();
-            let pairs = width / 2;
-            let mut p = 0usize;
-            let mut stage = [[0u8; 2 * DIGEST_LEN]; 4];
-            while p + 4 <= pairs {
-                for (l, buf) in stage.iter_mut().enumerate() {
-                    let child = start + 2 * (p + l);
-                    buf[..DIGEST_LEN].copy_from_slice(&nodes[child]);
-                    buf[DIGEST_LEN..].copy_from_slice(&nodes[child + 1]);
-                }
-                nodes.extend_from_slice(&sha256_x4(
-                    &[NODE_TAG],
-                    [&stage[0], &stage[1], &stage[2], &stage[3]],
-                ));
-                p += 4;
-            }
-            while p < pairs {
-                let child = start + 2 * p;
-                let h = node_hash(&nodes[child], &nodes[child + 1]);
-                nodes.push(h);
-                p += 1;
-            }
-            if width % 2 == 1 {
-                // Promote the odd node unchanged.
-                let last = nodes[start + width - 1];
-                nodes.push(last);
-            }
-            level_starts.push(next_start);
-            start = next_start;
-            width = width.div_ceil(2);
-        }
-        Self {
-            nodes,
-            level_starts,
-            block_count,
-        }
-    }
-
-    /// Number of committed blocks.
-    pub fn block_count(&self) -> usize {
-        self.block_count
-    }
-
-    /// The nodes of level `index` (0 = leaves).
-    fn level(&self, index: usize) -> &[Hash] {
-        let start = self.level_starts[index];
-        let end = self
-            .level_starts
-            .get(index + 1)
-            .copied()
-            .unwrap_or(self.nodes.len());
-        &self.nodes[start..end]
-    }
-
-    /// The root commitment. An empty tree commits to the hash of the
-    /// empty leaf set (all-zero is avoided to keep roots unambiguous).
-    pub fn root(&self) -> Hash {
-        match self.nodes.last() {
-            Some(root) => *root,
-            None => leaf_hash(b"nymix:empty-merkle-tree"),
-        }
-    }
-
-    /// Produces the sibling path proving block `index`.
+    /// Produces the sibling path proving leaf `index` (rebuilding the
+    /// interior first if a structural edit invalidated it).
     ///
     /// Each element is `(sibling_hash, sibling_is_left)`.
-    pub fn prove(&self, index: usize) -> Option<Vec<(Hash, bool)>> {
-        if index >= self.block_count {
+    pub fn prove(&mut self, index: usize) -> Option<Vec<(Hash, bool)>> {
+        if index >= self.leaf_count {
             return None;
+        }
+        if !self.interior_valid {
+            self.rebuild_interior();
         }
         let mut proof = Vec::new();
         let mut pos = index;
         for li in 0..self.level_starts.len().saturating_sub(1) {
-            let level = self.level(li);
+            let level = &self.nodes[self.level_starts[li]..self.level_starts[li + 1]];
             let sibling = pos ^ 1;
             if sibling < level.len() {
                 proof.push((level[sibling], sibling < pos));
@@ -498,9 +429,9 @@ mod tests {
         (0..n).map(|i| format!("block-{i}").into_bytes()).collect()
     }
 
-    fn build(n: usize) -> (MerkleTree, Vec<Vec<u8>>) {
+    fn build(n: usize) -> (MerkleAccumulator, Vec<Vec<u8>>) {
         let b = blocks(n);
-        let t = MerkleTree::build(b.iter().map(|x| x.as_slice()));
+        let t = MerkleAccumulator::from_blocks(b.iter().map(|x| x.as_slice()));
         (t, b)
     }
 
@@ -529,11 +460,11 @@ mod tests {
     #[test]
     fn all_proofs_verify_for_various_sizes() {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31] {
-            let (tree, data) = build(n);
+            let (mut tree, data) = build(n);
             for (i, block) in data.iter().enumerate() {
                 let proof = tree.prove(i).expect("in range");
                 assert!(
-                    MerkleTree::verify(&tree.root(), i, block, &proof, n),
+                    MerkleAccumulator::verify(&tree.root(), i, block, &proof, n),
                     "n={n} i={i}"
                 );
             }
@@ -546,11 +477,11 @@ mod tests {
         // scalar fallback) must both agree with the reference build.
         for n in 0usize..=33 {
             let uniform: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 64]).collect();
-            let tree = MerkleTree::build(uniform.iter().map(|b| b.as_slice()));
+            let mut tree = MerkleAccumulator::from_blocks(uniform.iter().map(|b| b.as_slice()));
             assert_eq!(tree.root(), reference_root(&uniform), "uniform n={n}");
 
             let ragged: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 1 + (i % 7)]).collect();
-            let tree = MerkleTree::build(ragged.iter().map(|b| b.as_slice()));
+            let mut tree = MerkleAccumulator::from_blocks(ragged.iter().map(|b| b.as_slice()));
             assert_eq!(tree.root(), reference_root(&ragged), "ragged n={n}");
         }
     }
@@ -559,7 +490,7 @@ mod tests {
     fn root_from_leaves_matches_full_build() {
         for n in 0usize..=33 {
             let data = blocks(n);
-            let tree = MerkleTree::build(data.iter().map(|b| b.as_slice()));
+            let mut tree = MerkleAccumulator::from_blocks(data.iter().map(|b| b.as_slice()));
             let mut leaves: Vec<Hash> = data.iter().map(|b| leaf_hash(b)).collect();
             assert_eq!(merkle_root_from_leaves(&mut leaves), tree.root(), "n={n}");
         }
@@ -675,40 +606,64 @@ mod tests {
 
     #[test]
     fn modified_block_rejected() {
-        let (tree, data) = build(8);
+        let (mut tree, data) = build(8);
         let proof = tree.prove(3).unwrap();
         let mut tampered = data[3].clone();
         tampered[0] ^= 0x80;
-        assert!(!MerkleTree::verify(&tree.root(), 3, &tampered, &proof, 8));
+        assert!(!MerkleAccumulator::verify(
+            &tree.root(),
+            3,
+            &tampered,
+            &proof,
+            8
+        ));
     }
 
     #[test]
     fn wrong_index_rejected() {
-        let (tree, data) = build(8);
+        let (mut tree, data) = build(8);
         let proof = tree.prove(3).unwrap();
-        assert!(!MerkleTree::verify(&tree.root(), 4, &data[3], &proof, 8));
+        assert!(!MerkleAccumulator::verify(
+            &tree.root(),
+            4,
+            &data[3],
+            &proof,
+            8
+        ));
     }
 
     #[test]
     fn truncated_proof_rejected() {
-        let (tree, data) = build(8);
+        let (mut tree, data) = build(8);
         let mut proof = tree.prove(3).unwrap();
         proof.pop();
-        assert!(!MerkleTree::verify(&tree.root(), 3, &data[3], &proof, 8));
+        assert!(!MerkleAccumulator::verify(
+            &tree.root(),
+            3,
+            &data[3],
+            &proof,
+            8
+        ));
     }
 
     #[test]
     fn extended_proof_rejected() {
-        let (tree, data) = build(8);
+        let (mut tree, data) = build(8);
         let mut proof = tree.prove(3).unwrap();
         proof.push(([0u8; 32], false));
-        assert!(!MerkleTree::verify(&tree.root(), 3, &data[3], &proof, 8));
+        assert!(!MerkleAccumulator::verify(
+            &tree.root(),
+            3,
+            &data[3],
+            &proof,
+            8
+        ));
     }
 
     #[test]
     fn leaf_cannot_impersonate_node() {
         // Hash of (left||right) as a *leaf* must not equal the parent node.
-        let (tree, data) = build(2);
+        let (mut tree, data) = build(2);
         let l = leaf_hash(&data[0]);
         let r = leaf_hash(&data[1]);
         let mut fake = Vec::new();
@@ -719,24 +674,24 @@ mod tests {
 
     #[test]
     fn out_of_range_proof_is_none() {
-        let (tree, _) = build(4);
+        let (mut tree, _) = build(4);
         assert!(tree.prove(4).is_none());
     }
 
     #[test]
     fn empty_tree_has_stable_root() {
-        let t1 = MerkleTree::build(core::iter::empty());
-        let t2 = MerkleTree::build(core::iter::empty());
+        let mut t1 = MerkleAccumulator::from_blocks(core::iter::empty());
+        let mut t2 = MerkleAccumulator::from_blocks(core::iter::empty());
         assert_eq!(t1.root(), t2.root());
-        assert_eq!(t1.block_count(), 0);
+        assert_eq!(t1.leaf_count(), 0);
     }
 
     #[test]
     fn roots_differ_on_any_block_change() {
-        let (t1, _) = build(5);
+        let (mut t1, _) = build(5);
         let mut data = blocks(5);
         data[4][0] ^= 1;
-        let t2 = MerkleTree::build(data.iter().map(|x| x.as_slice()));
+        let mut t2 = MerkleAccumulator::from_blocks(data.iter().map(|x| x.as_slice()));
         assert_ne!(t1.root(), t2.root());
     }
 }

@@ -35,21 +35,20 @@
 //! performance envelope is gone. The kernel behind all three entry
 //! points is therefore selected **at runtime**, once per process:
 //!
-//! 1. `NYMIX_SHA_BACKEND=scalar|x4|avx2|shani` overrides everything
+//! 1. `NYMIX_SHA_BACKEND=scalar|x4|shani` overrides everything
 //!    (testing / forensics). Naming a kernel this build or CPU cannot
 //!    run falls back to the portable [`ShaBackend::X4`] floor — it
 //!    never silently upgrades to a different accelerated path.
-//! 2. Otherwise CPUID picks the best supported kernel: SHA-NI
-//!    (hardware rounds), then AVX2 (the interleaved kernel compiled in
-//!    a verified-AVX2 context), then the portable floor.
+//! 2. Otherwise CPUID picks SHA-NI (hardware rounds) when this build
+//!    and CPU support it, and the portable floor otherwise.
 //!
-//! The accelerated kernels live in cfg-isolated child modules
-//! (`shani`, `avx2`) compiled only under the `simd-kernels` feature on
-//! `x86_64`; they are the only unsafe code in the workspace, and
-//! `nymix-lint` carries them as registered, reason-required
-//! `unsafe-kernel` exemptions. Without the feature the crate still
-//! `forbid(unsafe_code)`s and runs the portable scalar/[`sha256_x4`]
-//! kernels, which remain the bit-identical floor on every target.
+//! The SHA-NI kernel lives in a cfg-isolated child module (`shani`)
+//! compiled only under the `simd-kernels` feature on `x86_64`; it is
+//! the only unsafe code in the workspace, and `nymix-lint` carries it
+//! as a registered, reason-required `unsafe-kernel` exemption. Without
+//! the feature the crate still `forbid(unsafe_code)`s and runs the
+//! portable scalar/[`sha256_x4`] kernels, which remain the
+//! bit-identical floor on every target.
 //! [`sha256_backend`] reports the selection (and exports it as the
 //! `crypto.sha256.backend` gauge); [`set_sha_backend`] forces it.
 
@@ -429,7 +428,7 @@ impl Sha256 {
             input = &input[take..];
             if self.buf_len == BLOCK_LEN {
                 let block = self.buf;
-                compress_block(&mut self.state, &block);
+                compress_blocks(&mut self.state, &block);
                 self.buf_len = 0;
             }
         }
@@ -572,8 +571,6 @@ fn compress4(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) 
             }
         }
         #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
-        ShaBackend::Avx2 => avx2::compress4(states, blocks),
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
         ShaBackend::ShaNi => {
             // SHA-NI is a single-stream unit; lane-serial hardware
             // rounds still beat the interleaved software kernel.
@@ -586,9 +583,7 @@ fn compress4(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) 
 }
 
 /// The portable interleaved kernel: one block per lane, all four lanes
-/// in lockstep. `inline(always)` so the cfg-gated AVX2 wrapper can
-/// recompile this exact body inside a verified-AVX2 context.
-#[inline(always)]
+/// in lockstep.
 fn compress4_portable(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) {
     let mut w = [[0u32; LANES]; 16];
     for (t, lane_words) in w.iter_mut().enumerate() {
@@ -720,8 +715,6 @@ pub fn sha256_x4(prefix: &[u8], msgs: [&[u8]; LANES]) -> [[u8; DIGEST_LEN]; LANE
 // ---------------------------------------------------------------------------
 
 #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
-mod avx2;
-#[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
 mod shani;
 
 use core::sync::atomic::{AtomicU8, Ordering};
@@ -729,7 +722,8 @@ use core::sync::atomic::{AtomicU8, Ordering};
 /// The SHA-256 compression kernel a process dispatches to (see the
 /// [module docs](self#runtime-backend-dispatch) for the selection
 /// order). Discriminants are stable: they are what the
-/// `crypto.sha256.backend` gauge exports.
+/// `crypto.sha256.backend` gauge exports, so a retired kernel's value
+/// (3) stays unassigned rather than renumbering SHA-NI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ShaBackend {
@@ -741,10 +735,6 @@ pub enum ShaBackend {
     /// batches, unrolled scalar for single streams. The default on
     /// targets without verified CPU features — always available.
     X4 = 2,
-    /// The interleaved kernel recompiled in a CPUID-verified AVX2
-    /// context, so cross-lane vectorization no longer depends on
-    /// build-wide codegen flags. Requires the `simd-kernels` feature.
-    Avx2 = 3,
     /// Hardware SHA extensions (single-stream `sha256rnds2` rounds);
     /// batches run lane-serial through the hardware unit. Requires the
     /// `simd-kernels` feature.
@@ -757,7 +747,6 @@ impl ShaBackend {
         match self {
             ShaBackend::Scalar => "scalar",
             ShaBackend::X4 => "x4",
-            ShaBackend::Avx2 => "avx2",
             ShaBackend::ShaNi => "shani",
         }
     }
@@ -771,7 +760,6 @@ impl ShaBackend {
         match name {
             "scalar" => Some(ShaBackend::Scalar),
             "x4" => Some(ShaBackend::X4),
-            "avx2" => Some(ShaBackend::Avx2),
             "shani" => Some(ShaBackend::ShaNi),
             _ => None,
         }
@@ -786,15 +774,13 @@ fn backend_supported(b: ShaBackend) -> bool {
     match b {
         ShaBackend::Scalar | ShaBackend::X4 => true,
         #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
-        ShaBackend::Avx2 => std::is_x86_feature_detected!("avx2"),
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
         ShaBackend::ShaNi => {
             std::is_x86_feature_detected!("sha")
                 && std::is_x86_feature_detected!("ssse3")
                 && std::is_x86_feature_detected!("sse4.1")
         }
         #[cfg(not(all(feature = "simd-kernels", target_arch = "x86_64")))]
-        ShaBackend::Avx2 | ShaBackend::ShaNi => false,
+        ShaBackend::ShaNi => false,
     }
 }
 
@@ -802,8 +788,6 @@ fn backend_supported(b: ShaBackend) -> bool {
 fn detect_backend() -> ShaBackend {
     if backend_supported(ShaBackend::ShaNi) {
         ShaBackend::ShaNi
-    } else if backend_supported(ShaBackend::Avx2) {
-        ShaBackend::Avx2
     } else {
         ShaBackend::X4
     }
@@ -828,7 +812,6 @@ fn backend() -> ShaBackend {
     match BACKEND.load(Ordering::Relaxed) {
         1 => ShaBackend::Scalar,
         2 => ShaBackend::X4,
-        3 => ShaBackend::Avx2,
         4 => ShaBackend::ShaNi,
         _ => {
             let b = select_backend();
@@ -1002,12 +985,7 @@ mod tests {
             .map(|&n| sha256_x4(b"tag:", [&data[..n], &data[..n], &data[..n], &data[..n]]))
             .collect();
 
-        let all = [
-            ShaBackend::Scalar,
-            ShaBackend::X4,
-            ShaBackend::Avx2,
-            ShaBackend::ShaNi,
-        ];
+        let all = [ShaBackend::Scalar, ShaBackend::X4, ShaBackend::ShaNi];
         for requested in all {
             let installed = set_sha_backend(requested);
             // Unsupported requests must land on the portable floor,
@@ -1057,16 +1035,12 @@ mod tests {
         // actually install when the CPU advertises the features.
         #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
         {
-            if std::is_x86_feature_detected!("avx2") {
-                assert_eq!(set_sha_backend(ShaBackend::Avx2), ShaBackend::Avx2);
-            }
             if std::is_x86_feature_detected!("sha") {
                 assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::ShaNi);
             }
         }
         #[cfg(not(all(feature = "simd-kernels", target_arch = "x86_64")))]
         {
-            assert_eq!(set_sha_backend(ShaBackend::Avx2), ShaBackend::X4);
             assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::X4);
         }
 

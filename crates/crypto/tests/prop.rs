@@ -2,7 +2,7 @@
 
 use nymix_crypto::{
     open, open_in_place_detached, poly1305_tag, seal, seal_in_place_detached, ChaCha20, HmacKey,
-    MerkleTree, Poly1305, Sha256,
+    MerkleAccumulator, Poly1305, Sha256,
 };
 use proptest::prelude::*;
 
@@ -85,11 +85,11 @@ proptest! {
     #[test]
     fn merkle_proofs_verify(blocks in proptest::collection::vec(
         proptest::collection::vec(any::<u8>(), 0..64), 1..40)) {
-        let tree = MerkleTree::build(blocks.iter().map(|b| b.as_slice()));
+        let mut tree = MerkleAccumulator::from_blocks(blocks.iter().map(|b| b.as_slice()));
         let n = blocks.len();
         for (i, b) in blocks.iter().enumerate() {
             let proof = tree.prove(i).unwrap();
-            prop_assert!(MerkleTree::verify(&tree.root(), i, b, &proof, n));
+            prop_assert!(MerkleAccumulator::verify(&tree.root(), i, b, &proof, n));
         }
     }
 
@@ -99,9 +99,9 @@ proptest! {
         let n = blocks.len();
         let (i, j) = (i % n, j % n);
         prop_assume!(i != j && blocks[i] != blocks[j]);
-        let tree = MerkleTree::build(blocks.iter().map(|b| b.as_slice()));
+        let mut tree = MerkleAccumulator::from_blocks(blocks.iter().map(|b| b.as_slice()));
         let proof = tree.prove(i).unwrap();
-        prop_assert!(!MerkleTree::verify(&tree.root(), i, &blocks[j], &proof, n));
+        prop_assert!(!MerkleAccumulator::verify(&tree.root(), i, &blocks[j], &proof, n));
     }
 
     #[test]
@@ -207,7 +207,7 @@ proptest! {
         // sets *and* leaf-count changes (push/truncate), checking after
         // every op that its root is bit-identical to a from-scratch
         // fold over the model leaf vector.
-        use nymix_crypto::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator};
+        use nymix_crypto::{leaf_hash_parts, merkle_root_from_leaves};
         let mut acc = MerkleAccumulator::new();
         let mut model: Vec<[u8; 32]> = Vec::new();
         for b in &initial {
@@ -264,7 +264,7 @@ proptest! {
         set_sha_backend(ShaBackend::Scalar);
         let want = nymix_crypto::sha256(&data);
         let want_x4 = sha256_x4(b"p:", [&data, &data, &data, &data]);
-        for requested in [ShaBackend::X4, ShaBackend::Avx2, ShaBackend::ShaNi] {
+        for requested in [ShaBackend::X4, ShaBackend::ShaNi] {
             let installed = set_sha_backend(requested);
             let mut h = Sha256::new();
             h.update(&data[..split]);

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use nymix_crypto::MerkleTree;
+use nymix_crypto::MerkleAccumulator;
 
 use crate::layer::{Layer, LayerKind};
 use crate::path::Path;
@@ -76,8 +76,8 @@ impl BlockImage {
     }
 
     /// Builds a Merkle tree over all blocks.
-    pub fn merkle(&self) -> MerkleTree {
-        MerkleTree::build(self.blocks.iter().map(|b| b.as_slice()))
+    pub fn merkle(&self) -> MerkleAccumulator {
+        MerkleAccumulator::from_blocks(self.blocks.iter().map(|b| b.as_slice()))
     }
 }
 
@@ -117,7 +117,7 @@ pub struct VerifiedImage {
 impl VerifiedImage {
     /// Pins `image` to its current content.
     pub fn seal(image: BlockImage) -> Self {
-        let tree = image.merkle();
+        let mut tree = image.merkle();
         let proofs = (0..image.block_count())
             .map(|i| tree.prove(i).expect("index in range"))
             .collect();
@@ -157,7 +157,7 @@ impl VerifiedImage {
             .read_block(index)
             .ok_or(TamperDetected { block: index })?;
         let proof = &self.proofs[index];
-        if MerkleTree::verify(&self.root, index, block, proof, self.block_count) {
+        if MerkleAccumulator::verify(&self.root, index, block, proof, self.block_count) {
             self.verified_reads += 1;
             Ok(self.image.read_block(index).expect("checked above"))
         } else {

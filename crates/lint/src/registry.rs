@@ -193,45 +193,28 @@ impl Registry {
             }],
             seal_fns: vec!["seal_in_place_detached".to_string()],
             ct_module: "crypto/src/ct.rs".to_string(),
-            exempt_parsers: vec![
-                Exemption {
-                    path_or_name: "store/src/disk/dev.rs".to_string(),
-                    reason: "SimDisk images are parsed only by the journal/heap readers \
+            exempt_parsers: vec![Exemption {
+                path_or_name: "store/src/disk/dev.rs".to_string(),
+                reason: "SimDisk images are parsed only by the journal/heap readers \
                              (both registered); dev.rs itself only stores bytes"
-                        .to_string(),
-                },
-                Exemption {
-                    path_or_name: "store/src/versioned.rs".to_string(),
-                    reason: "operates on names it generated itself; blob bytes flow \
-                             through the registered sealed/archive parsers"
-                        .to_string(),
-                },
-            ],
+                    .to_string(),
+            }],
             exempt_secrets: vec![Exemption {
                 path_or_name: "SecretType".to_string(),
                 reason: "nymix-lint's own registry metadata struct; it names secret \
                          types, it does not hold key material"
                     .to_string(),
             }],
-            unsafe_kernels: vec![
-                Exemption {
-                    path_or_name: "crypto/src/sha256/shani.rs".to_string(),
-                    reason: "SHA-NI compression kernel: hardware intrinsics are \
-                             inherently unsafe. Compiled only under the opt-in \
-                             `simd-kernels` feature on x86_64, every kernel fn is \
-                             `#[target_feature]`-fenced, and the safe wrapper \
-                             re-verifies CPU features at runtime with a portable \
-                             fallback (PR 10)"
-                        .to_string(),
-                },
-                Exemption {
-                    path_or_name: "crypto/src/sha256/avx2.rs".to_string(),
-                    reason: "AVX2 four-lane kernel: a `#[target_feature]` \
-                             recompilation of the portable compressor under the same \
-                             feature gate, runtime detection and fallback (PR 10)"
-                        .to_string(),
-                },
-            ],
+            unsafe_kernels: vec![Exemption {
+                path_or_name: "crypto/src/sha256/shani.rs".to_string(),
+                reason: "SHA-NI compression kernel: hardware intrinsics are \
+                         inherently unsafe. Compiled only under the opt-in \
+                         `simd-kernels` feature on x86_64, every kernel fn is \
+                         `#[target_feature]`-fenced, and the safe wrapper \
+                         re-verifies CPU features at runtime with a portable \
+                         fallback (PR 10)"
+                    .to_string(),
+            }],
             obs_labels: Self::obs_vocabulary(),
         }
     }

@@ -4,39 +4,9 @@
 //! own allocation-freedom guarantees. This test binary never calls
 //! `set_enabled(true)`; the whole process stays in the disabled state.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Per-thread count so the parallel test harness can't leak one
-    /// test's allocations into another's measurement window.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// lint:allow(forbid-unsafe): GlobalAlloc is an unsafe trait; this counting shim only delegates to System
-unsafe impl GlobalAlloc for CountingAlloc {
-    // lint:allow(forbid-unsafe): signature dictated by the GlobalAlloc contract
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) } // lint:allow(forbid-unsafe): direct pass-through to the System allocator
-    }
-    // lint:allow(forbid-unsafe): signature dictated by the GlobalAlloc contract
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) } // lint:allow(forbid-unsafe): direct pass-through to the System allocator
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many heap allocations this thread performed.
-fn allocations_in(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+#[path = "../../devshims/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_in;
 
 #[test]
 fn disabled_call_sites_never_allocate() {

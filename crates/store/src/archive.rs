@@ -30,7 +30,8 @@
 //! recomputed root differs — a tampered, reordered, or stale record
 //! set fails closed. Chains are bounded: after
 //! [`crate::delta::DELTA_CHAIN_LIMIT`] deltas the next save compacts
-//! back to a full "NYM1" archive (see [`crate::versioned`]).
+//! back to a full "NYM1" archive (the Nym Manager's save pipeline in
+//! the `nymix` crate owns the chains).
 //!
 //! Records at or above [`crate::cas::CHUNK_RECORD_THRESHOLD`] may hold
 //! a **chunk manifest** ([`crate::cas::ChunkManifest`]) instead of the

@@ -4,11 +4,10 @@
 //! ([`crate::LocalStore`]), a pseudonymous cloud account
 //! ([`crate::CloudProvider`] via [`crate::cloud::CloudSession`]) — is a
 //! flat namespace of named blobs. [`ObjectBackend`] is that contract:
-//! `put`/`get`/`delete`/`list` over opaque names. The versioned store
-//! ([`crate::VersionedStore`]) and the content-addressed chunk store
-//! ([`crate::cas`]) are generic over it, so the same snapshot / dedup
-//! machinery runs unchanged against any storage destination — the
-//! multi-backend scaling step the roadmap asks for.
+//! `put`/`get`/`delete`/`list` over opaque names. The Nym Manager's
+//! snapshot chains and the content-addressed chunk store
+//! ([`crate::cas`]) are written against it, so the same snapshot /
+//! dedup machinery runs unchanged against any storage destination.
 //!
 //! Methods take `&mut self` even for reads: real backends observe
 //! accesses (the cloud provider's access log is the intersection-attack

@@ -400,7 +400,7 @@ impl CloudProvider {
         observed_ip: Ip,
     ) -> Result<(), CloudError> {
         self.auth(account, credential)?;
-        self.put_authed(account, object.to_string(), data, observed_ip)
+        self.put_authed(account, object, &data, observed_ip)
     }
 
     /// The post-auth half of every write — single puts and batches
@@ -410,11 +410,17 @@ impl CloudProvider {
     /// skip window), or unconditionally under a persistent
     /// [`FaultMode::Throttled`]; a throttled write lands nothing and
     /// logs nothing (the provider dropped it at the door).
+    ///
+    /// The payload is borrowed, so a retrying caller resends it without
+    /// copying it first. The provider keeps its own exact-size copy of
+    /// what lands, as a remote store would: keeping the caller's buffer
+    /// instead would pin seal-worker allocations, growth slack included,
+    /// for the object's lifetime, which measurably raises peak RSS.
     fn put_authed(
         &mut self,
         account: &str,
-        object: String,
-        data: Vec<u8>,
+        object: &str,
+        data: &[u8],
         observed_ip: Ip,
     ) -> Result<(), CloudError> {
         if self.transient_put_skip > 0 {
@@ -431,11 +437,11 @@ impl CloudProvider {
             .get_mut(account)
             .expect("authenticated by caller")
             .objects
-            .insert(object.clone(), data);
+            .insert(object.to_string(), data.to_vec());
         self.log.push(AccessLogEntry {
             account: account.to_string(),
             op: "put",
-            object: Some(object),
+            object: Some(object.to_string()),
             observed_ip,
             bytes,
         });
@@ -548,8 +554,6 @@ impl CloudProvider {
             account: account.to_string(),
             credential: credential.to_string(),
             observed_ip,
-            retry_max: DEFAULT_RETRY_MAX,
-            retry_base: DEFAULT_RETRY_BASE,
             backoff_accrued: nymix_obs::meter!("cloud.backoff_us"),
         }
     }
@@ -604,10 +608,6 @@ pub struct CloudSession<'p> {
     account: String,
     credential: String,
     observed_ip: Ip,
-    /// Retries allowed per write after the first attempt.
-    retry_max: u32,
-    /// Backoff before the first retry; doubles each further retry.
-    retry_base: SimDuration,
     /// Total simulated backoff this session has waited, in
     /// microseconds, mirrored into the `cloud.backoff_us` obs counter.
     /// The nym manager adds it to the save's modeled duration so
@@ -615,10 +615,10 @@ pub struct CloudSession<'p> {
     backoff_accrued: nymix_obs::Meter,
 }
 
-/// Default retries per write after the first attempt.
+/// Retries per write after the first attempt.
 pub const DEFAULT_RETRY_MAX: u32 = 3;
 
-/// Default first-retry backoff (doubles per further retry).
+/// First-retry backoff (doubles per further retry).
 pub const DEFAULT_RETRY_BASE: SimDuration = SimDuration(500_000);
 
 fn denied(e: CloudError) -> BackendError {
@@ -650,15 +650,6 @@ fn garbage_bytes(provider: &str, object: &str, len: usize) -> Vec<u8> {
 }
 
 impl CloudSession<'_> {
-    /// Overrides the retry policy: up to `retries` retries per write,
-    /// starting at `base` backoff and doubling each time. Zero retries
-    /// restores the old fail-on-first-error behaviour.
-    pub fn with_retry_policy(mut self, retries: u32, base: SimDuration) -> Self {
-        self.retry_max = retries;
-        self.retry_base = base;
-        self
-    }
-
     /// Total simulated backoff accrued by retried writes so far.
     pub fn accrued_backoff(&self) -> SimDuration {
         SimDuration(self.backoff_accrued.get())
@@ -670,97 +661,46 @@ impl CloudSession<'_> {
     pub fn take_accrued_backoff(&mut self) -> SimDuration {
         SimDuration(self.backoff_accrued.take())
     }
-
-    /// One write with bounded deterministic exponential-backoff retry.
-    /// Only [`BackendError::Transient`] failures are retried — a
-    /// permanent error (notably [`BackendError::Denied`]) fails closed
-    /// immediately, because re-presenting refused credentials is both
-    /// useless and the exact traffic signature an observing adversary
-    /// wants. Puts are idempotent overwrites, so a retry after an
-    /// ambiguous failure cannot corrupt state.
-    fn put_with_retry(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
-        let mut backoff = self.retry_base;
-        let mut slot = Some(data);
-        for attempt in 0..=self.retry_max {
-            // Keep a copy only while further retries are possible.
-            let payload = if attempt < self.retry_max {
-                slot.clone().expect("payload present until final attempt")
-            } else {
-                slot.take().expect("payload present until final attempt")
-            };
-            match self.provider.put_authed(
-                &self.account,
-                name.to_string(),
-                payload,
-                self.observed_ip,
-            ) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    let be = denied(e);
-                    if !be.is_transient() || attempt == self.retry_max {
-                        return Err(be);
-                    }
-                    self.backoff_accrued.add(backoff.0);
-                    backoff = backoff.saturating_add(backoff);
-                }
-            }
-        }
-        unreachable!("loop returns on success or final failure")
-    }
 }
 
 impl ObjectBackend for CloudSession<'_> {
     fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
-        self.provider
-            .auth(&self.account, &self.credential)
-            .map_err(denied)?;
-        self.put_with_retry(name, data)
+        self.put_many(vec![(name.to_string(), data)])
     }
 
+    /// Every write goes through this one retry loop. One credential
+    /// check covers the whole batch — the round-trip amortization a
+    /// fleet save is after — while the provider still observes (and
+    /// logs) every object it receives.
+    ///
+    /// A throttled object is retried after a deterministic exponential
+    /// backoff, up to [`DEFAULT_RETRY_MAX`] times, and the budget
+    /// refills per object, so a batch tolerates a throttle blip per
+    /// object, not one blip total. Objects that already landed are
+    /// never re-sent: the landed prefix (trait contract) is uploaded
+    /// and access-logged exactly once. Permanent errors (notably
+    /// [`BackendError::Denied`]) fail closed before any attempt,
+    /// because re-presenting refused credentials is both useless and
+    /// the exact traffic signature an observing adversary wants. Puts
+    /// are idempotent overwrites, so a retry cannot corrupt state.
     fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
-        // One credential check covers the whole batch — the round-trip
-        // amortization a fleet save is after — while the provider still
-        // observes (and logs) every object it receives.
         self.provider
             .auth(&self.account, &self.credential)
             .map_err(denied)?;
-        // Resume from the failed index: `next` advances only on
-        // success, a transient failure retries the *current* object
-        // after backoff, and objects before `next` are never re-sent —
-        // the landed prefix (trait contract) is uploaded and
-        // access-logged exactly once however many retries follow it.
-        // The retry budget refills on progress, so a batch tolerates
-        // a throttle blip per object, not one blip total.
-        let mut objects = objects;
-        let mut next = 0usize;
-        let mut retries_left = self.retry_max;
-        let mut backoff = self.retry_base;
-        while next < objects.len() {
-            let (name, data) = &mut objects[next];
-            // Keep a copy only while further retries are possible.
-            let payload = if retries_left > 0 {
-                data.clone()
-            } else {
-                std::mem::take(data)
-            };
-            match self
+        for (name, data) in &objects {
+            let mut retries_left = DEFAULT_RETRY_MAX;
+            let mut backoff = DEFAULT_RETRY_BASE;
+            while let Err(e) = self
                 .provider
-                .put_authed(&self.account, name.clone(), payload, self.observed_ip)
+                .put_authed(&self.account, name, data, self.observed_ip)
             {
-                Ok(()) => {
-                    next += 1;
-                    retries_left = self.retry_max;
-                    backoff = self.retry_base;
+                let e = denied(e);
+                if !e.is_transient() || retries_left == 0 {
+                    return Err(e);
                 }
-                Err(e) => {
-                    let be = denied(e);
-                    if !be.is_transient() || retries_left == 0 {
-                        return Err(be);
-                    }
-                    retries_left -= 1;
-                    self.backoff_accrued.add(backoff.0);
-                    backoff = backoff.saturating_add(backoff);
-                }
+                retries_left -= 1;
+                self.backoff_accrued.add(backoff.0);
+                backoff = backoff.saturating_add(backoff);
             }
         }
         Ok(())
@@ -1006,20 +946,6 @@ mod tests {
         assert_eq!(s.put("x", vec![1]), Err(BackendError::Denied));
         // No backoff was spent hammering refused credentials.
         assert_eq!(s.accrued_backoff(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn zero_retry_policy_restores_fail_fast() {
-        let mut p = CloudProvider::new("drive");
-        p.create_account("anon", "tok");
-        p.inject_transient_put_failures(1);
-        let mut s = p
-            .session("anon", "tok", exit())
-            .with_retry_policy(0, SimDuration::ZERO);
-        assert!(s.put("x", vec![1]).unwrap_err().is_transient());
-        assert_eq!(s.accrued_backoff(), SimDuration::ZERO);
-        // The injected fault was consumed; the next write lands.
-        s.put("x", vec![2]).unwrap();
     }
 
     #[test]

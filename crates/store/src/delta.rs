@@ -24,9 +24,8 @@
 //! closed instead of restoring silently-wrong state.
 //!
 //! Chains are bounded: after [`DELTA_CHAIN_LIMIT`] deltas the next save
-//! compacts back to a full `"NYM1"` archive (see [`crate::versioned`]
-//! for the retention-side policy and `nymix-core`'s Nym Manager for the
-//! sealing side).
+//! compacts back to a full `"NYM1"` archive (the Nym Manager in the
+//! `nymix` crate owns chain naming, sealing and compaction).
 //!
 //! Computing `merkle_root` is O(dirty), not O(archive), when the saver
 //! keeps an [`ArchiveCommitment`] warm across saves: the accumulator
@@ -127,13 +126,12 @@ impl DeltaArchive {
 
     /// Computes the delta turning `prev` into `next`: records whose
     /// bytes changed (or are new), plus removals. The commitment covers
-    /// `next`'s full record set, recomputed from scratch — O(archive)
-    /// hashing. The save hot path uses [`DeltaArchive::diff_with`]
-    /// instead, which reuses a cached [`ArchiveCommitment`].
+    /// `next`'s full record set, through a commitment built from
+    /// scratch over `prev` — O(archive) hashing. The save hot path uses
+    /// [`DeltaArchive::diff_with`] instead, which reuses a cached
+    /// [`ArchiveCommitment`].
     pub fn diff(prev: &NymArchive, next: &NymArchive) -> Self {
-        let mut delta = Self::new(next.record_count(), archive_merkle_root(next));
-        delta.collect_dirty(prev, next);
-        delta
+        Self::diff_with(prev, next, &mut ArchiveCommitment::build(prev))
     }
 
     /// [`DeltaArchive::diff`] committing through a cached
@@ -151,24 +149,18 @@ impl DeltaArchive {
         commitment: &mut ArchiveCommitment,
     ) -> Self {
         let mut delta = Self::new(next.record_count(), [0u8; 32]);
-        delta.collect_dirty(prev, next);
-        let root = commitment.update(next, |name| delta.dirty.iter().any(|(n, _)| n == name));
-        delta.root = root;
-        delta
-    }
-
-    /// Shared diff body: dirty records (changed or new), then removals.
-    fn collect_dirty(&mut self, prev: &NymArchive, next: &NymArchive) {
         for (name, data) in next.records() {
             if prev.get(name) != Some(data) {
-                self.put(name, data.to_vec());
+                delta.put(name, data.to_vec());
             }
         }
         for (name, _) in prev.records() {
             if next.get(name).is_none() {
-                self.mark_removed(name);
+                delta.mark_removed(name);
             }
         }
+        delta.root = commitment.update(next, |name| delta.dirty.iter().any(|(n, _)| n == name));
+        delta
     }
 
     /// Adds (or replaces) a dirty record.
@@ -240,19 +232,8 @@ impl DeltaArchive {
     /// considered corrupt and discarded — the method fails closed
     /// rather than rolling back.
     pub fn apply(&self, base: &mut NymArchive) -> Result<(), DeltaError> {
-        for (name, data) in &self.dirty {
-            base.put(name, data.clone());
-        }
-        for name in &self.removed {
-            base.remove(name);
-        }
-        if base.record_count() != self.full_count as usize {
-            return Err(DeltaError::CountMismatch);
-        }
-        if archive_merkle_root(base) != self.root {
-            return Err(DeltaError::RootMismatch);
-        }
-        Ok(())
+        let mut commitment = ArchiveCommitment::build(base);
+        self.apply_with(base, &mut commitment)
     }
 
     /// [`DeltaArchive::apply`] verifying through a cached
@@ -483,20 +464,15 @@ fn record_leaf(name: &str, data: &[u8]) -> MerkleRoot {
 }
 
 /// The Merkle root over an archive's full record set: one leaf per
-/// record (`name_len u16 ‖ name ‖ data`), in record order.
+/// record (`name_len u16 ‖ name ‖ data`), in record order, folded from
+/// scratch. Nothing on the save or restore path calls this; it is the
+/// independent oracle the tests pin [`ArchiveCommitment`] against.
 pub fn archive_merkle_root(archive: &NymArchive) -> MerkleRoot {
-    archive_merkle_root_with(archive, &mut Vec::with_capacity(archive.record_count()))
-}
-
-/// [`archive_merkle_root`] folding into a caller-owned leaf scratch
-/// vector, so repeated root computations (every delta save) reuse one
-/// allocation.
-pub fn archive_merkle_root_with(archive: &NymArchive, leaves: &mut Vec<MerkleRoot>) -> MerkleRoot {
-    leaves.clear();
-    for (name, data) in archive.records() {
-        leaves.push(record_leaf(name, data));
-    }
-    merkle_root_from_leaves(leaves)
+    let mut leaves: Vec<MerkleRoot> = archive
+        .records()
+        .map(|(name, data)| record_leaf(name, data))
+        .collect();
+    merkle_root_from_leaves(&mut leaves)
 }
 
 #[cfg(test)]
@@ -717,19 +693,5 @@ mod tests {
         let root = commitment.update(&reordered, |_| false);
         assert_eq!(root, archive_merkle_root(&reordered));
         assert_ne!(root, archive_merkle_root(&a));
-    }
-
-    #[test]
-    fn root_scratch_reuse_matches() {
-        let a = base();
-        let mut scratch = Vec::new();
-        let r1 = archive_merkle_root_with(&a, &mut scratch);
-        assert_eq!(r1, archive_merkle_root(&a));
-        // Scratch reuse across different archives stays correct.
-        let mut b = a.clone();
-        b.put("meta", b"changed".to_vec());
-        let r2 = archive_merkle_root_with(&b, &mut scratch);
-        assert_ne!(r1, r2);
-        assert_eq!(r2, archive_merkle_root(&b));
     }
 }

@@ -56,8 +56,6 @@
 //!   excluded by hash, never decoded), writes degrade to a quorum with
 //!   a repair queue, and [`placement::PlacementStore::repair`]
 //!   re-achieves full redundancy.
-//! * [`versioned`] — retained snapshot history with rollback (the
-//!   stained-snapshot escape hatch), generic over the backend.
 //!
 //! # Durability model
 //!
@@ -75,10 +73,6 @@
 //!   exactly the pre-batch or post-batch state is observable. See the
 //!   [`disk`] module docs for the commit protocol and the `NYMJ`
 //!   on-disk format.
-//! * Above any backend, [`VersionedStore`] keeps its snapshot index in
-//!   memory; [`VersionedStore::attach`] rebuilds it from a surviving
-//!   backend at next open and re-runs any retention sweep a crash
-//!   interrupted (sweeps are idempotent).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,7 +88,6 @@ pub mod local;
 pub mod lzss;
 pub mod placement;
 pub mod sealed;
-pub mod versioned;
 
 pub use archive::NymArchive;
 pub use backend::{BackendError, ObjectBackend};
@@ -115,4 +108,3 @@ pub use sealed::{
     seal_delta_keyed_into, seal_into, seal_keyed_into, unseal_keyed_raw_into, unseal_raw_into,
     SealKey, SealScratch, SealedError,
 };
-pub use versioned::VersionedStore;

@@ -3,48 +3,15 @@
 //! in-place AEAD) and `unseal_raw_into` (decrypt → decompress) must never
 //! touch the heap.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../devshims/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_in;
 
 use nymix_sim::Rng;
 use nymix_store::{
     chunker, seal_delta_keyed_into, seal_into, unseal_keyed_raw_into, unseal_raw_into,
     DeltaArchive, NymArchive, SealKey, SealScratch,
 };
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Per-thread count: the test harness runs tests on parallel
-    /// threads, and a process-global counter would leak one test's
-    /// (legitimate) warm-up allocations into another's measurement
-    /// window. `Cell<usize>` needs no drop glue, so the TLS access
-    /// itself never allocates.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// lint:allow(forbid-unsafe): GlobalAlloc is an unsafe trait; this counting shim only delegates to System
-unsafe impl GlobalAlloc for CountingAlloc {
-    // lint:allow(forbid-unsafe): signature dictated by the GlobalAlloc contract
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) } // lint:allow(forbid-unsafe): direct pass-through to the System allocator
-    }
-    // lint:allow(forbid-unsafe): signature dictated by the GlobalAlloc contract
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) } // lint:allow(forbid-unsafe): direct pass-through to the System allocator
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many heap allocations this thread performed.
-fn allocations_in(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 fn archive() -> NymArchive {
     let mut a = NymArchive::new();
