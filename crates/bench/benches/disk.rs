@@ -1,6 +1,6 @@
 //! Microbenchmarks for the crash-consistent disk store: the journaled
-//! commit path against the in-memory local store, recovery scan cost,
-//! and the RAM tier's warm/cold read split.
+//! commit path against the in-memory local store, and recovery scan
+//! cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nymix_store::{DiskStore, LocalStore, ObjectBackend};
@@ -55,26 +55,5 @@ fn bench_recovery(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_tier(c: &mut Criterion) {
-    let mut group = c.benchmark_group("disk");
-    group.throughput(Throughput::Bytes(OBJ as u64));
-    // Warm read: the object sits in the LRU RAM tier.
-    group.bench_function("get_8k_warm_ram_tier", |b| {
-        let mut store = DiskStore::new();
-        store.put_many(batch(1)).unwrap();
-        store.get("obj-1-000").unwrap();
-        b.iter(|| black_box(store.get(black_box("obj-1-000")).unwrap().map(<[u8]>::len)));
-    });
-    // Cold read: zero tier budget forces a media read of the record
-    // bytes on every get (integrity was verified by the open-time scan).
-    group.bench_function("get_8k_cold_media", |b| {
-        let mut store = DiskStore::new();
-        store.put_many(batch(1)).unwrap();
-        store.set_ram_budget(0);
-        b.iter(|| black_box(store.get(black_box("obj-1-000")).unwrap().map(<[u8]>::len)));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_commit, bench_recovery, bench_tier);
+criterion_group!(benches, bench_commit, bench_recovery);
 criterion_main!(benches);

@@ -18,9 +18,8 @@ use nymix_net::dns::DnsDb;
 use nymix_net::flow::calib as netcal;
 use nymix_net::{Fabric, FlowNet, Ip, LinkId, Mac, NodeId, NodeKind};
 use nymix_sim::{DiskProfile, Rng, SimDuration, SimTime};
-use nymix_store::cloud::CloudSession;
 use nymix_store::{
-    BackendError, CloudChild, CloudProvider, DiskStore, LocalStore, ObjectBackend, PlacementStore,
+    BackendError, CloudProvider, CloudSession, DiskStore, LocalStore, ObjectBackend, PlacementStore,
 };
 use nymix_vmm::Hypervisor;
 
@@ -41,7 +40,7 @@ pub struct Environment {
     pub(super) cloud: BTreeMap<String, CloudProvider>,
     pub(super) local: LocalStore,
     pub(super) disk: DiskStore,
-    pub(super) striped: Option<PlacementStore<CloudChild>>,
+    pub(super) striped: Option<StripedStore>,
     pub(super) disk_profile: DiskProfile,
     pub(super) browser_scale: u64,
     // Fabric landmarks.
@@ -219,93 +218,40 @@ pub(super) fn deterministic_blob(tag: u64, len: usize) -> Vec<u8> {
     out
 }
 
-/// The storage destination presented as a flat [`ObjectBackend`]: a
-/// credentialed cloud session observing the anonymizer's exit address,
-/// the local partition, or the crash-consistent journaled disk.
+/// The [`StorageDest::Striped`] placement: one owned provider per
+/// child, each behind a long-lived session.
+pub(super) type StripedStore = PlacementStore<CloudSession<CloudProvider>>;
+
+/// The opened storage destination: a credentialed cloud session
+/// observing the anonymizer's exit address, the local partition, the
+/// crash-consistent journaled disk, or the striped placement.
 /// Everything the save/restore pipeline ships — base archives, deltas,
-/// chunk objects — moves through this one interface.
+/// chunk objects — moves through [`DestBackend::as_backend`].
 pub(super) enum DestBackend<'a> {
-    Cloud(CloudSession<'a>),
+    Cloud(CloudSession<&'a mut CloudProvider>),
     Local(&'a mut LocalStore),
     Disk(&'a mut DiskStore),
-    Striped(&'a mut PlacementStore<CloudChild>),
+    Striped(&'a mut StripedStore),
 }
 
-impl ObjectBackend for DestBackend<'_> {
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), nymix_store::BackendError> {
+impl DestBackend<'_> {
+    /// The destination as a flat [`ObjectBackend`].
+    pub(super) fn as_backend(&mut self) -> &mut dyn ObjectBackend {
         match self {
-            DestBackend::Cloud(s) => s.put(name, data),
-            DestBackend::Local(s) => ObjectBackend::put(*s, name, data),
-            DestBackend::Disk(s) => ObjectBackend::put(*s, name, data),
-            DestBackend::Striped(s) => ObjectBackend::put(*s, name, data),
+            DestBackend::Cloud(s) => s,
+            DestBackend::Local(s) => *s,
+            DestBackend::Disk(s) => *s,
+            DestBackend::Striped(s) => *s,
         }
     }
 
-    fn put_many(
-        &mut self,
-        objects: Vec<(String, Vec<u8>)>,
-    ) -> Result<(), nymix_store::BackendError> {
+    /// Drains the simulated retry backoff the destination's cloud
+    /// writes accrued (zero for local media).
+    pub(super) fn take_accrued_backoff(&mut self) -> SimDuration {
         match self {
-            DestBackend::Cloud(s) => s.put_many(objects),
-            DestBackend::Local(s) => ObjectBackend::put_many(*s, objects),
-            DestBackend::Disk(s) => ObjectBackend::put_many(*s, objects),
-            DestBackend::Striped(s) => ObjectBackend::put_many(*s, objects),
-        }
-    }
-
-    fn get(&mut self, name: &str) -> Result<Option<&[u8]>, nymix_store::BackendError> {
-        match self {
-            DestBackend::Cloud(s) => s.get(name),
-            DestBackend::Local(s) => ObjectBackend::get(*s, name),
-            DestBackend::Disk(s) => ObjectBackend::get(*s, name),
-            DestBackend::Striped(s) => ObjectBackend::get(*s, name),
-        }
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, nymix_store::BackendError> {
-        match self {
-            DestBackend::Cloud(s) => s.delete(name),
-            DestBackend::Local(s) => ObjectBackend::delete(*s, name),
-            DestBackend::Disk(s) => ObjectBackend::delete(*s, name),
-            DestBackend::Striped(s) => ObjectBackend::delete(*s, name),
-        }
-    }
-
-    fn list(&mut self, out: &mut Vec<String>) -> Result<(), nymix_store::BackendError> {
-        match self {
-            DestBackend::Cloud(s) => s.list(out),
-            DestBackend::Local(s) => ObjectBackend::list(*s, out),
-            DestBackend::Disk(s) => ObjectBackend::list(*s, out),
-            DestBackend::Striped(s) => ObjectBackend::list(*s, out),
-        }
-    }
-
-    /// Puts plus sweeps in one transaction. On the journaled disk this
-    /// is a single atomic batch — a crash mid-save leaves either the
-    /// old objects (sweep included) or the new ones, never a blend. On
-    /// cloud/local (no durability to protect) puts land first and
-    /// failed sweeps are tolerated, preserving the pipeline's historic
-    /// best-effort delete semantics.
-    fn apply_batch(
-        &mut self,
-        puts: Vec<(String, Vec<u8>)>,
-        deletes: Vec<String>,
-    ) -> Result<(), nymix_store::BackendError> {
-        match self {
-            DestBackend::Disk(s) => ObjectBackend::apply_batch(*s, puts, deletes),
-            // The placement store manages sweep semantics itself: a
-            // delete that can't reach a child is queued and flushed by
-            // the next repair pass rather than tolerated-and-forgotten
-            // (a forgotten delete would resurrect on the child's
-            // recovery).
-            DestBackend::Striped(s) => ObjectBackend::apply_batch(*s, puts, deletes),
-            _ => {
-                self.put_many(puts)?;
-                for name in &deletes {
-                    let _ = self.delete(name);
-                }
-                Ok(())
-            }
+            DestBackend::Cloud(s) => s.take_accrued_backoff(),
+            DestBackend::Striped(s) => s.take_accrued_backoff(),
+            DestBackend::Local(_) | DestBackend::Disk(_) => SimDuration::ZERO,
         }
     }
 }
@@ -318,7 +264,7 @@ pub(super) fn dest_backend<'a>(
     cloud: &'a mut BTreeMap<String, CloudProvider>,
     local: &'a mut LocalStore,
     disk: &'a mut DiskStore,
-    striped: Option<&'a mut PlacementStore<CloudChild>>,
+    striped: Option<&'a mut StripedStore>,
     now: SimTime,
     dest: &StorageDest,
     exit: Option<Ip>,

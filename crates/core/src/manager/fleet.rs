@@ -235,12 +235,14 @@ mod tests {
     }
 
     fn overwrite_object(m: &mut NymManager, name: &str, data: Vec<u8>) {
+        use nymix_store::ObjectBackend;
         let exit = nymix_net::Ip::parse("198.18.0.9");
         m.env
             .cloud
             .get_mut("drive")
             .expect("registered")
-            .put("shared-acct", "tok", name, data, exit)
+            .session("shared-acct", "tok", exit)
+            .put(name, data)
             .expect("adversarial overwrite");
     }
 

@@ -43,7 +43,7 @@ use nymix_net::dns::DnsDb;
 use nymix_net::{Fabric, Ip, NodeId};
 use nymix_sim::{DiskProfile, SimDuration, SimTime};
 use nymix_store::{
-    CloudChild, CloudProvider, DiskStore, FaultPlan, LocalStore, PlacementStore, SimDisk,
+    CloudProvider, CloudSession, DiskStore, FaultPlan, LocalStore, PlacementStore, SimDisk,
 };
 use nymix_vmm::{Hypervisor, HypervisorError};
 use nymix_workload::browser::BrowserState;
@@ -193,19 +193,6 @@ impl NymManager {
         }
     }
 
-    /// Enables or disables content-addressed chunking of large records
-    /// on the incremental save path (on by default). Restores always
-    /// resolve chunked records regardless, so toggling never strands
-    /// stored state.
-    pub fn set_chunking(&mut self, enabled: bool) {
-        self.pipeline.chunking = enabled;
-    }
-
-    /// Whether incremental saves chunk large records.
-    pub fn chunking(&self) -> bool {
-        self.pipeline.chunking
-    }
-
     /// Registers a cloud provider (e.g. "dropbox") with one account.
     /// Registering the same provider again adds the account to it — a
     /// fleet of nyms keeps one pseudonymous account each on a shared
@@ -237,14 +224,16 @@ impl NymManager {
             .map(|(provider, account, credential)| {
                 let mut p = CloudProvider::new(provider);
                 p.create_account(account, credential);
-                CloudChild::new(p, account, credential)
+                // Observed from the unspecified address until a save or
+                // restore routes the child through an anonymizer exit.
+                CloudSession::new(p, account, credential, Ip([0, 0, 0, 0]))
             })
             .collect();
         self.env.striped = Some(PlacementStore::new(children, k));
     }
 
     /// The striped placement store, if configured.
-    pub fn striped_store(&self) -> Option<&PlacementStore<CloudChild>> {
+    pub fn striped_store(&self) -> Option<&PlacementStore<CloudSession<CloudProvider>>> {
         self.env.striped.as_ref()
     }
 

@@ -17,9 +17,9 @@
 //!    its scratch arena, RNG and chain key, so N sessions seal on N
 //!    threads with no locks and bit-deterministic output.
 //! 4. **Upload**: land every staged object through
-//!    [`ObjectBackend::put_many`], grouped per destination — one
-//!    authenticated round trip per backend instead of one per object —
-//!    then sweep retired objects.
+//!    [`nymix_store::ObjectBackend::put_many`], grouped per
+//!    destination — one authenticated round trip per backend instead
+//!    of one per object — then sweep retired objects.
 //!
 //! The pipeline also owns the **label registry**: the highest chain
 //! epoch ever used per storage label, plus chunk objects orphaned by
@@ -34,13 +34,13 @@ use nymix_net::Ip;
 use nymix_sim::{Rng, SimDuration};
 use nymix_store::cas::{self, ChunkIndex, ChunkManifest};
 use nymix_store::{
-    seal_delta_keyed_into, seal_keyed_into, ArchiveCommitment, DeltaArchive, NymArchive,
-    ObjectBackend, SealKey, SealScratch, CHUNK_RECORD_THRESHOLD, DELTA_CHAIN_LIMIT,
+    seal_delta_keyed_into, seal_keyed_into, ArchiveCommitment, DeltaArchive, NymArchive, SealKey,
+    SealScratch, CHUNK_RECORD_THRESHOLD, DELTA_CHAIN_LIMIT,
 };
 
 use std::collections::BTreeMap;
 
-use super::env::{dest_backend, storage_err, DestBackend, Environment};
+use super::env::{dest_backend, storage_err, Environment};
 use super::session::{storage_label, ChainState, NymSession};
 use super::{NymId, NymManagerError, SaveKind, StorageDest};
 
@@ -159,10 +159,6 @@ struct SealedSave<'a> {
 /// outlive any single session — the label registry and the scratch
 /// pool sessions draw their sealing arenas from.
 pub(super) struct StorePipeline {
-    /// Whether incremental saves split large records into
-    /// content-addressed chunks (see [`nymix_store::cas`]). On by
-    /// default; disabling it keeps record-granular NYMD deltas.
-    pub(super) chunking: bool,
     labels: BTreeMap<String, LabelState>,
     /// Warm [`SealScratch`] arenas from destroyed sessions, handed to
     /// the next session created — fleet churn doesn't re-grow arenas.
@@ -172,7 +168,6 @@ pub(super) struct StorePipeline {
 impl StorePipeline {
     pub(super) fn new() -> Self {
         Self {
-            chunking: true,
             labels: BTreeMap::new(),
             scratch_pool: Vec::new(),
         }
@@ -225,17 +220,12 @@ impl StorePipeline {
     }
 
     /// Runs the full staged pipeline over every request: capture →
-    /// chunk → seal (threaded when more than one session saves) →
-    /// upload. Outcomes are in request order; the simulation clock
-    /// advances once, by the concurrent completion time of the batch.
-    ///
-    /// On a single-core host the capture/chunk/seal stages run *fused*
-    /// per session instead (each session's raw records go cold-to-hot
-    /// through chunking and sealing back to back, and are dropped
-    /// before the next session captures) — staging only pays when the
-    /// seal stage can actually spread across threads. Both schedules
-    /// produce bit-identical output: every job's randomness comes from
-    /// its session's own forked RNG.
+    /// chunk → seal (threaded when more than one session saves and the
+    /// host has more than one core) → upload. Outcomes are in request
+    /// order; the simulation clock advances once, by the concurrent
+    /// completion time of the batch. Output is bit-identical at any
+    /// core count: every job's randomness comes from its session's own
+    /// forked RNG.
     pub(super) fn save_many(
         &mut self,
         env: &mut Environment,
@@ -255,42 +245,27 @@ impl StorePipeline {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
             .min(reqs.len());
-        let sealed = if workers <= 1 {
-            // Fused schedule: capture → chunk → delta → seal, one
-            // session at a time.
-            let mut sealed = Vec::with_capacity(reqs.len());
-            for req in reqs {
-                let mut plans = vec![self.capture(env, sessions, req)?];
-                self.chunk_stage(&mut plans, false);
-                build_delta(&mut plans[0]);
-                self.full_fallback(env, sessions, &mut plans)?;
-                let plan = plans.pop().expect("one plan");
-                sealed.push(seal_one(self.seal_job(sessions, plan)));
-            }
-            sealed
-        } else {
-            // Staged schedule: capture everything (sequential — it
-            // touches the shared hypervisor), batch the chunk hashing
-            // across sessions, then seal on one thread per session.
-            let mut plans = Vec::with_capacity(reqs.len());
-            for req in reqs {
-                plans.push(self.capture(env, sessions, req)?);
-            }
-            self.chunk_stage(&mut plans, false);
-            for plan in &mut plans {
-                build_delta(plan);
-            }
-            // Delta didn't pay off (or wasn't possible) for some
-            // plans: re-capture their carried-over clean layers raw so
-            // the new base is self-contained, then chunk the
-            // re-captures (batched across plans again).
-            self.full_fallback(env, sessions, &mut plans)?;
-            let jobs: Vec<SealJob> = plans
-                .into_iter()
-                .map(|plan| self.seal_job(sessions, plan))
-                .collect();
-            seal_stage(jobs, workers, env.clock.as_micros())
-        };
+        // Capture everything (sequential — it touches the shared
+        // hypervisor), batch the chunk hashing across sessions, then
+        // seal on one thread per session.
+        let mut plans = Vec::with_capacity(reqs.len());
+        for req in reqs {
+            plans.push(self.capture(env, sessions, req)?);
+        }
+        self.chunk_stage(&mut plans, false);
+        for plan in &mut plans {
+            build_delta(plan);
+        }
+        // Delta didn't pay off (or wasn't possible) for some plans:
+        // re-capture their carried-over clean layers raw so the new
+        // base is self-contained, then chunk the re-captures (batched
+        // across plans again).
+        self.full_fallback(env, sessions, &mut plans)?;
+        let jobs: Vec<SealJob> = plans
+            .into_iter()
+            .map(|plan| self.seal_job(sessions, plan))
+            .collect();
+        let sealed = seal_stage(jobs, workers, env.clock.as_micros());
 
         // Stage 4: upload (grouped per destination) + bookkeeping.
         let mut outcomes = Vec::with_capacity(sealed.len());
@@ -337,8 +312,7 @@ impl StorePipeline {
             let exit = group[0].plan.exit_ip;
             let disk_before = env.disk.device_stats();
             let now = env.clock;
-            let mut cloud_backoff = SimDuration::ZERO;
-            {
+            let cloud_backoff = {
                 let mut backend = dest_backend(
                     &mut env.cloud,
                     &mut env.local,
@@ -356,17 +330,14 @@ impl StorePipeline {
                     .iter_mut()
                     .flat_map(|s| std::mem::take(&mut s.deletes))
                     .collect();
-                backend.apply_batch(staged, deletes).map_err(storage_err)?;
+                backend
+                    .as_backend()
+                    .apply_batch(staged, deletes)
+                    .map_err(storage_err)?;
                 // Transient-failure retries slept on simulated backoff;
                 // charge it to this batch's wall clock.
-                match &mut backend {
-                    DestBackend::Cloud(session) => {
-                        cloud_backoff = session.take_accrued_backoff();
-                    }
-                    DestBackend::Striped(s) => cloud_backoff = s.take_accrued_backoff(),
-                    DestBackend::Local(_) | DestBackend::Disk(_) => {}
-                }
-            }
+                backend.take_accrued_backoff()
+            };
             // Disk saves cost the actual device I/O the batch incurred
             // (journal + heap writes and both fsync barriers), priced
             // by the environment's disk profile.
@@ -679,9 +650,6 @@ impl StorePipeline {
     /// that fell back to a full save participate (their re-captured
     /// clean layers need converting too).
     fn chunk_stage(&self, plans: &mut [SavePlan<'_>], fallback: bool) {
-        if !self.chunking {
-            return;
-        }
         // (plan index, record name, raw bytes) for every convertible
         // record, then one batched manifest build over all of them.
         let mut raws: Vec<(usize, &'static str, Vec<u8>)> = Vec::new();

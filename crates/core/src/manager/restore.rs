@@ -7,8 +7,7 @@
 use nymix_net::Ip;
 use nymix_store::cas::{self, ChunkIndex, ChunkManifest};
 use nymix_store::{
-    ArchiveCommitment, DeltaArchive, NymArchive, ObjectBackend, SealKey, SealScratch,
-    DELTA_CHAIN_LIMIT,
+    ArchiveCommitment, DeltaArchive, NymArchive, SealKey, SealScratch, DELTA_CHAIN_LIMIT,
 };
 
 use super::env::Environment;
@@ -54,7 +53,7 @@ pub(super) fn fetch_chain(
     let seal_err = |e: nymix_store::SealedError| NymManagerError::Storage(e.to_string());
     nymix_obs::sim_clock(env.clock.as_micros());
     let now = env.clock;
-    let mut backend = dest_backend(
+    let mut opened = dest_backend(
         &mut env.cloud,
         &mut env.local,
         &mut env.disk,
@@ -63,6 +62,7 @@ pub(super) fn fetch_chain(
         dest,
         fetch_exit,
     )?;
+    let backend = opened.as_backend();
     let mut fetched_bytes = 0usize;
 
     // One KDF opens the whole chain: re-derive the chain key from the
@@ -153,7 +153,7 @@ pub(super) fn fetch_chain(
                 &manifest,
                 &chain_key,
                 &prefix,
-                &mut backend,
+                backend,
                 work,
                 scratch,
                 &mut resolved,

@@ -636,33 +636,56 @@ fn compaction_sweeps_retired_epoch_chunks() {
 }
 
 #[test]
-fn chunking_disabled_keeps_record_granular_deltas() {
-    let mut m = NymManager::new(82, 8);
-    m.set_chunking(false);
-    assert!(!m.chunking());
+fn cloud_compaction_sweeps_retired_epoch() {
+    // The Cloud destination sweeps through the trait's default
+    // `apply_batch` (puts, then one delete per name): a compacting
+    // save must leave no epoch-1 delta or chunk object in the account.
+    let mut m = NymManager::new(84, 8);
+    m.register_cloud("dropbox", "anon-gc", "tok");
+    let dest = StorageDest::Cloud {
+        provider: "dropbox".into(),
+        account: "anon-gc".into(),
+        credential: "tok".into(),
+    };
     let (id, _) = m
-        .create_nym("nc", AnonymizerKind::Tor, UsageModel::Persistent)
+        .create_nym("cg", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
     m.visit_site(id, Site::Twitter).unwrap();
-    m.save_nym_incremental(id, "pw", &StorageDest::Local)
-        .unwrap();
-    assert!(chunk_objects(&m).is_empty());
-    m.inject_stain(id, "plain").unwrap();
-    let (kind, _, _) = m
-        .save_nym_incremental(id, "pw", &StorageDest::Local)
-        .unwrap();
-    assert_eq!(kind, SaveKind::Delta);
+    m.save_nym_incremental(id, "pw", &dest).unwrap();
+    let objects = |m: &NymManager, epoch: &str| -> Vec<String> {
+        m.cloud_provider("dropbox")
+            .unwrap()
+            .subpoena("anon-gc")
+            .into_iter()
+            .map(|(n, _)| n.to_string())
+            .filter(|n| n.contains(epoch))
+            .collect()
+    };
+    assert!(
+        !objects(&m, "#e1/c/").is_empty(),
+        "large records should chunk"
+    );
+    for i in 0..=DELTA_CHAIN_LIMIT {
+        m.inject_stain(id, &format!("cgc-{i}")).unwrap();
+        m.save_nym_incremental(id, "pw", &dest).unwrap();
+    }
+    let stale = objects(&m, "#e1");
+    assert!(stale.is_empty(), "old-epoch objects not swept: {stale:?}");
+    assert!(!objects(&m, "#e2").is_empty());
+    // The compacted chain restores with every mark intact.
     m.destroy_nym(id).unwrap();
     let (id2, _) = m
         .restore_nym(
-            "nc",
+            "cg",
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local,
+            &dest,
         )
         .unwrap();
-    assert!(m.has_stain(id2, "plain").unwrap());
+    for i in 0..=DELTA_CHAIN_LIMIT {
+        assert!(m.has_stain(id2, &format!("cgc-{i}")).unwrap(), "cgc-{i}");
+    }
 }
 
 #[test]

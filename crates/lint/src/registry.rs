@@ -267,8 +267,6 @@ impl Registry {
             "disk.reads",
             "disk.bytes_read",
             "disk.fsyncs",
-            "disk.tier_hits",
-            "disk.tier_misses",
             "placement.shard_writes",
             "placement.shard_failures",
             "placement.repair_passes",

@@ -69,8 +69,6 @@ pub const COUNTERS: &[&str] = &[
     "disk.reads",
     "disk.bytes_read",
     "disk.fsyncs",
-    "disk.tier_hits",
-    "disk.tier_misses",
     "placement.shard_writes",
     "placement.shard_failures",
     "placement.repair_passes",

@@ -9,8 +9,8 @@
 //! ships only the chunks a save actually changed:
 //!
 //! * A **chunk ID** ([`chunk_id`]) is the domain-separated SHA-256 of
-//!   the chunk's plaintext; runs of equal-length chunks hash four at a
-//!   time on the `sha256_x4` batch kernel.
+//!   the chunk's plaintext; equal-length chunks, across records, hash
+//!   four at a time on the `sha256_x4` batch kernel.
 //! * A **chunk manifest** ([`ChunkManifest`], magic `"NYMC"`) replaces
 //!   the record's bytes inside the archive: the record's total length
 //!   plus the ordered `(chunk ID, length)` list. Manifests ride the
@@ -151,36 +151,13 @@ pub struct ChunkManifest {
 }
 
 impl ChunkManifest {
-    /// Chunks `data` and builds its manifest. Runs of four equal-length
-    /// chunks (common for max-capped chunks of huge records) hash in
-    /// one interleaved `sha256_x4` pass.
+    /// Chunks `data` and builds its manifest: [`build_manifests`] over
+    /// one record.
     pub fn build(data: &[u8]) -> Self {
-        let chunks: Vec<&[u8]> = chunker::chunks(data).collect();
-        let mut entries = Vec::with_capacity(chunks.len());
-        let mut i = 0;
-        while i < chunks.len() {
-            if i + 4 <= chunks.len()
-                && chunks[i + 1..i + 4]
-                    .iter()
-                    .all(|c| c.len() == chunks[i].len())
-            {
-                let ids = sha256_x4(
-                    CHUNK_TAG,
-                    [chunks[i], chunks[i + 1], chunks[i + 2], chunks[i + 3]],
-                );
-                for (j, id) in ids.into_iter().enumerate() {
-                    entries.push((id, len_u32(chunks[i + j].len())));
-                }
-                i += 4;
-            } else {
-                entries.push((chunk_id(chunks[i]), len_u32(chunks[i].len())));
-                i += 1;
-            }
-        }
-        Self {
-            total_len: data.len() as u64,
-            entries,
-        }
+        build_manifests(&[data])
+            .pop()
+            // lint:allow(panic-free-parser): a builder, not a parser; build_manifests returns one manifest per input
+            .expect("one manifest per record")
     }
 
     /// Total plaintext bytes the manifest describes.
@@ -364,9 +341,8 @@ impl ChunkIndex {
 /// hashing **across records**: all chunks of every input are grouped by
 /// length and hashed four lanes at a time on `sha256_x4`, so the
 /// scalar-hashed remainder shrinks from one-per-record-tail to
-/// one-per-distinct-length. Produces exactly the IDs
-/// [`ChunkManifest::build`] would — the store pipeline uses this to
-/// amortize hashing across every session of a fleet save.
+/// one-per-distinct-length. The store pipeline uses this to amortize
+/// hashing across every session of a fleet save.
 pub fn build_manifests(datas: &[&[u8]]) -> Vec<ChunkManifest> {
     let mut manifests: Vec<ChunkManifest> = datas
         .iter()
@@ -589,7 +565,8 @@ mod tests {
     #[test]
     fn build_manifests_matches_per_record_build() {
         // Cross-record batching must be invisible in the output: same
-        // IDs, same lengths, same order as building each alone.
+        // IDs, same lengths, same order as hashing each record's chunks
+        // one by one.
         let records: Vec<Vec<u8>> = vec![
             noise(21, 150_000),
             noise(22, 40_000),
@@ -600,7 +577,13 @@ mod tests {
         let views: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
         let batched = build_manifests(&views);
         for (data, manifest) in records.iter().zip(&batched) {
-            assert_eq!(*manifest, ChunkManifest::build(data));
+            let oracle: Vec<(ChunkId, usize)> = chunker::chunks(data)
+                .map(|c| (chunk_id(c), c.len()))
+                .collect();
+            let got: Vec<(ChunkId, usize)> =
+                manifest.chunks().map(|(id, len)| (*id, len)).collect();
+            assert_eq!(got, oracle);
+            assert_eq!(manifest.total_len(), data.len());
         }
     }
 

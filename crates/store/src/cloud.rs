@@ -12,6 +12,7 @@
 //! claims: blobs are ciphertext, and the observed address is an
 //! anonymizer exit, never the user.
 
+use std::borrow::BorrowMut;
 use std::collections::{BTreeMap, VecDeque};
 
 use nymix_net::Ip;
@@ -26,8 +27,6 @@ pub enum CloudError {
     NoSuchAccount,
     /// Wrong account credential.
     BadCredential,
-    /// Unknown object.
-    NoSuchObject,
     /// The provider shed load on this write — transient; retry after a
     /// backoff may succeed.
     Throttled,
@@ -43,7 +42,6 @@ impl core::fmt::Display for CloudError {
         match self {
             CloudError::NoSuchAccount => write!(f, "no such account"),
             CloudError::BadCredential => write!(f, "bad credential"),
-            CloudError::NoSuchObject => write!(f, "no such object"),
             CloudError::Throttled => write!(f, "provider throttled the request"),
             CloudError::Unavailable => write!(f, "provider unavailable"),
         }
@@ -80,7 +78,7 @@ impl std::error::Error for CloudError {}
 pub struct AccessLogEntry {
     /// Account the operation touched.
     pub account: String,
-    /// Operation ("put", "get", "list", "login").
+    /// Operation ("put", "get", "list", "delete").
     pub op: &'static str,
     /// Object name, if applicable.
     pub object: Option<String>,
@@ -90,7 +88,7 @@ pub struct AccessLogEntry {
     pub bytes: usize,
 }
 
-/// Default bound on retained access-log entries per provider.
+/// Bound on retained access-log entries per provider.
 pub const ACCESS_LOG_CAPACITY: usize = 4096;
 
 /// A bounded, oldest-out ring of [`AccessLogEntry`] observations.
@@ -99,13 +97,12 @@ pub const ACCESS_LOG_CAPACITY: usize = 4096;
 /// operation forever — a chunked save alone performs dozens of puts, so
 /// a long-lived simulation leaked memory linearly in operation count.
 /// Real providers rotate logs too; the ring models exactly that: the
-/// newest [`AccessLog::capacity`] entries are retained for the
+/// newest [`ACCESS_LOG_CAPACITY`] entries are retained for the
 /// intersection-attack auditing views, older ones fall off the front,
 /// and [`AccessLog::total_recorded`] still counts everything ever seen.
 #[derive(Debug, Clone)]
 pub struct AccessLog {
     entries: VecDeque<AccessLogEntry>,
-    capacity: usize,
     /// Lifetime op tally, mirrored into the `cloud.ops` obs counter —
     /// the log's totals are a *view* over the same metric the fleet
     /// snapshot reports.
@@ -115,18 +112,16 @@ pub struct AccessLog {
 }
 
 impl AccessLog {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "access log needs room for at least one entry");
+    fn new() -> Self {
         Self {
-            entries: VecDeque::with_capacity(capacity.min(64)),
-            capacity,
+            entries: VecDeque::with_capacity(64),
             total: nymix_obs::meter!("cloud.ops"),
             dropped: nymix_obs::meter!("cloud.dropped"),
         }
     }
 
     fn push(&mut self, entry: AccessLogEntry) {
-        if self.entries.len() == self.capacity {
+        if self.entries.len() == ACCESS_LOG_CAPACITY {
             self.entries.pop_front();
             self.dropped.add(1);
         }
@@ -144,9 +139,9 @@ impl AccessLog {
         self.entries.is_empty()
     }
 
-    /// The ring's fixed capacity.
+    /// The ring's fixed capacity, [`ACCESS_LOG_CAPACITY`].
     pub fn capacity(&self) -> usize {
-        self.capacity
+        ACCESS_LOG_CAPACITY
     }
 
     /// Operations ever recorded, including ones the ring dropped.
@@ -185,14 +180,19 @@ struct Account {
 /// # Examples
 ///
 /// ```
-/// use nymix_store::CloudProvider;
+/// use nymix_store::{CloudProvider, ObjectBackend};
 /// use nymix_net::Ip;
 ///
 /// let mut dropbox = CloudProvider::new("dropbox");
 /// dropbox.create_account("anon4711", "token");
 /// let exit = Ip::parse("198.18.0.5"); // a Tor exit, not the user
-/// dropbox.put("anon4711", "token", "nym.bin", vec![1, 2, 3], exit).unwrap();
-/// assert_eq!(dropbox.get("anon4711", "token", "nym.bin", exit).unwrap(), vec![1, 2, 3]);
+/// dropbox
+///     .session("anon4711", "token", exit)
+///     .put("nym.bin", vec![1, 2, 3])
+///     .unwrap();
+/// assert_eq!(dropbox.object_size("anon4711", "nym.bin"), Some(3));
+/// // The provider observed the exit address, never the user's.
+/// assert!(dropbox.access_log().iter().all(|e| e.observed_ip == exit));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CloudProvider {
@@ -222,7 +222,7 @@ impl CloudProvider {
         Self {
             name: name.to_string(),
             accounts: BTreeMap::new(),
-            log: AccessLog::new(ACCESS_LOG_CAPACITY),
+            log: AccessLog::new(),
             transient_put_faults: 0,
             transient_put_skip: 0,
             now: SimTime::ZERO,
@@ -320,16 +320,6 @@ impl CloudProvider {
         self.transient_put_faults
     }
 
-    /// Overrides the access-log retention bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_log_capacity(mut self, capacity: usize) -> Self {
-        self.log = AccessLog::new(capacity);
-        self
-    }
-
     /// Provider name.
     pub fn name(&self) -> &str {
         &self.name
@@ -363,10 +353,8 @@ impl CloudProvider {
         Ok(())
     }
 
-    /// The post-auth read path both the explicit [`CloudProvider::get`]
-    /// and the session backend serve through, so byzantine modes can
-    /// never diverge between them: healthy reads answer the live
-    /// object, [`FaultMode::ServeStale`] answers the armed snapshot,
+    /// The post-auth read path: healthy reads answer the live object,
+    /// [`FaultMode::ServeStale`] answers the armed snapshot,
     /// [`FaultMode::ServeGarbage`] answers deterministic wrong bytes of
     /// the right length.
     fn serve_read(&mut self, account: &str, object: &str) -> Option<&[u8]> {
@@ -390,26 +378,12 @@ impl CloudProvider {
         }
     }
 
-    /// Stores an object.
-    pub fn put(
-        &mut self,
-        account: &str,
-        credential: &str,
-        object: &str,
-        data: Vec<u8>,
-        observed_ip: Ip,
-    ) -> Result<(), CloudError> {
-        self.auth(account, credential)?;
-        self.put_authed(account, object, &data, observed_ip)
-    }
-
-    /// The post-auth half of every write — single puts and batches
-    /// both land (and are access-logged) through here, so the two
-    /// paths can never diverge. Fails with [`CloudError::Throttled`]
-    /// while injected transient faults remain (after the configured
-    /// skip window), or unconditionally under a persistent
-    /// [`FaultMode::Throttled`]; a throttled write lands nothing and
-    /// logs nothing (the provider dropped it at the door).
+    /// The post-auth half of every write: the session's retry loop
+    /// lands (and access-logs) each object through here. Fails with
+    /// [`CloudError::Throttled`] while injected transient faults remain
+    /// (after the configured skip window), or unconditionally under a
+    /// persistent [`FaultMode::Throttled`]; a throttled write lands
+    /// nothing and logs nothing (the provider dropped it at the door).
     ///
     /// The payload is borrowed, so a retrying caller resends it without
     /// copying it first. The provider keeps its own exact-size copy of
@@ -438,99 +412,28 @@ impl CloudProvider {
             .expect("authenticated by caller")
             .objects
             .insert(object.to_string(), data.to_vec());
-        self.log.push(AccessLogEntry {
-            account: account.to_string(),
-            op: "put",
-            object: Some(object.to_string()),
-            observed_ip,
-            bytes,
-        });
+        self.log_op(account, "put", Some(object), observed_ip, bytes);
         nymix_obs::counter!("cloud.puts", 1u64);
         nymix_obs::histogram!("cloud.put_bytes", bytes);
         Ok(())
     }
 
-    /// Retrieves an object.
-    pub fn get(
+    /// Appends one observed operation to the access log.
+    fn log_op(
         &mut self,
         account: &str,
-        credential: &str,
-        object: &str,
+        op: &'static str,
+        object: Option<&str>,
         observed_ip: Ip,
-    ) -> Result<Vec<u8>, CloudError> {
-        self.auth(account, credential)?;
-        let data = self
-            .serve_read(account, object)
-            .map(<[u8]>::to_vec)
-            .ok_or(CloudError::NoSuchObject)?;
+        bytes: usize,
+    ) {
         self.log.push(AccessLogEntry {
             account: account.to_string(),
-            op: "get",
-            object: Some(object.to_string()),
+            op,
+            object: object.map(str::to_string),
             observed_ip,
-            bytes: data.len(),
+            bytes,
         });
-        nymix_obs::counter!("cloud.gets", 1u64);
-        Ok(data)
-    }
-
-    /// Lists an account's object names (from the armed snapshot while
-    /// serving stale — a byzantine provider's listing is as old as its
-    /// reads).
-    pub fn list(
-        &mut self,
-        account: &str,
-        credential: &str,
-        observed_ip: Ip,
-    ) -> Result<Vec<String>, CloudError> {
-        self.auth(account, credential)?;
-        self.log.push(AccessLogEntry {
-            account: account.to_string(),
-            op: "list",
-            object: None,
-            observed_ip,
-            bytes: 0,
-        });
-        if self.fault == FaultMode::ServeStale {
-            return Ok(self
-                .stale_snapshot
-                .get(account)
-                .map(|objects| objects.keys().cloned().collect())
-                .unwrap_or_default());
-        }
-        Ok(self
-            .accounts
-            .get(account)
-            .expect("authenticated above")
-            .objects
-            .keys()
-            .cloned()
-            .collect())
-    }
-
-    /// Deletes an object.
-    pub fn delete(
-        &mut self,
-        account: &str,
-        credential: &str,
-        object: &str,
-        observed_ip: Ip,
-    ) -> Result<(), CloudError> {
-        self.auth(account, credential)?;
-        self.accounts
-            .get_mut(account)
-            .expect("authenticated above")
-            .objects
-            .remove(object)
-            .ok_or(CloudError::NoSuchObject)?;
-        self.log.push(AccessLogEntry {
-            account: account.to_string(),
-            op: "delete",
-            object: Some(object.to_string()),
-            observed_ip,
-            bytes: 0,
-        });
-        Ok(())
     }
 
     /// The provider's access log (the adversary's subpoena view): the
@@ -539,23 +442,18 @@ impl CloudProvider {
         &self.log
     }
 
-    /// Opens an authenticated [`ObjectBackend`] session on `account`:
-    /// every operation is checked against `credential` and logged with
-    /// `observed_ip` (the connection's source as the provider sees it —
-    /// an anonymizer exit, never the user, if the caller did their job).
-    pub fn session<'p>(
-        &'p mut self,
+    /// Opens an authenticated [`ObjectBackend`] session on `account`
+    /// that borrows the provider: every operation is checked against
+    /// `credential` and logged with `observed_ip` (the connection's
+    /// source as the provider sees it — an anonymizer exit, never the
+    /// user, if the caller did their job).
+    pub fn session(
+        &mut self,
         account: &str,
         credential: &str,
         observed_ip: Ip,
-    ) -> CloudSession<'p> {
-        CloudSession {
-            provider: self,
-            account: account.to_string(),
-            credential: credential.to_string(),
-            observed_ip,
-            backoff_accrued: nymix_obs::meter!("cloud.backoff_us"),
-        }
+    ) -> CloudSession<&mut CloudProvider> {
+        CloudSession::new(self, account, credential, observed_ip)
     }
 
     /// Stored size of an object, if present.
@@ -584,10 +482,14 @@ impl CloudProvider {
 }
 
 /// An authenticated pseudonymous-account session presenting a cloud
-/// provider as a flat [`ObjectBackend`] namespace. Holds the account,
-/// credential, and the source address the provider will observe; every
-/// operation is auth-checked and access-logged exactly like the
-/// explicit [`CloudProvider`] methods.
+/// provider as a flat [`ObjectBackend`] namespace — the only client of
+/// a [`CloudProvider`]. Holds the account, credential, and the source
+/// address the provider will observe; every operation is auth-checked
+/// and access-logged.
+///
+/// `P` is how the session holds its provider: borrowed for one save or
+/// restore ([`CloudProvider::session`]), or owned by a long-lived
+/// placement child (`CloudSession<CloudProvider>`).
 ///
 /// # Examples
 ///
@@ -603,8 +505,8 @@ impl CloudProvider {
 /// assert_eq!(session.get("nym.bin").unwrap(), Some(&[1u8, 2, 3][..]));
 /// ```
 #[derive(Debug)]
-pub struct CloudSession<'p> {
-    provider: &'p mut CloudProvider,
+pub struct CloudSession<P> {
+    provider: P,
     account: String,
     credential: String,
     observed_ip: Ip,
@@ -626,7 +528,6 @@ fn denied(e: CloudError) -> BackendError {
         CloudError::NoSuchAccount | CloudError::BadCredential => BackendError::Denied,
         CloudError::Throttled => BackendError::Transient(e.to_string()),
         CloudError::Unavailable => BackendError::Unavailable(e.to_string()),
-        CloudError::NoSuchObject => BackendError::Other(e.to_string()),
     }
 }
 
@@ -649,7 +550,46 @@ fn garbage_bytes(provider: &str, object: &str, len: usize) -> Vec<u8> {
     out
 }
 
-impl CloudSession<'_> {
+impl<P: BorrowMut<CloudProvider>> CloudSession<P> {
+    /// Opens a session on `account` over `provider`, observed from
+    /// `observed_ip`.
+    pub fn new(provider: P, account: &str, credential: &str, observed_ip: Ip) -> Self {
+        Self {
+            provider,
+            account: account.to_string(),
+            credential: credential.to_string(),
+            observed_ip,
+            backoff_accrued: nymix_obs::meter!("cloud.backoff_us"),
+        }
+    }
+
+    /// The provider (access-log inspection).
+    pub fn provider(&self) -> &CloudProvider {
+        self.provider.borrow()
+    }
+
+    /// Mutable provider access (fault arming, the fault clock).
+    pub fn provider_mut(&mut self) -> &mut CloudProvider {
+        self.provider.borrow_mut()
+    }
+
+    /// Sets the source address the provider observes from now on (an
+    /// anonymizer exit, never the user).
+    pub fn set_observed_ip(&mut self, ip: Ip) {
+        self.observed_ip = ip;
+    }
+
+    /// Checks the session's credentials (one `cloud.auth` count), then
+    /// hands out the provider with the account and the observed
+    /// address the operation is logged under.
+    fn authed(&mut self) -> Result<(&mut CloudProvider, &str, Ip), BackendError> {
+        let provider = self.provider.borrow_mut();
+        provider
+            .auth(&self.account, &self.credential)
+            .map_err(denied)?;
+        Ok((provider, &self.account, self.observed_ip))
+    }
+
     /// Total simulated backoff accrued by retried writes so far.
     pub fn accrued_backoff(&self) -> SimDuration {
         SimDuration(self.backoff_accrued.get())
@@ -663,7 +603,7 @@ impl CloudSession<'_> {
     }
 }
 
-impl ObjectBackend for CloudSession<'_> {
+impl<P: BorrowMut<CloudProvider>> ObjectBackend for CloudSession<P> {
     fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
         self.put_many(vec![(name.to_string(), data)])
     }
@@ -684,15 +624,14 @@ impl ObjectBackend for CloudSession<'_> {
     /// the exact traffic signature an observing adversary wants. Puts
     /// are idempotent overwrites, so a retry cannot corrupt state.
     fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
-        self.provider
-            .auth(&self.account, &self.credential)
-            .map_err(denied)?;
+        self.authed()?;
         for (name, data) in &objects {
             let mut retries_left = DEFAULT_RETRY_MAX;
             let mut backoff = DEFAULT_RETRY_BASE;
-            while let Err(e) = self
-                .provider
-                .put_authed(&self.account, name, data, self.observed_ip)
+            while let Err(e) =
+                self.provider
+                    .borrow_mut()
+                    .put_authed(&self.account, name, data, self.observed_ip)
             {
                 let e = denied(e);
                 if !e.is_transient() || retries_left == 0 {
@@ -707,46 +646,43 @@ impl ObjectBackend for CloudSession<'_> {
     }
 
     fn get(&mut self, name: &str) -> Result<Option<&[u8]>, BackendError> {
-        self.provider
-            .auth(&self.account, &self.credential)
-            .map_err(denied)?;
-        let Some(bytes) = self
-            .provider
-            .serve_read(&self.account, name)
-            .map(<[u8]>::len)
-        else {
+        let (provider, account, observed_ip) = self.authed()?;
+        let Some(bytes) = provider.serve_read(account, name).map(<[u8]>::len) else {
             return Ok(None);
         };
-        self.provider.log.push(AccessLogEntry {
-            account: self.account.clone(),
-            op: "get",
-            object: Some(name.to_string()),
-            observed_ip: self.observed_ip,
-            bytes,
-        });
+        provider.log_op(account, "get", Some(name), observed_ip, bytes);
         nymix_obs::counter!("cloud.gets", 1u64);
         // Re-serve for the borrowed return value (the log push above
         // needed the mutable half of the provider).
-        Ok(self.provider.serve_read(&self.account, name))
+        Ok(provider.serve_read(account, name))
     }
 
     fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
-        match self
-            .provider
-            .delete(&self.account, &self.credential, name, self.observed_ip)
-        {
-            Ok(()) => Ok(true),
-            Err(CloudError::NoSuchObject) => Ok(false),
-            Err(e) => Err(denied(e)),
+        let (provider, account, observed_ip) = self.authed()?;
+        let existed = provider
+            .accounts
+            .get_mut(account)
+            .expect("authenticated above")
+            .objects
+            .remove(name)
+            .is_some();
+        if existed {
+            provider.log_op(account, "delete", Some(name), observed_ip, 0);
         }
+        Ok(existed)
     }
 
+    /// Lists the account's object names (from the armed snapshot while
+    /// serving stale — a byzantine provider's listing is as old as its
+    /// reads).
     fn list(&mut self, out: &mut Vec<String>) -> Result<(), BackendError> {
-        out.extend(
-            self.provider
-                .list(&self.account, &self.credential, self.observed_ip)
-                .map_err(denied)?,
-        );
+        let (provider, account, observed_ip) = self.authed()?;
+        provider.log_op(account, "list", None, observed_ip, 0);
+        let objects = match provider.fault {
+            FaultMode::ServeStale => provider.stale_snapshot.get(account),
+            _ => provider.accounts.get(account).map(|a| &a.objects),
+        };
+        out.extend(objects.into_iter().flat_map(|o| o.keys().cloned()));
         Ok(())
     }
 }
@@ -763,16 +699,16 @@ mod tests {
     fn put_get_list_delete() {
         let mut p = CloudProvider::new("drive");
         p.create_account("a1", "c1");
-        p.put("a1", "c1", "o1", vec![1, 2], exit()).unwrap();
-        p.put("a1", "c1", "o2", vec![3], exit()).unwrap();
-        assert_eq!(p.get("a1", "c1", "o1", exit()).unwrap(), vec![1, 2]);
-        assert_eq!(p.list("a1", "c1", exit()).unwrap(), vec!["o1", "o2"]);
-        assert_eq!(p.object_size("a1", "o2"), Some(1));
-        p.delete("a1", "c1", "o2", exit()).unwrap();
-        assert_eq!(
-            p.get("a1", "c1", "o2", exit()),
-            Err(CloudError::NoSuchObject)
-        );
+        let mut s = p.session("a1", "c1", exit());
+        s.put("o1", vec![1, 2]).unwrap();
+        s.put("o2", vec![3]).unwrap();
+        assert_eq!(s.get("o1").unwrap(), Some(&[1u8, 2][..]));
+        let mut names = Vec::new();
+        s.list(&mut names).unwrap();
+        assert_eq!(names, vec!["o1", "o2"]);
+        assert_eq!(s.provider().object_size("a1", "o2"), Some(1));
+        assert!(s.delete("o2").unwrap());
+        assert_eq!(s.get("o2").unwrap(), None);
     }
 
     #[test]
@@ -780,12 +716,12 @@ mod tests {
         let mut p = CloudProvider::new("drive");
         p.create_account("a1", "c1");
         assert_eq!(
-            p.put("a1", "wrong", "o", vec![], exit()),
-            Err(CloudError::BadCredential)
+            p.session("a1", "wrong", exit()).put("o", vec![]),
+            Err(BackendError::Denied)
         );
         assert_eq!(
-            p.get("nobody", "c", "o", exit()),
-            Err(CloudError::NoSuchAccount)
+            p.session("nobody", "c", exit()).get("o"),
+            Err(BackendError::Denied)
         );
     }
 
@@ -795,9 +731,9 @@ mod tests {
         p.create_account("anon", "c");
         let user_ip = Ip::parse("203.0.113.9");
         let tor_exit = Ip::parse("198.18.0.40");
-        p.put("anon", "c", "nym.bin", vec![0; 64], tor_exit)
-            .unwrap();
-        p.get("anon", "c", "nym.bin", tor_exit).unwrap();
+        let mut s = p.session("anon", "c", tor_exit);
+        s.put("nym.bin", vec![0; 64]).unwrap();
+        s.get("nym.bin").unwrap();
         // The provider's log contains only the exit address.
         assert_eq!(p.access_log().len(), 2);
         for entry in p.access_log() {
@@ -809,30 +745,26 @@ mod tests {
     #[test]
     fn access_log_is_bounded_ring() {
         // Regression: the log grew without limit — one entry per
-        // operation, forever. The ring keeps the newest `capacity`
-        // entries and still counts the total.
-        let mut p = CloudProvider::new("drive").with_log_capacity(8);
+        // operation, forever. The ring keeps the newest
+        // `ACCESS_LOG_CAPACITY` entries and still counts the total.
+        let mut p = CloudProvider::new("drive");
         p.create_account("a", "c");
-        for i in 0..20 {
-            p.put("a", "c", &format!("o{i}"), vec![0; 4], exit())
-                .unwrap();
+        let ops = ACCESS_LOG_CAPACITY + 12;
+        let mut s = p.session("a", "c", exit());
+        for i in 0..ops {
+            s.put(&format!("o{i}"), vec![0; 4]).unwrap();
         }
         let log = p.access_log();
-        assert_eq!(log.len(), 8);
-        assert_eq!(log.capacity(), 8);
-        assert_eq!(log.total_recorded(), 20);
+        assert_eq!(log.len(), ACCESS_LOG_CAPACITY);
+        assert_eq!(log.capacity(), ACCESS_LOG_CAPACITY);
+        assert_eq!(log.total_recorded(), ops as u64);
         assert_eq!(log.dropped(), 12);
-        // Oldest retained entry is op 12; newest is op 19.
+        // Oldest retained entry is op 12; newest is the last op.
         assert_eq!(log.iter().next().unwrap().object.as_deref(), Some("o12"));
-        assert_eq!(log.iter().last().unwrap().object.as_deref(), Some("o19"));
+        let newest = format!("o{}", ops - 1);
+        assert_eq!(log.iter().last().unwrap().object, Some(newest));
         // The intersection-auditing view still iterates.
         assert!(log.into_iter().all(|e| e.observed_ip == exit()));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn zero_log_capacity_rejected() {
-        let _ = CloudProvider::new("drive").with_log_capacity(0);
     }
 
     #[test]
@@ -988,7 +920,7 @@ mod tests {
     fn outage_gates_every_operation_until_the_deadline() {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "tok");
-        p.put("anon", "tok", "x", vec![7], exit()).unwrap();
+        p.session("anon", "tok", exit()).put("x", vec![7]).unwrap();
         p.outage_for(SimDuration::from_secs(60));
         assert!(p.is_down());
         {
@@ -1023,23 +955,20 @@ mod tests {
         p.outage();
         p.set_now(SimTime(u64::MAX / 2));
         assert!(p.is_down());
-        assert_eq!(
-            p.get("anon", "tok", "x", exit()),
-            Err(CloudError::Unavailable)
-        );
+        assert!(matches!(
+            p.session("anon", "tok", exit()).get("x"),
+            Err(BackendError::Unavailable(_))
+        ));
         p.heal();
         assert!(!p.is_down());
-        assert_eq!(
-            p.get("anon", "tok", "x", exit()),
-            Err(CloudError::NoSuchObject)
-        );
+        assert_eq!(p.session("anon", "tok", exit()).get("x"), Ok(None));
     }
 
     #[test]
     fn throttled_provider_rejects_writes_but_serves_reads() {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "tok");
-        p.put("anon", "tok", "x", vec![7], exit()).unwrap();
+        p.session("anon", "tok", exit()).put("x", vec![7]).unwrap();
         p.throttle();
         let mut s = p.session("anon", "tok", exit());
         // Persistent throttling outlasts the whole retry budget.
@@ -1060,45 +989,49 @@ mod tests {
     fn serve_stale_answers_the_armed_snapshot() {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "tok");
-        p.put("anon", "tok", "x", vec![1], exit()).unwrap();
+        p.session("anon", "tok", exit()).put("x", vec![1]).unwrap();
         p.serve_stale();
-        // Writes after arming still land in the live store…
-        p.put("anon", "tok", "x", vec![2], exit()).unwrap();
-        p.put("anon", "tok", "new", vec![3], exit()).unwrap();
-        // …but every read (and listing) answers from the snapshot.
-        assert_eq!(p.get("anon", "tok", "x", exit()).unwrap(), vec![1]);
-        assert_eq!(
-            p.get("anon", "tok", "new", exit()),
-            Err(CloudError::NoSuchObject)
-        );
-        assert_eq!(p.list("anon", "tok", exit()).unwrap(), vec!["x"]);
         let mut s = p.session("anon", "tok", exit());
+        // Writes after arming still land in the live store…
+        s.put("x", vec![2]).unwrap();
+        s.put("new", vec![3]).unwrap();
+        // …but every read (and listing) answers from the snapshot.
         assert_eq!(s.get("x").unwrap(), Some(&[1u8][..]));
-        drop(s);
+        assert_eq!(s.get("new").unwrap(), None);
+        let mut names = Vec::new();
+        s.list(&mut names).unwrap();
+        assert_eq!(names, vec!["x"]);
         p.heal();
-        assert_eq!(p.get("anon", "tok", "x", exit()).unwrap(), vec![2]);
+        let mut s = p.session("anon", "tok", exit());
+        assert_eq!(s.get("x").unwrap(), Some(&[2u8][..]));
     }
 
     #[test]
     fn serve_garbage_returns_wrong_bytes_of_the_right_length() {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "tok");
-        p.put("anon", "tok", "x", vec![0xAB; 100], exit()).unwrap();
+        p.session("anon", "tok", exit())
+            .put("x", vec![0xAB; 100])
+            .unwrap();
         p.serve_garbage();
-        let lie = p.get("anon", "tok", "x", exit()).unwrap();
+        let mut s = p.session("anon", "tok", exit());
+        let lie = s.get("x").unwrap().expect("present").to_vec();
         assert_eq!(lie.len(), 100, "right length");
         assert_ne!(lie, vec![0xAB; 100], "wrong bytes");
         // Deterministic: the byzantine provider lies consistently.
-        assert_eq!(p.get("anon", "tok", "x", exit()).unwrap(), lie);
+        assert_eq!(s.get("x").unwrap(), Some(&lie[..]));
         p.heal();
-        assert_eq!(p.get("anon", "tok", "x", exit()).unwrap(), vec![0xAB; 100]);
+        let mut s = p.session("anon", "tok", exit());
+        assert_eq!(s.get("x").unwrap(), Some(&[0xAB; 100][..]));
     }
 
     #[test]
     fn subpoena_returns_blobs() {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "c");
-        p.put("anon", "c", "x", vec![0xAB; 10], exit()).unwrap();
+        p.session("anon", "c", exit())
+            .put("x", vec![0xAB; 10])
+            .unwrap();
         let dump = p.subpoena("anon");
         assert_eq!(dump.len(), 1);
         assert_eq!(dump[0].0, "x");

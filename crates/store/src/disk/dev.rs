@@ -74,7 +74,7 @@ impl std::error::Error for DeviceError {}
 pub struct DiskStats {
     /// Total bytes submitted by `write` calls.
     pub bytes_written: u64,
-    /// Total bytes returned by media reads (RAM-tier hits don't count).
+    /// Total bytes returned by media reads.
     pub bytes_read: u64,
     /// Number of `write` submissions.
     pub writes: u64,
@@ -265,8 +265,7 @@ impl SimDisk {
     }
 
     /// Reads `len` bytes at `at` from the view, zero-filling past EOF.
-    /// Tallied as one media read (callers with a RAM tier only come
-    /// here on a miss).
+    /// Tallied as one media read.
     pub fn read(&mut self, file: FileId, at: usize, len: usize, out: &mut Vec<u8>) {
         out.clear();
         let v = &self.view[file.idx()];

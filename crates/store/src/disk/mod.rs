@@ -45,18 +45,15 @@
 //! * **Idempotent recovery.** Opening a crashed image twice yields the
 //!   same store as opening it once (property-tested).
 //!
-//! A bounded LRU RAM tier ([`LruTier`]) caches hot payloads; it is
-//! updated only after a batch is durable, so the cache never gets ahead
-//! of the disk. The device tallies I/O in [`DiskStats`]; the nym
-//! manager converts those counters into simulated time with
-//! `nymix_sim::DiskProfile`, pricing every fsync barrier the protocol
-//! issues.
+//! Reads copy the record off the device into one reused buffer. The
+//! device tallies I/O in [`DiskStats`]; the nym manager converts those
+//! counters into simulated time with `nymix_sim::DiskProfile`, pricing
+//! every fsync barrier the protocol issues.
 
 pub mod dev;
 pub mod fault;
 pub mod heap;
 pub mod journal;
-pub mod tier;
 
 use std::collections::BTreeMap;
 
@@ -64,15 +61,9 @@ use crate::backend::{BackendError, ObjectBackend};
 
 pub use dev::{DeviceError, DiskStats, FileId, SimDisk};
 pub use fault::{CrashMode, FaultPlan};
-pub use tier::{LruTier, TierStats};
 
 use heap::ObjLoc;
 use journal::{BatchOp, Superblock, BATCH_START, SB_SLOT_LEN};
-
-/// Default RAM-tier budget: enough for a working set of hot chunks
-/// without letting the cache re-grow the memory footprint the disk
-/// store exists to shed.
-pub const DEFAULT_RAM_TIER_BYTES: usize = 8 << 20;
 
 /// Errors opening or operating a [`DiskStore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,8 +120,7 @@ fn tombstone_len(name: &str) -> u64 {
 }
 
 /// A journaled, log-structured, crash-consistent object store over a
-/// [`SimDisk`], with a bounded LRU RAM tier. See the
-/// [module docs](self) for the durability model.
+/// [`SimDisk`]. See the [module docs](self) for the durability model.
 #[derive(Debug)]
 pub struct DiskStore {
     disk: SimDisk,
@@ -141,10 +131,9 @@ pub struct DiskStore {
     applied_seq: u64,
     /// Superblock write generation (slot = `gen % 2`).
     sb_gen: u64,
-    tier: LruTier,
     garbage_bytes: u64,
     poisoned: bool,
-    /// Scratch for media reads of objects too large for the tier.
+    /// Scratch every media read lands in (the borrow `get` returns).
     read_buf: Vec<u8>,
 }
 
@@ -216,7 +205,6 @@ impl DiskStore {
             heap_len: sb.heap_len,
             applied_seq: sb.applied_seq,
             sb_gen: sb.gen,
-            tier: LruTier::new(DEFAULT_RAM_TIER_BYTES),
             garbage_bytes: scan.garbage_bytes,
             poisoned: false,
             read_buf: Vec::new(),
@@ -297,18 +285,16 @@ impl DiskStore {
         self.sb_gen = sb.gen;
         self.applied_seq = seq;
         self.heap_len = new_heap_len;
-        for ((name, data), loc) in puts.iter().zip(new_locs) {
+        for ((name, _), loc) in puts.iter().zip(new_locs) {
             if let Some(old) = self.index.insert(name.clone(), loc) {
                 self.garbage_bytes += put_record_len(name, old.len);
             }
-            self.tier.insert(name, data.clone());
         }
         for name in deletes {
             if let Some(old) = self.index.remove(name) {
                 self.garbage_bytes += put_record_len(name, old.len);
             }
             self.garbage_bytes += tombstone_len(name);
-            self.tier.remove(name);
         }
         nymix_obs::gauge!("disk.garbage_bytes", self.garbage_bytes);
         Ok(())
@@ -388,16 +374,6 @@ impl DiskStore {
         *self.disk.stats()
     }
 
-    /// RAM-tier effectiveness counters.
-    pub fn tier_stats(&self) -> TierStats {
-        self.tier.stats()
-    }
-
-    /// Resizes the RAM tier (0 disables caching).
-    pub fn set_ram_budget(&mut self, bytes: usize) {
-        self.tier.set_budget(bytes);
-    }
-
     /// Last fully applied batch sequence number.
     pub fn applied_seq(&self) -> u64 {
         self.applied_seq
@@ -458,23 +434,13 @@ impl ObjectBackend for DiskStore {
         let Some(loc) = self.index.get(name).copied() else {
             return Ok(None);
         };
-        if self.tier.get(name).is_none() {
-            // Miss (counted by the tier): fetch from media, then try to
-            // make it resident for next time.
-            nymix_obs::counter!("disk.tier_misses", 1u64);
-            let mut buf = Vec::new();
-            self.disk
-                .read(FileId::Heap, loc.off as usize, loc.len as usize, &mut buf);
-            self.tier.insert(name, buf.clone());
-            self.read_buf = buf;
-            if !self.tier.contains(name) {
-                // Larger than the whole budget: serve uncached.
-                return Ok(Some(&self.read_buf));
-            }
-        } else {
-            nymix_obs::counter!("disk.tier_hits", 1u64);
-        }
-        Ok(self.tier.peek(name))
+        self.disk.read(
+            FileId::Heap,
+            loc.off as usize,
+            loc.len as usize,
+            &mut self.read_buf,
+        );
+        Ok(Some(&self.read_buf))
     }
 
     fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
@@ -658,39 +624,6 @@ mod tests {
             DiskStore::open(img),
             Err(DiskError::CorruptHeap(_))
         ));
-    }
-
-    #[test]
-    fn lru_tier_serves_hot_reads_without_media_io() {
-        let mut s = DiskStore::new();
-        s.put("hot", vec![1; 128]).unwrap();
-        let reads_before = s.device_stats().reads;
-        for _ in 0..5 {
-            assert!(s.get("hot").unwrap().is_some());
-        }
-        // Write path primed the tier: all five reads were RAM hits.
-        assert_eq!(s.device_stats().reads, reads_before);
-        assert_eq!(s.tier_stats().hits, 5);
-
-        // Cold store (fresh open, empty tier): first read hits media.
-        let mut cold = DiskStore::open(s.into_disk()).unwrap();
-        assert!(cold.get("hot").unwrap().is_some());
-        assert_eq!(cold.device_stats().reads, 1);
-        assert_eq!(cold.tier_stats().misses, 1);
-        assert!(cold.get("hot").unwrap().is_some());
-        assert_eq!(cold.device_stats().reads, 1, "second read served from RAM");
-    }
-
-    #[test]
-    fn oversized_object_served_uncached() {
-        let mut s = DiskStore::new();
-        s.set_ram_budget(16);
-        s.put("big", vec![7; 64]).unwrap();
-        let mut cold = DiskStore::open(s.into_disk()).unwrap();
-        cold.set_ram_budget(16);
-        assert_eq!(cold.get("big").unwrap().map(|d| d.len()), Some(64));
-        assert_eq!(cold.get("big").unwrap().map(|d| d.len()), Some(64));
-        assert_eq!(cold.device_stats().reads, 2, "never cached");
     }
 
     #[test]

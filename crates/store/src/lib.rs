@@ -39,9 +39,8 @@
 //!   between local media and cloud accounts.
 //! * [`disk`] — the crash-consistent disk-backed store: a `NYMJ`
 //!   write-ahead journal ahead of a log-structured object heap over a
-//!   simulated block device with deterministic fault injection, plus a
-//!   bounded LRU RAM tier. The only backend whose contents survive
-//!   power loss.
+//!   simulated block device with deterministic fault injection. The
+//!   only backend whose contents survive power loss.
 //! * [`cloud`] — simulated cloud providers with pseudonymous accounts;
 //!   records what the provider *observes* (in a bounded
 //!   [`cloud::AccessLog`] ring) so tests can verify the deniability
@@ -102,7 +101,7 @@ pub use delta::{
 };
 pub use disk::{CrashMode, DiskError, DiskStore, FaultPlan, SimDisk};
 pub use local::LocalStore;
-pub use placement::{CloudChild, PlacementStore, RepairReport};
+pub use placement::{PlacementStore, RepairReport};
 pub use sealed::{
     blob_salt, open_sealed, seal_archive, seal_bytes_keyed_into, seal_bytes_keyed_stored_into,
     seal_delta_keyed_into, seal_into, seal_keyed_into, unseal_keyed_raw_into, unseal_raw_into,

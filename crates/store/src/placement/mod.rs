@@ -56,7 +56,7 @@ use nymix_net::Ip;
 use nymix_sim::{SimDuration, SimTime};
 
 use crate::backend::{BackendError, ObjectBackend};
-use crate::cloud::CloudProvider;
+use crate::cloud::{CloudProvider, CloudSession};
 
 /// What one [`PlacementStore::repair`] pass accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -573,141 +573,14 @@ impl<B: ObjectBackend> ObjectBackend for PlacementStore<B> {
     }
 }
 
-/// One owned cloud provider presented as a placement child: every
-/// operation opens a credentialed session against the provider and is
-/// observed (access-logged) at the provider with the configured source
-/// address — the anonymizer exit the manager routes striped traffic
-/// through. Retry backoff accrued by sessions accumulates here for the
-/// save pipeline to charge to the simulated clock.
-pub struct CloudChild {
-    provider: CloudProvider,
-    account: String,
-    credential: String,
-    observed_ip: Ip,
-    backoff: SimDuration,
-    read_buf: Vec<u8>,
-}
-
-impl CloudChild {
-    /// Wraps an owned provider; `account` must already exist on it.
-    pub fn new(provider: CloudProvider, account: &str, credential: &str) -> Self {
-        Self {
-            provider,
-            account: account.to_string(),
-            credential: credential.to_string(),
-            observed_ip: Ip([0, 0, 0, 0]),
-            backoff: SimDuration::ZERO,
-            read_buf: Vec::new(),
-        }
-    }
-
-    /// The wrapped provider (fault arming, access-log inspection).
-    pub fn provider(&self) -> &CloudProvider {
-        &self.provider
-    }
-
-    /// Mutable provider access.
-    pub fn provider_mut(&mut self) -> &mut CloudProvider {
-        &mut self.provider
-    }
-
-    /// The pseudonymous account this child writes under.
-    pub fn account(&self) -> &str {
-        &self.account
-    }
-
-    /// Sets the source address the provider will observe (an
-    /// anonymizer exit, never the user).
-    pub fn set_observed_ip(&mut self, ip: Ip) {
-        self.observed_ip = ip;
-    }
-
-    /// Advances the provider's scheduled-fault clock.
-    pub fn set_now(&mut self, now: SimTime) {
-        self.provider.set_now(now);
-    }
-
-    /// Drains the simulated retry backoff accrued since the last call.
-    pub fn take_accrued_backoff(&mut self) -> SimDuration {
-        std::mem::take(&mut self.backoff)
-    }
-}
-
-impl ObjectBackend for CloudChild {
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
-        let mut s = self
-            .provider
-            .session(&self.account, &self.credential, self.observed_ip);
-        let r = s.put(name, data);
-        self.backoff = self.backoff.saturating_add(s.take_accrued_backoff());
-        r
-    }
-
-    fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
-        let mut s = self
-            .provider
-            .session(&self.account, &self.credential, self.observed_ip);
-        let r = s.put_many(objects);
-        self.backoff = self.backoff.saturating_add(s.take_accrued_backoff());
-        r
-    }
-
-    fn apply_batch(
-        &mut self,
-        puts: Vec<(String, Vec<u8>)>,
-        deletes: Vec<String>,
-    ) -> Result<(), BackendError> {
-        let mut s = self
-            .provider
-            .session(&self.account, &self.credential, self.observed_ip);
-        let r = (|| {
-            s.put_many(puts)?;
-            for name in &deletes {
-                // Strict (unlike the best-effort single-backend sweep):
-                // a delete the child never saw must be reported so the
-                // placement layer queues it, or a recovered child's
-                // stale shard could resurrect the object.
-                s.delete(name)?;
-            }
-            Ok(())
-        })();
-        self.backoff = self.backoff.saturating_add(s.take_accrued_backoff());
-        r
-    }
-
-    fn get(&mut self, name: &str) -> Result<Option<&[u8]>, BackendError> {
-        let mut s = self
-            .provider
-            .session(&self.account, &self.credential, self.observed_ip);
-        match s.get(name) {
-            Ok(Some(data)) => {
-                let owned = data.to_vec();
-                self.read_buf = owned;
-                Ok(Some(&self.read_buf))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
-        self.provider
-            .session(&self.account, &self.credential, self.observed_ip)
-            .delete(name)
-    }
-
-    fn list(&mut self, out: &mut Vec<String>) -> Result<(), BackendError> {
-        self.provider
-            .session(&self.account, &self.credential, self.observed_ip)
-            .list(out)
-    }
-}
-
-impl PlacementStore<CloudChild> {
+/// Striped cloud children: each is one owned provider behind a
+/// long-lived session, observed (access-logged) at the provider with
+/// the anonymizer exit the manager routes striped traffic through.
+impl PlacementStore<CloudSession<CloudProvider>> {
     /// Advances every child provider's scheduled-fault clock.
     pub fn set_now(&mut self, now: SimTime) {
         for child in &mut self.children {
-            child.set_now(now);
+            child.provider_mut().set_now(now);
         }
     }
 
@@ -732,7 +605,7 @@ impl PlacementStore<CloudChild> {
     pub fn provider(&self, name: &str) -> Option<&CloudProvider> {
         self.children
             .iter()
-            .map(CloudChild::provider)
+            .map(CloudSession::provider)
             .find(|p| p.name() == name)
     }
 
@@ -740,8 +613,8 @@ impl PlacementStore<CloudChild> {
     pub fn provider_mut(&mut self, name: &str) -> Option<&mut CloudProvider> {
         self.children
             .iter_mut()
-            .find(|c| c.provider.name() == name)
-            .map(CloudChild::provider_mut)
+            .map(CloudSession::provider_mut)
+            .find(|p| p.name() == name)
     }
 }
 

@@ -106,26 +106,22 @@ fn main() {
     // 6. Bob comes back for another browser session. Incremental saves
     //    upload only what changed — and with content-addressed chunking
     //    a write inside the big AnonVM disk record ships a manifest
-    //    plus the few chunks it touched, not the whole record. Same
-    //    session replayed with chunking off shows the dedup savings.
-    let (full_chunked, delta_chunked) = follow_up_session(true);
-    let (full_plain, delta_plain) = follow_up_session(false);
+    //    plus the few chunks it touched, not the whole record.
+    let (full_bytes, delta_bytes) = follow_up_session();
     println!("follow-up session, bytes uploaded through Tor:");
-    println!("  first save (full):         {full_plain:>8} B record-granular, {full_chunked:>8} B chunked");
-    println!("  next save (one session):   {delta_plain:>8} B record-granular, {delta_chunked:>8} B chunked");
+    println!("  first save (full, chunked):      {full_bytes:>8} B");
+    println!("  next save (one session's delta): {delta_bytes:>8} B");
     println!(
-        "  chunked dedup saves {:.1}x on the incremental save",
-        delta_plain as f64 / delta_chunked as f64
+        "  the incremental save ships {:.1}x fewer bytes",
+        full_bytes as f64 / delta_bytes as f64
     );
 }
 
 /// One follow-up workflow — resume the nym, browse, save incrementally
 /// twice — returning (full-save bytes, incremental-save bytes) actually
-/// uploaded. Deterministic: the same seed drives both runs, so the only
-/// difference is whether large records ship as chunk-manifest deltas.
-fn follow_up_session(chunked: bool) -> (usize, usize) {
+/// uploaded. Deterministic: the same seed always ships the same bytes.
+fn follow_up_session() -> (usize, usize) {
     let mut nymix = NymManager::new(11, 8);
-    nymix.set_chunking(chunked);
     nymix.register_cloud("dropbox", "throwaway-8841", "app-token");
     let dest = StorageDest::Cloud {
         provider: "dropbox".into(),
