@@ -93,28 +93,49 @@ fn bench_seal(c: &mut Criterion) {
     a.put("commvm.disk", media);
     let payload = a.payload_bytes() as u64;
 
+    use nymix_store::{
+        seal_into, unseal_into, ArchiveCommitment, DeltaArchive, SealKey, SealScratch, Sealable,
+    };
     let mut group = c.benchmark_group("seal");
     group.throughput(Throughput::Bytes(payload));
     group.sample_size(10);
+    // A full save: a new epoch's KDF plus the archive seal.
     group.bench_function("seal_64k", |b| {
         let mut rng = Rng::seed_from(7);
+        let mut scratch = SealScratch::new();
+        let mut out = Vec::new();
         b.iter(|| {
-            black_box(nymix_store::seal_archive(
-                black_box(&a),
-                "pw",
+            let key = SealKey::derive("pw", "nym:bench", &mut rng);
+            seal_into(
+                Sealable::Archive(black_box(&a)),
+                &key,
                 "nym:bench",
                 &mut rng,
-            ))
+                &mut scratch,
+                &mut out,
+            );
+            black_box(out.len())
         });
     });
+    // A full restore: the KDF from the blob's salt, unseal, parse.
     group.bench_function("unseal_64k", |b| {
-        let blob = nymix_store::seal_archive(&a, "pw", "nym:bench", &mut Rng::seed_from(7));
+        let mut rng = Rng::seed_from(7);
+        let key = SealKey::derive("pw", "nym:bench", &mut rng);
+        let mut scratch = SealScratch::new();
+        let (mut blob, mut work) = (Vec::new(), Vec::new());
+        seal_into(
+            Sealable::Archive(&a),
+            &key,
+            "nym:bench",
+            &mut rng,
+            &mut scratch,
+            &mut blob,
+        );
         b.iter(|| {
-            black_box(nymix_store::open_sealed(
-                black_box(&blob),
-                "pw",
-                "nym:bench",
-            ))
+            let key = SealKey::from_blob("pw", "nym:bench", black_box(&blob)).expect("sealed blob");
+            let bytes =
+                unseal_into(&blob, &key, "nym:bench", &mut work, &mut scratch).expect("opens");
+            black_box(NymArchive::from_bytes(bytes).expect("parses"))
         });
     });
 
@@ -127,10 +148,6 @@ fn bench_seal(c: &mut Criterion) {
     // rehash), and keyed-seals the delta (no KDF). Compare against
     // seal_64k (the full re-seal a delta avoids) and the `_scratch`
     // variant (the pre-incremental diff that re-Merkled everything).
-    use nymix_store::{
-        seal_delta_keyed_into, unseal_keyed_raw_into, ArchiveCommitment, DeltaArchive, SealKey,
-        SealScratch,
-    };
     let mut prev = a.clone();
     prev.put("tor.state", vec![0x5a; 1024]);
     prev.put("meta", b"name=bench;model=Persistent".to_vec());
@@ -149,7 +166,14 @@ fn bench_seal(c: &mut Criterion) {
         for name in ["tor.state", "meta"] {
             delta.put(name, from.get(name).expect("dirty record present").to_vec());
         }
-        seal_delta_keyed_into(&delta, key, "nym:bench#e1.1", rng, scratch, out);
+        seal_into(
+            Sealable::Delta(&delta),
+            key,
+            "nym:bench#e1.1",
+            rng,
+            scratch,
+            out,
+        );
         out.len()
     };
 
@@ -185,8 +209,8 @@ fn bench_seal(c: &mut Criterion) {
         let mut out = Vec::new();
         b.iter(|| {
             let delta = DeltaArchive::diff(black_box(&prev), black_box(&next));
-            seal_delta_keyed_into(
-                &delta,
+            seal_into(
+                Sealable::Delta(&delta),
                 &key,
                 "nym:bench#e1.1",
                 &mut rng,
@@ -241,8 +265,8 @@ fn bench_seal(c: &mut Criterion) {
     // (content-defined boundaries keep the edit local), uploads only
     // the chunks the write touched, and ships a delta carrying the new
     // "NYMC" manifest. Bytes uploaded: see BENCH_store.json.
-    use nymix_store::cas::{upload_new_chunks, ChunkIndex, ChunkManifest};
-    use nymix_store::{chunker, LocalStore};
+    use nymix_store::cas::{seal_new_chunks_into, ChunkIndex, ChunkManifest};
+    use nymix_store::{chunker, LocalStore, ObjectBackend};
 
     let disk = {
         // Deterministic incompressible filler (browser caches are
@@ -283,7 +307,14 @@ fn bench_seal(c: &mut Criterion) {
         let mut out = Vec::new();
         b.iter(|| {
             let delta = DeltaArchive::diff(black_box(&raw_prev), black_box(&raw_next));
-            seal_delta_keyed_into(&delta, &key, "l#e1.1", &mut rng, &mut scratch, &mut out);
+            seal_into(
+                Sealable::Delta(&delta),
+                &key,
+                "l#e1.1",
+                &mut rng,
+                &mut scratch,
+                &mut out,
+            );
             black_box(out.len())
         });
     });
@@ -297,7 +328,8 @@ fn bench_seal(c: &mut Criterion) {
         let m1 = ChunkManifest::build(&disk);
         let mut index = ChunkIndex::new();
         let mut backend = LocalStore::new();
-        upload_new_chunks(
+        let mut staged = Vec::new();
+        seal_new_chunks_into(
             &disk,
             &m1,
             &mut index,
@@ -305,9 +337,9 @@ fn bench_seal(c: &mut Criterion) {
             "l#e1",
             &mut rng,
             &mut scratch,
-            &mut backend,
-        )
-        .expect("local put");
+            &mut staged,
+        );
+        backend.put_many(staged).expect("local put");
         let mut prev_m = raw_prev.clone();
         prev_m.put("anonvm.disk", m1.to_bytes());
         b.iter(|| {
@@ -316,7 +348,8 @@ fn bench_seal(c: &mut Criterion) {
             // manifest-bearing delta.
             let m2 = ChunkManifest::build(black_box(&disk2));
             let mut idx = index.clone();
-            let uploaded = upload_new_chunks(
+            let mut staged = Vec::new();
+            let uploaded = seal_new_chunks_into(
                 &disk2,
                 &m2,
                 &mut idx,
@@ -324,23 +357,30 @@ fn bench_seal(c: &mut Criterion) {
                 "l#e1",
                 &mut rng,
                 &mut scratch,
-                &mut backend,
-            )
-            .expect("local put");
+                &mut staged,
+            );
+            backend.put_many(staged).expect("local put");
             let mut next_m = prev_m.clone();
             next_m.put("anonvm.disk", m2.to_bytes());
             let delta = DeltaArchive::diff(&prev_m, &next_m);
-            seal_delta_keyed_into(&delta, &key, "l#e1.1", &mut rng, &mut scratch, &mut out);
+            seal_into(
+                Sealable::Delta(&delta),
+                &key,
+                "l#e1.1",
+                &mut rng,
+                &mut scratch,
+                &mut out,
+            );
             black_box(uploaded + out.len())
         });
     });
 
     // The entropy gate on the chunk-seal path: incompressible chunks
     // skip the LZSS match finder (stored all-literal body, identical
-    // wire format) while text keeps compressing. Before = every chunk
-    // through the matcher; after = what the gated path runs.
+    // wire format) while text keeps compressing. `_random_lzss` is the
+    // match-finder pass the gate skips; `_random_stored` and
+    // `_text_lzss` are the gated chunk seal itself.
     {
-        use nymix_store::{seal_bytes_keyed_into, seal_bytes_keyed_stored_into};
         let mut random_chunk = vec![0u8; 64 * 1024];
         nymix_crypto::ChaCha20::new(&[0x5E; 32], &[7u8; 12], 0).xor_into(&mut random_chunk);
         let text_chunk: Vec<u8> = b"<div class=\"post\">timeline entry</div>\n"
@@ -354,22 +394,17 @@ fn bench_seal(c: &mut Criterion) {
         let mut scratch = SealScratch::new();
         let mut out = Vec::new();
         group.bench_function("chunk_seal_64k_random_lzss", |b| {
+            let mut compressor = nymix_store::lzss::Compressor::new();
             b.iter(|| {
-                seal_bytes_keyed_into(
-                    black_box(&random_chunk),
-                    &key,
-                    "l#e1/c/ab",
-                    &mut rng,
-                    &mut scratch,
-                    &mut out,
-                );
+                out.clear();
+                compressor.compress_into(black_box(&random_chunk), &mut out);
                 black_box(out.len())
             });
         });
         group.bench_function("chunk_seal_64k_random_stored", |b| {
             b.iter(|| {
-                seal_bytes_keyed_stored_into(
-                    black_box(&random_chunk),
+                seal_into(
+                    Sealable::Chunk(black_box(&random_chunk)),
                     &key,
                     "l#e1/c/ab",
                     &mut rng,
@@ -381,8 +416,8 @@ fn bench_seal(c: &mut Criterion) {
         });
         group.bench_function("chunk_seal_64k_text_lzss", |b| {
             b.iter(|| {
-                seal_bytes_keyed_into(
-                    black_box(&text_chunk),
+                seal_into(
+                    Sealable::Chunk(black_box(&text_chunk)),
                     &key,
                     "l#e1/c/cd",
                     &mut rng,
@@ -400,8 +435,8 @@ fn bench_seal(c: &mut Criterion) {
         let mut scratch = SealScratch::new();
         let (mut out, mut work) = (Vec::new(), Vec::new());
         let delta = DeltaArchive::diff(&prev, &next);
-        seal_delta_keyed_into(
-            &delta,
+        seal_into(
+            Sealable::Delta(&delta),
             &key,
             "nym:bench#e1.1",
             &mut rng,
@@ -410,11 +445,11 @@ fn bench_seal(c: &mut Criterion) {
         );
         b.iter(|| {
             let bytes =
-                unseal_keyed_raw_into(&out, &key, "nym:bench#e1.1", &mut work, &mut scratch)
-                    .expect("opens");
+                unseal_into(&out, &key, "nym:bench#e1.1", &mut work, &mut scratch).expect("opens");
             let delta = DeltaArchive::from_bytes(bytes).expect("parses");
             let mut base = black_box(&prev).clone();
-            delta.apply(&mut base).expect("verifies");
+            let mut commitment = ArchiveCommitment::build(&base);
+            delta.apply(&mut base, &mut commitment).expect("verifies");
             black_box(base.record_count())
         });
     });

@@ -17,7 +17,7 @@ use nymix_anon::{Anonymizer, AnonymizerKind, DissentNet, Incognito, Sweet};
 use nymix_net::dns::DnsDb;
 use nymix_net::flow::calib as netcal;
 use nymix_net::{Fabric, FlowNet, Ip, LinkId, Mac, NodeId, NodeKind};
-use nymix_sim::{DiskProfile, Rng, SimDuration, SimTime};
+use nymix_sim::{Rng, SimDuration, SimTime};
 use nymix_store::{
     BackendError, CloudProvider, CloudSession, DiskStore, LocalStore, ObjectBackend, PlacementStore,
 };
@@ -41,7 +41,6 @@ pub struct Environment {
     pub(super) local: LocalStore,
     pub(super) disk: DiskStore,
     pub(super) striped: Option<StripedStore>,
-    pub(super) disk_profile: DiskProfile,
     pub(super) browser_scale: u64,
     // Fabric landmarks.
     pub(super) hyp_node: NodeId,
@@ -144,7 +143,6 @@ impl Environment {
             local: LocalStore::new(),
             disk: DiskStore::new(),
             striped: None,
-            disk_profile: DiskProfile::ssd(),
             browser_scale,
             hyp_node,
             internet_node,

@@ -41,7 +41,7 @@ use nymix_anon::tor::{TorDirectory, TorState};
 use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::dns::DnsDb;
 use nymix_net::{Fabric, Ip, NodeId};
-use nymix_sim::{DiskProfile, SimDuration, SimTime};
+use nymix_sim::{SimDuration, SimTime};
 use nymix_store::{
     CloudProvider, CloudSession, DiskStore, FaultPlan, LocalStore, PlacementStore, SimDisk,
 };
@@ -334,12 +334,6 @@ impl NymManager {
     /// [`nymix_store::FaultPlan`]).
     pub fn set_disk_fault_plan(&mut self, plan: FaultPlan) {
         self.env.disk.set_fault_plan(plan);
-    }
-
-    /// Sets the latency profile disk saves are charged with (default:
-    /// [`DiskProfile::ssd`]).
-    pub fn set_disk_profile(&mut self, profile: DiskProfile) {
-        self.env.disk_profile = profile;
     }
 
     /// Live nym ids.

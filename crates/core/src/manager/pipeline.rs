@@ -31,11 +31,11 @@
 //! it no longer owns.
 
 use nymix_net::Ip;
-use nymix_sim::{Rng, SimDuration};
+use nymix_sim::{DiskProfile, Rng, SimDuration};
 use nymix_store::cas::{self, ChunkIndex, ChunkManifest};
 use nymix_store::{
-    seal_delta_keyed_into, seal_keyed_into, ArchiveCommitment, DeltaArchive, NymArchive, SealKey,
-    SealScratch, CHUNK_RECORD_THRESHOLD, DELTA_CHAIN_LIMIT,
+    seal_into, ArchiveCommitment, DeltaArchive, NymArchive, SealKey, SealScratch, Sealable,
+    CHUNK_RECORD_THRESHOLD, DELTA_CHAIN_LIMIT,
 };
 
 use std::collections::BTreeMap;
@@ -137,11 +137,9 @@ struct SealJob<'a> {
 }
 
 /// Seal-stage output: staged uploads plus the state flowing back into
-/// the session's chain.
+/// the session's chain once the upload lands.
 struct SealedSave<'a> {
     plan: SavePlan<'a>,
-    scratch: SealScratch,
-    rng: Rng,
     staged: Vec<(String, Vec<u8>)>,
     deletes: Vec<String>,
     uploaded: usize,
@@ -265,7 +263,19 @@ impl StorePipeline {
             .into_iter()
             .map(|plan| self.seal_job(sessions, plan))
             .collect();
-        let sealed = seal_stage(jobs, workers, env.clock.as_micros());
+        // Each job's nonce RNG and arena go back to its session before
+        // any upload runs. A failed upload must not leave the session
+        // holding its pre-seal RNG: the retry would redraw the same
+        // salt and nonces over different plaintext.
+        let sealed: Vec<SealedSave> = seal_stage(jobs, workers, env.clock.as_micros())
+            .into_iter()
+            .map(|(s, scratch, rng)| {
+                let session = sessions.get_mut(&s.plan.req.id).expect("captured above");
+                session.scratch = scratch;
+                session.seal_rng = rng;
+                s
+            })
+            .collect();
 
         // Stage 4: upload (grouped per destination) + bookkeeping.
         let mut outcomes = Vec::with_capacity(sealed.len());
@@ -340,10 +350,10 @@ impl StorePipeline {
             };
             // Disk saves cost the actual device I/O the batch incurred
             // (journal + heap writes and both fsync barriers), priced
-            // by the environment's disk profile.
+            // at SSD speed.
             let disk_io = {
                 let io = env.disk.device_stats().since(&disk_before);
-                env.disk_profile.io_time(
+                DiskProfile::ssd().io_time(
                     io.bytes_written,
                     io.bytes_read,
                     io.fsyncs,
@@ -392,8 +402,6 @@ impl StorePipeline {
                 drop(up_span);
                 self.note_epoch(&s.plan.label, s.epoch);
                 let session = sessions.get_mut(&s.plan.req.id).expect("captured above");
-                session.scratch = s.scratch;
-                session.seal_rng = s.rng;
                 outcomes.push((
                     s.plan.req.id,
                     SaveOutcome {
@@ -764,18 +772,22 @@ fn build_delta(plan: &mut SavePlan<'_>) {
     }
 }
 
+/// What one seal job hands back: the staged save, plus the session's
+/// arena and nonce RNG as the seal left them.
+type SealOutput<'a> = (SealedSave<'a>, SealScratch, Rng);
+
 /// Stage 3: run every seal job, on one thread per job when the run is
 /// batched. Jobs are fully owned and independent — each session's
 /// scratch, RNG and keys travel with its job — so scheduling cannot
 /// change any output byte.
-fn seal_stage<'a>(mut jobs: Vec<SealJob<'a>>, workers: usize, now_us: u64) -> Vec<SealedSave<'a>> {
+fn seal_stage<'a>(mut jobs: Vec<SealJob<'a>>, workers: usize, now_us: u64) -> Vec<SealOutput<'a>> {
     if jobs.len() <= 1 || workers <= 1 {
         return jobs.drain(..).map(seal_one).collect();
     }
     let workers = workers.min(jobs.len());
     let per = jobs.len().div_ceil(workers);
     let mut slots: Vec<Option<SealJob>> = jobs.drain(..).map(Some).collect();
-    let mut results: Vec<Option<SealedSave>> =
+    let mut results: Vec<Option<SealOutput>> =
         std::iter::repeat_with(|| None).take(slots.len()).collect();
     std::thread::scope(|scope| {
         for (job_chunk, result_chunk) in slots.chunks_mut(per).zip(results.chunks_mut(per)) {
@@ -799,7 +811,7 @@ fn seal_stage<'a>(mut jobs: Vec<SealJob<'a>>, workers: usize, now_us: u64) -> Ve
 /// against the epoch's index), then the delta or full blob, staging
 /// every object in upload order. Full saves derive the new epoch's key
 /// here — the per-save PBKDF2 runs inside the threaded stage.
-fn seal_one(job: SealJob<'_>) -> SealedSave<'_> {
+fn seal_one(job: SealJob<'_>) -> SealOutput<'_> {
     let _span = nymix_obs::span!("seal", "session" => job.plan.req.id.0);
     let SealJob {
         mut plan,
@@ -832,8 +844,8 @@ fn seal_one(job: SealJob<'_>) -> SealedSave<'_> {
             let index = prev_count + 1;
             let obj_label = delta_label(&plan.label, epoch, index);
             let mut sealed = Vec::new();
-            seal_delta_keyed_into(
-                &delta,
+            seal_into(
+                Sealable::Delta(&delta),
                 &key,
                 &obj_label,
                 &mut rng,
@@ -882,8 +894,8 @@ fn seal_one(job: SealJob<'_>) -> SealedSave<'_> {
                 );
             }
             let mut sealed = Vec::new();
-            seal_keyed_into(
-                &plan.next,
+            seal_into(
+                Sealable::Archive(&plan.next),
                 &key,
                 &plan.label,
                 &mut rng,
@@ -906,10 +918,8 @@ fn seal_one(job: SealJob<'_>) -> SealedSave<'_> {
         }
     };
     let commitment = std::mem::take(&mut plan.commitment);
-    SealedSave {
+    let sealed = SealedSave {
         plan,
-        scratch,
-        rng,
         staged,
         deletes,
         uploaded,
@@ -919,5 +929,6 @@ fn seal_one(job: SealJob<'_>) -> SealedSave<'_> {
         delta_count,
         chunk_index,
         commitment,
-    }
+    };
+    (sealed, scratch, rng)
 }

@@ -7,7 +7,8 @@
 use nymix_net::Ip;
 use nymix_store::cas::{self, ChunkIndex, ChunkManifest};
 use nymix_store::{
-    ArchiveCommitment, DeltaArchive, NymArchive, SealKey, SealScratch, DELTA_CHAIN_LIMIT,
+    unseal_into, ArchiveCommitment, DeltaArchive, NymArchive, SealKey, SealScratch,
+    DELTA_CHAIN_LIMIT,
 };
 
 use super::env::Environment;
@@ -76,11 +77,8 @@ pub(super) fn fetch_chain(
             .map_err(storage_err)?
             .ok_or(NymManagerError::NothingStored)?;
         fetched_bytes += base_blob.len();
-        let salt = *nymix_store::blob_salt(base_blob)
-            .ok_or_else(|| NymManagerError::Storage("malformed sealed nym".into()))?;
-        let chain_key = SealKey::from_salt(password, label, &salt);
-        let bytes = nymix_store::unseal_keyed_raw_into(base_blob, &chain_key, label, work, scratch)
-            .map_err(seal_err)?;
+        let chain_key = SealKey::from_blob(password, label, base_blob).map_err(seal_err)?;
+        let bytes = unseal_into(base_blob, &chain_key, label, work, scratch).map_err(seal_err)?;
         let archive =
             NymArchive::from_bytes(bytes).map_err(|e| NymManagerError::Storage(e.to_string()))?;
         (chain_key, archive)
@@ -109,13 +107,12 @@ pub(super) fn fetch_chain(
                 };
                 fetched_bytes += dblob.len();
                 let bytes =
-                    nymix_store::unseal_keyed_raw_into(dblob, &chain_key, &dlabel, work, scratch)
-                        .map_err(seal_err)?;
+                    unseal_into(dblob, &chain_key, &dlabel, work, scratch).map_err(seal_err)?;
                 DeltaArchive::from_bytes(bytes)
                     .map_err(|e| NymManagerError::Storage(e.to_string()))?
             };
             delta
-                .apply_with(&mut archive, &mut commitment)
+                .apply(&mut archive, &mut commitment)
                 .map_err(|e| NymManagerError::Storage(e.to_string()))?;
             delta_count = index;
         }

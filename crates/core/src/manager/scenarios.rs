@@ -299,3 +299,58 @@ fn scenario_unavailable_vs_missing_is_classified_per_backend() {
         .unwrap_err();
     assert!(matches!(err, NymManagerError::NothingStored), "{err:?}");
 }
+
+#[test]
+fn scenario_failed_save_retry_never_reuses_a_nonce() {
+    // A Cloud nym's first save dies partway: 13 of its 14 objects land
+    // before the provider throttles one past the retry budget. After
+    // more browsing the retry seals different plaintext, and it must
+    // do so under fresh randomness: the provider may never hold two
+    // different ciphertexts under one (salt, nonce) pair, which for
+    // ChaCha20-Poly1305 leaks the XOR of the plaintexts and the
+    // one-time authenticator key.
+    let mut m = manager();
+    m.register_cloud("drive", "anon", "tok");
+    let dest = StorageDest::Cloud {
+        provider: "drive".into(),
+        account: "anon".into(),
+        credential: "tok".into(),
+    };
+    let (id, _) = m
+        .create_nym("retry", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.visit_site(id, Site::Twitter).unwrap();
+    m.env
+        .cloud
+        .get_mut("drive")
+        .unwrap()
+        .inject_transient_put_failures_after(13, 4);
+    assert!(m.save_nym_incremental(id, "pw", &dest).is_err());
+    let drive = |m: &NymManager| -> Vec<Vec<u8>> {
+        m.cloud_provider("drive")
+            .unwrap()
+            .subpoena("anon")
+            .into_iter()
+            .map(|(_, blob)| blob.to_vec())
+            .collect()
+    };
+    let failed = drive(&m);
+    assert_eq!(failed.len(), 13, "the failed batch landed a prefix");
+
+    m.inject_stain(id, "after-failure").unwrap();
+    m.save_nym_incremental(id, "pw", &dest).unwrap();
+
+    // Sealed blob header: magic [4] | salt [16] | nonce [12].
+    let mut seen: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut reused = 0;
+    for blob in failed.into_iter().chain(drive(&m)) {
+        let salt_nonce = blob[4..32].to_vec();
+        if seen
+            .insert(salt_nonce, blob.clone())
+            .is_some_and(|b| b != blob)
+        {
+            reused += 1;
+        }
+    }
+    assert_eq!(reused, 0, "(salt, nonce) pairs sealing two ciphertexts");
+}

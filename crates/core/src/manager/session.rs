@@ -57,9 +57,10 @@ pub(super) struct ChainState {
     /// the chain. Diffing stored forms is what makes a sub-record
     /// write ship a new manifest plus O(1) chunks.
     pub(super) archive: NymArchive,
-    /// Refcounts of the chunk objects this epoch's live manifests
-    /// reference; retired versions are swept by refcount, retired
-    /// epochs by mark-and-sweep.
+    /// The chunks this epoch's live manifests reference. Each delta
+    /// save mark-and-sweeps it against the new archive's manifests and
+    /// deletes the chunks that fell out; a compacting save deletes the
+    /// whole retired epoch's set.
     pub(super) chunks: ChunkIndex,
     /// Merkle commitment over `archive`'s stored-form records, with
     /// every leaf hash and interior node cached. Carrying it across

@@ -16,17 +16,18 @@
 //!   plus the ordered `(chunk ID, length)` list. Manifests ride the
 //!   ordinary NYMD delta path, so the chain's Merkle commitment covers
 //!   them and replay fails closed on any tampering.
-//! * The **chunk index** ([`ChunkIndex`]) refcounts which chunks the
-//!   live manifests reference; [`upload_new_chunks`] skips every chunk
-//!   already present (dedup across versions and across records), and
-//!   retired versions are garbage-collected by refcount decrement or
-//!   [`ChunkIndex::mark_and_sweep`].
-//! * Chunks are sealed individually under the chain-epoch
-//!   [`SealKey`] with their storage name — which embeds
-//!   the chunk ID and the chain's label — bound as AEAD associated
-//!   data, so a backend cannot transplant a chunk between nyms, epochs,
-//!   or IDs undetected. [`fetch_record_into`] additionally re-hashes
-//!   every fetched chunk against the manifest entry before use.
+//! * The **chunk index** ([`ChunkIndex`]) is the set of chunks the
+//!   live manifests reference; [`seal_new_chunks_into`] skips every
+//!   chunk already in it (dedup across versions and across records),
+//!   and [`ChunkIndex::mark_and_sweep`] returns the chunks no live
+//!   manifest mentions any more, for the caller to delete.
+//! * Chunks are sealed individually ([`Sealable::Chunk`], entropy-gated)
+//!   under the chain-epoch [`SealKey`] with their storage name — which
+//!   embeds the chunk ID and the chain's label — bound as AEAD
+//!   associated data, so a backend cannot transplant a chunk between
+//!   nyms, epochs, or IDs undetected. [`fetch_record_into`]
+//!   additionally re-hashes every fetched chunk against the manifest
+//!   entry before use.
 //!
 //! Chunk objects live on any [`ObjectBackend`] beside the sealed
 //! archive blobs, named `"{prefix}/c/{hex(chunk_id)}"`.
@@ -43,12 +44,7 @@ use nymix_sim::Rng;
 use crate::archive::{clamp_count, len_u32, ArchiveError, Reader};
 use crate::backend::{BackendError, ObjectBackend};
 use crate::chunker::{self, MAX_CHUNK};
-use crate::lzss;
-use crate::sealed::{
-    seal_bytes_keyed_into, seal_bytes_keyed_stored_into, unseal_keyed_raw_into, SealKey,
-    SealScratch,
-};
-use crate::SealedError;
+use crate::sealed::{seal_into, unseal_into, SealKey, SealScratch, Sealable, SealedError};
 
 /// A 32-byte content address: the domain-separated SHA-256 of a
 /// chunk's plaintext.
@@ -63,15 +59,6 @@ pub const CHUNK_RECORD_THRESHOLD: usize = 32 * 1024;
 /// collide with the Merkle tree's leaf/node hashes or any other SHA-256
 /// use in the system.
 const CHUNK_TAG: &[u8] = b"nymix:cas:chunk\x00";
-
-/// Sampled byte-entropy threshold (bits per byte) above which a chunk
-/// is treated as incompressible and sealed with the stored LZSS body —
-/// the match finder never runs. Browser-cache media and ciphertext sit
-/// near 8.0; text, JSON and SQLite pages sit well below 6.0. The gate
-/// only skips work: a high-entropy chunk that would have compressed
-/// (byte-uniform but repetitive) ships a few percent larger, and the
-/// restore path cannot tell the difference.
-pub const INCOMPRESSIBLE_BITS_PER_BYTE: f64 = 7.0;
 
 const MAGIC: &[u8; 4] = b"NYMC";
 
@@ -233,12 +220,12 @@ impl ChunkManifest {
     }
 }
 
-/// Refcounted index of the chunks the live manifests reference. One
-/// count per manifest occurrence: a chunk shared by two records (or two
-/// records' versions) stays alive until the last reference retires.
+/// The set of chunks the live manifests of one chain epoch reference:
+/// what a save may skip uploading, and what a retiring epoch's sweep
+/// must delete.
 #[derive(Debug, Clone, Default)]
 pub struct ChunkIndex {
-    refs: std::collections::BTreeMap<ChunkId, usize>,
+    ids: std::collections::BTreeSet<ChunkId>,
 }
 
 impl ChunkIndex {
@@ -247,77 +234,29 @@ impl ChunkIndex {
         Self::default()
     }
 
-    /// Number of distinct chunks referenced.
-    pub fn len(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// Whether no chunk is referenced.
-    pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
-    }
-
-    /// Whether `id` is referenced.
-    pub fn contains(&self, id: &ChunkId) -> bool {
-        self.refs.contains_key(id)
-    }
-
-    /// Current reference count of `id`.
-    pub fn refcount(&self, id: &ChunkId) -> usize {
-        self.refs.get(id).copied().unwrap_or(0)
-    }
-
     /// Iterates every referenced chunk ID (the epoch's live object
     /// set — what a retiring epoch's sweep must delete).
     pub fn ids(&self) -> impl Iterator<Item = &ChunkId> {
-        self.refs.keys()
+        self.ids.iter()
     }
 
-    /// Adds a reference; returns `true` when the chunk is new to the
-    /// index (i.e. its object must be uploaded).
+    /// Adds `id`; returns `true` when the chunk is new to the index
+    /// (i.e. its object must be uploaded).
     pub fn retain(&mut self, id: &ChunkId) -> bool {
-        let count = self.refs.entry(*id).or_insert(0);
-        *count += 1;
-        *count == 1
+        self.ids.insert(*id)
     }
 
-    /// Drops a reference; returns `true` when the count reached zero
-    /// (i.e. the chunk's object is now garbage).
-    pub fn release(&mut self, id: &ChunkId) -> bool {
-        match self.refs.get_mut(id) {
-            Some(count) if *count > 1 => {
-                *count -= 1;
-                false
-            }
-            Some(_) => {
-                self.refs.remove(id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Adds one reference per entry of `manifest`.
+    /// Adds every chunk of `manifest`.
     pub fn retain_manifest(&mut self, manifest: &ChunkManifest) {
         for (id, _) in manifest.chunks() {
             self.retain(id);
         }
     }
 
-    /// Drops one reference per entry of `manifest` (a retired version),
-    /// appending every chunk that became garbage to `dead`.
-    pub fn release_manifest_into(&mut self, manifest: &ChunkManifest, dead: &mut Vec<ChunkId>) {
-        for (id, _) in manifest.chunks() {
-            if self.release(id) {
-                dead.push(*id);
-            }
-        }
-    }
-
     /// Mark-and-sweep over the full live set: rebuilds the index from
     /// `live` manifests and returns every previously-referenced chunk
     /// no live manifest mentions — the sweep list a caller deletes from
-    /// the backend when a whole chain epoch retires.
+    /// the backend.
     pub fn mark_and_sweep<'a>(
         &mut self,
         live: impl IntoIterator<Item = &'a ChunkManifest>,
@@ -326,12 +265,7 @@ impl ChunkIndex {
         for manifest in live {
             marked.retain_manifest(manifest);
         }
-        let dead = self
-            .refs
-            .keys()
-            .filter(|id| !marked.contains(id))
-            .copied()
-            .collect();
+        let dead = self.ids.difference(&marked.ids).copied().collect();
         *self = marked;
         dead
     }
@@ -392,31 +326,12 @@ pub fn build_manifests(datas: &[&[u8]]) -> Vec<ChunkManifest> {
     manifests
 }
 
-/// Seals one chunk under its name-bound AEAD label, entropy-gated:
-/// high-entropy (incompressible) chunks skip the LZSS match finder and
-/// ship a stored body — same wire format, no CPU spent discovering that
-/// ciphertext-like bytes don't compress.
-fn seal_chunk_into(
-    chunk: &[u8],
-    key: &SealKey,
-    name: &str,
-    rng: &mut Rng,
-    scratch: &mut SealScratch,
-    blob: &mut Vec<u8>,
-) {
-    if lzss::entropy_bits_per_byte(chunk) >= INCOMPRESSIBLE_BITS_PER_BYTE {
-        seal_bytes_keyed_stored_into(chunk, key, name, rng, scratch, blob);
-    } else {
-        seal_bytes_keyed_into(chunk, key, name, rng, scratch, blob);
-    }
-}
-
 /// Seals every chunk of `data` that `index` doesn't already hold,
 /// walking `manifest` (which must be `ChunkManifest::build(data)`) in
 /// order, **staging** the sealed objects into `staged` instead of
 /// touching a backend. Each chunk is sealed under `key` with its object
 /// name — `"{prefix}/c/{id}"` — as AEAD label, entropy-gated through
-/// [`INCOMPRESSIBLE_BITS_PER_BYTE`]. Returns the sealed bytes staged:
+/// [`crate::INCOMPRESSIBLE_BITS_PER_BYTE`]. Returns the sealed bytes staged:
 /// the dedup savings are exactly what this number omits. The store
 /// pipeline stages all sessions' chunks this way, then lands them in
 /// one [`ObjectBackend::put_many`] batch.
@@ -442,41 +357,11 @@ pub fn seal_new_chunks_into(
             continue; // Already stored: dedup across versions/records.
         }
         let name = chunk_object_name(prefix, id);
-        seal_chunk_into(chunk, key, &name, rng, scratch, &mut blob);
+        seal_into(Sealable::Chunk(chunk), key, &name, rng, scratch, &mut blob);
         sealed += blob.len();
         staged.push((name, std::mem::take(&mut blob)));
     }
     sealed
-}
-
-/// Seals and uploads every chunk of `data` that `index` doesn't already
-/// hold — [`seal_new_chunks_into`] landed immediately through one
-/// [`ObjectBackend::put_many`] batch. Returns the sealed bytes
-/// actually uploaded.
-#[allow(clippy::too_many_arguments)]
-pub fn upload_new_chunks(
-    data: &[u8],
-    manifest: &ChunkManifest,
-    index: &mut ChunkIndex,
-    key: &SealKey,
-    prefix: &str,
-    rng: &mut Rng,
-    scratch: &mut SealScratch,
-    backend: &mut dyn ObjectBackend,
-) -> Result<usize, CasError> {
-    let mut staged = Vec::new();
-    let uploaded = seal_new_chunks_into(
-        data,
-        manifest,
-        index,
-        key,
-        prefix,
-        rng,
-        scratch,
-        &mut staged,
-    );
-    backend.put_many(staged)?;
-    Ok(uploaded)
 }
 
 /// Fetches, authenticates and reassembles a manifest's record from the
@@ -501,8 +386,7 @@ pub fn fetch_record_into(
         let name = chunk_object_name(prefix, id);
         let blob = backend.get(&name)?.ok_or(CasError::MissingChunk)?;
         fetched += blob.len();
-        let plain =
-            unseal_keyed_raw_into(blob, key, &name, work, scratch).map_err(CasError::ChunkSeal)?;
+        let plain = unseal_into(blob, key, &name, work, scratch).map_err(CasError::ChunkSeal)?;
         if plain.len() != len || !nymix_crypto::ct::eq(&chunk_id(plain), id) {
             return Err(CasError::ChunkMismatch);
         }
@@ -531,10 +415,69 @@ mod tests {
         out
     }
 
-    fn chain() -> (SealKey, Rng, SealScratch) {
+    /// One chain epoch's sealing state, as the store pipeline holds it.
+    struct Chain {
+        key: SealKey,
+        rng: Rng,
+        scratch: SealScratch,
+        work: Vec<u8>,
+    }
+
+    fn chain() -> Chain {
         let mut rng = Rng::seed_from(9);
         let key = SealKey::derive("pw", "nym:cas", &mut rng);
-        (key, rng, SealScratch::new())
+        Chain {
+            key,
+            rng,
+            scratch: SealScratch::new(),
+            work: Vec::new(),
+        }
+    }
+
+    impl Chain {
+        /// Seals `data`'s chunks missing from `index` and lands them in
+        /// one `put_many` batch, the way a save does. Returns the sealed
+        /// bytes uploaded.
+        fn upload(
+            &mut self,
+            data: &[u8],
+            manifest: &ChunkManifest,
+            index: &mut ChunkIndex,
+            prefix: &str,
+            backend: &mut LocalStore,
+        ) -> usize {
+            let mut staged = Vec::new();
+            let sealed = seal_new_chunks_into(
+                data,
+                manifest,
+                index,
+                &self.key,
+                prefix,
+                &mut self.rng,
+                &mut self.scratch,
+                &mut staged,
+            );
+            backend.put_many(staged).unwrap();
+            sealed
+        }
+
+        fn fetch(
+            &mut self,
+            manifest: &ChunkManifest,
+            prefix: &str,
+            backend: &mut LocalStore,
+            out: &mut Vec<u8>,
+        ) -> Result<usize, CasError> {
+            fetch_record_into(
+                manifest,
+                &self.key,
+                prefix,
+                backend,
+                &mut self.work,
+                &mut self.scratch,
+                out,
+            )
+        }
     }
 
     #[test]
@@ -589,34 +532,21 @@ mod tests {
 
     #[test]
     fn entropy_gate_seals_random_chunks_stored_and_roundtrips() {
-        let (key, mut rng, mut scratch) = chain();
+        let mut c = chain();
         let mut backend = LocalStore::new();
         let mut index = ChunkIndex::new();
-        // Random payload: every chunk takes the stored path.
+        // Random payload: every chunk takes the stored path, so each
+        // sealed object is the stored body plus header and tag.
         let data = noise(31, 100_000);
         let m = ChunkManifest::build(&data);
-        upload_new_chunks(
-            &data,
-            &m,
-            &mut index,
-            &key,
-            "p",
-            &mut rng,
-            &mut scratch,
-            &mut backend,
-        )
-        .unwrap();
-        let (mut work, mut out) = (Vec::new(), Vec::new());
-        fetch_record_into(
-            &m,
-            &key,
-            "p",
-            &mut backend,
-            &mut work,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        let sealed_random = c.upload(&data, &m, &mut index, "p", &mut backend);
+        let stored: usize = m
+            .chunks()
+            .map(|(_, len)| 4 + 16 + 12 + 8 + len + len.div_ceil(8) + 16)
+            .sum();
+        assert_eq!(sealed_random, stored);
+        let mut out = Vec::new();
+        c.fetch(&m, "p", &mut backend, &mut out).unwrap();
         assert_eq!(out, data);
 
         // Text payload: the gate keeps compressing, so sealed chunk
@@ -628,32 +558,13 @@ mod tests {
             .take(100_000)
             .collect();
         let mh = ChunkManifest::build(&html);
-        let sealed_text = upload_new_chunks(
-            &html,
-            &mh,
-            &mut index,
-            &key,
-            "p",
-            &mut rng,
-            &mut scratch,
-            &mut backend,
-        )
-        .unwrap();
+        let sealed_text = c.upload(&html, &mh, &mut index, "p", &mut backend);
         assert!(
             sealed_text * 4 < html.len(),
             "text chunks must still compress: {sealed_text} of {}",
             html.len()
         );
-        fetch_record_into(
-            &mh,
-            &key,
-            "p",
-            &mut backend,
-            &mut work,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        c.fetch(&mh, "p", &mut backend, &mut out).unwrap();
         assert_eq!(out, html);
     }
 
@@ -696,99 +607,43 @@ mod tests {
 
     #[test]
     fn store_fetch_roundtrip_with_dedup() {
-        let (key, mut rng, mut scratch) = chain();
+        let mut c = chain();
         let mut backend = LocalStore::new();
         let mut index = ChunkIndex::new();
         let data = noise(3, 150_000);
         let m = ChunkManifest::build(&data);
-        let up1 = upload_new_chunks(
-            &data,
-            &m,
-            &mut index,
-            &key,
-            "nym:cas#e1",
-            &mut rng,
-            &mut scratch,
-            &mut backend,
-        )
-        .unwrap();
+        let up1 = c.upload(&data, &m, &mut index, "nym:cas#e1", &mut backend);
         assert!(up1 > 0);
-        assert_eq!(index.len(), m.chunk_count());
+        assert_eq!(index.ids().count(), m.chunk_count());
 
         // Same content again (another record, another version): every
-        // chunk dedups, zero bytes uploaded.
-        let mut index2_refs = index.clone();
-        let up2 = upload_new_chunks(
-            &data,
-            &m,
-            &mut index2_refs,
-            &key,
-            "nym:cas#e1",
-            &mut rng,
-            &mut scratch,
-            &mut backend,
-        )
-        .unwrap();
+        // chunk dedups, zero bytes uploaded, the index is unchanged.
+        let before = index.clone();
+        let up2 = c.upload(&data, &m, &mut index, "nym:cas#e1", &mut backend);
         assert_eq!(up2, 0);
-        assert!(index2_refs.chunks_all_refcount(2));
+        assert!(index.ids().eq(before.ids()));
 
-        let mut work = Vec::new();
         let mut out = Vec::new();
-        let fetched = fetch_record_into(
-            &m,
-            &key,
-            "nym:cas#e1",
-            &mut backend,
-            &mut work,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        let fetched = c.fetch(&m, "nym:cas#e1", &mut backend, &mut out).unwrap();
         assert_eq!(out, data);
         assert_eq!(fetched, up1);
     }
 
-    impl ChunkIndex {
-        fn chunks_all_refcount(&self, want: usize) -> bool {
-            self.refs.values().all(|c| *c == want)
-        }
-    }
-
     #[test]
     fn edit_uploads_only_touched_chunks() {
-        let (key, mut rng, mut scratch) = chain();
+        let mut c = chain();
         let mut backend = LocalStore::new();
         let mut index = ChunkIndex::new();
         let mut data = noise(4, 128 * 1024);
         let m1 = ChunkManifest::build(&data);
-        let full = upload_new_chunks(
-            &data,
-            &m1,
-            &mut index,
-            &key,
-            "p",
-            &mut rng,
-            &mut scratch,
-            &mut backend,
-        )
-        .unwrap();
+        let full = c.upload(&data, &m1, &mut index, "p", &mut backend);
 
         // Overwrite 4 KiB in the middle: only the chunks covering the
         // edit change; everything else dedups against the first upload.
         let at = 64 * 1024;
         data[at..at + 4096].copy_from_slice(&noise(99, 4096));
         let m2 = ChunkManifest::build(&data);
-        let incremental = upload_new_chunks(
-            &data,
-            &m2,
-            &mut index,
-            &key,
-            "p",
-            &mut rng,
-            &mut scratch,
-            &mut backend,
-        )
-        .unwrap();
+        let incremental = c.upload(&data, &m2, &mut index, "p", &mut backend);
         assert!(
             incremental > 0 && incremental * 4 < full,
             "incremental {incremental} vs full {full}"
@@ -796,63 +651,35 @@ mod tests {
 
         // Retire the old version: chunks only m1 referenced become
         // garbage; deleting them must not break the new version.
-        let mut dead = Vec::new();
-        index.release_manifest_into(&m1, &mut dead);
+        let dead = index.mark_and_sweep([&m2]);
         assert!(!dead.is_empty());
         for id in &dead {
             assert!(backend.delete(&chunk_object_name("p", id)));
         }
-        let (mut work, mut out) = (Vec::new(), Vec::new());
-        fetch_record_into(
-            &m2,
-            &key,
-            "p",
-            &mut backend,
-            &mut work,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        let mut out = Vec::new();
+        c.fetch(&m2, "p", &mut backend, &mut out).unwrap();
         assert_eq!(out, data);
     }
 
     #[test]
     fn missing_tampered_and_swapped_chunks_fail_closed() {
-        let (key, mut rng, mut scratch) = chain();
+        let mut c = chain();
         let mut backend = LocalStore::new();
         let mut index = ChunkIndex::new();
         let data = noise(5, 100_000);
         let m = ChunkManifest::build(&data);
-        upload_new_chunks(
-            &data,
-            &m,
-            &mut index,
-            &key,
-            "p",
-            &mut rng,
-            &mut scratch,
-            &mut backend,
-        )
-        .unwrap();
+        c.upload(&data, &m, &mut index, "p", &mut backend);
         let names: Vec<String> = m
             .chunks()
             .map(|(id, _)| chunk_object_name("p", id))
             .collect();
-        let (mut work, mut out) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
 
         // GC'd-away / withheld chunk.
         let stolen = backend.get(&names[1]).unwrap().to_vec();
         assert!(backend.delete(&names[1]));
         assert_eq!(
-            fetch_record_into(
-                &m,
-                &key,
-                "p",
-                &mut backend,
-                &mut work,
-                &mut scratch,
-                &mut out
-            ),
+            c.fetch(&m, "p", &mut backend, &mut out),
             Err(CasError::MissingChunk)
         );
         backend.put(&names[1], stolen.clone());
@@ -863,15 +690,7 @@ mod tests {
         evil[last] ^= 1;
         backend.put(&names[1], evil);
         assert!(matches!(
-            fetch_record_into(
-                &m,
-                &key,
-                "p",
-                &mut backend,
-                &mut work,
-                &mut scratch,
-                &mut out
-            ),
+            c.fetch(&m, "p", &mut backend, &mut out),
             Err(CasError::ChunkSeal(_))
         ));
         backend.put(&names[1], stolen);
@@ -883,44 +702,32 @@ mod tests {
         backend.put(&names[0], c2);
         backend.put(&names[2], c0);
         assert!(matches!(
-            fetch_record_into(
-                &m,
-                &key,
-                "p",
-                &mut backend,
-                &mut work,
-                &mut scratch,
-                &mut out
-            ),
+            c.fetch(&m, "p", &mut backend, &mut out),
             Err(CasError::ChunkSeal(_))
         ));
     }
 
     #[test]
-    fn refcounts_and_mark_and_sweep() {
+    fn retain_dedups_and_mark_and_sweep_frees_unreferenced() {
         let mut index = ChunkIndex::new();
         let a = ChunkManifest::build(&noise(61, 60_000));
         let b = ChunkManifest::build(&noise(71, 60_000));
         index.retain_manifest(&a);
-        index.retain_manifest(&a); // two versions share the content
+        // A second version sharing a's content adds nothing new.
+        assert!(a.chunks().all(|(id, _)| !index.retain(id)));
         index.retain_manifest(&b);
-        assert_eq!(index.len(), a.chunk_count() + b.chunk_count());
+        assert_eq!(index.ids().count(), a.chunk_count() + b.chunk_count());
 
-        // Releasing one of a's references frees nothing.
-        let mut dead = Vec::new();
-        index.release_manifest_into(&a, &mut dead);
-        assert!(dead.is_empty());
-        // Releasing the second frees exactly a's chunks.
-        index.release_manifest_into(&a, &mut dead);
+        // Sweeping with b live frees exactly a's chunks.
+        let dead = index.mark_and_sweep([&b]);
         assert_eq!(dead.len(), a.chunk_count());
         assert!(dead.iter().all(|id| a.chunks().any(|(i, _)| i == id)));
+        assert_eq!(index.ids().count(), b.chunk_count());
 
         // Mark-and-sweep down to nothing live: b's chunks are swept.
         let swept = index.mark_and_sweep([]);
         assert_eq!(swept.len(), b.chunk_count());
-        assert!(index.is_empty());
-        // Releasing an unknown id is a no-op, not an underflow.
-        assert!(!index.release(&[0u8; 32]));
+        assert_eq!(index.ids().count(), 0);
     }
 
     /// The acceptance criterion: a 4 KiB write inside a 64 KiB record
@@ -931,7 +738,7 @@ mod tests {
         use crate::delta::DeltaArchive;
         use crate::NymArchive;
 
-        let (key, mut rng, mut scratch) = chain();
+        let mut c = chain();
         let mut backend = LocalStore::new();
         let mut index = ChunkIndex::new();
 
@@ -944,12 +751,12 @@ mod tests {
         let (at, host_len) = {
             let mut offset = 0usize;
             let mut site = None;
-            for c in chunker::chunks(&disk) {
-                if c.len() >= 4096 + 256 && c.len() <= 6 * 1024 {
-                    site = Some((offset + 128, c.len()));
+            for chunk in chunker::chunks(&disk) {
+                if chunk.len() >= 4096 + 256 && chunk.len() <= 6 * 1024 {
+                    site = Some((offset + 128, chunk.len()));
                     break;
                 }
-                offset += c.len();
+                offset += chunk.len();
             }
             site.expect("seeded data contains a 4.3-6 KiB chunk")
         };
@@ -960,6 +767,19 @@ mod tests {
         small.put("meta", b"name=bench".to_vec());
         small.put("tor.state", vec![0x5a; 512]);
 
+        let seal_delta = |c: &mut Chain, delta: &DeltaArchive| {
+            let mut blob = Vec::new();
+            seal_into(
+                Sealable::Delta(delta),
+                &c.key,
+                "l#e1.1",
+                &mut c.rng,
+                &mut c.scratch,
+                &mut blob,
+            );
+            blob.len()
+        };
+
         // Record-granular NYMD path: the delta carries the whole record.
         let (prev, next) = {
             let mut prev = small.clone();
@@ -968,48 +788,15 @@ mod tests {
             next.put("anonvm.disk", disk2.clone());
             (prev, next)
         };
-        let record_delta = DeltaArchive::diff(&prev, &next);
-        let mut record_blob = Vec::new();
-        crate::seal_delta_keyed_into(
-            &record_delta,
-            &key,
-            "l#e1.1",
-            &mut rng,
-            &mut scratch,
-            &mut record_blob,
-        );
-        let record_bytes = record_blob.len();
+        let record_bytes = seal_delta(&mut c, &DeltaArchive::diff(&prev, &next));
 
         // Chunked path: the archives hold manifests; the base's chunks
         // are already in the store, so the delta ships the new manifest
         // plus only the chunks the edit touched.
         let m1 = ChunkManifest::build(&disk);
-        upload_new_chunks(
-            &disk,
-            &m1,
-            &mut index,
-            &key,
-            "l#e1",
-            &mut rng,
-            &mut scratch,
-            &mut backend,
-        )
-        .unwrap();
+        c.upload(&disk, &m1, &mut index, "l#e1", &mut backend);
         let m2 = ChunkManifest::build(&disk2);
-        let chunk_upload = {
-            let mut idx = index.clone();
-            upload_new_chunks(
-                &disk2,
-                &m2,
-                &mut idx,
-                &key,
-                "l#e1",
-                &mut rng,
-                &mut scratch,
-                &mut backend,
-            )
-            .unwrap()
-        };
+        let chunk_upload = c.upload(&disk2, &m2, &mut index, "l#e1", &mut backend);
         let (prev_m, next_m) = {
             let mut prev = small.clone();
             prev.put("anonvm.disk", m1.to_bytes());
@@ -1017,23 +804,13 @@ mod tests {
             next.put("anonvm.disk", m2.to_bytes());
             (prev, next)
         };
-        let manifest_delta = DeltaArchive::diff(&prev_m, &next_m);
-        let mut manifest_blob = Vec::new();
-        crate::seal_delta_keyed_into(
-            &manifest_delta,
-            &key,
-            "l#e1.1",
-            &mut rng,
-            &mut scratch,
-            &mut manifest_blob,
-        );
-        let chunked_bytes = manifest_blob.len() + chunk_upload;
+        let manifest_bytes = seal_delta(&mut c, &DeltaArchive::diff(&prev_m, &next_m));
+        let chunked_bytes = manifest_bytes + chunk_upload;
 
         assert!(
             chunked_bytes * 10 <= record_bytes,
-            "chunked {chunked_bytes} (manifest {} + chunks {chunk_upload}) vs record-granular \
-             {record_bytes}: < 10x (edit in a {host_len}-byte chunk)",
-            manifest_blob.len(),
+            "chunked {chunked_bytes} (manifest {manifest_bytes} + chunks {chunk_upload}) vs \
+             record-granular {record_bytes}: < 10x (edit in a {host_len}-byte chunk)",
         );
         assert!(
             host_len + 2048 >= chunk_upload,

@@ -125,29 +125,12 @@ impl DeltaArchive {
     }
 
     /// Computes the delta turning `prev` into `next`: records whose
-    /// bytes changed (or are new), plus removals. The commitment covers
-    /// `next`'s full record set, through a commitment built from
-    /// scratch over `prev` — O(archive) hashing. The save hot path uses
-    /// [`DeltaArchive::diff_with`] instead, which reuses a cached
-    /// [`ArchiveCommitment`].
+    /// bytes changed (or are new), plus removals, committing to
+    /// `next`'s full record set from scratch — O(archive) hashing. The
+    /// store pipeline knows its dirty set from capture and builds its
+    /// deltas with [`DeltaArchive::new`] against a warm
+    /// [`ArchiveCommitment`] instead.
     pub fn diff(prev: &NymArchive, next: &NymArchive) -> Self {
-        Self::diff_with(prev, next, &mut ArchiveCommitment::build(prev))
-    }
-
-    /// [`DeltaArchive::diff`] committing through a cached
-    /// [`ArchiveCommitment`]: only dirty leaves and their root paths
-    /// are rehashed, so the commitment cost is O(dirty · log n)
-    /// instead of O(archive).
-    ///
-    /// `commitment` must currently reflect `prev` (the archive the
-    /// previous save committed); on return it reflects `next`, ready
-    /// for the following save. A fresh cache for a new chain comes
-    /// from [`ArchiveCommitment::build`].
-    pub fn diff_with(
-        prev: &NymArchive,
-        next: &NymArchive,
-        commitment: &mut ArchiveCommitment,
-    ) -> Self {
         let mut delta = Self::new(next.record_count(), [0u8; 32]);
         for (name, data) in next.records() {
             if prev.get(name) != Some(data) {
@@ -159,7 +142,7 @@ impl DeltaArchive {
                 delta.mark_removed(name);
             }
         }
-        delta.root = commitment.update(next, |name| delta.dirty.iter().any(|(n, _)| n == name));
+        delta.root = ArchiveCommitment::build(next).root();
         delta
     }
 
@@ -228,27 +211,18 @@ impl DeltaArchive {
     /// Replays this delta onto `base` in place: dirty records replace
     /// same-named ones (new names append in delta order), removed names
     /// drop out. The result is then verified against the committed
-    /// record count and Merkle root; on any mismatch `base` must be
-    /// considered corrupt and discarded — the method fails closed
-    /// rather than rolling back.
-    pub fn apply(&self, base: &mut NymArchive) -> Result<(), DeltaError> {
-        let mut commitment = ArchiveCommitment::build(base);
-        self.apply_with(base, &mut commitment)
-    }
-
-    /// [`DeltaArchive::apply`] verifying through a cached
-    /// [`ArchiveCommitment`], so the replay-side root check rehashes
-    /// only the leaves this delta touched — O(dirty · log n) per link
-    /// instead of O(archive), the same asymptotic win the save side
-    /// gets from [`DeltaArchive::diff_with`].
+    /// record count and Merkle root through `commitment`, which
+    /// rehashes only the leaves this delta touched — O(dirty · log n)
+    /// per link instead of O(archive).
     ///
     /// `commitment` must reflect `base` as it was before this call
-    /// (restore builds it once over the parsed base archive and
-    /// threads it through the whole replay chain). On success it
-    /// reflects the replayed state; on failure both `base` and the
-    /// commitment must be considered corrupt and discarded — exactly
-    /// the fail-closed contract of [`DeltaArchive::apply`].
-    pub fn apply_with(
+    /// (restore builds it once over the parsed base archive with
+    /// [`ArchiveCommitment::build`] and threads it through the whole
+    /// replay chain). On success it reflects the replayed state; on any
+    /// mismatch both `base` and the commitment must be considered
+    /// corrupt and discarded — the method fails closed rather than
+    /// rolling back.
+    pub fn apply(
         &self,
         base: &mut NymArchive,
         commitment: &mut ArchiveCommitment,
@@ -487,6 +461,13 @@ mod tests {
         a
     }
 
+    /// Replays `delta` onto `base` the way restore does: through a
+    /// commitment built over the base as parsed.
+    fn replay(delta: &DeltaArchive, base: &mut NymArchive) -> Result<(), DeltaError> {
+        let mut commitment = ArchiveCommitment::build(base);
+        delta.apply(base, &mut commitment)
+    }
+
     #[test]
     fn diff_apply_reproduces_exact_archive() {
         let prev = base();
@@ -504,8 +485,11 @@ mod tests {
         assert_eq!(delta.payload_bytes(), 350 + 7);
 
         let mut replayed = prev.clone();
-        delta.apply(&mut replayed).unwrap();
+        let mut commitment = ArchiveCommitment::build(&replayed);
+        delta.apply(&mut replayed, &mut commitment).unwrap();
         assert_eq!(replayed, next);
+        // The threaded commitment now reflects the replayed state.
+        assert_eq!(commitment.root(), archive_merkle_root(&next));
     }
 
     #[test]
@@ -528,7 +512,7 @@ mod tests {
         assert_eq!(delta.payload_bytes(), 0);
         let delta = DeltaArchive::from_bytes(&delta.to_bytes()).unwrap();
         let mut replayed = a.clone();
-        delta.apply(&mut replayed).unwrap();
+        replay(&delta, &mut replayed).unwrap();
         assert_eq!(replayed, a);
     }
 
@@ -540,12 +524,15 @@ mod tests {
         let delta = DeltaArchive::diff(&prev, &next);
 
         // Tamper with a record the delta does NOT carry: the dirty set
-        // authenticates fine record-by-record, only the full-set root
-        // catches it.
+        // authenticates fine record-by-record, and the commitment —
+        // built over the tampered base, as restore would — serves that
+        // record's leaf from cache; only the full-set root catches it.
         let mut stale_base = prev.clone();
         stale_base.put("commvm.disk", vec![0xEE; 200]);
-        let mut replayed = stale_base;
-        assert_eq!(delta.apply(&mut replayed), Err(DeltaError::RootMismatch));
+        assert_eq!(
+            replay(&delta, &mut stale_base),
+            Err(DeltaError::RootMismatch)
+        );
 
         // Tamper with the carried record's bytes on the wire (the last
         // payload byte sits just before the trailing removed_count u32).
@@ -554,7 +541,7 @@ mod tests {
         bytes[last_payload] ^= 1;
         let evil = DeltaArchive::from_bytes(&bytes).unwrap();
         let mut replayed = prev.clone();
-        assert_eq!(evil.apply(&mut replayed), Err(DeltaError::RootMismatch));
+        assert_eq!(replay(&evil, &mut replayed), Err(DeltaError::RootMismatch));
     }
 
     #[test]
@@ -563,10 +550,11 @@ mod tests {
         let mut next = prev.clone();
         next.put("meta", b"v2".to_vec());
         let delta = DeltaArchive::diff(&prev, &next);
-        // Replaying against an archive with an extra record: count check.
+        // Replaying against an archive with an extra record: the count
+        // check fails before any hashing.
         let mut fat = prev.clone();
         fat.put("extra", vec![1]);
-        assert_eq!(delta.apply(&mut fat), Err(DeltaError::CountMismatch));
+        assert_eq!(replay(&delta, &mut fat), Err(DeltaError::CountMismatch));
     }
 
     #[test]
@@ -597,9 +585,10 @@ mod tests {
     }
 
     #[test]
-    fn diff_with_matches_scratch_diff() {
-        // Data-only edits (fast path), new records, and removals
-        // (shape-change path) must all commit to the scratch root.
+    fn chained_commitment_updates_match_scratch_roots() {
+        // The save path's O(dirty) commitment: data-only edits (fast
+        // path), new records, and removals (shape-change path) must all
+        // commit to the scratch root, and to what diff commits.
         let mut prev = base();
         let mut commitment = ArchiveCommitment::build(&prev);
         assert_eq!(commitment.root(), archive_merkle_root(&prev));
@@ -607,73 +596,24 @@ mod tests {
         // Data-only change: cached shape holds, only one leaf rehashes.
         let mut next = prev.clone();
         next.put("anonvm.disk", vec![7; 350]);
-        let delta = DeltaArchive::diff_with(&prev, &next, &mut commitment);
-        assert_eq!(delta, DeltaArchive::diff(&prev, &next));
-        assert_eq!(*delta.root(), archive_merkle_root(&next));
+        let root = commitment.update(&next, |name| name == "anonvm.disk");
+        assert_eq!(root, archive_merkle_root(&next));
+        assert_eq!(*DeltaArchive::diff(&prev, &next).root(), root);
         prev = next;
 
         // New record + removal: the shape-change path.
         let mut next = prev.clone();
         next.put("browser.state", b"cookies".to_vec());
         next.remove("meta");
-        let delta = DeltaArchive::diff_with(&prev, &next, &mut commitment);
-        assert_eq!(delta, DeltaArchive::diff(&prev, &next));
-        assert_eq!(*delta.root(), archive_merkle_root(&next));
+        let root = commitment.update(&next, |name| name == "browser.state");
+        assert_eq!(root, archive_merkle_root(&next));
+        assert_eq!(*DeltaArchive::diff(&prev, &next).root(), root);
 
         // The commitment now reflects `next` and keeps chaining.
-        let prev = next;
-        let mut next = prev.clone();
-        next.put("commvm.disk", vec![3; 64]);
-        let delta = DeltaArchive::diff_with(&prev, &next, &mut commitment);
-        assert_eq!(delta, DeltaArchive::diff(&prev, &next));
-    }
-
-    #[test]
-    fn apply_with_matches_apply() {
-        let prev = base();
-        let mut next = prev.clone();
-        next.put("anonvm.disk", vec![9; 350]);
-        next.put("browser.state", b"cookies".to_vec());
-        next.remove("meta");
-        let delta = DeltaArchive::diff(&prev, &next);
-
-        let mut replayed = prev.clone();
-        let mut commitment = ArchiveCommitment::build(&replayed);
-        delta.apply_with(&mut replayed, &mut commitment).unwrap();
-        assert_eq!(replayed, next);
-        // The threaded commitment now reflects the replayed state.
-        assert_eq!(commitment.root(), archive_merkle_root(&next));
-    }
-
-    #[test]
-    fn apply_with_fails_closed_like_apply() {
-        let prev = base();
-        let mut next = prev.clone();
-        next.put("anonvm.disk", vec![9; 10]);
-        let delta = DeltaArchive::diff(&prev, &next);
-
-        // A record the delta does not carry was tampered in the base:
-        // the cached leaf for it is *clean of the delta's dirty set*,
-        // so the incremental verify must still catch it — the stale
-        // cache hash disagrees with the tampered bytes' contribution
-        // only through the root the attacker cannot forge. Build the
-        // commitment over the *tampered* base, as restore would.
-        let mut tampered = prev.clone();
-        tampered.put("commvm.disk", vec![0xEE; 200]);
-        let mut commitment = ArchiveCommitment::build(&tampered);
-        assert_eq!(
-            delta.apply_with(&mut tampered, &mut commitment),
-            Err(DeltaError::RootMismatch)
-        );
-
-        // Count mismatch fails before any hashing.
-        let mut fat = prev.clone();
-        fat.put("extra", vec![1]);
-        let mut commitment = ArchiveCommitment::build(&fat);
-        assert_eq!(
-            delta.apply_with(&mut fat, &mut commitment),
-            Err(DeltaError::CountMismatch)
-        );
+        let mut last = next.clone();
+        last.put("commvm.disk", vec![3; 64]);
+        let root = commitment.update(&last, |name| name == "commvm.disk");
+        assert_eq!(root, archive_merkle_root(&last));
     }
 
     #[test]

@@ -16,13 +16,12 @@
 //!   named records (Tor guard state, metadata);
 //!   [`NymArchive::write_into`] serializes straight into a reusable
 //!   buffer.
-//! * [`sealed`] — password-based authenticated encryption of archives
-//!   (PBKDF2 → ChaCha20-Poly1305). [`seal_into`] / [`unseal_raw_into`]
-//!   run the whole serialize → compress → encrypt pipeline in a single
-//!   pass over one [`SealScratch`] arena with zero hot-path
-//!   allocations; [`seal_archive`] / [`open_sealed`] are the
-//!   per-call-allocating wrappers. [`SealKey`] derives the KDF once
-//!   per chain epoch so delta seals skip it entirely.
+//! * [`sealed`] — password-based authenticated encryption of storage
+//!   objects (PBKDF2 → ChaCha20-Poly1305). A [`SealKey`] derives the
+//!   KDF once per chain epoch; one [`seal_into`] seals a full archive,
+//!   a delta or a chunk ([`Sealable`]), and one [`unseal_into`] opens
+//!   any of them, each in a single pass over one [`SealScratch`] arena
+//!   with zero hot-path allocations.
 //! * [`delta`] — incremental snapshots: a [`DeltaArchive`] carries only
 //!   dirty records plus a Merkle-root commitment to the full record
 //!   set; replay verifies the root and fails closed on tampering.
@@ -30,10 +29,11 @@
 //!   2/8/64 KiB min/avg/max): deterministic, edit-local boundaries so a
 //!   sub-record write dirties O(1) chunks.
 //! * [`cas`] — the content-addressed chunk store: domain-separated
-//!   SHA-256 chunk IDs, `"NYMC"` per-record manifests, a refcounted
-//!   chunk index with mark-and-sweep GC, and per-chunk sealing bound to
-//!   the chunk's identity. Large records ship as manifests + only the
-//!   chunks that changed.
+//!   SHA-256 chunk IDs, `"NYMC"` per-record manifests, a chunk index
+//!   (the set of chunks the live manifests reference) with
+//!   mark-and-sweep GC, and per-chunk sealing bound to the chunk's
+//!   identity. Large records ship as manifests + only the chunks that
+//!   changed.
 //! * [`backend`] — the pluggable [`ObjectBackend`] every store
 //!   implements, so snapshot chains and chunk objects move unchanged
 //!   between local media and cloud accounts.
@@ -92,7 +92,7 @@ pub use archive::NymArchive;
 pub use backend::{BackendError, ObjectBackend};
 pub use cas::{
     build_manifests, chunk_id, chunk_object_name, seal_new_chunks_into, CasError, ChunkId,
-    ChunkIndex, ChunkManifest, CHUNK_RECORD_THRESHOLD, INCOMPRESSIBLE_BITS_PER_BYTE,
+    ChunkIndex, ChunkManifest, CHUNK_RECORD_THRESHOLD,
 };
 pub use chunker::{chunks, AVG_CHUNK, MAX_CHUNK, MIN_CHUNK};
 pub use cloud::{AccessLog, CloudError, CloudProvider, CloudSession};
@@ -103,7 +103,6 @@ pub use disk::{CrashMode, DiskError, DiskStore, FaultPlan, SimDisk};
 pub use local::LocalStore;
 pub use placement::{PlacementStore, RepairReport};
 pub use sealed::{
-    blob_salt, open_sealed, seal_archive, seal_bytes_keyed_into, seal_bytes_keyed_stored_into,
-    seal_delta_keyed_into, seal_into, seal_keyed_into, unseal_keyed_raw_into, unseal_raw_into,
-    SealKey, SealScratch, SealedError,
+    seal_into, unseal_into, SealKey, SealScratch, Sealable, SealedError,
+    INCOMPRESSIBLE_BITS_PER_BYTE,
 };

@@ -1,7 +1,8 @@
 //! Pins the allocation-freedom of the sealing hot path: once the scratch
 //! arena and output buffer are warm, `seal_into` (serialize → LZSS →
-//! in-place AEAD) and `unseal_raw_into` (decrypt → decompress) must never
-//! touch the heap.
+//! in-place AEAD) and `unseal_into` (decrypt → decompress) must never
+//! touch the heap. Keys are derived outside the counted loops, as the
+//! store pipeline derives one per chain epoch.
 
 #[path = "../../devshims/counting_alloc.rs"]
 mod counting_alloc;
@@ -9,8 +10,7 @@ use counting_alloc::allocations_in;
 
 use nymix_sim::Rng;
 use nymix_store::{
-    chunker, seal_delta_keyed_into, seal_into, unseal_keyed_raw_into, unseal_raw_into,
-    DeltaArchive, NymArchive, SealKey, SealScratch,
+    chunker, seal_into, unseal_into, DeltaArchive, NymArchive, SealKey, SealScratch, Sealable,
 };
 
 fn archive() -> NymArchive {
@@ -32,11 +32,13 @@ fn warm_seal_pipeline_is_allocation_free() {
     let mut scratch = SealScratch::new();
     let mut out = Vec::new();
     let mut rng = Rng::seed_from(3);
+    let key = SealKey::derive("pw", "nym:alice", &mut rng);
+    let what = Sealable::Archive(&a);
     // Warm-up: sizes the arena, the output blob and the match-finder.
-    seal_into(&a, "pw", "nym:alice", &mut rng, &mut scratch, &mut out);
+    seal_into(what, &key, "nym:alice", &mut rng, &mut scratch, &mut out);
     let n = allocations_in(|| {
         for _ in 0..3 {
-            seal_into(&a, "pw", "nym:alice", &mut rng, &mut scratch, &mut out);
+            seal_into(what, &key, "nym:alice", &mut rng, &mut scratch, &mut out);
         }
     });
     assert_eq!(n, 0, "warm seal_into must not allocate");
@@ -57,20 +59,21 @@ fn warm_delta_seal_pipeline_is_allocation_free() {
     let mut scratch = SealScratch::new();
     let mut out = Vec::new();
     let mut work = Vec::new();
+    let what = Sealable::Delta(&delta);
     // Warm-up sizes every buffer.
-    seal_delta_keyed_into(
-        &delta,
+    seal_into(
+        what,
         &key,
         "nym:alice#e1.1",
         &mut rng,
         &mut scratch,
         &mut out,
     );
-    unseal_keyed_raw_into(&out, &key, "nym:alice#e1.1", &mut work, &mut scratch).expect("opens");
+    unseal_into(&out, &key, "nym:alice#e1.1", &mut work, &mut scratch).expect("opens");
     let n = allocations_in(|| {
         for _ in 0..3 {
-            seal_delta_keyed_into(
-                &delta,
+            seal_into(
+                what,
                 &key,
                 "nym:alice#e1.1",
                 &mut rng,
@@ -78,8 +81,7 @@ fn warm_delta_seal_pipeline_is_allocation_free() {
                 &mut out,
             );
             let bytes =
-                unseal_keyed_raw_into(&out, &key, "nym:alice#e1.1", &mut work, &mut scratch)
-                    .expect("opens");
+                unseal_into(&out, &key, "nym:alice#e1.1", &mut work, &mut scratch).expect("opens");
             std::hint::black_box(bytes.len());
         }
     });
@@ -180,24 +182,28 @@ fn warm_unseal_pipeline_is_allocation_free() {
     let mut scratch = SealScratch::new();
     let mut out = Vec::new();
     let mut work = Vec::new();
+    let mut rng = Rng::seed_from(3);
+    let key = SealKey::derive("pw", "nym:alice", &mut rng);
     seal_into(
-        &a,
-        "pw",
+        Sealable::Archive(&a),
+        &key,
         "nym:alice",
-        &mut Rng::seed_from(3),
+        &mut rng,
         &mut scratch,
         &mut out,
     );
+    // Restore derives the key from the blob once, before any unseal.
+    let key = SealKey::from_blob("pw", "nym:alice", &out).expect("sealed blob");
     // Warm-up run sizes the ciphertext copy and the plaintext arena.
-    unseal_raw_into(&out, "pw", "nym:alice", &mut work, &mut scratch).expect("opens");
+    unseal_into(&out, &key, "nym:alice", &mut work, &mut scratch).expect("opens");
     let n = allocations_in(|| {
         for _ in 0..3 {
             let bytes =
-                unseal_raw_into(&out, "pw", "nym:alice", &mut work, &mut scratch).expect("opens");
+                unseal_into(&out, &key, "nym:alice", &mut work, &mut scratch).expect("opens");
             std::hint::black_box(bytes.len());
         }
     });
-    assert_eq!(n, 0, "warm unseal_raw_into must not allocate");
+    assert_eq!(n, 0, "warm unseal_into must not allocate");
 }
 
 #[test]
@@ -205,7 +211,7 @@ fn warm_gated_chunk_seal_is_allocation_free() {
     // The entropy-gated chunk path: the probe (stack histogram) plus
     // the stored-body seal must stay off the heap once warm — chunk
     // sealing runs per chunk on every incremental save.
-    use nymix_store::{lzss, seal_bytes_keyed_stored_into};
+    use nymix_store::{lzss, INCOMPRESSIBLE_BITS_PER_BYTE};
     let mut chunk = vec![0u8; 32 * 1024];
     let mut x = 0x1234_5678_9abc_def0u64;
     for b in chunk.iter_mut() {
@@ -218,19 +224,13 @@ fn warm_gated_chunk_seal_is_allocation_free() {
     let key = SealKey::derive("pw", "l", &mut rng);
     let mut scratch = SealScratch::new();
     let mut out = Vec::new();
-    // Warm-up sizes the arena and the blob buffer.
-    seal_bytes_keyed_stored_into(&chunk, &key, "l#e1/c/ab", &mut rng, &mut scratch, &mut out);
+    assert!(lzss::entropy_bits_per_byte(&chunk) >= INCOMPRESSIBLE_BITS_PER_BYTE);
+    let what = Sealable::Chunk(&chunk);
+    // Warm-up sizes the blob buffer.
+    seal_into(what, &key, "l#e1/c/ab", &mut rng, &mut scratch, &mut out);
     let n = allocations_in(|| {
         for _ in 0..3 {
-            assert!(lzss::entropy_bits_per_byte(&chunk) >= 7.0);
-            seal_bytes_keyed_stored_into(
-                &chunk,
-                &key,
-                "l#e1/c/ab",
-                &mut rng,
-                &mut scratch,
-                &mut out,
-            );
+            seal_into(what, &key, "l#e1/c/ab", &mut rng, &mut scratch, &mut out);
             std::hint::black_box(out.len());
         }
     });

@@ -2,7 +2,8 @@
 
 use nymix_sim::Rng;
 use nymix_store::{
-    chunker, lzss, open_sealed, seal_archive, ChunkManifest, DeltaArchive, NymArchive,
+    chunker, lzss, seal_into, unseal_into, ArchiveCommitment, ChunkManifest, DeltaArchive,
+    NymArchive, SealKey, SealScratch, Sealable, SealedError,
 };
 use proptest::prelude::*;
 
@@ -141,7 +142,8 @@ proptest! {
             // (the flip hit bytes outside the commitment's view, i.e.
             // re-encode identically) or fail closed — never panic.
             let mut base = prev.clone();
-            if mutated.apply(&mut base).is_ok() {
+            let mut commitment = ArchiveCommitment::build(&base);
+            if mutated.apply(&mut base, &mut commitment).is_ok() {
                 prop_assert_eq!(mutated.to_bytes(), delta.to_bytes());
             }
         }
@@ -272,27 +274,98 @@ proptest! {
     }
 
     #[test]
-    fn sealed_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..2048),
+    fn sealed_roundtrip(noise in proptest::collection::vec(any::<u8>(), 0..2048),
+                        unit in proptest::collection::vec(any::<u8>(), 1..16),
+                        reps in 1usize..200,
                         seed in any::<u64>()) {
-        let mut a = NymArchive::new();
-        a.put("disk", data);
-        let blob = seal_archive(&a, "password", "label", &mut Rng::seed_from(seed));
-        prop_assert_eq!(open_sealed(&blob, "password", "label").unwrap(), a);
+        let text: Vec<u8> = unit.iter().copied().cycle().take(unit.len() * reps).collect();
+        let (_, blobs) = sealed_chain(&noise, &text, seed);
+        // Restore's path: one KDF from the base blob opens every kind.
+        let key = SealKey::from_blob("pw", "nym:prop", &blobs[0].1).unwrap();
+        let (mut work, mut scratch) = (Vec::new(), SealScratch::new());
+        for (label, blob, plain) in &blobs {
+            let opened = unseal_into(blob, &key, label, &mut work, &mut scratch).unwrap();
+            prop_assert_eq!(opened, &plain[..]);
+        }
     }
 
     #[test]
-    fn sealed_bitflip_always_detected(seed in any::<u64>(), flip in any::<usize>(), bit in 0u8..8) {
-        let mut a = NymArchive::new();
-        a.put("disk", vec![0x42; 100]);
-        let mut blob = seal_archive(&a, "pw", "l", &mut Rng::seed_from(seed));
-        let n = blob.len();
-        // Flipping anywhere after the magic must fail auth (flips in the
-        // salt/nonce change the derived key/stream; flips in the
-        // ciphertext break the tag).
-        let idx = 4 + (flip % (n - 4));
-        blob[idx] ^= 1 << bit;
-        prop_assert!(open_sealed(&blob, "pw", "l").is_err());
+    fn sealed_bitflip_always_detected(noise in proptest::collection::vec(any::<u8>(), 0..2048),
+                                      seed in any::<u64>(),
+                                      flip in any::<usize>(),
+                                      bit in 0u8..8) {
+        // A flip in the magic is malformed, in the salt another epoch's
+        // blob, in the nonce, body or tag an AEAD failure: every single
+        // bit of every kind of blob is covered.
+        let (key, blobs) = sealed_chain(&noise, b"<p>post</p>", seed);
+        let (mut work, mut scratch) = (Vec::new(), SealScratch::new());
+        for (label, blob, _) in &blobs {
+            let mut evil = blob.clone();
+            evil[flip % blob.len()] ^= 1 << bit;
+            prop_assert!(unseal_into(&evil, &key, label, &mut work, &mut scratch).is_err());
+        }
     }
+
+    #[test]
+    fn sealed_truncation_always_rejected(noise in proptest::collection::vec(any::<u8>(), 0..2048),
+                                         seed in any::<u64>(),
+                                         cut in any::<usize>()) {
+        let (key, blobs) = sealed_chain(&noise, b"<p>post</p>", seed);
+        let (mut work, mut scratch) = (Vec::new(), SealScratch::new());
+        for (label, blob, _) in &blobs {
+            let short = &blob[..cut % blob.len()];
+            prop_assert!(unseal_into(short, &key, label, &mut work, &mut scratch).is_err());
+            // Deriving a key from a truncated blob errors or succeeds,
+            // never panics.
+            let _ = SealKey::from_blob("pw", label, short);
+        }
+    }
+
+    #[test]
+    fn sealed_other_epoch_key_fails_auth(noise in proptest::collection::vec(any::<u8>(), 0..2048),
+                                         seed in any::<u64>(),
+                                         other in any::<u64>()) {
+        prop_assume!(seed != other);
+        let (_, blobs) = sealed_chain(&noise, b"<p>post</p>", seed);
+        let stale = SealKey::derive("pw", "nym:prop", &mut Rng::seed_from(other));
+        let (mut work, mut scratch) = (Vec::new(), SealScratch::new());
+        for (label, blob, _) in &blobs {
+            prop_assert_eq!(
+                unseal_into(blob, &stale, label, &mut work, &mut scratch),
+                Err(SealedError::AuthFailed)
+            );
+        }
+    }
+}
+
+/// A labelled sealed blob with the plaintext it must unseal to.
+type SealedObject = (&'static str, Vec<u8>, Vec<u8>);
+
+/// One blob of every kind a save writes, under one chain-epoch key: the
+/// full base archive, a delta on it, and two chunks (`noise` mostly
+/// takes the entropy gate's stored body, `text` the compressed one).
+fn sealed_chain(noise: &[u8], text: &[u8], seed: u64) -> (SealKey, [SealedObject; 4]) {
+    let mut rng = Rng::seed_from(seed);
+    let key = SealKey::derive("pw", "nym:prop", &mut rng);
+    let mut base = NymArchive::new();
+    base.put("anonvm.disk", noise.to_vec());
+    base.put("meta", text.to_vec());
+    let mut next = base.clone();
+    next.put("browser.state", text.to_vec());
+    let delta = DeltaArchive::diff(&base, &next);
+    let mut scratch = SealScratch::new();
+    let mut seal = |what: Sealable<'_>, label: &'static str, plain: Vec<u8>| {
+        let mut blob = Vec::new();
+        seal_into(what, &key, label, &mut rng, &mut scratch, &mut blob);
+        (label, blob, plain)
+    };
+    let blobs = [
+        seal(Sealable::Archive(&base), "nym:prop", base.to_bytes()),
+        seal(Sealable::Delta(&delta), "nym:prop#e1.1", delta.to_bytes()),
+        seal(Sealable::Chunk(noise), "nym:prop#e1/c/01", noise.to_vec()),
+        seal(Sealable::Chunk(text), "nym:prop#e1/c/02", text.to_vec()),
+    ];
+    (key, blobs)
 }
 
 // ---------------------------------------------------------------------
