@@ -1,22 +1,22 @@
 //! The **Environment** layer: the shared simulated world.
 //!
 //! Everything every nym sees in common lives here — the hypervisor
-//! (VMs, memory, CPU), the packet fabric (isolation), the fluid flow
-//! network (timing), DNS, the relay directory, the simulation clock,
-//! the world RNG, and the storage endpoints (cloud providers, local
-//! partition). The layering rule: an [`Environment`] never holds
-//! per-nym state. Per-nym state — nymbox, anonymizer, browser,
-//! snapshot chains, sealing scratch — lives in
+//! (VMs, memory), the packet fabric (isolation), DNS, the relay
+//! directory, the simulation clock, the world RNG, and the storage
+//! endpoints (cloud providers, local partition). Transfer timing is not
+//! state here: [`nymix_net::access_transfer`] charges every transfer.
+//! The layering rule: an [`Environment`] never holds per-nym state.
+//! Per-nym state — nymbox, anonymizer, browser, snapshot chains,
+//! sealing scratch — lives in
 //! [`NymSession`](super::session::NymSession), one value per nym, so
 //! no `&mut` on one nym's session can alias another's. Sessions take
 //! `&mut Environment` for exactly the operations that genuinely touch
-//! the shared world (booting VMs, driving flows, advancing the clock).
+//! the shared world (booting VMs, advancing the clock).
 
 use nymix_anon::tor::{TorClient, TorDirectory};
 use nymix_anon::{Anonymizer, AnonymizerKind, DissentNet, Incognito, Sweet};
 use nymix_net::dns::DnsDb;
-use nymix_net::flow::calib as netcal;
-use nymix_net::{Fabric, FlowNet, Ip, LinkId, Mac, NodeId, NodeKind};
+use nymix_net::{Fabric, Ip, Mac, NodeId, NodeKind};
 use nymix_sim::{Rng, SimDuration, SimTime};
 use nymix_store::{
     BackendError, CloudProvider, CloudSession, DiskStore, LocalStore, ObjectBackend, PlacementStore,
@@ -31,8 +31,6 @@ use super::{NymManagerError, StorageDest};
 pub struct Environment {
     pub(super) hv: Hypervisor,
     pub(super) fabric: Fabric,
-    pub(super) flows: FlowNet,
-    pub(super) access_link: LinkId,
     pub(super) dns: DnsDb,
     pub(super) directory: TorDirectory,
     pub(super) rng: Rng,
@@ -110,10 +108,6 @@ impl Environment {
         fabric.add_route(hyp_node, Ip::parse("0.0.0.0"), 0, hyp_wan);
         fabric.add_route(hyp_node, Ip::parse("192.168.1.0"), 24, hyp_lan);
 
-        // Fluid network: the shaped 10 Mbit/s access link.
-        let mut flows = FlowNet::new();
-        let access_link = flows.add_link(netcal::ACCESS_LINK_BPS, netcal::ACCESS_ONE_WAY);
-
         let mut rng = Rng::seed_from(seed);
         let directory = TorDirectory::generate(rng.next_u64(), 120);
 
@@ -127,14 +121,8 @@ impl Environment {
         Self {
             // paper_testbed_minimal() at the paper's 16 GiB; larger
             // hosts run bigger fleets (the admission model is unchanged).
-            hv: Hypervisor::new(
-                host_ram_mib,
-                nymix_fs::BaseImage::minimal().to_layer(),
-                nymix_vmm::CpuHost::paper_testbed(),
-            ),
+            hv: Hypervisor::new(host_ram_mib, nymix_fs::BaseImage::minimal().to_layer()),
             fabric,
-            flows,
-            access_link,
             dns,
             directory,
             rng,
@@ -167,34 +155,6 @@ impl Environment {
             AnonymizerKind::Incognito => Box::new(Incognito::new()),
             AnonymizerKind::Sweet => Box::new(Sweet::new()),
         }
-    }
-
-    /// Pushes `wire_bytes` through the shared access link as one flow,
-    /// advancing the fluid network, and returns the transfer time.
-    pub(super) fn run_access_flow(&mut self, wire_bytes: f64) -> SimDuration {
-        let start = self.clock;
-        let flow = self
-            .flows
-            .start_flow(start, vec![self.access_link], wire_bytes);
-        let mut finish = start;
-        while self.flows.flow_remaining(flow).is_some() {
-            let next = self
-                .flows
-                .next_event()
-                .expect("flow pending implies an event");
-            self.flows.advance(next);
-            finish = next;
-        }
-        if let Some(t) = self.flows.completions().get(&flow) {
-            finish = *t;
-        }
-        finish.since(start)
-    }
-
-    /// Seconds to move `wire_bytes` across the access link right now
-    /// (serial ops: assumes the link is otherwise idle).
-    pub(super) fn transfer_secs(wire_bytes: f64) -> f64 {
-        wire_bytes / netcal::ACCESS_LINK_BPS + netcal::ACCESS_ONE_WAY.as_secs_f64()
     }
 }
 

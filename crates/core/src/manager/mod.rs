@@ -8,7 +8,7 @@
 //! boundaries:
 //!
 //! * [`mod@env`] — the **Environment**: the shared simulated world
-//!   (hypervisor, fabric, flows, DNS, relay directory, clock, storage
+//!   (hypervisor, fabric, DNS, relay directory, clock, storage
 //!   endpoints). Exactly one per manager; never holds per-nym state.
 //! * [`session`] — one **NymSession** per live nym: nymbox, private
 //!   anonymizer, browser state, snapshot chains, its own sealing
@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use nymix_anon::tor::{TorDirectory, TorState};
 use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::dns::DnsDb;
-use nymix_net::{Fabric, Ip, NodeId};
+use nymix_net::{access_transfer, Fabric, Ip, NodeId};
 use nymix_sim::{SimDuration, SimTime};
 use nymix_store::{
     CloudProvider, CloudSession, DiskStore, FaultPlan, LocalStore, PlacementStore, SimDisk,
@@ -546,10 +546,9 @@ impl NymManager {
 
         let ephemeral_fetch = match fetch_cost {
             Some(cost) => {
-                let dl_secs = Environment::transfer_secs(
-                    cost.wire_bytes(fetched.fetched_bytes as f64 * self.env.browser_scale as f64),
-                );
-                fetch_boot + SimDuration::from_secs_f64(dl_secs) + tcal::RESTORE_UNPACK
+                let wire =
+                    cost.wire_bytes(fetched.fetched_bytes as f64 * self.env.browser_scale as f64);
+                fetch_boot + access_transfer(wire, cost.rate_cap) + tcal::RESTORE_UNPACK
             }
             None => tcal::RESTORE_UNPACK,
         };

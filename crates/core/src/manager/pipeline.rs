@@ -30,7 +30,7 @@
 //! to a full save (a new epoch) instead of appending deltas to a base
 //! it no longer owns.
 
-use nymix_net::Ip;
+use nymix_net::{access_transfer, Ip};
 use nymix_sim::{DiskProfile, Rng, SimDuration};
 use nymix_store::cas::{self, ChunkIndex, ChunkManifest};
 use nymix_store::{
@@ -101,6 +101,8 @@ struct SavePlan<'a> {
     label: String,
     exit_ip: Ip,
     wire_overhead: f64,
+    /// The session anonymizer's per-flow throughput ceiling (bytes/s).
+    rate_cap: f64,
     next: NymArchive,
     /// `(record name, previous stored bytes)` per captured record —
     /// the delta stage compares these against the new bytes, so
@@ -285,15 +287,19 @@ impl StorePipeline {
             .striped
             .as_ref()
             .map_or(1.0, |s| s.redundancy_overhead());
+        // Bytes one save puts on the access link (zero for local ones).
+        let scale = env.browser_scale as f64;
+        let upload_wire = |s: &SealedSave| {
+            let amplify = match s.plan.req.dest {
+                StorageDest::Cloud { .. } => 1.0,
+                StorageDest::Striped => striped_overhead,
+                StorageDest::Local | StorageDest::Disk => 0.0,
+            };
+            (1.0 + s.plan.wire_overhead) * (s.uploaded as f64 * scale) * amplify
+        };
         let mut cloud_wire_total = 0.0f64;
         for s in &sealed {
-            let wire =
-                (1.0 + s.plan.wire_overhead) * (s.uploaded as f64 * env.browser_scale as f64);
-            match s.plan.req.dest {
-                StorageDest::Cloud { .. } => cloud_wire_total += wire,
-                StorageDest::Striped => cloud_wire_total += wire * striped_overhead,
-                StorageDest::Local | StorageDest::Disk => {}
-            }
+            cloud_wire_total += upload_wire(s);
         }
         let batched = sealed.len() > 1;
         let mut batch_duration = SimDuration::ZERO;
@@ -362,29 +368,17 @@ impl StorePipeline {
             };
             for s in group.drain(..) {
                 let duration = match s.plan.req.dest {
-                    StorageDest::Cloud { .. } => {
-                        // The batch's cloud uploads share the access
-                        // link; a lone save sees exactly the old
-                        // serial-transfer time.
-                        let wire = if batched {
-                            cloud_wire_total
-                        } else {
-                            (1.0 + s.plan.wire_overhead)
-                                * (s.uploaded as f64 * env.browser_scale as f64)
-                        };
-                        SimDuration::from_secs_f64(Environment::transfer_secs(wire)) + cloud_backoff
-                    }
-                    // Striped saves ride the same access link as cloud
-                    // ones, amplified by the n/k shard redundancy.
-                    StorageDest::Striped => {
-                        let wire = if batched {
-                            cloud_wire_total
-                        } else {
-                            (1.0 + s.plan.wire_overhead)
-                                * (s.uploaded as f64 * env.browser_scale as f64)
-                                * striped_overhead
-                        };
-                        SimDuration::from_secs_f64(Environment::transfer_secs(wire)) + cloud_backoff
+                    // The batch's cloud and striped uploads share the
+                    // access link, so each takes the batch total's time
+                    // or its own wire at its anonymizer's cap, whichever
+                    // is longer; a lone save sees exactly the serial
+                    // transfer time.
+                    StorageDest::Cloud { .. } | StorageDest::Striped => {
+                        let wire = upload_wire(&s);
+                        let total = if batched { cloud_wire_total } else { wire };
+                        access_transfer(total, f64::INFINITY)
+                            .max(access_transfer(wire, s.plan.rate_cap))
+                            + cloud_backoff
                     }
                     // One media sync flushes the whole batch.
                     StorageDest::Local => SimDuration::from_millis(300),
@@ -636,6 +630,7 @@ impl StorePipeline {
             label,
             exit_ip,
             wire_overhead: cost.byte_overhead,
+            rate_cap: cost.rate_cap,
             next,
             dirty_old,
             anon_gen,

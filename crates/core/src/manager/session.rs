@@ -25,7 +25,7 @@
 use nymix_anon::tor::TorState;
 use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::firewall::{Action, Direction, Firewall, Rule};
-use nymix_net::{Ip, Mac, NodeKind};
+use nymix_net::{access_transfer, Ip, Mac, NodeKind};
 use nymix_sim::{Rng, SimDuration};
 use nymix_store::cas::ChunkIndex;
 use nymix_store::{ArchiveCommitment, NymArchive, SealKey, SealScratch};
@@ -272,7 +272,7 @@ impl NymSession {
         // the anonymizer and throttled by its cap (if any).
         let start = env.clock;
         let wire = cost.wire_bytes(profile.page_weight as f64);
-        let network = env.run_access_flow(wire) + cost.connect_latency;
+        let network = access_transfer(wire, cost.rate_cap) + cost.connect_latency;
         let load = network + tcal::PAGE_RENDER;
         env.clock = start + load;
 

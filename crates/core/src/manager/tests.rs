@@ -26,6 +26,38 @@ fn fresh_nym_within_paper_band() {
 }
 
 #[test]
+fn visits_pay_the_anonymizer_rate_cap() {
+    let mut m = manager();
+    let page = Site::Twitter.profile().page_weight as f64;
+
+    // Tor imposes no cap: the page moves at the access link's rate.
+    let (tor, _) = m
+        .create_nym("tor", AnonymizerKind::Tor, UsageModel::Ephemeral)
+        .unwrap();
+    let cost = m.anonymizer(tor).unwrap().transfer_cost();
+    let expect = nymix_net::access_transfer(cost.wire_bytes(page), f64::INFINITY)
+        + cost.connect_latency
+        + tcal::PAGE_RENDER;
+    assert_eq!(m.visit_site(tor, Site::Twitter).unwrap(), expect);
+
+    // SWEET's e-mail tunnel caps the flow far below the link rate.
+    let (sweet, _) = m
+        .create_nym("sweet", AnonymizerKind::Sweet, UsageModel::Ephemeral)
+        .unwrap();
+    let wire = m
+        .anonymizer(sweet)
+        .unwrap()
+        .transfer_cost()
+        .wire_bytes(page);
+    let floor = wire / nymix_anon::sweet::calib::RATE_CAP;
+    let load = m.visit_site(sweet, Site::Twitter).unwrap().as_secs_f64();
+    assert!(
+        load >= floor,
+        "SWEET page load {load} s beats its cap's {floor} s"
+    );
+}
+
+#[test]
 fn nymbox_is_two_vms() {
     let mut m = manager();
     let (id, _) = m

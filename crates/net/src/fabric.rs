@@ -5,8 +5,8 @@
 //! NAT. Every traversal is captured by the fabric's [`Tracer`].
 //!
 //! The fabric is deliberately *synchronous*: `send` walks the packet to
-//! its fate and reports what happened. Timing lives in the fluid layer
-//! ([`crate::flow`]); the fabric answers reachability and leak questions
+//! its fate and reports what happened. Timing lives in
+//! [`crate::access_transfer`]; the fabric answers reachability and leak questions
 //! (the §5.1 validation matrix).
 
 use std::collections::BTreeMap;

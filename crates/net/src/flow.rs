@@ -1,276 +1,37 @@
-//! Fluid flows: bandwidth sharing and transfer completion times.
+//! Access-link timing: how long a transfer takes.
 //!
 //! Models the evaluation network of §5.2: a 10 Mbit/s shaped access link
-//! with 80 ms RTT to a DeterLab-hosted Tor deployment. Flows follow
-//! paths of links; rates are assigned by *global* max-min fairness
-//! (progressive filling), the standard fluid approximation of long-lived
-//! TCP sharing. Figure 5's eight parallel kernel downloads and the
-//! Figure 6/7 archive transfers are flows in this model.
+//! with 80 ms RTT to a DeterLab-hosted Tor deployment. Every modeled
+//! transfer — a page load, a batched archive upload, an ephemeral
+//! fetch, Figure 5's parallel kernel downloads — is charged by
+//! [`access_transfer`]. Under max-min sharing, `n` equal flows started
+//! together each get `1/n` of the link and finish together, so `n`
+//! parallel transfers of `w` wire bytes take `access_transfer(n * w)`.
 
-use std::collections::BTreeMap;
+use nymix_sim::SimDuration;
 
-use nymix_sim::{SimDuration, SimTime};
-
-/// Identifies a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LinkId(pub usize);
-
-/// Identifies a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FlowId(pub u64);
-
-#[derive(Debug, Clone)]
-struct FlowLink {
-    capacity: f64, // bytes/second
-    latency: SimDuration,
-}
-
-#[derive(Debug, Clone)]
-struct Flow {
-    path: Vec<LinkId>,
-    remaining: f64, // bytes
-    rate: f64,      // bytes/second
-    release: SimTime,
-}
-
-/// A network of capacity-limited links carrying max-min fair flows.
+/// Time to move `wire_bytes` across the otherwise idle access link as
+/// one flow throttled to at most `rate_cap` bytes/second
+/// (`f64::INFINITY` for none): the one-way latency, then the bytes at
+/// the slower of the link rate and the cap.
 ///
 /// # Examples
 ///
 /// ```
-/// use nymix_net::{FlowNet};
-/// use nymix_sim::{SimDuration, SimTime};
+/// use nymix_net::access_transfer;
+/// use nymix_net::flow::calib;
+/// use nymix_sim::SimDuration;
 ///
-/// let mut net = FlowNet::new();
-/// // 10 Mbit/s access link (1.25e6 bytes/s), 40 ms one-way.
-/// let access = net.add_link(1.25e6, SimDuration::from_millis(40));
-/// let f = net.start_flow(SimTime::ZERO, vec![access], 1.25e6);
-/// let done = net.run_to_completion();
-/// // 1 second of transfer + 40 ms propagation.
-/// assert_eq!(done[&f], SimTime(1_040_000));
+/// // 1.25 MB at 10 Mbit/s: 1 s of transfer plus 40 ms propagation.
+/// let t = access_transfer(calib::ACCESS_LINK_BPS, f64::INFINITY);
+/// assert_eq!(t, SimDuration(1_040_000));
+/// // A 125 kB/s cap stretches the same bytes to 10 s.
+/// let capped = access_transfer(calib::ACCESS_LINK_BPS, 125_000.0);
+/// assert_eq!(capped, SimDuration(10_040_000));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct FlowNet {
-    links: Vec<FlowLink>,
-    flows: BTreeMap<FlowId, Flow>,
-    now: SimTime,
-    next_flow: u64,
-    starts: BTreeMap<FlowId, SimTime>,
-    completions: BTreeMap<FlowId, SimTime>,
-}
-
-impl FlowNet {
-    /// An empty network.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a link with `capacity` bytes/second and one-way `latency`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless capacity is positive and finite.
-    pub fn add_link(&mut self, capacity: f64, latency: SimDuration) -> LinkId {
-        assert!(capacity.is_finite() && capacity > 0.0, "bad capacity");
-        self.links.push(FlowLink { capacity, latency });
-        LinkId(self.links.len() - 1)
-    }
-
-    /// Current simulated time of the flow network.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Starts a flow of `bytes` along `path` at time `now`.
-    ///
-    /// The flow begins transferring after the path's one-way latency
-    /// (connection/propagation delay) and completes when its last byte
-    /// has been served.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is empty, references unknown links, or `now`
-    /// is in the past.
-    pub fn start_flow(&mut self, now: SimTime, path: Vec<LinkId>, bytes: f64) -> FlowId {
-        assert!(!path.is_empty(), "flow path must not be empty");
-        assert!(
-            path.iter().all(|l| l.0 < self.links.len()),
-            "unknown link in path"
-        );
-        assert!(bytes >= 0.0 && bytes.is_finite(), "bad byte count");
-        self.advance(now);
-        let latency: SimDuration = path
-            .iter()
-            .fold(SimDuration::ZERO, |acc, l| acc + self.links[l.0].latency);
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.starts.insert(id, now);
-        self.flows.insert(
-            id,
-            Flow {
-                path,
-                remaining: bytes,
-                rate: 0.0,
-                release: now + latency,
-            },
-        );
-        self.reallocate();
-        id
-    }
-
-    /// Cancels a flow; returns remaining bytes if it was still active.
-    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
-        self.advance(now);
-        let f = self.flows.remove(&id)?;
-        self.reallocate();
-        Some(f.remaining)
-    }
-
-    /// Current rate of a flow (bytes/second), if active.
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.rate)
-    }
-
-    /// Remaining bytes of a flow, if active.
-    pub fn flow_remaining(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.remaining)
-    }
-
-    /// Completion times recorded so far.
-    pub fn completions(&self) -> &BTreeMap<FlowId, SimTime> {
-        &self.completions
-    }
-
-    /// Earliest pending internal event (flow release or completion).
-    ///
-    /// Completion candidates are rounded *up* to the next microsecond:
-    /// an event time strictly after `now` guarantees the event loop
-    /// always makes progress (sub-microsecond residue would otherwise
-    /// schedule the same instant forever).
-    pub fn next_event(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        for f in self.flows.values() {
-            let candidate = if f.release > self.now {
-                f.release
-            } else if f.rate > 0.0 {
-                let dt_us = (f.remaining / f.rate * 1e6).ceil().max(1.0) as u64;
-                self.now + SimDuration(dt_us)
-            } else {
-                continue;
-            };
-            best = Some(best.map_or(candidate, |b| b.min(candidate)));
-        }
-        best
-    }
-
-    /// Advances the fluid state to `to`, recording completions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is in the past.
-    pub fn advance(&mut self, to: SimTime) {
-        assert!(to >= self.now, "flow network advanced backwards");
-        while self.now < to {
-            let next = self.next_event().filter(|t| *t <= to).unwrap_or(to);
-            let dt = next.since(self.now).as_secs_f64();
-            // Integrate.
-            for f in self.flows.values_mut() {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
-            }
-            self.now = next;
-            // Completions at `next`.
-            let done: Vec<FlowId> = self
-                .flows
-                .iter()
-                .filter(|(_, f)| f.release <= self.now && f.remaining <= 1e-6)
-                .map(|(id, _)| *id)
-                .collect();
-            let released = self
-                .flows
-                .values()
-                .any(|f| f.release == self.now && f.rate == 0.0);
-            if !done.is_empty() {
-                for id in &done {
-                    self.flows.remove(id);
-                    self.completions.insert(*id, self.now);
-                }
-            }
-            if !done.is_empty() || released {
-                self.reallocate();
-            }
-            if self.now == next && next == to {
-                break;
-            }
-        }
-    }
-
-    /// Runs until every flow completes; returns all completion times.
-    pub fn run_to_completion(&mut self) -> BTreeMap<FlowId, SimTime> {
-        while let Some(next) = self.next_event() {
-            self.advance(next);
-        }
-        assert!(
-            self.flows.is_empty(),
-            "flows remain but no event is pending (zero-rate livelock)"
-        );
-        self.completions.clone()
-    }
-
-    /// Total transfer duration of a completed flow (including initial
-    /// path latency).
-    pub fn duration_of(&self, id: FlowId) -> Option<SimDuration> {
-        let end = self.completions.get(&id)?;
-        let start = self.starts.get(&id)?;
-        Some(end.since(*start))
-    }
-
-    /// Progressive filling: global weighted (all weights 1) max-min.
-    fn reallocate(&mut self) {
-        let now = self.now;
-        // Zero-byte flows with elapsed release complete instantly at the
-        // next advance; give them a token rate so next_event fires.
-        let mut unfrozen: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.release <= now)
-            .map(|(id, _)| *id)
-            .collect();
-        for f in self.flows.values_mut() {
-            f.rate = 0.0;
-        }
-        let mut residual: Vec<f64> = self.links.iter().map(|l| l.capacity).collect();
-        while !unfrozen.is_empty() {
-            // Fair share per link among unfrozen flows crossing it.
-            let mut users: Vec<usize> = vec![0; self.links.len()];
-            for id in &unfrozen {
-                for l in &self.flows[id].path {
-                    users[l.0] += 1;
-                }
-            }
-            let mut bottleneck: Option<(usize, f64)> = None;
-            for (li, &n) in users.iter().enumerate() {
-                if n > 0 {
-                    let share = residual[li] / n as f64;
-                    if bottleneck.is_none_or(|(_, s)| share < s) {
-                        bottleneck = Some((li, share));
-                    }
-                }
-            }
-            let Some((bl, share)) = bottleneck else { break };
-            // Freeze all unfrozen flows crossing the bottleneck.
-            let (frozen, rest): (Vec<FlowId>, Vec<FlowId>) = unfrozen
-                .into_iter()
-                .partition(|id| self.flows[id].path.iter().any(|l| l.0 == bl));
-            for id in &frozen {
-                let f = self.flows.get_mut(id).expect("flow exists");
-                f.rate = share;
-                for l in &f.path {
-                    residual[l.0] = (residual[l.0] - share).max(0.0);
-                }
-            }
-            unfrozen = rest;
-        }
-    }
+pub fn access_transfer(wire_bytes: f64, rate_cap: f64) -> SimDuration {
+    let rate = calib::ACCESS_LINK_BPS.min(rate_cap);
+    SimDuration::from_secs_f64(wire_bytes / rate + calib::ACCESS_ONE_WAY.as_secs_f64())
 }
 
 /// Paper calibration constants for the evaluation network.
@@ -294,142 +55,66 @@ pub mod calib {
 mod tests {
     use super::*;
 
-    fn secs(s: f64) -> SimTime {
-        SimTime((s * 1e6).round() as u64)
-    }
+    const NO_CAP: f64 = f64::INFINITY;
 
     #[test]
     fn single_flow_full_rate() {
-        let mut net = FlowNet::new();
-        let l = net.add_link(100.0, SimDuration::ZERO);
-        let f = net.start_flow(SimTime::ZERO, vec![l], 1000.0);
-        assert_eq!(net.flow_rate(f), Some(100.0));
-        let done = net.run_to_completion();
-        assert_eq!(done[&f], secs(10.0));
+        // Ten seconds' worth of link bytes take ten seconds plus latency.
+        let t = access_transfer(10.0 * calib::ACCESS_LINK_BPS, NO_CAP);
+        assert_eq!(t, SimDuration::from_secs(10) + calib::ACCESS_ONE_WAY);
     }
 
     #[test]
     fn latency_delays_start() {
-        let mut net = FlowNet::new();
-        let l = net.add_link(100.0, SimDuration::from_secs(1));
-        let f = net.start_flow(SimTime::ZERO, vec![l], 100.0);
-        assert_eq!(net.flow_rate(f), Some(0.0));
-        let done = net.run_to_completion();
-        assert_eq!(done[&f], secs(2.0));
+        for bytes in [1.0e3, 1.0e5, 1.0e7] {
+            let serve = SimDuration::from_secs_f64(bytes / calib::ACCESS_LINK_BPS);
+            assert_eq!(
+                access_transfer(bytes, NO_CAP),
+                serve + calib::ACCESS_ONE_WAY
+            );
+        }
     }
 
     #[test]
-    fn two_flows_share_then_speed_up() {
-        let mut net = FlowNet::new();
-        let l = net.add_link(10.0, SimDuration::ZERO);
-        let a = net.start_flow(SimTime::ZERO, vec![l], 50.0);
-        let b = net.start_flow(SimTime::ZERO, vec![l], 100.0);
-        assert_eq!(net.flow_rate(a), Some(5.0));
-        assert_eq!(net.flow_rate(b), Some(5.0));
-        let done = net.run_to_completion();
-        // a: 50 bytes at 5/s → t=10. b: 50 served by t=10, 50 left at
-        // 10/s → t=15.
-        assert_eq!(done[&a], secs(10.0));
-        assert_eq!(done[&b], secs(15.0));
+    fn rate_cap_is_the_bottleneck() {
+        // A cap below the link rate sets the pace; one above it does not.
+        let bytes = calib::ACCESS_LINK_BPS;
+        let cap = calib::ACCESS_LINK_BPS / 10.0;
+        assert_eq!(
+            access_transfer(bytes, cap),
+            SimDuration::from_secs(10) + calib::ACCESS_ONE_WAY
+        );
+        assert_eq!(
+            access_transfer(bytes, calib::ACCESS_LINK_BPS * 2.0),
+            access_transfer(bytes, NO_CAP)
+        );
     }
 
     #[test]
     fn n_parallel_downloads_scale_linearly() {
         // The Figure 5 shape: n equal flows on one shared link finish
-        // together at n * t1.
-        let mut single = FlowNet::new();
-        let l = single.add_link(calib::ACCESS_LINK_BPS, calib::ACCESS_ONE_WAY);
-        let f = single.start_flow(SimTime::ZERO, vec![l], calib::LINUX_KERNEL_BYTES);
-        let t1 = single.run_to_completion()[&f].as_secs_f64();
-
+        // together, after the link has carried all n payloads.
+        let t1 = access_transfer(calib::LINUX_KERNEL_BYTES, NO_CAP).as_secs_f64();
         for n in [2usize, 4, 8] {
-            let mut net = FlowNet::new();
-            let l = net.add_link(calib::ACCESS_LINK_BPS, calib::ACCESS_ONE_WAY);
-            let ids: Vec<FlowId> = (0..n)
-                .map(|_| net.start_flow(SimTime::ZERO, vec![l], calib::LINUX_KERNEL_BYTES))
-                .collect();
-            let done = net.run_to_completion();
-            for id in ids {
-                let tn = done[&id].as_secs_f64();
-                let ideal = t1 * n as f64;
-                assert!(
-                    (tn - ideal).abs() / ideal < 0.01,
-                    "n={n} tn={tn} ideal={ideal}"
-                );
-            }
+            let tn = access_transfer(n as f64 * calib::LINUX_KERNEL_BYTES, NO_CAP).as_secs_f64();
+            let ideal = t1 * n as f64;
+            assert!(
+                (tn - ideal).abs() / ideal < 0.01,
+                "n={n} tn={tn} ideal={ideal}"
+            );
         }
     }
 
     #[test]
-    fn multi_link_bottleneck() {
-        let mut net = FlowNet::new();
-        let fast = net.add_link(100.0, SimDuration::ZERO);
-        let slow = net.add_link(10.0, SimDuration::ZERO);
-        let f = net.start_flow(SimTime::ZERO, vec![fast, slow], 100.0);
-        assert_eq!(net.flow_rate(f), Some(10.0));
-    }
-
-    #[test]
-    fn max_min_across_links() {
-        // Classic example: flow A uses link1+link2, flow B only link1,
-        // flow C only link2. cap(link1)=10, cap(link2)=20.
-        let mut net = FlowNet::new();
-        let l1 = net.add_link(10.0, SimDuration::ZERO);
-        let l2 = net.add_link(20.0, SimDuration::ZERO);
-        let a = net.start_flow(SimTime::ZERO, vec![l1, l2], 1e9);
-        let b = net.start_flow(SimTime::ZERO, vec![l1], 1e9);
-        let c = net.start_flow(SimTime::ZERO, vec![l2], 1e9);
-        // Bottleneck link1: A and B get 5 each; C then gets 20-5=15.
-        assert_eq!(net.flow_rate(a), Some(5.0));
-        assert_eq!(net.flow_rate(b), Some(5.0));
-        assert_eq!(net.flow_rate(c), Some(15.0));
-    }
-
-    #[test]
-    fn staggered_arrivals() {
-        let mut net = FlowNet::new();
-        let l = net.add_link(10.0, SimDuration::ZERO);
-        let a = net.start_flow(SimTime::ZERO, vec![l], 100.0);
-        // At t=5, a has 50 left; b joins.
-        let b = net.start_flow(secs(5.0), vec![l], 25.0);
-        assert_eq!(net.flow_rate(a), Some(5.0));
-        assert_eq!(net.flow_rate(b), Some(5.0));
-        let done = net.run_to_completion();
-        // b: 25 bytes at 5/s → t=10. a: 50-25=25 left at t=10, full
-        // rate → t=12.5.
-        assert_eq!(done[&b], secs(10.0));
-        assert_eq!(done[&a], secs(12.5));
-    }
-
-    #[test]
-    fn cancel_frees_bandwidth() {
-        let mut net = FlowNet::new();
-        let l = net.add_link(10.0, SimDuration::ZERO);
-        let a = net.start_flow(SimTime::ZERO, vec![l], 1000.0);
-        let b = net.start_flow(SimTime::ZERO, vec![l], 100.0);
-        let left = net.cancel_flow(secs(2.0), a).unwrap();
-        assert!((left - 990.0).abs() < 1e-6);
-        assert_eq!(net.flow_rate(b), Some(10.0));
-        assert!(net.cancel_flow(secs(2.0), a).is_none());
-    }
-
-    #[test]
     fn zero_byte_flow_completes_after_latency() {
-        let mut net = FlowNet::new();
-        let l = net.add_link(10.0, SimDuration::from_millis(40));
-        let f = net.start_flow(SimTime::ZERO, vec![l], 0.0);
-        let done = net.run_to_completion();
-        assert_eq!(done[&f], SimTime(40_000));
+        assert_eq!(access_transfer(0.0, NO_CAP), calib::ACCESS_ONE_WAY);
     }
 
     #[test]
     fn kernel_download_time_matches_arithmetic() {
         // 76.8 MiB at 10 Mbit/s = 64.4 s + 40 ms latency.
-        let mut net = FlowNet::new();
-        let l = net.add_link(calib::ACCESS_LINK_BPS, calib::ACCESS_ONE_WAY);
-        let f = net.start_flow(SimTime::ZERO, vec![l], calib::LINUX_KERNEL_BYTES);
-        let done = net.run_to_completion();
+        let t = access_transfer(calib::LINUX_KERNEL_BYTES, NO_CAP);
         let expect = calib::LINUX_KERNEL_BYTES / calib::ACCESS_LINK_BPS + 0.04;
-        assert!((done[&f].as_secs_f64() - expect).abs() < 0.01);
+        assert!((t.as_secs_f64() - expect).abs() < 1e-6);
     }
 }

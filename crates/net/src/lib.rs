@@ -6,9 +6,10 @@
 //!   models nodes, interfaces, point-to-point links, NAT, firewalls and
 //!   DNS, and records every frame on every link ([`trace`]) — the
 //!   simulated Wireshark used to validate isolation exactly as §5.1 does.
-//! * A **fluid layer** ([`flow`]) answers *how fast*: flows across paths
-//!   of capacity-limited links receive global max-min fair rates, which
-//!   yields download/upload completion times for the Figure 5/6/7
+//! * A **timing rule** ([`flow`]) answers *how fast*:
+//!   [`access_transfer`] charges a transfer's latency plus its bytes at
+//!   the shaped access link's rate (or the anonymizer's slower cap),
+//!   which yields download/upload times for the Figure 5/6/7
 //!   experiments.
 //!
 //! The Nymix topology built on these (in the `nymix` core crate) is:
@@ -30,5 +31,5 @@ pub mod trace;
 pub use addr::{Ip, Mac};
 pub use fabric::{DeliveryStatus, Fabric, NodeId, NodeKind};
 pub use firewall::{Action, Firewall, Rule};
-pub use flow::{FlowId, FlowNet, LinkId};
+pub use flow::access_transfer;
 pub use trace::{TraceEntry, Tracer};

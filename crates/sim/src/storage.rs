@@ -1,6 +1,6 @@
 //! Modeled local-storage endpoints.
 //!
-//! The fluid network model prices the access link; this module prices
+//! `nymix_net::access_transfer` prices the access link; this module prices
 //! the *disk* — the other physical resource a store-nym pipeline
 //! touches. A [`DiskProfile`] maps the I/O a storage backend actually
 //! performed (bytes written, fsync barriers, bytes read back) onto

@@ -1,91 +1,9 @@
-//! Property-based tests for the fluid-resource and engine invariants.
+//! Property-based tests for the engine invariants.
 
-use nymix_sim::{Engine, FluidResource, SimDuration, SimTime};
+use nymix_sim::{Engine, SimDuration};
 use proptest::prelude::*;
 
 proptest! {
-    /// Work conservation: while jobs remain, the resource serves at
-    /// exactly its capacity (all jobs uncapped, so the backlog absorbs
-    /// everything).
-    #[test]
-    fn fluid_work_conservation(jobs in proptest::collection::vec(1.0f64..100.0, 1..10),
-                               capacity in 1.0f64..50.0,
-                               horizon in 0.1f64..5.0) {
-        let mut r = FluidResource::new(capacity);
-        let total: f64 = jobs.iter().sum();
-        for w in &jobs {
-            r.add_job(SimTime::ZERO, *w, 1.0, f64::INFINITY);
-        }
-        let t = SimTime((horizon * 1e6) as u64);
-        r.advance(t);
-        let served_bound = capacity * horizon;
-        let served = r.work_served();
-        // Integration advances in whole microseconds, so each
-        // completion segment can over/under-serve by ~capacity*1us;
-        // tolerate a few segments' worth.
-        let eps = capacity * 1e-5 + 1e-9;
-        prop_assert!(served <= served_bound + eps, "served {served} bound {served_bound}");
-        prop_assert!(served <= total + eps);
-        // If the backlog outlasted the horizon, service equals capacity*t.
-        if total > served_bound + eps {
-            prop_assert!((served - served_bound).abs() < eps + 1e-3,
-                "served {served} expected {served_bound}");
-        }
-    }
-
-    /// Every job eventually completes, in weakly increasing finish
-    /// order of (work/weight).
-    #[test]
-    fn fluid_all_jobs_complete(jobs in proptest::collection::vec(0.1f64..50.0, 1..8),
-                               capacity in 0.5f64..20.0) {
-        let mut r = FluidResource::new(capacity);
-        let ids: Vec<_> = jobs.iter()
-            .map(|w| r.add_job(SimTime::ZERO, *w, 1.0, f64::INFINITY))
-            .collect();
-        let mut done = Vec::new();
-        let mut now = SimTime::ZERO;
-        let mut guard = 0;
-        while let Some(next) = r.next_completion(now) {
-            done.extend(r.advance(next));
-            now = next;
-            guard += 1;
-            prop_assert!(guard < 100, "livelock");
-        }
-        prop_assert_eq!(done.len(), ids.len());
-        prop_assert_eq!(r.active_jobs(), 0);
-        // Equal weights: completion order == ascending work order.
-        let mut works: Vec<(f64, usize)> = jobs.iter().copied().zip(0..).collect();
-        works.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
-        for (k, (_, j)) in works.iter().enumerate() {
-            prop_assert_eq!(done[k], ids[*j]);
-        }
-    }
-
-    /// Rates never exceed caps, and allocation is work-conserving up
-    /// to the cap structure.
-    #[test]
-    fn fluid_caps_respected(weights in proptest::collection::vec(0.1f64..5.0, 1..8),
-                            caps in proptest::collection::vec(0.1f64..3.0, 1..8),
-                            capacity in 1.0f64..10.0) {
-        let n = weights.len().min(caps.len());
-        let mut r = FluidResource::new(capacity);
-        let ids: Vec<_> = (0..n)
-            .map(|i| r.add_job(SimTime::ZERO, 1e9, weights[i], caps[i]))
-            .collect();
-        let mut sum = 0.0;
-        for (i, id) in ids.iter().enumerate() {
-            let rate = r.rate(*id).expect("active");
-            prop_assert!(rate <= caps[i] + 1e-9, "cap violated");
-            sum += rate;
-        }
-        prop_assert!(sum <= capacity + 1e-9);
-        // Work conserving: either capacity fully used or everyone capped.
-        let all_capped = ids.iter().enumerate()
-            .all(|(i, id)| (r.rate(*id).expect("active") - caps[i]).abs() < 1e-9);
-        prop_assert!(all_capped || (capacity - sum).abs() < 1e-9,
-            "idle capacity with uncapped demand: sum {sum} capacity {capacity}");
-    }
-
     /// Engine executes every event exactly once, in time order.
     #[test]
     fn engine_runs_everything_in_order(delays in proptest::collection::vec(0u64..10_000, 1..50)) {

@@ -6,11 +6,13 @@
 //! a naive perfectly-parallel extrapolation (hyper-threading plus
 //! workload idle phases overlap under time-sharing).
 //!
-//! [`CpuHost`] wraps a fluid resource: each vCPU is a weight-1 job
-//! capped at one core; virtualized work is inflated by the overhead
-//! factor before submission.
+//! [`CpuHost::batch_secs`] is the one CPU cost rule. Each vCPU is capped
+//! at one core and the cores, plus the hyper-threading uplift, are
+//! shared fairly; `n` equal jobs started together therefore each run at
+//! `min(1, cores * (1 + uplift) / n)` cores and finish together.
+//! Virtualized work is inflated by the overhead factor first.
 
-use nymix_sim::{FluidResource, JobId, SimTime};
+use nymix_sim::SimDuration;
 
 /// Calibration constants for the paper's testbed CPU.
 pub mod calib {
@@ -35,20 +37,16 @@ pub mod calib {
 ///
 /// ```
 /// use nymix_vmm::CpuHost;
-/// use nymix_sim::SimTime;
 ///
-/// let mut cpu = CpuHost::paper_testbed();
-/// let job = cpu.submit_virtualized(SimTime::ZERO, 8.0);
+/// let cpu = CpuHost::paper_testbed();
 /// // One vCPU on an idle quad-core runs at 1 core: 8 native units at
 /// // 20% overhead take 10 seconds.
-/// let done = cpu.next_completion(SimTime::ZERO).unwrap();
-/// assert_eq!(done, SimTime(10_000_000));
-/// let finished = cpu.advance(done);
-/// assert_eq!(finished, vec![job]);
+/// assert_eq!(cpu.batch_secs(8.0, 1, true), 10.0);
+/// // Eight share 4 cores plus the 22% HT uplift: 0.61 core each.
+/// assert!((cpu.batch_secs(8.0, 8, true) - 10.0 / 0.61).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CpuHost {
-    fluid: FluidResource,
     cores: f64,
     ht_uplift: f64,
     virt_overhead: f64,
@@ -65,12 +63,7 @@ impl CpuHost {
             (0.0..1.0).contains(&virt_overhead),
             "overhead must be a fraction"
         );
-        // The fluid capacity includes the HT uplift; per-job caps keep a
-        // single vCPU from exceeding one physical core, so the uplift
-        // only materializes under oversubscription — matching how SMT
-        // behaves.
         Self {
-            fluid: FluidResource::new(cores * (1.0 + ht_uplift)),
             cores,
             ht_uplift,
             virt_overhead,
@@ -87,73 +80,20 @@ impl CpuHost {
         self.cores
     }
 
-    /// Configured virtualization overhead fraction.
-    pub fn virt_overhead(&self) -> f64 {
-        self.virt_overhead
-    }
-
-    /// Configured hyper-threading uplift fraction.
-    pub fn ht_uplift(&self) -> f64 {
-        self.ht_uplift
-    }
-
-    /// Submits native (non-virtualized) work pinned to one core.
-    pub fn submit_native(&mut self, now: SimTime, core_seconds: f64) -> JobId {
-        self.fluid.add_job(now, core_seconds, 1.0, 1.0)
-    }
-
-    /// Submits work from a single-vCPU VM: inflated by the
-    /// virtualization overhead and capped at one core.
-    pub fn submit_virtualized(&mut self, now: SimTime, core_seconds: f64) -> JobId {
-        let inflated = core_seconds / (1.0 - self.virt_overhead);
-        self.fluid.add_job(now, inflated, 1.0, 1.0)
-    }
-
-    /// Advances to `now`; returns completed jobs.
-    pub fn advance(&mut self, now: SimTime) -> Vec<JobId> {
-        self.fluid.advance(now)
-    }
-
-    /// Next completion time, if any job is running.
-    pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
-        self.fluid.next_completion(now)
-    }
-
-    /// Number of active jobs.
-    pub fn active_jobs(&self) -> usize {
-        self.fluid.active_jobs()
-    }
-
-    /// Current rate (core-share) of a job.
-    pub fn rate(&self, job: JobId) -> Option<f64> {
-        self.fluid.rate(job)
-    }
-
-    /// Runs `n` identical virtualized jobs of `core_seconds` each,
-    /// started together, to completion; returns each job's duration in
-    /// seconds (same order as submission).
-    pub fn run_batch_virtualized(&mut self, core_seconds: f64, n: usize) -> Vec<f64> {
-        let start = SimTime::ZERO;
-        let jobs: Vec<JobId> = (0..n)
-            .map(|_| self.submit_virtualized(start, core_seconds))
-            .collect();
-        let mut done: Vec<(JobId, SimTime)> = Vec::new();
-        let mut now = start;
-        while let Some(next) = self.fluid.next_completion(now) {
-            let finished = self.fluid.advance(next);
-            for id in finished {
-                done.push((id, next));
-            }
-            now = next;
-        }
-        jobs.iter()
-            .map(|j| {
-                done.iter()
-                    .find(|(id, _)| id == j)
-                    .map(|(_, t)| t.as_secs_f64())
-                    .expect("job completed")
-            })
-            .collect()
+    /// Seconds each of `n` identical single-core jobs of `core_seconds`
+    /// native work takes when all start together (`virtualized` jobs
+    /// pay the overhead). Each job runs at one core while the host has
+    /// cores to spare; past that, the cores plus the hyper-threading
+    /// uplift (which only materializes under oversubscription, as SMT
+    /// does) are split evenly. Rounded up to the whole microsecond.
+    pub fn batch_secs(&self, core_seconds: f64, n: usize, virtualized: bool) -> f64 {
+        let work = if virtualized {
+            core_seconds / (1.0 - self.virt_overhead)
+        } else {
+            core_seconds
+        };
+        let rate = (self.cores * (1.0 + self.ht_uplift) / n as f64).min(1.0);
+        SimDuration((work / rate * 1e6).ceil() as u64).as_secs_f64()
     }
 }
 
@@ -163,15 +103,9 @@ mod tests {
 
     #[test]
     fn native_faster_than_virtualized() {
-        let mut cpu = CpuHost::paper_testbed();
-        let native = cpu.run_batch_virtualized(0.0, 0); // warm-up no-op
-        assert!(native.is_empty());
-        let mut a = CpuHost::paper_testbed();
-        a.submit_native(SimTime::ZERO, 10.0);
-        let t_native = a.next_completion(SimTime::ZERO).unwrap().as_secs_f64();
-        let mut b = CpuHost::paper_testbed();
-        b.submit_virtualized(SimTime::ZERO, 10.0);
-        let t_virt = b.next_completion(SimTime::ZERO).unwrap().as_secs_f64();
+        let cpu = CpuHost::paper_testbed();
+        let t_native = cpu.batch_secs(10.0, 1, false);
+        let t_virt = cpu.batch_secs(10.0, 1, true);
         assert_eq!(t_native, 10.0);
         assert_eq!(t_virt, 12.5); // 20% overhead
         assert!((t_virt / t_native - 1.25).abs() < 1e-9);
@@ -179,22 +113,20 @@ mod tests {
 
     #[test]
     fn up_to_four_vcpus_run_unimpeded() {
-        let mut cpu = CpuHost::paper_testbed();
-        let durations = cpu.run_batch_virtualized(8.0, 4);
-        for d in durations {
-            assert!((d - 10.0).abs() < 1e-6, "duration {d}");
+        let cpu = CpuHost::paper_testbed();
+        for n in 1..=4 {
+            let d = cpu.batch_secs(8.0, n, true);
+            assert!((d - 10.0).abs() < 1e-6, "n={n} duration {d}");
         }
     }
 
     #[test]
     fn eight_vcpus_oversubscribe_with_ht_uplift() {
-        let mut cpu = CpuHost::paper_testbed();
-        let durations = cpu.run_batch_virtualized(8.0, 8);
+        let cpu = CpuHost::paper_testbed();
+        let d = cpu.batch_secs(8.0, 8, true);
         // 8 jobs share 4*(1+0.22)=4.88 cores: each gets 0.61 cores.
         let expect = 10.0 / 0.61;
-        for d in durations {
-            assert!((d - expect).abs() < 0.01, "duration {d} expect {expect}");
-        }
+        assert!((d - expect).abs() < 0.01, "duration {d} expect {expect}");
         // Better than the naive "perfectly parallel on 4 cores"
         // extrapolation of 2x the 4-job duration (20 s).
         let naive = 20.0;
@@ -203,12 +135,10 @@ mod tests {
 
     #[test]
     fn five_jobs_share_fairly() {
-        let mut cpu = CpuHost::new(4.0, 0.0, 0.2);
-        let durations = cpu.run_batch_virtualized(8.0, 5);
+        let cpu = CpuHost::new(4.0, 0.0, 0.2);
+        let d = cpu.batch_secs(8.0, 5, true);
         // 5 jobs, 4 cores, no HT: each gets 0.8 cores → 12.5 s.
-        for d in durations {
-            assert!((d - 12.5).abs() < 0.01, "duration {d}");
-        }
+        assert!((d - 12.5).abs() < 0.01, "duration {d}");
     }
 
     #[test]

@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 
 use nymix_fs::{Layer, LayerKind, Path, VerifiedImage};
 
-use crate::cpu::CpuHost;
 use crate::ksm::{self, KsmStats};
 use crate::memory::PAGE_SIZE;
 use crate::vm::{Vm, VmConfig, VmId, VmRole, VmState};
@@ -109,7 +108,6 @@ pub struct Hypervisor {
     host_base_mib: u32,
     qemu_overhead_mib: u32,
     ksm_enabled: bool,
-    cpu: CpuHost,
     base_layer: Layer,
     verified_base: Option<VerifiedImage>,
     vms: BTreeMap<VmId, Vm>,
@@ -118,13 +116,12 @@ pub struct Hypervisor {
 
 impl Hypervisor {
     /// A host with explicit parameters and base layer.
-    pub fn new(host_ram_mib: u32, base_layer: Layer, cpu: CpuHost) -> Self {
+    pub fn new(host_ram_mib: u32, base_layer: Layer) -> Self {
         Self {
             host_ram_mib,
             host_base_mib: calib::HOST_BASE_MIB,
             qemu_overhead_mib: calib::QEMU_OVERHEAD_MIB,
             ksm_enabled: true,
-            cpu,
             base_layer,
             verified_base: None,
             vms: BTreeMap::new(),
@@ -163,7 +160,6 @@ impl Hypervisor {
         Self::new(
             calib::HOST_RAM_MIB,
             nymix_fs::BaseImage::ubuntu_like().to_layer(),
-            CpuHost::paper_testbed(),
         )
     }
 
@@ -172,7 +168,6 @@ impl Hypervisor {
         Self::new(
             calib::HOST_RAM_MIB,
             nymix_fs::BaseImage::minimal().to_layer(),
-            CpuHost::paper_testbed(),
         )
     }
 
@@ -184,16 +179,6 @@ impl Hypervisor {
     /// Whether KSM is on.
     pub fn ksm_enabled(&self) -> bool {
         self.ksm_enabled
-    }
-
-    /// The host CPU.
-    pub fn cpu(&self) -> &CpuHost {
-        &self.cpu
-    }
-
-    /// Mutable host CPU.
-    pub fn cpu_mut(&mut self) -> &mut CpuHost {
-        &mut self.cpu
     }
 
     /// Builds the role-specific configuration layer (§3.4: network

@@ -6,7 +6,7 @@
 //! Rust library, so this crate is a faithful *resource-model* VMM: it
 //! implements the management operations Nymix needs (create, pause,
 //! resume, snapshot, destroy, secure-wipe) over an explicit 4 KiB page
-//! memory model, a KSM scanner, a fluid CPU host, and the homogenized
+//! memory model, a KSM scanner, a host CPU cost rule, and the homogenized
 //! device/fingerprint surface of §4.2 ("Each independent set of AnonVMs
 //! and CommVMs have the same Ethernet and IP addresses... resolution
 //! consistently set to 1024x768... a single CPU listed ... as a QEMU

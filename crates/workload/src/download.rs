@@ -7,9 +7,8 @@
 //! linear, indicating that Tor ... has a fixed cost, approximately 12%
 //! overhead."
 
+use nymix_net::access_transfer;
 use nymix_net::flow::calib as netcal;
-use nymix_net::{FlowNet, LinkId};
-use nymix_sim::{SimDuration, SimTime};
 
 use crate::sites::Site;
 
@@ -46,22 +45,18 @@ impl DownloadSpec {
 }
 
 /// Runs `n` identical parallel downloads over one shared access link
-/// and returns each download's completion time in seconds.
+/// and returns each download's completion time in seconds. Fair
+/// sharing gives each `1/n` of the link, so all finish together, once
+/// the link has carried all `n` payloads.
 pub fn run_parallel_downloads(spec: DownloadSpec, n: usize) -> Vec<f64> {
-    let mut net = FlowNet::new();
-    let access: LinkId = net.add_link(netcal::ACCESS_LINK_BPS, netcal::ACCESS_ONE_WAY);
-    let flows: Vec<_> = (0..n)
-        .map(|_| net.start_flow(SimTime::ZERO, vec![access], spec.wire_bytes()))
-        .collect();
-    let done = net.run_to_completion();
-    flows.iter().map(|f| done[f].as_secs_f64()).collect()
+    let done = access_transfer(n as f64 * spec.wire_bytes(), f64::INFINITY);
+    vec![done.as_secs_f64(); n]
 }
 
 /// The "Ideal" series of Figure 5: `n` parallel raw downloads with no
 /// transport overhead.
 pub fn ideal_time(bytes: f64, n: usize) -> f64 {
-    n as f64 * bytes / netcal::ACCESS_LINK_BPS
-        + SimDuration::from_micros(netcal::ACCESS_ONE_WAY.as_micros()).as_secs_f64()
+    access_transfer(n as f64 * bytes, f64::INFINITY).as_secs_f64()
 }
 
 #[cfg(test)]

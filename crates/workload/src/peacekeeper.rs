@@ -1,11 +1,11 @@
 //! The Peacekeeper CPU benchmark model (Figure 4).
 //!
 //! Peacekeeper is a single-threaded JavaScript benchmark; its score is
-//! inversely proportional to how long the work takes. The model runs a
-//! fixed number of core-seconds on the [`nymix_vmm::CpuHost`] and
-//! converts elapsed time to a score, calibrated so the native run
-//! scores ≈3000 and a single virtualized nymbox ≈2400 (the "about a
-//! 20% overhead" of §5.2).
+//! inversely proportional to how long the work takes. The model charges
+//! a fixed number of core-seconds through [`nymix_vmm::CpuHost`]'s one
+//! CPU rule, [`CpuHost::batch_secs`], and converts elapsed time to a
+//! score, calibrated so the native run scores ≈3000 and a single
+//! virtualized nymbox ≈2400 (the "about a 20% overhead" of §5.2).
 
 use nymix_vmm::CpuHost;
 
@@ -25,19 +25,9 @@ pub fn peacekeeper_score(elapsed_seconds: f64) -> f64 {
 /// and returns their individual scores. With `n == 0`, runs a single
 /// *native* instance (the Figure 4 x=0 point).
 pub fn run_parallel(cpu: &mut CpuHost, n: usize) -> Vec<f64> {
-    if n == 0 {
-        let mut host = CpuHost::new(cpu.cores(), cpu.ht_uplift(), 0.0);
-        host.submit_native(nymix_sim::SimTime::ZERO, PEACEKEEPER_WORK);
-        let t = host
-            .next_completion(nymix_sim::SimTime::ZERO)
-            .expect("job running")
-            .as_secs_f64();
-        return vec![peacekeeper_score(t)];
-    }
-    cpu.run_batch_virtualized(PEACEKEEPER_WORK, n)
-        .into_iter()
-        .map(peacekeeper_score)
-        .collect()
+    let (jobs, virtualized) = if n == 0 { (1, false) } else { (n, true) };
+    let elapsed = cpu.batch_secs(PEACEKEEPER_WORK, jobs, virtualized);
+    vec![peacekeeper_score(elapsed); jobs]
 }
 
 /// Figure 4's "Expected" curve: the single-nym score extrapolated to
