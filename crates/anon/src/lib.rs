@@ -4,7 +4,7 @@
 //! offers the user a choice of several alternative anonymizers
 //! pre-configured to address different security/performance tradeoffs."
 //! The prototype ships Tor, Dissent, SWEET, and a lightweight incognito
-//! (NAT) mode, and supports combining anonymizers in serial.
+//! (NAT) mode; [`AnonymizerKind`] selects among exactly these four.
 //!
 //! Each anonymizer implements the [`Anonymizer`] trait: a startup plan
 //! (what Figure 7's "Start Tor" phase measures), a transfer cost model
@@ -22,27 +22,22 @@
 //!   message recovery.
 //! * [`incognito`] — the NAT-based incognito mode (weak, fast).
 //! * [`sweet`] — the email-tunnel transport.
-//! * [`chain`] — serial composition ("best of both worlds", §3.3).
-//! * [`stegotorus`] — the StegoTorus camouflage transport (§4).
-//! * [`socks`] — the RFC 1928 SOCKS5 codec the AnonVM browser speaks
-//!   to the CommVM (§4.1).
+//!
+//! §3.3's serial composition ("best of both worlds") is not modeled; if
+//! it is ever wanted, it comes back as an [`AnonymizerKind`] variant with
+//! a `repro` row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod chain;
 pub mod dissent;
 pub mod incognito;
-pub mod socks;
-pub mod stegotorus;
 pub mod sweet;
 pub mod tor;
 
 pub use api::{Anonymizer, AnonymizerKind, StartupPhase, TransferCost};
-pub use chain::SerialChain;
 pub use dissent::DissentNet;
 pub use incognito::Incognito;
-pub use stegotorus::{Chopper, CoverProtocol, StegoTorus};
 pub use sweet::Sweet;
 pub use tor::{TorClient, TorDirectory, TorState};

@@ -3,7 +3,6 @@
 //! framing + N child writes) and the read path (shard verification +
 //! systematic or parity decode), plus the degraded-read penalty when a
 //! child is gone and reconstruction must invert the Vandermonde rows.
-//! The storage overhead per level rides along in `BENCH_store.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nymix_store::{LocalStore, ObjectBackend, PlacementStore};

@@ -264,7 +264,7 @@ fn bench_seal(c: &mut Criterion) {
     // NYMD path re-seals the whole record; the CAS path re-chunks it
     // (content-defined boundaries keep the edit local), uploads only
     // the chunks the write touched, and ships a delta carrying the new
-    // "NYMC" manifest. Bytes uploaded: see BENCH_store.json.
+    // "NYMC" manifest.
     use nymix_store::cas::{seal_new_chunks_into, ChunkIndex, ChunkManifest};
     use nymix_store::{chunker, LocalStore, ObjectBackend};
 

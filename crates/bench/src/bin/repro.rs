@@ -1,5 +1,8 @@
-//! Runs every table and figure reproduction in sequence — the one-shot
-//! harness over the individual `fig*`/`table*` binaries.
+//! Regenerates every paper table and figure (§5: Figs 3–7, Table 1),
+//! then the design-choice ablations and the §5.1 isolation matrix.
+//! Output is deterministic; exits 1 if the isolation matrix fails.
+//!
+//! Run with: `cargo run --release -p nymix-bench --bin repro`
 
 #![forbid(unsafe_code)]
 
@@ -31,6 +34,27 @@ fn main() {
 
     let t1 = nymix_bench::table1_installed_os();
     println!("{}", nymix_bench::table1_table(&t1).render());
+
+    let (with, without) = nymix_bench::ablation_ksm(42, 6);
+    println!("# Ablation: KSM (6 nymboxes)");
+    println!("used memory with KSM:    {with:.0} MiB");
+    println!("used memory without KSM: {without:.0} MiB");
+    println!("saving: {:.1}%\n", (1.0 - with / without) * 100.0);
+
+    let (sealed, raw) = nymix_bench::ablation_compression(42);
+    println!("# Ablation: archive compression (one Facebook session)");
+    println!("raw payload:    {raw} bytes");
+    println!("sealed archive: {sealed} bytes");
+    println!("ratio: {:.2}\n", sealed as f64 / raw as f64);
+
+    println!("# Ablation: anonymizer choice (fresh-nym startup, byte overhead)");
+    for (name, startup, overhead) in nymix_bench::ablation_anonymizers(42) {
+        println!(
+            "{name:>10}: startup {startup:.1}s, byte overhead {:.0}%",
+            overhead * 100.0
+        );
+    }
+    println!();
 
     match nymix::validate_isolation(3) {
         Ok(report) if report.passed() => {

@@ -1,11 +1,14 @@
 //! The experiment library: one function per table/figure.
 //!
 //! Every function is deterministic given its seed and returns the data
-//! the paper plots; the `fig*`/`table*` binaries print the same
-//! rows/series the paper reports, and the Criterion benches time the
-//! underlying operations. Measured baselines live in the repository's
-//! `BENCH_*.json` files, and `nymbench/README.md` documents the
-//! end-to-end nym-lifecycle benchmark.
+//! the paper plots. The `repro` binary prints every table and figure;
+//! `crates/bench/repro.out` pins its output. The Criterion benches time
+//! what no harness above them covers: `primitives` (crypto and store
+//! kernels, written to `BENCH_primitives.jsonl` at the repository root
+//! via `NYMIX_BENCH_JSON`), `disk` (the `LocalStore` baseline) and
+//! `placement` (per-geometry and degraded reads).
+//! `nymbench/README.md` documents the end-to-end nym-lifecycle
+//! benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

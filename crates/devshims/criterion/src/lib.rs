@@ -12,8 +12,8 @@
 //! primitives/aead_seal_64k  time:   61.21 us/iter   thrpt: 1021.2 MiB/s
 //! ```
 //!
-//! Set `NYMIX_BENCH_JSON=/path/out.json` to also append machine-readable
-//! records (used to produce `BENCH_crypto.json` / `BENCH_store.json`).
+//! Set `NYMIX_BENCH_JSON=/path/out.jsonl` to also append one JSON record
+//! per benchmark (used to produce `BENCH_primitives.jsonl`).
 //! Set `NYMIX_BENCH_SMOKE=1` to run each benchmark exactly once with no
 //! calibration — the CI smoke job uses this to keep bench bodies
 //! compiling and running without paying measurement time.

@@ -1,9 +1,9 @@
 //! Point-in-time metrics snapshot and its JSON export.
 //!
 //! A snapshot merges every thread slab's counters, histograms and
-//! stage aggregates into one view. The JSON form feeds `BENCH_*.json`
-//! artifacts and the `nym_fleet` example's end-of-run report; the
-//! format is documented in `OBSERVABILITY.md`.
+//! stage aggregates into one view. The JSON form feeds the `primitives`
+//! bench's smoke-mode report and the `nym_fleet` example's end-of-run
+//! report; the format is documented in `OBSERVABILITY.md`.
 
 use crate::registry::{
     bucket_bound, COUNTERS, GAUGES, HISTOGRAMS, N_BUCKETS, N_COUNTERS, N_HISTOGRAMS, N_STAGES,

@@ -2,9 +2,9 @@
 //!
 //! A from-scratch xoshiro256** generator seeded via SplitMix64. The
 //! implementation is self-contained so simulation results are bit-stable
-//! regardless of external crate versions — important because the
-//! `fig*` binaries and the `BENCH_*.json` baselines record exact
-//! measured numbers.
+//! regardless of external crate versions — important because
+//! `crates/bench/repro.out` and nymbench's deterministic columns record
+//! exact numbers.
 
 /// SplitMix64 step, used for seeding.
 fn splitmix64(state: &mut u64) -> u64 {
