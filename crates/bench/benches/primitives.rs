@@ -15,8 +15,8 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| black_box(nymix_crypto::sha256(black_box(&data))));
     });
     // The same digest once per installed backend: the scalar floor,
-    // the 4-lane portable batcher, and — when the `simd-kernels`
-    // feature and the CPU both allow — the SHA-NI kernel. Unsupported
+    // the 4-lane portable batcher, and — when the CPU advertises the
+    // SHA extensions — the SHA-NI kernel. Unsupported
     // backends install as the x4 floor and are skipped so each name
     // means what it says.
     {

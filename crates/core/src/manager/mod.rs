@@ -591,7 +591,10 @@ impl NymManager {
         // Continue the chain where the restored state left it, so the
         // next incremental save appends a delta instead of re-sealing
         // everything. The resolved records swap back to their stored
-        // (manifest) form first — the chain's base is the stored form.
+        // (manifest) form first — the chain's base is the stored form —
+        // and move into the session's chunk cache: the fetch checked
+        // every chunk id against them, so the next save reuses the ids
+        // of every chunk the nym did not touch.
         if let Some(epoch) = fetched.epoch {
             let anon_gen = self
                 .env
@@ -609,8 +612,12 @@ impl NymManager {
                 .upper()
                 .map(nymix_fs::Layer::generation)
                 .unwrap_or(0);
-            for (record_name, stored) in fetched.stored_overrides {
-                archive.replace(&record_name, stored);
+            for (record_name, stored, manifest) in fetched.stored_overrides {
+                if let Some(resolved) = archive.replace(&record_name, stored) {
+                    session
+                        .chunk_cache
+                        .insert(record_name, (resolved, manifest));
+                }
             }
             self.pipeline.note_epoch(&label, epoch);
             session.chains.insert(

@@ -9,9 +9,13 @@
 //!    counters, and stage the new archive. Sequential — it touches the
 //!    shared hypervisor.
 //! 2. **Chunk**: convert large dirty records to `"NYMC"` manifests.
-//!    Chunk hashing is batched **across sessions** with
-//!    [`nymix_store::build_manifests`], so equal-length chunks from
-//!    different nyms share `sha256_x4` passes.
+//!    Each session keeps the raw bytes and manifest of its records'
+//!    last chunking, so a chunk a `memcmp` proves unchanged keeps its
+//!    id unhashed. Only the rest is hashed, batched **across
+//!    sessions** with [`nymix_store::build_manifests`], so
+//!    equal-length chunks from different nyms share `sha256_x4`
+//!    passes. The cache is per session: no nym's bytes are ever
+//!    compared against another's.
 //! 3. **Seal**: derive/reuse the chain key, seal chunk objects
 //!    (entropy-gated) and the delta or full blob. Each session owns
 //!    its scratch arena, RNG and chain key, so N sessions seal on N
@@ -32,7 +36,7 @@
 
 use nymix_net::{access_transfer, Ip};
 use nymix_sim::{DiskProfile, Rng, SimDuration};
-use nymix_store::cas::{self, ChunkIndex, ChunkManifest};
+use nymix_store::cas::{self, ChunkIndex, ChunkManifest, ManifestScratch, PrevChunks};
 use nymix_store::{
     seal_into, ArchiveCommitment, DeltaArchive, NymArchive, SealKey, SealScratch, Sealable,
     CHUNK_RECORD_THRESHOLD, DELTA_CHAIN_LIMIT,
@@ -122,7 +126,8 @@ struct SavePlan<'a> {
     prev_chunk_objects: Vec<String>,
     last_epoch: Option<u64>,
     want_delta: bool,
-    /// `(name, raw bytes, manifest)` per chunk-converted record.
+    /// `(name, raw bytes, manifest)` per chunk-converted record; moved
+    /// into the session's chunk cache once sealed.
     chunked: Vec<(String, Vec<u8>, ChunkManifest)>,
     delta: Option<DeltaArchive>,
     breakdown: (usize, usize, usize),
@@ -163,6 +168,8 @@ pub(super) struct StorePipeline {
     /// Warm [`SealScratch`] arenas from destroyed sessions, handed to
     /// the next session created — fleet churn doesn't re-grow arenas.
     scratch_pool: Vec<SealScratch>,
+    /// The chunk stage's lookup and miss buffers, reused across saves.
+    manifest_scratch: ManifestScratch,
 }
 
 impl StorePipeline {
@@ -170,6 +177,7 @@ impl StorePipeline {
         Self {
             labels: BTreeMap::new(),
             scratch_pool: Vec::new(),
+            manifest_scratch: ManifestScratch::default(),
         }
     }
 
@@ -252,7 +260,7 @@ impl StorePipeline {
         for req in reqs {
             plans.push(self.capture(env, sessions, req)?);
         }
-        self.chunk_stage(&mut plans, false);
+        self.chunk_stage(sessions, &mut plans, false);
         for plan in &mut plans {
             build_delta(plan);
         }
@@ -268,13 +276,18 @@ impl StorePipeline {
         // Each job's nonce RNG and arena go back to its session before
         // any upload runs. A failed upload must not leave the session
         // holding its pre-seal RNG: the retry would redraw the same
-        // salt and nonces over different plaintext.
+        // salt and nonces over different plaintext. The chunked raw
+        // records move into the session's chunk cache: their manifests
+        // are what the next save's chunk stage reuses ids from.
         let sealed: Vec<SealedSave> = seal_stage(jobs, workers, env.clock.as_micros())
             .into_iter()
-            .map(|(s, scratch, rng)| {
+            .map(|(mut s, scratch, rng)| {
                 let session = sessions.get_mut(&s.plan.req.id).expect("captured above");
                 session.scratch = scratch;
                 session.seal_rng = rng;
+                for (name, raw, manifest) in s.plan.chunked.drain(..) {
+                    session.chunk_cache.insert(name, (raw, manifest));
+                }
                 s
             })
             .collect();
@@ -648,11 +661,17 @@ impl StorePipeline {
     }
 
     /// Stage 2: convert captured records at or above the chunk
-    /// threshold into `"NYMC"` manifests. Manifest hashing is batched
-    /// across every plan in the run. With `fallback` set, only plans
-    /// that fell back to a full save participate (their re-captured
-    /// clean layers need converting too).
-    fn chunk_stage(&self, plans: &mut [SavePlan<'_>], fallback: bool) {
+    /// threshold into `"NYMC"` manifests. Each record reuses the chunk
+    /// ids its session's cache proves unchanged; hashing the rest is
+    /// batched across every plan in the run. With `fallback` set, only
+    /// plans that fell back to a full save participate (their
+    /// re-captured clean layers need converting too).
+    fn chunk_stage(
+        &mut self,
+        sessions: &mut BTreeMap<NymId, NymSession>,
+        plans: &mut [SavePlan<'_>],
+        fallback: bool,
+    ) {
         // (plan index, record name, raw bytes) for every convertible
         // record, then one batched manifest build over all of them.
         let mut raws: Vec<(usize, &'static str, Vec<u8>)> = Vec::new();
@@ -690,8 +709,27 @@ impl StorePipeline {
         if raws.is_empty() {
             return;
         }
-        let views: Vec<&[u8]> = raws.iter().map(|(_, _, d)| d.as_slice()).collect();
-        let manifests = cas::build_manifests(&views);
+        // Each record's cache entry is consumed here, so the previous
+        // raw bytes are freed before sealing starts; the seal stage
+        // moves the new ones in.
+        let prevs: Vec<Option<(Vec<u8>, ChunkManifest)>> = raws
+            .iter()
+            .map(|(pi, name, _)| {
+                sessions
+                    .get_mut(&plans[*pi].req.id)
+                    .and_then(|s| s.chunk_cache.remove(*name))
+            })
+            .collect();
+        let inputs: Vec<(&[u8], Option<PrevChunks>)> = raws
+            .iter()
+            .zip(&prevs)
+            .map(|((_, _, raw), prev)| {
+                let prev = prev.as_ref().map(|(raw, m)| (raw.as_slice(), m));
+                (raw.as_slice(), prev)
+            })
+            .collect();
+        let mut manifests = Vec::with_capacity(inputs.len());
+        cas::build_manifests(&inputs, &mut self.manifest_scratch, &mut manifests);
         for ((pi, name, raw), manifest) in raws.into_iter().zip(manifests) {
             plans[pi].next.replace(name, manifest.to_bytes());
             plans[pi].chunked.push((name.to_string(), raw, manifest));
@@ -730,7 +768,7 @@ impl StorePipeline {
                 plan.dirty_old.push((name, old));
             }
         }
-        self.chunk_stage(plans, true);
+        self.chunk_stage(sessions, plans, true);
         Ok(())
     }
 }

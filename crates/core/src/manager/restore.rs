@@ -22,10 +22,11 @@ use super::{NymManagerError, StorageDest};
 /// before the archive becomes the continued chain's base.
 pub(super) struct FetchedChain {
     pub archive: NymArchive,
-    /// `(record name, stored manifest bytes)` for every resolved
-    /// record — swapped back into `archive` when it becomes the
-    /// chain's stored-form base.
-    pub stored_overrides: Vec<(String, Vec<u8>)>,
+    /// `(record name, stored manifest bytes, manifest)` for every
+    /// resolved record — swapped back into `archive` when it becomes
+    /// the chain's stored-form base. The manifest's every chunk id was
+    /// checked against the resolved bytes.
+    pub stored_overrides: Vec<(String, Vec<u8>, ChunkManifest)>,
     pub key: SealKey,
     pub epoch: Option<u64>,
     pub delta_count: usize,
@@ -165,7 +166,7 @@ pub(super) fn fetch_chain(
             let stored = archive
                 .replace(&record_name, resolved)
                 .expect("record present above");
-            stored_overrides.push((record_name, stored));
+            stored_overrides.push((record_name, stored, manifest));
         }
     }
 

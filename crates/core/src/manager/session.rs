@@ -13,9 +13,9 @@
 //!   [`Environment`] and is borrowed for the
 //!   duration of one operation.
 //! * **Sessions are independently sealable.** Because each session
-//!   owns its scratch, RNG, chain keys and chunk index, the store
-//!   pipeline can seal N sessions' saves on N threads with no locks
-//!   and deterministic output (see [`super::pipeline`]).
+//!   owns its scratch, RNG, chain keys, chunk index and chunk-id
+//!   cache, the store pipeline can seal N sessions' saves on N threads
+//!   with no locks and deterministic output (see [`super::pipeline`]).
 //! * **Chains die with the session; epochs don't.** Destroying a nym
 //!   drops its sessions' chains, but the pipeline's label registry
 //!   remembers the highest epoch (and orphaned chunk objects) per
@@ -27,7 +27,7 @@ use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::firewall::{Action, Direction, Firewall, Rule};
 use nymix_net::{access_transfer, Ip, Mac, NodeKind};
 use nymix_sim::{Rng, SimDuration};
-use nymix_store::cas::ChunkIndex;
+use nymix_store::cas::{ChunkIndex, ChunkManifest};
 use nymix_store::{ArchiveCommitment, NymArchive, SealKey, SealScratch};
 use nymix_vmm::VmConfig;
 use nymix_workload::browser::BrowserState;
@@ -100,6 +100,14 @@ pub struct NymSession {
     /// Nonce/salt RNG, forked from the world RNG per session so
     /// concurrent seals stay deterministic and order-independent.
     pub(super) seal_rng: Rng,
+    /// Per chunked record: the raw bytes it was last chunked from (by
+    /// a save) or resolved to (by the restore that created this
+    /// session), with their manifest. The chunk stage reuses the id of
+    /// any new chunk a `memcmp` against these bytes proves unchanged.
+    /// Moved in, never copied; it survives compaction (ids are content
+    /// hashes, not per epoch) and dies with the session, so it is
+    /// never shared across nyms.
+    pub(super) chunk_cache: BTreeMap<String, (Vec<u8>, ChunkManifest)>,
 }
 
 impl NymSession {
@@ -253,6 +261,7 @@ impl NymSession {
                 scratch,
                 unseal_work: Vec::new(),
                 seal_rng,
+                chunk_cache: BTreeMap::new(),
             },
             breakdown,
         ))

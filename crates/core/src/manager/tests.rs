@@ -566,6 +566,73 @@ fn chunked_save_dedups_and_roundtrips() {
     assert_eq!(kind, SaveKind::Delta);
 }
 
+/// The AnonVM disk record exactly as the next save would capture it.
+fn anon_record(m: &NymManager, id: NymId) -> Vec<u8> {
+    let vm = m.hypervisor().vm(m.nymbox(id).unwrap().anon_vm).unwrap();
+    let mut archive = nymix_store::NymArchive::new();
+    archive.replace_layer("anonvm.disk", vm.disk().upper().unwrap());
+    archive.get("anonvm.disk").unwrap().to_vec()
+}
+
+#[test]
+fn chunk_cache_is_per_session_and_refilled_by_restore() {
+    use nymix_store::ChunkManifest;
+    let (mut m, id, _) = chunked_setup(78);
+    // The save moved each chunked record's raw bytes into the cache,
+    // beside the manifest its chain stored.
+    let session = &m.sessions[&id];
+    let chain = session.chains.values().next().unwrap();
+    assert!(session.chunk_cache.contains_key("anonvm.disk"));
+    for (name, (raw, manifest)) in &session.chunk_cache {
+        let stored = ChunkManifest::from_bytes(chain.archive.get(name).unwrap()).unwrap();
+        assert_eq!(*manifest, stored, "{name}");
+        assert_eq!(*manifest, ChunkManifest::build(raw), "{name}");
+    }
+    let names: Vec<String> = session.chunk_cache.keys().cloned().collect();
+    assert_eq!(session.chunk_cache["anonvm.disk"].0, anon_record(&m, id));
+
+    // Destroy drops the cache with the session; a nym recreated under
+    // the same name starts with nothing to reuse.
+    m.destroy_nym(id).unwrap();
+    assert!(!m.sessions.contains_key(&id));
+    let (fresh, _) = m
+        .create_nym("ck", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    assert!(m.sessions[&fresh].chunk_cache.is_empty());
+    m.destroy_nym(fresh).unwrap();
+
+    // A restore refills it from the resolved records, which are the
+    // bytes the next capture produces.
+    let (id2, _) = m
+        .restore_nym(
+            "ck",
+            AnonymizerKind::Tor,
+            UsageModel::Persistent,
+            "pw",
+            &StorageDest::Local,
+        )
+        .unwrap();
+    let cache = &m.sessions[&id2].chunk_cache;
+    assert_eq!(cache.keys().cloned().collect::<Vec<_>>(), names);
+    assert_eq!(cache["anonvm.disk"].0, anon_record(&m, id2));
+
+    // Ids are content hashes, not per epoch: the cache survives the
+    // compaction that the chain limit forces, refreshed by every save.
+    let mut kinds = Vec::new();
+    for i in 0..=DELTA_CHAIN_LIMIT {
+        m.inject_stain(id2, &format!("cache-{i}")).unwrap();
+        let (kind, _, _) = m
+            .save_nym_incremental(id2, "pw", &StorageDest::Local)
+            .unwrap();
+        kinds.push(kind);
+        assert_eq!(
+            m.sessions[&id2].chunk_cache["anonvm.disk"].0,
+            anon_record(&m, id2)
+        );
+    }
+    assert_eq!(kinds.last(), Some(&SaveKind::Full), "{kinds:?}");
+}
+
 #[test]
 fn tampered_chunk_fails_restore_closed() {
     let (mut m, id, _) = chunked_setup(78);

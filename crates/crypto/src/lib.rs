@@ -57,9 +57,8 @@
 //! runtime rather than at compile time: the `NYMIX_SHA_BACKEND` env
 //! var (`scalar|x4|shani`) overrides, otherwise CPUID picks SHA-NI,
 //! then the portable [`sha256_x4`]/scalar floor that every build
-//! retains. The SHA-NI kernel exists only under the opt-in
-//! `simd-kernels` feature (without it this crate still
-//! `forbid(unsafe_code)`s), and every backend is proptested
+//! retains. The SHA-NI kernel is compiled on every `x86_64` build,
+//! with CPUID as its only guard, and every backend is proptested
 //! bit-identical to the scalar floor. See the
 //! [`sha256`](mod@crate::sha256) module docs for the full model;
 //! [`sha256_backend`] / [`set_sha_backend`] expose the selection.
@@ -82,13 +81,12 @@
 //! All implementations are validated against published test vectors in
 //! their module tests. The crate has no dependencies and performs no I/O.
 
-// Without the opt-in kernels this crate carries no unsafe code at all;
-// with them, unsafe stays denied everywhere except the cfg-gated
-// SHA-NI kernel module, which overrides with a file-level allow that
-// nymix-lint cross-checks against its registered unsafe-kernel
-// exemptions (forbid could not be overridden, hence the downgrade).
-#![cfg_attr(not(feature = "simd-kernels"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd-kernels", deny(unsafe_code))]
+// Unsafe stays denied everywhere except the x86_64 SHA-NI kernel
+// module, which overrides with a file-level allow that nymix-lint
+// cross-checks against its registered unsafe-kernel exemptions (forbid
+// could not be overridden, hence deny; nymix-lint accepts deny at a
+// crate root only for a crate that holds such a registered file).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

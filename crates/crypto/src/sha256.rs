@@ -43,14 +43,15 @@
 //!    and CPU support it, and the portable floor otherwise.
 //!
 //! The SHA-NI kernel lives in a cfg-isolated child module (`shani`)
-//! compiled only under the `simd-kernels` feature on `x86_64`; it is
-//! the only unsafe code in the workspace, and `nymix-lint` carries it
-//! as a registered, reason-required `unsafe-kernel` exemption. Without
-//! the feature the crate still `forbid(unsafe_code)`s and runs the
-//! portable scalar/[`sha256_x4`] kernels, which remain the
-//! bit-identical floor on every target.
-//! [`sha256_backend`] reports the selection (and exports it as the
-//! `crypto.sha256.backend` gauge); [`set_sha_backend`] forces it.
+//! compiled on every `x86_64` build; CPUID dispatch is its only
+//! guard, and its kernel function is `#[target_feature]`-fenced, so a
+//! baseline x86-64 build carries it too. It is the only unsafe code in
+//! the workspace, and `nymix-lint` carries it as a registered,
+//! reason-required `unsafe-kernel` exemption. The portable
+//! scalar/[`sha256_x4`] kernels remain the bit-identical floor on every
+//! target. The selection is exported as the `crypto.sha256.backend`
+//! gauge when it is made (and again by [`sha256_backend`], which
+//! reports it); [`set_sha_backend`] forces it.
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -334,8 +335,8 @@ fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// The portable block loop — also the fallback the cfg-gated kernels
-/// take when the runtime CPU check says no.
+/// The portable block loop — also the fallback the cfg-gated SHA-NI
+/// kernel takes when the runtime CPU check says no.
 fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
     for block in data.chunks_exact(BLOCK_LEN) {
         compress_block(state, block.try_into().expect("exact chunk"));
@@ -349,7 +350,7 @@ fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
 pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % BLOCK_LEN, 0);
     nymix_obs::counter!("crypto.sha256.blocks", data.len() / BLOCK_LEN);
-    #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if backend() == ShaBackend::ShaNi {
         shani::compress_blocks(state, data);
         return;
@@ -570,7 +571,7 @@ fn compress4(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) 
                 compress_block(state, block);
             }
         }
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         ShaBackend::ShaNi => {
             // SHA-NI is a single-stream unit; lane-serial hardware
             // rounds still beat the interleaved software kernel.
@@ -714,7 +715,7 @@ pub fn sha256_x4(prefix: &[u8], msgs: [&[u8]; LANES]) -> [[u8; DIGEST_LEN]; LANE
 // Runtime backend dispatch
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod shani;
 
 use core::sync::atomic::{AtomicU8, Ordering};
@@ -736,8 +737,8 @@ pub enum ShaBackend {
     /// targets without verified CPU features — always available.
     X4 = 2,
     /// Hardware SHA extensions (single-stream `sha256rnds2` rounds);
-    /// batches run lane-serial through the hardware unit. Requires the
-    /// `simd-kernels` feature.
+    /// batches run lane-serial through the hardware unit. Available on
+    /// `x86_64` CPUs that advertise the SHA extensions.
     ShaNi = 4,
 }
 
@@ -773,13 +774,13 @@ static BACKEND: AtomicU8 = AtomicU8::new(0);
 fn backend_supported(b: ShaBackend) -> bool {
     match b {
         ShaBackend::Scalar | ShaBackend::X4 => true,
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         ShaBackend::ShaNi => {
             std::is_x86_feature_detected!("sha")
                 && std::is_x86_feature_detected!("ssse3")
                 && std::is_x86_feature_detected!("sse4.1")
         }
-        #[cfg(not(all(feature = "simd-kernels", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         ShaBackend::ShaNi => false,
     }
 }
@@ -816,6 +817,7 @@ fn backend() -> ShaBackend {
         _ => {
             let b = select_backend();
             BACKEND.store(b as u8, Ordering::Relaxed);
+            nymix_obs::gauge!("crypto.sha256.backend", b.id());
             b
         }
     }
@@ -824,7 +826,8 @@ fn backend() -> ShaBackend {
 /// The kernel this process dispatches SHA-256 to, selecting it (env
 /// override, then CPUID) on first call. Also exports the selection as
 /// the `crypto.sha256.backend` gauge so bench-smoke snapshots record
-/// which kernel produced the numbers.
+/// which kernel produced the numbers, even when the recorder was
+/// switched on after the first hash selected it.
 pub fn sha256_backend() -> ShaBackend {
     let b = backend();
     nymix_obs::gauge!("crypto.sha256.backend", b.id());
@@ -842,6 +845,7 @@ pub fn set_sha_backend(requested: ShaBackend) -> ShaBackend {
         ShaBackend::X4
     };
     BACKEND.store(b as u8, Ordering::Relaxed);
+    nymix_obs::gauge!("crypto.sha256.backend", b.id());
     b
 }
 
@@ -1031,15 +1035,15 @@ mod tests {
             }
         }
 
-        // On a simd-kernels x86_64 build the accelerated requests must
-        // actually install when the CPU advertises the features.
-        #[cfg(all(feature = "simd-kernels", target_arch = "x86_64"))]
+        // On x86_64 the accelerated request must actually install when
+        // the CPU advertises the features.
+        #[cfg(target_arch = "x86_64")]
         {
             if std::is_x86_feature_detected!("sha") {
                 assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::ShaNi);
             }
         }
-        #[cfg(not(all(feature = "simd-kernels", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::X4);
         }

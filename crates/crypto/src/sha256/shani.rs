@@ -1,14 +1,14 @@
 //! SHA-NI kernel: FIPS 180-4 compression on the x86 SHA extensions
 //! (`sha256rnds2` / `sha256msg1` / `sha256msg2`).
 //!
-//! Compiled only under the `simd-kernels` feature on `x86_64`, and
-//! reached only through [`super::backend`] dispatch after a CPUID
-//! check. This file (with its AVX2 sibling) is the workspace's only
-//! unsafe code; `nymix-lint` carries it as a registered, reasoned
-//! `unsafe-kernel` exemption — the entry point below stays sound on
-//! its own by re-verifying the CPU features and falling back to the
-//! portable loop, so a bypassed dispatcher degrades instead of
-//! hitting undefined behavior.
+//! Compiled on every `x86_64` build and reached only through
+//! [`super::backend`] dispatch after a CPUID check. The kernel function
+//! is `#[target_feature]`-fenced, so no build flag is needed to carry
+//! it. This file is the workspace's only unsafe code; `nymix-lint`
+//! carries it as a registered, reasoned `unsafe-kernel` exemption —
+//! the entry point below stays sound on its own by re-verifying the
+//! CPU features and falling back to the portable loop, so a bypassed
+//! dispatcher degrades instead of hitting undefined behavior.
 //!
 //! The round structure is the canonical SHA-NI formulation: the state
 //! rides in two XMM registers packed `ABEF`/`CDGH`, each

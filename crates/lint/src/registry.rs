@@ -67,7 +67,9 @@ pub struct Registry {
     /// Secret-named types exempt from `unregistered-secret`.
     pub exempt_secrets: Vec<Exemption>,
     /// Cfg-isolated SIMD kernel files exempt from the `forbid-unsafe`
-    /// token ban. Registration is not a blank cheque: the rule
+    /// token ban; the crate holding one may gate its root with an
+    /// unconditional `deny(unsafe_code)` instead of `forbid`.
+    /// Registration is not a blank cheque: the rule
     /// cross-checks that the file really is a fenced kernel
     /// (`#[target_feature]` plus a `deny(unsafe_op_in_unsafe_fn)`
     /// header) and keeps flagging if the fences are missing, and
@@ -208,11 +210,12 @@ impl Registry {
             unsafe_kernels: vec![Exemption {
                 path_or_name: "crypto/src/sha256/shani.rs".to_string(),
                 reason: "SHA-NI compression kernel: hardware intrinsics are \
-                         inherently unsafe. Compiled only under the opt-in \
-                         `simd-kernels` feature on x86_64, every kernel fn is \
+                         inherently unsafe. Compiled on every x86_64 build and \
+                         selected by CPUID dispatch only, every kernel fn is \
                          `#[target_feature]`-fenced, and the safe wrapper \
                          re-verifies CPU features at runtime with a portable \
-                         fallback (PR 10)"
+                         fallback. Its crate root is the one that may carry \
+                         `#![deny(unsafe_code)]` instead of forbid"
                     .to_string(),
             }],
             obs_labels: Self::obs_vocabulary(),

@@ -134,6 +134,29 @@ fn forbid_unsafe_pass_is_clean() {
 }
 
 #[test]
+fn forbid_unsafe_cfg_attr_gate_does_not_count() {
+    // A forbid that some cfg switches off is no gate at a crate root,
+    // even in the crate that holds the registered kernel.
+    let rules = lint("forbid_unsafe_cfg_attr_fail.rs", "fixtures/src/lib.rs");
+    assert_eq!(rules, vec![ids::FORBID_UNSAFE], "got {rules:?}");
+}
+
+#[test]
+fn deny_unsafe_root_clean_only_with_a_registered_kernel() {
+    // `fixtures/src/sha256/kernel.rs` is registered: its crate's root
+    // may carry the unconditional deny that the kernel's allow needs.
+    let rules = lint("deny_unsafe_root.rs", "fixtures/src/lib.rs");
+    assert!(rules.is_empty(), "expected clean, got {rules:?}");
+    let rules = lint("deny_unsafe_root.rs", "fixtures/src/bin/tool.rs");
+    assert!(rules.is_empty(), "expected clean, got {rules:?}");
+    // Any other crate must forbid.
+    let rules = lint("deny_unsafe_root.rs", "other/src/lib.rs");
+    assert_eq!(rules, vec![ids::FORBID_UNSAFE], "got {rules:?}");
+    let rules = lint("deny_unsafe_root.rs", "more_fixtures/src/lib.rs");
+    assert_eq!(rules, vec![ids::FORBID_UNSAFE], "got {rules:?}");
+}
+
+#[test]
 fn forbid_unsafe_attr_not_required_off_root() {
     let rules = lint("secret_format_pass.rs", "fixtures/src/other.rs");
     assert!(!rules.contains(&ids::FORBID_UNSAFE), "got {rules:?}");

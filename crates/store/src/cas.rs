@@ -10,7 +10,10 @@
 //!
 //! * A **chunk ID** ([`chunk_id`]) is the domain-separated SHA-256 of
 //!   the chunk's plaintext; equal-length chunks, across records, hash
-//!   four at a time on the `sha256_x4` batch kernel.
+//!   four at a time on the `sha256_x4` batch kernel. Given a record's
+//!   previous raw bytes and manifest ([`PrevChunks`]),
+//!   [`build_manifests`] reuses the id of every chunk a `memcmp` proves
+//!   unchanged, so a save hashes only the chunks an edit touched.
 //! * A **chunk manifest** ([`ChunkManifest`], magic `"NYMC"`) replaces
 //!   the record's bytes inside the archive: the record's total length
 //!   plus the ordered `(chunk ID, length)` list. Manifests ride the
@@ -139,10 +142,11 @@ pub struct ChunkManifest {
 
 impl ChunkManifest {
     /// Chunks `data` and builds its manifest: [`build_manifests`] over
-    /// one record.
+    /// one record, with no previous version to reuse ids from.
     pub fn build(data: &[u8]) -> Self {
-        build_manifests(&[data])
-            .pop()
+        let mut out = Vec::new();
+        build_manifests(&[(data, None)], &mut ManifestScratch::default(), &mut out);
+        out.pop()
             // lint:allow(panic-free-parser): a builder, not a parser; build_manifests returns one manifest per input
             .expect("one manifest per record")
     }
@@ -271,59 +275,126 @@ impl ChunkIndex {
     }
 }
 
-/// Builds manifests for several records in one pass, batching chunk
-/// hashing **across records**: all chunks of every input are grouped by
-/// length and hashed four lanes at a time on `sha256_x4`, so the
-/// scalar-hashed remainder shrinks from one-per-record-tail to
-/// one-per-distinct-length. The store pipeline uses this to amortize
-/// hashing across every session of a fleet save.
-pub fn build_manifests(datas: &[&[u8]]) -> Vec<ChunkManifest> {
-    let mut manifests: Vec<ChunkManifest> = datas
-        .iter()
-        .map(|d| ChunkManifest {
-            total_len: d.len() as u64,
-            entries: Vec::new(),
-        })
-        .collect();
-    // Flat view of every chunk with its write-back slot.
-    let mut all: Vec<(usize, usize, &[u8])> = Vec::new();
-    for (ri, data) in datas.iter().enumerate() {
+/// A record's previous raw bytes with the manifest built over them:
+/// the proof material [`build_manifests`] reuses chunk ids from. The
+/// manifest's ids must be the true chunk ids of those bytes, as they
+/// are for a manifest `build_manifests` made from them or one whose
+/// every chunk [`fetch_record_into`] checked.
+pub type PrevChunks<'a> = (&'a [u8], &'a ChunkManifest);
+
+/// Reusable buffers for [`build_manifests`]. Once warm, a build over
+/// records of an unchanged shape allocates nothing.
+#[derive(Debug, Default)]
+pub struct ManifestScratch {
+    /// `(length, first 8 bytes, offset, entry)` per chunk of the
+    /// previous version being matched against, sorted: the candidate
+    /// lookup for id reuse.
+    known: Vec<(u32, u64, usize, usize)>,
+    /// `(length, record, entry, offset)` of every chunk that must be
+    /// hashed.
+    misses: Vec<(u32, usize, usize, usize)>,
+}
+
+/// A chunk's first 8 bytes as a lookup key (zero-padded when shorter).
+fn head(chunk: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let n = chunk.len().min(8);
+    word[..n].copy_from_slice(&chunk[..n]);
+    u64::from_le_bytes(word)
+}
+
+/// Builds one manifest per record into `out` (resized to match,
+/// reusing its buffers), hashing each byte at most once:
+///
+/// * **Reuse.** When a record comes with its previous version
+///   ([`PrevChunks`]), a new chunk takes a cached id only when a
+///   cached chunk has the same length and a `memcmp` of the two byte
+///   ranges is equal; candidates are looked up by (length, first 8
+///   bytes). No weaker proof ever reuses an id.
+/// * **Batching.** Every chunk that misses is hashed, batched **across
+///   records**: grouped by length and hashed four lanes at a time on
+///   `sha256_x4`, so the scalar-hashed remainder shrinks from
+///   one-per-record-tail to one-per-distinct-length. The store
+///   pipeline uses this to amortize hashing across every session of a
+///   fleet save.
+///
+/// The output equals a build with no previous versions at all.
+pub fn build_manifests(
+    records: &[(&[u8], Option<PrevChunks<'_>>)],
+    scratch: &mut ManifestScratch,
+    out: &mut Vec<ChunkManifest>,
+) {
+    out.truncate(records.len());
+    out.resize_with(records.len(), || ChunkManifest {
+        total_len: 0,
+        entries: Vec::new(),
+    });
+    scratch.misses.clear();
+    for (ri, ((data, prev), manifest)) in records.iter().zip(out.iter_mut()).enumerate() {
+        manifest.total_len = data.len() as u64;
+        manifest.entries.clear();
+        // A previous version whose lengths don't add up proves nothing.
+        let prev = prev.filter(|(raw, m)| m.total_len() == raw.len());
+        let known = &mut scratch.known;
+        known.clear();
+        if let Some((raw, m)) = prev {
+            let mut offset = 0usize;
+            for (ei, &(_, len)) in m.entries.iter().enumerate() {
+                let chunk = &raw[offset..offset + len as usize];
+                known.push((len, head(chunk), offset, ei));
+                offset += len as usize;
+            }
+            known.sort_unstable();
+        }
+        let mut offset = 0usize;
         for (ei, chunk) in chunker::chunks(data).enumerate() {
-            manifests[ri]
-                .entries
-                .push(([0u8; 32], len_u32(chunk.len())));
-            all.push((ri, ei, chunk));
+            let len = len_u32(chunk.len());
+            let key = (len, head(chunk));
+            let start = known.partition_point(|&(l, h, _, _)| (l, h) < key);
+            let reused = prev.and_then(|(raw, m)| {
+                known[start..]
+                    .iter()
+                    .take_while(|&&(l, h, _, _)| (l, h) == key)
+                    .find(|&&(_, _, at, _)| raw[at..at + chunk.len()] == *chunk)
+                    .map(|&(_, _, _, cached)| m.entries[cached].0)
+            });
+            match reused {
+                Some(id) => manifest.entries.push((id, len)),
+                None => {
+                    manifest.entries.push(([0u8; 32], len));
+                    scratch.misses.push((len, ri, ei, offset));
+                }
+            }
+            offset += chunk.len();
         }
     }
     // Equal lengths batch regardless of which record they came from.
-    let mut by_len: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (i, (_, _, chunk)) in all.iter().enumerate() {
-        by_len.entry(chunk.len()).or_default().push(i);
-    }
-    for indices in by_len.values() {
-        let mut quads = indices.chunks_exact(4);
+    let misses = &mut scratch.misses;
+    misses.sort_unstable();
+    let chunk_at = |&(len, ri, _, offset): &(u32, usize, usize, usize)| {
+        &records[ri].0[offset..offset + len as usize]
+    };
+    for run in misses.chunk_by(|a, b| a.0 == b.0) {
+        let mut quads = run.chunks_exact(4);
         for quad in &mut quads {
             let ids = sha256_x4(
                 CHUNK_TAG,
                 [
-                    all[quad[0]].2,
-                    all[quad[1]].2,
-                    all[quad[2]].2,
-                    all[quad[3]].2,
+                    chunk_at(&quad[0]),
+                    chunk_at(&quad[1]),
+                    chunk_at(&quad[2]),
+                    chunk_at(&quad[3]),
                 ],
             );
-            for (lane, &flat) in quad.iter().enumerate() {
-                let (ri, ei, _) = all[flat];
-                manifests[ri].entries[ei].0 = ids[lane];
+            for (&(_, ri, ei, _), id) in quad.iter().zip(ids) {
+                out[ri].entries[ei].0 = id;
             }
         }
-        for &flat in quads.remainder() {
-            let (ri, ei, chunk) = all[flat];
-            manifests[ri].entries[ei].0 = chunk_id(chunk);
+        for miss in quads.remainder() {
+            let (_, ri, ei, _) = *miss;
+            out[ri].entries[ei].0 = chunk_id(chunk_at(miss));
         }
     }
-    manifests
 }
 
 /// Seals every chunk of `data` that `index` doesn't already hold,
@@ -517,8 +588,10 @@ mod tests {
             noise(23, 33_000),
             Vec::new(),
         ];
-        let views: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
-        let batched = build_manifests(&views);
+        let inputs: Vec<(&[u8], Option<PrevChunks>)> =
+            records.iter().map(|r| (r.as_slice(), None)).collect();
+        let mut batched = Vec::new();
+        build_manifests(&inputs, &mut ManifestScratch::default(), &mut batched);
         for (data, manifest) in records.iter().zip(&batched) {
             let oracle: Vec<(ChunkId, usize)> = chunker::chunks(data)
                 .map(|c| (chunk_id(c), c.len()))

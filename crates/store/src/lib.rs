@@ -92,7 +92,7 @@ pub use archive::NymArchive;
 pub use backend::{BackendError, ObjectBackend};
 pub use cas::{
     build_manifests, chunk_id, chunk_object_name, seal_new_chunks_into, CasError, ChunkId,
-    ChunkIndex, ChunkManifest, CHUNK_RECORD_THRESHOLD,
+    ChunkIndex, ChunkManifest, ManifestScratch, PrevChunks, CHUNK_RECORD_THRESHOLD,
 };
 pub use chunker::{chunks, AVG_CHUNK, MAX_CHUNK, MIN_CHUNK};
 pub use cloud::{AccessLog, CloudError, CloudProvider, CloudSession};

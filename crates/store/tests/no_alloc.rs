@@ -10,7 +10,8 @@ use counting_alloc::allocations_in;
 
 use nymix_sim::Rng;
 use nymix_store::{
-    chunker, seal_into, unseal_into, DeltaArchive, NymArchive, SealKey, SealScratch, Sealable,
+    build_manifests, chunker, seal_into, unseal_into, ChunkManifest, DeltaArchive, ManifestScratch,
+    NymArchive, SealKey, SealScratch, Sealable,
 };
 
 fn archive() -> NymArchive {
@@ -174,6 +175,54 @@ fn content_defined_chunking_is_allocation_free() {
         assert!(count > 1);
     });
     assert_eq!(n, 0, "chunking must not allocate");
+}
+
+#[test]
+fn warm_manifest_build_reusing_every_id_is_allocation_free() {
+    // The chunk stage of a save whose chunk ids all come from the
+    // session's cache: the record's first two chunks trade places, so
+    // every chunk is still one the previous version held (cuts depend
+    // only on a chunk's own bytes) but at another offset. Beside it, a
+    // record equal to its previous version. Once the lookup, miss and
+    // output buffers are warm, the build allocates nothing.
+    let mut old = vec![0u8; 256 * 1024];
+    let mut x = 0x0DDB_A11Cu64;
+    for b in old.iter_mut() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *b = (x >> 32) as u8;
+    }
+    let prev = ChunkManifest::build(&old);
+    let cuts: Vec<usize> = chunker::chunks(&old).map(<[u8]>::len).take(2).collect();
+    assert!(
+        prev.chunk_count() > 3,
+        "seeded data has content-defined cuts"
+    );
+    let (a, b) = (cuts[0], cuts[1]);
+    let mut new = Vec::with_capacity(old.len());
+    new.extend_from_slice(&old[a..a + b]);
+    new.extend_from_slice(&old[..a]);
+    new.extend_from_slice(&old[a + b..]);
+    let old_chunks: Vec<&[u8]> = chunker::chunks(&old).collect();
+    assert!(chunker::chunks(&new).all(|c| old_chunks.contains(&c)));
+    let records = [
+        (&new[..], Some((&old[..], &prev))),
+        (&old[..], Some((&old[..], &prev))),
+    ];
+    let mut scratch = ManifestScratch::default();
+    let mut out = Vec::new();
+    // Warm-up sizes the lookup, the miss list and both manifests.
+    build_manifests(&records, &mut scratch, &mut out);
+    assert_eq!(out[0], ChunkManifest::build(&new));
+    assert_eq!(out[1], prev);
+    let n = allocations_in(|| {
+        for _ in 0..3 {
+            build_manifests(&records, &mut scratch, &mut out);
+            std::hint::black_box(out[0].chunk_count());
+        }
+    });
+    assert_eq!(n, 0, "warm all-reused manifest build must not allocate");
 }
 
 #[test]

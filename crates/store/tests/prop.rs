@@ -2,8 +2,9 @@
 
 use nymix_sim::Rng;
 use nymix_store::{
-    chunker, lzss, seal_into, unseal_into, ArchiveCommitment, ChunkManifest, DeltaArchive,
-    NymArchive, SealKey, SealScratch, Sealable, SealedError,
+    build_manifests, chunker, lzss, seal_into, unseal_into, ArchiveCommitment, ChunkManifest,
+    DeltaArchive, ManifestScratch, NymArchive, SealKey, SealScratch, Sealable, SealedError,
+    MAX_CHUNK,
 };
 use proptest::prelude::*;
 
@@ -226,6 +227,70 @@ proptest! {
             "resync took {} bytes ({} shared trailing chunks of {})",
             stream.len() - tail_bytes, shared_suffix, orig.len()
         );
+    }
+
+    #[test]
+    fn reused_chunk_ids_equal_a_fresh_build(
+        len in 20_000usize..80_000,
+        seed in any::<u64>(),
+        edits in proptest::collection::vec(
+            (0u8..4, any::<usize>(), 1usize..6_000, any::<u64>()), 1..5)) {
+        // Each step edits the record (overwrite, insert, delete or
+        // append), then builds its manifest reusing ids from the
+        // previous version, the way consecutive saves chain the cache.
+        // Batched beside it, the previous version with no cache must
+        // rebuild its own manifest.
+        let mut data = noise(seed, len);
+        let mut prev = (data.clone(), ChunkManifest::build(&data));
+        let mut scratch = ManifestScratch::default();
+        let mut out = Vec::new();
+        for (kind, at, n, fill) in edits {
+            let at = at % (data.len() + 1);
+            let end = (at + n).min(data.len());
+            match kind {
+                0 => data[at..end].copy_from_slice(&noise(fill, end - at)),
+                1 => drop(data.splice(at..at, noise(fill, n))),
+                2 => drop(data.drain(at..end)),
+                _ => data.extend_from_slice(&noise(fill, n)),
+            }
+            build_manifests(
+                &[(&data, Some((&prev.0, &prev.1))), (&prev.0, None)],
+                &mut scratch,
+                &mut out,
+            );
+            prop_assert_eq!(&out[0], &ChunkManifest::build(&data));
+            prop_assert_eq!(&out[1], &prev.1);
+            prev = (data.clone(), out[0].clone());
+        }
+    }
+
+    #[test]
+    fn reused_chunk_ids_never_trust_length_and_head_alone(
+        full in 1usize..4,
+        tail in 0usize..3_000,
+        flips in proptest::collection::vec(any::<usize>(), 1..4),
+        x in 1u8..255) {
+        // Constant bytes never fire a content-defined cut, so every
+        // chunk but the tail is MAX_CHUNK long and starts with the same
+        // 8 bytes. Changing a chunk's last byte keeps both its length
+        // and its head: every cached chunk is a lookup candidate, and
+        // only the memcmp can tell them apart.
+        let old = vec![7u8; full * MAX_CHUNK + tail];
+        let mut new = old.clone();
+        for k in flips {
+            new[(k % full + 1) * MAX_CHUNK - 1] ^= x;
+        }
+        let prev = ChunkManifest::build(&old);
+        let fresh = ChunkManifest::build(&new);
+        let lens = |m: &ChunkManifest| m.chunks().map(|(_, l)| l).collect::<Vec<_>>();
+        prop_assert_eq!(lens(&fresh), lens(&prev));
+        let mut out = Vec::new();
+        build_manifests(
+            &[(&new, Some((&old, &prev)))],
+            &mut ManifestScratch::default(),
+            &mut out,
+        );
+        prop_assert_eq!(&out[0], &fresh);
     }
 
     // NYMC manifests ride inside archives fetched from untrusted
@@ -608,4 +673,18 @@ proptest! {
         }
         prop_assert!(store.get("obj").is_err(), "read past tolerance must fail closed");
     }
+}
+
+/// Deterministic entropy-rich filler (xorshift64*): content-defined
+/// cuts fire in it, as in real browser-cache bytes.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+        })
+        .collect()
 }
