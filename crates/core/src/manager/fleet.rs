@@ -5,11 +5,11 @@
 //!
 //! * [`NymManager::save_nyms_incremental`] — the batched store-nym
 //!   entry point. All requested sessions move through the store
-//!   pipeline's stages as one run: dirty-capture per session, chunk
-//!   hashing batched across sessions, sealing on one thread per
-//!   session (each session owns its scratch, RNG and chain keys, so
-//!   the threads share nothing and the output is bit-identical to a
-//!   serial run), and one `put_many` upload per destination. The
+//!   pipeline as one run: one save job per nym (capture, chunk, seal)
+//!   on a shared worker pool (each job owns its session's scratch,
+//!   RNG, chunk cache and chain keys, so the jobs share nothing and
+//!   the output is bit-identical to a serial run), and one
+//!   `apply_batch` upload per destination. The
 //!   simulation clock advances once, by the *concurrent* completion
 //!   time of the batch — N nyms saving together cost the wall time of
 //!   the slowest transfer, not the sum.
@@ -19,11 +19,11 @@
 //!   order; all randomness flows from the manager's world RNG and the
 //!   sessions' forked nonce RNGs, so a fleet run is reproducible
 //!   byte-for-byte from the manager's seed regardless of how many
-//!   threads the seal stage used.
+//!   threads ran the save jobs.
 //!
 //! Determinism rule: fleet operations never consult wall-clock time or
-//! OS scheduling. Thread-level parallelism exists only in the seal
-//! stage, whose jobs are data-independent; results are reassembled in
+//! OS scheduling. Thread-level parallelism exists only in the save
+//! jobs, which are data-independent; results are reassembled in
 //! request order before anything touches shared state.
 
 use nymix_anon::AnonymizerKind;
@@ -53,10 +53,13 @@ impl NymManager {
     ///
     /// Each session keeps its own chain semantics (delta when its
     /// chain can absorb one, full compaction otherwise); the batch
-    /// shares the pipeline: cross-session `sha256_x4` chunk hashing,
-    /// one seal thread per session, one backend round trip per
-    /// destination. The clock advances by the batch's concurrent
-    /// completion time.
+    /// shares only the pipeline's worker threads — one save job per
+    /// nym, with its own chunk cache, RNG and keys — and one backend
+    /// round trip per destination. The clock advances by the batch's
+    /// concurrent completion time.
+    ///
+    /// A batch that names one nym twice fails with
+    /// [`NymManagerError::DuplicateNym`] before anything is captured.
     pub fn save_nyms_incremental(
         &mut self,
         reqs: &[FleetSaveRequest<'_>],

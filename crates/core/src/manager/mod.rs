@@ -20,9 +20,9 @@
 //!   that outlive individual sessions.
 //!
 //! [`fleet`] adds the multi-nym scheduler: deterministic interleaving
-//! of N sessions over sim time, with batched saves that seal on one
-//! thread per session and land through one backend round trip per
-//! destination.
+//! of N sessions over sim time, with batched saves that run one job
+//! per nym on a shared worker pool and land through one backend round
+//! trip per destination.
 //!
 //! The public API implements the §3.5 workflow verbatim: *start a
 //! fresh nym*, *store nym* (pause → sync → compress → encrypt → upload
@@ -101,6 +101,9 @@ pub enum NymManagerError {
     Hypervisor(HypervisorError),
     /// Unknown nym id.
     NoSuchNym(NymId),
+    /// One save batch named the same nym twice. Refused before any
+    /// capture: a nym's save is one job with one nonce stream.
+    DuplicateNym(NymId),
     /// Unknown cloud provider.
     NoSuchProvider(String),
     /// Storage/crypto failure on save or restore.
@@ -127,6 +130,7 @@ impl core::fmt::Display for NymManagerError {
         match self {
             NymManagerError::Hypervisor(e) => write!(f, "hypervisor: {e}"),
             NymManagerError::NoSuchNym(id) => write!(f, "no such nym: {id:?}"),
+            NymManagerError::DuplicateNym(id) => write!(f, "nym named twice in one save: {id:?}"),
             NymManagerError::NoSuchProvider(p) => write!(f, "no such provider: {p}"),
             NymManagerError::Storage(s) => write!(f, "storage: {s}"),
             NymManagerError::MissingObject(s) => write!(f, "stored object missing: {s}"),

@@ -1,29 +1,34 @@
 //! The **StorePipeline** layer: staged, batched save/restore.
 //!
 //! The §3.5 store-nym workflow — pause → sync → compress → encrypt →
-//! upload — runs here as four explicit stages over any number of
-//! sessions at once:
+//! upload — runs here over any number of sessions at once, in three
+//! phases:
 //!
-//! 1. **Capture** (needs the [`Environment`]): pause the nym's VMs,
-//!    detect dirty records from the writable layers' generation
-//!    counters, and stage the new archive. Sequential — it touches the
-//!    shared hypervisor.
-//! 2. **Chunk**: convert large dirty records to `"NYMC"` manifests.
-//!    Each session keeps the raw bytes and manifest of its records'
-//!    last chunking, so a chunk a `memcmp` proves unchanged keeps its
-//!    id unhashed. Only the rest is hashed, batched **across
-//!    sessions** with [`nymix_store::build_manifests`], so
-//!    equal-length chunks from different nyms share `sha256_x4`
-//!    passes. The cache is per session: no nym's bytes are ever
-//!    compared against another's.
-//! 3. **Seal**: derive/reuse the chain key, seal chunk objects
-//!    (entropy-gated) and the delta or full blob. Each session owns
-//!    its scratch arena, RNG and chain key, so N sessions seal on N
-//!    threads with no locks and bit-deterministic output.
-//! 4. **Upload**: land every staged object through
-//!    [`nymix_store::ObjectBackend::put_many`], grouped per
-//!    destination — one authenticated round trip per backend instead
-//!    of one per object — then sweep retired objects.
+//! 1. **Before** (calling thread): validate the batch — every id live,
+//!    none named twice — pause every VM in it, read the writable
+//!    layers' generation counters, and move each session's chain,
+//!    nonce RNG, sealing arena and chunk-id cache into its save job.
+//!    Every fallible step runs before anything leaves a session, and
+//!    a failure resumes whatever it paused.
+//! 2. **Jobs** (worker pool): one job per nym. It serializes its dirty
+//!    layers from a shared borrow of the hypervisor (*capture*),
+//!    converts large records to `"NYMC"` manifests with
+//!    [`nymix_store::build_manifests`] against its own chunk-id cache
+//!    (a chunk a `memcmp` proves unchanged keeps its id unhashed) and
+//!    diffs the result into a delta (*chunk*). When the delta does not
+//!    pay, the job falls back to a full save and re-serializes the
+//!    clean layers itself. It then seals chunk objects and the delta
+//!    or full blob (*seal*). `available_parallelism()` threads, the
+//!    calling thread among them, pull jobs off one shared queue. A job
+//!    owns everything it writes — RNG, arena, cache, keys — and only
+//!    reads the layers, so no nym's bytes are ever compared against
+//!    another's and the output is bit-identical at any worker count.
+//! 3. **After** (calling thread): resume the VMs, hand each job's RNG,
+//!    arena and cache back to its session, then land every staged
+//!    object through one [`nymix_store::ObjectBackend::apply_batch`]
+//!    per destination group — one authenticated round trip per
+//!    backend instead of one per object — sweeping retired objects in
+//!    the same batch.
 //!
 //! The pipeline also owns the **label registry**: the highest chain
 //! epoch ever used per storage label, plus chunk objects orphaned by
@@ -34,6 +39,7 @@
 //! to a full save (a new epoch) instead of appending deltas to a base
 //! it no longer owns.
 
+use nymix_fs::Layer;
 use nymix_net::{access_transfer, Ip};
 use nymix_sim::{DiskProfile, Rng, SimDuration};
 use nymix_store::cas::{self, ChunkIndex, ChunkManifest, ManifestScratch, PrevChunks};
@@ -41,8 +47,10 @@ use nymix_store::{
     seal_into, ArchiveCommitment, DeltaArchive, NymArchive, SealKey, SealScratch, Sealable,
     CHUNK_RECORD_THRESHOLD, DELTA_CHAIN_LIMIT,
 };
+use nymix_vmm::{Hypervisor, VmId};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
 
 use super::env::{dest_backend, storage_err, Environment};
 use super::session::{storage_label, ChainState, NymSession};
@@ -98,8 +106,8 @@ pub(super) struct SaveOutcome {
     pub breakdown: (usize, usize, usize),
 }
 
-/// Capture-stage output for one session: the staged next archive with
-/// everything the later (env-free) stages need, fully owned.
+/// One session's save as it moves through the phases: the staged next
+/// archive with everything the job needs, fully owned.
 struct SavePlan<'a> {
     req: SaveRequest<'a>,
     label: String,
@@ -117,13 +125,15 @@ struct SavePlan<'a> {
     /// `(key, epoch, delta_count)` when a usable chain was carried.
     chain: Option<(SealKey, u64, usize)>,
     /// The carried chain's Merkle commitment cache (empty when no
-    /// chain carried). A delta save recomputes only dirty leaves plus
-    /// the root path against it; a full save refreshes it in place so
-    /// clean carried records keep their cached leaf hashes.
+    /// delta is possible). A delta save recomputes only dirty leaves
+    /// plus the root path against it; a full save refreshes it in
+    /// place so clean carried records keep their cached leaf hashes.
     commitment: ArchiveCommitment,
+    /// The carried chain's chunk index (empty when none was carried).
     chunk_index: ChunkIndex,
-    /// Chunk objects of the carried chain's epoch (swept on compaction).
-    prev_chunk_objects: Vec<String>,
+    /// The carried chain's epoch: `chunk_index` names its chunk
+    /// objects under this epoch's prefix, and a full save sweeps them.
+    carried_epoch: Option<u64>,
     last_epoch: Option<u64>,
     want_delta: bool,
     /// `(name, raw bytes, manifest)` per chunk-converted record; moved
@@ -133,18 +143,33 @@ struct SavePlan<'a> {
     breakdown: (usize, usize, usize),
 }
 
-/// Seal-stage input: everything one thread needs, owned and `Send`.
-struct SealJob<'a> {
-    plan: SavePlan<'a>,
-    scratch: SealScratch,
+/// What a job takes from its session by value and hands back: the
+/// nonce RNG, the sealing arena and the chunk-id cache. They return
+/// before any upload runs. A failed upload must not leave the session
+/// holding its pre-seal RNG: the retry would redraw the same salt and
+/// nonces over different plaintext.
+struct SessionKit {
     rng: Rng,
-    /// Orphaned objects registered under this label (swept on
-    /// compaction alongside the carried chain's).
-    orphaned_objects: Vec<String>,
+    scratch: SealScratch,
+    chunk_cache: BTreeMap<String, (Vec<u8>, ChunkManifest)>,
 }
 
-/// Seal-stage output: staged uploads plus the state flowing back into
-/// the session's chain once the upload lands.
+/// One nym's save job: its plan, its kit, and read-only borrows of its
+/// two writable layers.
+struct SaveJob<'a, 'hv> {
+    plan: SavePlan<'a>,
+    /// `(record name, writable upper, clean)` for the AnonVM disk, then
+    /// the CommVM disk. A clean layer's generation matches the carried
+    /// chain's, so only a full-save fallback serializes it.
+    layers: [(&'static str, &'hv Layer, bool); 2],
+    /// The small records read from the session, in archive order after
+    /// the layers.
+    records: Vec<(&'static str, Vec<u8>)>,
+    kit: SessionKit,
+}
+
+/// A sealed job: staged uploads plus the state flowing back into the
+/// session's chain once the upload lands.
 struct SealedSave<'a> {
     plan: SavePlan<'a>,
     staged: Vec<(String, Vec<u8>)>,
@@ -168,8 +193,6 @@ pub(super) struct StorePipeline {
     /// Warm [`SealScratch`] arenas from destroyed sessions, handed to
     /// the next session created — fleet churn doesn't re-grow arenas.
     scratch_pool: Vec<SealScratch>,
-    /// The chunk stage's lookup and miss buffers, reused across saves.
-    manifest_scratch: ManifestScratch,
 }
 
 impl StorePipeline {
@@ -177,7 +200,6 @@ impl StorePipeline {
         Self {
             labels: BTreeMap::new(),
             scratch_pool: Vec::new(),
-            manifest_scratch: ManifestScratch::default(),
         }
     }
 
@@ -227,72 +249,94 @@ impl StorePipeline {
             .filter(|e| *e > 0)
     }
 
-    /// Runs the full staged pipeline over every request: capture →
-    /// chunk → seal (threaded when more than one session saves and the
-    /// host has more than one core) → upload. Outcomes are in request
-    /// order; the simulation clock advances once, by the concurrent
-    /// completion time of the batch. Output is bit-identical at any
-    /// core count: every job's randomness comes from its session's own
-    /// forked RNG.
+    /// Runs the three-phase pipeline over every request, with one
+    /// worker per available core. Outcomes are in request order; the
+    /// simulation clock advances once, by the concurrent completion
+    /// time of the batch.
     pub(super) fn save_many(
         &mut self,
         env: &mut Environment,
         sessions: &mut BTreeMap<NymId, NymSession>,
         reqs: Vec<SaveRequest<'_>>,
     ) -> Result<Vec<SaveOutcome>, NymManagerError> {
-        // Validate every id before any capture runs: a capture moves
-        // the session's chain into its plan, so failing mid-batch on a
-        // bad id would drop the chains of every request before it.
+        let workers = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        self.save_many_on(env, sessions, reqs, workers)
+    }
+
+    /// [`StorePipeline::save_many`] on `workers` threads, the calling
+    /// thread among them. Output is bit-identical at any worker count:
+    /// every job's randomness comes from its session's own forked RNG.
+    pub(super) fn save_many_on(
+        &mut self,
+        env: &mut Environment,
+        sessions: &mut BTreeMap<NymId, NymSession>,
+        reqs: Vec<SaveRequest<'_>>,
+        workers: usize,
+    ) -> Result<Vec<SaveOutcome>, NymManagerError> {
+        // Before. Validate every id before anything moves: failing
+        // mid-batch would drop the chains of every request before it.
+        // A nym named twice is refused outright: its two jobs would
+        // seal different plaintext from one nonce RNG position.
+        let mut seen = BTreeSet::new();
         for req in &reqs {
             if !sessions.contains_key(&req.id) {
                 return Err(NymManagerError::NoSuchNym(req.id));
             }
+            if !seen.insert(req.id) {
+                return Err(NymManagerError::DuplicateNym(req.id));
+            }
         }
         nymix_obs::sim_clock(env.clock.as_micros());
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(reqs.len());
-        // Capture everything (sequential — it touches the shared
-        // hypervisor), batch the chunk hashing across sessions, then
-        // seal on one thread per session.
-        let mut plans = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            plans.push(self.capture(env, sessions, req)?);
-        }
-        self.chunk_stage(sessions, &mut plans, false);
-        for plan in &mut plans {
-            build_delta(plan);
-        }
-        // Delta didn't pay off (or wasn't possible) for some plans:
-        // re-capture their carried-over clean layers raw so the new
-        // base is self-contained, then chunk the re-captures (batched
-        // across plans again).
-        self.full_fallback(env, sessions, &mut plans)?;
-        let jobs: Vec<SealJob> = plans
-            .into_iter()
-            .map(|plan| self.seal_job(sessions, plan))
+        let vms: Vec<[VmId; 2]> = reqs
+            .iter()
+            .map(|r| {
+                let nymbox = &sessions[&r.id].nymbox;
+                [nymbox.anon_vm, nymbox.comm_vm]
+            })
             .collect();
-        // Each job's nonce RNG and arena go back to its session before
-        // any upload runs. A failed upload must not leave the session
-        // holding its pre-seal RNG: the retry would redraw the same
-        // salt and nonces over different plaintext. The chunked raw
-        // records move into the session's chunk cache: their manifests
-        // are what the next save's chunk stage reuses ids from.
-        let sealed: Vec<SealedSave> = seal_stage(jobs, workers, env.clock.as_micros())
+        let mut paused = Vec::with_capacity(2 * vms.len());
+        let uppers = match pause_and_borrow_uppers(&mut env.hv, &vms, &mut paused) {
+            Ok(uppers) => uppers,
+            Err(e) => {
+                resume_all(&mut env.hv, &paused);
+                return Err(e);
+            }
+        };
+        let jobs: Vec<SaveJob> = reqs
             .into_iter()
-            .map(|(mut s, scratch, rng)| {
-                let session = sessions.get_mut(&s.plan.req.id).expect("captured above");
-                session.scratch = scratch;
-                session.seal_rng = rng;
-                for (name, raw, manifest) in s.plan.chunked.drain(..) {
-                    session.chunk_cache.insert(name, (raw, manifest));
-                }
-                s
+            .zip(uppers)
+            .map(|(req, uppers)| {
+                let session = sessions.get_mut(&req.id).expect("validated above");
+                self.plan_job(session, env.public_ip, req, uppers)
             })
             .collect();
 
-        // Stage 4: upload (grouped per destination) + bookkeeping.
+        // Jobs.
+        let done = run_jobs(jobs, workers, env.clock.as_micros());
+
+        // After: the layer borrows are over, so the VMs resume before
+        // any upload can fail.
+        resume_all(&mut env.hv, &paused);
+        let mut sealed = Vec::with_capacity(done.len());
+        for (mut s, kit) in done {
+            let session = sessions.get_mut(&s.plan.req.id).expect("validated above");
+            session.seal_rng = kit.rng;
+            session.scratch = kit.scratch;
+            session.chunk_cache = kit.chunk_cache;
+            // Orphans are swept at compaction only: draining the list
+            // on a delta save, which never deletes them, would leak a
+            // destroyed nym's chunk objects on the backend forever.
+            if s.kind == SaveKind::Full {
+                if let Some(l) = self.labels.get_mut(&s.plan.label) {
+                    s.deletes.append(&mut l.orphaned_objects);
+                }
+            }
+            sealed.push(s);
+        }
+
+        // Upload (grouped per destination) + bookkeeping.
         let mut outcomes = Vec::with_capacity(sealed.len());
         // Striped uploads ship n/k redundant bytes per sealed byte
         // (k-of-n erasure shards, plus negligible per-shard headers).
@@ -342,6 +386,15 @@ impl StorePipeline {
             let disk_before = env.disk.device_stats();
             let now = env.clock;
             let cloud_backoff = {
+                let staged: Vec<(String, Vec<u8>)> = group
+                    .iter_mut()
+                    .flat_map(|s| std::mem::take(&mut s.staged))
+                    .collect();
+                let deletes: Vec<String> = group
+                    .iter_mut()
+                    .flat_map(|s| std::mem::take(&mut s.deletes))
+                    .collect();
+                let _span = nymix_obs::span!("apply_batch", "objects" => staged.len());
                 let mut backend = dest_backend(
                     &mut env.cloud,
                     &mut env.local,
@@ -351,14 +404,6 @@ impl StorePipeline {
                     dest,
                     Some(exit),
                 )?;
-                let staged: Vec<(String, Vec<u8>)> = group
-                    .iter_mut()
-                    .flat_map(|s| std::mem::take(&mut s.staged))
-                    .collect();
-                let deletes: Vec<String> = group
-                    .iter_mut()
-                    .flat_map(|s| std::mem::take(&mut s.deletes))
-                    .collect();
                 backend
                     .as_backend()
                     .apply_batch(staged, deletes)
@@ -408,16 +453,13 @@ impl StorePipeline {
                 up_span.add_modeled_us(duration.0);
                 drop(up_span);
                 self.note_epoch(&s.plan.label, s.epoch);
-                let session = sessions.get_mut(&s.plan.req.id).expect("captured above");
-                outcomes.push((
-                    s.plan.req.id,
-                    SaveOutcome {
-                        kind: s.kind,
-                        uploaded: s.uploaded,
-                        duration,
-                        breakdown: s.plan.breakdown,
-                    },
-                ));
+                let session = sessions.get_mut(&s.plan.req.id).expect("validated above");
+                outcomes.push(SaveOutcome {
+                    kind: s.kind,
+                    uploaded: s.uploaded,
+                    duration,
+                    breakdown: s.plan.breakdown,
+                });
                 session.chains.insert(
                     s.plan.label,
                     ChainState {
@@ -435,88 +477,24 @@ impl StorePipeline {
         }
         env.clock += batch_duration;
         nymix_obs::sim_clock(env.clock.as_micros());
-        Ok(outcomes.into_iter().map(|(_, o)| o).collect())
+        Ok(outcomes)
     }
 
-    /// Packages a finished plan as an owned, `Send` seal job: the
-    /// session's scratch arena and nonce RNG travel with it, plus —
-    /// for full saves only — the orphaned objects registered under its
-    /// label. A delta save must leave the orphan list in the registry
-    /// untouched: sweeping happens at compaction, and draining the
-    /// list on a path that never deletes would leak a destroyed nym's
-    /// chunk objects on the backend forever.
-    fn seal_job<'a>(
-        &mut self,
-        sessions: &mut BTreeMap<NymId, NymSession>,
-        plan: SavePlan<'a>,
-    ) -> SealJob<'a> {
-        let session = sessions.get_mut(&plan.req.id).expect("captured above");
-        let orphaned_objects = if plan.delta.is_none() {
-            self.labels
-                .get_mut(&plan.label)
-                .map(|l| std::mem::take(&mut l.orphaned_objects))
-                .unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        SealJob {
-            scratch: std::mem::take(&mut session.scratch),
-            rng: session.seal_rng.clone(),
-            plan,
-            orphaned_objects,
-        }
-    }
-
-    /// Stage 1: pause the VMs, read layer generations, carry the chain
-    /// over (by value — the session owns it, so nothing is cloned) and
-    /// stage every dirty record into the next archive.
-    fn capture<'a>(
-        &mut self,
-        env: &mut Environment,
-        sessions: &mut BTreeMap<NymId, NymSession>,
+    /// Builds one session's job on the calling thread: carries the
+    /// chain over (by value — the session owns it, so nothing is
+    /// cloned), reads the small records only the session can produce,
+    /// and moves the session's kit in. `uppers` are the session's
+    /// AnonVM and CommVM writable layers, already paused.
+    fn plan_job<'a, 'hv>(
+        &self,
+        session: &mut NymSession,
+        public_ip: Ip,
         req: SaveRequest<'a>,
-    ) -> Result<SavePlan<'a>, NymManagerError> {
+        uppers: [&'hv Layer; 2],
+    ) -> SaveJob<'a, 'hv> {
         let _span = nymix_obs::span!("capture", "session" => req.id.0);
-        let session = sessions
-            .get_mut(&req.id)
-            .ok_or(NymManagerError::NoSuchNym(req.id))?;
         let label = storage_label(&session.nymbox.name, req.dest);
-        let anon_vm = session.nymbox.anon_vm;
-        let comm_vm = session.nymbox.comm_vm;
-
-        // Pause both VMs while the writable layers are captured. The
-        // generation read doubles as the existence check for both
-        // uppers; it runs — with the VMs resumed again on failure —
-        // *before* the chain is moved out of the session, so no error
-        // path can strand a paused VM or drop a chain.
-        env.hv.vm_mut(anon_vm)?.pause();
-        env.hv.vm_mut(comm_vm)?.pause();
-        let gens = (|| {
-            let missing = |what: &str| NymManagerError::Storage(format!("{what} upper missing"));
-            let anon_gen = env
-                .hv
-                .vm(anon_vm)?
-                .disk()
-                .upper()
-                .map(nymix_fs::Layer::generation)
-                .ok_or_else(|| missing("anon"))?;
-            let comm_gen = env
-                .hv
-                .vm(comm_vm)?
-                .disk()
-                .upper()
-                .map(nymix_fs::Layer::generation)
-                .ok_or_else(|| missing("comm"))?;
-            Ok((anon_gen, comm_gen))
-        })();
-        let (anon_gen, comm_gen) = match gens {
-            Ok(g) => g,
-            Err(e) => {
-                env.hv.vm_mut(anon_vm)?.resume();
-                env.hv.vm_mut(comm_vm)?.resume();
-                return Err(e);
-            }
-        };
+        let [anon_gen, comm_gen] = uppers.map(Layer::generation);
 
         // The chain is usable only if it is still the label's newest
         // epoch — another session full-saving under the same label
@@ -537,239 +515,277 @@ impl StorePipeline {
         // Start from the chain's stored-form archive when a delta is
         // possible — clean records (chunk manifests included) carry
         // over untouched, by move. A full save rebuilds from scratch so
-        // the new epoch never references the old one's chunk objects.
-        let (mut next, chain_carry, commitment, chunk_index, prev_chunk_objects) = match chain {
-            Some(c) if want_delta => {
-                let prefix = chunk_prefix(&label, c.epoch);
-                let prev: Vec<String> = c
-                    .chunks
-                    .ids()
-                    .map(|id| cas::chunk_object_name(&prefix, id))
-                    .collect();
-                (
-                    c.archive,
-                    Some((c.key, c.epoch, c.delta_count)),
-                    c.commitment,
-                    c.chunks,
-                    prev,
-                )
-            }
-            Some(c) => {
-                let prefix = chunk_prefix(&label, c.epoch);
-                let prev = c
-                    .chunks
-                    .ids()
-                    .map(|id| cas::chunk_object_name(&prefix, id))
-                    .collect();
-                // The archive rebuilds from scratch, so the old cache
-                // has nothing reusable: every record lands in
-                // `dirty_old` and would be rehashed anyway.
-                (
-                    NymArchive::new(),
-                    None,
-                    ArchiveCommitment::default(),
-                    ChunkIndex::new(),
-                    prev,
-                )
-            }
+        // the new epoch never references the old one's chunk objects;
+        // it keeps the old index only to sweep them.
+        let (next, chain_carry, commitment, chunk_index, carried_epoch) = match chain {
+            Some(c) if want_delta => (
+                c.archive,
+                Some((c.key, c.epoch, c.delta_count)),
+                c.commitment,
+                c.chunks,
+                Some(c.epoch),
+            ),
+            Some(c) => (
+                NymArchive::new(),
+                None,
+                ArchiveCommitment::default(),
+                c.chunks,
+                Some(c.epoch),
+            ),
             None => (
                 NymArchive::new(),
                 None,
                 ArchiveCommitment::default(),
                 ChunkIndex::new(),
-                Vec::new(),
+                None,
             ),
         };
 
-        // Infallible from here to the resume: the generation read
-        // above proved both uppers exist, and nothing intervenes while
-        // the VMs are paused.
-        let mut dirty_old: Vec<(&'static str, Option<Vec<u8>>)> = Vec::new();
-        if !anon_clean {
-            let upper = env
-                .hv
-                .vm(anon_vm)?
-                .disk()
-                .upper()
-                .expect("generation read above proved the upper exists");
-            let old = next.replace_layer("anonvm.disk", upper);
-            dirty_old.push(("anonvm.disk", old));
-        }
-        if !comm_clean {
-            let upper = env
-                .hv
-                .vm(comm_vm)?
-                .disk()
-                .upper()
-                .expect("generation read above proved the upper exists");
-            let old = next.replace_layer("commvm.disk", upper);
-            dirty_old.push(("commvm.disk", old));
-        }
-        env.hv.vm_mut(anon_vm)?.resume();
-        env.hv.vm_mut(comm_vm)?.resume();
-
-        let old = next.replace("anonymizer.state", session.anonymizer.save_state());
-        dirty_old.push(("anonymizer.state", old));
-        let old = next.replace(
-            "meta",
-            format!(
-                "name={};model={:?};anonymizer={}",
-                session.nymbox.name,
-                session.nymbox.model,
-                session.anonymizer.name()
-            )
-            .into_bytes(),
-        );
-        dirty_old.push(("meta", old));
+        let mut records = vec![
+            ("anonymizer.state", session.anonymizer.save_state()),
+            (
+                "meta",
+                format!(
+                    "name={};model={:?};anonymizer={}",
+                    session.nymbox.name,
+                    session.nymbox.model,
+                    session.anonymizer.name()
+                )
+                .into_bytes(),
+            ),
+        ];
         if let Some(browser) = &session.browser {
-            let old = next.replace("browser.state", browser.to_bytes());
-            dirty_old.push(("browser.state", old));
+            records.push(("browser.state", browser.to_bytes()));
         }
         let cost = session.anonymizer.transfer_cost();
-        let exit_ip = session.anonymizer.exit_address(env.public_ip);
+        let [anon_upper, comm_upper] = uppers;
+        SaveJob {
+            plan: SavePlan {
+                req,
+                label,
+                exit_ip: session.anonymizer.exit_address(public_ip),
+                wire_overhead: cost.byte_overhead,
+                rate_cap: cost.rate_cap,
+                next,
+                dirty_old: Vec::new(),
+                anon_gen,
+                comm_gen,
+                chain: chain_carry,
+                commitment,
+                chunk_index,
+                carried_epoch,
+                last_epoch,
+                want_delta,
+                chunked: Vec::new(),
+                delta: None,
+                breakdown: (0, 0, 0),
+            },
+            layers: [
+                ("anonvm.disk", anon_upper, anon_clean),
+                ("commvm.disk", comm_upper, comm_clean),
+            ],
+            records,
+            kit: SessionKit {
+                rng: session.seal_rng.clone(),
+                scratch: std::mem::take(&mut session.scratch),
+                chunk_cache: std::mem::take(&mut session.chunk_cache),
+            },
+        }
+    }
+}
 
+/// Pauses both VMs of every request, recording each in `paused`, then
+/// borrows every writable upper. The borrow doubles as the check that
+/// both uppers exist. On error the caller resumes `paused`.
+fn pause_and_borrow_uppers<'hv>(
+    hv: &'hv mut Hypervisor,
+    vms: &[[VmId; 2]],
+    paused: &mut Vec<VmId>,
+) -> Result<Vec<[&'hv Layer; 2]>, NymManagerError> {
+    for &vm in vms.iter().flatten() {
+        hv.vm_mut(vm)?.pause();
+        paused.push(vm);
+    }
+    let hv = &*hv;
+    let upper = |vm: VmId, what: &str| -> Result<&'hv Layer, NymManagerError> {
+        hv.vm(vm)?
+            .disk()
+            .upper()
+            .ok_or_else(|| NymManagerError::Storage(format!("{what} upper missing")))
+    };
+    vms.iter()
+        .map(|&[anon, comm]| Ok([upper(anon, "anon")?, upper(comm, "comm")?]))
+        .collect()
+}
+
+/// Resumes every VM in `paused`.
+fn resume_all(hv: &mut Hypervisor, paused: &[VmId]) {
+    for &vm in paused {
+        if let Ok(vm) = hv.vm_mut(vm) {
+            vm.resume();
+        }
+    }
+}
+
+/// What one job hands back: the sealed save and the session's kit.
+type JobOutput<'a> = (SealedSave<'a>, SessionKit);
+
+/// Runs every job on `workers` threads — the calling thread among
+/// them — each pulling the next job off one shared queue. Results come
+/// back in job order. Every job owns what it writes, so neither the
+/// worker count nor the scheduling can change an output byte.
+fn run_jobs<'a>(jobs: Vec<SaveJob<'a, '_>>, workers: usize, now_us: u64) -> Vec<JobOutput<'a>> {
+    let n = jobs.len();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let done = Mutex::new(Vec::with_capacity(n));
+    let work = || loop {
+        let Some((i, job)) = queue
+            .lock()
+            .expect("no job panics holding the queue")
+            .next()
+        else {
+            break;
+        };
+        let out = run_job(job);
+        done.lock()
+            .expect("no job panics holding the results")
+            .push((i, out));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(n) {
+            scope.spawn(|| {
+                // Worker threads carry their own sim-clock view; seed
+                // it so job spans report the batch's modeled time.
+                nymix_obs::sim_clock(now_us);
+                work();
+            });
+        }
+        work();
+    });
+    let mut done = done.into_inner().expect("every worker joined");
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
+/// One nym's job: capture its dirty layers, chunk and diff, fall back
+/// to a full save when the delta does not pay, seal.
+fn run_job<'a>(job: SaveJob<'a, '_>) -> JobOutput<'a> {
+    let SaveJob {
+        mut plan,
+        layers,
+        records,
+        mut kit,
+    } = job;
+    let id = plan.req.id.0;
+    {
+        let _span = nymix_obs::span!("capture", "session" => id);
+        for &(name, upper, clean) in &layers {
+            if !clean {
+                let old = plan.next.replace_layer(name, upper);
+                plan.dirty_old.push((name, old));
+            }
+        }
+        for (name, bytes) in records {
+            let old = plan.next.replace(name, bytes);
+            plan.dirty_old.push((name, old));
+        }
         // Figure 6 accounting reports logical (pre-chunking) sizes.
-        let anon_bytes = next.get("anonvm.disk").map_or(0, record_logical_len);
-        let comm_bytes = next.get("commvm.disk").map_or(0, record_logical_len);
-        let other_bytes = next
+        let anon_bytes = plan.next.get("anonvm.disk").map_or(0, record_logical_len);
+        let comm_bytes = plan.next.get("commvm.disk").map_or(0, record_logical_len);
+        let other_bytes = plan
+            .next
             .records()
             .map(|(_, d)| record_logical_len(d))
             .sum::<usize>()
             - anon_bytes
             - comm_bytes;
+        plan.breakdown = (anon_bytes, comm_bytes, other_bytes);
+    }
+    let mut manifest_scratch = ManifestScratch::default();
+    {
+        let _span = nymix_obs::span!("chunk", "session" => id);
+        chunk_records(&mut plan, &mut kit.chunk_cache, &mut manifest_scratch);
+        build_delta(&mut plan);
+    }
+    if plan.want_delta && plan.delta.is_none() {
+        // The delta didn't pay: compact to a fresh epoch and key. The
+        // new base must be self-contained — a carried layer's manifest
+        // names the retired epoch's chunk objects — so the clean
+        // layers are serialized raw too, then chunked.
+        {
+            let _span = nymix_obs::span!("capture", "session" => id);
+            for &(name, upper, clean) in &layers {
+                if clean {
+                    let old = plan.next.replace_layer(name, upper);
+                    plan.dirty_old.push((name, old));
+                }
+            }
+        }
+        let _span = nymix_obs::span!("chunk", "session" => id);
+        chunk_records(&mut plan, &mut kit.chunk_cache, &mut manifest_scratch);
+    }
+    let mut sealed = seal(plan, &mut kit.rng, &mut kit.scratch);
+    // The manifests just sealed are what the next save reuses ids from.
+    for (name, raw, manifest) in sealed.plan.chunked.drain(..) {
+        kit.chunk_cache.insert(name, (raw, manifest));
+    }
+    (sealed, kit)
+}
 
-        Ok(SavePlan {
-            req,
-            label,
-            exit_ip,
-            wire_overhead: cost.byte_overhead,
-            rate_cap: cost.rate_cap,
-            next,
-            dirty_old,
-            anon_gen,
-            comm_gen,
-            chain: chain_carry,
-            commitment,
-            chunk_index,
-            prev_chunk_objects,
-            last_epoch,
-            want_delta,
-            chunked: Vec::new(),
-            delta: None,
-            breakdown: (anon_bytes, comm_bytes, other_bytes),
+/// Converts every captured record at or above the chunk threshold that
+/// is not yet a manifest into a `"NYMC"` manifest. Each record reuses
+/// the chunk ids `cache` proves unchanged, and consumes its cache
+/// entry, so the previous raw bytes are freed before sealing starts.
+fn chunk_records(
+    plan: &mut SavePlan<'_>,
+    cache: &mut BTreeMap<String, (Vec<u8>, ChunkManifest)>,
+    scratch: &mut ManifestScratch,
+) {
+    if !plan.req.allow_delta {
+        return;
+    }
+    let names: Vec<&'static str> = plan
+        .dirty_old
+        .iter()
+        .map(|(n, _)| *n)
+        .filter(|n| {
+            plan.next.get(n).is_some_and(|d| {
+                d.len() >= CHUNK_RECORD_THRESHOLD && ChunkManifest::from_bytes(d).is_err()
+            })
         })
+        .collect();
+    if names.is_empty() {
+        return;
     }
-
-    /// Stage 2: convert captured records at or above the chunk
-    /// threshold into `"NYMC"` manifests. Each record reuses the chunk
-    /// ids its session's cache proves unchanged; hashing the rest is
-    /// batched across every plan in the run. With `fallback` set, only
-    /// plans that fell back to a full save participate (their
-    /// re-captured clean layers need converting too).
-    fn chunk_stage(
-        &mut self,
-        sessions: &mut BTreeMap<NymId, NymSession>,
-        plans: &mut [SavePlan<'_>],
-        fallback: bool,
-    ) {
-        // (plan index, record name, raw bytes) for every convertible
-        // record, then one batched manifest build over all of them.
-        let mut raws: Vec<(usize, &'static str, Vec<u8>)> = Vec::new();
-        for (pi, plan) in plans.iter_mut().enumerate() {
-            // Per-session chunk span: covers this plan's record
-            // extraction; the cross-session batched manifest hashing
-            // below is shared work and deliberately unattributed.
-            let _span = nymix_obs::span!("chunk", "session" => plan.req.id.0);
-            if !plan.req.allow_delta || (fallback && plan.delta.is_some()) {
-                continue;
-            }
-            let names: Vec<&'static str> = plan
-                .dirty_old
-                .iter()
-                .map(|(n, _)| *n)
-                .filter(|n| {
-                    plan.next
-                        .get(n)
-                        .is_some_and(|d| d.len() >= CHUNK_RECORD_THRESHOLD)
-                        && ChunkManifest::from_bytes(plan.next.get(n).expect("checked")).is_err()
-                })
-                .collect();
-            for name in names {
-                // Swap the record bytes out rather than copying them
-                // (the raw payload is needed once more, for the chunk
-                // upload); the in-place replace keeps record order,
-                // which the Merkle commitment depends on.
-                let raw = plan
-                    .next
-                    .replace(name, Vec::new())
-                    .expect("record present above");
-                raws.push((pi, name, raw));
-            }
-        }
-        if raws.is_empty() {
-            return;
-        }
-        // Each record's cache entry is consumed here, so the previous
-        // raw bytes are freed before sealing starts; the seal stage
-        // moves the new ones in.
-        let prevs: Vec<Option<(Vec<u8>, ChunkManifest)>> = raws
-            .iter()
-            .map(|(pi, name, _)| {
-                sessions
-                    .get_mut(&plans[*pi].req.id)
-                    .and_then(|s| s.chunk_cache.remove(*name))
-            })
-            .collect();
-        let inputs: Vec<(&[u8], Option<PrevChunks>)> = raws
-            .iter()
-            .zip(&prevs)
-            .map(|((_, _, raw), prev)| {
-                let prev = prev.as_ref().map(|(raw, m)| (raw.as_slice(), m));
-                (raw.as_slice(), prev)
-            })
-            .collect();
-        let mut manifests = Vec::with_capacity(inputs.len());
-        cas::build_manifests(&inputs, &mut self.manifest_scratch, &mut manifests);
-        for ((pi, name, raw), manifest) in raws.into_iter().zip(manifests) {
-            plans[pi].next.replace(name, manifest.to_bytes());
-            plans[pi].chunked.push((name.to_string(), raw, manifest));
-        }
-    }
-
-    /// Re-captures clean layers raw for plans whose delta didn't pay
-    /// off, so their new full base is self-contained, then chunks the
-    /// re-captures.
-    fn full_fallback(
-        &mut self,
-        env: &mut Environment,
-        sessions: &mut BTreeMap<NymId, NymSession>,
-        plans: &mut [SavePlan<'_>],
-    ) -> Result<(), NymManagerError> {
-        for plan in plans.iter_mut() {
-            if !plan.want_delta || plan.delta.is_some() {
-                continue;
-            }
-            plan.chain = None; // Compaction: a fresh epoch, a fresh key.
-            let session = sessions.get_mut(&plan.req.id).expect("captured above");
-            let (anon_vm, comm_vm) = (session.nymbox.anon_vm, session.nymbox.comm_vm);
-            for (name, vm) in [("anonvm.disk", anon_vm), ("commvm.disk", comm_vm)] {
-                if plan.next.get(name).is_some() && plan.dirty_old.iter().any(|(n, _)| *n == name) {
-                    continue;
-                }
-                env.hv.vm_mut(vm)?.pause();
-                if env.hv.vm(vm)?.disk().upper().is_none() {
-                    // Never leave the VM paused on the error path.
-                    env.hv.vm_mut(vm)?.resume();
-                    return Err(NymManagerError::Storage("upper missing".into()));
-                }
-                let upper = env.hv.vm(vm)?.disk().upper().expect("checked above");
-                let old = plan.next.replace_layer(name, upper);
-                env.hv.vm_mut(vm)?.resume();
-                plan.dirty_old.push((name, old));
-            }
-        }
-        self.chunk_stage(sessions, plans, true);
-        Ok(())
+    // Swap the record bytes out rather than copying them (the raw
+    // payload is needed once more, for the chunk upload); the in-place
+    // replace keeps record order, which the Merkle commitment depends
+    // on.
+    let raws: Vec<(&'static str, Vec<u8>)> = names
+        .into_iter()
+        .map(|name| {
+            let raw = plan
+                .next
+                .replace(name, Vec::new())
+                .expect("record present above");
+            (name, raw)
+        })
+        .collect();
+    let prevs: Vec<Option<(Vec<u8>, ChunkManifest)>> =
+        raws.iter().map(|(name, _)| cache.remove(*name)).collect();
+    let inputs: Vec<(&[u8], Option<PrevChunks>)> = raws
+        .iter()
+        .zip(&prevs)
+        .map(|((_, raw), prev)| {
+            let prev = prev.as_ref().map(|(raw, m)| (raw.as_slice(), m));
+            (raw.as_slice(), prev)
+        })
+        .collect();
+    let mut manifests = Vec::with_capacity(inputs.len());
+    cas::build_manifests(&inputs, scratch, &mut manifests);
+    for ((name, raw), manifest) in raws.into_iter().zip(manifests) {
+        plan.next.replace(name, manifest.to_bytes());
+        plan.chunked.push((name.to_string(), raw, manifest));
     }
 }
 
@@ -805,53 +821,12 @@ fn build_delta(plan: &mut SavePlan<'_>) {
     }
 }
 
-/// What one seal job hands back: the staged save, plus the session's
-/// arena and nonce RNG as the seal left them.
-type SealOutput<'a> = (SealedSave<'a>, SealScratch, Rng);
-
-/// Stage 3: run every seal job, on one thread per job when the run is
-/// batched. Jobs are fully owned and independent — each session's
-/// scratch, RNG and keys travel with its job — so scheduling cannot
-/// change any output byte.
-fn seal_stage<'a>(mut jobs: Vec<SealJob<'a>>, workers: usize, now_us: u64) -> Vec<SealOutput<'a>> {
-    if jobs.len() <= 1 || workers <= 1 {
-        return jobs.drain(..).map(seal_one).collect();
-    }
-    let workers = workers.min(jobs.len());
-    let per = jobs.len().div_ceil(workers);
-    let mut slots: Vec<Option<SealJob>> = jobs.drain(..).map(Some).collect();
-    let mut results: Vec<Option<SealOutput>> =
-        std::iter::repeat_with(|| None).take(slots.len()).collect();
-    std::thread::scope(|scope| {
-        for (job_chunk, result_chunk) in slots.chunks_mut(per).zip(results.chunks_mut(per)) {
-            scope.spawn(move || {
-                // Worker threads carry their own sim-clock view; seed
-                // it so seal spans report the batch's modeled time.
-                nymix_obs::sim_clock(now_us);
-                for (job, result) in job_chunk.iter_mut().zip(result_chunk.iter_mut()) {
-                    *result = Some(seal_one(job.take().expect("job present")));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job sealed"))
-        .collect()
-}
-
 /// Seals one plan: chunk objects first (entropy-gated, deduplicated
 /// against the epoch's index), then the delta or full blob, staging
 /// every object in upload order. Full saves derive the new epoch's key
-/// here — the per-save PBKDF2 runs inside the threaded stage.
-fn seal_one(job: SealJob<'_>) -> SealOutput<'_> {
-    let _span = nymix_obs::span!("seal", "session" => job.plan.req.id.0);
-    let SealJob {
-        mut plan,
-        mut scratch,
-        mut rng,
-        orphaned_objects,
-    } = job;
+/// here — the per-save PBKDF2 runs on the worker pool.
+fn seal<'a>(mut plan: SavePlan<'a>, rng: &mut Rng, scratch: &mut SealScratch) -> SealedSave<'a> {
+    let _span = nymix_obs::span!("seal", "session" => plan.req.id.0);
     let mut staged = Vec::new();
     let mut deletes = Vec::new();
     let mut uploaded = 0usize;
@@ -869,8 +844,8 @@ fn seal_one(job: SealJob<'_>) -> SealOutput<'_> {
                     &mut chunk_index,
                     &key,
                     &prefix,
-                    &mut rng,
-                    &mut scratch,
+                    rng,
+                    scratch,
                     &mut staged,
                 );
             }
@@ -881,8 +856,8 @@ fn seal_one(job: SealJob<'_>) -> SealOutput<'_> {
                 Sealable::Delta(&delta),
                 &key,
                 &obj_label,
-                &mut rng,
-                &mut scratch,
+                rng,
+                scratch,
                 &mut sealed,
             );
             uploaded += sealed.len();
@@ -911,9 +886,9 @@ fn seal_one(job: SealJob<'_>) -> SealOutput<'_> {
             plan.commitment.update(&plan.next, |name| {
                 name == EPOCH_RECORD || dirty_old.iter().any(|(n, _)| *n == name)
             });
-            let key = SealKey::derive(plan.req.password, &plan.label, &mut rng);
+            let key = SealKey::derive(plan.req.password, &plan.label, rng);
             let prefix = chunk_prefix(&plan.label, epoch);
-            chunk_index = ChunkIndex::new();
+            let retired = std::mem::take(&mut chunk_index);
             for (_, raw, manifest) in &plan.chunked {
                 uploaded += cas::seal_new_chunks_into(
                     raw,
@@ -921,8 +896,8 @@ fn seal_one(job: SealJob<'_>) -> SealOutput<'_> {
                     &mut chunk_index,
                     &key,
                     &prefix,
-                    &mut rng,
-                    &mut scratch,
+                    rng,
+                    scratch,
                     &mut staged,
                 );
             }
@@ -931,27 +906,34 @@ fn seal_one(job: SealJob<'_>) -> SealOutput<'_> {
                 Sealable::Archive(&plan.next),
                 &key,
                 &plan.label,
-                &mut rng,
-                &mut scratch,
+                rng,
+                scratch,
                 &mut sealed,
             );
             uploaded += sealed.len();
             staged.push((plan.label.clone(), sealed));
             // Compaction retires everything under the previous epoch:
-            // its delta objects, the carried chain's chunk objects, and
-            // whatever destroyed sessions left orphaned on this label.
+            // its delta objects and the carried chain's chunk objects.
+            // The after phase appends whatever destroyed sessions left
+            // orphaned on this label.
             if let Some(old) = plan.last_epoch {
                 for i in 1..=DELTA_CHAIN_LIMIT {
                     deletes.push(delta_label(&plan.label, old, i));
                 }
             }
-            deletes.extend(std::mem::take(&mut plan.prev_chunk_objects));
-            deletes.extend(orphaned_objects);
+            if let Some(carried) = plan.carried_epoch {
+                let old_prefix = chunk_prefix(&plan.label, carried);
+                deletes.extend(
+                    retired
+                        .ids()
+                        .map(|id| cas::chunk_object_name(&old_prefix, id)),
+                );
+            }
             (SaveKind::Full, key, epoch, 0)
         }
     };
     let commitment = std::mem::take(&mut plan.commitment);
-    let sealed = SealedSave {
+    SealedSave {
         plan,
         staged,
         deletes,
@@ -962,6 +944,5 @@ fn seal_one(job: SealJob<'_>) -> SealOutput<'_> {
         delta_count,
         chunk_index,
         commitment,
-    };
-    (sealed, scratch, rng)
+    }
 }

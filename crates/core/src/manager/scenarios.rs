@@ -354,3 +354,75 @@ fn scenario_failed_save_retry_never_reuses_a_nonce() {
     }
     assert_eq!(reused, 0, "(salt, nonce) pairs sealing two ciphertexts");
 }
+
+#[test]
+fn scenario_nym_named_twice_in_one_batch_is_refused() {
+    // A batch naming one nym twice would run two save jobs from one
+    // nonce RNG position. Here the two jobs seal for different drives;
+    // the session keeps only one job's RNG, so the nym's next save to
+    // the other drive redraws the same (salt, nonce) pairs over new
+    // plaintext. The batch must be refused before any capture.
+    let mut m = manager();
+    let drive = |name: &str| StorageDest::Cloud {
+        provider: name.into(),
+        account: "anon".into(),
+        credential: "tok".into(),
+    };
+    let (drive1, drive2) = (drive("drive1"), drive("drive2"));
+    m.register_cloud("drive1", "anon", "tok");
+    m.register_cloud("drive2", "anon", "tok");
+    let (id, _) = m
+        .create_nym("twice", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.visit_site(id, Site::Twitter).unwrap();
+    m.save_nym_incremental(id, "pw", &drive1).unwrap();
+    let objects = |m: &NymManager, name: &str| -> Vec<(String, Vec<u8>)> {
+        m.cloud_provider(name)
+            .unwrap()
+            .subpoena("anon")
+            .into_iter()
+            .map(|(n, blob)| (n.to_string(), blob.to_vec()))
+            .collect()
+    };
+    let before = objects(&m, "drive1");
+
+    let err = m
+        .save_nyms_incremental(&[
+            FleetSaveRequest {
+                id,
+                password: "pw",
+                dest: &drive2,
+            },
+            FleetSaveRequest {
+                id,
+                password: "pw",
+                dest: &drive1,
+            },
+        ])
+        .unwrap_err();
+    assert!(
+        matches!(err, NymManagerError::DuplicateNym(d) if d == id),
+        "{err:?}"
+    );
+    assert!(objects(&m, "drive2").is_empty(), "the refused batch landed");
+    assert_eq!(objects(&m, "drive1"), before, "the refused batch landed");
+
+    m.inject_stain(id, "after").unwrap();
+    m.visit_site(id, Site::Bbc).unwrap();
+    m.save_nym_incremental(id, "pw", &drive2).unwrap();
+    let (kind, _, _) = m.save_nym_incremental(id, "pw", &drive1).unwrap();
+    assert_eq!(kind, SaveKind::Delta, "drive1's chain survived the refusal");
+
+    // Sealed blob header: magic [4] | salt [16] | nonce [12].
+    let mut seen: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for (_, blob) in objects(&m, "drive1")
+        .into_iter()
+        .chain(objects(&m, "drive2"))
+    {
+        let prior = seen.insert(blob[4..32].to_vec(), blob.clone());
+        assert!(
+            prior.is_none_or(|b| b == blob),
+            "(salt, nonce) pair sealing two ciphertexts"
+        );
+    }
+}

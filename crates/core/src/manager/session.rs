@@ -14,8 +14,9 @@
 //!   duration of one operation.
 //! * **Sessions are independently sealable.** Because each session
 //!   owns its scratch, RNG, chain keys, chunk index and chunk-id
-//!   cache, the store pipeline can seal N sessions' saves on N threads
-//!   with no locks and deterministic output (see [`super::pipeline`]).
+//!   cache, the store pipeline runs N sessions' save jobs on a worker
+//!   pool with no shared state beyond a job queue, and deterministic
+//!   output (see [`super::pipeline`]).
 //! * **Chains die with the session; epochs don't.** Destroying a nym
 //!   drops its sessions' chains, but the pipeline's label registry
 //!   remembers the highest epoch (and orphaned chunk objects) per

@@ -1038,3 +1038,226 @@ fn fleet_disk_crash_matrix_recovers_whole_fleet_pre_or_post() {
     assert!(seen_pre > 0, "no crash point preserved the round-1 fleet");
     assert!(seen_post > 0, "no crash point reached the round-2 fleet");
 }
+
+/// One save of every nym in `ids` as a single batch through the
+/// pipeline on `workers` threads.
+fn save_batch_on(
+    m: &mut NymManager,
+    ids: &[NymId],
+    dest: &StorageDest,
+    workers: usize,
+) -> Result<Vec<pipeline::SaveOutcome>, NymManagerError> {
+    let reqs = ids
+        .iter()
+        .map(|&id| pipeline::SaveRequest {
+            id,
+            password: "pw",
+            dest,
+            allow_delta: true,
+        })
+        .collect();
+    m.pipeline
+        .save_many_on(&mut m.env, &mut m.sessions, reqs, workers)
+}
+
+/// The kinds of a batch's saves, in request order.
+fn kinds(outcomes: &[pipeline::SaveOutcome]) -> Vec<SaveKind> {
+    outcomes.iter().map(|o| o.kind).collect()
+}
+
+/// Both writable disk records of a nym, exactly as the next save
+/// captures them.
+fn layer_records(m: &NymManager, id: NymId) -> [Vec<u8>; 2] {
+    let nymbox = m.nymbox(id).unwrap();
+    [nymbox.anon_vm, nymbox.comm_vm].map(|vm| {
+        let mut archive = nymix_store::NymArchive::new();
+        let upper = m.hypervisor().vm(vm).unwrap().disk().upper().unwrap();
+        archive.replace_layer("disk", upper);
+        archive.get("disk").unwrap().to_vec()
+    })
+}
+
+#[test]
+fn save_jobs_match_at_one_and_four_workers() {
+    // The same fleet and schedule, run once on the inline path and
+    // once on four workers: every provider-visible operation (staged
+    // names and bytes, deletes, in order), every outcome, and each
+    // session's nonce RNG and chunk cache must match exactly.
+    let dest = StorageDest::Cloud {
+        provider: "drive".into(),
+        account: "anon".into(),
+        credential: "tok".into(),
+    };
+    let fleet = |workers: usize| {
+        let mut m = NymManager::new(91, 8);
+        m.register_cloud("drive", "anon", "tok");
+        let ids: Vec<NymId> = (0..4)
+            .map(|i| {
+                m.create_nym(
+                    &format!("w{i}"),
+                    AnonymizerKind::Tor,
+                    UsageModel::Persistent,
+                )
+                .unwrap()
+                .0
+            })
+            .collect();
+        let mut rounds = Vec::new();
+        for round in 0..DELTA_CHAIN_LIMIT + 2 {
+            for (i, &id) in ids.iter().enumerate() {
+                if (round + i) % 2 == 0 {
+                    m.visit_site(id, Site::Twitter).unwrap();
+                }
+                m.inject_stain(id, &format!("r{round}-{i}")).unwrap();
+            }
+            let outcomes: Vec<_> = save_batch_on(&mut m, &ids, &dest, workers)
+                .unwrap()
+                .iter()
+                .map(|o| (o.kind, o.uploaded, o.duration, o.breakdown))
+                .collect();
+            let log: Vec<(&str, Option<String>, usize)> = m
+                .cloud_provider("drive")
+                .unwrap()
+                .access_log()
+                .iter()
+                .map(|e| (e.op, e.object.clone(), e.bytes))
+                .collect();
+            let log = format!("{log:?}");
+            let stored = format!("{:?}", m.cloud_provider("drive").unwrap().subpoena("anon"));
+            let sessions: Vec<(u64, String)> = ids
+                .iter()
+                .map(|id| {
+                    let s = &m.sessions[id];
+                    (
+                        s.seal_rng.clone().next_u64(),
+                        format!("{:?}", s.chunk_cache),
+                    )
+                })
+                .collect();
+            rounds.push((outcomes, log, stored, sessions));
+        }
+        rounds
+    };
+    let inline = fleet(1);
+    let pooled = fleet(4);
+    let seen: Vec<SaveKind> = inline
+        .iter()
+        .flat_map(|(o, ..)| o.iter().map(|o| o.0))
+        .collect();
+    assert!(seen.contains(&SaveKind::Delta) && seen.contains(&SaveKind::Full));
+    for (round, (a, b)) in inline.iter().zip(&pooled).enumerate() {
+        assert_eq!(a.0, b.0, "round {round}: outcomes");
+        assert!(a.1 == b.1, "round {round}: provider operations differ");
+        assert!(a.2 == b.2, "round {round}: stored objects differ");
+        assert_eq!(a.3, b.3, "round {round}: session RNGs or chunk caches");
+    }
+}
+
+#[test]
+fn pooled_batch_mixes_a_full_fallback_with_deltas() {
+    // Nym "c" comes back under another anonymizer, so its next save
+    // dirties every record — meta and anonymizer state included — and
+    // its delta would outgrow the full archive. In a four-worker batch
+    // it compacts while "a" and "b" ship deltas; every nym must
+    // restore to exactly the bytes it saved.
+    let mut m = NymManager::new(93, 8);
+    let dest = StorageDest::Local;
+    let kind_of = |name: &str| {
+        if name == "c" {
+            AnonymizerKind::Incognito
+        } else {
+            AnonymizerKind::Tor
+        }
+    };
+    let mut ids: Vec<NymId> = ["a", "b", "c"]
+        .iter()
+        .map(|name| {
+            let (id, _) = m
+                .create_nym(name, AnonymizerKind::Tor, UsageModel::Persistent)
+                .unwrap();
+            m.visit_site(id, Site::Twitter).unwrap();
+            id
+        })
+        .collect();
+    save_batch_on(&mut m, &ids, &dest, 4).unwrap();
+    m.destroy_nym(ids[2]).unwrap();
+    ids[2] = m
+        .restore_nym("c", kind_of("c"), UsageModel::Persistent, "pw", &dest)
+        .unwrap()
+        .0;
+    let chain = m.sessions[&ids[2]].chains.values().next().unwrap();
+    assert!(
+        chain.delta_count < DELTA_CHAIN_LIMIT,
+        "a delta was possible"
+    );
+    for &id in &ids {
+        m.inject_stain(id, "mixed").unwrap();
+        m.visit_site(id, Site::Bbc).unwrap();
+    }
+    let saved: Vec<[Vec<u8>; 2]> = ids.iter().map(|&id| layer_records(&m, id)).collect();
+    let outcomes = save_batch_on(&mut m, &ids, &dest, 4).unwrap();
+    assert_eq!(
+        kinds(&outcomes),
+        [SaveKind::Delta, SaveKind::Delta, SaveKind::Full]
+    );
+    for (name, want) in ["a", "b", "c"].iter().zip(saved) {
+        let id = m
+            .sessions
+            .keys()
+            .copied()
+            .find(|id| m.nymbox(*id).unwrap().name == *name);
+        m.destroy_nym(id.unwrap()).unwrap();
+        let (id, _) = m
+            .restore_nym(name, kind_of(name), UsageModel::Persistent, "pw", &dest)
+            .unwrap();
+        assert_eq!(layer_records(&m, id), want, "{name}");
+        assert!(m.has_stain(id, "mixed").unwrap(), "{name}");
+    }
+}
+
+#[test]
+fn failed_batches_leave_every_vm_running() {
+    let mut m = manager();
+    m.register_cloud("drive", "anon", "tok");
+    let dest = StorageDest::Cloud {
+        provider: "drive".into(),
+        account: "anon".into(),
+        credential: "tok".into(),
+    };
+    let ids: Vec<NymId> = ["p", "q", "r"]
+        .iter()
+        .map(|name| {
+            let (id, _) = m
+                .create_nym(name, AnonymizerKind::Tor, UsageModel::Persistent)
+                .unwrap();
+            m.inject_stain(id, "first").unwrap();
+            id
+        })
+        .collect();
+    save_batch_on(&mut m, &ids, &dest, 4).unwrap();
+    let all_running = |m: &NymManager| {
+        ids.iter().all(|&id| {
+            let nymbox = m.nymbox(id).unwrap();
+            [nymbox.anon_vm, nymbox.comm_vm]
+                .iter()
+                .all(|&vm| m.hypervisor().vm(vm).unwrap().state() == nymix_vmm::VmState::Running)
+        })
+    };
+
+    // The before phase fails: the last nym's AnonVM lost its upper,
+    // found after every VM of the batch was paused. Nothing has left
+    // a session yet, so the others' chains survive and their next save
+    // is a delta.
+    let anon = m.nymbox(ids[2]).unwrap().anon_vm;
+    let upper = m.env.hv.vm_mut(anon).unwrap().take_disk_upper().unwrap();
+    assert!(save_batch_on(&mut m, &ids, &dest, 4).is_err());
+    assert!(all_running(&m), "a VM stayed paused after a failed capture");
+    assert!(m.env.hv.vm_mut(anon).unwrap().push_disk_upper(upper));
+    let outcomes = save_batch_on(&mut m, &ids[..2], &dest, 4).unwrap();
+    assert_eq!(kinds(&outcomes), [SaveKind::Delta, SaveKind::Delta]);
+
+    // The upload fails: the provider is down after every job sealed.
+    m.env.cloud.get_mut("drive").unwrap().outage();
+    assert!(save_batch_on(&mut m, &ids, &dest, 4).is_err());
+    assert!(all_running(&m), "a VM stayed paused after a failed upload");
+}

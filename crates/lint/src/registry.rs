@@ -234,6 +234,7 @@ impl Registry {
             "chunk",
             "seal",
             "upload",
+            "apply_batch",
             "fetch",
             "replay",
             "resolve",

@@ -29,6 +29,8 @@ pub const STAGES: &[&str] = &[
     "chunk",
     "seal",
     "upload",
+    // Save pipeline, per destination group: the backend's batch write.
+    "apply_batch",
     // Restore pipeline (crates/core/src/manager/restore.rs).
     "fetch",
     "replay",

@@ -315,8 +315,7 @@ fn head(chunk: &[u8]) -> u64 {
 ///   records**: grouped by length and hashed four lanes at a time on
 ///   `sha256_x4`, so the scalar-hashed remainder shrinks from
 ///   one-per-record-tail to one-per-distinct-length. The store
-///   pipeline uses this to amortize hashing across every session of a
-///   fleet save.
+///   pipeline calls this once per nym, over that nym's records only.
 ///
 /// The output equals a build with no previous versions at all.
 pub fn build_manifests(

@@ -4,9 +4,9 @@
 //! fleet scale on a larger host.
 //!
 //! Eight persistent nyms browse different sites, then snapshot
-//! *together* through the batched store pipeline: dirty-detection per
-//! session, chunk hashing batched across sessions, sealing on one
-//! thread per session, and one backend round trip per destination.
+//! *together* through the batched store pipeline: one save job per
+//! nym (capture, chunk, seal) on a shared worker pool, and one backend
+//! round trip per destination.
 //! The whole fleet is then destroyed (amnesia) and restored, and each
 //! nym's state comes back isolated — no nym's chunks, deltas or base
 //! can satisfy another's restore. Then the fleet snapshots to the
