@@ -20,21 +20,23 @@ fn bench_commit(c: &mut Criterion) {
     group.throughput(Throughput::Bytes((BATCH * OBJ) as u64));
     // The journaled atomic batch: frame encode + checksums + heap
     // appends + superblock flip, all through the simulated device.
-    group.bench_function("put_many_64x8k_journaled", |b| {
+    group.bench_function("apply_batch_64x8k_journaled", |b| {
         let mut store = DiskStore::new();
         let mut tag = 0u8;
         b.iter(|| {
             tag = tag.wrapping_add(1);
-            store.put_many(black_box(batch(tag))).unwrap();
+            store
+                .apply_batch(black_box(batch(tag)), Vec::new())
+                .unwrap();
         });
     });
     // The durability-free baseline the journal is priced against.
-    group.bench_function("put_many_64x8k_local", |b| {
+    group.bench_function("apply_batch_64x8k_local", |b| {
         let mut store = LocalStore::new();
         let mut tag = 0u8;
         b.iter(|| {
             tag = tag.wrapping_add(1);
-            ObjectBackend::put_many(&mut store, black_box(batch(tag))).unwrap();
+            ObjectBackend::apply_batch(&mut store, black_box(batch(tag)), Vec::new()).unwrap();
         });
     });
     group.finish();
@@ -46,7 +48,7 @@ fn bench_recovery(c: &mut Criterion) {
     // over 256 objects (the cost a reboot pays before the first read).
     let mut store = DiskStore::new();
     for t in 0..4u8 {
-        store.put_many(batch(t)).unwrap();
+        store.apply_batch(batch(t), Vec::new()).unwrap();
     }
     let image = store.into_disk();
     group.bench_function("recover_open_256x8k", |b| {

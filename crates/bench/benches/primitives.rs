@@ -339,7 +339,7 @@ fn bench_seal(c: &mut Criterion) {
             &mut scratch,
             &mut staged,
         );
-        backend.put_many(staged).expect("local put");
+        backend.apply_batch(staged, Vec::new()).expect("local put");
         let mut prev_m = raw_prev.clone();
         prev_m.put("anonvm.disk", m1.to_bytes());
         b.iter(|| {
@@ -359,7 +359,7 @@ fn bench_seal(c: &mut Criterion) {
                 &mut scratch,
                 &mut staged,
             );
-            backend.put_many(staged).expect("local put");
+            backend.apply_batch(staged, Vec::new()).expect("local put");
             let mut next_m = prev_m.clone();
             next_m.put("anonvm.disk", m2.to_bytes());
             let delta = DeltaArchive::diff(&prev_m, &next_m);

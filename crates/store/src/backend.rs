@@ -4,7 +4,8 @@
 //! ([`crate::LocalStore`]), a pseudonymous cloud account
 //! ([`crate::CloudProvider`] via [`crate::cloud::CloudSession`]) — is a
 //! flat namespace of named blobs. [`ObjectBackend`] is that contract:
-//! `put`/`get`/`delete`/`list` over opaque names. The Nym Manager's
+//! one write path (`apply_batch`, a batch of puts then deletes) plus
+//! `get` and `list` over opaque names. The Nym Manager's
 //! snapshot chains and the content-addressed chunk store
 //! ([`crate::cas`]) are written against it, so the same snapshot /
 //! dedup machinery runs unchanged against any storage destination.
@@ -15,9 +16,9 @@
 //! them from the adversary model too.
 
 /// Errors a storage backend can raise. Missing objects are **not**
-/// errors — [`ObjectBackend::get`] returns `Ok(None)` and
-/// [`ObjectBackend::delete`] returns `Ok(false)` — so "the clean end of
-/// a delta chain" stays distinguishable from real failures.
+/// errors — [`ObjectBackend::get`] returns `Ok(None)` and a batch may
+/// delete an absent name — so "the clean end of a delta chain" stays
+/// distinguishable from real failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
     /// The backend refused the caller's credentials or account.
@@ -66,64 +67,43 @@ impl std::error::Error for BackendError {}
 /// A flat namespace of named opaque blobs: the storage half of the
 /// §3.5 store-nym pipeline, abstracted so callers can't tell a USB
 /// partition from a pseudonymous cloud account.
+///
+/// Every write is one [`ObjectBackend::apply_batch`]; a backend
+/// implements that, [`ObjectBackend::get`] and
+/// [`ObjectBackend::list`], and nothing else.
 pub trait ObjectBackend {
-    /// Writes (or overwrites) the object at `name`.
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError>;
-
-    /// Writes a batch of objects in one operation. Semantically
-    /// equivalent to [`ObjectBackend::put`] in order (later duplicates
-    /// win), but backends with per-operation overhead — a credentialed
-    /// cloud session authenticates once per call — amortize it across
-    /// the whole batch. The store pipeline ships every blob of a
-    /// multi-session fleet save through one of these. On error, a
-    /// prefix of the batch may have landed (same contract as a caller
-    /// looping `put` and stopping at the first failure).
-    fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
-        for (name, data) in objects {
-            self.put(&name, data)?;
-        }
-        Ok(())
-    }
-
-    /// Applies a mixed batch of writes and deletions. The default is
-    /// merely *sequenced* — puts land first (via
-    /// [`ObjectBackend::put_many`]), then deletes, and a crash or error
-    /// in between leaves the overlap observable. Backends with a real
-    /// transaction boundary override this with something stronger: the
-    /// journaled [`crate::disk::DiskStore`] commits the whole batch
-    /// atomically, which is what lets chunk mark-and-sweep retire old
-    /// objects in the same transaction that lands their replacements.
+    /// Applies one batch of writes and deletions: the puts land in
+    /// order (a later duplicate name wins), then the deletes. Deleting
+    /// an absent name is not an error. Backends with per-operation
+    /// overhead amortize it across the batch: a credentialed cloud
+    /// session authenticates once per call, and the store pipeline
+    /// ships each destination's whole save through one call.
+    ///
+    /// On error, a prefix of the batch (puts first, then deletes) may
+    /// have landed. The journaled [`crate::disk::DiskStore`] is
+    /// stronger: it commits the whole batch atomically, which is what
+    /// lets chunk mark-and-sweep retire old objects in the same
+    /// transaction that lands their replacements.
     fn apply_batch(
         &mut self,
         puts: Vec<(String, Vec<u8>)>,
         deletes: Vec<String>,
-    ) -> Result<(), BackendError> {
-        self.put_many(puts)?;
-        for name in deletes {
-            self.delete(&name)?;
-        }
-        Ok(())
+    ) -> Result<(), BackendError>;
+
+    /// Writes (or overwrites) the object at `name`: a one-object
+    /// [`ObjectBackend::apply_batch`].
+    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
+        self.apply_batch(vec![(name.to_string(), data)], Vec::new())
     }
 
     /// Reads the object at `name`; `Ok(None)` when absent.
     fn get(&mut self, name: &str) -> Result<Option<&[u8]>, BackendError>;
-
-    /// Deletes the object at `name`, reporting whether it existed.
-    fn delete(&mut self, name: &str) -> Result<bool, BackendError>;
 
     /// Appends every object name to `out` (order unspecified).
     fn list(&mut self, out: &mut Vec<String>) -> Result<(), BackendError>;
 }
 
 impl<B: ObjectBackend + ?Sized> ObjectBackend for &mut B {
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
-        (**self).put(name, data)
-    }
-
-    fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
-        (**self).put_many(objects)
-    }
-
     fn apply_batch(
         &mut self,
         puts: Vec<(String, Vec<u8>)>,
@@ -134,10 +114,6 @@ impl<B: ObjectBackend + ?Sized> ObjectBackend for &mut B {
 
     fn get(&mut self, name: &str) -> Result<Option<&[u8]>, BackendError> {
         (**self).get(name)
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
-        (**self).delete(name)
     }
 
     fn list(&mut self, out: &mut Vec<String>) -> Result<(), BackendError> {

@@ -403,8 +403,8 @@ pub fn build_manifests(
 /// name — `"{prefix}/c/{id}"` — as AEAD label, entropy-gated through
 /// [`crate::INCOMPRESSIBLE_BITS_PER_BYTE`]. Returns the sealed bytes staged:
 /// the dedup savings are exactly what this number omits. The store
-/// pipeline stages all sessions' chunks this way, then lands them in
-/// one [`ObjectBackend::put_many`] batch.
+/// pipeline stages a save's chunks this way, then lands them with the
+/// rest of the save in one [`ObjectBackend::apply_batch`].
 #[allow(clippy::too_many_arguments)]
 pub fn seal_new_chunks_into(
     data: &[u8],
@@ -506,7 +506,7 @@ mod tests {
 
     impl Chain {
         /// Seals `data`'s chunks missing from `index` and lands them in
-        /// one `put_many` batch, the way a save does. Returns the sealed
+        /// one `apply_batch`, the way a save does. Returns the sealed
         /// bytes uploaded.
         fn upload(
             &mut self,
@@ -527,7 +527,7 @@ mod tests {
                 &mut self.scratch,
                 &mut staged,
             );
-            backend.put_many(staged).unwrap();
+            backend.apply_batch(staged, Vec::new()).unwrap();
             sealed
         }
 

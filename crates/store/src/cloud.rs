@@ -604,14 +604,11 @@ impl<P: BorrowMut<CloudProvider>> CloudSession<P> {
 }
 
 impl<P: BorrowMut<CloudProvider>> ObjectBackend for CloudSession<P> {
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
-        self.put_many(vec![(name.to_string(), data)])
-    }
-
     /// Every write goes through this one retry loop. One credential
-    /// check covers the whole batch — the round-trip amortization a
-    /// fleet save is after — while the provider still observes (and
-    /// logs) every object it receives.
+    /// check covers the whole batch, deletes included — the
+    /// round-trip amortization a fleet save is after — while the
+    /// provider still observes (and logs) every object it receives and
+    /// every existing object it deletes.
     ///
     /// A throttled object is retried after a deterministic exponential
     /// backoff, up to [`DEFAULT_RETRY_MAX`] times, and the budget
@@ -623,9 +620,14 @@ impl<P: BorrowMut<CloudProvider>> ObjectBackend for CloudSession<P> {
     /// because re-presenting refused credentials is both useless and
     /// the exact traffic signature an observing adversary wants. Puts
     /// are idempotent overwrites, so a retry cannot corrupt state.
-    fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
+    /// Deletes run once every put has landed and are never throttled.
+    fn apply_batch(
+        &mut self,
+        puts: Vec<(String, Vec<u8>)>,
+        deletes: Vec<String>,
+    ) -> Result<(), BackendError> {
         self.authed()?;
-        for (name, data) in &objects {
+        for (name, data) in &puts {
             let mut retries_left = DEFAULT_RETRY_MAX;
             let mut backoff = DEFAULT_RETRY_BASE;
             while let Err(e) =
@@ -642,6 +644,19 @@ impl<P: BorrowMut<CloudProvider>> ObjectBackend for CloudSession<P> {
                 backoff = backoff.saturating_add(backoff);
             }
         }
+        let provider = self.provider.borrow_mut();
+        for name in &deletes {
+            let existed = provider
+                .accounts
+                .get_mut(&self.account)
+                .expect("authenticated above")
+                .objects
+                .remove(name)
+                .is_some();
+            if existed {
+                provider.log_op(&self.account, "delete", Some(name), self.observed_ip, 0);
+            }
+        }
         Ok(())
     }
 
@@ -655,21 +670,6 @@ impl<P: BorrowMut<CloudProvider>> ObjectBackend for CloudSession<P> {
         // Re-serve for the borrowed return value (the log push above
         // needed the mutable half of the provider).
         Ok(provider.serve_read(account, name))
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
-        let (provider, account, observed_ip) = self.authed()?;
-        let existed = provider
-            .accounts
-            .get_mut(account)
-            .expect("authenticated above")
-            .objects
-            .remove(name)
-            .is_some();
-        if existed {
-            provider.log_op(account, "delete", Some(name), observed_ip, 0);
-        }
-        Ok(existed)
     }
 
     /// Lists the account's object names (from the armed snapshot while
@@ -707,7 +707,7 @@ mod tests {
         s.list(&mut names).unwrap();
         assert_eq!(names, vec!["o1", "o2"]);
         assert_eq!(s.provider().object_size("a1", "o2"), Some(1));
-        assert!(s.delete("o2").unwrap());
+        s.apply_batch(Vec::new(), vec!["o2".into()]).unwrap();
         assert_eq!(s.get("o2").unwrap(), None);
     }
 
@@ -779,8 +779,9 @@ mod tests {
             let mut names = Vec::new();
             s.list(&mut names).unwrap();
             assert_eq!(names, vec!["x"]);
-            assert!(s.delete("x").unwrap());
-            assert!(!s.delete("x").unwrap());
+            s.apply_batch(Vec::new(), vec!["x".into()]).unwrap();
+            s.apply_batch(Vec::new(), vec!["x".into()]).unwrap();
+            assert_eq!(s.get("x").unwrap(), None);
         }
         // put + get + list + one successful delete were logged with the
         // session's observed address (missing-object probes don't log).
@@ -791,22 +792,28 @@ mod tests {
         let mut s = p.session("anon", "wrong", exit());
         assert_eq!(s.put("x", vec![]), Err(BackendError::Denied));
         assert_eq!(s.get("x"), Err(BackendError::Denied));
-        assert_eq!(s.delete("x"), Err(BackendError::Denied));
+        assert_eq!(
+            s.apply_batch(Vec::new(), vec!["x".into()]),
+            Err(BackendError::Denied)
+        );
         let mut names = Vec::new();
         assert_eq!(s.list(&mut names), Err(BackendError::Denied));
     }
 
     #[test]
-    fn put_many_logs_each_object_and_auths_once_per_batch() {
+    fn apply_batch_logs_each_object_and_auths_once_per_batch() {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "tok");
         {
             let mut s = p.session("anon", "tok", exit());
-            s.put_many(vec![
-                ("a".to_string(), vec![1]),
-                ("b".to_string(), vec![2, 3]),
-                ("a".to_string(), vec![9; 4]), // later duplicate wins
-            ])
+            s.apply_batch(
+                vec![
+                    ("a".to_string(), vec![1]),
+                    ("b".to_string(), vec![2, 3]),
+                    ("a".to_string(), vec![9; 4]), // later duplicate wins
+                ],
+                Vec::new(),
+            )
             .unwrap();
             assert_eq!(s.get("a").unwrap(), Some(&[9u8; 4][..]));
             assert_eq!(s.get("b").unwrap(), Some(&[2u8, 3][..]));
@@ -818,7 +825,7 @@ mod tests {
 
         let mut s = p.session("anon", "wrong", exit());
         assert_eq!(
-            s.put_many(vec![("x".to_string(), vec![])]),
+            s.apply_batch(vec![("x".to_string(), vec![])], Vec::new()),
             Err(BackendError::Denied)
         );
     }
@@ -855,15 +862,18 @@ mod tests {
     }
 
     #[test]
-    fn put_many_retries_per_object_and_later_objects_still_land() {
+    fn apply_batch_retries_per_object_and_later_objects_still_land() {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "tok");
         // First object's first attempt throttled; its retry and the
         // second object succeed.
         p.inject_transient_put_failures(1);
         let mut s = p.session("anon", "tok", exit());
-        s.put_many(vec![("a".into(), vec![1]), ("b".into(), vec![2])])
-            .unwrap();
+        s.apply_batch(
+            vec![("a".into(), vec![1]), ("b".into(), vec![2])],
+            Vec::new(),
+        )
+        .unwrap();
         assert_eq!(s.get("a").unwrap(), Some(&[1u8][..]));
         assert_eq!(s.get("b").unwrap(), Some(&[2u8][..]));
         assert_eq!(s.accrued_backoff(), DEFAULT_RETRY_BASE);
@@ -881,7 +891,7 @@ mod tests {
     }
 
     #[test]
-    fn put_many_resumes_from_failed_index_without_resending_prefix() {
+    fn apply_batch_resumes_from_failed_index_without_resending_prefix() {
         // Regression for the batch-resume contract: a transient fault
         // in the *middle* of a batch must retry only the failed
         // object. Each object is uploaded — and access-logged — at
@@ -893,11 +903,14 @@ mod tests {
         p.inject_transient_put_failures_after(1, 1);
         {
             let mut s = p.session("anon", "tok", exit());
-            s.put_many(vec![
-                ("a".into(), vec![1]),
-                ("b".into(), vec![2]),
-                ("c".into(), vec![3]),
-            ])
+            s.apply_batch(
+                vec![
+                    ("a".into(), vec![1]),
+                    ("b".into(), vec![2]),
+                    ("c".into(), vec![3]),
+                ],
+                Vec::new(),
+            )
             .unwrap();
             assert_eq!(s.get("a").unwrap(), Some(&[1u8][..]));
             assert_eq!(s.get("b").unwrap(), Some(&[2u8][..]));
@@ -930,7 +943,10 @@ mod tests {
                 s.put("y", vec![1]),
                 Err(BackendError::Unavailable(_))
             ));
-            assert!(matches!(s.delete("x"), Err(BackendError::Unavailable(_))));
+            assert!(matches!(
+                s.apply_batch(Vec::new(), vec!["x".into()]),
+                Err(BackendError::Unavailable(_))
+            ));
             let mut names = Vec::new();
             assert!(matches!(
                 s.list(&mut names),

@@ -11,8 +11,8 @@
 //!
 //! # Durability model
 //!
-//! The commit protocol for one batch (a [`DiskStore::put_many`] or an
-//! atomic [`DiskStore::apply_batch`] of puts + deletes):
+//! The commit protocol for one batch (one [`DiskStore::apply_batch`]
+//! of puts + deletes; a lone `put` is a one-object batch):
 //!
 //! 1. Encode the whole batch as one checksummed `JBAT` frame and write
 //!    it at the journal's batch cursor; **fsync the journal**. The
@@ -33,8 +33,8 @@
 //! missed steps 2–3); anything else is discarded. Consequences:
 //!
 //! * **Atomic batches.** A crash at any point leaves exactly the
-//!   pre-batch or post-batch state — `put_many` upgrades from "a prefix
-//!   may have landed" to all-or-nothing, and `apply_batch` makes chunk
+//!   pre-batch or post-batch state — `apply_batch` upgrades the trait's
+//!   "a prefix may have landed" to all-or-nothing, which makes chunk
 //!   mark-and-sweep crash-atomic (new objects land and retired objects
 //!   vanish together, so GC can neither leak referenced chunks nor drop
 //!   live ones).
@@ -300,50 +300,6 @@ impl DiskStore {
         Ok(())
     }
 
-    /// The full commit protocol for one atomic batch.
-    fn commit(
-        &mut self,
-        puts: Vec<(String, Vec<u8>)>,
-        deletes: Vec<String>,
-    ) -> Result<(), BackendError> {
-        if self.poisoned {
-            return Err(DiskError::Poisoned.into());
-        }
-        // Deleting what was never there is a no-op, not a journal entry.
-        let deletes: Vec<String> = deletes
-            .into_iter()
-            .filter(|n| self.index.contains_key(n) || puts.iter().any(|(p, _)| p == n))
-            .collect();
-        if puts.is_empty() && deletes.is_empty() {
-            return Ok(());
-        }
-        let _span = nymix_obs::span!("journal_commit", "objects" => puts.len());
-        let seq = self.applied_seq + 1;
-        let ops: Vec<BatchOp<'_>> = puts
-            .iter()
-            .map(|(n, d)| BatchOp::Put(n, d))
-            .chain(deletes.iter().map(|n| BatchOp::Delete(n)))
-            .collect();
-        let frame = journal::encode_batch(seq, &ops);
-        drop(ops);
-        nymix_obs::histogram!("disk.commit_bytes", frame.len());
-        let res = (|| -> Result<(), DeviceError> {
-            self.disk.write(FileId::Journal, BATCH_START, &frame)?;
-            self.disk.fsync(FileId::Journal)?;
-            Ok(())
-        })();
-        if let Err(e) = res {
-            self.poisoned = true;
-            return Err(DiskError::from(e).into());
-        }
-        if let Err(e) = self.apply_to_heap(seq, &puts, &deletes) {
-            self.poisoned = true;
-            return Err(DiskError::from(e).into());
-        }
-        nymix_obs::counter!("disk.commits", 1u64);
-        Ok(())
-    }
-
     /// Installs a fault plan on the underlying device (counted from the
     /// device's current operation index; see [`SimDisk::ops`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -408,23 +364,50 @@ impl Default for DiskStore {
 }
 
 impl ObjectBackend for DiskStore {
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
-        self.commit(vec![(name.to_string(), data)], Vec::new())
-    }
-
-    /// Atomic per batch: after a crash at any point, either every
-    /// object of the batch is present or none is (upgrade over the
-    /// trait's default "a prefix may have landed" contract).
-    fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
-        self.commit(objects, Vec::new())
-    }
-
+    /// The full commit protocol (see the [module docs](self)) for one
+    /// batch: atomic, so after a crash at any point either the whole
+    /// batch is visible or none of it.
     fn apply_batch(
         &mut self,
         puts: Vec<(String, Vec<u8>)>,
         deletes: Vec<String>,
     ) -> Result<(), BackendError> {
-        self.commit(puts, deletes)
+        if self.poisoned {
+            return Err(DiskError::Poisoned.into());
+        }
+        // Deleting what was never there is a no-op, not a journal entry.
+        let deletes: Vec<String> = deletes
+            .into_iter()
+            .filter(|n| self.index.contains_key(n) || puts.iter().any(|(p, _)| p == n))
+            .collect();
+        if puts.is_empty() && deletes.is_empty() {
+            return Ok(());
+        }
+        let _span = nymix_obs::span!("journal_commit", "objects" => puts.len());
+        let seq = self.applied_seq + 1;
+        let ops: Vec<BatchOp<'_>> = puts
+            .iter()
+            .map(|(n, d)| BatchOp::Put(n, d))
+            .chain(deletes.iter().map(|n| BatchOp::Delete(n)))
+            .collect();
+        let frame = journal::encode_batch(seq, &ops);
+        drop(ops);
+        nymix_obs::histogram!("disk.commit_bytes", frame.len());
+        let res = (|| -> Result<(), DeviceError> {
+            self.disk.write(FileId::Journal, BATCH_START, &frame)?;
+            self.disk.fsync(FileId::Journal)?;
+            Ok(())
+        })();
+        if let Err(e) = res {
+            self.poisoned = true;
+            return Err(DiskError::from(e).into());
+        }
+        if let Err(e) = self.apply_to_heap(seq, &puts, &deletes) {
+            self.poisoned = true;
+            return Err(DiskError::from(e).into());
+        }
+        nymix_obs::counter!("disk.commits", 1u64);
+        Ok(())
     }
 
     fn get(&mut self, name: &str) -> Result<Option<&[u8]>, BackendError> {
@@ -441,17 +424,6 @@ impl ObjectBackend for DiskStore {
             &mut self.read_buf,
         );
         Ok(Some(&self.read_buf))
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
-        if self.poisoned {
-            return Err(DiskError::Poisoned.into());
-        }
-        if !self.index.contains_key(name) {
-            return Ok(false);
-        }
-        self.commit(Vec::new(), vec![name.to_string()])?;
-        Ok(true)
     }
 
     fn list(&mut self, out: &mut Vec<String>) -> Result<(), BackendError> {
@@ -486,9 +458,12 @@ mod tests {
         s.put("b", b"beta".to_vec()).unwrap();
         assert_eq!(s.get("a").unwrap(), Some(&b"alpha"[..]));
         assert_eq!(s.get("missing").unwrap(), None);
-        assert!(s.delete("a").unwrap());
-        assert!(!s.delete("a").unwrap());
+        s.apply_batch(Vec::new(), vec!["a".into()]).unwrap();
         assert_eq!(s.get("a").unwrap(), None);
+        // Deleting an absent name commits nothing.
+        let seq = s.applied_seq();
+        s.apply_batch(Vec::new(), vec!["a".into()]).unwrap();
+        assert_eq!(s.applied_seq(), seq);
         assert_eq!(s.object_count(), 1);
     }
 
@@ -496,8 +471,11 @@ mod tests {
     fn graceful_close_reopens_identically() {
         let mut s = DiskStore::new();
         s.put("x", vec![1; 100]).unwrap();
-        s.put_many(vec![("y".into(), vec![2; 50]), ("x".into(), vec![3; 10])])
-            .unwrap();
+        s.apply_batch(
+            vec![("y".into(), vec![2; 50]), ("x".into(), vec![3; 10])],
+            Vec::new(),
+        )
+        .unwrap();
         let before = contents(&mut s);
         let mut reopened = DiskStore::open(s.into_disk()).unwrap();
         assert_eq!(contents(&mut reopened), before);
@@ -592,7 +570,10 @@ mod tests {
         s.put("a", vec![9; 40]).unwrap();
         let ops = s.disk().ops();
         s.set_fault_plan(FaultPlan::kill_at_op(ops + 3));
-        let _ = s.put_many(vec![("b".into(), vec![8; 30]), ("a".into(), vec![7; 20])]);
+        let _ = s.apply_batch(
+            vec![("b".into(), vec![8; 30]), ("a".into(), vec![7; 20])],
+            Vec::new(),
+        );
         let img = s.crash(CrashMode::JournalOnly);
         let mut once = DiskStore::open(img.clone()).unwrap();
         let mut twice = DiskStore::open(DiskStore::open(img).unwrap().into_disk()).unwrap();

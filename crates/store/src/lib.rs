@@ -67,9 +67,11 @@
 //!   batch commits through a checksummed write-ahead journal with
 //!   explicit fsync barriers, recovery replays or discards the one
 //!   in-flight batch, and corruption inside the committed region fails
-//!   closed rather than yielding a partial store. `put_many` and
-//!   `apply_batch` are **atomic per batch** on disk — after a crash,
-//!   exactly the pre-batch or post-batch state is observable. See the
+//!   closed rather than yielding a partial store. Its `apply_batch`,
+//!   the one write every backend implements, is **atomic per batch**
+//!   on disk — after a crash, exactly the pre-batch or post-batch
+//!   state is observable (other backends promise only that a prefix
+//!   of a failed batch may have landed). See the
 //!   [`disk`] module docs for the commit protocol and the `NYMJ`
 //!   on-disk format.
 

@@ -69,22 +69,20 @@ impl LocalStore {
 /// credentials, no access log an adversary could subpoena (the blobs
 /// themselves are the evidence — see [`LocalStore::confiscate`]).
 impl ObjectBackend for LocalStore {
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
-        LocalStore::put(self, name, data);
-        Ok(())
-    }
-
-    fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
-        self.objects.extend(objects);
+    fn apply_batch(
+        &mut self,
+        puts: Vec<(String, Vec<u8>)>,
+        deletes: Vec<String>,
+    ) -> Result<(), BackendError> {
+        self.objects.extend(puts);
+        for name in &deletes {
+            self.objects.remove(name);
+        }
         Ok(())
     }
 
     fn get(&mut self, name: &str) -> Result<Option<&[u8]>, BackendError> {
         Ok(LocalStore::get(self, name))
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
-        Ok(LocalStore::delete(self, name))
     }
 
     fn list(&mut self, out: &mut Vec<String>) -> Result<(), BackendError> {
@@ -121,8 +119,15 @@ mod tests {
         let mut names = Vec::new();
         b.list(&mut names).unwrap();
         assert_eq!(names, vec!["x"]);
-        assert!(b.delete("x").unwrap());
-        assert!(!b.delete("x").unwrap());
+        // One batch: puts in order (the later duplicate wins), then
+        // deletes; deleting an absent name is not an error.
+        b.apply_batch(
+            vec![("y".into(), vec![3]), ("y".into(), vec![4])],
+            vec!["x".into(), "ghost".into()],
+        )
+        .unwrap();
+        assert_eq!(b.get("x").unwrap(), None);
+        assert_eq!(b.get("y").unwrap(), Some(&[4u8][..]));
     }
 
     #[test]

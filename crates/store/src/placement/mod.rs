@@ -26,8 +26,9 @@
 //!   the object existing on the unreachable children, so the read
 //!   fails [`BackendError::Unavailable`] instead of silently
 //!   truncating a delta chain.
-//! * **Writes** (`put`, `put_many`, `apply_batch`) land shards on all
-//!   n children and track per-child outcomes. [`BackendError::Denied`]
+//! * **Writes** (`apply_batch`, and `put` as a one-object batch) send
+//!   each of the n children one batch of its shards and the batch's
+//!   deletes, and track per-child outcomes. [`BackendError::Denied`]
 //!   from any child fails the whole operation closed (refused
 //!   credentials are not an availability problem). Other failures
 //!   degrade: if at least k children accepted, the write **succeeds**
@@ -191,7 +192,8 @@ impl<B: ObjectBackend> PlacementStore<B> {
     }
 
     /// Settles one fan-out write: per-child outcomes become quorum
-    /// success (missing shards queued) or closed failure.
+    /// success (missing shards queued) or closed failure. A failed
+    /// batch leaves both queues exactly as they were.
     fn settle_writes(
         &mut self,
         put_names: &[String],
@@ -200,6 +202,7 @@ impl<B: ObjectBackend> PlacementStore<B> {
     ) -> Result<(), BackendError> {
         let _span = nymix_obs::span!("quorum_wait", "objects" => put_names.len());
         let (k, n) = (self.k as usize, self.children.len());
+        let mut landed: Vec<u8> = Vec::new();
         let mut failed: Vec<u8> = Vec::new();
         let mut saw_unreachable = false;
         let mut detail = String::new();
@@ -207,17 +210,7 @@ impl<B: ObjectBackend> PlacementStore<B> {
             match outcome {
                 Ok(()) => {
                     nymix_obs::counter!("placement.shard_writes", put_names.len());
-                    // A landed write supersedes any delete still queued
-                    // for this child; flushing it later would destroy
-                    // the fresh shard.
-                    for name in put_names {
-                        if let Some(set) = self.pending_deletes.get_mut(name) {
-                            set.remove(&(ci as u8));
-                            if set.is_empty() {
-                                self.pending_deletes.remove(name);
-                            }
-                        }
-                    }
+                    landed.push(ci as u8);
                 }
                 Err(BackendError::Denied) => return Err(BackendError::Denied),
                 Err(e) => {
@@ -229,12 +222,6 @@ impl<B: ObjectBackend> PlacementStore<B> {
                 }
             }
         }
-        // A delete retires the object logically even when some child
-        // still holds a shard — queue the stragglers, drop any repair
-        // work for a name that no longer exists.
-        for name in delete_names {
-            self.repair_queue.remove(name);
-        }
         if n - failed.len() < k {
             let msg = format!(
                 "{} of {n} children accepted (need {k}): {detail}",
@@ -245,6 +232,24 @@ impl<B: ObjectBackend> PlacementStore<B> {
             } else {
                 BackendError::Other(msg)
             });
+        }
+        // A landed write supersedes any delete still queued for its
+        // child; flushing it later would destroy the fresh shard.
+        for ci in landed {
+            for name in put_names {
+                if let Some(set) = self.pending_deletes.get_mut(name) {
+                    set.remove(&ci);
+                    if set.is_empty() {
+                        self.pending_deletes.remove(name);
+                    }
+                }
+            }
+        }
+        // A delete retires the object logically even when some child
+        // still holds a shard — queue the stragglers, drop any repair
+        // work for a name that no longer exists.
+        for name in delete_names {
+            self.repair_queue.remove(name);
         }
         for ci in failed {
             for name in put_names {
@@ -399,51 +404,51 @@ impl<B: ObjectBackend> PlacementStore<B> {
     }
 
     /// Flushes pending deletes and re-materializes every queued shard,
-    /// re-reading **only** the degraded objects. Children that are
-    /// still failing leave their entries queued for the next pass;
-    /// repair itself never fails the store.
+    /// re-reading **only** the degraded objects. Each child gets at
+    /// most two writes: one batch of its pending deletes, then one
+    /// batch of its rebuilt shards. Children that are still failing
+    /// leave their entries queued for the next pass; repair itself
+    /// never fails the store.
     pub fn repair(&mut self) -> RepairReport {
         let _span = nymix_obs::span!("repair");
         nymix_obs::counter!("placement.repair_passes", 1u64);
         let mut report = RepairReport::default();
+        let n = self.children.len();
         // Deletes first: a queued delete and a queued re-materialize
         // for the same (object, child) must not land new-then-delete.
-        let deletes: Vec<(String, BTreeSet<u8>)> = std::mem::take(&mut self.pending_deletes)
-            .into_iter()
-            .collect();
-        for (name, children) in deletes {
+        let mut deletes: Vec<Vec<String>> = vec![Vec::new(); n];
+        for (name, children) in std::mem::take(&mut self.pending_deletes) {
             for ci in children {
-                match self.children[ci as usize].delete(&name) {
-                    Ok(_) => report.deletes_flushed += 1,
-                    Err(_) => {
+                deletes[ci as usize].push(name.clone());
+            }
+        }
+        for (ci, names) in deletes.into_iter().enumerate() {
+            if names.is_empty() {
+                continue;
+            }
+            match self.children[ci].apply_batch(Vec::new(), names.clone()) {
+                Ok(()) => report.deletes_flushed += names.len(),
+                Err(_) => {
+                    for name in names {
                         self.pending_deletes
-                            .entry(name.clone())
+                            .entry(name)
                             .or_default()
-                            .insert(ci);
+                            .insert(ci as u8);
                     }
                 }
             }
         }
-        let work: Vec<(String, BTreeSet<u8>)> =
-            std::mem::take(&mut self.repair_queue).into_iter().collect();
-        for (name, mut missing) in work {
+        let mut shards: Vec<Vec<(String, Vec<u8>)>> = vec![Vec::new(); n];
+        for (name, mut missing) in std::mem::take(&mut self.repair_queue) {
             match self.fetch_decoded(&name) {
                 Ok(Some(decoded)) => {
                     // Anything found degraded during the read joins
                     // this pass instead of waiting for the next one.
                     missing.extend(decoded.refresh.iter().copied());
-                    let shards = self.encode_object(&name, &decoded.bytes);
+                    let mut encoded = self.encode_object(&name, &decoded.bytes);
                     for ci in missing {
-                        match self.children[ci as usize].put(&name, shards[ci as usize].clone()) {
-                            Ok(()) => report.shards_rebuilt += 1,
-                            Err(_) => {
-                                report.shards_still_missing += 1;
-                                self.repair_queue
-                                    .entry(name.clone())
-                                    .or_default()
-                                    .insert(ci);
-                            }
-                        }
+                        let shard = std::mem::take(&mut encoded[ci as usize]);
+                        shards[ci as usize].push((name.clone(), shard));
                     }
                 }
                 // The object no longer exists; nothing to rebuild.
@@ -455,6 +460,20 @@ impl<B: ObjectBackend> PlacementStore<B> {
                 }
             }
         }
+        for (ci, batch) in shards.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let names: Vec<String> = batch.iter().map(|(name, _)| name.clone()).collect();
+            if self.children[ci].apply_batch(batch, Vec::new()).is_ok() {
+                report.shards_rebuilt += names.len();
+            } else {
+                report.shards_still_missing += names.len();
+                for name in names {
+                    self.repair_queue.entry(name).or_default().insert(ci as u8);
+                }
+            }
+        }
         nymix_obs::counter!("placement.shards_rebuilt", report.shards_rebuilt);
         nymix_obs::counter!("placement.deletes_flushed", report.deletes_flushed);
         self.publish_queue_gauges();
@@ -463,22 +482,6 @@ impl<B: ObjectBackend> PlacementStore<B> {
 }
 
 impl<B: ObjectBackend> ObjectBackend for PlacementStore<B> {
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
-        let _span = nymix_obs::span!("shard_write", "objects" => 1u64, "bytes" => data.len());
-        let shards = self.encode_object(name, &data);
-        let outcomes: Vec<Result<(), BackendError>> = self
-            .children
-            .iter_mut()
-            .zip(shards)
-            .map(|(child, blob)| child.put(name, blob))
-            .collect();
-        self.settle_writes(&[name.to_string()], &[], outcomes)
-    }
-
-    fn put_many(&mut self, objects: Vec<(String, Vec<u8>)>) -> Result<(), BackendError> {
-        self.apply_batch(objects, Vec::new())
-    }
-
     /// One batch per child — the round-trip amortization survives the
     /// fan-out. A child that fails its batch is conservatively assumed
     /// to have landed none of it (the trait only promises a prefix),
@@ -520,31 +523,6 @@ impl<B: ObjectBackend> ObjectBackend for PlacementStore<B> {
             }
             None => Ok(None),
         }
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
-        let mut existed = false;
-        let mut failed: Vec<u8> = Vec::new();
-        for (ci, child) in self.children.iter_mut().enumerate() {
-            match child.delete(name) {
-                Ok(e) => existed |= e,
-                Err(BackendError::Denied) => return Err(BackendError::Denied),
-                Err(_) => failed.push(ci as u8),
-            }
-        }
-        self.repair_queue.remove(name);
-        if failed.len() == self.children.len() {
-            return Err(BackendError::Unavailable(
-                "no child reachable for delete".into(),
-            ));
-        }
-        for ci in failed {
-            self.pending_deletes
-                .entry(name.to_string())
-                .or_default()
-                .insert(ci);
-        }
-        Ok(existed)
     }
 
     /// The union of child listings. Complete as long as no more than

@@ -13,6 +13,8 @@ struct TestChild {
     fail_writes: bool,
     deny: bool,
     gets: usize,
+    /// `apply_batch` calls, failed ones included.
+    writes: usize,
 }
 
 impl TestChild {
@@ -23,6 +25,7 @@ impl TestChild {
             fail_writes: false,
             deny: false,
             gets: 0,
+            writes: 0,
         }
     }
 
@@ -43,21 +46,20 @@ impl TestChild {
 }
 
 impl ObjectBackend for TestChild {
-    fn put(&mut self, name: &str, data: Vec<u8>) -> Result<(), BackendError> {
+    fn apply_batch(
+        &mut self,
+        puts: Vec<(String, Vec<u8>)>,
+        deletes: Vec<String>,
+    ) -> Result<(), BackendError> {
+        self.writes += 1;
         self.gate(true)?;
-        self.inner.put(name, data);
-        Ok(())
+        self.inner.apply_batch(puts, deletes)
     }
 
     fn get(&mut self, name: &str) -> Result<Option<&[u8]>, BackendError> {
         self.gate(false)?;
         self.gets += 1;
         Ok(self.inner.get(name))
-    }
-
-    fn delete(&mut self, name: &str) -> Result<bool, BackendError> {
-        self.gate(true)?;
-        Ok(self.inner.delete(name))
     }
 
     fn list(&mut self, out: &mut Vec<String>) -> Result<(), BackendError> {
@@ -235,7 +237,7 @@ fn batched_writes_fan_out_one_batch_per_child_and_degrade() {
     let objects: Vec<(String, Vec<u8>)> = (0..4)
         .map(|i| (format!("o{i}"), payload(i as u8, 800)))
         .collect();
-    s.put_many(objects.clone()).unwrap();
+    s.apply_batch(objects.clone(), Vec::new()).unwrap();
     // Every object of the batch is queued for the failed child.
     assert_eq!(s.pending_repairs(), 4);
     for (name, data) in &objects {
@@ -264,6 +266,66 @@ fn apply_batch_deletes_are_queued_on_down_children_and_do_not_resurrect() {
     assert_eq!(report.deletes_flushed, 1);
     assert_eq!(s.get("x").unwrap(), None);
     assert!(s.child_mut(1).inner.get("x").is_none());
+}
+
+#[test]
+fn failed_delete_batch_keeps_repair_work() {
+    // Regression: a delete batch that failed below quorum used to drop
+    // the repair work of the objects it named, though it deleted none.
+    let mut s = store(2, 3);
+    s.child_mut(2).down(true);
+    s.put("x", payload(1, 256)).unwrap();
+    assert_eq!(s.pending_repairs(), 1);
+    s.child_mut(2).down(false);
+    s.child_mut(0).down(true);
+    s.child_mut(1).down(true);
+    assert!(s.apply_batch(Vec::new(), vec!["x".into()]).is_err());
+    s.child_mut(0).down(false);
+    s.child_mut(1).down(false);
+    assert_eq!(s.pending_repairs(), 1);
+    assert_eq!(s.repair().shards_rebuilt, 1);
+    assert_eq!(s.shard_counts().unwrap(), vec![1, 1, 1]);
+}
+
+#[test]
+fn repair_sends_each_child_at_most_two_batches() {
+    let mut s = store(2, 3);
+    s.put("gone", payload(9, 128)).unwrap();
+    s.child_mut(2).down(true);
+    for i in 0..4 {
+        s.put(&format!("d{i}"), payload(i as u8, 300)).unwrap();
+    }
+    s.apply_batch(Vec::new(), vec!["gone".into()]).unwrap();
+    s.child_mut(2).down(false);
+    let before: Vec<usize> = (0..3).map(|ci| s.child_mut(ci).writes).collect();
+    let report = s.repair();
+    assert_eq!(report.shards_rebuilt, 4);
+    assert_eq!(report.deletes_flushed, 1);
+    let writes: Vec<usize> = (0..3)
+        .map(|ci| s.child_mut(ci).writes - before[ci])
+        .collect();
+    // One delete batch, then one shard batch, on the healed child only.
+    assert_eq!(writes, vec![0, 0, 2]);
+    assert_eq!(s.shard_counts().unwrap(), vec![4, 4, 4]);
+}
+
+#[test]
+fn repair_lands_queued_deletes_before_rebuilt_shards() {
+    // x is deleted and then re-put while child 1 is down, so child 1
+    // owes both a delete of its stale shard and the new shard. The new
+    // shard must survive the pass.
+    let mut s = store(2, 3);
+    s.put("x", payload(1, 512)).unwrap();
+    s.child_mut(1).down(true);
+    s.apply_batch(Vec::new(), vec!["x".into()]).unwrap();
+    let fresh = payload(2, 512);
+    s.put("x", fresh.clone()).unwrap();
+    s.child_mut(1).down(false);
+    let report = s.repair();
+    assert_eq!((report.deletes_flushed, report.shards_rebuilt), (1, 1));
+    assert!(s.child_mut(1).inner.get("x").is_some());
+    assert_eq!(s.get("x").unwrap(), Some(&fresh[..]));
+    assert_eq!(s.shard_counts().unwrap(), vec![1, 1, 1]);
 }
 
 #[test]

@@ -30,12 +30,15 @@ fn contents(store: &mut DiskStore) -> BTreeMap<String, Vec<u8>> {
 /// epoch record, and a couple of chunk objects about to be retired.
 fn baseline() -> DiskStore {
     let mut s = DiskStore::new();
-    s.put_many(vec![
-        ("nym:a@disk".into(), vec![0x11; 700]),
-        ("nym:a@disk/snapshot.epoch".into(), b"e1".to_vec()),
-        ("nym:a@disk#e1/c/aaaa".into(), vec![0x22; 300]),
-        ("nym:a@disk#e1/c/bbbb".into(), vec![0x33; 90]),
-    ])
+    s.apply_batch(
+        vec![
+            ("nym:a@disk".into(), vec![0x11; 700]),
+            ("nym:a@disk/snapshot.epoch".into(), b"e1".to_vec()),
+            ("nym:a@disk#e1/c/aaaa".into(), vec![0x22; 300]),
+            ("nym:a@disk#e1/c/bbbb".into(), vec![0x33; 90]),
+        ],
+        Vec::new(),
+    )
     .unwrap();
     s
 }
@@ -123,10 +126,10 @@ fn crash_matrix_across_consecutive_batches() {
     ];
     for kill in 0u64..16 {
         let mut s = DiskStore::new();
-        s.put_many(batch1.clone()).unwrap();
+        s.apply_batch(batch1.clone(), Vec::new()).unwrap();
         let base_ops = s.disk().ops();
         s.set_fault_plan(FaultPlan::kill_at_op(base_ops + kill));
-        if s.put_many(batch2.clone()).is_ok() {
+        if s.apply_batch(batch2.clone(), Vec::new()).is_ok() {
             break;
         }
         for mode in CrashMode::covering_set(s.disk().pending_writes(), 32) {

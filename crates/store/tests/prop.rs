@@ -463,11 +463,11 @@ fn crashed_store(
 ) -> Option<DiskStore> {
     let mut s = DiskStore::new();
     if !objects.is_empty() {
-        s.put_many(objects.to_vec()).unwrap();
+        s.apply_batch(objects.to_vec(), Vec::new()).unwrap();
     }
     let base = s.disk().ops();
     s.set_fault_plan(FaultPlan::kill_at_op(base + kill));
-    match s.put_many(batch.to_vec()) {
+    match s.apply_batch(batch.to_vec(), Vec::new()) {
         Ok(()) => None,
         Err(_) => Some(s),
     }
@@ -504,13 +504,13 @@ proptest! {
         mode_sel in any::<u8>()) {
         let pre = {
             let mut s = DiskStore::new();
-            if !base.is_empty() { s.put_many(base.clone()).unwrap(); }
+            if !base.is_empty() { s.apply_batch(base.clone(), Vec::new()).unwrap(); }
             disk_contents(&mut s)
         };
         let post = {
             let mut s = DiskStore::new();
-            if !base.is_empty() { s.put_many(base.clone()).unwrap(); }
-            s.put_many(batch.clone()).unwrap();
+            if !base.is_empty() { s.apply_batch(base.clone(), Vec::new()).unwrap(); }
+            s.apply_batch(batch.clone(), Vec::new()).unwrap();
             disk_contents(&mut s)
         };
         if let Some(s) = crashed_store(&base, &batch, kill) {
@@ -553,7 +553,7 @@ proptest! {
         bit in any::<usize>()) {
         let mut s = DiskStore::new();
         s.put("a", vec![1; 100]).unwrap();
-        s.put_many(vec![("b".into(), vec![2; 50]), ("a".into(), vec![3; 25])]).unwrap();
+        s.apply_batch(vec![("b".into(), vec![2; 50]), ("a".into(), vec![3; 25])], Vec::new()).unwrap();
         let mut img = s.into_disk();
         let file = if journal_file { FileId::Journal } else { FileId::Heap };
         let nbits = img.len(file).max(1) * 8;
