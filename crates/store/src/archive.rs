@@ -375,20 +375,34 @@ pub(crate) fn write_record(out: &mut Vec<u8>, name: &str, data: &[u8]) {
     out.extend_from_slice(data);
 }
 
+/// Serializes `layer`'s entries (all but the root) as a layer payload.
+/// One sizing pass fixes the exact length, so the payload is written
+/// into a single allocation that never grows.
 fn serialize_layer(layer: &Layer) -> Vec<u8> {
-    let entries: Vec<(&Path, &Node)> = layer.entries().filter(|(p, _)| !p.is_root()).collect();
-    let mut out = Vec::new();
-    out.extend_from_slice(&len_u32(entries.len()).to_le_bytes());
-    for (path, node) in entries {
-        let p = path.to_string();
+    let entries = || layer.entries().filter(|(p, _)| !p.is_root());
+    let mut count = 0usize;
+    let mut len = 4usize;
+    for (path, node) in entries() {
+        let path_len = encoded_path_len(path);
         // lint:allow(panic-free-parser): serializer-side contract on locally built paths, not wire input; fs layer caps component lengths
         assert!(
-            p.len() <= MAX_NAME_LEN,
-            "layer path of {} bytes exceeds the u16 wire limit ({MAX_NAME_LEN})",
-            p.len()
+            path_len <= MAX_NAME_LEN,
+            "layer path of {path_len} bytes exceeds the u16 wire limit ({MAX_NAME_LEN})"
         );
-        out.extend_from_slice(&len_u16(p.len()).to_le_bytes());
-        out.extend_from_slice(p.as_bytes());
+        len += 2 + path_len + 1;
+        if let Node::File(data) = node {
+            len += 8 + data.len();
+        }
+        count += 1;
+    }
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&len_u32(count).to_le_bytes());
+    for (path, node) in entries() {
+        out.extend_from_slice(&len_u16(encoded_path_len(path)).to_le_bytes());
+        for component in path.components() {
+            out.push(b'/');
+            out.extend_from_slice(component.as_bytes());
+        }
         match node {
             Node::File(data) => {
                 out.push(0);
@@ -399,7 +413,14 @@ fn serialize_layer(layer: &Layer) -> Vec<u8> {
             Node::Whiteout => out.push(2),
         }
     }
+    debug_assert_eq!(out.len(), len);
     out
+}
+
+/// Byte length of a non-root path's wire form, `/c1/c2/...` (what its
+/// `Display` prints).
+fn encoded_path_len(path: &Path) -> usize {
+    path.components().iter().map(|c| 1 + c.len()).sum()
 }
 
 fn deserialize_layer(bytes: &[u8]) -> Result<Layer, ArchiveError> {
@@ -530,6 +551,31 @@ mod tests {
             assert_eq!(p1, p2);
             assert_eq!(n1, n2);
         }
+    }
+
+    #[test]
+    fn layer_payload_bytes_are_pinned() {
+        // Nested dirs, a file, a whiteout and a multi-byte UTF-8 name,
+        // in path order; the root never appears.
+        let mut layer = Layer::new(LayerKind::Writable);
+        layer.put_whiteout(Path::new("/w"));
+        layer.put_file(Path::new("/a/é☕"), vec![0x00, 0xff]);
+        layer.put_file(Path::new("/a/b/f"), b"hi".to_vec());
+        layer.put_dir(Path::new("/a/b"));
+        layer.put_dir(Path::new("/a"));
+        let expected = [
+            &b"\x05\0\0\0"[..],
+            b"\x02\0/a\x01",
+            b"\x04\0/a/b\x01",
+            b"\x06\0/a/b/f\x00\x02\0\0\0\0\0\0\0hi",
+            b"\x08\0/a/\xc3\xa9\xe2\x98\x95\x00\x02\0\0\0\0\0\0\0\x00\xff",
+            b"\x02\0/w\x02",
+        ]
+        .concat();
+        let mut a = NymArchive::new();
+        a.put_layer("layer", &layer);
+        assert_eq!(a.get("layer"), Some(&expected[..]));
+        assert_eq!(a.get_layer("layer"), Ok(layer));
     }
 
     #[test]

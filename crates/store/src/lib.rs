@@ -10,7 +10,7 @@
 //! This crate implements that pipeline's storage half:
 //!
 //! * [`lzss`] — the compressor ("compresses ... their disk images"),
-//!   with a lazy-matching encoder whose match-finder arena
+//!   with a lazy-matching encoder whose fixed-size match-finder arena
 //!   ([`lzss::Compressor`]) persists across seals.
 //! * [`archive`] — the container: writable-layer serialization plus
 //!   named records (Tor guard state, metadata);

@@ -15,39 +15,144 @@
 //! The encoder is built for the sealing hot path:
 //!
 //! * [`Compressor`] owns the hash-chain match-finder arena, so repeated
-//!   seals reuse it; [`Compressor::compress_into`] appends to a caller
-//!   buffer and performs no allocation once the arena is warm.
+//!   seals reuse it. The arena is fixed-size — a `head` table of one
+//!   slot per 3-byte-prefix hash and a ring of `2 × WINDOW` chain links
+//!   indexed by position modulo its length — so it is allocated once, on
+//!   first use, and never grows with the input: a warm
+//!   [`Compressor::compress_into`] appends to a caller buffer and
+//!   performs no allocation whatever the input length.
 //! * Output is emitted incrementally — the flag byte of each 8-item
 //!   group is reserved and patched — instead of staging an item list.
 //! * Matching is lazy (one-step deferred): when position `i` matches, the
 //!   encoder also probes `i + 1` and emits a literal first if the next
 //!   position matches strictly longer, which is worth a few percent on
 //!   HTML/JSON-like input over the greedy parse.
+//!
+//! The stream is fully determined by the hash, the 32-candidate probe
+//! budget, and the rule that among the longest candidates the nearest
+//! wins; the match finder's shortcuts (word-at-a-time compares, skipping
+//! a candidate whose byte at the current best length differs) never
+//! change which match is chosen.
 
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 18;
 
 const HASH_BITS: usize = 13;
+const HEAD_LEN: usize = 1 << HASH_BITS;
 /// Match-finder probe budget per position.
 const MAX_TRIES: usize = 32;
 
+/// Chain-link ring length. A slot is overwritten only by a position
+/// `RING` later, and a chain walk from position `i` reads the slot of a
+/// candidate at most `WINDOW` back, so every slot it reads still holds
+/// the link written for that candidate.
+const RING: usize = 2 * WINDOW;
+const RING_MASK: usize = RING - 1;
+
+/// Positions are stored as `pos + BIAS`, with 0 for "no position": an
+/// empty slot then decodes to a distance beyond the window, so the
+/// chain walk needs no separate end-of-chain test.
+const BIAS: usize = WINDOW + 1;
+
 #[inline]
 fn hash3(a: u8, b: u8, c: u8) -> usize {
-    ((a as usize) << 6 ^ (b as usize) << 3 ^ c as usize) & ((1 << HASH_BITS) - 1)
+    ((a as usize) << 6 ^ (b as usize) << 3 ^ c as usize) & (HEAD_LEN - 1)
 }
 
-/// A reusable LZSS encoder: the hash-chain arena persists across calls.
+/// A reusable LZSS encoder: the fixed-size hash-chain arena is
+/// allocated on first use and persists across calls.
 #[derive(Debug, Default, Clone)]
 pub struct Compressor {
-    /// Most recent position per 3-byte-prefix hash bucket, or -1.
-    head: Vec<i64>,
-    /// Previous position with the same hash, per position, or -1.
-    prev: Vec<i64>,
+    arena: Option<Box<ChainArena>>,
+}
+
+/// The match finder's state: the most recent position per hash bucket
+/// and, per position modulo [`RING`], the previous position with the
+/// same hash. `head` is reset on every call, which is the only way into
+/// a chain; the ring is never reset.
+#[derive(Debug, Clone)]
+struct ChainArena {
+    head: [usize; HEAD_LEN],
+    ring: [usize; RING],
+}
+
+impl ChainArena {
+    /// Links position `pos` (with at least [`MIN_MATCH`] bytes left)
+    /// into its hash chain.
+    #[inline]
+    fn insert(&mut self, data: &[u8], pos: usize) {
+        let h = hash3(data[pos], data[pos + 1], data[pos + 2]);
+        self.ring[pos & RING_MASK] = self.head[h];
+        self.head[h] = pos + BIAS;
+    }
+
+    /// Longest match for position `i` among chained earlier positions,
+    /// returned as `(len, dist)`; `len` is below [`MIN_MATCH`] when
+    /// nothing reaches it. Among equally long candidates the nearest
+    /// (first probed) wins.
+    #[inline]
+    fn find_match(&self, data: &[u8], i: usize) -> (usize, usize) {
+        if i + MIN_MATCH > data.len() {
+            return (0, 0);
+        }
+        let max = MAX_MATCH.min(data.len() - i);
+        // Only a candidate longer than the current best changes the
+        // outcome, and 1- or 2-byte matches are never emitted.
+        let mut best_len = MIN_MATCH - 1;
+        let mut best_dist = 0usize;
+        let here = i + BIAS;
+        let mut slot = self.head[hash3(data[i], data[i + 1], data[i + 2])];
+        for _ in 0..MAX_TRIES {
+            let dist = here - slot;
+            if dist > WINDOW {
+                break;
+            }
+            let c = i - dist;
+            // A candidate can beat `best_len` only if it also matches
+            // the byte at `best_len`.
+            if data[c + best_len] == data[i + best_len] {
+                let len = match_len(data, c, i, max);
+                if len > best_len {
+                    best_len = len;
+                    best_dist = dist;
+                    if len == max {
+                        break;
+                    }
+                }
+            }
+            slot = self.ring[c & RING_MASK];
+        }
+        (best_len, best_dist)
+    }
+}
+
+/// Length of the common prefix of `data[a..]` and `data[b..]` (`a < b`),
+/// capped at `max`, compared eight bytes at a time.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let mut len = 0usize;
+    while len < max {
+        let (Some(x), Some(y)) = (
+            data[a + len..].first_chunk::<8>(),
+            data[b + len..].first_chunk::<8>(),
+        ) else {
+            while len < max && data[a + len] == data[b + len] {
+                len += 1;
+            }
+            return len;
+        };
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            return max.min(len + (diff.trailing_zeros() / 8) as usize);
+        }
+        len += 8;
+    }
+    max
 }
 
 impl Compressor {
-    /// A compressor with an empty (lazily grown) arena.
+    /// A compressor with an empty arena (allocated on first use).
     pub fn new() -> Self {
         Self::default()
     }
@@ -69,10 +174,13 @@ impl Compressor {
         out.reserve(data.len() + data.len() / 8 + 16);
         out.extend_from_slice(&(data.len() as u64).to_le_bytes());
 
-        self.head.clear();
-        self.head.resize(1 << HASH_BITS, -1);
-        self.prev.clear();
-        self.prev.resize(data.len(), -1);
+        let arena = self.arena.get_or_insert_with(|| {
+            Box::new(ChainArena {
+                head: [0; HEAD_LEN],
+                ring: [0; RING],
+            })
+        });
+        arena.head.fill(0);
 
         // Incremental flag-group emission: reserve the flag byte, push
         // the group's items, patch the flags once 8 items are out.
@@ -99,16 +207,15 @@ impl Compressor {
         }
 
         // Positions `.. inserted` are in the chains; insertion is lazy so
-        // both the greedy and deferred paths index identically.
+        // both the greedy and deferred paths index identically. Only
+        // positions `.. insertable` have the MIN_MATCH bytes a hash needs.
         let mut inserted = 0usize;
+        let insertable = data.len().saturating_sub(MIN_MATCH - 1);
         macro_rules! insert_below {
             ($limit:expr) => {
-                while inserted < $limit {
-                    if inserted + MIN_MATCH <= data.len() {
-                        let h = hash3(data[inserted], data[inserted + 1], data[inserted + 2]);
-                        self.prev[inserted] = self.head[h];
-                        self.head[h] = inserted as i64;
-                    }
+                let limit = insertable.min($limit);
+                while inserted < limit {
+                    arena.insert(data, inserted);
                     inserted += 1;
                 }
             };
@@ -120,15 +227,13 @@ impl Compressor {
         let mut pending: Option<(usize, usize)> = None;
         while i < data.len() {
             insert_below!(i);
-            let (best_len, best_dist) = pending
-                .take()
-                .unwrap_or_else(|| find_match(data, &self.head, &self.prev, i));
+            let (best_len, best_dist) = pending.take().unwrap_or_else(|| arena.find_match(data, i));
             if best_len >= MIN_MATCH {
                 // Lazy probe: if the very next position matches strictly
                 // longer, emit this byte as a literal and defer.
                 if lazy && best_len < MAX_MATCH && i + 1 + MIN_MATCH <= data.len() {
                     insert_below!(i + 1);
-                    let next = find_match(data, &self.head, &self.prev, i + 1);
+                    let next = arena.find_match(data, i + 1);
                     if next.0 > best_len {
                         begin_item!();
                         flag |= 1 << flag_count;
@@ -157,43 +262,6 @@ impl Compressor {
             out[flag_pos] = flag;
         }
     }
-}
-
-/// Longest match for position `i` among chained earlier positions,
-/// returned as `(len, dist)`; `len` is 0 when nothing reaches
-/// [`MIN_MATCH`].
-#[inline]
-fn find_match(data: &[u8], head: &[i64], prev: &[i64], i: usize) -> (usize, usize) {
-    let mut best_len = 0usize;
-    let mut best_dist = 0usize;
-    if i + MIN_MATCH > data.len() {
-        return (0, 0);
-    }
-    let h = hash3(data[i], data[i + 1], data[i + 2]);
-    let mut candidate = head[h];
-    let mut tries = MAX_TRIES;
-    let max = MAX_MATCH.min(data.len() - i);
-    while candidate >= 0 && tries > 0 {
-        let c = candidate as usize;
-        let dist = i - c;
-        if dist > WINDOW {
-            break;
-        }
-        let mut len = 0usize;
-        while len < max && data[c + len] == data[i + len] {
-            len += 1;
-        }
-        if len > best_len {
-            best_len = len;
-            best_dist = dist;
-            if len == MAX_MATCH {
-                break;
-            }
-        }
-        candidate = prev[c];
-        tries -= 1;
-    }
-    (best_len, best_dist)
 }
 
 /// Compresses `data`.

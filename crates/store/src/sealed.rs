@@ -25,10 +25,11 @@
 //!
 //! ## One key per chain epoch
 //!
-//! PBKDF2 dominates seal latency by design (~90%, password hardening),
-//! which would erase the point of incremental snapshots: a delta
-//! carrying 2 KiB of dirty records would still pay the full multi-ms
-//! KDF. A [`SealKey`] therefore derives the key **once per chain
+//! PBKDF2 is slow by design (password hardening): one derivation costs
+//! about as much CPU as compressing a nym's whole full archive. Paid on
+//! every save, it would erase the point of incremental snapshots, since
+//! a delta carrying 2 KiB of dirty records would still pay the full
+//! multi-ms KDF. A [`SealKey`] therefore derives the key **once per chain
 //! epoch** — the full-archive save draws a fresh salt, and every delta
 //! and chunk sealed on that base reuses the same key with a fresh
 //! random nonce (safe for ChaCha20-Poly1305: distinct nonces under one
@@ -37,6 +38,15 @@
 //! undetected, and restore recovers the key with a single KDF from the
 //! base blob's salt ([`SealKey::from_blob`]) before opening the whole
 //! chain.
+//!
+//! Measured per nym save in nymbench's `heartbeat` workload (seed 1,
+//! 2-vCPU AMD EPYC host), counting the CPU of the storage stages only
+//! (serialization, chunking, chunk ids, LZSS, AEAD, KDF): a delta save
+//! spends ~0.96 ms there and none of it in the KDF. LZSS takes ~35%,
+//! the content-defined chunking walk ~31%, layer serialization ~13%,
+//! AEAD ~12% and chunk-id hashing ~9%. A full save (first save or
+//! compaction) spends ~3.3 ms: the KDF ~35% (~1.2 ms), LZSS ~34%,
+//! AEAD ~16%.
 
 use nymix_crypto::poly1305::TAG_LEN;
 use nymix_crypto::{open_in_place_detached, pbkdf2_hmac_sha256_into, seal_in_place_detached};
@@ -175,13 +185,16 @@ pub enum Sealable<'a> {
 }
 
 /// Reusable working memory for [`seal_into`] / [`unseal_into`]: the
-/// serialized-object arena and the LZSS match-finder state. Holding one
-/// of these across saves makes repeated sealing allocation-free.
+/// serialized-object arena, which grows to the largest object sealed or
+/// opened, and the LZSS match finder's chain arena, which is fixed-size
+/// (two tables of 8,192 positions, allocated on the first compression
+/// and never grown, whatever the input length). Holding one of these
+/// across saves makes repeated sealing allocation-free.
 #[derive(Debug, Default, Clone)]
 pub struct SealScratch {
     /// Serialized (or decompressed) object bytes.
     plain: Vec<u8>,
-    /// LZSS encoder arena.
+    /// LZSS encoder with its fixed-size chain arena.
     compressor: lzss::Compressor,
 }
 

@@ -285,3 +285,46 @@ fn warm_gated_chunk_seal_is_allocation_free() {
     });
     assert_eq!(n, 0, "warm gated chunk seal must not allocate");
 }
+
+#[test]
+fn warm_compressor_takes_a_larger_input_without_allocating() {
+    // The match finder's arena is fixed-size: once a compressor has run
+    // at all, an input sixteen times larger than anything it has seen
+    // needs no more heap than the caller's output buffer.
+    use nymix_store::lzss;
+    let text = b"<li class=\"entry\">cached profile page</li>\n";
+    let small: Vec<u8> = text.iter().copied().cycle().take(64 * 1024).collect();
+    let mut large: Vec<u8> = text.iter().copied().cycle().take(1024 * 1024).collect();
+    for (i, b) in large.iter_mut().enumerate().step_by(97) {
+        *b = (i >> 7) as u8;
+    }
+    let mut c = lzss::Compressor::new();
+    let mut out = Vec::with_capacity(2 * large.len());
+    c.compress_into(&small, &mut out);
+    out.clear();
+    let n = allocations_in(|| c.compress_into(&large, &mut out));
+    assert_eq!(n, 0, "a warm compressor must not grow with its input");
+    assert_eq!(lzss::decompress(&out).expect("valid stream"), large);
+}
+
+#[test]
+fn layer_serialization_allocates_one_buffer_once() {
+    // A writable layer serializes into exactly one allocation of its
+    // final size: no per-path strings, no entry list, no regrowth.
+    use nymix_fs::{Layer, LayerKind, Path};
+    let mut layer = Layer::new(LayerKind::Writable);
+    for i in 0..200 {
+        layer.put_file(
+            Path::new(&format!("/home/user/.cache/chromium/entry-{i:03}")),
+            vec![i as u8; 300 + i],
+        );
+    }
+    layer.put_dir(Path::new("/home/user/.cache"));
+    layer.put_whiteout(Path::new("/etc/motd"));
+    let mut a = NymArchive::new();
+    a.put_layer("anonvm.disk", &layer);
+    let mut previous = None;
+    let n = allocations_in(|| previous = a.replace_layer("anonvm.disk", &layer));
+    assert_eq!(n, 1, "one buffer, allocated once");
+    assert_eq!(previous.as_deref(), a.get("anonvm.disk"));
+}

@@ -62,6 +62,44 @@ proptest! {
     }
 
     #[test]
+    fn lzss_reused_compressor_matches_fresh(
+        steps in proptest::collection::vec((any::<bool>(), 0usize..4096, any::<u64>(), 1u8..6), 1..8)) {
+        // One compressor takes long inputs (past the chain ring) and
+        // short ones in any order. Its chain ring is never cleared, so a
+        // stale link from an earlier call reaching the walk would show
+        // here as a stream differing from a fresh compressor's.
+        let mut c = lzss::Compressor::new();
+        let mut out = Vec::new();
+        for (long, len, seed, alphabet) in steps {
+            let len = if long { 9_000 + 4 * len } else { len / 16 };
+            // A small alphabet plus a repeated unit: long chains, many
+            // candidates per hash bucket.
+            let mut x = seed | 1;
+            let unit: Vec<u8> = (0..1 + seed % 64).map(|k| (k * 31) as u8).collect();
+            let data: Vec<u8> = (0..len)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x % 4 == 0 {
+                        b'a' + (x >> 8) as u8 % alphabet
+                    } else {
+                        unit[i % unit.len()]
+                    }
+                })
+                .collect();
+            out.clear();
+            c.compress_into(&data, &mut out);
+            prop_assert_eq!(&out, &lzss::compress(&data), "len {}", len);
+            out.clear();
+            c.compress_greedy_into(&data, &mut out);
+            let mut fresh = Vec::new();
+            lzss::Compressor::new().compress_greedy_into(&data, &mut fresh);
+            prop_assert_eq!(&out, &fresh, "greedy, len {}", len);
+        }
+    }
+
+    #[test]
     fn archive_roundtrip(records in proptest::collection::vec(
         ("[a-z]{1,12}", proptest::collection::vec(any::<u8>(), 0..256)), 0..8)) {
         let mut a = NymArchive::new();
