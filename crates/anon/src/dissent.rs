@@ -1,20 +1,14 @@
-//! Dissent: an anytrust DC-net.
+//! Dissent: an anytrust DC-net, modeled by its cost.
 //!
 //! §3.3: Nymix "experimentally supports anonymous browsing via Dissent,
 //! an anonymizer based on DC-nets that in principle offers formally
-//! provable traffic analysis resistance". This module implements the
-//! actual DC-net mechanics in the anytrust configuration of Wolinsky et
-//! al.: N clients share a pairwise secret with each of M servers; every
-//! client's per-round ciphertext is its pads XORed together (plus its
-//! message in its own slot); servers XOR their own pads over the
-//! aggregate; the combined XOR of *all* ciphertexts reveals exactly the
-//! scheduled plaintexts — and nothing identifies which client authored
-//! which slot, as long as one server is honest.
-//!
-//! Pads are expanded from the pairwise seeds with ChaCha20 keyed per
-//! round, so the transcript is real bits, not an abstraction.
+//! provable traffic analysis resistance". Nothing Nymix measures depends
+//! on the DC-net's rounds themselves, only on what they cost a nym: the
+//! startup phases of key agreement and round scheduling, the per-byte
+//! overhead of every client transmitting every slot, the deployment's
+//! throughput ceiling, and an exit address at the anytrust servers.
+//! Those are what [`DissentNet`] models.
 
-use nymix_crypto::ChaCha20;
 use nymix_net::Ip;
 use nymix_sim::SimDuration;
 
@@ -25,8 +19,8 @@ pub mod calib {
     use nymix_sim::SimDuration;
 
     /// Byte overhead: every client transmits every slot every round, so
-    /// the efficiency loss is steep; control + scheduling ≈ 30% beyond
-    /// the slot padding modelled explicitly.
+    /// the efficiency loss is steep; slot padding, control and
+    /// scheduling ≈ 30%.
     pub const BYTE_OVERHEAD: f64 = 0.30;
 
     /// Process launch.
@@ -42,230 +36,27 @@ pub mod calib {
     pub const RATE_CAP: f64 = 600_000.0; // bytes/second
 }
 
-/// One DC-net participant's pairwise seeds with the servers.
-#[derive(Debug, Clone)]
-struct SeedSet {
-    seeds: Vec<[u8; 32]>,
-}
-
-impl SeedSet {
-    /// XORs this participant's pad for `round` into `acc`: one ChaCha20
-    /// stream per pairwise seed, expanded directly into the accumulator —
-    /// no per-seed keystream allocation.
-    fn pad_xor_into(&self, round: u64, acc: &mut [u8]) {
-        let mut nonce = [0u8; 12];
-        nonce[..8].copy_from_slice(&round.to_le_bytes());
-        for seed in &self.seeds {
-            ChaCha20::new(seed, &nonce, 0).xor_into(acc);
-        }
-    }
-}
-
-/// A complete DC-net: N clients, M anytrust servers, slot schedule.
+/// The Dissent anonymizer: an anytrust DC-net, modeled by its cost.
 ///
 /// # Examples
 ///
 /// ```
-/// use nymix_anon::DissentNet;
+/// use nymix_anon::{Anonymizer, DissentNet};
+/// use nymix_net::Ip;
 ///
-/// let mut net = DissentNet::new(4, 3, 64, 42);
-/// let cipher = net.run_round(&[(1, b"hello dissent".to_vec())]);
-/// let slots = net.reveal(&cipher);
-/// assert!(slots[1].starts_with(b"hello dissent"));
-/// // Other slots carry nothing.
-/// assert!(slots[0].iter().all(|&b| b == 0));
+/// let net = DissentNet::new();
+/// let me = Ip::parse("203.0.113.9");
+/// // Traffic leaves from the anytrust servers, never from the client.
+/// assert_ne!(net.exit_address(me), me);
+/// assert!(net.startup_time(true) > net.startup_time(false));
 /// ```
-#[derive(Debug, Clone)]
-pub struct DissentNet {
-    clients: Vec<SeedSet>,
-    servers: Vec<SeedSet>,
-    slot_len: usize,
-    round: u64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct DissentNet;
 
 impl DissentNet {
-    /// Builds a net with `n_clients`, `m_servers`, fixed `slot_len`,
-    /// deriving all pairwise seeds from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn new(n_clients: usize, m_servers: usize, slot_len: usize, seed: u64) -> Self {
-        assert!(n_clients > 0 && m_servers > 0 && slot_len > 0);
-        // Pairwise seed (i, j) = HKDF(master, "dcnet", i || j): both the
-        // client i and server j derive the same value.
-        let pair_seed = |i: usize, j: usize| -> [u8; 32] {
-            let mut info = Vec::new();
-            info.extend_from_slice(b"nymix/dcnet/pair");
-            info.extend_from_slice(&(i as u64).to_le_bytes());
-            info.extend_from_slice(&(j as u64).to_le_bytes());
-            nymix_crypto::hkdf::derive_key32(&seed.to_le_bytes(), b"dissent-master", &info)
-        };
-        let clients = (0..n_clients)
-            .map(|i| SeedSet {
-                seeds: (0..m_servers).map(|j| pair_seed(i, j)).collect(),
-            })
-            .collect();
-        let servers = (0..m_servers)
-            .map(|j| SeedSet {
-                seeds: (0..n_clients).map(|i| pair_seed(i, j)).collect(),
-            })
-            .collect();
-        Self {
-            clients,
-            servers,
-            slot_len,
-            round: 0,
-        }
-    }
-
-    /// Number of clients.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// Slot length in bytes.
-    pub fn slot_len(&self) -> usize {
-        self.slot_len
-    }
-
-    /// Total bytes transmitted on the wire per round: every client and
-    /// every server sends a full schedule (N slots).
-    pub fn round_wire_bytes(&self) -> usize {
-        (self.clients.len() + self.servers.len()) * self.clients.len() * self.slot_len
-    }
-
-    /// Runs one round. `messages` maps client index → plaintext (at
-    /// most `slot_len` bytes; the rest of the slot is zero padding).
-    /// Returns every participant's ciphertext (clients then servers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a message exceeds the slot length or a client index is
-    /// out of range.
-    pub fn run_round(&mut self, messages: &[(usize, Vec<u8>)]) -> Vec<Vec<u8>> {
-        let n = self.clients.len();
-        let schedule_len = n * self.slot_len;
-        self.round += 1;
-        let mut ciphertexts = Vec::with_capacity(n + self.servers.len());
-        for (i, client) in self.clients.iter().enumerate() {
-            // One ciphertext allocation per participant (it is returned);
-            // all pad streams expand straight into it.
-            let mut ct = vec![0u8; schedule_len];
-            client.pad_xor_into(self.round, &mut ct);
-            for (owner, msg) in messages {
-                if *owner == i {
-                    assert!(*owner < n, "client index out of range");
-                    assert!(msg.len() <= self.slot_len, "message exceeds slot length");
-                    let base = i * self.slot_len;
-                    for (k, &b) in msg.iter().enumerate() {
-                        ct[base + k] ^= b;
-                    }
-                }
-            }
-            ciphertexts.push(ct);
-        }
-        for server in &self.servers {
-            let mut ct = vec![0u8; schedule_len];
-            server.pad_xor_into(self.round, &mut ct);
-            ciphertexts.push(ct);
-        }
-        ciphertexts
-    }
-
-    /// Combines all ciphertexts of a round, recovering the slot
-    /// plaintexts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ciphertext lengths disagree.
-    pub fn reveal(&self, ciphertexts: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let n = self.clients.len();
-        let schedule_len = n * self.slot_len;
-        let mut combined = vec![0u8; schedule_len];
-        for ct in ciphertexts {
-            assert_eq!(ct.len(), schedule_len, "ciphertext length mismatch");
-            for (c, &b) in combined.iter_mut().zip(ct) {
-                *c ^= b;
-            }
-        }
-        combined.chunks(self.slot_len).map(|c| c.to_vec()).collect()
-    }
-}
-
-/// Outcome of verifying one revealed slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlotStatus {
-    /// Nobody transmitted in this slot.
-    Empty,
-    /// A correctly framed message.
-    Valid(Vec<u8>),
-    /// The slot failed its integrity check: some participant XORed
-    /// garbage into the round (a *disruption* — the attack the full
-    /// Dissent protocol answers with verifiable shuffles/blame).
-    Disrupted,
-}
-
-/// Bytes of slot framing overhead (length prefix + checksum).
-pub const FRAME_OVERHEAD: usize = 4 + 8;
-
-/// Frames `msg` for transmission: `len || msg || sha256(msg)[..8]`.
-///
-/// # Panics
-///
-/// Panics if the framed message exceeds `slot_len`.
-pub fn frame_message(msg: &[u8], slot_len: usize) -> Vec<u8> {
-    assert!(
-        msg.len() + FRAME_OVERHEAD <= slot_len,
-        "framed message exceeds slot"
-    );
-    let mut out = Vec::with_capacity(msg.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-    out.extend_from_slice(msg);
-    let digest = nymix_crypto::sha256(msg);
-    out.extend_from_slice(&digest[..8]);
-    out
-}
-
-/// Verifies one revealed slot against the framing.
-pub fn check_slot(slot: &[u8]) -> SlotStatus {
-    if slot.iter().all(|&b| b == 0) {
-        return SlotStatus::Empty;
-    }
-    if slot.len() < FRAME_OVERHEAD {
-        return SlotStatus::Disrupted;
-    }
-    let len = u32::from_le_bytes(slot[..4].try_into().expect("4 bytes")) as usize;
-    if len + FRAME_OVERHEAD > slot.len() {
-        return SlotStatus::Disrupted;
-    }
-    let msg = &slot[4..4 + len];
-    let checksum = &slot[4 + len..4 + len + 8];
-    let digest = nymix_crypto::sha256(msg);
-    if !nymix_crypto::ct::eq(&digest[..8], checksum) || slot[4 + len + 8..].iter().any(|&b| b != 0)
-    {
-        return SlotStatus::Disrupted;
-    }
-    SlotStatus::Valid(msg.to_vec())
-}
-
-impl DissentNet {
-    /// Runs a round with integrity framing; combine with
-    /// [`DissentNet::reveal`] + [`check_slot`] to detect disruption.
-    pub fn run_round_framed(&mut self, messages: &[(usize, Vec<u8>)]) -> Vec<Vec<u8>> {
-        let framed: Vec<(usize, Vec<u8>)> = messages
-            .iter()
-            .map(|(owner, msg)| (*owner, frame_message(msg, self.slot_len)))
-            .collect();
-        self.run_round(&framed)
-    }
-
-    /// Reveals and verifies a full round.
-    pub fn reveal_checked(&self, ciphertexts: &[Vec<u8>]) -> Vec<SlotStatus> {
-        self.reveal(ciphertexts)
-            .iter()
-            .map(|slot| check_slot(slot))
-            .collect()
+    /// Creates the Dissent module.
+    pub fn new() -> Self {
+        Self
     }
 }
 
@@ -321,142 +112,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_message_recovered() {
-        let mut net = DissentNet::new(5, 3, 32, 7);
-        let cts = net.run_round(&[(2, b"dissident tweet".to_vec())]);
-        assert_eq!(cts.len(), 8);
-        let slots = net.reveal(&cts);
-        assert_eq!(&slots[2][..15], b"dissident tweet");
-        assert!(slots[2][15..].iter().all(|&b| b == 0));
-        for (i, slot) in slots.iter().enumerate() {
-            if i != 2 {
-                assert!(slot.iter().all(|&b| b == 0), "slot {i} not empty");
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_messages_in_distinct_slots() {
-        let mut net = DissentNet::new(4, 2, 16, 9);
-        let cts = net.run_round(&[
-            (0, b"alpha".to_vec()),
-            (1, b"beta".to_vec()),
-            (3, b"delta".to_vec()),
-        ]);
-        let slots = net.reveal(&cts);
-        assert_eq!(&slots[0][..5], b"alpha");
-        assert_eq!(&slots[1][..4], b"beta");
-        assert!(slots[2].iter().all(|&b| b == 0));
-        assert_eq!(&slots[3][..5], b"delta");
-    }
-
-    #[test]
-    fn dropping_any_participant_destroys_recovery() {
-        // The anytrust property's flip side: reveal requires *every*
-        // participant's ciphertext; a single missing server yields
-        // noise.
-        let mut net = DissentNet::new(3, 2, 16, 11);
-        let cts = net.run_round(&[(0, b"secret".to_vec())]);
-        let partial = &cts[..cts.len() - 1];
-        let mut truncated: Vec<Vec<u8>> = partial.to_vec();
-        let slots_bad = net.reveal(&truncated);
-        assert_ne!(&slots_bad[0][..6], b"secret");
-        truncated.push(cts[cts.len() - 1].clone());
-        let slots_good = net.reveal(&truncated);
-        assert_eq!(&slots_good[0][..6], b"secret");
-    }
-
-    #[test]
-    fn ciphertexts_are_unlinkable_to_sender() {
-        // The transmitting client's ciphertext is pad ⊕ message; without
-        // the pads it is indistinguishable from the idle clients' pure
-        // pads. Proxy test: all ciphertexts pass a crude randomness
-        // check and none equals the plaintext-embedded slot.
-        let mut net = DissentNet::new(4, 3, 64, 13);
-        let msg = vec![0u8; 64]; // all-zero message: ct == pad exactly
-        let cts = net.run_round(&[(1, msg)]);
-        for ct in &cts {
-            let ones: u32 = ct.iter().map(|b| b.count_ones()).sum();
-            let total = (ct.len() * 8) as f64;
-            let ratio = ones as f64 / total;
-            assert!((0.35..0.65).contains(&ratio), "bias {ratio}");
-        }
-    }
-
-    #[test]
-    fn rounds_use_fresh_pads() {
-        let mut net = DissentNet::new(2, 2, 16, 17);
-        let r1 = net.run_round(&[]);
-        let r2 = net.run_round(&[]);
-        assert_ne!(r1[0], r2[0], "pads must differ across rounds");
-        // Both rounds still reveal to all-zero (no messages).
-        assert!(net.reveal(&r2).iter().all(|s| s.iter().all(|&b| b == 0)));
-    }
-
-    #[test]
-    fn wire_cost_scales_with_membership() {
-        let net_small = DissentNet::new(4, 2, 128, 1);
-        let net_big = DissentNet::new(8, 2, 128, 1);
-        assert!(net_big.round_wire_bytes() > 2 * net_small.round_wire_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds slot length")]
-    fn oversized_message_rejected() {
-        let mut net = DissentNet::new(2, 1, 8, 3);
-        net.run_round(&[(0, vec![0u8; 9])]);
-    }
-
-    #[test]
-    fn framed_round_verifies() {
-        let mut net = DissentNet::new(4, 2, 64, 21);
-        let cts = net.run_round_framed(&[(0, b"hello".to_vec()), (2, b"world!".to_vec())]);
-        let statuses = net.reveal_checked(&cts);
-        assert_eq!(statuses[0], SlotStatus::Valid(b"hello".to_vec()));
-        assert_eq!(statuses[1], SlotStatus::Empty);
-        assert_eq!(statuses[2], SlotStatus::Valid(b"world!".to_vec()));
-        assert_eq!(statuses[3], SlotStatus::Empty);
-    }
-
-    #[test]
-    fn disruption_detected() {
-        // A malicious client XORs garbage over someone else's slot.
-        let mut net = DissentNet::new(3, 2, 64, 22);
-        let mut cts = net.run_round_framed(&[(1, b"legit message".to_vec())]);
-        // Client 0 disrupts slot 1 (bytes 64..128 of the schedule).
-        cts[0][70] ^= 0xFF;
-        let statuses = net.reveal_checked(&cts);
-        assert_eq!(statuses[1], SlotStatus::Disrupted);
-        // Other slots unaffected.
-        assert_eq!(statuses[0], SlotStatus::Empty);
-        assert_eq!(statuses[2], SlotStatus::Empty);
-    }
-
-    #[test]
-    fn any_single_bitflip_never_yields_wrong_valid() {
-        let mut net = DissentNet::new(2, 1, 32, 23);
-        let msg = b"exact".to_vec();
-        let cts = net.run_round_framed(&[(0, msg.clone())]);
-        for byte in 0..32usize {
-            let mut tampered = cts.clone();
-            tampered[1][byte] ^= 0x01;
-            let statuses = net.reveal_checked(&tampered);
-            match &statuses[0] {
-                SlotStatus::Valid(m) => assert_eq!(m, &msg, "byte {byte} forged a message"),
-                SlotStatus::Disrupted | SlotStatus::Empty => {}
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds slot")]
-    fn framing_respects_slot_budget() {
-        let _ = frame_message(&[0u8; 60], 64);
-    }
-
-    #[test]
     fn anonymizer_contract() {
-        let net = DissentNet::new(4, 3, 64, 5);
+        let net = DissentNet::new();
         assert!(net.hides_source());
         assert!(net.remote_dns());
         assert!(net.transfer_cost().rate_cap.is_finite());

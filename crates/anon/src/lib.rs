@@ -16,16 +16,20 @@
 //! Modules:
 //!
 //! * [`api`] — the trait and shared request/cost types.
-//! * [`tor`] — onion routing: directory, guards, 3-hop circuits, layered
-//!   cell encryption (real ChaCha20 layers), guard persistence.
-//! * [`dissent`] — an anytrust DC-net with XOR ciphertexts and verified
-//!   message recovery.
+//! * [`tor`] — onion routing: directory, guards, 3-hop path selection
+//!   (which fixes the exit address), guard persistence.
+//! * [`dissent`] — an anytrust DC-net, modeled by its startup phases,
+//!   byte overhead and rate cap.
 //! * [`incognito`] — the NAT-based incognito mode (weak, fast).
 //! * [`sweet`] — the email-tunnel transport.
 //!
-//! §3.3's serial composition ("best of both worlds") is not modeled; if
-//! it is ever wanted, it comes back as an [`AnonymizerKind`] variant with
-//! a `repro` row.
+//! No anonymizer runs its wire-level mechanics (onion cell crypto, DC-net
+//! rounds): every figure depends only on the cost model above. The
+//! DC-net's rounds come back only with the `repro` row that measures
+//! §3.3's traffic-analysis resistance. Likewise §3.3's serial
+//! composition ("best of both worlds") is not modeled; if it is ever
+//! wanted, it comes back as an [`AnonymizerKind`] variant with a `repro`
+//! row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,8 +10,9 @@
 //!   maintains the same entry relay for several months" (§3.5); the
 //!   guard set is the state quasi-persistent nyms carry, and losing it
 //!   exposes users to faster intersection attacks;
-//! * **3-hop circuits** with real layered ChaCha20 cell encryption
-//!   (wrap at the client, one peel per relay);
+//! * **3-hop circuits**: bandwidth-weighted path selection whose exit
+//!   is the address destinations see (cells are not encrypted; the
+//!   figures depend only on the byte overhead below);
 //! * a **startup model** split into Figure 7's phases (consensus fetch,
 //!   guard handshake, circuit build) with warm starts skipping the
 //!   consensus fetch and reusing guards;
@@ -22,7 +23,6 @@
 //! storage location and password, so even the throwaway fetch nym picks
 //! the same guards.
 
-use nymix_crypto::ChaCha20;
 use nymix_net::Ip;
 use nymix_sim::{Rng, SimDuration};
 
@@ -45,8 +45,6 @@ pub struct Relay {
     pub is_exit: bool,
     /// The relay's address (what destinations see for exits).
     pub address: Ip,
-    /// Per-hop symmetric key (established by the simulated handshake).
-    pub onion_key: [u8; 32],
 }
 
 /// A relay directory (consensus).
@@ -72,8 +70,9 @@ impl TorDirectory {
         let mut rng = Rng::seed_from(seed ^ 0x7d1550fd15eed);
         let mut relays = Vec::with_capacity(n);
         for i in 0..n {
-            let mut onion_key = [0u8; 32];
-            rng.fill_bytes(&mut onion_key);
+            // 32 bytes drawn and discarded: dropping the draw would shift
+            // every bandwidth, flag and exit address generated after it.
+            rng.fill_bytes(&mut [0u8; 32]);
             relays.push(Relay {
                 id: RelayId(idx_u32(i)),
                 bandwidth: rng.range_f64(1e6, 20e6),
@@ -85,7 +84,6 @@ impl TorDirectory {
                     u8::try_from(i / 256 % 256).unwrap_or(0),
                     u8::try_from(i % 256).unwrap_or(0),
                 ]),
-                onion_key,
             });
         }
         // Guarantee at least one of each role.
@@ -238,86 +236,11 @@ impl TorState {
     }
 }
 
-/// A built circuit: guard → middle → exit with per-hop keys.
+/// A built circuit: guard → middle → exit.
 #[derive(Debug, Clone)]
 pub struct Circuit {
     /// The three hops, entry first.
     pub hops: [RelayId; 3],
-    keys: [[u8; 32]; 3],
-    /// Cell counter (nonce material).
-    counter: u32,
-    /// Reusable cell buffer for [`Circuit::wrap`], so steady-state
-    /// wrapping performs no allocation.
-    cell_buf: Vec<u8>,
-}
-
-/// Bytes of cell processed per combined-keystream chunk in
-/// [`Circuit::wrap_into`]: all three layer streams stay in registers/L1
-/// while the cell is traversed once.
-const WRAP_CHUNK: usize = 256;
-
-impl Circuit {
-    /// Onion-wraps `payload` into `cell` (cleared and refilled): encrypts
-    /// with the exit key first, the guard key last, so each relay peels
-    /// exactly one layer.
-    ///
-    /// All three onion layers are applied in one pass over the cell: the
-    /// cell is walked in `WRAP_CHUNK`-byte windows and each window gets
-    /// all three per-hop keystreams XORed in while it is hot in cache.
-    /// After circuit setup this performs no heap allocation (the caller's
-    /// buffer is reused across cells).
-    pub fn wrap_into(&mut self, payload: &[u8], cell: &mut Vec<u8>) {
-        self.counter = self.counter.wrapping_add(1);
-        let nonce = self.nonce();
-        cell.clear();
-        cell.extend_from_slice(payload);
-        // Layer order is irrelevant to the resulting bytes (XOR commutes),
-        // but each relay still peels exactly one keyed layer.
-        let mut layers = [
-            ChaCha20::new(&self.keys[0], &nonce, 1),
-            ChaCha20::new(&self.keys[1], &nonce, 1),
-            ChaCha20::new(&self.keys[2], &nonce, 1),
-        ];
-        for chunk in cell.chunks_mut(WRAP_CHUNK) {
-            for layer in layers.iter_mut() {
-                layer.xor_into(chunk);
-            }
-        }
-    }
-
-    /// Onion-wraps `payload`, returning the cell as a fresh `Vec`.
-    ///
-    /// Thin allocating wrapper over [`Circuit::wrap_into`]; bulk senders
-    /// should use `wrap_into` or [`Circuit::wrap_cell`] to avoid the
-    /// per-cell allocation.
-    pub fn wrap(&mut self, payload: &[u8]) -> Vec<u8> {
-        let mut cell = Vec::new();
-        self.wrap_into(payload, &mut cell);
-        cell
-    }
-
-    /// Onion-wraps `payload` into the circuit's internal reusable buffer
-    /// and returns it; zero allocations once the buffer has grown to the
-    /// cell size. The returned slice is valid until the next wrap.
-    pub fn wrap_cell(&mut self, payload: &[u8]) -> &[u8] {
-        let mut cell = std::mem::take(&mut self.cell_buf);
-        self.wrap_into(payload, &mut cell);
-        self.cell_buf = cell;
-        &self.cell_buf
-    }
-
-    /// Peels the layer belonging to hop `hop_index` (0 = guard), in place
-    /// and allocation-free.
-    pub fn peel(&self, hop_index: usize, cell: &mut [u8]) {
-        let nonce = self.nonce();
-        ChaCha20::new(&self.keys[hop_index], &nonce, 1).xor_into(cell);
-    }
-
-    fn nonce(&self) -> [u8; 12] {
-        let mut nonce = [0u8; 12];
-        nonce[..4].copy_from_slice(&self.counter.to_le_bytes());
-        nonce
-    }
 }
 
 /// Calibration constants for the Tor model.
@@ -408,19 +331,10 @@ impl TorClient {
         let exit = directory.weighted_pick(rng, |r| r.is_exit, &exclude)?;
         let exclude2 = [guard, exit];
         let middle = directory.weighted_pick(rng, |_| true, &exclude2)?;
-        let hops = [guard, middle, exit];
-        let keys = [
-            directory.relay(guard)?.onion_key,
-            directory.relay(middle)?.onion_key,
-            directory.relay(exit)?.onion_key,
-        ];
         self.current_exit = Some(directory.relay(exit)?.address);
         self.circuits_built += 1;
         Some(Circuit {
-            hops,
-            keys,
-            counter: 0,
-            cell_buf: Vec::new(),
+            hops: [guard, middle, exit],
         })
     }
 }
@@ -499,7 +413,7 @@ mod tests {
         for (x, y) in a.relays().iter().zip(b.relays()) {
             assert_eq!(x.id, y.id);
             assert_eq!(x.bandwidth, y.bandwidth);
-            assert_eq!(x.onion_key, y.onion_key);
+            assert_eq!((x.is_guard, x.is_exit), (y.is_guard, y.is_exit));
         }
     }
 
@@ -516,59 +430,6 @@ mod tests {
             assert_eq!(c.hops[0], tor.state().guards[0]);
         }
         assert_eq!(tor.circuits_built(), 20);
-    }
-
-    #[test]
-    fn onion_layers_peel_in_order() {
-        let (dir, mut rng) = setup();
-        let mut tor = TorClient::bootstrap(&dir, &mut rng);
-        let mut circuit = tor.build_circuit(&dir, &mut rng).unwrap();
-        let payload = b"GET /index.html HTTP/1.1";
-        let mut cell = circuit.wrap(payload);
-        assert_ne!(&cell[..], &payload[..]);
-        // Guard peels first; payload only appears after the exit peel.
-        circuit.peel(0, &mut cell);
-        assert_ne!(&cell[..], &payload[..]);
-        circuit.peel(1, &mut cell);
-        assert_ne!(&cell[..], &payload[..]);
-        circuit.peel(2, &mut cell);
-        assert_eq!(&cell[..], &payload[..]);
-    }
-
-    #[test]
-    fn wrap_variants_agree() {
-        // wrap / wrap_into / wrap_cell must produce identical bytes for
-        // identical counter positions, including payloads straddling the
-        // 256-byte combined-keystream chunk.
-        let (dir, mut rng) = setup();
-        let mut tor = TorClient::bootstrap(&dir, &mut rng);
-        for len in [1usize, 64, 255, 256, 257, 514, 1024] {
-            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let mut a = tor.build_circuit(&dir, &mut rng).unwrap();
-            let mut b = a.clone();
-            let mut c = a.clone();
-            let boxed = a.wrap(&payload);
-            let mut reused = Vec::new();
-            b.wrap_into(&payload, &mut reused);
-            assert_eq!(boxed, reused, "wrap_into len {len}");
-            assert_eq!(boxed, c.wrap_cell(&payload), "wrap_cell len {len}");
-            // And the cell still peels back to the payload hop by hop.
-            let mut cell = boxed;
-            a.peel(0, &mut cell);
-            a.peel(1, &mut cell);
-            a.peel(2, &mut cell);
-            assert_eq!(cell, payload, "peel len {len}");
-        }
-    }
-
-    #[test]
-    fn cells_differ_across_sends() {
-        let (dir, mut rng) = setup();
-        let mut tor = TorClient::bootstrap(&dir, &mut rng);
-        let mut circuit = tor.build_circuit(&dir, &mut rng).unwrap();
-        let a = circuit.wrap(b"same payload");
-        let b = circuit.wrap(b"same payload");
-        assert_ne!(a, b, "counter-based nonces must differ per cell");
     }
 
     #[test]

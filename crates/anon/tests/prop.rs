@@ -1,54 +1,10 @@
-//! Property-based tests for the anonymizer substrates.
+//! Property-based tests for Tor's guard state.
 
-use nymix_anon::dissent::DissentNet;
-use nymix_anon::tor::{TorClient, TorDirectory, TorState};
+use nymix_anon::tor::{TorDirectory, TorState};
 use nymix_sim::Rng;
 use proptest::prelude::*;
 
 proptest! {
-    /// DC-net correctness: any set of per-client messages (one per
-    /// client at most) is recovered exactly; idle slots stay zero.
-    #[test]
-    fn dcnet_recovers_arbitrary_messages(
-        seed in any::<u64>(),
-        n_clients in 2usize..6,
-        m_servers in 1usize..4,
-        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..6),
-    ) {
-        let slot = 32;
-        let mut net = DissentNet::new(n_clients, m_servers, slot, seed);
-        let sched: Vec<(usize, Vec<u8>)> = msgs
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| *i < n_clients)
-            .collect();
-        let cts = net.run_round(&sched);
-        prop_assert_eq!(cts.len(), n_clients + m_servers);
-        let slots = net.reveal(&cts);
-        for (i, slot) in slots.iter().enumerate().take(n_clients) {
-            let expect = sched.iter().find(|(o, _)| *o == i).map(|(_, m)| m.clone()).unwrap_or_default();
-            prop_assert_eq!(&slot[..expect.len()], &expect[..]);
-            prop_assert!(slot[expect.len()..].iter().all(|&b| b == 0), "slot {} dirty", i);
-        }
-    }
-
-    /// Onion cells always unwrap to the payload after exactly three
-    /// peels, and to garbage before.
-    #[test]
-    fn onion_layering(seed in any::<u64>(), payload in proptest::collection::vec(any::<u8>(), 1..256)) {
-        let dir = TorDirectory::generate(seed, 60);
-        let mut rng = Rng::seed_from(seed ^ 1);
-        let mut tor = TorClient::bootstrap(&dir, &mut rng);
-        let mut circuit = tor.build_circuit(&dir, &mut rng).expect("relays available");
-        let mut cell = circuit.wrap(&payload);
-        prop_assert_ne!(&cell, &payload);
-        circuit.peel(0, &mut cell);
-        circuit.peel(1, &mut cell);
-        prop_assert_ne!(&cell, &payload);
-        circuit.peel(2, &mut cell);
-        prop_assert_eq!(&cell, &payload);
-    }
-
     /// Guard-state serialization round-trips and rejects truncation.
     #[test]
     fn tor_state_roundtrip(seed in any::<u64>()) {

@@ -1,8 +1,19 @@
 //! Microbenchmarks for the hot primitives behind the experiments:
-//! SHA-256, ChaCha20-Poly1305, LZSS, KSM scanning, onion wrapping.
+//! SHA-256, ChaCha20-Poly1305, LZSS, KSM scanning.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
+
+/// 64 KiB of repeated markup: the compressible chunk shape sealing
+/// runs the LZSS match finder over.
+fn markup_64k() -> Vec<u8> {
+    b"<div class=\"post\">timeline entry</div>\n"
+        .iter()
+        .copied()
+        .cycle()
+        .take(64 * 1024)
+        .collect()
+}
 
 fn bench_crypto(c: &mut Criterion) {
     let data = vec![0xabu8; 64 * 1024];
@@ -53,8 +64,17 @@ fn bench_crypto(c: &mut Criterion) {
             c.xor_into(black_box(&mut buf));
         });
     });
-    group.bench_function("lzss_compress_64k", |b| {
-        b.iter(|| black_box(nymix_store::lzss::compress(black_box(&data))));
+    // A warm compressor on markup: the chain walk sealing pays, not
+    // the arena's first allocation.
+    group.bench_function("lzss_compress_64k_text", |b| {
+        let text = markup_64k();
+        let mut compressor = nymix_store::lzss::Compressor::new();
+        let mut out = Vec::new();
+        b.iter(|| {
+            out.clear();
+            compressor.compress_into(black_box(&text), &mut out);
+            black_box(out.len())
+        });
     });
     group.finish();
 }
@@ -383,12 +403,7 @@ fn bench_seal(c: &mut Criterion) {
     {
         let mut random_chunk = vec![0u8; 64 * 1024];
         nymix_crypto::ChaCha20::new(&[0x5E; 32], &[7u8; 12], 0).xor_into(&mut random_chunk);
-        let text_chunk: Vec<u8> = b"<div class=\"post\">timeline entry</div>\n"
-            .iter()
-            .copied()
-            .cycle()
-            .take(64 * 1024)
-            .collect();
+        let text_chunk = markup_64k();
         let mut rng = Rng::seed_from(7);
         let key = SealKey::derive("pw", "nym:bench", &mut rng);
         let mut scratch = SealScratch::new();
@@ -470,74 +485,7 @@ fn bench_ksm(c: &mut Criterion) {
     });
 }
 
-fn bench_onion(c: &mut Criterion) {
-    use nymix_anon::tor::{TorClient, TorDirectory};
-    use nymix_sim::Rng;
-    let dir = TorDirectory::generate(1, 100);
-    let mut rng = Rng::seed_from(2);
-    let mut tor = TorClient::bootstrap(&dir, &mut rng);
-    let mut circuit = tor.build_circuit(&dir, &mut rng).expect("circuit");
-    let cell = vec![0u8; 514];
-    c.bench_function("onion_wrap_514B_cell", |b| {
-        b.iter(|| black_box(circuit.wrap(black_box(&cell))));
-    });
-
-    // 3-hop onion wrap/peel over 512 B cells, reusing one cell buffer so
-    // the steady state is allocation-free (Figure 5's data-plane cost).
-    const CELL: usize = 512;
-    let payload = vec![0xa5u8; CELL];
-    let mut group = c.benchmark_group("onion");
-    group.throughput(Throughput::Bytes(CELL as u64));
-    group.bench_function("wrap_3hop_512B", |b| {
-        let mut circuit = tor.build_circuit(&dir, &mut rng).expect("circuit");
-        let mut buf = Vec::with_capacity(CELL);
-        b.iter(|| {
-            circuit.wrap_into(black_box(&payload), &mut buf);
-            black_box(buf.len())
-        });
-    });
-    group.bench_function("peel_3hop_512B", |b| {
-        let mut circuit = tor.build_circuit(&dir, &mut rng).expect("circuit");
-        let mut buf = Vec::with_capacity(CELL);
-        circuit.wrap_into(&payload, &mut buf);
-        b.iter(|| {
-            // Each peel XORs one hop's keystream in place; peeling the
-            // same cell repeatedly keeps the buffer hot and measures the
-            // pure relay-side cost.
-            circuit.peel(0, black_box(&mut buf));
-            circuit.peel(1, &mut buf);
-            circuit.peel(2, &mut buf);
-        });
-    });
-    group.finish();
-}
-
-fn bench_dcnet(c: &mut Criterion) {
-    use nymix_anon::DissentNet;
-    // 4 clients x 3 servers, 512 B slots: each run_round expands
-    // (n + m) participant pads over the full n*slot schedule.
-    let n_clients = 4usize;
-    let m_servers = 3usize;
-    let slot = 512usize;
-    let mut net = DissentNet::new(n_clients, m_servers, slot, 99);
-    let pad_bytes = (n_clients + m_servers) * n_clients * slot;
-    let mut group = c.benchmark_group("dcnet");
-    group.throughput(Throughput::Bytes(pad_bytes as u64));
-    group.bench_function("pad_expansion_4c3s_512B", |b| {
-        b.iter(|| black_box(net.run_round(black_box(&[]))));
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_crypto,
-    bench_kdf,
-    bench_seal,
-    bench_ksm,
-    bench_onion,
-    bench_dcnet
-);
+criterion_group!(benches, bench_crypto, bench_kdf, bench_seal, bench_ksm);
 fn main() {
     // The CI bench-smoke job sets NYMIX_BENCH_SMOKE=1: record obs
     // metrics across the run and emit the merged snapshot, so the

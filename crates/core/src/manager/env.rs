@@ -151,7 +151,12 @@ impl Environment {
                 let _ = tor.build_circuit(&self.directory, &mut self.rng);
                 Box::new(tor)
             }
-            AnonymizerKind::Dissent => Box::new(DissentNet::new(8, 3, 512, self.rng.next_u64())),
+            AnonymizerKind::Dissent => {
+                // This draw keeps the world RNG stream, and so every later
+                // exit address, unchanged.
+                let _ = self.rng.next_u64();
+                Box::new(DissentNet::new())
+            }
             AnonymizerKind::Incognito => Box::new(Incognito::new()),
             AnonymizerKind::Sweet => Box::new(Sweet::new()),
         }

@@ -1,17 +1,14 @@
 //! RFC 8439 ChaCha20 stream cipher.
 //!
-//! ChaCha20 serves two roles in Nymix: it is the bulk cipher of the
-//! [`crate::aead`] construction that seals quasi-persistent nym state, and
-//! it is the pseudo-random generator that expands pairwise DC-net seeds
-//! into transmission pads for the Dissent anonymizer.
-//!
-//! Both roles are hot paths (every onion cell and every DC-net slot byte
-//! crosses them), so the cipher works block-at-a-time rather than
-//! byte-at-a-time: the key/nonce are parsed once into a flat `[u32; 16]`
-//! initial state, keystream is produced by a 4-block batched kernel where
-//! only the counter word changes between blocks, and [`ChaCha20::xor_into`]
-//! XORs whole 32-bit words of keystream into the caller's buffer without
-//! ever materializing a keystream allocation.
+//! ChaCha20 is the bulk cipher of the [`crate::aead`] construction that
+//! seals quasi-persistent nym state. Sealing is a hot path (every byte of
+//! every saved archive, delta and chunk crosses it), so the cipher works
+//! block-at-a-time rather than byte-at-a-time: the key/nonce are parsed
+//! once into a flat `[u32; 16]` initial state, keystream is produced by a
+//! 4-block batched kernel where only the counter word changes between
+//! blocks, and [`ChaCha20::xor_into`] XORs whole 32-bit words of
+//! keystream into the caller's buffer without ever materializing a
+//! keystream allocation.
 
 /// Bytes in a ChaCha20 key.
 pub const KEY_LEN: usize = 32;
@@ -250,10 +247,8 @@ impl ChaCha20 {
 
     /// XORs the next `dst.len()` keystream bytes into `dst`.
     ///
-    /// This is the allocation-free PRG entry point: DC-net pad accumulation
-    /// XORs one stream per pairwise seed directly into the slot accumulator,
-    /// and onion wrap/peel XOR per-hop streams directly into the cell. Full
-    /// 64-byte blocks are produced by a `BATCH_BLOCKS`-block batched
+    /// This is the allocation-free entry point: keystream is XORed
+    /// directly into the caller's buffer. Full 64-byte blocks are produced by a `BATCH_BLOCKS`-block batched
     /// kernel and XORed word-by-word; only a trailing partial block goes
     /// through the byte buffer.
     pub fn xor_into(&mut self, dst: &mut [u8]) {

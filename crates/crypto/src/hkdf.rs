@@ -1,9 +1,9 @@
 //! RFC 5869 HKDF-SHA256.
 //!
 //! Nymix derives all per-purpose keys from a nym's master secret with
-//! HKDF: the archive encryption key, the deterministic entry-guard seed
-//! (§3.5 "Security Tradeoffs"), and per-pair DC-net seeds, each separated
-//! by an `info` label so that no key is ever reused across purposes.
+//! HKDF: the archive encryption key and the deterministic entry-guard
+//! seed (§3.5 "Security Tradeoffs"), each separated by an `info` label so
+//! that no key is ever reused across purposes.
 
 use crate::hmac::hmac_sha256;
 use crate::sha256::DIGEST_LEN;

@@ -1,9 +1,9 @@
 //! Cryptographic primitives for Nymix, implemented from scratch.
 //!
 //! Nymix encrypts quasi-persistent nym state before shipping it to cloud
-//! storage (§3.5 of the paper), verifies the read-only host partition with a
-//! Merkle tree (§3.4), and builds DC-net pads for the Dissent anonymizer
-//! (§3.3/§4.1). This crate provides the primitives those paths need:
+//! storage (§3.5 of the paper) and commits to each snapshot with a Merkle
+//! tree so a restore detects any tampered record. This crate provides the
+//! primitives those paths need:
 //!
 //! * [`sha256`](mod@crate::sha256) — FIPS 180-4 SHA-256.
 //! * [`hmac`] — RFC 2104 HMAC-SHA256.
@@ -12,14 +12,14 @@
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
 //! * [`aead`] — RFC 8439 ChaCha20-Poly1305 AEAD.
-//! * [`merkle`] — binary Merkle hash tree over disk blocks.
+//! * [`merkle`] — binary Merkle hash tree over pre-hashed leaves.
 //! * [`ct`] — constant-time comparison helpers.
 //!
 //! # The in-place hot path
 //!
-//! Everything Nymix moves in bulk — onion-wrapped Tor cells, DC-net pads,
-//! sealed nym archives — runs through ChaCha20/Poly1305, so these
-//! primitives are built for block-level, zero-copy operation:
+//! Everything Nymix moves in bulk — sealed nym archives, deltas and
+//! chunks — runs through ChaCha20/Poly1305, so these primitives are
+//! built for block-level, zero-copy operation:
 //!
 //! * [`ChaCha20::xor_into`] XORs keystream directly into a caller buffer,
 //!   word-vectorized over 64-byte blocks (4-block batched kernel), with
@@ -39,12 +39,10 @@
 //! * [`sha256_x4`] hashes four equal-length messages (with a shared
 //!   prefix) in one interleaved pass.
 //! * [`MerkleAccumulator`] is the one Merkle tree: a flat node array
-//!   whose leaf and interior hashing batch on [`sha256_x4`]. It keeps
-//!   every node cached between root computations, so recommitting after
-//!   a few leaf edits costs O(dirty · log n) hashes instead of O(n) —
-//!   the delta-snapshot save and restore-replay paths both ride on it —
-//!   and [`MerkleAccumulator::from_blocks`] plus
-//!   [`MerkleAccumulator::prove`] serve the base-image read check.
+//!   whose interior hashing batches on [`sha256_x4`]. It keeps every
+//!   node cached between root computations, so recommitting after a few
+//!   leaf edits costs O(dirty · log n) hashes instead of O(n) — the
+//!   delta-snapshot save and restore-replay paths both ride on it.
 //! * [`HmacKey`] caches the ipad/opad midstates so every MAC under a
 //!   reused key skips the key-block compressions; [`HmacKey::mac32`] is
 //!   the two-compression PBKDF2 iteration shape, and
@@ -67,8 +65,8 @@
 //!
 //! Per RFC 8439 §2.8, ChaCha20 block counter 0 under the message nonce
 //! derives the Poly1305 one-time key, and payload keystream starts at
-//! block counter 1. Standalone cipher users (e.g. DC-net pad expansion)
-//! are free to start at counter 0.
+//! block counter 1. Standalone cipher users (e.g. the base image's
+//! deterministic file content) are free to start at counter 0.
 //!
 //! # Secret hygiene
 //!

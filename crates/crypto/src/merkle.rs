@@ -1,23 +1,15 @@
-//! Binary Merkle hash tree over fixed-size disk blocks.
+//! Binary Merkle hash tree over pre-hashed leaves.
 //!
-//! §3.4 of the paper: Nymix must guarantee that the read-only host OS
-//! partition shared by every AnonVM/CommVM was never modified — a single
-//! flipped block would make every subsequently created VM trackable. The
-//! proposed (there unimplemented) mechanism checks "all disk blocks loaded
-//! from the host OS partition ... against a well-known Merkle tree as they
-//! are accessed, and safely shut\[s\] down ... if a modified block is
-//! detected". This module implements that tree; `nymix-fs` wires it into
-//! the base-image read path, and the store crate's delta commitments
-//! keep one warm across saves.
+//! The store crate's delta commitments keep one tree warm across saves:
+//! each archive record is a leaf, and a save recommits only the leaves
+//! it changed.
 //!
 //! [`MerkleAccumulator`] is the one tree: a flat node array (leaves,
-//! then each interior level bottom-up) built on the interleaved
-//! multi-buffer SHA-256 kernel ([`sha256_x4`]). Runs of four
-//! equal-length blocks hash in one lockstep pass (disk blocks are
-//! uniform, so in practice every leaf group batches), and interior
-//! levels — whose inputs are always exactly two 32-byte child hashes —
-//! batch four parents at a time. [`merkle_root_from_leaves`] folds the
-//! same tree from scratch and serves as the tests' oracle.
+//! then each interior level bottom-up) whose interior levels — inputs
+//! always exactly two 32-byte child hashes — batch four parents at a
+//! time on the interleaved multi-buffer SHA-256 kernel ([`sha256_x4`]).
+//! [`merkle_root_from_leaves`] folds the same tree from scratch and
+//! serves as the tests' oracle.
 
 use crate::sha256::{sha256_x4, Sha256, DIGEST_LEN};
 
@@ -45,10 +37,10 @@ fn node_hash(left: &Hash, right: &Hash) -> Hash {
 }
 
 /// Hashes one leaf supplied as scattered parts, without materializing
-/// the concatenation. `leaf_hash_parts(&[a, b])` equals the leaf hash
-/// [`MerkleAccumulator::from_blocks`] computes over the contiguous
-/// block `a ‖ b`, so callers whose leaves are framed records (length
-/// prefix + name + payload) can hash them with zero copies.
+/// the concatenation. `leaf_hash_parts(&[a, b])` equals the leaf hash of
+/// the contiguous block `a ‖ b`, so callers whose leaves are framed
+/// records (length prefix + name + payload) can hash them with zero
+/// copies.
 pub fn leaf_hash_parts(parts: &[&[u8]]) -> Hash {
     let mut h = Sha256::new();
     h.update(&[LEAF_TAG]);
@@ -125,19 +117,21 @@ pub fn merkle_root_from_leaves(leaves: &mut [Hash]) -> Hash {
 /// unchanged leaf count followed by `root` — allocates nothing, which
 /// the store crate's no-alloc guard pins.
 ///
-/// Over raw blocks ([`MerkleAccumulator::from_blocks`]) the same tree
-/// also answers inclusion proofs ([`MerkleAccumulator::prove`] /
-/// [`MerkleAccumulator::verify`]) — the §3.4 base-image read check.
-///
 /// # Examples
 ///
 /// ```
-/// use nymix_crypto::MerkleAccumulator;
+/// use nymix_crypto::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator};
 ///
-/// let blocks: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
-/// let mut tree = MerkleAccumulator::from_blocks(blocks.iter().map(|b| b.as_slice()));
-/// let proof = tree.prove(2).unwrap();
-/// assert!(MerkleAccumulator::verify(&tree.root(), 2, &blocks[2], &proof, 4));
+/// let mut leaves: Vec<_> = (0..4u8).map(|i| leaf_hash_parts(&[&[i; 16]])).collect();
+/// let mut tree = MerkleAccumulator::new();
+/// for leaf in &leaves {
+///     tree.push_leaf(*leaf);
+/// }
+/// let before = tree.root();
+/// leaves[2] = leaf_hash_parts(&[b"edited"]);
+/// tree.update_leaf(2, leaves[2]);
+/// assert_ne!(tree.root(), before);
+/// assert_eq!(tree.root(), merkle_root_from_leaves(&mut leaves));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MerkleAccumulator {
@@ -156,46 +150,6 @@ impl MerkleAccumulator {
     /// An empty accumulator (commits to the empty-tree root).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builds a tree over raw `blocks`, one leaf per block, with the
-    /// interior ready for [`MerkleAccumulator::prove`].
-    ///
-    /// Leaves batch runs of four equal-length blocks through the
-    /// interleaved kernel; ragged runs fall back to scalar hashing.
-    pub fn from_blocks<'a, I>(blocks: I) -> Self
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let blocks: Vec<&[u8]> = blocks.into_iter().collect();
-        let block_count = blocks.len();
-        // A tree over n leaves has at most 2n nodes (plus promotions).
-        let mut nodes: Vec<Hash> = Vec::with_capacity(2 * block_count + 2);
-        let mut i = 0;
-        while i < block_count {
-            if i + 4 <= block_count
-                && blocks[i + 1..i + 4]
-                    .iter()
-                    .all(|b| b.len() == blocks[i].len())
-            {
-                nodes.extend_from_slice(&sha256_x4(
-                    &[LEAF_TAG],
-                    [blocks[i], blocks[i + 1], blocks[i + 2], blocks[i + 3]],
-                ));
-                i += 4;
-            } else {
-                nodes.push(leaf_hash(blocks[i]));
-                i += 1;
-            }
-        }
-        let mut acc = Self {
-            nodes,
-            level_starts: Vec::new(),
-            leaf_count: block_count,
-            interior_valid: false,
-        };
-        acc.rebuild_interior();
-        acc
     }
 
     /// Number of committed leaves.
@@ -357,68 +311,6 @@ impl MerkleAccumulator {
             None => leaf_hash(b"nymix:empty-merkle-tree"),
         }
     }
-
-    /// Produces the sibling path proving leaf `index` (rebuilding the
-    /// interior first if a structural edit invalidated it).
-    ///
-    /// Each element is `(sibling_hash, sibling_is_left)`.
-    pub fn prove(&mut self, index: usize) -> Option<Vec<(Hash, bool)>> {
-        if index >= self.leaf_count {
-            return None;
-        }
-        if !self.interior_valid {
-            self.rebuild_interior();
-        }
-        let mut proof = Vec::new();
-        let mut pos = index;
-        for li in 0..self.level_starts.len().saturating_sub(1) {
-            let level = &self.nodes[self.level_starts[li]..self.level_starts[li + 1]];
-            let sibling = pos ^ 1;
-            if sibling < level.len() {
-                proof.push((level[sibling], sibling < pos));
-            }
-            pos /= 2;
-        }
-        Some(proof)
-    }
-
-    /// Verifies that `block` is the `index`-th of `block_count` blocks
-    /// under `root`.
-    pub fn verify(
-        root: &Hash,
-        index: usize,
-        block: &[u8],
-        proof: &[(Hash, bool)],
-        block_count: usize,
-    ) -> bool {
-        if index >= block_count {
-            return false;
-        }
-        let mut acc = leaf_hash(block);
-        let mut pos = index;
-        let mut width = block_count;
-        let mut proof_iter = proof.iter();
-        while width > 1 {
-            let has_sibling = (pos ^ 1) < width;
-            if has_sibling {
-                let Some((sibling, sibling_is_left)) = proof_iter.next() else {
-                    return false;
-                };
-                // The proof's claimed orientation must match the index.
-                if *sibling_is_left != (pos % 2 == 1) {
-                    return false;
-                }
-                acc = if *sibling_is_left {
-                    node_hash(sibling, &acc)
-                } else {
-                    node_hash(&acc, sibling)
-                };
-            }
-            pos /= 2;
-            width = width.div_ceil(2);
-        }
-        proof_iter.next().is_none() && crate::ct::eq(&acc, root)
-    }
 }
 
 #[cfg(test)]
@@ -429,10 +321,13 @@ mod tests {
         (0..n).map(|i| format!("block-{i}").into_bytes()).collect()
     }
 
-    fn build(n: usize) -> (MerkleAccumulator, Vec<Vec<u8>>) {
-        let b = blocks(n);
-        let t = MerkleAccumulator::from_blocks(b.iter().map(|x| x.as_slice()));
-        (t, b)
+    /// A tree with one leaf per block, built through `push_leaf`.
+    fn build(blocks: &[Vec<u8>]) -> MerkleAccumulator {
+        let mut t = MerkleAccumulator::new();
+        for b in blocks {
+            t.push_leaf(leaf_hash(b));
+        }
+        t
     }
 
     /// Reference build: scalar hashing, per-level vectors, as the seed
@@ -458,31 +353,24 @@ mod tests {
     }
 
     #[test]
-    fn all_proofs_verify_for_various_sizes() {
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31] {
-            let (mut tree, data) = build(n);
-            for (i, block) in data.iter().enumerate() {
-                let proof = tree.prove(i).expect("in range");
-                assert!(
-                    MerkleAccumulator::verify(&tree.root(), i, block, &proof, n),
-                    "n={n} i={i}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn batched_build_matches_scalar_reference() {
-        // Equal-length blocks (the x4 fast path) and ragged lengths (the
-        // scalar fallback) must both agree with the reference build.
+        // The interior rebuild batches four parents per x4 pass; every
+        // tree size, over equal-length and ragged blocks, must agree
+        // with the scalar per-level reference build.
         for n in 0usize..=33 {
             let uniform: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 64]).collect();
-            let mut tree = MerkleAccumulator::from_blocks(uniform.iter().map(|b| b.as_slice()));
-            assert_eq!(tree.root(), reference_root(&uniform), "uniform n={n}");
+            assert_eq!(
+                build(&uniform).root(),
+                reference_root(&uniform),
+                "uniform n={n}"
+            );
 
             let ragged: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 1 + (i % 7)]).collect();
-            let mut tree = MerkleAccumulator::from_blocks(ragged.iter().map(|b| b.as_slice()));
-            assert_eq!(tree.root(), reference_root(&ragged), "ragged n={n}");
+            assert_eq!(
+                build(&ragged).root(),
+                reference_root(&ragged),
+                "ragged n={n}"
+            );
         }
     }
 
@@ -490,9 +378,12 @@ mod tests {
     fn root_from_leaves_matches_full_build() {
         for n in 0usize..=33 {
             let data = blocks(n);
-            let mut tree = MerkleAccumulator::from_blocks(data.iter().map(|b| b.as_slice()));
             let mut leaves: Vec<Hash> = data.iter().map(|b| leaf_hash(b)).collect();
-            assert_eq!(merkle_root_from_leaves(&mut leaves), tree.root(), "n={n}");
+            assert_eq!(
+                merkle_root_from_leaves(&mut leaves),
+                build(&data).root(),
+                "n={n}"
+            );
         }
     }
 
@@ -605,65 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn modified_block_rejected() {
-        let (mut tree, data) = build(8);
-        let proof = tree.prove(3).unwrap();
-        let mut tampered = data[3].clone();
-        tampered[0] ^= 0x80;
-        assert!(!MerkleAccumulator::verify(
-            &tree.root(),
-            3,
-            &tampered,
-            &proof,
-            8
-        ));
-    }
-
-    #[test]
-    fn wrong_index_rejected() {
-        let (mut tree, data) = build(8);
-        let proof = tree.prove(3).unwrap();
-        assert!(!MerkleAccumulator::verify(
-            &tree.root(),
-            4,
-            &data[3],
-            &proof,
-            8
-        ));
-    }
-
-    #[test]
-    fn truncated_proof_rejected() {
-        let (mut tree, data) = build(8);
-        let mut proof = tree.prove(3).unwrap();
-        proof.pop();
-        assert!(!MerkleAccumulator::verify(
-            &tree.root(),
-            3,
-            &data[3],
-            &proof,
-            8
-        ));
-    }
-
-    #[test]
-    fn extended_proof_rejected() {
-        let (mut tree, data) = build(8);
-        let mut proof = tree.prove(3).unwrap();
-        proof.push(([0u8; 32], false));
-        assert!(!MerkleAccumulator::verify(
-            &tree.root(),
-            3,
-            &data[3],
-            &proof,
-            8
-        ));
-    }
-
-    #[test]
     fn leaf_cannot_impersonate_node() {
         // Hash of (left||right) as a *leaf* must not equal the parent node.
-        let (mut tree, data) = build(2);
+        let data = blocks(2);
+        let mut tree = build(&data);
         let l = leaf_hash(&data[0]);
         let r = leaf_hash(&data[1]);
         let mut fake = Vec::new();
@@ -673,25 +509,23 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_proof_is_none() {
-        let (mut tree, _) = build(4);
-        assert!(tree.prove(4).is_none());
-    }
-
-    #[test]
     fn empty_tree_has_stable_root() {
-        let mut t1 = MerkleAccumulator::from_blocks(core::iter::empty());
-        let mut t2 = MerkleAccumulator::from_blocks(core::iter::empty());
+        let mut t1 = MerkleAccumulator::new();
+        let mut t2 = build(&[]);
         assert_eq!(t1.root(), t2.root());
+        assert_eq!(t1.root(), merkle_root_from_leaves(&mut []));
         assert_eq!(t1.leaf_count(), 0);
     }
 
     #[test]
     fn roots_differ_on_any_block_change() {
-        let (mut t1, _) = build(5);
         let mut data = blocks(5);
-        data[4][0] ^= 1;
-        let mut t2 = MerkleAccumulator::from_blocks(data.iter().map(|x| x.as_slice()));
-        assert_ne!(t1.root(), t2.root());
+        let root = build(&data).root();
+        for i in 0..data.len() {
+            data[i][0] ^= 1;
+            assert_ne!(build(&data).root(), root, "block {i}");
+            data[i][0] ^= 1;
+        }
+        assert_eq!(build(&data).root(), root);
     }
 }

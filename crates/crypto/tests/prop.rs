@@ -83,28 +83,6 @@ proptest! {
     }
 
     #[test]
-    fn merkle_proofs_verify(blocks in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..64), 1..40)) {
-        let mut tree = MerkleAccumulator::from_blocks(blocks.iter().map(|b| b.as_slice()));
-        let n = blocks.len();
-        for (i, b) in blocks.iter().enumerate() {
-            let proof = tree.prove(i).unwrap();
-            prop_assert!(MerkleAccumulator::verify(&tree.root(), i, b, &proof, n));
-        }
-    }
-
-    #[test]
-    fn merkle_cross_block_proofs_fail(blocks in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 1..32), 2..20), i in any::<usize>(), j in any::<usize>()) {
-        let n = blocks.len();
-        let (i, j) = (i % n, j % n);
-        prop_assume!(i != j && blocks[i] != blocks[j]);
-        let mut tree = MerkleAccumulator::from_blocks(blocks.iter().map(|b| b.as_slice()));
-        let proof = tree.prove(i).unwrap();
-        prop_assert!(!MerkleAccumulator::verify(&tree.root(), i, &blocks[j], &proof, n));
-    }
-
-    #[test]
     fn poly1305_streaming_equals_oneshot(key in any::<[u8; 32]>(),
                                          data in proptest::collection::vec(any::<u8>(), 0..1024),
                                          cuts in proptest::collection::vec(1usize..48, 0..12)) {
@@ -142,8 +120,8 @@ proptest! {
     #[test]
     fn chacha_xor_into_accumulates_pads(seeds in proptest::collection::vec(any::<[u8; 32]>(), 1..5),
                                         nonce in any::<[u8; 12]>(), len in 1usize..600) {
-        // XOR-accumulating streams via xor_into (the DC-net pad path) must
-        // equal materializing each stream and XORing byte-wise.
+        // XOR-accumulating several streams into one buffer via xor_into
+        // must equal materializing each stream and XORing byte-wise.
         let mut acc = vec![0u8; len];
         for seed in &seeds {
             ChaCha20::new(seed, &nonce, 0).xor_into(&mut acc);

@@ -1,4 +1,4 @@
-//! Disk block images and the Merkle-verified base image.
+//! The Nymix base OS image.
 //!
 //! §3.4: Nymix "must ensure that the host OS partition is always mounted
 //! read-only and never modified for any reason" — any change, however
@@ -6,173 +6,17 @@
 //! a tracking vector. The paper proposes (but had not implemented)
 //! checking "all disk blocks loaded from the host OS partition into an
 //! AnonVM or CommVM against a well-known Merkle tree as they are
-//! accessed", shutting down safely on mismatch. [`VerifiedImage`]
-//! implements that read path.
+//! accessed", shutting down safely on mismatch. That check is not
+//! modeled: it would add host CPU to every VM creation and restore, and
+//! no figure measures it. It comes back only with the `repro` row that
+//! measures its cost.
 
 use std::collections::BTreeMap;
-
-use nymix_crypto::MerkleAccumulator;
 
 use crate::layer::{Layer, LayerKind};
 use crate::path::Path;
 
-/// Block size of simulated disk images (4 KiB, like the prototype's
-/// qcow2-backed virtual disks).
-pub const BLOCK_SIZE: usize = 4096;
-
-/// A raw block device image.
-///
-/// # Examples
-///
-/// ```
-/// use nymix_fs::{BlockImage, BLOCK_SIZE};
-///
-/// let mut img = BlockImage::new(4);
-/// img.write_block(1, &[0xab; BLOCK_SIZE]).unwrap();
-/// assert_eq!(img.read_block(1).unwrap()[0], 0xab);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BlockImage {
-    blocks: Vec<Vec<u8>>,
-}
-
-impl BlockImage {
-    /// Creates a zero-filled image of `block_count` blocks.
-    pub fn new(block_count: usize) -> Self {
-        Self {
-            blocks: vec![vec![0u8; BLOCK_SIZE]; block_count],
-        }
-    }
-
-    /// Number of blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Total size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.blocks.len() * BLOCK_SIZE
-    }
-
-    /// Reads block `index`.
-    pub fn read_block(&self, index: usize) -> Option<&[u8]> {
-        self.blocks.get(index).map(|b| b.as_slice())
-    }
-
-    /// Overwrites block `index`.
-    pub fn write_block(&mut self, index: usize, data: &[u8; BLOCK_SIZE]) -> Option<()> {
-        let block = self.blocks.get_mut(index)?;
-        block.copy_from_slice(data);
-        Some(())
-    }
-
-    /// Flips one byte in a block — used by tests and the red-team
-    /// tamper-detection experiments.
-    pub fn corrupt(&mut self, index: usize, offset: usize, xor: u8) -> Option<()> {
-        let block = self.blocks.get_mut(index)?;
-        let byte = block.get_mut(offset)?;
-        *byte ^= xor;
-        Some(())
-    }
-
-    /// Builds a Merkle tree over all blocks.
-    pub fn merkle(&self) -> MerkleAccumulator {
-        MerkleAccumulator::from_blocks(self.blocks.iter().map(|b| b.as_slice()))
-    }
-}
-
-/// Error raised when a verified read detects tampering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TamperDetected {
-    /// Index of the offending block.
-    pub block: usize,
-}
-
-impl core::fmt::Display for TamperDetected {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "host OS partition block {} failed Merkle verification; shutting down",
-            self.block
-        )
-    }
-}
-
-impl std::error::Error for TamperDetected {}
-
-/// A block image whose reads are checked against a pinned Merkle root.
-///
-/// The root would ship inside the (signed) Nymix distribution; a block
-/// modified by another OS while the USB stick was plugged in fails
-/// verification on first access and the VM refuses to continue.
-#[derive(Debug, Clone)]
-pub struct VerifiedImage {
-    image: BlockImage,
-    root: [u8; 32],
-    block_count: usize,
-    proofs: Vec<Vec<([u8; 32], bool)>>,
-    verified_reads: u64,
-}
-
-impl VerifiedImage {
-    /// Pins `image` to its current content.
-    pub fn seal(image: BlockImage) -> Self {
-        let mut tree = image.merkle();
-        let proofs = (0..image.block_count())
-            .map(|i| tree.prove(i).expect("index in range"))
-            .collect();
-        Self {
-            root: tree.root(),
-            block_count: image.block_count(),
-            image,
-            proofs,
-            verified_reads: 0,
-        }
-    }
-
-    /// The pinned root hash (what the distribution would publish).
-    pub fn root(&self) -> [u8; 32] {
-        self.root
-    }
-
-    /// Number of committed blocks.
-    pub fn block_count(&self) -> usize {
-        self.block_count
-    }
-
-    /// Number of reads that have passed verification.
-    pub fn verified_reads(&self) -> u64 {
-        self.verified_reads
-    }
-
-    /// Reads block `index`, verifying it against the pinned root.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TamperDetected`] if the block no longer matches; per
-    /// §3.4 the caller must shut the VM down rather than continue.
-    pub fn read_block(&mut self, index: usize) -> Result<&[u8], TamperDetected> {
-        let block = self
-            .image
-            .read_block(index)
-            .ok_or(TamperDetected { block: index })?;
-        let proof = &self.proofs[index];
-        if MerkleAccumulator::verify(&self.root, index, block, proof, self.block_count) {
-            self.verified_reads += 1;
-            Ok(self.image.read_block(index).expect("checked above"))
-        } else {
-            Err(TamperDetected { block: index })
-        }
-    }
-
-    /// Mutable access to the underlying image — only for tamper tests.
-    pub fn raw_image_mut(&mut self) -> &mut BlockImage {
-        &mut self.image
-    }
-}
-
-/// The Nymix base OS image: a deterministic Ubuntu-14.04-like file tree
-/// plus its serialized block representation.
+/// The Nymix base OS image: a deterministic Ubuntu-14.04-like file tree.
 ///
 /// The same image serves as the hypervisor root, every AnonVM, every
 /// CommVM, and the SaniVM (§3.4: "Nymix uses the OS image installed on
@@ -278,33 +122,6 @@ impl BaseImage {
         }
         layer
     }
-
-    /// Serializes the tree into a block image (simple concatenated
-    /// format: for each file, a length-prefixed path and contents),
-    /// padded to whole blocks.
-    pub fn to_block_image(&self) -> BlockImage {
-        let mut bytes = Vec::new();
-        for (path, data) in &self.files {
-            let p = path.to_string();
-            bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(p.as_bytes());
-            bytes.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(data);
-        }
-        let block_count = bytes.len().div_ceil(BLOCK_SIZE).max(1);
-        let mut image = BlockImage::new(block_count);
-        for (i, chunk) in bytes.chunks(BLOCK_SIZE).enumerate() {
-            let mut block = [0u8; BLOCK_SIZE];
-            block[..chunk.len()].copy_from_slice(chunk);
-            image.write_block(i, &block).expect("index in range");
-        }
-        image
-    }
-
-    /// Convenience: sealed, verification-checked block image.
-    pub fn to_verified_image(&self) -> VerifiedImage {
-        VerifiedImage::seal(self.to_block_image())
-    }
 }
 
 #[cfg(test)]
@@ -312,46 +129,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn block_image_rw() {
-        let mut img = BlockImage::new(3);
-        assert_eq!(img.block_count(), 3);
-        assert_eq!(img.byte_len(), 3 * BLOCK_SIZE);
-        img.write_block(2, &[9u8; BLOCK_SIZE]).unwrap();
-        assert_eq!(img.read_block(2).unwrap()[100], 9);
-        assert!(img.read_block(3).is_none());
-        assert!(img.write_block(3, &[0u8; BLOCK_SIZE]).is_none());
-    }
-
-    #[test]
-    fn verified_reads_pass_when_untouched() {
-        let base = BaseImage::minimal();
-        let mut v = base.to_verified_image();
-        for i in 0..v.image.block_count() {
-            assert!(v.read_block(i).is_ok(), "block {i}");
-        }
-        assert_eq!(v.verified_reads(), v.image.block_count() as u64);
-    }
-
-    #[test]
-    fn single_byte_corruption_detected() {
-        let base = BaseImage::minimal();
-        let mut v = base.to_verified_image();
-        v.raw_image_mut().corrupt(0, 17, 0x01).unwrap();
-        assert_eq!(v.read_block(0), Err(TamperDetected { block: 0 }));
-        // Other blocks still verify.
-        if v.raw_image_mut().block_count() > 1 {
-            assert!(v.read_block(1).is_ok());
-        }
-    }
-
-    #[test]
     fn base_image_is_deterministic() {
         let a = BaseImage::ubuntu_like();
         let b = BaseImage::ubuntu_like();
-        assert_eq!(
-            a.to_block_image().merkle().root(),
-            b.to_block_image().merkle().root()
-        );
+        assert!(a.files().eq(b.files()));
     }
 
     #[test]

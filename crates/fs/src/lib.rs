@@ -7,7 +7,7 @@
 //! ```text
 //!   writable tmpfs layer   (RAM-backed; discarded on nym shutdown)
 //!   configuration layer    (masks /etc/rc.local, network config, ...)
-//!   base image             (read-only, shared, Merkle-verified)
+//!   base image             (read-only, shared)
 //! ```
 //!
 //! Reads return the topmost version of a file; writes copy-on-write into
@@ -19,8 +19,7 @@
 //! * [`path`] — normalized absolute paths.
 //! * [`layer`] — a single filesystem layer (tree of files/dirs/whiteouts).
 //! * [`union`] — the layered union view with COW semantics.
-//! * [`image`] — block images, the Nymix base-image builder, and the
-//!   Merkle-verified read path (§3.4's proposed integrity check).
+//! * [`image`] — the Nymix base-image builder.
 //! * [`virtfs`] — VirtFS-style host-path pass-through shares (§4.2/§4.3).
 
 #![forbid(unsafe_code)]
@@ -32,7 +31,7 @@ pub mod path;
 pub mod union;
 pub mod virtfs;
 
-pub use image::{BaseImage, BlockImage, VerifiedImage, BLOCK_SIZE};
+pub use image::BaseImage;
 pub use layer::{Layer, LayerKind, Node};
 pub use path::Path;
 pub use union::{FsError, UnionFs};

@@ -26,7 +26,7 @@
 //! * Matching is lazy (one-step deferred): when position `i` matches, the
 //!   encoder also probes `i + 1` and emits a literal first if the next
 //!   position matches strictly longer, which is worth a few percent on
-//!   HTML/JSON-like input over the greedy parse.
+//!   HTML/JSON-like input over always taking the match at `i`.
 //!
 //! The stream is fully determined by the hash, the 32-candidate probe
 //! budget, and the rule that among the longest candidates the nearest
@@ -160,17 +160,6 @@ impl Compressor {
     /// Compresses `data`, appending the stream to `out`. With a warm
     /// arena and sufficient `out` capacity this performs no allocation.
     pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        self.compress_impl(data, out, true);
-    }
-
-    /// Greedy (non-lazy) parse of the same format. Kept for ratio
-    /// comparison in tests and benches; sealing uses the lazy parse.
-    #[doc(hidden)]
-    pub fn compress_greedy_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        self.compress_impl(data, out, false);
-    }
-
-    fn compress_impl(&mut self, data: &[u8], out: &mut Vec<u8>, lazy: bool) {
         out.reserve(data.len() + data.len() / 8 + 16);
         out.extend_from_slice(&(data.len() as u64).to_le_bytes());
 
@@ -206,8 +195,8 @@ impl Compressor {
             };
         }
 
-        // Positions `.. inserted` are in the chains; insertion is lazy so
-        // both the greedy and deferred paths index identically. Only
+        // Positions `.. inserted` are in the chains; insertion is lazy, so
+        // a position is linked only once a match search reaches it. Only
         // positions `.. insertable` have the MIN_MATCH bytes a hash needs.
         let mut inserted = 0usize;
         let insertable = data.len().saturating_sub(MIN_MATCH - 1);
@@ -231,7 +220,7 @@ impl Compressor {
             if best_len >= MIN_MATCH {
                 // Lazy probe: if the very next position matches strictly
                 // longer, emit this byte as a literal and defer.
-                if lazy && best_len < MAX_MATCH && i + 1 + MIN_MATCH <= data.len() {
+                if best_len < MAX_MATCH && i + 1 + MIN_MATCH <= data.len() {
                     insert_below!(i + 1);
                     let next = arena.find_match(data, i + 1);
                     if next.0 > best_len {
@@ -531,33 +520,6 @@ mod tests {
         assert_eq!(ratio(b""), 1.0);
         let text: Vec<u8> = b"abcabcabc".iter().copied().cycle().take(5000).collect();
         assert!(ratio(&text) < 0.3);
-    }
-
-    #[test]
-    fn lazy_beats_greedy_on_html() {
-        // The classic lazy-match win: a short match at i hides a longer
-        // one at i+1. On repetitive markup the deferred parse should be
-        // measurably smaller.
-        let data: Vec<u8> =
-            b"<a href=\"/user/profile\">profile</a><a href=\"/user/settings\">settings</a>\n"
-                .iter()
-                .copied()
-                .cycle()
-                .take(40_000)
-                .collect();
-        let mut c = Compressor::new();
-        let mut lazy = Vec::new();
-        c.compress_into(&data, &mut lazy);
-        let mut greedy = Vec::new();
-        c.compress_greedy_into(&data, &mut greedy);
-        assert!(
-            lazy.len() <= greedy.len(),
-            "lazy {} greedy {}",
-            lazy.len(),
-            greedy.len()
-        );
-        assert_eq!(decompress(&lazy).unwrap(), data);
-        assert_eq!(decompress(&greedy).unwrap(), data);
     }
 
     #[test]

@@ -29,27 +29,15 @@ proptest! {
     }
 
     #[test]
-    fn lzss_lazy_roundtrips_and_ratio_tracks_greedy(
+    fn lzss_roundtrips_repeated_unit_with_noisy_tail(
         unit in proptest::collection::vec(any::<u8>(), 1..24),
         reps in 1usize..200,
         noise in proptest::collection::vec(any::<u8>(), 0..64)) {
         // Browser-cache-shaped input: a repeated unit with a noisy tail.
         let mut data: Vec<u8> = unit.iter().copied().cycle().take(unit.len() * reps).collect();
         data.extend_from_slice(&noise);
-        let mut c = lzss::Compressor::new();
-        let mut lazy = Vec::new();
-        c.compress_into(&data, &mut lazy);
-        let mut greedy = Vec::new();
-        c.compress_greedy_into(&data, &mut greedy);
-        prop_assert_eq!(lzss::decompress(&lazy).unwrap(), &data[..]);
-        prop_assert_eq!(lzss::decompress(&greedy).unwrap(), &data[..]);
-        // One-step deferral is not a strict improvement per input — the
-        // probe-budget-bounded match finder means the deferred parse can
-        // occasionally lose a byte or two — but it must never regress
-        // the ratio meaningfully. (The strict ≤ case on realistic
-        // markup is pinned by lzss::tests::lazy_beats_greedy_on_html.)
-        prop_assert!(lazy.len() <= greedy.len() + 2 + greedy.len() / 100,
-                     "lazy {} much worse than greedy {}", lazy.len(), greedy.len());
+        let packed = lzss::compress(&data);
+        prop_assert_eq!(lzss::decompress(&packed).unwrap(), &data[..]);
     }
 
     #[test]
@@ -91,11 +79,6 @@ proptest! {
             out.clear();
             c.compress_into(&data, &mut out);
             prop_assert_eq!(&out, &lzss::compress(&data), "len {}", len);
-            out.clear();
-            c.compress_greedy_into(&data, &mut out);
-            let mut fresh = Vec::new();
-            lzss::Compressor::new().compress_greedy_into(&data, &mut fresh);
-            prop_assert_eq!(&out, &fresh, "greedy, len {}", len);
         }
     }
 

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use nymix_fs::{Layer, LayerKind, Path, VerifiedImage};
+use nymix_fs::{Layer, LayerKind, Path};
 
 use crate::ksm::{self, KsmStats};
 use crate::memory::PAGE_SIZE;
@@ -59,12 +59,6 @@ pub enum HypervisorError {
     },
     /// No VM with that id.
     NoSuchVm(VmId),
-    /// The read-only host OS partition failed Merkle verification; per
-    /// §3.4 the only safe response is to refuse to start VMs.
-    BaseImageTampered {
-        /// Block that failed verification.
-        block: usize,
-    },
 }
 
 impl core::fmt::Display for HypervisorError {
@@ -78,10 +72,6 @@ impl core::fmt::Display for HypervisorError {
                 "insufficient host memory: requested {requested_mib} MiB, free {free_mib} MiB"
             ),
             HypervisorError::NoSuchVm(id) => write!(f, "no such VM: {:?}", id),
-            HypervisorError::BaseImageTampered { block } => write!(
-                f,
-                "host OS partition block {block} failed Merkle verification; refusing to start VMs"
-            ),
         }
     }
 }
@@ -109,7 +99,6 @@ pub struct Hypervisor {
     qemu_overhead_mib: u32,
     ksm_enabled: bool,
     base_layer: Layer,
-    verified_base: Option<VerifiedImage>,
     vms: BTreeMap<VmId, Vm>,
     next_id: u64,
 }
@@ -123,36 +112,9 @@ impl Hypervisor {
             qemu_overhead_mib: calib::QEMU_OVERHEAD_MIB,
             ksm_enabled: true,
             base_layer,
-            verified_base: None,
             vms: BTreeMap::new(),
             next_id: 1,
         }
-    }
-
-    /// Pins the host OS partition to a Merkle-sealed block image; every
-    /// subsequent VM creation verifies all base blocks against the
-    /// pinned root (§3.4's integrity-check mechanism). The sealed image
-    /// should be built from the same content as the base layer.
-    pub fn enable_base_verification(&mut self, image: VerifiedImage) {
-        self.verified_base = Some(image);
-    }
-
-    /// Raw access to the pinned image (tamper-injection in tests).
-    pub fn verified_base_mut(&mut self) -> Option<&mut VerifiedImage> {
-        self.verified_base.as_mut()
-    }
-
-    /// Verifies every block of the pinned host partition ("all disk
-    /// blocks loaded from the host OS partition" are checked; VM
-    /// creation reads the whole base image).
-    pub fn verify_base_integrity(&mut self) -> Result<(), HypervisorError> {
-        if let Some(v) = self.verified_base.as_mut() {
-            for i in 0..v.block_count() {
-                v.read_block(i)
-                    .map_err(|e| HypervisorError::BaseImageTampered { block: e.block })?;
-            }
-        }
-        Ok(())
     }
 
     /// The paper's testbed with the full Ubuntu-like base image.
@@ -215,10 +177,8 @@ impl Hypervisor {
         layer
     }
 
-    /// Creates (but does not boot) a VM, enforcing memory admission and
-    /// (when enabled) base-image integrity.
+    /// Creates (but does not boot) a VM, enforcing memory admission.
     pub fn create_vm(&mut self, config: VmConfig) -> Result<VmId, HypervisorError> {
-        self.verify_base_integrity()?;
         let requested = config.host_ram_cost_mib() + self.qemu_overhead_mib;
         let free = self.free_memory_mib();
         if f64::from(requested) > free {
@@ -457,26 +417,6 @@ mod tests {
         hv.vm_mut(comm).unwrap().shutdown();
         assert!(hv.used_memory_mib() < used_live);
         assert_eq!(hv.used_memory_mib(), f64::from(calib::HOST_BASE_MIB));
-    }
-
-    #[test]
-    fn base_verification_blocks_tampered_image() {
-        let mut hv = hv();
-        let base = nymix_fs::BaseImage::minimal();
-        hv.enable_base_verification(base.to_verified_image());
-        // Pristine image: VMs start fine.
-        let id = hv.create_vm(VmConfig::commvm()).unwrap();
-        hv.boot(id).unwrap();
-        // A single flipped byte on the "USB stick": refuse to start.
-        hv.verified_base_mut()
-            .unwrap()
-            .raw_image_mut()
-            .corrupt(0, 100, 0x40)
-            .unwrap();
-        match hv.create_vm(VmConfig::anonvm()) {
-            Err(HypervisorError::BaseImageTampered { block: 0 }) => {}
-            other => panic!("expected tamper refusal, got {other:?}"),
-        }
     }
 
     #[test]
