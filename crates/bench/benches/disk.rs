@@ -1,4 +1,4 @@
-//! Microbenchmarks for the crash-consistent disk store: the journaled
+//! Microbenchmarks for the crash-consistent disk store: the batch
 //! commit path against the in-memory local store, and recovery scan
 //! cost.
 
@@ -18,8 +18,8 @@ fn batch(tag: u8) -> Vec<(String, Vec<u8>)> {
 fn bench_commit(c: &mut Criterion) {
     let mut group = c.benchmark_group("disk");
     group.throughput(Throughput::Bytes((BATCH * OBJ) as u64));
-    // The journaled atomic batch: frame encode + checksums + heap
-    // appends + superblock flip, all through the simulated device.
+    // The atomic batch: frame encode + one checksum + one log append +
+    // superblock flip, all through the simulated device.
     group.bench_function("apply_batch_64x8k_journaled", |b| {
         let mut store = DiskStore::new();
         let mut tag = 0u8;
@@ -30,7 +30,7 @@ fn bench_commit(c: &mut Criterion) {
                 .unwrap();
         });
     });
-    // The durability-free baseline the journal is priced against.
+    // The durability-free baseline the disk commit is priced against.
     group.bench_function("apply_batch_64x8k_local", |b| {
         let mut store = LocalStore::new();
         let mut tag = 0u8;
@@ -44,7 +44,7 @@ fn bench_commit(c: &mut Criterion) {
 
 fn bench_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("disk");
-    // Crash recovery: superblock pick + full heap scan + index rebuild
+    // Crash recovery: superblock pick + full frame scan + index rebuild
     // over 256 objects (the cost a reboot pays before the first read).
     let mut store = DiskStore::new();
     for t in 0..4u8 {

@@ -377,10 +377,10 @@ impl StorePipeline {
                 continue;
             }
             // One backend open, one batch — every staged put plus every
-            // sweep — for the whole group. On the journaled disk the
-            // batch is a single atomic transaction: a crash mid-save
-            // leaves either every nym's previous version (with its
-            // chunk objects) or every new one, never a mixture.
+            // sweep — for the whole group. On the disk store the batch
+            // is one log frame, a single atomic transaction: a crash
+            // mid-save leaves either every nym's previous version (with
+            // its chunk objects) or every new one, never a mixture.
             let dest = group[0].plan.req.dest;
             let exit = group[0].plan.exit_ip;
             let disk_before = env.disk.device_stats();
@@ -413,8 +413,8 @@ impl StorePipeline {
                 backend.take_accrued_backoff()
             };
             // Disk saves cost the actual device I/O the batch incurred
-            // (journal + heap writes and both fsync barriers), priced
-            // at SSD speed.
+            // (the frame append, the superblock write and both fsync
+            // barriers), priced at SSD speed.
             let disk_io = {
                 let io = env.disk.device_stats().since(&disk_before);
                 DiskProfile::ssd().io_time(
@@ -440,7 +440,7 @@ impl StorePipeline {
                     }
                     // One media sync flushes the whole batch.
                     StorageDest::Local => SimDuration::from_millis(300),
-                    // The journaled batch commit, at modeled device speed.
+                    // The batch's frame commit, at modeled device speed.
                     StorageDest::Disk => disk_io,
                 };
                 batch_duration = batch_duration.max(duration);

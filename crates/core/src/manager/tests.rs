@@ -920,7 +920,7 @@ fn disk_save_restore_roundtrip_survives_detach() {
     m.inject_stain(id, "disk-marker").unwrap();
     let (size, dur) = m.save_nym(id, "pw", &StorageDest::Disk).unwrap();
     assert!(size > 0);
-    // Disk saves are charged real device time (journal + heap + fsyncs).
+    // Disk saves are charged real device time (frame + superblock + fsyncs).
     assert!(dur > SimDuration::ZERO);
     m.destroy_nym(id).unwrap();
 

@@ -137,14 +137,9 @@ impl Registry {
                      reject, never panic (PR 7)",
                 ),
                 Self::module(
-                    "store/src/disk/journal.rs",
-                    "NYMJ/JBAT recovery parser: torn or bit-flipped journal images must \
-                     fail closed (PR 6)",
-                ),
-                Self::module(
-                    "store/src/disk/heap.rs",
-                    "HOBJ/HDEL heap scan: recovery reads whatever survived the crash \
-                     (PR 6)",
+                    "store/src/disk/log.rs",
+                    "NYMJ superblock and JBAT frame decoders: recovery reads whatever \
+                     survived the crash, and torn or bit-flipped images must fail closed",
                 ),
                 Self::module(
                     "anon/src/tor.rs",
@@ -197,8 +192,8 @@ impl Registry {
             ct_module: "crypto/src/ct.rs".to_string(),
             exempt_parsers: vec![Exemption {
                 path_or_name: "store/src/disk/dev.rs".to_string(),
-                reason: "SimDisk images are parsed only by the journal/heap readers \
-                             (both registered); dev.rs itself only stores bytes"
+                reason: "SimDisk images are parsed only by the frame log's decoders \
+                             (registered); dev.rs itself only stores bytes"
                     .to_string(),
             }],
             exempt_secrets: vec![Exemption {

@@ -88,20 +88,20 @@
 //! least `k` verified shards of one version the object reconstructs
 //! exactly; with fewer the read fails closed.
 //!
-//! ## On-disk persistence (`NYMJ` journal + heap)
+//! ## On-disk persistence (`NYMJ` superblocks + `JBAT` frame log)
 //!
 //! The wire formats above describe *objects* — opaque blobs a backend
 //! stores by name. When the backend is the crash-consistent disk store
-//! ([`crate::disk`]), those objects live inside two further on-disk
-//! structures with their own magics: the `"NYMJ"` write-ahead journal
-//! (dual alternating superblock slots + one `"JBAT"` batch frame) and
-//! the log-structured heap (`"HOBJ"` put / `"HDEL"` tombstone records,
-//! each ending in a truncated-SHA-256 `check16`). Their byte layouts,
-//! the commit protocol, and the recovery rules are specified in the
+//! ([`crate::disk`]), those objects live inside one append-only log of
+//! `"JBAT"` batch frames, each carrying a truncated-SHA-256 checksum
+//! over its body, under two alternating `"NYMJ"` superblock slots that say
+//! how much of the log is committed. A put's bytes inside its frame
+//! are the object's home. The byte layouts are specified in
+//! [`crate::disk::log`], the commit protocol and recovery rules in the
 //! [`crate::disk`] module docs, alongside the durability model in the
 //! crate root. The containers are independent layers: a sealed NYM1
-//! archive rides the journal unchanged, and journal recovery never
-//! needs to parse what it replays.
+//! archive rides a frame unchanged, and recovery never needs to parse
+//! the objects it indexes.
 //!
 //! ## Parsing hostile bytes
 //!

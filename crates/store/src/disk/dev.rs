@@ -30,9 +30,9 @@ use super::fault::{CrashMode, FaultPlan};
 /// Which logical file of the device an operation targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileId {
-    /// The write-ahead journal (superblocks + batch log).
+    /// The two superblock slots, nothing else.
     Journal,
-    /// The log-structured object heap.
+    /// The frame log: every batch frame, home of the objects it puts.
     Heap,
 }
 

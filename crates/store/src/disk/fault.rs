@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the simulated disk.
 //!
-//! Two orthogonal knobs reproduce every crash scenario the journal must
-//! survive:
+//! Two orthogonal knobs reproduce every crash scenario the disk store
+//! must survive:
 //!
 //! * **Where power dies** — [`FaultPlan`] names the exact operation
 //!   index (write or fsync, in submission order) at which the device
@@ -12,9 +12,10 @@
 //!   prefix, a prefix plus a *torn* final write, only one file's writes
 //!   (reordering across files), or all of them. Any subset a real
 //!   volatile cache could produce is covered by these shapes because
-//!   recovery only ever depends on (a) whether the journal batch is
-//!   intact and (b) whether heap bytes past the committed length are
-//!   trustworthy — and they exercise all four combinations.
+//!   recovery only ever depends on (a) which superblock slot is intact
+//!   and (b) whether the frame at the committed end of the log is
+//!   complete — and they exercise every combination the commit's fsync
+//!   order allows.
 //!
 //! Media corruption (bit rot, hostile edits) is a third, separate knob:
 //! [`SimDisk::corrupt_durable_bit`](super::SimDisk::corrupt_durable_bit).
@@ -60,11 +61,11 @@ pub enum CrashMode {
         /// Bytes of the next write that reached media.
         torn_bytes: usize,
     },
-    /// Only journal-file writes landed (the cache reordered the heap
-    /// behind the journal).
+    /// Only superblock-file writes landed (the cache reordered the
+    /// log behind them).
     JournalOnly,
-    /// Only heap-file writes landed (the cache reordered the journal
-    /// behind the heap).
+    /// Only log-file writes landed (the cache reordered the superblock
+    /// file behind them).
     HeapOnly,
     /// Every queued write landed (power died just short of the ack).
     All,

@@ -37,10 +37,11 @@
 //! * [`backend`] — the pluggable [`ObjectBackend`] every store
 //!   implements, so snapshot chains and chunk objects move unchanged
 //!   between local media and cloud accounts.
-//! * [`disk`] — the crash-consistent disk-backed store: a `NYMJ`
-//!   write-ahead journal ahead of a log-structured object heap over a
-//!   simulated block device with deterministic fault injection. The
-//!   only backend whose contents survive power loss.
+//! * [`disk`] — the crash-consistent disk-backed store: one append-only
+//!   log of checksummed batch frames, each both a commit record and
+//!   the home of the objects it puts, under two `NYMJ` superblock
+//!   slots, over a simulated block device with deterministic fault
+//!   injection. The only backend whose contents survive power loss.
 //! * [`cloud`] — simulated cloud providers with pseudonymous accounts;
 //!   records what the provider *observes* (in a bounded
 //!   [`cloud::AccessLog`] ring) so tests can verify the deniability
@@ -64,16 +65,18 @@
 //!   survive nothing; they exist to model *observability* (what a
 //!   confiscator or provider sees), not durability.
 //! * [`disk::DiskStore`] survives power loss at any instant: every
-//!   batch commits through a checksummed write-ahead journal with
-//!   explicit fsync barriers, recovery replays or discards the one
-//!   in-flight batch, and corruption inside the committed region fails
-//!   closed rather than yielding a partial store. Its `apply_batch`,
+//!   batch is written once, as one checksummed frame appended to the
+//!   log, and commits when a superblock naming the new log length is
+//!   fsynced after it. Recovery writes nothing: it rolls the one
+//!   in-flight frame forward or discards it, and corruption inside the
+//!   committed region fails closed rather than yielding a partial
+//!   store. Its `apply_batch`,
 //!   the one write every backend implements, is **atomic per batch**
 //!   on disk — after a crash, exactly the pre-batch or post-batch
 //!   state is observable (other backends promise only that a prefix
 //!   of a failed batch may have landed). See the
-//!   [`disk`] module docs for the commit protocol and the `NYMJ`
-//!   on-disk format.
+//!   [`disk`] module docs for the commit protocol and [`disk::log`]
+//!   for the on-disk format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

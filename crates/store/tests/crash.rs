@@ -1,4 +1,4 @@
-//! Exhaustive crash-point matrix for the journaled disk store.
+//! Exhaustive crash-point matrix for the log-structured disk store.
 //!
 //! For *every* write/fsync boundary of a batch commit, and for every
 //! crash mode in the covering set (nothing landed, each whole-write
@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use nymix_store::disk::{log, DiskError, FileId};
 use nymix_store::{CrashMode, DiskStore, FaultPlan, ObjectBackend, SimDisk};
 
 fn contents(store: &mut DiskStore) -> BTreeMap<String, Vec<u8>> {
@@ -110,7 +111,8 @@ fn every_crash_point_recovers_to_pre_or_post_batch() {
             );
         }
     }
-    assert!(points >= 6, "matrix covered only {points} kill points");
+    // Frame append, log fsync, superblock write, superblock fsync.
+    assert_eq!(points, 4, "the commit protocol is four device operations");
     assert!(seen_pre > 0, "no crash point preserved the pre-state");
     assert!(seen_post > 0, "no crash point reached the post-state");
 }
@@ -146,8 +148,8 @@ fn crash_matrix_across_consecutive_batches() {
 
 #[test]
 fn recovered_store_accepts_new_writes() {
-    // Recovery isn't read-only: the store must keep working, and the
-    // replayed + new state must survive another graceful reopen.
+    // The recovered store must keep working, and the rolled-forward +
+    // new state must survive another graceful reopen.
     let mut s = baseline();
     let base_ops = s.disk().ops();
     s.set_fault_plan(FaultPlan::kill_at_op(base_ops + 2));
@@ -164,7 +166,6 @@ fn bit_flips_on_crashed_images_never_panic() {
     // Crash + media corruption combined: every recovery either
     // succeeds with a consistent store or fails closed. Never panics,
     // never yields a store with unreadable listed objects.
-    use nymix_store::disk::FileId;
     let mut s = baseline();
     let base_ops = s.disk().ops();
     s.set_fault_plan(FaultPlan::kill_at_op(base_ops + 3));
@@ -186,5 +187,118 @@ fn bit_flips_on_crashed_images_never_panic() {
                 }
             }
         }
+    }
+}
+
+/// The baseline with the GC batch's frame fsynced but its superblock
+/// write lost: `kill` indexes the batch's device operations.
+fn frame_without_superblock(kill: u64) -> SimDisk {
+    let mut s = baseline();
+    let base_ops = s.disk().ops();
+    s.set_fault_plan(FaultPlan::kill_at_op(base_ops + kill));
+    assert!(gc_batch(&mut s).is_err());
+    s.crash(CrashMode::None)
+}
+
+#[test]
+fn frame_without_superblock_rolls_forward_without_writing() {
+    let post = {
+        let mut s = baseline();
+        gc_batch(&mut s).unwrap();
+        contents(&mut s)
+    };
+    // Killed at the superblock write and at its fsync: either way only
+    // the frame is durable.
+    for kill in [2, 3] {
+        let img = frame_without_superblock(kill);
+        let durable = (
+            img.durable(FileId::Journal).to_vec(),
+            img.durable(FileId::Heap).to_vec(),
+        );
+        let mut r = DiskStore::open(img).expect("roll-forward");
+        assert_eq!(r.disk().ops(), 0, "kill {kill}: open wrote to the device");
+        assert_eq!(contents(&mut r), post, "kill {kill}");
+        assert_eq!(
+            (
+                r.disk().durable(FileId::Journal).to_vec(),
+                r.disk().durable(FileId::Heap).to_vec()
+            ),
+            durable,
+            "kill {kill}: open changed the image"
+        );
+    }
+}
+
+#[test]
+fn batch_after_roll_forward_lost_before_its_superblock() {
+    // Recover the rolled-forward image, commit one more batch, and lose
+    // power at each operation before that batch's superblock is
+    // durable: recovery returns the rolled-forward batch and nothing of
+    // the second, again without a write.
+    let post = {
+        let mut s = baseline();
+        gc_batch(&mut s).unwrap();
+        contents(&mut s)
+    };
+    for kill in 0u64..4 {
+        let mut r = DiskStore::open(frame_without_superblock(2)).unwrap();
+        let base_ops = r.disk().ops();
+        r.set_fault_plan(FaultPlan::kill_at_op(base_ops + kill));
+        let second = r.apply_batch(vec![("second".into(), vec![0x66; 200])], Vec::new());
+        assert!(second.is_err(), "kill {kill}");
+        let mut again = DiskStore::open(r.crash(CrashMode::None)).unwrap();
+        assert_eq!(again.disk().ops(), 0, "kill {kill}: open wrote");
+        assert_eq!(contents(&mut again), post, "kill {kill}");
+    }
+}
+
+/// A device image whose log holds `frames` (seq and one put each),
+/// built by hand with valid checksums, under a superblock committing
+/// all of them with `applied_seq`.
+fn forged_image(frames: &[u64], applied_seq: u64) -> SimDisk {
+    let mut disk = SimDisk::new();
+    let mut at = 0;
+    for (i, &seq) in frames.iter().enumerate() {
+        let mut buf = Vec::new();
+        log::encode_frame(
+            seq,
+            &[(format!("obj{i}"), vec![i as u8; 20])],
+            &[],
+            &mut buf,
+        );
+        disk.write(FileId::Heap, at, &buf).unwrap();
+        at += buf.len();
+    }
+    let sb = log::Superblock {
+        gen: 2,
+        applied_seq,
+        log_len: at as u64,
+    };
+    disk.write(FileId::Journal, 0, &log::encode_superblock(&sb))
+        .unwrap();
+    disk.fsync(FileId::Heap).unwrap();
+    disk.fsync(FileId::Journal).unwrap();
+    disk
+}
+
+#[test]
+fn committed_seq_gap_or_replayed_frame_fails_closed() {
+    let mut ok = DiskStore::open(forged_image(&[1, 2, 3], 3)).expect("control");
+    assert_eq!(contents(&mut ok).len(), 3);
+    for (frames, applied) in [
+        (&[1, 3][..], 3), // a seq gap
+        (&[1, 2, 2], 2),  // a replayed frame
+        (&[1, 1], 1),     // a replayed first frame
+        (&[2, 3], 3),     // the log does not start at seq 1
+        (&[1, 2], 3),     // superblock claims a frame the log lacks
+        (&[1, 2], 1),     // the log runs past the superblock's seq
+    ] {
+        assert!(
+            matches!(
+                DiskStore::open(forged_image(frames, applied)),
+                Err(DiskError::CorruptHeap(_))
+            ),
+            "{frames:?} under applied_seq {applied} accepted"
+        );
     }
 }

@@ -41,15 +41,6 @@ proptest! {
     }
 
     #[test]
-    fn lzss_lazy_roundtrip_any_bytes(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        // compress() is the lazy parse; it must round-trip arbitrary
-        // input including incompressible bytes.
-        let mut out = Vec::new();
-        lzss::Compressor::new().compress_into(&data, &mut out);
-        prop_assert_eq!(lzss::decompress(&out).unwrap(), data);
-    }
-
-    #[test]
     fn lzss_reused_compressor_matches_fresh(
         steps in proptest::collection::vec((any::<bool>(), 0usize..4096, any::<u64>(), 1u8..6), 1..8)) {
         // One compressor takes long inputs (past the chain ring) and
@@ -455,10 +446,10 @@ fn sealed_chain(noise: &[u8], text: &[u8], seed: u64) -> (SealKey, [SealedObject
 }
 
 // ---------------------------------------------------------------------
-// DiskStore crash consistency (PR 3 hostile-bytes style, applied to the
-// journaled on-disk formats).
+// DiskStore crash consistency (hostile-bytes style, applied to the
+// frame log and its superblocks).
 
-use nymix_store::disk::FileId;
+use nymix_store::disk::{log, FileId};
 use nymix_store::{CrashMode, DiskStore, FaultPlan, ObjectBackend};
 
 /// Everything a store holds, by exhaustive read-back.
@@ -544,25 +535,112 @@ proptest! {
         }
     }
 
-    // Arbitrary bytes appended after the journal's live region — stale
-    // batch residue, hostile trailing garbage — parse or are discarded;
-    // open never panics and committed data stays readable.
+    // Arbitrary bytes at the log's committed end — crash residue, a
+    // hostile trailing frame — or over the superblock slots: open never
+    // panics, and if it returns a store, committed data stays readable.
     #[test]
-    fn journal_trailing_bytes_parse_or_fail_closed(
+    fn disk_trailing_bytes_parse_or_fail_closed(
         garbage in proptest::collection::vec(any::<u8>(), 0..512),
-        at_live_region in any::<bool>()) {
+        in_superblocks in any::<bool>(),
+        sb_at in 0usize..2 * log::SB_SLOT_LEN) {
         let mut s = DiskStore::new();
         s.put("committed", vec![0x5A; 64]).unwrap();
+        let committed_end = s.committed_heap_len() as usize;
         let mut img = s.into_disk();
-        // A hostile writer appends (or overwrites the batch region
-        // with) garbage and even gets it synced.
-        let at = if at_live_region { 128 } else { img.len(FileId::Journal) };
-        img.write(FileId::Journal, at, &garbage).unwrap();
-        img.fsync(FileId::Journal).unwrap();
+        // A hostile writer puts the garbage there and even gets it
+        // synced.
+        let (file, at) = if in_superblocks {
+            (FileId::Journal, sb_at)
+        } else {
+            (FileId::Heap, committed_end)
+        };
+        img.write(file, at, &garbage).unwrap();
+        img.fsync(file).unwrap();
         // Failing closed is acceptable; panicking is not.
         if let Ok(mut r) = DiskStore::open(img) {
             prop_assert_eq!(r.get("committed").unwrap(), Some(&[0x5A; 64][..]));
         }
+    }
+
+    // The frame decoder on arbitrary bytes, bare or behind the frame
+    // magic: "not a frame" or a frame whose extents lie inside the
+    // input, never a panic.
+    #[test]
+    fn disk_frame_decode_never_panics(
+        garbage in proptest::collection::vec(any::<u8>(), 0..2048),
+        with_magic in any::<bool>()) {
+        let bytes = if with_magic { [&b"JBAT"[..], &garbage].concat() } else { garbage };
+        if let Some(frame) = log::decode_frame(&bytes) {
+            prop_assert!(frame.len <= bytes.len());
+            for op in &frame.ops {
+                if let log::Op::Put(_, loc) = op {
+                    prop_assert!(loc.off + loc.len <= frame.len as u64);
+                }
+            }
+        }
+    }
+
+    // The superblock decoder on arbitrary bytes, bare or behind the
+    // superblock magic: "not a superblock" or a decoded one, never a
+    // panic. A mutated valid slot never decodes to different values.
+    #[test]
+    fn disk_superblock_decode_never_panics(
+        garbage in proptest::collection::vec(any::<u8>(), 0..128),
+        with_magic in any::<bool>(),
+        bit in 0usize..48 * 8) {
+        let bytes = if with_magic { [&b"NYMJ"[..], &garbage].concat() } else { garbage };
+        let _ = log::decode_superblock(&bytes);
+        let sb = log::Superblock { gen: 3, applied_seq: 2, log_len: 900 };
+        let mut slot = log::encode_superblock(&sb);
+        slot[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_eq!(log::decode_superblock(&slot), None);
+    }
+
+    // Garbage accounting is a pure function of the log: after any
+    // script of puts, overwrites and deletes, the live count equals the
+    // one a reopen re-derives by scanning, and both equal the frame-op
+    // footprints of every shadowed put (12 + data bytes for a one-byte
+    // name) plus every committed delete (4).
+    #[test]
+    fn disk_garbage_matches_reopen(
+        script in proptest::collection::vec(
+            proptest::collection::vec((0usize..4, any::<bool>(), 0usize..64), 1..5),
+            1..8)) {
+        let names = ["a", "b", "c", "d"];
+        let mut s = DiskStore::new();
+        let mut model = std::collections::BTreeMap::new();
+        let mut garbage = 0usize;
+        for batch in &script {
+            let puts: Vec<(String, Vec<u8>)> = batch
+                .iter()
+                .filter(|&&(_, put, _)| put)
+                .map(|&(n, _, len)| (names[n].to_string(), vec![n as u8; len]))
+                .collect();
+            let deletes: Vec<String> = batch
+                .iter()
+                .filter(|&&(_, put, _)| !put)
+                .map(|&(n, ..)| names[n].to_string())
+                .collect();
+            // Deleting a name neither live nor put in the batch is a
+            // no-op, not a logged delete.
+            let logged: Vec<&String> = deletes
+                .iter()
+                .filter(|n| model.contains_key(*n) || puts.iter().any(|(p, _)| p == *n))
+                .collect();
+            for (name, data) in &puts {
+                garbage += model.insert(name.clone(), data.len()).map_or(0, |len| 12 + len);
+            }
+            for name in logged {
+                garbage += 4 + model.remove(name).map_or(0, |len| 12 + len);
+            }
+            s.apply_batch(puts, deletes).unwrap();
+            prop_assert_eq!(s.garbage_bytes(), garbage as u64);
+        }
+        let live = s.garbage_bytes();
+        let want = disk_contents(&mut s);
+        let mut reopened = DiskStore::open(s.into_disk()).unwrap();
+        prop_assert_eq!(reopened.garbage_bytes(), live);
+        prop_assert_eq!(disk_contents(&mut reopened), want);
     }
 
     // Any single bit flipped anywhere on either file: open returns a

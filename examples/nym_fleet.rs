@@ -144,9 +144,9 @@ fn main() {
 
     // Crash-consistent disk tier: snapshot the restored fleet to the
     // journaled disk store, then cut power during the *next* batched
-    // save. The write-ahead journal makes every batch atomic, so a
-    // fresh manager attached to the torn device recovers the whole
-    // fleet at the last durable save — never a blend.
+    // save. Each batch is one checksummed log frame that commits only
+    // once a superblock covers it, so a fresh manager attached to the
+    // torn device recovers the whole fleet at one save — never a blend.
     let disk_round = restored
         .save_round(&mut nymix, "fleet-pw", |_| StorageDest::Disk)
         .expect("fleet saves to disk");
@@ -155,7 +155,9 @@ fn main() {
         disk_round.iter().map(|(_, b, _)| b).sum::<usize>(),
         disk_round[0].2.as_secs_f64() * 1e3
     );
-    let armed = nymix.disk_store().disk().ops() + 3; // dies mid-batch
+    // Dies at the log fsync, with the batch's frame still in the
+    // write cache.
+    let armed = nymix.disk_store().disk().ops() + 1;
     nymix.set_disk_fault_plan(FaultPlan::kill_at_op(armed));
     let cut = restored.save_round(&mut nymix, "fleet-pw", |_| StorageDest::Disk);
     assert!(cut.is_err(), "the armed power cut must abort the save");
@@ -163,7 +165,7 @@ fn main() {
     let mut recovered = NymManager::with_host_ram(2027, 8, 65_536);
     recovered
         .attach_disk(nymix.crash_disk(CrashMode::All))
-        .expect("journal recovery never fails on a torn image");
+        .expect("disk recovery never fails on a torn image");
     let (back, _) = NymFleet::restore_all(
         &mut recovered,
         &names,
