@@ -25,24 +25,6 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("sha256_64k", |b| {
         b.iter(|| black_box(nymix_crypto::sha256(black_box(&data))));
     });
-    // The same digest once per installed backend: the scalar floor,
-    // the 4-lane portable batcher, and — when the CPU advertises the
-    // SHA extensions — the SHA-NI kernel. Unsupported
-    // backends install as the x4 floor and are skipped so each name
-    // means what it says.
-    {
-        use nymix_crypto::ShaBackend;
-        let prev = nymix_crypto::sha256_backend();
-        for backend in [ShaBackend::Scalar, ShaBackend::X4, ShaBackend::ShaNi] {
-            if nymix_crypto::set_sha_backend(backend) != backend {
-                continue;
-            }
-            group.bench_function(&format!("sha256_64k_{}", backend.name()), |b| {
-                b.iter(|| black_box(nymix_crypto::sha256(black_box(&data))));
-            });
-        }
-        nymix_crypto::set_sha_backend(prev);
-    }
     group.bench_function("aead_seal_64k", |b| {
         b.iter(|| black_box(nymix_crypto::seal(&key, &nonce, b"", black_box(&data))));
     });

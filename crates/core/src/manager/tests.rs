@@ -997,11 +997,15 @@ fn fleet_disk_crash_matrix_recovers_whole_fleet_pre_or_post() {
         if m.save_nyms_incremental(&reqs).is_ok() {
             break; // Kill point beyond the batch: matrix exhausted.
         }
+        // Each write is fsynced before the next, so a kill leaves at
+        // most one queued and CrashMode needs no reordering shapes.
+        let pending = m.disk_store().disk().pending_writes();
+        assert!(pending <= 1, "kill {kill}: {pending} writes queued");
         if !kill.is_multiple_of(stride) {
             kill += 1;
             continue;
         }
-        for mode in CrashMode::covering_set(m.disk_store().disk().pending_writes(), 64) {
+        for mode in CrashMode::covering_set(pending, 64) {
             let mut m2 = manager();
             m2.attach_disk(m.crash_disk(mode))
                 .unwrap_or_else(|e| panic!("kill {kill} {mode:?}: recovery failed: {e}"));

@@ -51,15 +51,15 @@
 //!
 //! # SHA-256 backend dispatch
 //!
-//! The SHA-256 compression kernel is selected once per process at
-//! runtime rather than at compile time: the `NYMIX_SHA_BACKEND` env
-//! var (`scalar|x4|shani`) overrides, otherwise CPUID picks SHA-NI,
-//! then the portable [`sha256_x4`]/scalar floor that every build
-//! retains. The SHA-NI kernel is compiled on every `x86_64` build,
-//! with CPUID as its only guard, and every backend is proptested
-//! bit-identical to the scalar floor. See the
+//! The SHA-256 compression kernels are selected once per process at
+//! runtime rather than at compile time, by CPUID alone: SHA-NI where
+//! the CPU has the SHA extensions, otherwise the portable single-stream
+//! and [`sha256_x4`] kernels that every build retains. The SHA-NI
+//! kernel is compiled on every `x86_64` build, with CPUID as its only
+//! guard, and the unit tests check it and the portable four-lane kernel
+//! bit-identical to the portable single-stream kernel. See the
 //! [`sha256`](mod@crate::sha256) module docs for the full model;
-//! [`sha256_backend`] / [`set_sha_backend`] expose the selection.
+//! [`sha256_backend`] reports the selection.
 //!
 //! # AEAD counter convention
 //!
@@ -105,4 +105,4 @@ pub use hmac::{hmac_sha256, HmacKey};
 pub use merkle::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator};
 pub use pbkdf2::{pbkdf2_hmac_sha256, pbkdf2_hmac_sha256_into};
 pub use poly1305::{poly1305_tag, Poly1305};
-pub use sha256::{set_sha_backend, sha256, sha256_backend, sha256_x4, Sha256, ShaBackend};
+pub use sha256::{sha256, sha256_backend, sha256_x4, Sha256, ShaBackend};

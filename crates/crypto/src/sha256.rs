@@ -33,25 +33,27 @@
 //! `sha256_64k` silently 2.4× slower when `-C target-cpu=native` was
 //! dropped — a build-configuration dependency nobody notices until the
 //! performance envelope is gone. The kernel behind all three entry
-//! points is therefore selected **at runtime**, once per process:
+//! points is therefore selected **at runtime**, once per process, and
+//! CPUID is the only selector: no setting can change it. Each role has
+//! one kernel per platform:
 //!
-//! 1. `NYMIX_SHA_BACKEND=scalar|x4|shani` overrides everything
-//!    (testing / forensics). Naming a kernel this build or CPU cannot
-//!    run falls back to the portable [`ShaBackend::X4`] floor — it
-//!    never silently upgrades to a different accelerated path.
-//! 2. Otherwise CPUID picks SHA-NI (hardware rounds) when this build
-//!    and CPU support it, and the portable floor otherwise.
+//! * **Single stream** ([`Sha256`], [`sha256`]): SHA-NI (hardware
+//!   rounds) where the CPU has the SHA extensions, otherwise the
+//!   unrolled portable kernel.
+//! * **Four-lane batch** ([`sha256_x4`]): SHA-NI run lane by lane,
+//!   otherwise the portable interleaved kernel.
 //!
 //! The SHA-NI kernel lives in a cfg-isolated child module (`shani`)
 //! compiled on every `x86_64` build; CPUID dispatch is its only
 //! guard, and its kernel function is `#[target_feature]`-fenced, so a
 //! baseline x86-64 build carries it too. It is the only unsafe code in
 //! the workspace, and `nymix-lint` carries it as a registered,
-//! reason-required `unsafe-kernel` exemption. The portable
-//! scalar/[`sha256_x4`] kernels remain the bit-identical floor on every
-//! target. The selection is exported as the `crypto.sha256.backend`
-//! gauge when it is made (and again by [`sha256_backend`], which
-//! reports it); [`set_sha_backend`] forces it.
+//! reason-required `unsafe-kernel` exemption. The portable kernels
+//! remain the bit-identical floor on every target; the unit tests call
+//! each kernel directly, so every test run checks both the portable
+//! kernels and, on a CPU that has it, SHA-NI against them. The
+//! selection is exported as the `crypto.sha256.backend` gauge when it
+//! is made (and again by [`sha256_backend`], which reports it).
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -563,24 +565,16 @@ macro_rules! rnd16x4 {
 /// Every four-lane entry point funnels through here.
 fn compress4(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) {
     nymix_obs::counter!("crypto.sha256.blocks", LANES);
-    match backend() {
-        // The strictly-serial floor: each lane steps alone through the
-        // single-stream kernel (what a non-batching port would do).
-        ShaBackend::Scalar => {
-            for (state, block) in states.iter_mut().zip(blocks) {
-                compress_block(state, block);
-            }
+    #[cfg(target_arch = "x86_64")]
+    if backend() == ShaBackend::ShaNi {
+        // SHA-NI is a single-stream unit; lane-serial hardware rounds
+        // still beat the interleaved software kernel.
+        for (state, block) in states.iter_mut().zip(blocks) {
+            shani::compress_blocks(state, &block[..]);
         }
-        #[cfg(target_arch = "x86_64")]
-        ShaBackend::ShaNi => {
-            // SHA-NI is a single-stream unit; lane-serial hardware
-            // rounds still beat the interleaved software kernel.
-            for (state, block) in states.iter_mut().zip(blocks) {
-                shani::compress_blocks(state, &block[..]);
-            }
-        }
-        _ => compress4_portable(states, blocks),
+        return;
     }
+    compress4_portable(states, blocks);
 }
 
 /// The portable interleaved kernel: one block per lane, all four lanes
@@ -720,33 +714,28 @@ mod shani;
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
-/// The SHA-256 compression kernel a process dispatches to (see the
-/// [module docs](self#runtime-backend-dispatch) for the selection
-/// order). Discriminants are stable: they are what the
-/// `crypto.sha256.backend` gauge exports, so a retired kernel's value
-/// (3) stays unassigned rather than renumbering SHA-NI.
+/// The SHA-256 compression kernels a process dispatches to, picked
+/// once by CPUID (see the [module docs](self#runtime-backend-dispatch)).
+/// Discriminants are stable: they are what the `crypto.sha256.backend`
+/// gauge exports, so the retired kernels' values (1 and 3) stay
+/// unassigned rather than renumbering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ShaBackend {
-    /// Strictly serial portable kernel: every lane of a four-lane
-    /// batch steps alone. The reference floor every other backend is
-    /// proptested bit-identical against.
-    Scalar = 1,
-    /// Portable four-lane interleaved kernel ([`sha256_x4`]) for
-    /// batches, unrolled scalar for single streams. The default on
-    /// targets without verified CPU features — always available.
+    /// Portable kernels: four-lane interleaved for batches
+    /// ([`sha256_x4`]), unrolled scalar for single streams. Selected on
+    /// every CPU without the SHA extensions; available on every target.
     X4 = 2,
     /// Hardware SHA extensions (single-stream `sha256rnds2` rounds);
-    /// batches run lane-serial through the hardware unit. Available on
-    /// `x86_64` CPUs that advertise the SHA extensions.
+    /// batches run lane-serial through the hardware unit. Selected on
+    /// `x86_64` CPUs that advertise `sha`, `ssse3` and `sse4.1`.
     ShaNi = 4,
 }
 
 impl ShaBackend {
-    /// Stable lower-case name, as accepted by `NYMIX_SHA_BACKEND`.
+    /// Stable lower-case name, as benchmark fingerprints print it.
     pub fn name(self) -> &'static str {
         match self {
-            ShaBackend::Scalar => "scalar",
             ShaBackend::X4 => "x4",
             ShaBackend::ShaNi => "shani",
         }
@@ -756,62 +745,26 @@ impl ShaBackend {
     pub fn id(self) -> usize {
         self as u8 as usize
     }
-
-    fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "scalar" => Some(ShaBackend::Scalar),
-            "x4" => Some(ShaBackend::X4),
-            "shani" => Some(ShaBackend::ShaNi),
-            _ => None,
-        }
-    }
 }
 
 /// 0 = not yet selected; otherwise a `ShaBackend` discriminant.
 static BACKEND: AtomicU8 = AtomicU8::new(0);
 
-/// True when this build *and* this CPU can run `b`.
-fn backend_supported(b: ShaBackend) -> bool {
-    match b {
-        ShaBackend::Scalar | ShaBackend::X4 => true,
-        #[cfg(target_arch = "x86_64")]
-        ShaBackend::ShaNi => {
-            std::is_x86_feature_detected!("sha")
-                && std::is_x86_feature_detected!("ssse3")
-                && std::is_x86_feature_detected!("sse4.1")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        ShaBackend::ShaNi => false,
-    }
-}
-
-/// Best kernel CPUID says this machine can run.
-fn detect_backend() -> ShaBackend {
-    if backend_supported(ShaBackend::ShaNi) {
-        ShaBackend::ShaNi
-    } else {
-        ShaBackend::X4
-    }
-}
-
-/// One-time selection: env override first, then CPUID.
+/// The kernels CPUID says this build and CPU can run.
 fn select_backend() -> ShaBackend {
-    match std::env::var("NYMIX_SHA_BACKEND") {
-        Ok(name) => match ShaBackend::from_name(name.trim()) {
-            // An override naming a kernel this build or CPU cannot run
-            // falls back to the portable floor — it must never
-            // silently upgrade to a different accelerated path.
-            Some(b) if backend_supported(b) => b,
-            _ => ShaBackend::X4,
-        },
-        Err(_) => detect_backend(),
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sha")
+        && std::is_x86_feature_detected!("ssse3")
+        && std::is_x86_feature_detected!("sse4.1")
+    {
+        return ShaBackend::ShaNi;
     }
+    ShaBackend::X4
 }
 
 #[inline]
 fn backend() -> ShaBackend {
     match BACKEND.load(Ordering::Relaxed) {
-        1 => ShaBackend::Scalar,
         2 => ShaBackend::X4,
         4 => ShaBackend::ShaNi,
         _ => {
@@ -823,9 +776,9 @@ fn backend() -> ShaBackend {
     }
 }
 
-/// The kernel this process dispatches SHA-256 to, selecting it (env
-/// override, then CPUID) on first call. Also exports the selection as
-/// the `crypto.sha256.backend` gauge so bench-smoke snapshots record
+/// The kernels this process dispatches SHA-256 to, selecting them by
+/// CPUID on first call. Also exports the selection as the
+/// `crypto.sha256.backend` gauge so bench-smoke snapshots record
 /// which kernel produced the numbers, even when the recorder was
 /// switched on after the first hash selected it.
 pub fn sha256_backend() -> ShaBackend {
@@ -834,24 +787,10 @@ pub fn sha256_backend() -> ShaBackend {
     b
 }
 
-/// Forces the dispatched backend (testing hook — the equivalence suite
-/// uses it to pin every kernel bit-identical). Requests this build or
-/// CPU cannot run install the portable [`ShaBackend::X4`] floor;
-/// returns the backend actually installed.
-pub fn set_sha_backend(requested: ShaBackend) -> ShaBackend {
-    let b = if backend_supported(requested) {
-        requested
-    } else {
-        ShaBackend::X4
-    };
-    BACKEND.store(b as u8, Ordering::Relaxed);
-    nymix_obs::gauge!("crypto.sha256.backend", b.id());
-    b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -950,7 +889,9 @@ mod tests {
 
     #[test]
     fn x4_matches_scalar() {
-        for len in [0usize, 1, 31, 32, 55, 56, 63, 64, 65, 127, 128, 300] {
+        for len in [
+            0usize, 1, 31, 32, 55, 56, 63, 64, 65, 127, 128, 129, 300, 1000, 2000,
+        ] {
             for prefix in [&b""[..], b"\x00", b"tag:", &[0x55u8; 70]] {
                 let msgs: Vec<Vec<u8>> = (0..4u8).map(|l| vec![l ^ 0xa5; len]).collect();
                 let got = sha256_x4(prefix, [&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
@@ -970,84 +911,79 @@ mod tests {
         let _ = sha256_x4(b"", [b"a", b"b", b"c", b"dd"]);
     }
 
-    /// One test (not several) because the backend selector is process-
-    /// global: a single test owning every `set_sha_backend` call keeps
-    /// the suite race-free. Output equality across backends means the
-    /// concurrent read-only tests cannot observe a difference anyway.
-    #[test]
-    fn backend_dispatch_and_equivalence() {
-        let prev = sha256_backend();
-
-        // Reference digests under the strictly-serial floor, at lengths
-        // straddling every padding/block boundary.
-        let data: Vec<u8> = (0u8..=255).cycle().take(2000).collect();
-        let lens = [0usize, 1, 31, 55, 56, 63, 64, 65, 127, 128, 129, 1000, 2000];
-        assert_eq!(set_sha_backend(ShaBackend::Scalar), ShaBackend::Scalar);
-        let want: Vec<_> = lens.iter().map(|&n| sha256(&data[..n])).collect();
-        let want_x4: Vec<_> = lens
-            .iter()
-            .map(|&n| sha256_x4(b"tag:", [&data[..n], &data[..n], &data[..n], &data[..n]]))
-            .collect();
-
-        let all = [ShaBackend::Scalar, ShaBackend::X4, ShaBackend::ShaNi];
-        for requested in all {
-            let installed = set_sha_backend(requested);
-            // Unsupported requests must land on the portable floor,
-            // never a different accelerated kernel.
-            assert!(
-                installed == requested || installed == ShaBackend::X4,
-                "requested {} installed {}",
-                requested.name(),
-                installed.name()
-            );
-            assert_eq!(sha256_backend(), installed);
-
-            // FIPS vector, one-shot, split-point invariance, and the
-            // four-lane kernel: all bit-identical to the scalar floor.
-            assert_eq!(
-                hex(&sha256(b"abc")),
-                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-                "backend {}",
-                installed.name()
-            );
-            for (i, &n) in lens.iter().enumerate() {
-                assert_eq!(
-                    sha256(&data[..n]),
-                    want[i],
-                    "backend {} len {n}",
-                    installed.name()
-                );
-                let mut h = Sha256::new();
-                h.update(&data[..n / 2]);
-                h.update(&data[n / 2..n]);
-                assert_eq!(
-                    h.finalize(),
-                    want[i],
-                    "backend {} split {n}",
-                    installed.name()
-                );
-                assert_eq!(
-                    sha256_x4(b"tag:", [&data[..n], &data[..n], &data[..n], &data[..n]]),
-                    want_x4[i],
-                    "backend {} x4 {n}",
-                    installed.name()
-                );
+    proptest! {
+        /// The portable batch kernel is four single-stream compressions.
+        #[test]
+        fn compress4_portable_matches_compress_block(
+            states in any::<[[u32; 8]; LANES]>(),
+            blocks in any::<[[u8; BLOCK_LEN]; LANES]>()
+        ) {
+            let mut got = states;
+            compress4_portable(&mut got, [&blocks[0], &blocks[1], &blocks[2], &blocks[3]]);
+            for l in 0..LANES {
+                let mut want = states[l];
+                compress_block(&mut want, &blocks[l]);
+                prop_assert_eq!(got[l], want, "lane {}", l);
             }
         }
 
-        // On x86_64 the accelerated request must actually install when
-        // the CPU advertises the features.
+        /// SHA-NI and the portable block loop agree over multi-block
+        /// inputs from any state. (Without SHA-NI the entry point falls
+        /// back to the portable loop, and the check is trivially met.)
+        #[test]
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::is_x86_feature_detected!("sha") {
-                assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::ShaNi);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            assert_eq!(set_sha_backend(ShaBackend::ShaNi), ShaBackend::X4);
+        fn shani_matches_portable(
+            state in any::<[u32; 8]>(),
+            data in proptest::collection::vec(any::<u8>(), 0..8 * BLOCK_LEN)
+        ) {
+            let data = &data[..data.len() - data.len() % BLOCK_LEN];
+            let mut got = state;
+            shani::compress_blocks(&mut got, data);
+            let mut want = state;
+            compress_blocks_portable(&mut want, data);
+            prop_assert_eq!(got, want, "{} blocks", data.len() / BLOCK_LEN);
         }
 
-        set_sha_backend(prev);
+        /// Every public entry point agrees: each `sha256_x4` lane equals
+        /// `Sha256` fed the prefix and the lane split at any point.
+        #[test]
+        fn x4_lanes_match_split_fed_sha256(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+            split in 0usize..2048
+        ) {
+            let split = split.min(data.len());
+            let lanes: Vec<Vec<u8>> = (0..LANES as u8)
+                .map(|l| data.iter().map(|b| b ^ l).collect())
+                .collect();
+            for prefix in [&b"p:"[..], b"tag:"] {
+                let got = sha256_x4(prefix, [&lanes[0], &lanes[1], &lanes[2], &lanes[3]]);
+                for (l, lane) in lanes.iter().enumerate() {
+                    let mut h = Sha256::new();
+                    h.update(prefix);
+                    h.update(&lane[..split]);
+                    h.update(&lane[split..]);
+                    prop_assert_eq!(got[l], h.finalize(), "prefix {:?} lane {}", prefix, l);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cpuid_selects_the_backend() {
+        let b = sha256_backend();
+        #[cfg(target_arch = "x86_64")]
+        let shani = std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let shani = false;
+        let want = if shani {
+            ShaBackend::ShaNi
+        } else {
+            ShaBackend::X4
+        };
+        assert_eq!(b, want);
+        assert_eq!(ShaBackend::X4.name(), "x4");
+        assert_eq!(ShaBackend::ShaNi.name(), "shani");
     }
 }

@@ -1,14 +1,16 @@
 //! SHA-NI kernel: FIPS 180-4 compression on the x86 SHA extensions
 //! (`sha256rnds2` / `sha256msg1` / `sha256msg2`).
 //!
-//! Compiled on every `x86_64` build and reached only through
-//! [`super::backend`] dispatch after a CPUID check. The kernel function
-//! is `#[target_feature]`-fenced, so no build flag is needed to carry
-//! it. This file is the workspace's only unsafe code; `nymix-lint`
-//! carries it as a registered, reasoned `unsafe-kernel` exemption —
-//! the entry point below stays sound on its own by re-verifying the
-//! CPU features and falling back to the portable loop, so a bypassed
-//! dispatcher degrades instead of hitting undefined behavior.
+//! Compiled on every `x86_64` build. Hashing reaches it only through
+//! [`super::backend`] dispatch, which picks it by CPUID alone; the
+//! unit tests also call it directly to check it against the portable
+//! kernel. The kernel function is `#[target_feature]`-fenced, so no
+//! build flag is needed to carry it. This file is the workspace's only
+//! unsafe code; `nymix-lint` carries it as a registered, reasoned
+//! `unsafe-kernel` exemption — the entry point below stays sound on
+//! its own by re-verifying the CPU features and falling back to the
+//! portable loop, so a bypassed dispatcher degrades instead of hitting
+//! undefined behavior.
 //!
 //! The round structure is the canonical SHA-NI formulation: the state
 //! rides in two XMM registers packed `ABEF`/`CDGH`, each

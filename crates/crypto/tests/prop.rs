@@ -231,35 +231,6 @@ proptest! {
     }
 
     #[test]
-    fn sha256_backends_bit_identical(data in proptest::collection::vec(any::<u8>(), 0..2048),
-                                     split in 0usize..2048) {
-        // Every dispatched kernel must agree with the strictly-serial
-        // scalar floor over arbitrary lengths and split points, both
-        // single-stream and through the four-lane batch entry point.
-        use nymix_crypto::{set_sha_backend, sha256_backend, sha256_x4, ShaBackend};
-        let prev = sha256_backend();
-        let split = split.min(data.len());
-        set_sha_backend(ShaBackend::Scalar);
-        let want = nymix_crypto::sha256(&data);
-        let want_x4 = sha256_x4(b"p:", [&data, &data, &data, &data]);
-        for requested in [ShaBackend::X4, ShaBackend::ShaNi] {
-            let installed = set_sha_backend(requested);
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            prop_assert_eq!(h.finalize(), want, "backend {}", installed.name());
-            prop_assert_eq!(nymix_crypto::sha256(&data), want, "backend {}", installed.name());
-            prop_assert_eq!(
-                sha256_x4(b"p:", [&data, &data, &data, &data]),
-                want_x4,
-                "backend {}",
-                installed.name()
-            );
-        }
-        set_sha_backend(prev);
-    }
-
-    #[test]
     fn hkdf_deterministic(salt in proptest::collection::vec(any::<u8>(), 0..32),
                           ikm in proptest::collection::vec(any::<u8>(), 1..64),
                           info in proptest::collection::vec(any::<u8>(), 0..32),

@@ -72,13 +72,6 @@ pub enum DeltaError {
     /// The recomputed Merkle root over the replayed record set differs
     /// from the committed root: tampering, reordering, or a stale base.
     RootMismatch,
-    /// A delta was offered for a name with no full base archive to
-    /// chain on.
-    NoBase,
-    /// The object backend holding the chain failed (denied credentials,
-    /// provider fault) — distinct from "nothing stored" and from
-    /// tampering, so callers recover down the right path.
-    Backend(crate::backend::BackendError),
 }
 
 impl core::fmt::Display for DeltaError {
@@ -87,8 +80,6 @@ impl core::fmt::Display for DeltaError {
             DeltaError::Malformed => write!(f, "malformed delta archive"),
             DeltaError::CountMismatch => write!(f, "replayed record count mismatches commitment"),
             DeltaError::RootMismatch => write!(f, "merkle root mismatch after replay"),
-            DeltaError::NoBase => write!(f, "no base archive to chain a delta on"),
-            DeltaError::Backend(e) => write!(f, "chain backend failed: {e}"),
         }
     }
 }

@@ -9,9 +9,11 @@
 //!   survives power loss).
 //! * **A volatile write cache.** `write` updates the view and queues
 //!   the operation; nothing reaches the durable image until `fsync` on
-//!   that file flushes its queued writes. Between barriers the device
-//!   is free to persist any subset of the queue in any order — exactly
-//!   the freedom [`CrashMode`] exercises.
+//!   that file flushes its queued writes. At power loss the device
+//!   persists what [`CrashMode`] picks of the queue: an ordered prefix,
+//!   a torn last write, or all of it. Real caches may also reorder,
+//!   but the disk store never queues more than one write, so order
+//!   cannot matter to it.
 //! * **Torn sectors.** A queued write interrupted by power loss may
 //!   land only a prefix of its bytes.
 //! * **Deterministic failure.** A [`FaultPlan`]
@@ -294,7 +296,7 @@ impl SimDisk {
     }
 
     /// Flips one bit of the **durable** image — media corruption (a
-    /// decayed cell, a hostile edit), distinct from crash reordering.
+    /// decayed cell, a hostile edit), distinct from a crash's lost writes.
     /// `bit` indexes bits little-endian within the file; out-of-range
     /// flips extend the file with zeros first.
     pub fn corrupt_durable_bit(&mut self, file: FileId, bit: usize) {
@@ -335,16 +337,6 @@ impl SimDisk {
                 }
                 if let Some(w) = self.pending.get(landed) {
                     apply(&mut durable, w, torn_bytes);
-                }
-            }
-            CrashMode::JournalOnly => {
-                for w in self.pending.iter().filter(|w| w.file == FileId::Journal) {
-                    apply(&mut durable, w, w.data.len());
-                }
-            }
-            CrashMode::HeapOnly => {
-                for w in self.pending.iter().filter(|w| w.file == FileId::Heap) {
-                    apply(&mut durable, w, w.data.len());
                 }
             }
             CrashMode::All => {
@@ -434,10 +426,6 @@ mod tests {
             torn_bytes: 2,
         });
         assert_eq!(torn.durable(FileId::Heap), b"HH");
-
-        let heap_only = d.crashed(CrashMode::HeapOnly);
-        assert!(heap_only.durable(FileId::Journal).is_empty());
-        assert_eq!(heap_only.durable(FileId::Heap), b"HHHH");
 
         let all = d.crashed(CrashMode::All);
         assert_eq!(all.durable(FileId::Journal), b"JJ");

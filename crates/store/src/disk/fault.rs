@@ -9,13 +9,14 @@
 //!   at every boundary of the commit protocol.
 //! * **What the write cache managed to persist** — [`CrashMode`] picks
 //!   which queued-but-unflushed writes reached media: none, an ordered
-//!   prefix, a prefix plus a *torn* final write, only one file's writes
-//!   (reordering across files), or all of them. Any subset a real
-//!   volatile cache could produce is covered by these shapes because
-//!   recovery only ever depends on (a) which superblock slot is intact
-//!   and (b) whether the frame at the committed end of the log is
-//!   complete — and they exercise every combination the commit's fsync
-//!   order allows.
+//!   prefix, a prefix plus a *torn* final write, or all of them. The
+//!   disk store fsyncs every write before it issues the next, so a
+//!   killed commit leaves at most one write queued, and these shapes
+//!   are every subset a real volatile cache could persist of it: not
+//!   at all, torn, or whole. No reordering shape is needed; the crash
+//!   loops assert the one-write bound at every kill point, so a
+//!   protocol that queues two writes fails them until reorder shapes
+//!   come back.
 //!
 //! Media corruption (bit rot, hostile edits) is a third, separate knob:
 //! [`SimDisk::corrupt_durable_bit`](super::SimDisk::corrupt_durable_bit).
@@ -61,12 +62,6 @@ pub enum CrashMode {
         /// Bytes of the next write that reached media.
         torn_bytes: usize,
     },
-    /// Only superblock-file writes landed (the cache reordered the
-    /// log behind them).
-    JournalOnly,
-    /// Only log-file writes landed (the cache reordered the superblock
-    /// file behind them).
-    HeapOnly,
     /// Every queued write landed (power died just short of the ack).
     All,
 }
@@ -74,9 +69,8 @@ pub enum CrashMode {
 impl CrashMode {
     /// A canonical covering set of modes for a device with `pending`
     /// queued writes and a final write of `last_len` bytes: every
-    /// whole-write prefix, torn variants of the final write, both
-    /// single-file reorderings, and the all-landed case. Exhaustive
-    /// crash loops iterate this.
+    /// whole-write prefix, torn variants of the final write, and the
+    /// all-landed case. Exhaustive crash loops iterate this.
     pub fn covering_set(pending: usize, last_len: usize) -> Vec<CrashMode> {
         let mut modes = vec![CrashMode::None];
         for n in 1..=pending {
@@ -89,10 +83,6 @@ impl CrashMode {
                     torn_bytes: torn,
                 });
             }
-        }
-        if pending > 1 {
-            modes.push(CrashMode::JournalOnly);
-            modes.push(CrashMode::HeapOnly);
         }
         modes.push(CrashMode::All);
         modes
@@ -114,6 +104,23 @@ mod tests {
 
     #[test]
     fn covering_set_shapes() {
+        // One queued write, as a killed commit leaves: lost, torn, or
+        // landed whole.
+        let torn = |torn_bytes| CrashMode::Torn {
+            landed: 0,
+            torn_bytes,
+        };
+        assert_eq!(
+            CrashMode::covering_set(1, 8),
+            vec![
+                CrashMode::None,
+                CrashMode::Prefix(1),
+                torn(1),
+                torn(4),
+                torn(7),
+                CrashMode::All
+            ]
+        );
         let modes = CrashMode::covering_set(3, 8);
         assert!(modes.contains(&CrashMode::None));
         assert!(modes.contains(&CrashMode::Prefix(3)));
@@ -121,7 +128,6 @@ mod tests {
             landed: 2,
             torn_bytes: 7
         }));
-        assert!(modes.contains(&CrashMode::JournalOnly));
         assert!(modes.contains(&CrashMode::All));
         // Degenerate queue still yields the trivial cases.
         let empty = CrashMode::covering_set(0, 0);

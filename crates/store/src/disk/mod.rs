@@ -507,7 +507,9 @@ mod tests {
                 assert!(seen_pre && seen_post, "both outcomes must occur");
                 break;
             }
-            for mode in CrashMode::covering_set(s.disk().pending_writes(), 64) {
+            let pending = s.disk().pending_writes();
+            assert!(pending <= 1, "kill {kill}: {pending} writes queued");
+            for mode in CrashMode::covering_set(pending, 64) {
                 let mut reopened =
                     DiskStore::open(s.crash(mode)).expect("crash recovery never fails");
                 let got = contents(&mut reopened);
@@ -532,7 +534,7 @@ mod tests {
             vec![("b".into(), vec![8; 30]), ("a".into(), vec![7; 20])],
             Vec::new(),
         );
-        let img = s.crash(CrashMode::JournalOnly);
+        let img = s.crash(CrashMode::All);
         let mut once = DiskStore::open(img.clone()).unwrap();
         let mut twice = DiskStore::open(DiskStore::open(img).unwrap().into_disk()).unwrap();
         assert_eq!(contents(&mut once), contents(&mut twice));

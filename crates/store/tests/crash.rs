@@ -2,8 +2,7 @@
 //!
 //! For *every* write/fsync boundary of a batch commit, and for every
 //! crash mode in the covering set (nothing landed, each whole-write
-//! prefix, torn final sector, single-file reordering, everything
-//! landed), this suite kills the device, reopens the image, and checks
+//! prefix, torn final sector, everything landed), this suite kills the device, reopens the image, and checks
 //! the recovered store is exactly the pre-batch or the post-batch
 //! state — never a blend — and that recovering twice equals recovering
 //! once. CI runs this under `--release` (the `crash-matrix` job), the
@@ -80,8 +79,12 @@ fn every_crash_point_recovers_to_pre_or_post_batch() {
             break;
         }
         points += 1;
+        // Each write is fsynced before the next, so a kill leaves at
+        // most one queued and CrashMode needs no reordering shapes.
+        let pending = s.disk().pending_writes();
+        assert!(pending <= 1, "kill {kill}: {pending} writes queued");
         let last_len = 64; // torn-tail granularity for the covering set
-        for mode in CrashMode::covering_set(s.disk().pending_writes(), last_len) {
+        for mode in CrashMode::covering_set(pending, last_len) {
             let img = s.crash(mode);
             let mut r = DiskStore::open(img.clone())
                 .unwrap_or_else(|e| panic!("kill {kill} {mode:?}: recovery failed: {e}"));
@@ -134,7 +137,9 @@ fn crash_matrix_across_consecutive_batches() {
         if s.apply_batch(batch2.clone(), Vec::new()).is_ok() {
             break;
         }
-        for mode in CrashMode::covering_set(s.disk().pending_writes(), 32) {
+        let pending = s.disk().pending_writes();
+        assert!(pending <= 1, "kill {kill}: {pending} writes queued");
+        for mode in CrashMode::covering_set(pending, 32) {
             let mut r = DiskStore::open(s.crash(mode)).unwrap();
             let got = contents(&mut r);
             match got.get("one").map(|d| d[0]) {
@@ -154,7 +159,7 @@ fn recovered_store_accepts_new_writes() {
     let base_ops = s.disk().ops();
     s.set_fault_plan(FaultPlan::kill_at_op(base_ops + 2));
     let _ = gc_batch(&mut s);
-    let mut r = DiskStore::open(s.crash(CrashMode::JournalOnly)).unwrap();
+    let mut r = DiskStore::open(s.crash(CrashMode::All)).unwrap();
     r.put("post-recovery", vec![0x77; 33]).unwrap();
     let want = contents(&mut r);
     let mut again = DiskStore::open(r.into_disk()).unwrap();

@@ -495,7 +495,9 @@ proptest! {
         kill in 0u64..8,
         mode_sel in any::<u8>()) {
         if let Some(s) = crashed_store(&base, &batch, kill) {
-            let modes = CrashMode::covering_set(s.disk().pending_writes(), 16);
+            let pending = s.disk().pending_writes();
+            prop_assert!(pending <= 1, "kill {}: {} writes queued", kill, pending);
+            let modes = CrashMode::covering_set(pending, 16);
             let mode = modes[mode_sel as usize % modes.len()];
             let img = s.crash(mode);
             let mut once = DiskStore::open(img.clone()).expect("recovery");
@@ -526,7 +528,9 @@ proptest! {
             disk_contents(&mut s)
         };
         if let Some(s) = crashed_store(&base, &batch, kill) {
-            let modes = CrashMode::covering_set(s.disk().pending_writes(), 16);
+            let pending = s.disk().pending_writes();
+            prop_assert!(pending <= 1, "kill {}: {} writes queued", kill, pending);
+            let modes = CrashMode::covering_set(pending, 16);
             let mode = modes[mode_sel as usize % modes.len()];
             let mut r = DiskStore::open(s.crash(mode)).expect("recovery");
             let got = disk_contents(&mut r);
