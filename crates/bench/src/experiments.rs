@@ -310,7 +310,7 @@ pub fn fig7_startup(seed: u64) -> Vec<StartupSample> {
         .create_nym("pre", AnonymizerKind::Tor, UsageModel::PreConfigured)
         .expect("capacity");
     m.visit_site(id, Site::Twitter).expect("visit");
-    m.save_nym(id, "pw", &StorageDest::Local).expect("save");
+    m.save_nym(id, "pw", &StorageDest::Disk).expect("save");
     m.destroy_nym(id).expect("destroy");
     let (id, b) = m
         .restore_nym(
@@ -318,7 +318,7 @@ pub fn fig7_startup(seed: u64) -> Vec<StartupSample> {
             AnonymizerKind::Tor,
             UsageModel::PreConfigured,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .expect("restore");
     let page = m.visit_site(id, Site::Twitter).expect("visit");
@@ -466,7 +466,7 @@ pub fn ablation_compression(seed: u64) -> (usize, usize) {
         .create_nym("c", AnonymizerKind::Tor, UsageModel::Persistent)
         .expect("capacity");
     m.visit_site(id, Site::Facebook).expect("visit");
-    let (sealed, _) = m.save_nym(id, "pw", &StorageDest::Local).expect("save");
+    let (sealed, _) = m.save_nym(id, "pw", &StorageDest::Disk).expect("save");
     let (anon, comm, other) = m.last_save_breakdown().expect("saved");
     let raw = anon + comm + other;
     (sealed, raw)

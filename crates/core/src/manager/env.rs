@@ -3,8 +3,9 @@
 //! Everything every nym sees in common lives here — the hypervisor
 //! (VMs, memory), the packet fabric (isolation), DNS, the relay
 //! directory, the simulation clock, the world RNG, and the storage
-//! endpoints (cloud providers, local partition). Transfer timing is not
-//! state here: [`nymix_net::access_transfer`] charges every transfer.
+//! endpoints (cloud providers, the journaled disk, the striped
+//! placement). Transfer timing is not state here:
+//! [`nymix_net::access_transfer`] charges every transfer.
 //! The layering rule: an [`Environment`] never holds per-nym state.
 //! Per-nym state — nymbox, anonymizer, browser, snapshot chains,
 //! sealing scratch — lives in
@@ -19,7 +20,7 @@ use nymix_net::dns::DnsDb;
 use nymix_net::{Fabric, Ip, Mac, NodeId, NodeKind};
 use nymix_sim::{Rng, SimDuration, SimTime};
 use nymix_store::{
-    BackendError, CloudProvider, CloudSession, DiskStore, LocalStore, ObjectBackend, PlacementStore,
+    BackendError, CloudProvider, CloudSession, DiskStore, ObjectBackend, PlacementStore,
 };
 use nymix_vmm::Hypervisor;
 
@@ -36,7 +37,6 @@ pub struct Environment {
     pub(super) rng: Rng,
     pub(super) clock: SimTime,
     pub(super) cloud: BTreeMap<String, CloudProvider>,
-    pub(super) local: LocalStore,
     pub(super) disk: DiskStore,
     pub(super) striped: Option<StripedStore>,
     pub(super) browser_scale: u64,
@@ -128,7 +128,6 @@ impl Environment {
             rng,
             clock: SimTime::ZERO,
             cloud: BTreeMap::new(),
-            local: LocalStore::new(),
             disk: DiskStore::new(),
             striped: None,
             browser_scale,
@@ -186,13 +185,12 @@ pub(super) fn deterministic_blob(tag: u64, len: usize) -> Vec<u8> {
 pub(super) type StripedStore = PlacementStore<CloudSession<CloudProvider>>;
 
 /// The opened storage destination: a credentialed cloud session
-/// observing the anonymizer's exit address, the local partition, the
-/// crash-consistent journaled disk, or the striped placement.
+/// observing the anonymizer's exit address, the crash-consistent
+/// journaled disk, or the striped placement.
 /// Everything the save/restore pipeline ships — base archives, deltas,
 /// chunk objects — moves through [`DestBackend::as_backend`].
 pub(super) enum DestBackend<'a> {
     Cloud(CloudSession<&'a mut CloudProvider>),
-    Local(&'a mut LocalStore),
     Disk(&'a mut DiskStore),
     Striped(&'a mut StripedStore),
 }
@@ -202,19 +200,18 @@ impl DestBackend<'_> {
     pub(super) fn as_backend(&mut self) -> &mut dyn ObjectBackend {
         match self {
             DestBackend::Cloud(s) => s,
-            DestBackend::Local(s) => *s,
             DestBackend::Disk(s) => *s,
             DestBackend::Striped(s) => *s,
         }
     }
 
     /// Drains the simulated retry backoff the destination's cloud
-    /// writes accrued (zero for local media).
+    /// writes accrued (zero for the disk).
     pub(super) fn take_accrued_backoff(&mut self) -> SimDuration {
         match self {
             DestBackend::Cloud(s) => s.take_accrued_backoff(),
             DestBackend::Striped(s) => s.take_accrued_backoff(),
-            DestBackend::Local(_) | DestBackend::Disk(_) => SimDuration::ZERO,
+            DestBackend::Disk(_) => SimDuration::ZERO,
         }
     }
 }
@@ -222,10 +219,9 @@ impl DestBackend<'_> {
 /// Opens the storage destination as an [`ObjectBackend`]: a
 /// credentialed cloud session (which needs the fetching/saving
 /// anonymizer's `exit` address — that is all the provider ever
-/// observes) or the local partition.
+/// observes), the journaled disk, or the striped placement.
 pub(super) fn dest_backend<'a>(
     cloud: &'a mut BTreeMap<String, CloudProvider>,
-    local: &'a mut LocalStore,
     disk: &'a mut DiskStore,
     striped: Option<&'a mut StripedStore>,
     now: SimTime,
@@ -247,7 +243,6 @@ pub(super) fn dest_backend<'a>(
                 exit.expect("cloud access rides an anonymizer with an exit"),
             )))
         }
-        StorageDest::Local => Ok(DestBackend::Local(local)),
         StorageDest::Disk => Ok(DestBackend::Disk(disk)),
         StorageDest::Striped => {
             let s = striped

@@ -383,7 +383,7 @@ mod tests {
             .expect("capacity");
         fleet.visit_round(&mut m, |_| Site::Bbc).unwrap();
         let batched = fleet
-            .save_round(&mut m, "pw", |_| StorageDest::Local)
+            .save_round(&mut m, "pw", |_| StorageDest::Disk)
             .unwrap();
         assert!(batched.iter().all(|(k, _, _)| *k == SaveKind::Full));
 
@@ -391,7 +391,7 @@ mod tests {
         for (i, id) in fleet.ids().iter().enumerate() {
             m.inject_stain(*id, &format!("serial-{i}")).unwrap();
             let (kind, _, _) = m
-                .save_nym_incremental(*id, "pw", &StorageDest::Local)
+                .save_nym_incremental(*id, "pw", &StorageDest::Disk)
                 .unwrap();
             assert_eq!(kind, SaveKind::Delta);
         }
@@ -405,7 +405,7 @@ mod tests {
             .map(|id| FleetSaveRequest {
                 id: *id,
                 password: "pw",
-                dest: &StorageDest::Local,
+                dest: &StorageDest::Disk,
             })
             .collect();
         let outcomes = m.save_nyms_incremental(&reqs).unwrap();
@@ -420,7 +420,7 @@ mod tests {
                     AnonymizerKind::Tor,
                     UsageModel::Persistent,
                     "pw",
-                    &StorageDest::Local,
+                    &StorageDest::Disk,
                 )
                 .expect("restore after mixed serial/batched chain");
             assert!(m.has_stain(id, &format!("serial-{i}")).unwrap());
@@ -443,19 +443,13 @@ mod tests {
             .create_nym("twin", AnonymizerKind::Tor, UsageModel::Persistent)
             .unwrap();
         m.visit_site(a, Site::Bbc).unwrap();
-        let (kind, _, _) = m
-            .save_nym_incremental(a, "pw", &StorageDest::Local)
-            .unwrap();
+        let (kind, _, _) = m.save_nym_incremental(a, "pw", &StorageDest::Disk).unwrap();
         assert_eq!(kind, SaveKind::Full); // epoch 1
-        let (kind, _, _) = m
-            .save_nym_incremental(b, "pw", &StorageDest::Local)
-            .unwrap();
+        let (kind, _, _) = m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap();
         assert_eq!(kind, SaveKind::Full); // epoch 2: b sees a's registry entry
                                           // a's chain is stale now — its next save must compact, not delta.
         m.inject_stain(a, "stale-chain").unwrap();
-        let (kind, _, _) = m
-            .save_nym_incremental(a, "pw", &StorageDest::Local)
-            .unwrap();
+        let (kind, _, _) = m.save_nym_incremental(a, "pw", &StorageDest::Disk).unwrap();
         assert_eq!(kind, SaveKind::Full); // epoch 3
                                           // The label restores to a's latest state (last full save wins).
         m.destroy_nym(a).unwrap();
@@ -466,7 +460,7 @@ mod tests {
                 AnonymizerKind::Tor,
                 UsageModel::Persistent,
                 "pw",
-                &StorageDest::Local,
+                &StorageDest::Disk,
             )
             .unwrap();
         assert!(m.has_stain(id, "stale-chain").unwrap());

@@ -42,9 +42,7 @@ use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::dns::DnsDb;
 use nymix_net::{access_transfer, Fabric, Ip, NodeId};
 use nymix_sim::{SimDuration, SimTime};
-use nymix_store::{
-    CloudProvider, CloudSession, DiskStore, FaultPlan, LocalStore, PlacementStore, SimDisk,
-};
+use nymix_store::{CloudProvider, CloudSession, DiskStore, FaultPlan, PlacementStore, SimDisk};
 use nymix_vmm::{Hypervisor, HypervisorError};
 use nymix_workload::browser::BrowserState;
 use nymix_workload::Site;
@@ -75,11 +73,11 @@ pub enum StorageDest {
         /// Account credential.
         credential: String,
     },
-    /// Local partition / USB drive: faster, not deniable.
-    Local,
-    /// The crash-consistent journaled disk: like [`StorageDest::Local`]
-    /// but backed by [`nymix_store::DiskStore`], so stored nyms survive
-    /// power loss at any instant and every save batch lands atomically.
+    /// Local partition / USB drive: faster, not deniable — whoever
+    /// seizes the device finds the sealed blobs. Backed by the
+    /// crash-consistent journaled [`nymix_store::DiskStore`], so stored
+    /// nyms survive power loss at any instant and every save batch
+    /// lands atomically; a save costs the device I/O it counts.
     /// The device image can be detached with [`NymManager::take_disk`]
     /// and re-attached to a later manager with
     /// [`NymManager::attach_disk`].
@@ -291,11 +289,6 @@ impl NymManager {
     /// A registered cloud provider.
     pub fn cloud_provider(&self, name: &str) -> Option<&CloudProvider> {
         self.env.cloud.get(name)
-    }
-
-    /// The local store.
-    pub fn local_store(&self) -> &LocalStore {
-        &self.env.local
     }
 
     /// The crash-consistent disk store behind [`StorageDest::Disk`].
@@ -525,7 +518,7 @@ impl NymManager {
                     boot,
                 )
             }
-            StorageDest::Local | StorageDest::Disk => (None, None, SimDuration::ZERO),
+            StorageDest::Disk => (None, None, SimDuration::ZERO),
         };
 
         // The restoring session doesn't exist yet, so the fetch runs on
@@ -599,45 +592,43 @@ impl NymManager {
         // and move into the session's chunk cache: the fetch checked
         // every chunk id against them, so the next save reuses the ids
         // of every chunk the nym did not touch.
-        if let Some(epoch) = fetched.epoch {
-            let anon_gen = self
-                .env
-                .hv
-                .vm(session.nymbox.anon_vm)?
-                .disk()
-                .upper()
-                .map(nymix_fs::Layer::generation)
-                .unwrap_or(0);
-            let comm_gen = self
-                .env
-                .hv
-                .vm(session.nymbox.comm_vm)?
-                .disk()
-                .upper()
-                .map(nymix_fs::Layer::generation)
-                .unwrap_or(0);
-            for (record_name, stored, manifest) in fetched.stored_overrides {
-                if let Some(resolved) = archive.replace(&record_name, stored) {
-                    session
-                        .chunk_cache
-                        .insert(record_name, (resolved, manifest));
-                }
+        let anon_gen = self
+            .env
+            .hv
+            .vm(session.nymbox.anon_vm)?
+            .disk()
+            .upper()
+            .map(nymix_fs::Layer::generation)
+            .unwrap_or(0);
+        let comm_gen = self
+            .env
+            .hv
+            .vm(session.nymbox.comm_vm)?
+            .disk()
+            .upper()
+            .map(nymix_fs::Layer::generation)
+            .unwrap_or(0);
+        for (record_name, stored, manifest) in fetched.stored_overrides {
+            if let Some(resolved) = archive.replace(&record_name, stored) {
+                session
+                    .chunk_cache
+                    .insert(record_name, (resolved, manifest));
             }
-            self.pipeline.note_epoch(&label, epoch);
-            session.chains.insert(
-                label,
-                ChainState {
-                    key: fetched.key,
-                    epoch,
-                    delta_count: fetched.delta_count,
-                    archive,
-                    chunks: fetched.chunk_index,
-                    commitment: fetched.commitment,
-                    anon_gen,
-                    comm_gen,
-                },
-            );
         }
+        self.pipeline.note_epoch(&label, fetched.epoch);
+        session.chains.insert(
+            label,
+            ChainState {
+                key: fetched.key,
+                epoch: fetched.epoch,
+                delta_count: fetched.delta_count,
+                archive,
+                chunks: fetched.chunk_index,
+                commitment: fetched.commitment,
+                anon_gen,
+                comm_gen,
+            },
+        );
 
         let id = NymId(n);
         self.next_nym += 1;
@@ -664,8 +655,11 @@ impl NymManager {
         Ok(())
     }
 
-    /// Uncompressed per-record sizes of the most recent [`Self::save_nym`]:
-    /// `(anonvm_bytes, commvm_bytes, other_bytes)`.
+    /// Uncompressed per-record sizes of the most recent save:
+    /// `(anonvm_bytes, commvm_bytes, other_bytes)`. Every save call sets
+    /// it — [`Self::save_nym`], [`Self::save_nym_incremental`], and
+    /// [`Self::save_nyms_incremental`], which leaves the batch's last
+    /// outcome here.
     pub fn last_save_breakdown(&self) -> Option<(usize, usize, usize)> {
         self.last_save_breakdown
     }

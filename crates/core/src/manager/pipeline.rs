@@ -344,13 +344,13 @@ impl StorePipeline {
             .striped
             .as_ref()
             .map_or(1.0, |s| s.redundancy_overhead());
-        // Bytes one save puts on the access link (zero for local ones).
+        // Bytes one save puts on the access link (zero for disk ones).
         let scale = env.browser_scale as f64;
         let upload_wire = |s: &SealedSave| {
             let amplify = match s.plan.req.dest {
                 StorageDest::Cloud { .. } => 1.0,
                 StorageDest::Striped => striped_overhead,
-                StorageDest::Local | StorageDest::Disk => 0.0,
+                StorageDest::Disk => 0.0,
             };
             (1.0 + s.plan.wire_overhead) * (s.uploaded as f64 * scale) * amplify
         };
@@ -365,7 +365,7 @@ impl StorePipeline {
         while let Some(s) = pending.next() {
             let same_target = |a: &SealedSave, b: &SealedSave| {
                 a.plan.req.dest == b.plan.req.dest
-                    && (matches!(a.plan.req.dest, StorageDest::Local | StorageDest::Disk)
+                    && (matches!(a.plan.req.dest, StorageDest::Disk)
                         || a.plan.exit_ip == b.plan.exit_ip)
             };
             let flush = match pending.peek() {
@@ -397,7 +397,6 @@ impl StorePipeline {
                 let _span = nymix_obs::span!("apply_batch", "objects" => staged.len());
                 let mut backend = dest_backend(
                     &mut env.cloud,
-                    &mut env.local,
                     &mut env.disk,
                     env.striped.as_mut(),
                     now,
@@ -438,8 +437,6 @@ impl StorePipeline {
                             .max(access_transfer(wire, s.plan.rate_cap))
                             + cloud_backoff
                     }
-                    // One media sync flushes the whole batch.
-                    StorageDest::Local => SimDuration::from_millis(300),
                     // The batch's frame commit, at modeled device speed.
                     StorageDest::Disk => disk_io,
                 };

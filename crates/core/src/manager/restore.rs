@@ -28,7 +28,7 @@ pub(super) struct FetchedChain {
     /// checked against the resolved bytes.
     pub stored_overrides: Vec<(String, Vec<u8>, ChunkManifest)>,
     pub key: SealKey,
-    pub epoch: Option<u64>,
+    pub epoch: u64,
     pub delta_count: usize,
     pub chunk_index: ChunkIndex,
     /// The commitment cache built over the base and advanced through
@@ -57,7 +57,6 @@ pub(super) fn fetch_chain(
     let now = env.clock;
     let mut opened = dest_backend(
         &mut env.cloud,
-        &mut env.local,
         &mut env.disk,
         env.striped.as_mut(),
         now,
@@ -92,20 +91,32 @@ pub(super) fn fetch_chain(
     // accumulator is built once over the base, then advanced leaf-wise
     // per delta, so verification rehashes only each delta's dirty
     // records instead of the whole record set per replay.
+    //
+    // Deltas land in slot order, so the chain ends at its first absent
+    // slot; every slot is still read, because a present slot after a
+    // gap means a delta was withheld and the prefix is an older state.
     let mut commitment = ArchiveCommitment::build(&archive);
+    // Every full save writes the epoch record: a base without one
+    // never came from this program.
     let epoch = archive
         .get(EPOCH_RECORD)
         .and_then(|b| <[u8; 8]>::try_from(b).ok())
-        .map(u64::from_le_bytes);
+        .map(u64::from_le_bytes)
+        .ok_or_else(|| NymManagerError::Storage("base has no chain epoch record".into()))?;
     let mut delta_count = 0;
-    if let Some(epoch) = epoch {
+    {
         let _span = nymix_obs::span!("replay", "epoch" => epoch);
         for index in 1..=DELTA_CHAIN_LIMIT {
             let dlabel = delta_label(label, epoch, index);
             let delta = {
                 let Some(dblob) = backend.get(&dlabel).map_err(storage_err)? else {
-                    break;
+                    continue;
                 };
+                if delta_count + 1 < index {
+                    let missing = delta_count + 1;
+                    let e = format!("delta {missing} of chain epoch {epoch}");
+                    return Err(NymManagerError::MissingObject(e));
+                }
                 fetched_bytes += dblob.len();
                 let bytes =
                     unseal_into(dblob, &chain_key, &dlabel, work, scratch).map_err(seal_err)?;
@@ -127,47 +138,45 @@ pub(super) fn fetch_chain(
     // its name-bound seal and content hash.
     let mut chunk_index = ChunkIndex::new();
     let mut stored_overrides = Vec::new();
-    if let Some(epoch) = epoch {
-        let _span = nymix_obs::span!("resolve", "epoch" => epoch);
-        let prefix = chunk_prefix(label, epoch);
-        let manifests: Vec<(String, ChunkManifest)> = archive
-            .records()
-            .filter_map(|(n, d)| {
-                ChunkManifest::from_bytes(d)
-                    .ok()
-                    .map(|m| (n.to_string(), m))
-            })
-            .collect();
-        for (record_name, manifest) in manifests {
-            chunk_index.retain_manifest(&manifest);
-            let mut resolved = Vec::with_capacity(manifest.total_len());
-            // Absent and failed are different restore outcomes: a
-            // manifest-required chunk the backend *answered* is gone
-            // (GC'd away, provider withheld it) is a permanent
-            // MissingObject — the stored state is incomplete — while a
-            // backend that couldn't be reached leaves the state
-            // presumed intact behind an Unavailable error.
-            fetched_bytes += cas::fetch_record_into(
-                &manifest,
-                &chain_key,
-                &prefix,
-                backend,
-                work,
-                scratch,
-                &mut resolved,
-            )
-            .map_err(|e| match e {
-                cas::CasError::MissingChunk => NymManagerError::MissingObject(format!(
-                    "chunk of record {record_name:?} under {prefix:?}"
-                )),
-                cas::CasError::Backend(be) => storage_err(be),
-                other => NymManagerError::Storage(other.to_string()),
-            })?;
-            let stored = archive
-                .replace(&record_name, resolved)
-                .expect("record present above");
-            stored_overrides.push((record_name, stored, manifest));
-        }
+    let _span = nymix_obs::span!("resolve", "epoch" => epoch);
+    let prefix = chunk_prefix(label, epoch);
+    let manifests: Vec<(String, ChunkManifest)> = archive
+        .records()
+        .filter_map(|(n, d)| {
+            ChunkManifest::from_bytes(d)
+                .ok()
+                .map(|m| (n.to_string(), m))
+        })
+        .collect();
+    for (record_name, manifest) in manifests {
+        chunk_index.retain_manifest(&manifest);
+        let mut resolved = Vec::with_capacity(manifest.total_len());
+        // Absent and failed are different restore outcomes: a
+        // manifest-required chunk the backend *answered* is gone
+        // (GC'd away, provider withheld it) is a permanent
+        // MissingObject — the stored state is incomplete — while a
+        // backend that couldn't be reached leaves the state
+        // presumed intact behind an Unavailable error.
+        fetched_bytes += cas::fetch_record_into(
+            &manifest,
+            &chain_key,
+            &prefix,
+            backend,
+            work,
+            scratch,
+            &mut resolved,
+        )
+        .map_err(|e| match e {
+            cas::CasError::MissingChunk => NymManagerError::MissingObject(format!(
+                "chunk of record {record_name:?} under {prefix:?}"
+            )),
+            cas::CasError::Backend(be) => storage_err(be),
+            other => NymManagerError::Storage(other.to_string()),
+        })?;
+        let stored = archive
+            .replace(&record_name, resolved)
+            .expect("record present above");
+        stored_overrides.push((record_name, stored, manifest));
     }
 
     Ok(FetchedChain {

@@ -379,7 +379,6 @@ pub(super) fn storage_label(name: &str, dest: &super::StorageDest) -> String {
         } => {
             format!("nym:{name}@{provider}/{account}")
         }
-        super::StorageDest::Local => format!("nym:{name}@local"),
         super::StorageDest::Disk => format!("nym:{name}@disk"),
         super::StorageDest::Striped => format!("nym:{name}@striped"),
     }

@@ -6,11 +6,16 @@ use super::*;
 use fleet::FleetSaveRequest;
 use nymix_anon::AnonymizerKind;
 use nymix_sim::SimDuration;
-use nymix_store::DELTA_CHAIN_LIMIT;
+use nymix_store::{ObjectBackend, DELTA_CHAIN_LIMIT};
 use nymix_workload::Site;
 
 pub(super) fn manager() -> NymManager {
     NymManager::new(42, 64)
+}
+
+/// A copy of the object stored on the manager's disk under `name`.
+fn stored(m: &mut NymManager, name: &str) -> Option<Vec<u8>> {
+    m.env.disk.get(name).unwrap().map(<[u8]>::to_vec)
 }
 
 #[test]
@@ -143,7 +148,7 @@ fn wrong_password_fails_restore() {
     let (id, _) = m
         .create_nym("bob", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
-    m.save_nym(id, "right", &StorageDest::Local).unwrap();
+    m.save_nym(id, "right", &StorageDest::Disk).unwrap();
     m.destroy_nym(id).unwrap();
     assert!(matches!(
         m.restore_nym(
@@ -151,7 +156,7 @@ fn wrong_password_fails_restore() {
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "wrong",
-            &StorageDest::Local
+            &StorageDest::Disk
         ),
         Err(NymManagerError::Storage(_))
     ));
@@ -163,7 +168,7 @@ fn local_restore_skips_ephemeral_nym() {
     let (id, _) = m
         .create_nym("carol", AnonymizerKind::Tor, UsageModel::PreConfigured)
         .unwrap();
-    m.save_nym(id, "pw", &StorageDest::Local).unwrap();
+    m.save_nym(id, "pw", &StorageDest::Disk).unwrap();
     m.destroy_nym(id).unwrap();
     let (_, breakdown) = m
         .restore_nym(
@@ -171,7 +176,7 @@ fn local_restore_skips_ephemeral_nym() {
             AnonymizerKind::Tor,
             UsageModel::PreConfigured,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .unwrap();
     assert!(breakdown.ephemeral_fetch < SimDuration::from_secs(3));
@@ -234,7 +239,7 @@ fn persistent_nym_grows_across_cycles() {
     let mut sizes = Vec::new();
     for _ in 0..4 {
         m.visit_site(id, Site::Facebook).unwrap();
-        let (size, _) = m.save_nym(id, "pw", &StorageDest::Local).unwrap();
+        let (size, _) = m.save_nym(id, "pw", &StorageDest::Disk).unwrap();
         sizes.push(size);
         m.destroy_nym(id).unwrap();
         let (nid, _) = m
@@ -243,7 +248,7 @@ fn persistent_nym_grows_across_cycles() {
                 AnonymizerKind::Tor,
                 UsageModel::Persistent,
                 "pw",
-                &StorageDest::Local,
+                &StorageDest::Disk,
             )
             .unwrap();
         id = nid;
@@ -263,7 +268,7 @@ fn incremental_save_seals_only_the_delta() {
     m.visit_site(id, Site::Twitter).unwrap();
     // First save: no chain yet, must be full.
     let (kind, full_size, _) = m
-        .save_nym_incremental(id, "pw", &StorageDest::Local)
+        .save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Full);
     // A tiny change — new guard state dirties only the
@@ -272,7 +277,7 @@ fn incremental_save_seals_only_the_delta() {
     m.seed_guards_deterministically(id, "usb://nyms/inc", "pw")
         .unwrap();
     let (kind, delta_size, _) = m
-        .save_nym_incremental(id, "pw", &StorageDest::Local)
+        .save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Delta);
     assert!(
@@ -280,12 +285,12 @@ fn incremental_save_seals_only_the_delta() {
         "delta {delta_size} not small vs full {full_size}"
     );
     // The delta rides a chained object, not the base slot.
-    assert!(m.local_store().get("nym:inc@local#e1.1").is_some());
+    assert!(stored(&mut m, "nym:inc@disk#e1.1").is_some());
     // A stain (browser + AnonVM disk) still saves as a delta: two
     // dirty records out of five.
     m.inject_stain(id, "evercookie-9").unwrap();
     let (kind, stain_delta, _) = m
-        .save_nym_incremental(id, "pw", &StorageDest::Local)
+        .save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Delta);
     assert!(stain_delta < full_size);
@@ -298,7 +303,7 @@ fn incremental_save_seals_only_the_delta() {
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .unwrap();
     assert!(m.has_stain(id2, "evercookie-9").unwrap());
@@ -310,10 +315,10 @@ fn incremental_save_seals_only_the_delta() {
     // The restored chain keeps accepting deltas where it left off.
     m.inject_stain(id2, "evercookie-10").unwrap();
     let (kind, _, _) = m
-        .save_nym_incremental(id2, "pw", &StorageDest::Local)
+        .save_nym_incremental(id2, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Delta);
-    assert!(m.local_store().get("nym:inc@local#e1.3").is_some());
+    assert!(stored(&mut m, "nym:inc@disk#e1.3").is_some());
 }
 
 #[test]
@@ -329,7 +334,7 @@ fn clean_saves_stay_deltas_and_chains_compact() {
             m.inject_stain(id, &format!("mark-{i}")).unwrap();
         }
         let (kind, _, _) = m
-            .save_nym_incremental(id, "pw", &StorageDest::Local)
+            .save_nym_incremental(id, "pw", &StorageDest::Disk)
             .unwrap();
         kinds.push(kind);
     }
@@ -346,7 +351,7 @@ fn clean_saves_stay_deltas_and_chains_compact() {
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .unwrap();
     for i in 1..=nymix_store::DELTA_CHAIN_LIMIT + 1 {
@@ -397,26 +402,26 @@ fn tampered_delta_fails_restore_closed() {
         .create_nym("t", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
     m.visit_site(id, Site::Bbc).unwrap();
-    m.save_nym_incremental(id, "pw", &StorageDest::Local)
+    m.save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     m.inject_stain(id, "x").unwrap();
     let (kind, _, _) = m
-        .save_nym_incremental(id, "pw", &StorageDest::Local)
+        .save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Delta);
     m.destroy_nym(id).unwrap();
     // Flip one ciphertext byte in the stored delta object.
-    let mut blob = m.env.local.get("nym:t@local#e1.1").unwrap().to_vec();
+    let mut blob = stored(&mut m, "nym:t@disk#e1.1").unwrap();
     let mid = blob.len() / 2;
     blob[mid] ^= 1;
-    m.env.local.put("nym:t@local#e1.1", blob);
+    m.env.disk.put("nym:t@disk#e1.1", blob).unwrap();
     assert!(matches!(
         m.restore_nym(
             "t",
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local
+            &StorageDest::Disk
         ),
         Err(NymManagerError::Storage(_))
     ));
@@ -429,28 +434,121 @@ fn delta_chain_slots_cannot_be_swapped() {
         .create_nym("s", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
     m.visit_site(id, Site::Bbc).unwrap();
-    m.save_nym_incremental(id, "pw", &StorageDest::Local)
+    m.save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     for mark in ["a", "b"] {
         m.inject_stain(id, mark).unwrap();
-        m.save_nym_incremental(id, "pw", &StorageDest::Local)
+        m.save_nym_incremental(id, "pw", &StorageDest::Disk)
             .unwrap();
     }
     m.destroy_nym(id).unwrap();
     // A malicious backend swaps the two delta objects: each blob
     // still authenticates under the chain key, but against the
     // wrong slot label — restore must refuse.
-    let d1 = m.env.local.get("nym:s@local#e1.1").unwrap().to_vec();
-    let d2 = m.env.local.get("nym:s@local#e1.2").unwrap().to_vec();
-    m.env.local.put("nym:s@local#e1.1", d2);
-    m.env.local.put("nym:s@local#e1.2", d1);
+    let d1 = stored(&mut m, "nym:s@disk#e1.1").unwrap();
+    let d2 = stored(&mut m, "nym:s@disk#e1.2").unwrap();
+    m.env
+        .disk
+        .apply_batch(
+            vec![
+                ("nym:s@disk#e1.1".into(), d2),
+                ("nym:s@disk#e1.2".into(), d1),
+            ],
+            Vec::new(),
+        )
+        .unwrap();
     assert!(matches!(
         m.restore_nym(
             "s",
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local
+            &StorageDest::Disk
+        ),
+        Err(NymManagerError::Storage(_))
+    ));
+}
+
+#[test]
+fn withheld_middle_delta_fails_restore_closed() {
+    let mut m = manager();
+    let (id, _) = m
+        .create_nym("w", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.visit_site(id, Site::Bbc).unwrap();
+    m.save_nym_incremental(id, "pw", &StorageDest::Disk)
+        .unwrap();
+    // Each delta dirties only the small anonymizer.state record, so no
+    // chunk the base references is swept and the base alone restores.
+    for location in ["usb://a", "usb://b"] {
+        m.seed_guards_deterministically(id, location, "pw").unwrap();
+        let (kind, _, _) = m
+            .save_nym_incremental(id, "pw", &StorageDest::Disk)
+            .unwrap();
+        assert_eq!(kind, SaveKind::Delta);
+    }
+    m.destroy_nym(id).unwrap();
+    // A backend withholds delta 1 but still serves delta 2: replaying
+    // the base alone would silently restore the first guard state.
+    m.env
+        .disk
+        .apply_batch(Vec::new(), vec!["nym:w@disk#e1.1".into()])
+        .unwrap();
+    let err = m
+        .restore_nym(
+            "w",
+            AnonymizerKind::Tor,
+            UsageModel::Persistent,
+            "pw",
+            &StorageDest::Disk,
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, NymManagerError::MissingObject(s) if s == "delta 1 of chain epoch 1"),
+        "{err}"
+    );
+}
+
+#[test]
+fn epochless_base_fails_restore_closed() {
+    use nymix_store::{seal_into, NymArchive, SealKey, SealScratch, Sealable};
+    // Every full save writes the epoch record, so a base without one
+    // never came from this program. It decrypts under the nym's label
+    // and password, and still must not restore.
+    let mut m = manager();
+    let (id, _) = m
+        .create_nym("ne", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    let nymbox = m.nymbox(id).unwrap().clone();
+    let mut archive = NymArchive::new();
+    for (record, vm) in [
+        ("anonvm.disk", nymbox.anon_vm),
+        ("commvm.disk", nymbox.comm_vm),
+    ] {
+        let upper = m.hypervisor().vm(vm).unwrap().disk().upper().unwrap();
+        archive.replace_layer(record, upper);
+    }
+    m.destroy_nym(id).unwrap();
+    let label = storage_label("ne", &StorageDest::Disk);
+    let mut rng = nymix_sim::Rng::seed_from(5);
+    let key = SealKey::derive("pw", &label, &mut rng);
+    let mut blob = Vec::new();
+    seal_into(
+        Sealable::Archive(&archive),
+        &key,
+        &label,
+        &mut rng,
+        &mut SealScratch::new(),
+        &mut blob,
+    );
+    m.env.disk.put(&label, blob).unwrap();
+    assert!(matches!(
+        m.restore_nym(
+            "ne",
+            AnonymizerKind::Tor,
+            UsageModel::Persistent,
+            "pw",
+            &StorageDest::Disk
         ),
         Err(NymManagerError::Storage(_))
     ));
@@ -467,12 +565,12 @@ fn recreated_nym_does_not_collide_with_stale_chain() {
         .create_nym("re", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
     m.visit_site(id, Site::Bbc).unwrap();
-    m.save_nym_incremental(id, "pw", &StorageDest::Local)
+    m.save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     m.inject_stain(id, "old-life").unwrap();
-    m.save_nym_incremental(id, "pw", &StorageDest::Local)
+    m.save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
-    assert!(m.local_store().get("nym:re@local#e1.1").is_some());
+    assert!(stored(&mut m, "nym:re@disk#e1.1").is_some());
     m.destroy_nym(id).unwrap();
 
     // Fresh nym, same name: full save must take epoch 2, not 1.
@@ -480,7 +578,7 @@ fn recreated_nym_does_not_collide_with_stale_chain() {
         .create_nym("re", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
     let (kind, _, _) = m
-        .save_nym_incremental(id2, "pw", &StorageDest::Local)
+        .save_nym_incremental(id2, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Full);
     m.destroy_nym(id2).unwrap();
@@ -490,21 +588,19 @@ fn recreated_nym_does_not_collide_with_stale_chain() {
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .unwrap();
     // The restored state is the fresh nym's, not the stained one.
     assert!(!m.has_stain(id3, "old-life").unwrap());
 }
 
-/// Chunk-object names the local store currently holds.
-fn chunk_objects(m: &NymManager) -> Vec<String> {
-    m.local_store()
-        .list()
-        .into_iter()
-        .filter(|n| n.contains("/c/"))
-        .map(str::to_string)
-        .collect()
+/// Chunk-object names the disk currently holds.
+fn chunk_objects(m: &mut NymManager) -> Vec<String> {
+    let mut names = Vec::new();
+    m.env.disk.list(&mut names).unwrap();
+    names.retain(|n| n.contains("/c/"));
+    names
 }
 
 /// A manager at low browser scale so disk records cross the chunk
@@ -516,7 +612,7 @@ fn chunked_setup(seed: u64) -> (NymManager, NymId, usize) {
         .unwrap();
     m.visit_site(id, Site::Twitter).unwrap();
     let (kind, full_uploaded, _) = m
-        .save_nym_incremental(id, "pw", &StorageDest::Local)
+        .save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Full);
     (m, id, full_uploaded)
@@ -526,7 +622,7 @@ fn chunked_setup(seed: u64) -> (NymManager, NymId, usize) {
 fn chunked_save_dedups_and_roundtrips() {
     let (mut m, id, full_uploaded) = chunked_setup(77);
     // The base shipped manifests + chunk objects.
-    let after_full = chunk_objects(&m);
+    let after_full = chunk_objects(&mut m);
     assert!(!after_full.is_empty(), "large records should chunk");
 
     // A stain dirties the big AnonVM disk record; the delta ships
@@ -534,7 +630,7 @@ fn chunked_save_dedups_and_roundtrips() {
     // far fewer bytes than the base (which re-ships everything).
     m.inject_stain(id, "cas-mark").unwrap();
     let (kind, delta_uploaded, _) = m
-        .save_nym_incremental(id, "pw", &StorageDest::Local)
+        .save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Delta);
     assert!(
@@ -550,7 +646,7 @@ fn chunked_save_dedups_and_roundtrips() {
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .unwrap();
     assert!(m.has_stain(id2, "cas-mark").unwrap());
@@ -561,7 +657,7 @@ fn chunked_save_dedups_and_roundtrips() {
     // The restored chain keeps absorbing chunked deltas.
     m.inject_stain(id2, "cas-mark-2").unwrap();
     let (kind, _, _) = m
-        .save_nym_incremental(id2, "pw", &StorageDest::Local)
+        .save_nym_incremental(id2, "pw", &StorageDest::Disk)
         .unwrap();
     assert_eq!(kind, SaveKind::Delta);
 }
@@ -609,7 +705,7 @@ fn chunk_cache_is_per_session_and_refilled_by_restore() {
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .unwrap();
     let cache = &m.sessions[&id2].chunk_cache;
@@ -622,7 +718,7 @@ fn chunk_cache_is_per_session_and_refilled_by_restore() {
     for i in 0..=DELTA_CHAIN_LIMIT {
         m.inject_stain(id2, &format!("cache-{i}")).unwrap();
         let (kind, _, _) = m
-            .save_nym_incremental(id2, "pw", &StorageDest::Local)
+            .save_nym_incremental(id2, "pw", &StorageDest::Disk)
             .unwrap();
         kinds.push(kind);
         assert_eq!(
@@ -637,18 +733,18 @@ fn chunk_cache_is_per_session_and_refilled_by_restore() {
 fn tampered_chunk_fails_restore_closed() {
     let (mut m, id, _) = chunked_setup(78);
     m.destroy_nym(id).unwrap();
-    let victim = chunk_objects(&m)[0].clone();
-    let mut blob = m.env.local.get(&victim).unwrap().to_vec();
+    let victim = chunk_objects(&mut m)[0].clone();
+    let mut blob = stored(&mut m, &victim).unwrap();
     let mid = blob.len() / 2;
     blob[mid] ^= 1;
-    m.env.local.put(&victim, blob);
+    m.env.disk.put(&victim, blob).unwrap();
     assert!(matches!(
         m.restore_nym(
             "ck",
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local
+            &StorageDest::Disk
         ),
         Err(NymManagerError::Storage(_))
     ));
@@ -661,19 +757,24 @@ fn swapped_chunks_fail_restore_closed() {
     // Each chunk is sealed with its own object name as AEAD data:
     // a backend serving chunk A's bytes under chunk B's name fails
     // authentication even though both blobs are individually valid.
-    let names = chunk_objects(&m);
+    let names = chunk_objects(&mut m);
     assert!(names.len() >= 2, "need two chunks to swap");
-    let a = m.env.local.get(&names[0]).unwrap().to_vec();
-    let b = m.env.local.get(&names[1]).unwrap().to_vec();
-    m.env.local.put(&names[0], b);
-    m.env.local.put(&names[1], a);
+    let a = stored(&mut m, &names[0]).unwrap();
+    let b = stored(&mut m, &names[1]).unwrap();
+    m.env
+        .disk
+        .apply_batch(
+            vec![(names[0].clone(), b), (names[1].clone(), a)],
+            Vec::new(),
+        )
+        .unwrap();
     assert!(matches!(
         m.restore_nym(
             "ck",
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local
+            &StorageDest::Disk
         ),
         Err(NymManagerError::Storage(_))
     ));
@@ -683,8 +784,9 @@ fn swapped_chunks_fail_restore_closed() {
 fn gcd_away_chunk_fails_restore_closed() {
     let (mut m, id, _) = chunked_setup(80);
     m.destroy_nym(id).unwrap();
-    let victim = chunk_objects(&m)[0].clone();
-    assert!(m.env.local.delete(&victim));
+    let victim = chunk_objects(&mut m)[0].clone();
+    assert!(stored(&mut m, &victim).is_some());
+    m.env.disk.apply_batch(Vec::new(), vec![victim]).unwrap();
     // The backend answered and the chunk is *gone* — the distinct
     // authoritatively-absent error, not a generic storage failure and
     // not Unavailable (nothing is down; retrying cannot help).
@@ -694,7 +796,7 @@ fn gcd_away_chunk_fails_restore_closed() {
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local
+            &StorageDest::Disk
         ),
         Err(NymManagerError::MissingObject(_))
     ));
@@ -703,21 +805,21 @@ fn gcd_away_chunk_fails_restore_closed() {
 #[test]
 fn compaction_sweeps_retired_epoch_chunks() {
     let (mut m, id, _) = chunked_setup(81);
-    let epoch1: Vec<String> = chunk_objects(&m);
+    let epoch1: Vec<String> = chunk_objects(&mut m);
     assert!(epoch1.iter().all(|n| n.contains("#e1/")), "{epoch1:?}");
     // Run the chain past the delta limit so a save compacts into a
     // new epoch; epoch 1's chunk and delta objects must be swept.
     for i in 0..=DELTA_CHAIN_LIMIT {
         m.inject_stain(id, &format!("gc-{i}")).unwrap();
-        m.save_nym_incremental(id, "pw", &StorageDest::Local)
+        m.save_nym_incremental(id, "pw", &StorageDest::Disk)
             .unwrap();
     }
-    let now = chunk_objects(&m);
+    let now = chunk_objects(&mut m);
     assert!(
         now.iter().all(|n| n.contains("#e2/")),
         "old-epoch chunks not swept: {now:?}"
     );
-    assert!(m.local_store().get("nym:ck@local#e1.1").is_none());
+    assert!(stored(&mut m, "nym:ck@disk#e1.1").is_none());
     // The compacted chain restores with every mark intact.
     m.destroy_nym(id).unwrap();
     let (id2, _) = m
@@ -726,7 +828,7 @@ fn compaction_sweeps_retired_epoch_chunks() {
             AnonymizerKind::Tor,
             UsageModel::Persistent,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .unwrap();
     for i in 0..=DELTA_CHAIN_LIMIT {
@@ -871,9 +973,8 @@ fn delta_saves_do_not_drain_orphaned_chunk_registry() {
         .create_nym("twin", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
     m.visit_site(a, Site::Twitter).unwrap();
-    m.save_nym_incremental(a, "pw", &StorageDest::Local)
-        .unwrap(); // epoch 1, chunks on disk
-    let epoch1: Vec<String> = chunk_objects(&m);
+    m.save_nym_incremental(a, "pw", &StorageDest::Disk).unwrap(); // epoch 1, chunks on disk
+    let epoch1: Vec<String> = chunk_objects(&mut m);
     assert!(epoch1.iter().any(|n| n.contains("#e1/")), "{epoch1:?}");
 
     // A second nym takes over the label with a full save (epoch 2),
@@ -882,31 +983,27 @@ fn delta_saves_do_not_drain_orphaned_chunk_registry() {
         .create_nym("twin", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
     m.visit_site(b, Site::Bbc).unwrap();
-    m.save_nym_incremental(b, "pw", &StorageDest::Local)
-        .unwrap(); // epoch 2
+    m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap(); // epoch 2
     m.destroy_nym(a).unwrap();
 
     // Delta saves on b's chain must leave the orphans alone.
     m.inject_stain(b, "delta-1").unwrap();
-    let (kind, _, _) = m
-        .save_nym_incremental(b, "pw", &StorageDest::Local)
-        .unwrap();
+    let (kind, _, _) = m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap();
     assert_eq!(kind, SaveKind::Delta);
     assert!(
-        chunk_objects(&m).iter().any(|n| n.contains("#e1/")),
+        chunk_objects(&mut m).iter().any(|n| n.contains("#e1/")),
         "delta save must not sweep (or forget) the dead nym's chunks"
     );
 
     // Run the chain into compaction: now the orphans are swept.
     for i in 0..=DELTA_CHAIN_LIMIT {
         m.inject_stain(b, &format!("fill-{i}")).unwrap();
-        m.save_nym_incremental(b, "pw", &StorageDest::Local)
-            .unwrap();
+        m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap();
     }
     assert!(
-        chunk_objects(&m).iter().all(|n| !n.contains("#e1/")),
+        chunk_objects(&mut m).iter().all(|n| !n.contains("#e1/")),
         "compaction must sweep the orphaned epoch-1 chunks: {:?}",
-        chunk_objects(&m)
+        chunk_objects(&mut m)
     );
 }
 
@@ -937,7 +1034,7 @@ fn disk_save_restore_roundtrip_survives_detach() {
             &StorageDest::Disk,
         )
         .unwrap();
-    // Like Local, disk restores need no ephemeral fetch nym.
+    // Disk restores need no ephemeral fetch nym.
     assert!(breakdown.ephemeral_fetch < SimDuration::from_secs(3));
     assert!(m2.nymbox(id2).unwrap().restored);
     assert!(m2.has_stain(id2, "disk-marker").unwrap());
@@ -1165,7 +1262,7 @@ fn pooled_batch_mixes_a_full_fallback_with_deltas() {
     // it compacts while "a" and "b" ship deltas; every nym must
     // restore to exactly the bytes it saved.
     let mut m = NymManager::new(93, 8);
-    let dest = StorageDest::Local;
+    let dest = StorageDest::Disk;
     let kind_of = |name: &str| {
         if name == "c" {
             AnonymizerKind::Incognito

@@ -37,10 +37,17 @@ fn id_blocks(chunk: &[u8]) -> u64 {
 /// base holds chunk manifests, so the restore resolves and checks every
 /// chunk and the session caches them; without it the base stores the
 /// records raw and the restored session has nothing to reuse. Returns
-/// the blocks with the AnonVM record before and after the stain.
+/// the blocks with the AnonVM record before and after the stain. The
+/// nym saves to the cloud, whose writes hash nothing; the journaled
+/// disk would add its frame checksums to the count.
 fn stained_save_after_restore(chunked_base: bool) -> (u64, Vec<u8>, Vec<u8>) {
-    let dest = StorageDest::Local;
+    let dest = StorageDest::Cloud {
+        provider: "drive".into(),
+        account: "ck".into(),
+        credential: "tok".into(),
+    };
     let mut m = NymManager::new(77, 8);
+    m.register_cloud("drive", "ck", "tok");
     let (id, _) = m
         .create_nym("ck", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();

@@ -105,10 +105,10 @@ proptest! {
             .expect("vm")
             .disk()
             .walk_files(&nymix_fs::Path::new("/home/user"));
-        m.save_nym(id, "pw", &StorageDest::Local).expect("save");
+        m.save_nym(id, "pw", &StorageDest::Disk).expect("save");
         m.destroy_nym(id).expect("live");
         let (id2, _) = m
-            .restore_nym("r", AnonymizerKind::Tor, UsageModel::Persistent, "pw", &StorageDest::Local)
+            .restore_nym("r", AnonymizerKind::Tor, UsageModel::Persistent, "pw", &StorageDest::Disk)
             .expect("restore");
         let nb2 = m.nymbox(id2).expect("live").clone();
         let after = m

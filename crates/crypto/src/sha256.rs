@@ -352,10 +352,14 @@ fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
 pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % BLOCK_LEN, 0);
     nymix_obs::counter!("crypto.sha256.blocks", data.len() / BLOCK_LEN);
-    #[cfg(target_arch = "x86_64")]
+    // Every target selects (and publishes the gauge); only x86_64
+    // builds carry the SHA-NI kernel, so only they can pick it.
     if backend() == ShaBackend::ShaNi {
-        shani::compress_blocks(state, data);
-        return;
+        #[cfg(target_arch = "x86_64")]
+        {
+            shani::compress_blocks(state, data);
+            return;
+        }
     }
     compress_blocks_portable(state, data);
 }
@@ -565,14 +569,16 @@ macro_rules! rnd16x4 {
 /// Every four-lane entry point funnels through here.
 fn compress4(states: &mut [[u32; 8]; LANES], blocks: [&[u8; BLOCK_LEN]; LANES]) {
     nymix_obs::counter!("crypto.sha256.blocks", LANES);
-    #[cfg(target_arch = "x86_64")]
     if backend() == ShaBackend::ShaNi {
         // SHA-NI is a single-stream unit; lane-serial hardware rounds
         // still beat the interleaved software kernel.
-        for (state, block) in states.iter_mut().zip(blocks) {
-            shani::compress_blocks(state, &block[..]);
+        #[cfg(target_arch = "x86_64")]
+        {
+            for (state, block) in states.iter_mut().zip(blocks) {
+                shani::compress_blocks(state, &block[..]);
+            }
+            return;
         }
-        return;
     }
     compress4_portable(states, blocks);
 }

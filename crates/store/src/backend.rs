@@ -1,14 +1,15 @@
 //! The pluggable object-storage backend.
 //!
 //! Every place Nymix keeps sealed bytes — a local partition / USB drive
-//! ([`crate::LocalStore`]), a pseudonymous cloud account
-//! ([`crate::CloudProvider`] via [`crate::cloud::CloudSession`]) — is a
-//! flat namespace of named blobs. [`ObjectBackend`] is that contract:
-//! one write path (`apply_batch`, a batch of puts then deletes) plus
-//! `get` and `list` over opaque names. The Nym Manager's
-//! snapshot chains and the content-addressed chunk store
-//! ([`crate::cas`]) are written against it, so the same snapshot /
-//! dedup machinery runs unchanged against any storage destination.
+//! ([`crate::DiskStore`]), a pseudonymous cloud account
+//! ([`crate::CloudProvider`] via [`crate::cloud::CloudSession`]), the
+//! striped [`crate::PlacementStore`] — is a flat namespace of named
+//! blobs. [`ObjectBackend`] is that contract: one write path
+//! (`apply_batch`, a batch of puts then deletes) plus `get` and `list`
+//! over opaque names. The Nym Manager's snapshot chains and the
+//! content-addressed chunk store ([`crate::cas`]) are written against
+//! it, so the same snapshot / dedup machinery runs unchanged against
+//! any storage destination.
 //!
 //! Methods take `&mut self` even for reads: real backends observe
 //! accesses (the cloud provider's access log is the intersection-attack

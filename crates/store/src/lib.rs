@@ -47,8 +47,8 @@
 //!   [`cloud::AccessLog`] ring) so tests can verify the deniability
 //!   story ("the cloud provider learns nothing about the account
 //!   owner").
-//! * [`local`] — local-partition/USB storage, including what a
-//!   confiscating adversary finds.
+//! * [`local`] — the in-memory reference backend: the fake and the
+//!   baseline for tests and benches. Local media is the [`disk`] store.
 //! * [`placement`] — multi-provider placement: [`PlacementStore`]
 //!   stripes every object across N child backends as k-of-n
 //!   Reed–Solomon shards in hash-verified `"NYMP"` headers. Reads
@@ -61,9 +61,11 @@
 //!
 //! The backends differ in what survives which failure:
 //!
-//! * [`LocalStore`] and [`CloudProvider`] are in-memory models — they
-//!   survive nothing; they exist to model *observability* (what a
-//!   confiscator or provider sees), not durability.
+//! * [`LocalStore`] is an in-memory reference — it survives nothing
+//!   and models nothing beyond the [`ObjectBackend`] contract.
+//! * [`CloudProvider`] is an in-memory model — it survives nothing; it
+//!   exists to model *observability* (what the provider sees), not
+//!   durability.
 //! * [`disk::DiskStore`] survives power loss at any instant: every
 //!   batch is written once, as one checksummed frame appended to the
 //!   log, and commits when a superblock naming the new log length is

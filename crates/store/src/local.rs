@@ -1,18 +1,16 @@
-//! Local-media nym storage.
+//! The in-memory reference backend.
 //!
-//! §3.5: quasi-persistent data can go "to another local partition or
-//! USB drive" instead of the cloud. The trade-off (§3.5 "Security
-//! Tradeoffs"): no ephemeral fetch nym is needed (the nym's own guards
-//! are available immediately), but a confiscating adversary *finds the
-//! encrypted blobs* — "the USB device now becomes evidence" (§2) — and
-//! may coerce the password. [`LocalStore::confiscate`] returns exactly
-//! what such an adversary obtains.
+//! [`LocalStore`] is a plain map of named blobs: infallible, no
+//! credentials, no I/O. Unit tests, property tests and benches use it
+//! as the fake behind [`crate::cas`] and [`crate::PlacementStore`] and
+//! as the baseline other backends are timed against. The Nym Manager's
+//! local-media destination is the journaled [`crate::DiskStore`].
 
 use std::collections::BTreeMap;
 
 use crate::backend::{BackendError, ObjectBackend};
 
-/// A local partition / USB drive holding sealed nyms.
+/// An in-memory map of named blobs.
 #[derive(Debug, Clone, Default)]
 pub struct LocalStore {
     objects: BTreeMap<String, Vec<u8>>,
@@ -43,31 +41,10 @@ impl LocalStore {
     pub fn list(&self) -> Vec<&str> {
         self.objects.keys().map(String::as_str).collect()
     }
-
-    /// Total stored bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.objects.values().map(Vec::len).sum()
-    }
-
-    /// What a confiscating adversary finds: every blob, by name. A
-    /// non-empty result is *evidence of Nymix use* — the deniability
-    /// gap cloud storage closes.
-    pub fn confiscate(&self) -> Vec<(&str, &[u8])> {
-        self.objects
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_slice()))
-            .collect()
-    }
-
-    /// Whether confiscation finds nothing (deniable state).
-    pub fn is_deniable(&self) -> bool {
-        self.objects.is_empty()
-    }
 }
 
-/// Local media is the simplest [`ObjectBackend`]: infallible, no
-/// credentials, no access log an adversary could subpoena (the blobs
-/// themselves are the evidence — see [`LocalStore::confiscate`]).
+/// The simplest [`ObjectBackend`]: infallible, no credentials, no
+/// access log.
 impl ObjectBackend for LocalStore {
     fn apply_batch(
         &mut self,
@@ -98,12 +75,10 @@ mod tests {
     #[test]
     fn crud() {
         let mut s = LocalStore::new();
-        assert!(s.is_deniable());
         s.put("nym-alice", vec![1, 2, 3]);
         s.put("nym-bob", vec![4]);
         assert_eq!(s.get("nym-alice"), Some(&[1u8, 2, 3][..]));
         assert_eq!(s.list(), vec!["nym-alice", "nym-bob"]);
-        assert_eq!(s.total_bytes(), 4);
         assert!(s.delete("nym-bob"));
         assert!(!s.delete("nym-bob"));
         assert_eq!(s.get("nym-bob"), None);
@@ -128,15 +103,5 @@ mod tests {
         .unwrap();
         assert_eq!(b.get("x").unwrap(), None);
         assert_eq!(b.get("y").unwrap(), Some(&[4u8][..]));
-    }
-
-    #[test]
-    fn confiscation_reveals_blob_presence() {
-        let mut s = LocalStore::new();
-        s.put("nym-alice", vec![0xEE; 32]);
-        let found = s.confiscate();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].0, "nym-alice");
-        assert!(!s.is_deniable());
     }
 }

@@ -90,11 +90,9 @@ fn main() {
 
     // 5. What an inspection finds: no local nym blobs, pristine
     //    Windows, provider log shows only the exit address.
-    println!(
-        "local evidence after shutdown: {} blobs (deniable: {})",
-        nymix.local_store().confiscate().len(),
-        nymix.local_store().is_deniable()
-    );
+    let local_bytes = nymix.disk_store().committed_heap_len();
+    println!("local evidence after shutdown: {local_bytes} bytes on disk");
+    assert_eq!(local_bytes, 0, "a cloud session left bytes on local media");
     let provider = nymix.cloud_provider("dropbox").expect("registered");
     let user_ip = nymix.public_ip();
     let saw_user = provider

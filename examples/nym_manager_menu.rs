@@ -91,11 +91,13 @@ fn run(script: Vec<Command>) -> Result<(), NymManagerError> {
         }
     }
 
+    // Every nym went to the cloud: the local disk must stay blank.
+    let local_bytes = nymix.disk_store().committed_heap_len();
     println!(
-        "\nsession over; host at {:.0} MiB; local evidence: {} blobs",
+        "\nsession over; host at {:.0} MiB; local evidence: {local_bytes} bytes",
         nymix.hypervisor().used_memory_mib(),
-        nymix.local_store().confiscate().len()
     );
+    assert_eq!(local_bytes, 0, "a cloud session left bytes on local media");
     Ok(())
 }
 

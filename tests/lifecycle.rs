@@ -32,8 +32,7 @@ fn stain_survives_persistent_but_not_preconfigured_nym() {
         .create_nym("pre", AnonymizerKind::Tor, UsageModel::PreConfigured)
         .expect("capacity");
     m.visit_site(pre, Site::Twitter).expect("live");
-    m.save_nym(pre, "pw", &StorageDest::Local)
-        .expect("snapshot");
+    m.save_nym(pre, "pw", &StorageDest::Disk).expect("snapshot");
     m.inject_stain(pre, "mullenize").expect("live");
     assert!(m.has_stain(pre, "mullenize").expect("live"));
     m.destroy_nym(pre).expect("live");
@@ -43,7 +42,7 @@ fn stain_survives_persistent_but_not_preconfigured_nym() {
             AnonymizerKind::Tor,
             UsageModel::PreConfigured,
             "pw",
-            &StorageDest::Local,
+            &StorageDest::Disk,
         )
         .expect("restore");
     assert!(

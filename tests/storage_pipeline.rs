@@ -1,8 +1,9 @@
 //! The quasi-persistence pipeline, end to end: what the cloud provider
 //! and a confiscating adversary actually obtain.
 
-use nymix::{NymManager, StorageDest, UsageModel};
+use nymix::{NymManager, SaveKind, StorageDest, UsageModel};
 use nymix_anon::AnonymizerKind;
+use nymix_store::DELTA_CHAIN_LIMIT;
 use nymix_workload::Site;
 
 fn dest() -> StorageDest {
@@ -52,15 +53,41 @@ fn provider_stores_only_ciphertext() {
 }
 
 #[test]
-fn local_storage_is_evidence_cloud_is_not() {
+fn disk_storage_is_evidence_cloud_is_not() {
+    // §2: local media "becomes evidence". The sealed bytes sit in the
+    // journaled disk's log, and neither destroying the nym nor a
+    // compaction that deletes its old epoch takes them off the device.
     let mut m = manager(22);
     let (id, _) = m
         .create_nym("bob", AnonymizerKind::Tor, UsageModel::Persistent)
         .expect("capacity");
-    m.save_nym(id, "pw", &StorageDest::Local).expect("save");
+    m.visit_site(id, Site::Twitter).expect("live");
+    let save = |m: &mut NymManager, mark: &str| {
+        m.inject_stain(id, mark).expect("live");
+        m.save_nym_incremental(id, "pw", &StorageDest::Disk)
+            .expect("save")
+            .0
+    };
+    assert_eq!(save(&mut m, "mark-0"), SaveKind::Full);
     assert!(
-        !m.local_store().is_deniable(),
-        "local blob is evidence (§2)"
+        m.disk_store().committed_heap_len() > 0,
+        "disk blob is evidence"
+    );
+    for i in 1..=DELTA_CHAIN_LIMIT {
+        assert_eq!(save(&mut m, &format!("mark-{i}")), SaveKind::Delta);
+    }
+    let (objects, log_len) = (
+        m.disk_store().object_count(),
+        m.disk_store().committed_heap_len(),
+    );
+    // The compacting save starts epoch 2 and deletes epoch 1's deltas.
+    assert_eq!(save(&mut m, "mark-last"), SaveKind::Full);
+    m.destroy_nym(id).expect("live");
+    assert!(m.disk_store().object_count() < objects, "epoch 1 deleted");
+    assert!(m.disk_store().garbage_bytes() > 0);
+    assert!(
+        m.disk_store().committed_heap_len() > log_len,
+        "deletion only appends: the old bytes stay on the device"
     );
 
     let mut m2 = manager(23);
@@ -69,8 +96,10 @@ fn local_storage_is_evidence_cloud_is_not() {
         .expect("capacity");
     m2.visit_site(id2, Site::Gmail).expect("live");
     m2.save_nym(id2, "pw", &dest()).expect("save");
-    assert!(
-        m2.local_store().is_deniable(),
+    m2.destroy_nym(id2).expect("live");
+    assert_eq!(
+        m2.disk_store().committed_heap_len(),
+        0,
         "cloud storage leaves no local trace"
     );
 }
