@@ -30,7 +30,7 @@ use nymix_anon::AnonymizerKind;
 use nymix_sim::SimDuration;
 use nymix_workload::Site;
 
-use super::pipeline::SaveRequest;
+use super::pipeline::{save_many, SaveRequest};
 use super::{NymId, NymManager, NymManagerError, SaveKind, StorageDest};
 use crate::nymbox::UsageModel;
 use crate::timing::StartupBreakdown;
@@ -73,9 +73,7 @@ impl NymManager {
                 allow_delta: true,
             })
             .collect();
-        let outcomes = self
-            .pipeline
-            .save_many(&mut self.env, &mut self.sessions, requests)?;
+        let outcomes = save_many(&mut self.env, &mut self.sessions, requests)?;
         if let Some(last) = outcomes.last() {
             self.last_save_breakdown = Some(last.breakdown);
         }
@@ -169,7 +167,8 @@ impl NymFleet {
     }
 
     /// Destroys every session (amnesia for the whole fleet). Chains
-    /// die with their sessions; epochs survive in the label registry.
+    /// die with their sessions; their objects stay on the destination,
+    /// which is where a later save or restore learns their epochs.
     pub fn destroy_all(self, manager: &mut NymManager) -> Result<(), NymManagerError> {
         for id in self.ids {
             manager.destroy_nym(id)?;

@@ -14,10 +14,10 @@
 //!   anonymizer, browser state, snapshot chains, its own sealing
 //!   scratch and nonce RNG. No `&mut` on one session can alias
 //!   another, which is what lets fleets of nyms operate concurrently.
-//! * [`pipeline`] — the **StorePipeline**: the staged §3.5 store-nym
+//! * [`pipeline`] — the **store pipeline**: the staged §3.5 store-nym
 //!   workflow (dirty-detect → chunk → seal → upload) over any number
-//!   of sessions at once, plus the label registry and scratch pool
-//!   that outlive individual sessions.
+//!   of sessions at once. It keeps no state of its own: what a
+//!   storage label holds is listed from the destination itself.
 //!
 //! [`fleet`] adds the multi-nym scheduler: deterministic interleaving
 //! of N sessions over sim time, with batched saves that run one job
@@ -42,7 +42,9 @@ use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::dns::DnsDb;
 use nymix_net::{access_transfer, Fabric, Ip, NodeId};
 use nymix_sim::{SimDuration, SimTime};
-use nymix_store::{CloudProvider, CloudSession, DiskStore, FaultPlan, PlacementStore, SimDisk};
+use nymix_store::{
+    CloudProvider, CloudSession, DiskStore, FaultPlan, PlacementStore, SealScratch, SimDisk,
+};
 use nymix_vmm::{Hypervisor, HypervisorError};
 use nymix_workload::browser::BrowserState;
 use nymix_workload::Site;
@@ -51,7 +53,7 @@ use crate::nymbox::{Nymbox, UsageModel};
 use crate::timing::{calib as tcal, StartupBreakdown};
 
 use env::Environment;
-use pipeline::{SaveRequest, StorePipeline};
+use pipeline::{drop_other_chains, save_many, SaveRequest};
 use restore::fetch_chain;
 use session::{storage_label, ChainState, NymSession, RestoredState};
 
@@ -162,7 +164,9 @@ pub struct NymManager {
     env: Environment,
     sessions: BTreeMap<NymId, NymSession>,
     next_nym: u64,
-    pipeline: StorePipeline,
+    /// Warm [`SealScratch`] arenas from destroyed sessions, handed to
+    /// the next session created — fleet churn doesn't re-grow arenas.
+    scratch_pool: Vec<SealScratch>,
     /// Per-record sizes of the most recent save: (anonvm, commvm,
     /// other) payload bytes — Figure 6's "AnonVM content accounting
     /// for 85% of the pseudonym size" breakdown.
@@ -190,7 +194,7 @@ impl NymManager {
             env: Environment::new(seed, browser_scale, host_ram_mib),
             sessions: BTreeMap::new(),
             next_nym: 1,
-            pipeline: StorePipeline::new(),
+            scratch_pool: Vec::new(),
             last_save_breakdown: None,
         }
     }
@@ -377,7 +381,7 @@ impl NymManager {
         restored: Option<RestoredState>,
         cold: bool,
     ) -> Result<(NymId, StartupBreakdown), NymManagerError> {
-        let scratch = self.pipeline.acquire_scratch();
+        let scratch = self.scratch_pool.pop().unwrap_or_default();
         let n = self.next_nym;
         let (session, breakdown) = NymSession::instantiate(
             &mut self.env,
@@ -455,7 +459,9 @@ impl NymManager {
     /// Falls back to a full save (compaction) when no usable chain
     /// exists, after [`nymix_store::DELTA_CHAIN_LIMIT`] chained deltas,
     /// or when the serialized delta would be no smaller than the full
-    /// archive (a delta would not pay for itself).
+    /// archive (a delta would not pay for itself). A save with no chain
+    /// for its label lists the destination first: its full save takes
+    /// the epoch after the highest one stored and sweeps the rest.
     pub fn save_nym_incremental(
         &mut self,
         id: NymId,
@@ -472,7 +478,7 @@ impl NymManager {
         dest: &StorageDest,
         allow_delta: bool,
     ) -> Result<(SaveKind, usize, SimDuration), NymManagerError> {
-        let outcomes = self.pipeline.save_many(
+        let outcomes = save_many(
             &mut self.env,
             &mut self.sessions,
             vec![SaveRequest {
@@ -523,7 +529,7 @@ impl NymManager {
 
         // The restoring session doesn't exist yet, so the fetch runs on
         // a pool scratch that then becomes the new session's arena.
-        let mut scratch = self.pipeline.acquire_scratch();
+        let mut scratch = self.scratch_pool.pop().unwrap_or_default();
         let mut work = Vec::new();
         let fetched = match fetch_chain(
             &mut self.env,
@@ -536,7 +542,7 @@ impl NymManager {
         ) {
             Ok(f) => f,
             Err(e) => {
-                self.pipeline.release_scratch(scratch);
+                self.scratch_pool.push(scratch);
                 return Err(e);
             }
         };
@@ -564,7 +570,6 @@ impl NymManager {
             .and_then(BrowserState::from_bytes);
 
         let anonymizer = self.env.build_anonymizer(kind);
-        let scratch_for_session = scratch;
         let n = self.next_nym;
         let (mut session, mut breakdown) = NymSession::instantiate(
             &mut self.env,
@@ -579,9 +584,8 @@ impl NymManager {
                 anonymizer_state,
             }),
             false, // Warm start: guards and consensus restored.
-            scratch_for_session,
+            scratch,
         )?;
-        session.unseal_work = work;
         session.browser = browser;
         session.nymbox.restored = true;
 
@@ -591,7 +595,8 @@ impl NymManager {
         // (manifest) form first — the chain's base is the stored form —
         // and move into the session's chunk cache: the fetch checked
         // every chunk id against them, so the next save reuses the ids
-        // of every chunk the nym did not touch.
+        // of every chunk the nym did not touch. The new session takes
+        // the chain over: any other live session of the label drops it.
         let anon_gen = self
             .env
             .hv
@@ -615,7 +620,8 @@ impl NymManager {
                     .insert(record_name, (resolved, manifest));
             }
         }
-        self.pipeline.note_epoch(&label, fetched.epoch);
+        let id = NymId(n);
+        drop_other_chains(&mut self.sessions, id, &label);
         session.chains.insert(
             label,
             ChainState {
@@ -630,7 +636,6 @@ impl NymManager {
             },
         );
 
-        let id = NymId(n);
         self.next_nym += 1;
         self.sessions.insert(id, session);
         breakdown.ephemeral_fetch = ephemeral_fetch;
@@ -639,10 +644,9 @@ impl NymManager {
 
     /// Destroys a nym: both VMs are securely wiped; "turning off a
     /// pseudonym results in amnesia" (§3.4). The session's snapshot
-    /// chains die with it, but the pipeline's label registry keeps
-    /// their epoch numbers (and sweeps their chunk objects at the next
-    /// compaction), so a recreated nym can never collide with stale
-    /// stored objects.
+    /// chains die with it; their stored objects stay on the
+    /// destination, where the next chain-less save under the same
+    /// label finds their epochs and sweeps them.
     pub fn destroy_nym(&mut self, id: NymId) -> Result<(), NymManagerError> {
         let session = self
             .sessions
@@ -650,8 +654,7 @@ impl NymManager {
             .ok_or(NymManagerError::NoSuchNym(id))?;
         self.env.hv.destroy_vm(session.nymbox.anon_vm)?;
         self.env.hv.destroy_vm(session.nymbox.comm_vm)?;
-        self.pipeline.retire_chains(session.chains);
-        self.pipeline.release_scratch(session.scratch);
+        self.scratch_pool.push(session.scratch);
         Ok(())
     }
 

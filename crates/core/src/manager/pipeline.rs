@@ -1,15 +1,16 @@
-//! The **StorePipeline** layer: staged, batched save/restore.
+//! The store pipeline: staged, batched save/restore.
 //!
 //! The §3.5 store-nym workflow — pause → sync → compress → encrypt →
 //! upload — runs here over any number of sessions at once, in three
 //! phases:
 //!
 //! 1. **Before** (calling thread): validate the batch — every id live,
-//!    none named twice — pause every VM in it, read the writable
-//!    layers' generation counters, and move each session's chain,
-//!    nonce RNG, sealing arena and chunk-id cache into its save job.
-//!    Every fallible step runs before anything leaves a session, and
-//!    a failure resumes whatever it paused.
+//!    none named twice — list the destination of every session that
+//!    carries no chain for its label, pause every VM in the batch,
+//!    read the writable layers' generation counters, and move each
+//!    session's chain, nonce RNG, sealing arena and chunk-id cache
+//!    into its save job. Every fallible step runs before anything
+//!    leaves a session, and a failure resumes whatever it paused.
 //! 2. **Jobs** (worker pool): one job per nym. It serializes its dirty
 //!    layers from a shared borrow of the hypervisor (*capture*),
 //!    converts large records to `"NYMC"` manifests with
@@ -30,14 +31,13 @@
 //!    backend instead of one per object — sweeping retired objects in
 //!    the same batch.
 //!
-//! The pipeline also owns the **label registry**: the highest chain
-//! epoch ever used per storage label, plus chunk objects orphaned by
-//! destroyed sessions. Sessions own their live chains
-//! (`ChainState`); the registry is what outlives them, so a
-//! recreated nym can never collide with a dead nym's stale objects,
-//! and a session whose label was taken over by another nym falls back
-//! to a full save (a new epoch) instead of appending deltas to a base
-//! it no longer owns.
+//! The **destination is the chain registry**: a save without a chain
+//! lists the label's `{label}#e{N}.{i}` and `{label}#e{N}/c/{id}`
+//! objects, full-saves into epoch `max(N) + 1` and sweeps them all, so
+//! a recreated nym, a fresh manager or a failed batch's retry never
+//! collides with stale objects or leaks them. One live session owns
+//! each chain: a full save or a restore under a label drops the
+//! label's chain from every other session.
 
 use nymix_fs::Layer;
 use nymix_net::{access_transfer, Ip};
@@ -79,14 +79,65 @@ pub(super) fn record_logical_len(data: &[u8]) -> usize {
     ChunkManifest::from_bytes(data).map_or(data.len(), |m| m.total_len())
 }
 
-/// What the label registry remembers after the chains under a label
-/// die: the highest epoch ever used (epoch numbers must never repeat
-/// per label) and the chunk objects a destroyed session's chain left
-/// behind, swept at the next compaction under that label.
-#[derive(Default)]
-struct LabelState {
-    last_epoch: u64,
-    orphaned_objects: Vec<String>,
+/// The epoch `N` of a chain object of `label` — a delta
+/// `{label}#e{N}.{i}` or a chunk `{label}#e{N}/c/{64 hex}` — or `None`
+/// for any other name, a longer label's objects included.
+fn chain_object_epoch(name: &str, label: &str) -> Option<u64> {
+    let rest = name.strip_prefix(label)?.strip_prefix("#e")?;
+    let (epoch, tail) = rest.split_at(rest.find(|c: char| !c.is_ascii_digit())?);
+    let digits = |s: &str, hex| {
+        s.bytes()
+            .all(|b| b.is_ascii_digit() || (hex && b"abcdef".contains(&b)))
+    };
+    let named = match tail.strip_prefix('.') {
+        Some(index) => !index.is_empty() && digits(index, false),
+        None => tail
+            .strip_prefix("/c/")
+            .is_some_and(|id| id.len() == 64 && digits(id, true)),
+    };
+    named.then(|| epoch.parse().ok()).flatten()
+}
+
+/// Lists `dest` through `exit` for the chain objects it holds under
+/// `label`: their highest epoch (`None` when there are none) and their
+/// names, which the next full save sweeps.
+fn list_chain_objects(
+    env: &mut Environment,
+    dest: &StorageDest,
+    exit: Ip,
+    label: &str,
+) -> Result<(Option<u64>, Vec<String>), NymManagerError> {
+    let mut names = Vec::new();
+    dest_backend(
+        &mut env.cloud,
+        &mut env.disk,
+        env.striped.as_mut(),
+        env.clock,
+        dest,
+        Some(exit),
+    )?
+    .as_backend()
+    .list(&mut names)
+    .map_err(storage_err)?;
+    let mut last = None;
+    names.retain(|n| {
+        let epoch = chain_object_epoch(n, label);
+        last = last.max(epoch);
+        epoch.is_some()
+    });
+    Ok((last, names))
+}
+
+/// Drops `label`'s chain from every live session but `owner`: one live
+/// session owns each chain.
+pub(super) fn drop_other_chains(
+    sessions: &mut BTreeMap<NymId, NymSession>,
+    owner: NymId,
+    label: &str,
+) {
+    for (_, session) in sessions.iter_mut().filter(|(id, _)| **id != owner) {
+        session.chains.remove(label);
+    }
 }
 
 /// One save request of a (possibly multi-session) pipeline run.
@@ -134,7 +185,12 @@ struct SavePlan<'a> {
     /// The carried chain's epoch: `chunk_index` names its chunk
     /// objects under this epoch's prefix, and a full save sweeps them.
     carried_epoch: Option<u64>,
+    /// The carried chain's epoch, or the highest one the destination
+    /// listed for a chain-less save: a full save takes the next.
     last_epoch: Option<u64>,
+    /// The chain objects a chain-less save listed; a full save sweeps
+    /// them.
+    listed: Vec<String>,
     want_delta: bool,
     /// `(name, raw bytes, manifest)` per chunk-converted record; moved
     /// into the session's chunk cache once sealed.
@@ -185,409 +241,347 @@ struct SealedSave<'a> {
     commitment: ArchiveCommitment,
 }
 
-/// The store pipeline: save/restore policy plus the state that must
-/// outlive any single session — the label registry and the scratch
-/// pool sessions draw their sealing arenas from.
-pub(super) struct StorePipeline {
-    labels: BTreeMap<String, LabelState>,
-    /// Warm [`SealScratch`] arenas from destroyed sessions, handed to
-    /// the next session created — fleet churn doesn't re-grow arenas.
-    scratch_pool: Vec<SealScratch>,
+/// Runs the three-phase pipeline over every request, with one
+/// worker per available core. Outcomes are in request order; the
+/// simulation clock advances once, by the concurrent completion
+/// time of the batch.
+pub(super) fn save_many(
+    env: &mut Environment,
+    sessions: &mut BTreeMap<NymId, NymSession>,
+    reqs: Vec<SaveRequest<'_>>,
+) -> Result<Vec<SaveOutcome>, NymManagerError> {
+    let workers = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    save_many_on(env, sessions, reqs, workers)
 }
 
-impl StorePipeline {
-    pub(super) fn new() -> Self {
-        Self {
-            labels: BTreeMap::new(),
-            scratch_pool: Vec::new(),
+/// [`save_many`] on `workers` threads, the calling thread among them.
+/// Output is bit-identical at any worker count: every job's randomness
+/// comes from its session's own forked RNG.
+pub(super) fn save_many_on(
+    env: &mut Environment,
+    sessions: &mut BTreeMap<NymId, NymSession>,
+    reqs: Vec<SaveRequest<'_>>,
+    workers: usize,
+) -> Result<Vec<SaveOutcome>, NymManagerError> {
+    // Before. Validate every id before anything moves: failing
+    // mid-batch would drop the chains of every request before it.
+    // A nym named twice is refused outright: its two jobs would
+    // seal different plaintext from one nonce RNG position.
+    let mut seen = BTreeSet::new();
+    for req in &reqs {
+        if !sessions.contains_key(&req.id) {
+            return Err(NymManagerError::NoSuchNym(req.id));
+        }
+        if !seen.insert(req.id) {
+            return Err(NymManagerError::DuplicateNym(req.id));
         }
     }
+    nymix_obs::sim_clock(env.clock.as_micros());
+    // A session without a chain for its label learns the label's
+    // epochs and objects from the destination, through its own exit.
+    let mut listings = Vec::with_capacity(reqs.len());
+    for req in &reqs {
+        let session = &sessions[&req.id];
+        let label = storage_label(&session.nymbox.name, req.dest);
+        listings.push(if session.chains.contains_key(&label) {
+            (None, Vec::new())
+        } else {
+            let exit = session.anonymizer.exit_address(env.public_ip);
+            list_chain_objects(env, req.dest, exit, &label)?
+        });
+    }
+    let vms: Vec<[VmId; 2]> = reqs
+        .iter()
+        .map(|r| {
+            let nymbox = &sessions[&r.id].nymbox;
+            [nymbox.anon_vm, nymbox.comm_vm]
+        })
+        .collect();
+    let mut paused = Vec::with_capacity(2 * vms.len());
+    let uppers = match pause_and_borrow_uppers(&mut env.hv, &vms, &mut paused) {
+        Ok(uppers) => uppers,
+        Err(e) => {
+            resume_all(&mut env.hv, &paused);
+            return Err(e);
+        }
+    };
+    let jobs: Vec<SaveJob> = reqs
+        .into_iter()
+        .zip(uppers)
+        .zip(listings)
+        .map(|((req, uppers), listing)| {
+            let session = sessions.get_mut(&req.id).expect("validated above");
+            plan_job(session, env.public_ip, req, uppers, listing)
+        })
+        .collect();
 
-    /// A sealing arena for a new session: a warm one from the pool if
-    /// available.
-    pub(super) fn acquire_scratch(&mut self) -> SealScratch {
-        self.scratch_pool.pop().unwrap_or_default()
+    // Jobs.
+    let done = run_jobs(jobs, workers, env.clock.as_micros());
+
+    // After: the layer borrows are over, so the VMs resume before
+    // any upload can fail.
+    resume_all(&mut env.hv, &paused);
+    let mut sealed = Vec::with_capacity(done.len());
+    for (s, kit) in done {
+        let session = sessions.get_mut(&s.plan.req.id).expect("validated above");
+        session.seal_rng = kit.rng;
+        session.scratch = kit.scratch;
+        session.chunk_cache = kit.chunk_cache;
+        sealed.push(s);
     }
 
-    /// Returns a destroyed session's arena to the pool.
-    pub(super) fn release_scratch(&mut self, scratch: SealScratch) {
-        self.scratch_pool.push(scratch);
+    // Upload (grouped per destination) + bookkeeping.
+    let mut outcomes = Vec::with_capacity(sealed.len());
+    // Striped uploads ship n/k redundant bytes per sealed byte
+    // (k-of-n erasure shards, plus negligible per-shard headers).
+    let striped_overhead = env
+        .striped
+        .as_ref()
+        .map_or(1.0, |s| s.redundancy_overhead());
+    // Bytes one save puts on the access link (zero for disk ones).
+    let scale = env.browser_scale as f64;
+    let upload_wire = |s: &SealedSave| {
+        let amplify = match s.plan.req.dest {
+            StorageDest::Cloud { .. } => 1.0,
+            StorageDest::Striped => striped_overhead,
+            StorageDest::Disk => 0.0,
+        };
+        (1.0 + s.plan.wire_overhead) * (s.uploaded as f64 * scale) * amplify
+    };
+    let mut cloud_wire_total = 0.0f64;
+    for s in &sealed {
+        cloud_wire_total += upload_wire(s);
     }
-
-    /// Registers a dying session's chains: remembers each label's
-    /// epoch (it must never be reused) and the chain's chunk objects
-    /// (swept at the next compaction under that label).
-    pub(super) fn retire_chains(&mut self, chains: impl IntoIterator<Item = (String, ChainState)>) {
-        for (label, chain) in chains {
-            let prefix = chunk_prefix(&label, chain.epoch);
-            let entry = self.labels.entry(label).or_default();
-            if chain.epoch >= entry.last_epoch {
-                entry.last_epoch = chain.epoch;
+    let batched = sealed.len() > 1;
+    let mut batch_duration = SimDuration::ZERO;
+    let mut group: Vec<SealedSave> = Vec::new();
+    let mut pending = sealed.into_iter().peekable();
+    while let Some(s) = pending.next() {
+        let same_target = |a: &SealedSave, b: &SealedSave| {
+            a.plan.req.dest == b.plan.req.dest
+                && (matches!(a.plan.req.dest, StorageDest::Disk)
+                    || a.plan.exit_ip == b.plan.exit_ip)
+        };
+        let flush = match pending.peek() {
+            Some(next) => !same_target(&s, next),
+            None => true,
+        };
+        group.push(s);
+        if !flush {
+            continue;
+        }
+        // One backend open, one batch — every staged put plus every
+        // sweep — for the whole group. On the disk store the batch
+        // is one log frame, a single atomic transaction: a crash
+        // mid-save leaves either every nym's previous version (with
+        // its chunk objects) or every new one, never a mixture.
+        let dest = group[0].plan.req.dest;
+        let exit = group[0].plan.exit_ip;
+        let disk_before = env.disk.device_stats();
+        let now = env.clock;
+        let cloud_backoff = {
+            let staged: Vec<(String, Vec<u8>)> = group
+                .iter_mut()
+                .flat_map(|s| std::mem::take(&mut s.staged))
+                .collect();
+            let deletes: Vec<String> = group
+                .iter_mut()
+                .flat_map(|s| std::mem::take(&mut s.deletes))
+                .collect();
+            let _span = nymix_obs::span!("apply_batch", "objects" => staged.len());
+            let mut backend = dest_backend(
+                &mut env.cloud,
+                &mut env.disk,
+                env.striped.as_mut(),
+                now,
+                dest,
+                Some(exit),
+            )?;
+            backend
+                .as_backend()
+                .apply_batch(staged, deletes)
+                .map_err(storage_err)?;
+            // Transient-failure retries slept on simulated backoff;
+            // charge it to this batch's wall clock.
+            backend.take_accrued_backoff()
+        };
+        // Disk saves cost the actual device I/O the batch incurred
+        // (the frame append, the superblock write and both fsync
+        // barriers), priced at SSD speed.
+        let disk_io = {
+            let io = env.disk.device_stats().since(&disk_before);
+            DiskProfile::ssd().io_time(
+                io.bytes_written,
+                io.bytes_read,
+                io.fsyncs,
+                io.writes + io.reads,
+            )
+        };
+        for s in group.drain(..) {
+            let duration = match s.plan.req.dest {
+                // The batch's cloud and striped uploads share the
+                // access link, so each takes the batch total's time
+                // or its own wire at its anonymizer's cap, whichever
+                // is longer; a lone save sees exactly the serial
+                // transfer time.
+                StorageDest::Cloud { .. } | StorageDest::Striped => {
+                    let wire = upload_wire(&s);
+                    let total = if batched { cloud_wire_total } else { wire };
+                    access_transfer(total, f64::INFINITY)
+                        .max(access_transfer(wire, s.plan.rate_cap))
+                        + cloud_backoff
+                }
+                // The batch's frame commit, at modeled device speed.
+                StorageDest::Disk => disk_io,
+            };
+            batch_duration = batch_duration.max(duration);
+            // The per-session upload span: its wall time is the
+            // (tiny) bookkeeping cost; the transfer itself exists
+            // only in modeled time, charged explicitly.
+            let mut up_span = nymix_obs::span!(
+                "upload", "session" => s.plan.req.id.0, "objects" => s.uploaded
+            );
+            up_span.add_modeled_us(duration.0);
+            drop(up_span);
+            let id = s.plan.req.id;
+            if s.kind == SaveKind::Full {
+                drop_other_chains(sessions, id, &s.plan.label);
             }
-            entry.orphaned_objects.extend(
-                chain
-                    .chunks
-                    .ids()
-                    .map(|id| cas::chunk_object_name(&prefix, id)),
+            outcomes.push(SaveOutcome {
+                kind: s.kind,
+                uploaded: s.uploaded,
+                duration,
+                breakdown: s.plan.breakdown,
+            });
+            let session = sessions.get_mut(&id).expect("validated above");
+            session.chains.insert(
+                s.plan.label,
+                ChainState {
+                    key: s.key,
+                    epoch: s.epoch,
+                    delta_count: s.delta_count,
+                    archive: s.plan.next,
+                    chunks: s.chunk_index,
+                    commitment: s.commitment,
+                    anon_gen: s.plan.anon_gen,
+                    comm_gen: s.plan.comm_gen,
+                },
             );
         }
     }
+    env.clock += batch_duration;
+    nymix_obs::sim_clock(env.clock.as_micros());
+    Ok(outcomes)
+}
 
-    /// Records that `epoch` is now in use under `label` (restores and
-    /// full saves call this so epoch numbers stay globally fresh).
-    pub(super) fn note_epoch(&mut self, label: &str, epoch: u64) {
-        let entry = self.labels.entry(label.to_string()).or_default();
-        if epoch >= entry.last_epoch {
-            entry.last_epoch = epoch;
-        }
-    }
+/// Builds one session's job on the calling thread: carries the
+/// chain over (by value — the session owns it, so nothing is
+/// cloned), reads the small records only the session can produce,
+/// and moves the session's kit in. `uppers` are the session's
+/// AnonVM and CommVM writable layers, already paused; `listing` is
+/// what the destination holds under the label when the session
+/// carries no chain for it.
+fn plan_job<'a, 'hv>(
+    session: &mut NymSession,
+    public_ip: Ip,
+    req: SaveRequest<'a>,
+    uppers: [&'hv Layer; 2],
+    (listed_epoch, listed): (Option<u64>, Vec<String>),
+) -> SaveJob<'a, 'hv> {
+    let _span = nymix_obs::span!("capture", "session" => req.id.0);
+    let label = storage_label(&session.nymbox.name, req.dest);
+    let [anon_gen, comm_gen] = uppers.map(Layer::generation);
 
-    pub(super) fn last_epoch(&self, label: &str) -> Option<u64> {
-        self.labels
-            .get(label)
-            .map(|l| l.last_epoch)
-            .filter(|e| *e > 0)
-    }
-
-    /// Runs the three-phase pipeline over every request, with one
-    /// worker per available core. Outcomes are in request order; the
-    /// simulation clock advances once, by the concurrent completion
-    /// time of the batch.
-    pub(super) fn save_many(
-        &mut self,
-        env: &mut Environment,
-        sessions: &mut BTreeMap<NymId, NymSession>,
-        reqs: Vec<SaveRequest<'_>>,
-    ) -> Result<Vec<SaveOutcome>, NymManagerError> {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        self.save_many_on(env, sessions, reqs, workers)
-    }
-
-    /// [`StorePipeline::save_many`] on `workers` threads, the calling
-    /// thread among them. Output is bit-identical at any worker count:
-    /// every job's randomness comes from its session's own forked RNG.
-    pub(super) fn save_many_on(
-        &mut self,
-        env: &mut Environment,
-        sessions: &mut BTreeMap<NymId, NymSession>,
-        reqs: Vec<SaveRequest<'_>>,
-        workers: usize,
-    ) -> Result<Vec<SaveOutcome>, NymManagerError> {
-        // Before. Validate every id before anything moves: failing
-        // mid-batch would drop the chains of every request before it.
-        // A nym named twice is refused outright: its two jobs would
-        // seal different plaintext from one nonce RNG position.
-        let mut seen = BTreeSet::new();
-        for req in &reqs {
-            if !sessions.contains_key(&req.id) {
-                return Err(NymManagerError::NoSuchNym(req.id));
-            }
-            if !seen.insert(req.id) {
-                return Err(NymManagerError::DuplicateNym(req.id));
-            }
-        }
-        nymix_obs::sim_clock(env.clock.as_micros());
-        let vms: Vec<[VmId; 2]> = reqs
-            .iter()
-            .map(|r| {
-                let nymbox = &sessions[&r.id].nymbox;
-                [nymbox.anon_vm, nymbox.comm_vm]
-            })
-            .collect();
-        let mut paused = Vec::with_capacity(2 * vms.len());
-        let uppers = match pause_and_borrow_uppers(&mut env.hv, &vms, &mut paused) {
-            Ok(uppers) => uppers,
-            Err(e) => {
-                resume_all(&mut env.hv, &paused);
-                return Err(e);
-            }
-        };
-        let jobs: Vec<SaveJob> = reqs
-            .into_iter()
-            .zip(uppers)
-            .map(|(req, uppers)| {
-                let session = sessions.get_mut(&req.id).expect("validated above");
-                self.plan_job(session, env.public_ip, req, uppers)
-            })
-            .collect();
-
-        // Jobs.
-        let done = run_jobs(jobs, workers, env.clock.as_micros());
-
-        // After: the layer borrows are over, so the VMs resume before
-        // any upload can fail.
-        resume_all(&mut env.hv, &paused);
-        let mut sealed = Vec::with_capacity(done.len());
-        for (mut s, kit) in done {
-            let session = sessions.get_mut(&s.plan.req.id).expect("validated above");
-            session.seal_rng = kit.rng;
-            session.scratch = kit.scratch;
-            session.chunk_cache = kit.chunk_cache;
-            // Orphans are swept at compaction only: draining the list
-            // on a delta save, which never deletes them, would leak a
-            // destroyed nym's chunk objects on the backend forever.
-            if s.kind == SaveKind::Full {
-                if let Some(l) = self.labels.get_mut(&s.plan.label) {
-                    s.deletes.append(&mut l.orphaned_objects);
-                }
-            }
-            sealed.push(s);
-        }
-
-        // Upload (grouped per destination) + bookkeeping.
-        let mut outcomes = Vec::with_capacity(sealed.len());
-        // Striped uploads ship n/k redundant bytes per sealed byte
-        // (k-of-n erasure shards, plus negligible per-shard headers).
-        let striped_overhead = env
-            .striped
+    let chain = session.chains.remove(&label);
+    let last_epoch = chain.as_ref().map(|c| c.epoch).or(listed_epoch);
+    let want_delta = req.allow_delta
+        && chain
             .as_ref()
-            .map_or(1.0, |s| s.redundancy_overhead());
-        // Bytes one save puts on the access link (zero for disk ones).
-        let scale = env.browser_scale as f64;
-        let upload_wire = |s: &SealedSave| {
-            let amplify = match s.plan.req.dest {
-                StorageDest::Cloud { .. } => 1.0,
-                StorageDest::Striped => striped_overhead,
-                StorageDest::Disk => 0.0,
-            };
-            (1.0 + s.plan.wire_overhead) * (s.uploaded as f64 * scale) * amplify
-        };
-        let mut cloud_wire_total = 0.0f64;
-        for s in &sealed {
-            cloud_wire_total += upload_wire(s);
-        }
-        let batched = sealed.len() > 1;
-        let mut batch_duration = SimDuration::ZERO;
-        let mut group: Vec<SealedSave> = Vec::new();
-        let mut pending = sealed.into_iter().peekable();
-        while let Some(s) = pending.next() {
-            let same_target = |a: &SealedSave, b: &SealedSave| {
-                a.plan.req.dest == b.plan.req.dest
-                    && (matches!(a.plan.req.dest, StorageDest::Disk)
-                        || a.plan.exit_ip == b.plan.exit_ip)
-            };
-            let flush = match pending.peek() {
-                Some(next) => !same_target(&s, next),
-                None => true,
-            };
-            group.push(s);
-            if !flush {
-                continue;
-            }
-            // One backend open, one batch — every staged put plus every
-            // sweep — for the whole group. On the disk store the batch
-            // is one log frame, a single atomic transaction: a crash
-            // mid-save leaves either every nym's previous version (with
-            // its chunk objects) or every new one, never a mixture.
-            let dest = group[0].plan.req.dest;
-            let exit = group[0].plan.exit_ip;
-            let disk_before = env.disk.device_stats();
-            let now = env.clock;
-            let cloud_backoff = {
-                let staged: Vec<(String, Vec<u8>)> = group
-                    .iter_mut()
-                    .flat_map(|s| std::mem::take(&mut s.staged))
-                    .collect();
-                let deletes: Vec<String> = group
-                    .iter_mut()
-                    .flat_map(|s| std::mem::take(&mut s.deletes))
-                    .collect();
-                let _span = nymix_obs::span!("apply_batch", "objects" => staged.len());
-                let mut backend = dest_backend(
-                    &mut env.cloud,
-                    &mut env.disk,
-                    env.striped.as_mut(),
-                    now,
-                    dest,
-                    Some(exit),
-                )?;
-                backend
-                    .as_backend()
-                    .apply_batch(staged, deletes)
-                    .map_err(storage_err)?;
-                // Transient-failure retries slept on simulated backoff;
-                // charge it to this batch's wall clock.
-                backend.take_accrued_backoff()
-            };
-            // Disk saves cost the actual device I/O the batch incurred
-            // (the frame append, the superblock write and both fsync
-            // barriers), priced at SSD speed.
-            let disk_io = {
-                let io = env.disk.device_stats().since(&disk_before);
-                DiskProfile::ssd().io_time(
-                    io.bytes_written,
-                    io.bytes_read,
-                    io.fsyncs,
-                    io.writes + io.reads,
-                )
-            };
-            for s in group.drain(..) {
-                let duration = match s.plan.req.dest {
-                    // The batch's cloud and striped uploads share the
-                    // access link, so each takes the batch total's time
-                    // or its own wire at its anonymizer's cap, whichever
-                    // is longer; a lone save sees exactly the serial
-                    // transfer time.
-                    StorageDest::Cloud { .. } | StorageDest::Striped => {
-                        let wire = upload_wire(&s);
-                        let total = if batched { cloud_wire_total } else { wire };
-                        access_transfer(total, f64::INFINITY)
-                            .max(access_transfer(wire, s.plan.rate_cap))
-                            + cloud_backoff
-                    }
-                    // The batch's frame commit, at modeled device speed.
-                    StorageDest::Disk => disk_io,
-                };
-                batch_duration = batch_duration.max(duration);
-                // The per-session upload span: its wall time is the
-                // (tiny) bookkeeping cost; the transfer itself exists
-                // only in modeled time, charged explicitly.
-                let mut up_span = nymix_obs::span!(
-                    "upload", "session" => s.plan.req.id.0, "objects" => s.uploaded
-                );
-                up_span.add_modeled_us(duration.0);
-                drop(up_span);
-                self.note_epoch(&s.plan.label, s.epoch);
-                let session = sessions.get_mut(&s.plan.req.id).expect("validated above");
-                outcomes.push(SaveOutcome {
-                    kind: s.kind,
-                    uploaded: s.uploaded,
-                    duration,
-                    breakdown: s.plan.breakdown,
-                });
-                session.chains.insert(
-                    s.plan.label,
-                    ChainState {
-                        key: s.key,
-                        epoch: s.epoch,
-                        delta_count: s.delta_count,
-                        archive: s.plan.next,
-                        chunks: s.chunk_index,
-                        commitment: s.commitment,
-                        anon_gen: s.plan.anon_gen,
-                        comm_gen: s.plan.comm_gen,
-                    },
-                );
-            }
-        }
-        env.clock += batch_duration;
-        nymix_obs::sim_clock(env.clock.as_micros());
-        Ok(outcomes)
+            .is_some_and(|c| c.delta_count < DELTA_CHAIN_LIMIT);
+    let anon_clean = want_delta && chain.as_ref().is_some_and(|c| c.anon_gen == anon_gen);
+    let comm_clean = want_delta && chain.as_ref().is_some_and(|c| c.comm_gen == comm_gen);
+
+    // Start from the chain's stored-form archive when a delta is
+    // possible — clean records (chunk manifests included) carry
+    // over untouched, by move. A full save rebuilds from scratch so
+    // the new epoch never references the old one's chunk objects;
+    // it keeps the old index only to sweep them.
+    let (next, chain_carry, commitment, chunk_index, carried_epoch) = match chain {
+        Some(c) if want_delta => (
+            c.archive,
+            Some((c.key, c.epoch, c.delta_count)),
+            c.commitment,
+            c.chunks,
+            Some(c.epoch),
+        ),
+        Some(c) => (
+            NymArchive::new(),
+            None,
+            ArchiveCommitment::default(),
+            c.chunks,
+            Some(c.epoch),
+        ),
+        None => (
+            NymArchive::new(),
+            None,
+            ArchiveCommitment::default(),
+            ChunkIndex::new(),
+            None,
+        ),
+    };
+
+    let mut records = vec![
+        ("anonymizer.state", session.anonymizer.save_state()),
+        (
+            "meta",
+            format!(
+                "name={};model={:?};anonymizer={}",
+                session.nymbox.name,
+                session.nymbox.model,
+                session.anonymizer.name()
+            )
+            .into_bytes(),
+        ),
+    ];
+    if let Some(browser) = &session.browser {
+        records.push(("browser.state", browser.to_bytes()));
     }
-
-    /// Builds one session's job on the calling thread: carries the
-    /// chain over (by value — the session owns it, so nothing is
-    /// cloned), reads the small records only the session can produce,
-    /// and moves the session's kit in. `uppers` are the session's
-    /// AnonVM and CommVM writable layers, already paused.
-    fn plan_job<'a, 'hv>(
-        &self,
-        session: &mut NymSession,
-        public_ip: Ip,
-        req: SaveRequest<'a>,
-        uppers: [&'hv Layer; 2],
-    ) -> SaveJob<'a, 'hv> {
-        let _span = nymix_obs::span!("capture", "session" => req.id.0);
-        let label = storage_label(&session.nymbox.name, req.dest);
-        let [anon_gen, comm_gen] = uppers.map(Layer::generation);
-
-        // The chain is usable only if it is still the label's newest
-        // epoch — another session full-saving under the same label
-        // bumps the registry, and appending deltas to an overwritten
-        // base would strand them.
-        let registry_epoch = self.last_epoch(&label);
-        let chain = session.chains.remove(&label);
-        let chain_epoch = chain.as_ref().map(|c| c.epoch);
-        let last_epoch = chain_epoch.max(registry_epoch);
-        let chain = chain.filter(|c| registry_epoch.is_none_or(|e| c.epoch >= e));
-        let want_delta = req.allow_delta
-            && chain
-                .as_ref()
-                .is_some_and(|c| c.delta_count < DELTA_CHAIN_LIMIT);
-        let anon_clean = want_delta && chain.as_ref().is_some_and(|c| c.anon_gen == anon_gen);
-        let comm_clean = want_delta && chain.as_ref().is_some_and(|c| c.comm_gen == comm_gen);
-
-        // Start from the chain's stored-form archive when a delta is
-        // possible — clean records (chunk manifests included) carry
-        // over untouched, by move. A full save rebuilds from scratch so
-        // the new epoch never references the old one's chunk objects;
-        // it keeps the old index only to sweep them.
-        let (next, chain_carry, commitment, chunk_index, carried_epoch) = match chain {
-            Some(c) if want_delta => (
-                c.archive,
-                Some((c.key, c.epoch, c.delta_count)),
-                c.commitment,
-                c.chunks,
-                Some(c.epoch),
-            ),
-            Some(c) => (
-                NymArchive::new(),
-                None,
-                ArchiveCommitment::default(),
-                c.chunks,
-                Some(c.epoch),
-            ),
-            None => (
-                NymArchive::new(),
-                None,
-                ArchiveCommitment::default(),
-                ChunkIndex::new(),
-                None,
-            ),
-        };
-
-        let mut records = vec![
-            ("anonymizer.state", session.anonymizer.save_state()),
-            (
-                "meta",
-                format!(
-                    "name={};model={:?};anonymizer={}",
-                    session.nymbox.name,
-                    session.nymbox.model,
-                    session.anonymizer.name()
-                )
-                .into_bytes(),
-            ),
-        ];
-        if let Some(browser) = &session.browser {
-            records.push(("browser.state", browser.to_bytes()));
-        }
-        let cost = session.anonymizer.transfer_cost();
-        let [anon_upper, comm_upper] = uppers;
-        SaveJob {
-            plan: SavePlan {
-                req,
-                label,
-                exit_ip: session.anonymizer.exit_address(public_ip),
-                wire_overhead: cost.byte_overhead,
-                rate_cap: cost.rate_cap,
-                next,
-                dirty_old: Vec::new(),
-                anon_gen,
-                comm_gen,
-                chain: chain_carry,
-                commitment,
-                chunk_index,
-                carried_epoch,
-                last_epoch,
-                want_delta,
-                chunked: Vec::new(),
-                delta: None,
-                breakdown: (0, 0, 0),
-            },
-            layers: [
-                ("anonvm.disk", anon_upper, anon_clean),
-                ("commvm.disk", comm_upper, comm_clean),
-            ],
-            records,
-            kit: SessionKit {
-                rng: session.seal_rng.clone(),
-                scratch: std::mem::take(&mut session.scratch),
-                chunk_cache: std::mem::take(&mut session.chunk_cache),
-            },
-        }
+    let cost = session.anonymizer.transfer_cost();
+    let [anon_upper, comm_upper] = uppers;
+    SaveJob {
+        plan: SavePlan {
+            req,
+            label,
+            exit_ip: session.anonymizer.exit_address(public_ip),
+            wire_overhead: cost.byte_overhead,
+            rate_cap: cost.rate_cap,
+            next,
+            dirty_old: Vec::new(),
+            anon_gen,
+            comm_gen,
+            chain: chain_carry,
+            commitment,
+            chunk_index,
+            carried_epoch,
+            last_epoch,
+            listed,
+            want_delta,
+            chunked: Vec::new(),
+            delta: None,
+            breakdown: (0, 0, 0),
+        },
+        layers: [
+            ("anonvm.disk", anon_upper, anon_clean),
+            ("commvm.disk", comm_upper, comm_clean),
+        ],
+        records,
+        kit: SessionKit {
+            rng: session.seal_rng.clone(),
+            scratch: std::mem::take(&mut session.scratch),
+            chunk_cache: std::mem::take(&mut session.chunk_cache),
+        },
     }
 }
 
@@ -910,15 +904,12 @@ fn seal<'a>(mut plan: SavePlan<'a>, rng: &mut Rng, scratch: &mut SealScratch) ->
             uploaded += sealed.len();
             staged.push((plan.label.clone(), sealed));
             // Compaction retires everything under the previous epoch:
-            // its delta objects and the carried chain's chunk objects.
-            // The after phase appends whatever destroyed sessions left
-            // orphaned on this label.
-            if let Some(old) = plan.last_epoch {
-                for i in 1..=DELTA_CHAIN_LIMIT {
-                    deletes.push(delta_label(&plan.label, old, i));
-                }
-            }
+            // the carried chain's delta and chunk objects, or every
+            // chain object a chain-less save listed.
             if let Some(carried) = plan.carried_epoch {
+                for i in 1..=DELTA_CHAIN_LIMIT {
+                    deletes.push(delta_label(&plan.label, carried, i));
+                }
                 let old_prefix = chunk_prefix(&plan.label, carried);
                 deletes.extend(
                     retired
@@ -926,6 +917,7 @@ fn seal<'a>(mut plan: SavePlan<'a>, rng: &mut Rng, scratch: &mut SealScratch) ->
                         .map(|id| cas::chunk_object_name(&old_prefix, id)),
                 );
             }
+            deletes.append(&mut plan.listed);
             (SaveKind::Full, key, epoch, 0)
         }
     };

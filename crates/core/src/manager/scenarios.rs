@@ -356,6 +356,89 @@ fn scenario_failed_save_retry_never_reuses_a_nonce() {
 }
 
 #[test]
+fn scenario_failed_save_leaves_nothing_behind_after_compaction() {
+    // A failed batch lands a prefix its session never learns of. The
+    // retry carries no chain, so it lists the account and sweeps those
+    // objects; once the chain has compacted, no epoch-1 object is left.
+    let mut m = manager();
+    m.register_cloud("drive", "anon", "tok");
+    let dest = StorageDest::Cloud {
+        provider: "drive".into(),
+        account: "anon".into(),
+        credential: "tok".into(),
+    };
+    let (id, _) = m
+        .create_nym("retry", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.visit_site(id, Site::Twitter).unwrap();
+    m.env
+        .cloud
+        .get_mut("drive")
+        .unwrap()
+        .inject_transient_put_failures_after(13, 4);
+    assert!(m.save_nym_incremental(id, "pw", &dest).is_err());
+    m.inject_stain(id, "after-failure").unwrap();
+    m.save_nym_incremental(id, "pw", &dest).unwrap();
+    for i in 0..5 {
+        m.inject_stain(id, &format!("round-{i}")).unwrap();
+        m.save_nym_incremental(id, "pw", &dest).unwrap();
+    }
+    let stale: Vec<String> = m
+        .cloud_provider("drive")
+        .unwrap()
+        .subpoena("anon")
+        .into_iter()
+        .map(|(n, _)| n.to_string())
+        .filter(|n| n.contains("#e1"))
+        .collect();
+    assert!(stale.is_empty(), "epoch-1 objects leaked: {stale:?}");
+}
+
+#[test]
+fn scenario_restored_twin_keeps_the_last_acknowledged_delta() {
+    // Restoring a label while a session of it is live makes the new
+    // session the chain's one owner. The old session's next save must
+    // not append to a chain it no longer owns: it full-saves a new
+    // epoch, and that acknowledged state is what the next restore
+    // returns.
+    let mut m = manager();
+    let dest = StorageDest::Disk;
+    let restore = |m: &mut NymManager| {
+        m.restore_nym(
+            "twin",
+            AnonymizerKind::Tor,
+            UsageModel::Persistent,
+            "pw",
+            &dest,
+        )
+        .unwrap()
+        .0
+    };
+    let (a, _) = m
+        .create_nym("twin", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.visit_site(a, Site::Twitter).unwrap();
+    m.save_nym(a, "pw", &dest).unwrap();
+    m.inject_stain(a, "a1").unwrap();
+    m.save_nym_incremental(a, "pw", &dest).unwrap();
+
+    let b = restore(&mut m);
+    for mark in ["b1", "b2"] {
+        m.inject_stain(b, mark).unwrap();
+        let (kind, _, _) = m.save_nym_incremental(b, "pw", &dest).unwrap();
+        assert_eq!(kind, SaveKind::Delta);
+    }
+    m.inject_stain(a, "a3").unwrap();
+    m.save_nym_incremental(a, "pw", &dest).unwrap();
+
+    m.destroy_nym(a).unwrap();
+    m.destroy_nym(b).unwrap();
+    let c = restore(&mut m);
+    assert!(m.has_stain(c, "a3").unwrap(), "A's acknowledged save lost");
+    assert!(!m.has_stain(c, "b2").unwrap());
+}
+
+#[test]
 fn scenario_nym_named_twice_in_one_batch_is_refused() {
     // A batch naming one nym twice would run two save jobs from one
     // nonce RNG position. Here the two jobs seal for different drives;

@@ -3,8 +3,8 @@
 //! A [`NymSession`] is the hard ownership boundary around one
 //! pseudonym: its nymbox (VM pair + network attachment), its private
 //! anonymizer instance, its browser state, its snapshot chains, its
-//! own [`SealScratch`] arena (checked out of the store pipeline's
-//! scratch pool) and its own nonce RNG (forked from the world RNG at
+//! own [`SealScratch`] arena (checked out of the manager's scratch
+//! pool) and its own nonce RNG (forked from the world RNG at
 //! instantiation, so one session's nonce stream never perturbs
 //! another's). The rules:
 //!
@@ -17,11 +17,11 @@
 //!   cache, the store pipeline runs N sessions' save jobs on a worker
 //!   pool with no shared state beyond a job queue, and deterministic
 //!   output (see [`super::pipeline`]).
-//! * **Chains die with the session; epochs don't.** Destroying a nym
-//!   drops its sessions' chains, but the pipeline's label registry
-//!   remembers the highest epoch (and orphaned chunk objects) per
-//!   storage label so a recreated nym can never collide with stale
-//!   objects.
+//! * **Chains die with the session; their objects stay stored.**
+//!   Destroying a nym drops its chains. The destination keeps their
+//!   objects, and the next chain-less save under the label lists them,
+//!   takes the next epoch and sweeps them. One live session owns each
+//!   chain: a full save or a restore under a label takes it over.
 
 use nymix_anon::tor::TorState;
 use nymix_anon::{Anonymizer, AnonymizerKind};
@@ -92,12 +92,10 @@ pub struct NymSession {
     /// archive in memory is what lets a save skip serializing clean
     /// layers and seal only the delta.
     pub(super) chains: BTreeMap<String, ChainState>,
-    /// This session's sealing arena, checked out of the pipeline's
+    /// This session's sealing arena, checked out of the manager's
     /// scratch pool at instantiation and returned on destroy. Owning
     /// it per session is what lets fleet saves seal concurrently.
     pub(super) scratch: SealScratch,
-    /// Ciphertext working copy for restores, reused alongside the arena.
-    pub(super) unseal_work: Vec<u8>,
     /// Nonce/salt RNG, forked from the world RNG per session so
     /// concurrent seals stay deterministic and order-independent.
     pub(super) seal_rng: Rng,
@@ -114,7 +112,7 @@ pub struct NymSession {
 impl NymSession {
     /// Builds the nymbox (two VMs, §4.2-homogeneous network wiring,
     /// §5.1 egress policy) and the session around it. `scratch` comes
-    /// from the pipeline's pool.
+    /// from the manager's pool.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn instantiate(
         env: &mut Environment,
@@ -260,7 +258,6 @@ impl NymSession {
                 browser: None,
                 chains: BTreeMap::new(),
                 scratch,
-                unseal_work: Vec::new(),
                 seal_rng,
                 chunk_cache: BTreeMap::new(),
             },

@@ -961,13 +961,11 @@ fn admission_eventually_refuses() {
 }
 
 #[test]
-fn delta_saves_do_not_drain_orphaned_chunk_registry() {
-    // A destroyed nym's chunk objects are registered as orphans and
-    // must survive any number of *delta* saves under the same label —
-    // only the next compaction sweeps them. (Regression: the seal
-    // stage used to drain the orphan list on every save, so a delta in
-    // between dropped it without deleting anything and the dead nym's
-    // chunks leaked on the backend forever.)
+fn takeover_full_save_sweeps_the_dead_epoch() {
+    // A second nym with the same name takes the label over. Its first
+    // save carries no chain, so it lists the disk, full-saves into the
+    // next epoch and sweeps every epoch-1 object in the same batch;
+    // none comes back through its deltas and compaction.
     let mut m = NymManager::new(91, 8);
     let (a, _) = m
         .create_nym("twin", AnonymizerKind::Tor, UsageModel::Persistent)
@@ -977,34 +975,65 @@ fn delta_saves_do_not_drain_orphaned_chunk_registry() {
     let epoch1: Vec<String> = chunk_objects(&mut m);
     assert!(epoch1.iter().any(|n| n.contains("#e1/")), "{epoch1:?}");
 
-    // A second nym takes over the label with a full save (epoch 2),
-    // then the first nym dies — its epoch-1 chunks become orphans.
     let (b, _) = m
         .create_nym("twin", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
     m.visit_site(b, Site::Bbc).unwrap();
-    m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap(); // epoch 2
+    let (kind, _, _) = m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap();
+    assert_eq!(kind, SaveKind::Full);
+    let no_epoch1 = |m: &mut NymManager| {
+        let mut names = Vec::new();
+        m.env.disk.list(&mut names).unwrap();
+        let stale: Vec<String> = names.into_iter().filter(|n| n.contains("#e1")).collect();
+        assert!(stale.is_empty(), "epoch-1 objects left: {stale:?}");
+    };
+    no_epoch1(&mut m);
     m.destroy_nym(a).unwrap();
 
-    // Delta saves on b's chain must leave the orphans alone.
-    m.inject_stain(b, "delta-1").unwrap();
-    let (kind, _, _) = m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap();
-    assert_eq!(kind, SaveKind::Delta);
-    assert!(
-        chunk_objects(&mut m).iter().any(|n| n.contains("#e1/")),
-        "delta save must not sweep (or forget) the dead nym's chunks"
-    );
-
-    // Run the chain into compaction: now the orphans are swept.
+    // Run b's chain through deltas into compaction.
     for i in 0..=DELTA_CHAIN_LIMIT {
         m.inject_stain(b, &format!("fill-{i}")).unwrap();
         m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap();
+        no_epoch1(&mut m);
     }
-    assert!(
-        chunk_objects(&mut m).iter().all(|n| !n.contains("#e1/")),
-        "compaction must sweep the orphaned epoch-1 chunks: {:?}",
-        chunk_objects(&mut m)
-    );
+    assert!(chunk_objects(&mut m).iter().all(|n| n.contains("#e3/")));
+}
+
+#[test]
+fn chain_less_save_leaves_a_sibling_label_alone() {
+    // The nym `x@disk#e7` stores under `nym:x@disk#e7@disk`, whose
+    // objects all start with `nym:x@disk#`. A chain-less save of nym
+    // "x" must sweep only its own `#e{N}.{i}` and `#e{N}/c/{id}`
+    // names, never a longer label's.
+    let mut m = NymManager::new(92, 8);
+    let (sib, _) = m
+        .create_nym("x@disk#e7", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.visit_site(sib, Site::Twitter).unwrap();
+    m.save_nym_incremental(sib, "pw", &StorageDest::Disk)
+        .unwrap();
+    m.inject_stain(sib, "sibling").unwrap();
+    let (kind, _, _) = m
+        .save_nym_incremental(sib, "pw", &StorageDest::Disk)
+        .unwrap();
+    assert_eq!(kind, SaveKind::Delta);
+    m.destroy_nym(sib).unwrap();
+
+    let (x, _) = m
+        .create_nym("x", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.save_nym_incremental(x, "pw", &StorageDest::Disk).unwrap();
+    assert!(stored(&mut m, "nym:x@disk#e7@disk#e1.1").is_some());
+    let (sib, _) = m
+        .restore_nym(
+            "x@disk#e7",
+            AnonymizerKind::Tor,
+            UsageModel::Persistent,
+            "pw",
+            &StorageDest::Disk,
+        )
+        .unwrap();
+    assert!(m.has_stain(sib, "sibling").unwrap());
 }
 
 #[test]
@@ -1157,8 +1186,7 @@ fn save_batch_on(
             allow_delta: true,
         })
         .collect();
-    m.pipeline
-        .save_many_on(&mut m.env, &mut m.sessions, reqs, workers)
+    pipeline::save_many_on(&mut m.env, &mut m.sessions, reqs, workers)
 }
 
 /// The kinds of a batch's saves, in request order.

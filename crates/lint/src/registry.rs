@@ -9,6 +9,8 @@
 //! documents an exemption here with a reason. `nymix-lint --report`
 //! dumps the whole map as JSON.
 
+use nymix_obs::registry::{COUNTERS, GAUGES, HISTOGRAMS, LABEL_KEYS, STAGES};
+
 /// A module whose parsers are fed attacker-controlled bytes and must
 /// fail closed instead of panicking or truncating.
 #[derive(Debug, Clone)]
@@ -76,11 +78,9 @@ pub struct Registry {
     /// `unsafe` anywhere else in the workspace stays a hard finding.
     pub unsafe_kernels: Vec<Exemption>,
     /// The `nymix-obs` static vocabulary — every stage name, label
-    /// key, and metric name admissible at an obs macro call site.
-    /// Mirrors the tables between the `lint-vocabulary-begin/end`
-    /// markers in `crates/obs/src/registry.rs` (a cross-check test in
-    /// the lint crate keeps the two in sync). Empty = obs hygiene not
-    /// policed.
+    /// key, and metric name admissible at an obs macro call site,
+    /// read from `nymix_obs::registry`'s tables. Empty = obs hygiene
+    /// not policed.
     pub obs_labels: Vec<String>,
 }
 
@@ -213,78 +213,12 @@ impl Registry {
                          `#![deny(unsafe_code)]` instead of forbid"
                     .to_string(),
             }],
-            obs_labels: Self::obs_vocabulary(),
+            obs_labels: [STAGES, LABEL_KEYS, COUNTERS, GAUGES, HISTOGRAMS]
+                .concat()
+                .into_iter()
+                .map(str::to_string)
+                .collect(),
         }
-    }
-
-    /// The `nymix-obs` vocabulary, mirroring the tables between the
-    /// `lint-vocabulary-begin/end` markers in
-    /// `crates/obs/src/registry.rs` — stages, label keys, counters,
-    /// gauges, histograms. `obs_vocabulary_matches_nymix_obs` in the
-    /// lint crate's tests fails if the two registries drift.
-    pub fn obs_vocabulary() -> Vec<String> {
-        [
-            // Stages.
-            "capture",
-            "chunk",
-            "seal",
-            "upload",
-            "apply_batch",
-            "fetch",
-            "replay",
-            "resolve",
-            "journal_commit",
-            "recovery",
-            "shard_write",
-            "quorum_wait",
-            "repair",
-            "browse",
-            "restore",
-            // Label keys.
-            "session",
-            "child",
-            "exit",
-            "bytes",
-            "objects",
-            "epoch",
-            "chunks",
-            // Counters.
-            "crypto.aead.seals",
-            "crypto.aead.opens",
-            "crypto.sha256.blocks",
-            "crypto.kdf.calls",
-            "cloud.auth",
-            "cloud.puts",
-            "cloud.gets",
-            "cloud.ops",
-            "cloud.dropped",
-            "cloud.backoff_us",
-            "disk.commits",
-            "disk.recoveries",
-            "disk.writes",
-            "disk.bytes_written",
-            "disk.reads",
-            "disk.bytes_read",
-            "disk.fsyncs",
-            "placement.shard_writes",
-            "placement.shard_failures",
-            "placement.repair_passes",
-            "placement.shards_rebuilt",
-            "placement.deletes_flushed",
-            "merkle.cache_hit",
-            "merkle.leaf_rehash",
-            // Gauges.
-            "disk.garbage_bytes",
-            "placement.repair_queue",
-            "placement.pending_deletes",
-            "crypto.sha256.backend",
-            // Histograms.
-            "disk.commit_bytes",
-            "cloud.put_bytes",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
     }
 
     /// True when `rel_path` is a registered trust-boundary module.

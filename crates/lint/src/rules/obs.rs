@@ -85,8 +85,7 @@ fn check_literal(ctx: &Ctx<'_>, out: &mut Vec<Finding>, j: usize, macro_name: &s
             format!(
                 "`{inner}` in `{macro_name}!` is not in the registered obs vocabulary: \
                  exported telemetry may carry only registered static labels — extend the \
-                 vocabulary in crates/obs/src/registry.rs and mirror it in nymix-lint \
-                 (see OBSERVABILITY.md)"
+                 vocabulary in crates/obs/src/registry.rs (see OBSERVABILITY.md)"
             ),
         );
     }

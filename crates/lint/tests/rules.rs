@@ -315,44 +315,6 @@ fn obs_rule_inert_without_a_vocabulary() {
     );
 }
 
-/// The lint registry's obs vocabulary must stay in lock-step with the
-/// tables between the `lint-vocabulary-begin/end` markers in
-/// `crates/obs/src/registry.rs` — drift in either direction fails.
-#[test]
-fn obs_vocabulary_matches_nymix_obs() {
-    let path = format!("{}/../obs/src/registry.rs", env!("CARGO_MANIFEST_DIR"));
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let begin = src
-        .find("lint-vocabulary-begin")
-        .expect("begin marker in obs registry");
-    let end = src
-        .find("lint-vocabulary-end")
-        .expect("end marker in obs registry");
-    let mut from_obs: Vec<String> = Vec::new();
-    for line in src[begin..end].lines() {
-        if line.trim_start().starts_with("//") {
-            continue;
-        }
-        let mut rest = line;
-        while let Some(a) = rest.find('"') {
-            let tail = &rest[a + 1..];
-            let Some(b) = tail.find('"') else { break };
-            from_obs.push(tail[..b].to_string());
-            rest = &tail[b + 1..];
-        }
-    }
-    from_obs.sort();
-    from_obs.dedup();
-    let mut from_lint = Registry::obs_vocabulary();
-    from_lint.sort();
-    from_lint.dedup();
-    assert_eq!(
-        from_obs, from_lint,
-        "nymix-obs registry and nymix-lint obs vocabulary drifted: update \
-         Registry::obs_vocabulary() to mirror crates/obs/src/registry.rs"
-    );
-}
-
 #[test]
 fn lex_error_reported_not_panicked() {
     let rules = lint("lex_error_fail.rs", "fixtures/src/broken.rs");

@@ -15,13 +15,6 @@
 //! See `OBSERVABILITY.md` at the repo root for the span taxonomy and
 //! how to extend these tables.
 
-// The lint crate's `registry_matches_obs_vocabulary` test extracts
-// every string literal between the two marker comments below and
-// cross-checks it against `Registry::nymix().obs_labels`. Keep new
-// names inside the markers.
-
-// lint-vocabulary-begin
-
 /// Span stage names, the `span!` taxonomy. Indexed by [`stage_id`].
 pub const STAGES: &[&str] = &[
     // Save pipeline, per session (crates/core/src/manager/pipeline.rs).
@@ -90,8 +83,6 @@ pub const GAUGES: &[&str] = &[
 
 /// Log-bucketed value histograms. Indexed by [`histogram_id`].
 pub const HISTOGRAMS: &[&str] = &["disk.commit_bytes", "cloud.put_bytes"];
-
-// lint-vocabulary-end
 
 /// Number of registered stages.
 pub const N_STAGES: usize = STAGES.len();

@@ -112,7 +112,7 @@ pub fn chunk_id(data: &[u8]) -> ChunkId {
 }
 
 /// Storage object name of chunk `id` under a chain's `prefix` (the
-/// chain label plus epoch, e.g. `"nym:alice@local#e3"`). The name is
+/// chain label plus epoch, e.g. `"nym:alice@disk#e3"`). The name is
 /// also the AEAD label the chunk is sealed under, binding chain, epoch
 /// and chunk ID into the ciphertext.
 pub fn chunk_object_name(prefix: &str, id: &ChunkId) -> String {

@@ -63,7 +63,7 @@ pub mod dev;
 pub mod fault;
 pub mod log;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::backend::{BackendError, ObjectBackend};
 
@@ -323,10 +323,13 @@ impl ObjectBackend for DiskStore {
         if self.poisoned {
             return Err(DiskError::Poisoned.into());
         }
-        // Deleting what was never there is a no-op, not a log entry.
+        // Deleting what was never there is a no-op, not a log entry,
+        // and a name deleted twice is one entry.
+        let mut named = BTreeSet::new();
         let deletes: Vec<String> = deletes
             .into_iter()
             .filter(|n| self.index.live.contains_key(n) || puts.iter().any(|(p, _)| p == n))
+            .filter(|n| named.insert(n.clone()))
             .collect();
         if puts.is_empty() && deletes.is_empty() {
             return Ok(());
@@ -423,6 +426,19 @@ mod tests {
         s.apply_batch(Vec::new(), vec!["a".into()]).unwrap();
         assert_eq!(s.applied_seq(), seq);
         assert_eq!(s.object_count(), 1);
+    }
+
+    #[test]
+    fn a_name_deleted_twice_in_one_batch_is_one_op() {
+        let heap_and_garbage = |deletes: &[&str]| {
+            let mut s = DiskStore::new();
+            s.put("x", vec![7; 64]).unwrap();
+            let deletes = deletes.iter().map(|n| n.to_string()).collect();
+            s.apply_batch(Vec::new(), deletes).unwrap();
+            assert_eq!(s.get("x").unwrap(), None);
+            (s.committed_heap_len(), s.garbage_bytes())
+        };
+        assert_eq!(heap_and_garbage(&["x", "x"]), heap_and_garbage(&["x"]));
     }
 
     #[test]

@@ -626,11 +626,14 @@ proptest! {
                 .map(|&(n, ..)| names[n].to_string())
                 .collect();
             // Deleting a name neither live nor put in the batch is a
-            // no-op, not a logged delete.
-            let logged: Vec<&String> = deletes
+            // no-op, not a logged delete; a name deleted twice is
+            // logged once.
+            let mut logged: Vec<&String> = deletes
                 .iter()
                 .filter(|n| model.contains_key(*n) || puts.iter().any(|(p, _)| p == *n))
                 .collect();
+            logged.sort();
+            logged.dedup();
             for (name, data) in &puts {
                 garbage += model.insert(name.clone(), data.len()).map_or(0, |len| 12 + len);
             }

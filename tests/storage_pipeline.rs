@@ -105,6 +105,43 @@ fn disk_storage_is_evidence_cloud_is_not() {
 }
 
 #[test]
+fn fresh_manager_on_a_reattached_disk_starts_a_new_epoch() {
+    // A new manager knows nothing of the disk it is handed: a recreated
+    // nym's first full save must learn the old life's epoch from the
+    // disk itself, or it lands in epoch 1 beside the old delta and its
+    // restore replays a blob sealed under another key.
+    let mut m = manager(26);
+    let (id, _) = m
+        .create_nym("x", AnonymizerKind::Tor, UsageModel::Persistent)
+        .expect("capacity");
+    m.visit_site(id, Site::Twitter).expect("live");
+    m.save_nym(id, "pw", &StorageDest::Disk).expect("save");
+    m.inject_stain(id, "old-life").expect("live");
+    let (kind, _, _) = m
+        .save_nym_incremental(id, "pw", &StorageDest::Disk)
+        .expect("save");
+    assert_eq!(kind, SaveKind::Delta);
+
+    let mut m2 = manager(27);
+    m2.attach_disk(m.take_disk()).expect("intact image");
+    let (id, _) = m2
+        .create_nym("x", AnonymizerKind::Tor, UsageModel::Persistent)
+        .expect("capacity");
+    m2.save_nym(id, "pw", &StorageDest::Disk).expect("save");
+    m2.destroy_nym(id).expect("live");
+    let (id, _) = m2
+        .restore_nym(
+            "x",
+            AnonymizerKind::Tor,
+            UsageModel::Persistent,
+            "pw",
+            &StorageDest::Disk,
+        )
+        .expect("the new life restores");
+    assert!(!m2.has_stain(id, "old-life").expect("live"));
+}
+
+#[test]
 fn save_restore_preserves_browser_state_exactly() {
     let mut m = manager(24);
     let (id, _) = m
