@@ -1,8 +1,25 @@
 //! Microbenchmarks for the hot primitives behind the experiments:
-//! SHA-256, ChaCha20-Poly1305, LZSS, KSM scanning.
+//! SHA-256, ChaCha20-Poly1305, LZSS, layer decoding, KSM scanning.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
+
+/// A writable layer shaped like a `heartbeat` nym's restored
+/// `anonvm.disk`: 1,136 cache files of 1,056 bytes (1.2 MB) at depth
+/// 7, in 8 site directories, 1,149 entries with their ancestors.
+fn cache_layer() -> nymix_fs::Layer {
+    use nymix_fs::{Layer, LayerKind, Path};
+    let mut layer = Layer::new(LayerKind::Writable);
+    for i in 0..1136u32 {
+        let body: Vec<u8> = (0..1056u32).map(|k| (k * 7 + i) as u8).collect();
+        let path = format!(
+            "/home/user/.cache/chromium/Default/site-{}/obj-{i:08}",
+            i % 8
+        );
+        layer.put_file(Path::new(&path), body);
+    }
+    layer
+}
 
 /// 64 KiB of repeated markup: the compressible chunk shape sealing
 /// runs the LZSS match finder over.
@@ -57,6 +74,25 @@ fn bench_crypto(c: &mut Criterion) {
             compressor.compress_into(black_box(&text), &mut out);
             black_box(out.len())
         });
+    });
+    // A stored (all-literal) stream: what restore decodes for the
+    // incompressible chunks that make up most of a nym's archive.
+    group.bench_function("lzss_decompress_64k_stored", |b| {
+        let mut packed = Vec::new();
+        nymix_store::lzss::store_into(&markup_64k(), &mut packed);
+        let mut out = Vec::new();
+        b.iter(|| {
+            nymix_store::lzss::decompress_into(black_box(&packed), &mut out).expect("decodes");
+            black_box(out.len())
+        });
+    });
+    // The restore's rebuild of a nym's AnonVM disk layer from its
+    // archive record.
+    let mut archive = nymix_store::NymArchive::new();
+    archive.put_layer("anonvm.disk", &cache_layer());
+    group.throughput(Throughput::Bytes(archive.payload_bytes() as u64));
+    group.bench_function("archive_get_layer_1k", |b| {
+        b.iter(|| black_box(archive.get_layer("anonvm.disk").expect("decodes")).node_count());
     });
     group.finish();
 }

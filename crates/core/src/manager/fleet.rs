@@ -59,7 +59,10 @@ impl NymManager {
     /// concurrent completion time.
     ///
     /// A batch that names one nym twice fails with
-    /// [`NymManagerError::DuplicateNym`] before anything is captured.
+    /// [`NymManagerError::DuplicateNym`], and one that holds two nyms
+    /// of one name saved to one destination fails with
+    /// [`NymManagerError::DuplicateLabel`], before anything is listed
+    /// or captured.
     pub fn save_nyms_incremental(
         &mut self,
         reqs: &[FleetSaveRequest<'_>],

@@ -104,6 +104,12 @@ pub enum NymManagerError {
     /// One save batch named the same nym twice. Refused before any
     /// capture: a nym's save is one job with one nonce stream.
     DuplicateNym(NymId),
+    /// One save batch held two nyms of one storage label: the same
+    /// name saved to the same destination. Refused before any listing
+    /// or capture: both would plan against one listing and full-save
+    /// into one epoch, and the later save's objects would overwrite
+    /// the earlier one's. Carries the later request's nym.
+    DuplicateLabel(NymId),
     /// Unknown cloud provider.
     NoSuchProvider(String),
     /// Storage/crypto failure on save or restore.
@@ -131,6 +137,9 @@ impl core::fmt::Display for NymManagerError {
             NymManagerError::Hypervisor(e) => write!(f, "hypervisor: {e}"),
             NymManagerError::NoSuchNym(id) => write!(f, "no such nym: {id:?}"),
             NymManagerError::DuplicateNym(id) => write!(f, "nym named twice in one save: {id:?}"),
+            NymManagerError::DuplicateLabel(id) => {
+                write!(f, "storage label saved twice in one batch: {id:?}")
+            }
             NymManagerError::NoSuchProvider(p) => write!(f, "no such provider: {p}"),
             NymManagerError::Storage(s) => write!(f, "storage: {s}"),
             NymManagerError::MissingObject(s) => write!(f, "stored object missing: {s}"),
@@ -558,6 +567,7 @@ impl NymManager {
         self.env.clock += ephemeral_fetch;
 
         let mut archive = fetched.archive;
+        let instantiate_span = nymix_obs::span!("instantiate");
         let anon_upper = archive
             .get_layer("anonvm.disk")
             .map_err(|e| NymManagerError::Storage(e.to_string()))?;
@@ -586,6 +596,7 @@ impl NymManager {
             false, // Warm start: guards and consensus restored.
             scratch,
         )?;
+        drop(instantiate_span);
         session.browser = browser;
         session.nymbox.restored = true;
 

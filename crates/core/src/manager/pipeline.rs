@@ -268,28 +268,35 @@ pub(super) fn save_many_on(
     // Before. Validate every id before anything moves: failing
     // mid-batch would drop the chains of every request before it.
     // A nym named twice is refused outright: its two jobs would
-    // seal different plaintext from one nonce RNG position.
+    // seal different plaintext from one nonce RNG position. So is a
+    // label saved twice: both saves would plan against one listing
+    // and write one epoch's names.
     let mut seen = BTreeSet::new();
+    let mut labels = Vec::with_capacity(reqs.len());
     for req in &reqs {
-        if !sessions.contains_key(&req.id) {
+        let Some(session) = sessions.get(&req.id) else {
             return Err(NymManagerError::NoSuchNym(req.id));
-        }
+        };
         if !seen.insert(req.id) {
             return Err(NymManagerError::DuplicateNym(req.id));
         }
+        let label = storage_label(&session.nymbox.name, req.dest);
+        if labels.contains(&label) {
+            return Err(NymManagerError::DuplicateLabel(req.id));
+        }
+        labels.push(label);
     }
     nymix_obs::sim_clock(env.clock.as_micros());
     // A session without a chain for its label learns the label's
     // epochs and objects from the destination, through its own exit.
     let mut listings = Vec::with_capacity(reqs.len());
-    for req in &reqs {
+    for (req, label) in reqs.iter().zip(&labels) {
         let session = &sessions[&req.id];
-        let label = storage_label(&session.nymbox.name, req.dest);
-        listings.push(if session.chains.contains_key(&label) {
+        listings.push(if session.chains.contains_key(label) {
             (None, Vec::new())
         } else {
             let exit = session.anonymizer.exit_address(env.public_ip);
-            list_chain_objects(env, req.dest, exit, &label)?
+            list_chain_objects(env, req.dest, exit, label)?
         });
     }
     let vms: Vec<[VmId; 2]> = reqs

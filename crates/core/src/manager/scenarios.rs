@@ -509,3 +509,69 @@ fn scenario_nym_named_twice_in_one_batch_is_refused() {
         );
     }
 }
+
+#[test]
+fn scenario_one_label_saved_twice_in_one_batch_is_refused() {
+    // Two live sessions named "dup" share the label `nym:dup@disk`.
+    // Saved in one batch, both would plan against one listing and
+    // full-save into one epoch: the later base and chunks overwrite
+    // the earlier ones, and the earlier session's unique chunks stay
+    // on the disk in no chain. The batch must be refused before it
+    // lists, pauses or captures anything.
+    let mut m = manager();
+    let mut dup = || {
+        let (id, _) = m
+            .create_nym("dup", AnonymizerKind::Tor, UsageModel::Persistent)
+            .unwrap();
+        m.visit_site(id, Site::Twitter).unwrap();
+        id
+    };
+    let (a, b) = (dup(), dup());
+    let disk_req = |id| FleetSaveRequest {
+        id,
+        password: "pw",
+        dest: &StorageDest::Disk,
+    };
+    let objects = m.disk_store().object_count();
+    let ops = m.disk_store().disk().ops();
+
+    let err = m
+        .save_nyms_incremental(&[disk_req(a), disk_req(b)])
+        .unwrap_err();
+    assert!(
+        matches!(err, NymManagerError::DuplicateLabel(d) if d == b),
+        "{err:?}"
+    );
+    assert_eq!(
+        m.disk_store().object_count(),
+        objects,
+        "the refused batch landed"
+    );
+    assert_eq!(
+        m.disk_store().disk().ops(),
+        ops,
+        "the refused batch touched the disk"
+    );
+
+    // One name on two destinations is two labels: that batch saves.
+    m.register_cloud("drive", "anon", "tok");
+    let drive = StorageDest::Cloud {
+        provider: "drive".into(),
+        account: "anon".into(),
+        credential: "tok".into(),
+    };
+    let kinds: Vec<SaveKind> = m
+        .save_nyms_incremental(&[
+            disk_req(a),
+            FleetSaveRequest {
+                id: b,
+                password: "pw",
+                dest: &drive,
+            },
+        ])
+        .unwrap()
+        .into_iter()
+        .map(|(kind, _, _)| kind)
+        .collect();
+    assert_eq!(kinds, [SaveKind::Full, SaveKind::Full]);
+}

@@ -115,6 +115,84 @@ impl Layer {
         }
     }
 
+    /// Builds a layer in one pass from its non-root entries in
+    /// strictly increasing path order, as [`Layer::entries`] yields
+    /// them after the root.
+    ///
+    /// The result is the layer that replaying `put_file`, `put_dir`
+    /// and `put_whiteout` over the entries in order would build,
+    /// generations included: entry *i* (counting from 1), and every
+    /// missing ancestor it creates as a [`Node::Dir`], get generation
+    /// *i*, and the layer's generation is the entry count. In sorted
+    /// order an entry's present ancestors are exactly those it shares
+    /// with the entry before it, so no lookup is needed to find the
+    /// missing ones, and the map is built in one bulk pass.
+    ///
+    /// Returns `None` for a root entry, or for any path not strictly
+    /// greater than the one before it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nymix_fs::{Layer, LayerKind, Node, Path};
+    ///
+    /// let l = Layer::from_sorted_entries(
+    ///     LayerKind::Writable,
+    ///     [(Path::new("/a/b/c"), Node::File(vec![1])), (Path::new("/a/d"), Node::Dir)],
+    /// )
+    /// .unwrap();
+    /// assert_eq!(l.get(&Path::new("/a/b")), Some(&Node::Dir));
+    /// assert_eq!(l.entry_generation(&Path::new("/a/b")), Some(1));
+    /// assert_eq!(l.generation(), 2);
+    /// let unsorted = [(Path::new("/b"), Node::Dir), (Path::new("/a"), Node::Dir)];
+    /// assert!(Layer::from_sorted_entries(LayerKind::Writable, unsorted).is_none());
+    /// ```
+    pub fn from_sorted_entries(
+        kind: LayerKind,
+        entries: impl IntoIterator<Item = (Path, Node)>,
+    ) -> Option<Layer> {
+        let entries = entries.into_iter();
+        let mut sorted = Vec::with_capacity(entries.size_hint().0 + 1);
+        sorted.push((
+            Path::root(),
+            Slot {
+                node: Node::Dir,
+                gen: 0,
+            },
+        ));
+        let mut gen = 0;
+        for (path, node) in entries {
+            gen += 1;
+            // `sorted` ends with the previous entry (the root at first).
+            let prev = &sorted[sorted.len() - 1].0;
+            if path <= *prev {
+                return None;
+            }
+            let shared = prev
+                .components()
+                .iter()
+                .zip(path.components())
+                .take_while(|(a, b)| a == b)
+                .count();
+            for depth in shared + 1..path.depth() {
+                sorted.push((
+                    path.prefix(depth),
+                    Slot {
+                        node: Node::Dir,
+                        gen,
+                    },
+                ));
+            }
+            sorted.push((path, Slot { node, gen }));
+        }
+        Some(Self {
+            kind,
+            nodes: sorted.into_iter().collect(),
+            generation: gen,
+            removed: BTreeMap::new(),
+        })
+    }
+
     /// The layer's kind.
     pub fn kind(&self) -> LayerKind {
         self.kind

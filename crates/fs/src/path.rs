@@ -85,6 +85,14 @@ impl Path {
         }
     }
 
+    /// The ancestor made of this path's first `depth` components
+    /// (`depth` at most [`Path::depth`]).
+    pub(crate) fn prefix(&self, depth: usize) -> Path {
+        Path {
+            components: self.components[..depth].to_vec(),
+        }
+    }
+
     /// Appends a single component or relative subpath.
     pub fn join(&self, sub: &str) -> Path {
         let mut components = self.components.clone();

@@ -28,6 +28,9 @@ pub const STAGES: &[&str] = &[
     "fetch",
     "replay",
     "resolve",
+    // Restore, in `NymManager::restore_nym`: archive decode and
+    // session build (crates/core/src/manager/mod.rs).
+    "instantiate",
     // Disk store (crates/store/src/disk).
     "journal_commit",
     "recovery",

@@ -13,6 +13,14 @@
 //!                data_len u64 | data (files only)
 //! ```
 //!
+//! Layer entries come in strictly increasing path order, compared
+//! component by component (`/a/z` before `/a-b`, though `-` sorts
+//! before `/` as a byte), and the root is never encoded. A path's
+//! missing ancestors, such as a directory removed while its children
+//! stayed, decode as directories. A payload with a path out of order,
+//! a path twice or a root entry is [`ArchiveError::Malformed`], so
+//! decoding is one pass with no lookups.
+//!
 //! Incremental snapshots ([`crate::delta::DeltaArchive`]) share the
 //! record encoding under a different magic:
 //!
@@ -340,8 +348,13 @@ pub(crate) fn read_record(r: &mut Reader<'_>) -> Result<(String, Vec<u8>), Archi
 
 /// Reads one `name_len u16 | name` length-prefixed UTF-8 name.
 pub(crate) fn read_name(r: &mut Reader<'_>) -> Result<String, ArchiveError> {
+    read_str(r).map(str::to_owned)
+}
+
+/// [`read_name`], borrowed from the input.
+fn read_str<'a>(r: &mut Reader<'a>) -> Result<&'a str, ArchiveError> {
     let name_len = r.u16()? as usize;
-    String::from_utf8(r.take(name_len)?.to_vec()).map_err(|_| ArchiveError::Malformed)
+    core::str::from_utf8(r.take(name_len)?).map_err(|_| ArchiveError::Malformed)
 }
 
 /// Serializer-side length to `u16`, checked instead of cast: callers
@@ -423,28 +436,36 @@ fn encoded_path_len(path: &Path) -> usize {
     path.components().iter().map(|c| 1 + c.len()).sum()
 }
 
+/// The smallest possible serialized layer entry: empty path (2-byte
+/// length) plus its tag.
+const MIN_ENTRY_LEN: usize = 2 + 1;
+
+/// Parses a layer payload in one pass: the entries are read in stream
+/// order, then [`Layer::from_sorted_entries`] builds the layer, which
+/// refuses a root entry or a path out of order as
+/// [`ArchiveError::Malformed`].
 fn deserialize_layer(bytes: &[u8]) -> Result<Layer, ArchiveError> {
     let mut r = Reader::new(bytes);
     let count = r.u32()?;
-    let mut layer = Layer::new(LayerKind::Writable);
+    let mut entries = Vec::with_capacity(clamp_count(count, r.remaining(), MIN_ENTRY_LEN));
     for _ in 0..count {
-        let path_str = read_name(&mut r)?;
-        let path = Path::new(&path_str);
-        match r.u8()? {
+        let path = Path::new(read_str(&mut r)?);
+        let node = match r.u8()? {
             0 => {
                 let len = r.u64()?;
                 let len = usize::try_from(len).map_err(|_| ArchiveError::Malformed)?;
-                layer.put_file(path, r.take(len)?.to_vec());
+                Node::File(r.take(len)?.to_vec())
             }
-            1 => layer.put_dir(path),
-            2 => layer.put_whiteout(path),
+            1 => Node::Dir,
+            2 => Node::Whiteout,
             t => return Err(ArchiveError::BadTag(t)),
-        }
+        };
+        entries.push((path, node));
     }
     if !r.done() {
         return Err(ArchiveError::Malformed);
     }
-    Ok(layer)
+    Layer::from_sorted_entries(LayerKind::Writable, entries).ok_or(ArchiveError::Malformed)
 }
 
 /// Bounds-checked cursor over untrusted input. All arithmetic is
@@ -672,6 +693,108 @@ mod tests {
         assert_eq!(clamp_count(u32::MAX, 4, MIN_RECORD_LEN), 0);
         assert_eq!(clamp_count(u32::MAX, 1024, MIN_RECORD_LEN), 1024 / 10);
         assert_eq!(clamp_count(3, 1024, MIN_RECORD_LEN), 3);
+    }
+
+    /// A layer payload of `(path, tag)` entries; files are empty.
+    fn layer_payload(entries: &[(&str, u8)]) -> Vec<u8> {
+        let mut payload = len_u32(entries.len()).to_le_bytes().to_vec();
+        for (path, tag) in entries {
+            payload.extend_from_slice(&len_u16(path.len()).to_le_bytes());
+            payload.extend_from_slice(path.as_bytes());
+            payload.push(*tag);
+            if *tag == 0 {
+                payload.extend_from_slice(&0u64.to_le_bytes());
+            }
+        }
+        payload
+    }
+
+    #[test]
+    fn layer_missing_ancestors_decode_as_dirs() {
+        // `/a/b` was removed while `/a/b/c` stayed; `/a` was never
+        // encoded. Both come back as directories of the entry that
+        // needs them, as a `put_*` replay creates them.
+        let layer = deserialize_layer(&layer_payload(&[("/a/b/c", 0), ("/a/d", 2)])).unwrap();
+        assert_eq!(layer.get(&Path::new("/a")), Some(&Node::Dir));
+        assert_eq!(layer.get(&Path::new("/a/b")), Some(&Node::Dir));
+        assert_eq!(layer.entry_generation(&Path::new("/a")), Some(1));
+        assert_eq!(layer.entry_generation(&Path::new("/a/b")), Some(1));
+        assert_eq!(layer.entry_generation(&Path::new("/a/d")), Some(2));
+        assert_eq!(layer.generation(), 2);
+        assert_eq!(layer.node_count(), 4);
+        // An encoded file keeps its node even with entries beneath it.
+        let layer = deserialize_layer(&layer_payload(&[("/f", 0), ("/f/g", 1)])).unwrap();
+        assert_eq!(layer.get(&Path::new("/f")), Some(&Node::File(Vec::new())));
+    }
+
+    #[test]
+    fn layer_order_is_component_wise() {
+        // `/a/z` < `/a-b` by component, though `-` < `/` by byte.
+        assert!(deserialize_layer(&layer_payload(&[("/a/z", 1), ("/a-b", 1)])).is_ok());
+        assert_eq!(
+            deserialize_layer(&layer_payload(&[("/a-b", 1), ("/a/z", 1)])),
+            Err(ArchiveError::Malformed)
+        );
+    }
+
+    #[test]
+    fn unsorted_layer_payload_rejected() {
+        for entries in [
+            &[("/b", 1), ("/a", 1)][..],
+            &[("/a/b", 0), ("/a", 1)],
+            &[("/a", 1), ("/c", 0), ("/b/x", 0)],
+        ] {
+            assert_eq!(
+                deserialize_layer(&layer_payload(entries)),
+                Err(ArchiveError::Malformed),
+                "{entries:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_layer_path_rejected() {
+        for entries in [
+            &[("/a", 1), ("/a", 1)][..],
+            &[("/a", 0), ("/a", 2)],
+            // Equal once normalized.
+            &[("/a/b", 0), ("/a/./b", 0)],
+            &[("/a/b", 0), ("/a//b", 1)],
+        ] {
+            assert_eq!(
+                deserialize_layer(&layer_payload(entries)),
+                Err(ArchiveError::Malformed),
+                "{entries:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn root_layer_entry_rejected() {
+        for entries in [
+            &[("/", 1)][..],
+            &[("", 1)],
+            &[("/a", 1), ("/", 1)],
+            &[("/..", 0)],
+        ] {
+            assert_eq!(
+                deserialize_layer(&layer_payload(entries)),
+                Err(ArchiveError::Malformed),
+                "{entries:?}"
+            );
+        }
+    }
+
+    /// A 4-byte layer payload claiming u32::MAX entries must fail
+    /// fast without reserving for them.
+    #[test]
+    fn huge_layer_entry_count_does_not_over_reserve() {
+        let mut payload = u32::MAX.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0u8; 4]);
+        assert_eq!(deserialize_layer(&payload), Err(ArchiveError::Malformed));
+        assert_eq!(clamp_count(u32::MAX, 4, MIN_ENTRY_LEN), 1);
+        assert_eq!(clamp_count(u32::MAX, 1024, MIN_ENTRY_LEN), 1024 / 3);
+        assert_eq!(clamp_count(3, 1024, MIN_ENTRY_LEN), 3);
     }
 
     #[test]

@@ -348,6 +348,13 @@ impl std::error::Error for LzssError {}
 /// Decompresses a [`compress`] stream, appending the plaintext to `out`
 /// (which is cleared first). With sufficient capacity in `out` this
 /// performs no allocation.
+///
+/// Items are decoded one flag bit at a time, except that a flag byte of
+/// `0xFF` with at least 8 output bytes still owed and 8 input bytes
+/// left copies its whole literal group at once. Stored streams
+/// ([`store_into`]) and incompressible chunks are almost all such
+/// groups. The shortcut changes no result: every stream decodes to the
+/// same bytes or fails with the same error as the per-item loop.
 pub fn decompress_into(packed: &[u8], out: &mut Vec<u8>) -> Result<(), LzssError> {
     out.clear();
     if packed.len() < 8 {
@@ -371,6 +378,17 @@ pub fn decompress_into(packed: &[u8], out: &mut Vec<u8>) -> Result<(), LzssError
         }
         let flag = packed[pos];
         pos += 1;
+        // A full literal group still owed in full is one block copy.
+        // Anything else — a match, a group the output length cuts
+        // short, input ending inside the group — takes the per-item
+        // loop, so errors and partial output are the same either way.
+        if flag == 0xFF && expect_len - out.len() >= 8 {
+            if let Some(group) = packed.get(pos..pos + 8) {
+                out.extend_from_slice(group);
+                pos += 8;
+                continue;
+            }
+        }
         for k in 0..8 {
             if out.len() >= expect_len {
                 break;
