@@ -17,7 +17,8 @@
 //!   [`manager::env`] (the shared simulated world),
 //!   [`manager::session`] (per-nym state with hard ownership
 //!   boundaries), [`manager::pipeline`] (the staged, batched store
-//!   pipeline) and [`manager::fleet`] (multi-nym scheduling).
+//!   pipeline over [`nymix_store::chain`]) and [`manager::fleet`]
+//!   (multi-nym scheduling).
 //! * [`timing`] — startup phase breakdowns and calibration.
 //! * [`sanivm`] — the sanitized file-transfer path (§3.6/§4.3).
 //! * [`installed_os`] — booting the machine's installed OS as a nym

@@ -19,9 +19,7 @@ use nymix_anon::{Anonymizer, AnonymizerKind, DissentNet, Incognito, Sweet};
 use nymix_net::dns::DnsDb;
 use nymix_net::{Fabric, Ip, Mac, NodeId, NodeKind};
 use nymix_sim::{Rng, SimDuration, SimTime};
-use nymix_store::{
-    BackendError, CloudProvider, CloudSession, DiskStore, ObjectBackend, PlacementStore,
-};
+use nymix_store::{CloudProvider, CloudSession, DiskStore, ObjectBackend, PlacementStore};
 use nymix_vmm::Hypervisor;
 
 use std::collections::BTreeMap;
@@ -252,22 +250,6 @@ pub(super) fn dest_backend<'a>(
             s.set_now(now);
             s.set_observed_ip(exit.expect("striped access rides an anonymizer with an exit"));
             Ok(DestBackend::Striped(s))
-        }
-    }
-}
-
-/// Classifies a backend failure for the manager's API: unreachability
-/// (an outage, or throttling past the retry budget) is
-/// [`NymManagerError::Unavailable`] — the stored state is presumed
-/// intact, retry later — while everything else (denial, corruption)
-/// stays a permanent [`NymManagerError::Storage`] failure.
-pub(super) fn storage_err(e: BackendError) -> NymManagerError {
-    match e {
-        BackendError::Unavailable(s) | BackendError::Transient(s) => {
-            NymManagerError::Unavailable(s)
-        }
-        e @ (BackendError::Denied | BackendError::Other(_)) => {
-            NymManagerError::Storage(e.to_string())
         }
     }
 }

@@ -17,7 +17,10 @@
 //! * [`pipeline`] — the **store pipeline**: the staged §3.5 store-nym
 //!   workflow (dirty-detect → chunk → seal → upload) over any number
 //!   of sessions at once. It keeps no state of its own: what a
-//!   storage label holds is listed from the destination itself.
+//!   storage label holds is listed from the destination itself. The
+//!   chain format — names, epochs, sweeps, sealing and the verified
+//!   fetch [`NymManager::restore_nym`] runs — is
+//!   [`nymix_store::chain`].
 //!
 //! [`fleet`] adds the multi-nym scheduler: deterministic interleaving
 //! of N sessions over sim time, with batched saves that run one job
@@ -32,7 +35,6 @@
 pub mod env;
 pub mod fleet;
 pub mod pipeline;
-pub mod restore;
 pub mod session;
 
 use std::collections::BTreeMap;
@@ -42,6 +44,8 @@ use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::dns::DnsDb;
 use nymix_net::{access_transfer, Fabric, Ip, NodeId};
 use nymix_sim::{SimDuration, SimTime};
+use nymix_store::archive::{deserialize_layer, ArchiveError};
+use nymix_store::chain::{self, ChainError, ChunkCache};
 use nymix_store::{
     CloudProvider, CloudSession, DiskStore, FaultPlan, PlacementStore, SealScratch, SimDisk,
 };
@@ -52,9 +56,8 @@ use nymix_workload::Site;
 use crate::nymbox::{Nymbox, UsageModel};
 use crate::timing::{calib as tcal, StartupBreakdown};
 
-use env::Environment;
+use env::{dest_backend, Environment};
 use pipeline::{drop_other_chains, save_many, SaveRequest};
-use restore::fetch_chain;
 use session::{storage_label, ChainState, NymSession, RestoredState};
 
 pub use fleet::NymFleet;
@@ -154,6 +157,18 @@ impl std::error::Error for NymManagerError {}
 impl From<HypervisorError> for NymManagerError {
     fn from(e: HypervisorError) -> Self {
         NymManagerError::Hypervisor(e)
+    }
+}
+
+impl From<ChainError> for NymManagerError {
+    fn from(e: ChainError) -> Self {
+        match e {
+            ChainError::NothingStored => NymManagerError::NothingStored,
+            ChainError::Missing(s) => NymManagerError::MissingObject(s),
+            ChainError::Unavailable(s) => NymManagerError::Unavailable(s),
+            ChainError::Failed(s) => NymManagerError::Storage(s),
+            e @ ChainError::EpochExhausted => NymManagerError::Storage(e.to_string()),
+        }
     }
 }
 
@@ -537,18 +552,29 @@ impl NymManager {
         };
 
         // The restoring session doesn't exist yet, so the fetch runs on
-        // a pool scratch that then becomes the new session's arena.
+        // a pool scratch that then becomes the new session's arena, and
+        // fills the chunk cache the session then takes over: the fetch
+        // checked every chunk id against the resolved bytes, so the next
+        // save reuses the ids of every chunk the nym did not touch.
         let mut scratch = self.scratch_pool.pop().unwrap_or_default();
+        let mut chunk_cache = ChunkCache::new();
         let mut work = Vec::new();
-        let fetched = match fetch_chain(
-            &mut self.env,
-            &label,
-            password,
+        nymix_obs::sim_clock(self.env.clock.as_micros());
+        let env = &mut self.env;
+        let fetched = dest_backend(
+            &mut env.cloud,
+            &mut env.disk,
+            env.striped.as_mut(),
+            env.clock,
             dest,
             fetch_exit,
-            &mut work,
-            &mut scratch,
-        ) {
+        )
+        .and_then(|mut backend| {
+            let (backend, cache) = (backend.as_backend(), &mut chunk_cache);
+            chain::fetch(backend, &label, password, cache, &mut work, &mut scratch)
+                .map_err(Into::into)
+        });
+        let (chain, fetched_bytes) = match fetched {
             Ok(f) => f,
             Err(e) => {
                 self.scratch_pool.push(scratch);
@@ -558,26 +584,25 @@ impl NymManager {
 
         let ephemeral_fetch = match fetch_cost {
             Some(cost) => {
-                let wire =
-                    cost.wire_bytes(fetched.fetched_bytes as f64 * self.env.browser_scale as f64);
+                let wire = cost.wire_bytes(fetched_bytes as f64 * self.env.browser_scale as f64);
                 fetch_boot + access_transfer(wire, cost.rate_cap) + tcal::RESTORE_UNPACK
             }
             None => tcal::RESTORE_UNPACK,
         };
         self.env.clock += ephemeral_fetch;
 
-        let mut archive = fetched.archive;
+        let record = |name: &str| chain.resolved(&chunk_cache, name);
+        let layer = |name: &str| {
+            record(name)
+                .ok_or(ArchiveError::Malformed)
+                .and_then(deserialize_layer)
+                .map_err(|e| NymManagerError::Storage(e.to_string()))
+        };
         let instantiate_span = nymix_obs::span!("instantiate");
-        let anon_upper = archive
-            .get_layer("anonvm.disk")
-            .map_err(|e| NymManagerError::Storage(e.to_string()))?;
-        let comm_upper = archive
-            .get_layer("commvm.disk")
-            .map_err(|e| NymManagerError::Storage(e.to_string()))?;
-        let anonymizer_state = archive.get("anonymizer.state").map(|b| b.to_vec());
-        let browser = archive
-            .get("browser.state")
-            .and_then(BrowserState::from_bytes);
+        let anon_upper = layer("anonvm.disk")?;
+        let comm_upper = layer("commvm.disk")?;
+        let anonymizer_state = record("anonymizer.state").map(<[u8]>::to_vec);
+        let browser = record("browser.state").and_then(BrowserState::from_bytes);
 
         let anonymizer = self.env.build_anonymizer(kind);
         let n = self.next_nym;
@@ -599,49 +624,26 @@ impl NymManager {
         drop(instantiate_span);
         session.browser = browser;
         session.nymbox.restored = true;
+        session.chunk_cache = chunk_cache;
 
         // Continue the chain where the restored state left it, so the
         // next incremental save appends a delta instead of re-sealing
-        // everything. The resolved records swap back to their stored
-        // (manifest) form first — the chain's base is the stored form —
-        // and move into the session's chunk cache: the fetch checked
-        // every chunk id against them, so the next save reuses the ids
-        // of every chunk the nym did not touch. The new session takes
-        // the chain over: any other live session of the label drops it.
-        let anon_gen = self
-            .env
-            .hv
-            .vm(session.nymbox.anon_vm)?
-            .disk()
-            .upper()
-            .map(nymix_fs::Layer::generation)
-            .unwrap_or(0);
-        let comm_gen = self
-            .env
-            .hv
-            .vm(session.nymbox.comm_vm)?
-            .disk()
-            .upper()
-            .map(nymix_fs::Layer::generation)
-            .unwrap_or(0);
-        for (record_name, stored, manifest) in fetched.stored_overrides {
-            if let Some(resolved) = archive.replace(&record_name, stored) {
-                session
-                    .chunk_cache
-                    .insert(record_name, (resolved, manifest));
-            }
-        }
+        // everything. The new session takes the chain over: any other
+        // live session of the label drops it.
+        let upper_gen = |vm| {
+            self.env
+                .hv
+                .vm(vm)
+                .map(|vm| vm.disk().upper().map_or(0, nymix_fs::Layer::generation))
+        };
+        let anon_gen = upper_gen(session.nymbox.anon_vm)?;
+        let comm_gen = upper_gen(session.nymbox.comm_vm)?;
         let id = NymId(n);
         drop_other_chains(&mut self.sessions, id, &label);
         session.chains.insert(
             label,
             ChainState {
-                key: fetched.key,
-                epoch: fetched.epoch,
-                delta_count: fetched.delta_count,
-                archive,
-                chunks: fetched.chunk_index,
-                commitment: fetched.commitment,
+                chain,
                 anon_gen,
                 comm_gen,
             },

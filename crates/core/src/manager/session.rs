@@ -28,8 +28,8 @@ use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::firewall::{Action, Direction, Firewall, Rule};
 use nymix_net::{access_transfer, Ip, Mac, NodeKind};
 use nymix_sim::{Rng, SimDuration};
-use nymix_store::cas::{ChunkIndex, ChunkManifest};
-use nymix_store::{ArchiveCommitment, NymArchive, SealKey, SealScratch};
+use nymix_store::chain::{Chain, ChunkCache};
+use nymix_store::SealScratch;
 use nymix_vmm::VmConfig;
 use nymix_workload::browser::BrowserState;
 use nymix_workload::{BrowserSession, Site};
@@ -41,36 +41,12 @@ use super::NymManagerError;
 use crate::nymbox::{Nymbox, UsageModel};
 use crate::timing::{calib as tcal, StartupBreakdown};
 
-/// Per-storage-label snapshot-chain bookkeeping: what the last sealed
-/// full logical state was, which layer generations it captured, and
-/// the chain key deltas are sealed under. Owned by the session whose
-/// nym the chain snapshots — never shared.
+/// A session's snapshot chain under one storage label, with the layer
+/// generations its archive captured: a layer whose generation still
+/// matches is clean, and a delta save skips serializing it. Owned by
+/// the session whose nym the chain snapshots, never shared.
 pub(super) struct ChainState {
-    /// KDF output for this chain epoch; deltas reuse it (fresh nonce,
-    /// own label as AEAD data) so an incremental save skips PBKDF2.
-    pub(super) key: SealKey,
-    pub(super) epoch: u64,
-    pub(super) delta_count: usize,
-    /// The archive as of the latest save on this chain, in **stored
-    /// form**: records at or above
-    /// [`nymix_store::CHUNK_RECORD_THRESHOLD`] hold their `"NYMC"`
-    /// chunk manifest, the payload living in per-chunk objects beside
-    /// the chain. Diffing stored forms is what makes a sub-record
-    /// write ship a new manifest plus O(1) chunks.
-    pub(super) archive: NymArchive,
-    /// The chunks this epoch's live manifests reference. Each delta
-    /// save mark-and-sweeps it against the new archive's manifests and
-    /// deletes the chunks that fell out; a compacting save deletes the
-    /// whole retired epoch's set.
-    pub(super) chunks: ChunkIndex,
-    /// Merkle commitment over `archive`'s stored-form records, with
-    /// every leaf hash and interior node cached. Carrying it across
-    /// saves is what makes a delta save's commitment O(dirty): only
-    /// records that actually changed are rehashed, the root path is
-    /// recomputed incrementally, and everything else is a cache hit.
-    /// Derivable state — rebuilt from the archive on restore, never
-    /// serialized.
-    pub(super) commitment: ArchiveCommitment,
+    pub(super) chain: Chain,
     pub(super) anon_gen: u64,
     pub(super) comm_gen: u64,
 }
@@ -99,14 +75,11 @@ pub struct NymSession {
     /// Nonce/salt RNG, forked from the world RNG per session so
     /// concurrent seals stay deterministic and order-independent.
     pub(super) seal_rng: Rng,
-    /// Per chunked record: the raw bytes it was last chunked from (by
-    /// a save) or resolved to (by the restore that created this
-    /// session), with their manifest. The chunk stage reuses the id of
-    /// any new chunk a `memcmp` against these bytes proves unchanged.
-    /// Moved in, never copied; it survives compaction (ids are content
-    /// hashes, not per epoch) and dies with the session, so it is
-    /// never shared across nyms.
-    pub(super) chunk_cache: BTreeMap<String, (Vec<u8>, ChunkManifest)>,
+    /// The chunk-id cache, filled by each save and by the restore that
+    /// created this session. Moved in, never copied; it survives
+    /// compaction (ids are content hashes, not per epoch) and dies with
+    /// the session, so it is never shared across nyms.
+    pub(super) chunk_cache: ChunkCache,
 }
 
 impl NymSession {

@@ -680,7 +680,7 @@ fn chunk_cache_is_per_session_and_refilled_by_restore() {
     let chain = session.chains.values().next().unwrap();
     assert!(session.chunk_cache.contains_key("anonvm.disk"));
     for (name, (raw, manifest)) in &session.chunk_cache {
-        let stored = ChunkManifest::from_bytes(chain.archive.get(name).unwrap()).unwrap();
+        let stored = ChunkManifest::from_bytes(chain.chain.archive().get(name).unwrap()).unwrap();
         assert_eq!(*manifest, stored, "{name}");
         assert_eq!(*manifest, ChunkManifest::build(raw), "{name}");
     }
@@ -1037,6 +1037,40 @@ fn chain_less_save_leaves_a_sibling_label_alone() {
 }
 
 #[test]
+fn listed_max_epoch_refuses_save_before_pausing() {
+    // A destination can list any name. One claiming the last epoch
+    // leaves no epoch for the next full save: the save is refused
+    // before any VM pauses, and the disk is not touched.
+    let mut m = manager();
+    let (x, _) = m
+        .create_nym("x", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.visit_site(x, Site::Bbc).unwrap();
+    let planted = format!("nym:x@disk#e{}.1", u64::MAX);
+    m.env
+        .disk
+        .apply_batch(vec![(planted, vec![0])], Vec::new())
+        .unwrap();
+    let objects = m.disk_store().object_count();
+    let io = m.disk_store().device_stats();
+    let err = m
+        .save_nym_incremental(x, "pw", &StorageDest::Disk)
+        .unwrap_err();
+    let exhausted = ChainError::EpochExhausted.to_string();
+    assert!(
+        matches!(&err, NymManagerError::Storage(s) if *s == exhausted),
+        "{err}"
+    );
+    let nymbox = m.nymbox(x).unwrap().clone();
+    for vm in [nymbox.anon_vm, nymbox.comm_vm] {
+        let state = m.hypervisor().vm(vm).unwrap().state();
+        assert_eq!(state, nymix_vmm::VmState::Running);
+    }
+    assert_eq!(m.disk_store().object_count(), objects);
+    assert_eq!(m.disk_store().device_stats(), io);
+}
+
+#[test]
 fn disk_save_restore_roundtrip_survives_detach() {
     let mut m = manager();
     let (id, _) = m
@@ -1316,7 +1350,7 @@ fn pooled_batch_mixes_a_full_fallback_with_deltas() {
         .0;
     let chain = m.sessions[&ids[2]].chains.values().next().unwrap();
     assert!(
-        chain.delta_count < DELTA_CHAIN_LIMIT,
+        chain.chain.delta_count() < DELTA_CHAIN_LIMIT,
         "a delta was possible"
     );
     for &id in &ids {

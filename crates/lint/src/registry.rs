@@ -122,6 +122,12 @@ impl Registry {
                      bytes (PR 4)",
                 ),
                 Self::module(
+                    "store/src/chain.rs",
+                    "snapshot-chain names from the provider's listing and the base, \
+                     delta and chunk blobs it serves: a planted name or a hostile \
+                     epoch must fail the save or restore closed, never panic",
+                ),
+                Self::module(
                     "store/src/lzss.rs",
                     "decompressor runs on authenticated-but-possibly-corrupt bytes and \
                      pre-auth sizing paths; must parse-or-error (PR 2)",
@@ -182,7 +188,10 @@ impl Registry {
             ],
             taxonomies: vec![Taxonomy {
                 enum_name: "BackendError".to_string(),
-                paths: vec!["core/src/manager/".to_string()],
+                paths: vec![
+                    "core/src/manager/".to_string(),
+                    "store/src/chain.rs".to_string(),
+                ],
                 rationale: "degraded providers must fail closed: a wildcard arm lets a \
                             future variant (PR 7 added Unavailable) silently fall into \
                             the wrong availability class"

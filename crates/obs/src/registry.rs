@@ -24,7 +24,7 @@ pub const STAGES: &[&str] = &[
     "upload",
     // Save pipeline, per destination group: the backend's batch write.
     "apply_batch",
-    // Restore pipeline (crates/core/src/manager/restore.rs).
+    // Restore pipeline: the chain fetch (crates/store/src/chain.rs).
     "fetch",
     "replay",
     "resolve",

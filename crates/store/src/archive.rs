@@ -38,8 +38,31 @@
 //! recomputed root differs — a tampered, reordered, or stale record
 //! set fails closed. Chains are bounded: after
 //! [`crate::delta::DELTA_CHAIN_LIMIT`] deltas the next save compacts
-//! back to a full "NYM1" archive (the Nym Manager's save pipeline in
-//! the `nymix` crate owns the chains).
+//! back to a full "NYM1" archive.
+//!
+//! ## Chain object names
+//!
+//! One storage label's chain lives under names [`crate::chain`] builds
+//! and parses:
+//!
+//! ```text
+//! base:  {label}
+//! delta: {label}#e{N}.{i}           i in 1..=DELTA_CHAIN_LIMIT
+//! chunk: {label}#e{N}/c/{64 hex}    lowercase hex of the chunk id
+//! epoch record: "snapshot.epoch" = N as u64 LE, a record of the base
+//! ```
+//!
+//! `N` is the chain epoch in decimal. Every full save writes the base
+//! with its epoch record and takes a fresh key; the deltas and chunks
+//! of epoch `N` are sealed under that key with their full name as AEAD
+//! data, so an object cannot be replayed under another name. A base
+//! without the epoch record fails restore. Deltas fill slots in order,
+//! so a present slot after an absent one means a delta was withheld,
+//! and restore fails. A full save takes the epoch after the highest
+//! one the destination lists under the label and sweeps every listed
+//! delta and chunk. The parser accepts only the two suffixes above,
+//! so no label's objects parse as another label's, even when one label
+//! is a prefix of the other.
 //!
 //! Records at or above [`crate::cas::CHUNK_RECORD_THRESHOLD`] may hold
 //! a **chunk manifest** ([`crate::cas::ChunkManifest`]) instead of the
@@ -268,8 +291,7 @@ impl NymArchive {
 
     /// Reconstructs a writable layer from record `name`.
     pub fn get_layer(&self, name: &str) -> Result<Layer, ArchiveError> {
-        let data = self.get(name).ok_or(ArchiveError::Malformed)?;
-        deserialize_layer(data)
+        deserialize_layer(self.get(name).ok_or(ArchiveError::Malformed)?)
     }
 
     /// Exact byte length [`NymArchive::write_into`] will append — lets
@@ -440,11 +462,11 @@ fn encoded_path_len(path: &Path) -> usize {
 /// length) plus its tag.
 const MIN_ENTRY_LEN: usize = 2 + 1;
 
-/// Parses a layer payload in one pass: the entries are read in stream
-/// order, then [`Layer::from_sorted_entries`] builds the layer, which
-/// refuses a root entry or a path out of order as
-/// [`ArchiveError::Malformed`].
-fn deserialize_layer(bytes: &[u8]) -> Result<Layer, ArchiveError> {
+/// Parses a layer payload (a [`NymArchive::put_layer`] record) in one
+/// pass: the entries are read in stream order, then
+/// [`Layer::from_sorted_entries`] builds the layer, which refuses a
+/// root entry or a path out of order as [`ArchiveError::Malformed`].
+pub fn deserialize_layer(bytes: &[u8]) -> Result<Layer, ArchiveError> {
     let mut r = Reader::new(bytes);
     let count = r.u32()?;
     let mut entries = Vec::with_capacity(clamp_count(count, r.remaining(), MIN_ENTRY_LEN));

@@ -24,8 +24,8 @@
 //! closed instead of restoring silently-wrong state.
 //!
 //! Chains are bounded: after [`DELTA_CHAIN_LIMIT`] deltas the next save
-//! compacts back to a full `"NYM1"` archive (the Nym Manager in the
-//! `nymix` crate owns chain naming, sealing and compaction).
+//! compacts back to a full `"NYM1"` archive ([`crate::chain`] owns
+//! chain naming, sealing and compaction).
 //!
 //! Computing `merkle_root` is O(dirty), not O(archive), when the saver
 //! keeps an [`ArchiveCommitment`] warm across saves: the accumulator

@@ -34,6 +34,10 @@
 //!   mark-and-sweep GC, and per-chunk sealing bound to the chunk's
 //!   identity. Large records ship as manifests + only the chunks that
 //!   changed.
+//! * [`chain`] — the snapshot-chain format over any backend: object
+//!   names and epochs, listing a label, planning and sealing a save
+//!   (full or delta, with its puts and sweeps), and fetching and
+//!   verifying a chain for restore.
 //! * [`backend`] — the pluggable [`ObjectBackend`] every store
 //!   implements, so snapshot chains and chunk objects move unchanged
 //!   between local media and cloud accounts.
@@ -86,6 +90,7 @@
 pub mod archive;
 pub mod backend;
 pub mod cas;
+pub mod chain;
 pub mod chunker;
 pub mod cloud;
 pub mod delta;
