@@ -9,7 +9,8 @@
 //! * **entry-guard selection and persistence** — "Tor normally
 //!   maintains the same entry relay for several months" (§3.5); the
 //!   guard set is the state quasi-persistent nyms carry, and losing it
-//!   exposes users to faster intersection attacks;
+//!   exposes users to faster intersection attacks. The months-scale
+//!   guard rotation of §3.5 is not modelled: a nym keeps its guards;
 //! * **3-hop circuits**: bandwidth-weighted path selection whose exit
 //!   is the address destinations see (cells are not encrypted; the
 //!   figures depend only on the byte overhead below);
@@ -93,17 +94,18 @@ impl TorDirectory {
     }
 
     /// All relays.
+    // lint:allow(test-only-pub): tests/world_rng.rs pins each relay's draw through it
     pub fn relays(&self) -> &[Relay] {
         &self.relays
     }
 
     /// Looks up a relay.
-    pub fn relay(&self, id: RelayId) -> Option<&Relay> {
+    fn relay(&self, id: RelayId) -> Option<&Relay> {
         self.relays.get(id.0 as usize)
     }
 
     /// Bandwidth-weighted choice among relays passing `filter`.
-    pub fn weighted_pick(
+    fn weighted_pick(
         &self,
         rng: &mut Rng,
         filter: impl Fn(&Relay) -> bool,
@@ -134,16 +136,13 @@ impl TorDirectory {
 pub struct TorState {
     /// Chosen entry guards, in preference order.
     pub guards: Vec<RelayId>,
-    /// When the guard set was chosen (microseconds of simulated time);
-    /// drives the months-scale rotation of §3.5.
+    /// When the guard set was chosen (microseconds of simulated time).
+    /// Always 0 here, since guard rotation is not modelled; it stays
+    /// because the anonymizer-state blob stores it.
     pub chosen_at_us: u64,
 }
 
 const STATE_MAGIC: &[u8; 4] = b"TGS2";
-
-/// Default guard lifetime: ~3 months ("Tor normally maintains the same
-/// entry relay for several months", §3.5).
-pub const GUARD_ROTATION_US: u64 = 90 * 24 * 3600 * 1_000_000;
 
 impl TorState {
     /// Picks fresh guards at random (what a cold boot without state
@@ -172,24 +171,6 @@ impl TorState {
             guards: Self::pick_guards(directory, &mut rng),
             chosen_at_us: 0,
         }
-    }
-
-    /// Rotates the guard set if it is older than `period_us` at `now_us`
-    /// ("and may increase this period further", §3.5). Returns whether
-    /// a rotation happened.
-    pub fn rotate_if_stale(
-        &mut self,
-        directory: &TorDirectory,
-        rng: &mut Rng,
-        now_us: u64,
-        period_us: u64,
-    ) -> bool {
-        if now_us.saturating_sub(self.chosen_at_us) < period_us {
-            return false;
-        }
-        self.guards = Self::pick_guards(directory, rng);
-        self.chosen_at_us = now_us;
-        true
     }
 
     fn pick_guards(directory: &TorDirectory, rng: &mut Rng) -> Vec<RelayId> {
@@ -290,7 +271,6 @@ pub struct TorClient {
     state: TorState,
     /// Exit of the most recent circuit (what destinations see).
     current_exit: Option<Ip>,
-    circuits_built: u32,
 }
 
 impl TorClient {
@@ -299,7 +279,6 @@ impl TorClient {
         Self {
             state: TorState::fresh(directory, rng),
             current_exit: None,
-            circuits_built: 0,
         }
     }
 
@@ -308,18 +287,12 @@ impl TorClient {
         Self {
             state,
             current_exit: None,
-            circuits_built: 0,
         }
     }
 
     /// The client's guard set.
     pub fn state(&self) -> &TorState {
         &self.state
-    }
-
-    /// Number of circuits built so far.
-    pub fn circuits_built(&self) -> u32 {
-        self.circuits_built
     }
 
     /// Builds a circuit: primary guard, weighted middle, weighted exit.
@@ -332,7 +305,6 @@ impl TorClient {
         let exclude2 = [guard, exit];
         let middle = directory.weighted_pick(rng, |_| true, &exclude2)?;
         self.current_exit = Some(directory.relay(exit)?.address);
-        self.circuits_built += 1;
         Some(Circuit {
             hops: [guard, middle, exit],
         })
@@ -429,7 +401,6 @@ mod tests {
             // Guard stays fixed across circuits (§3.5).
             assert_eq!(c.hops[0], tor.state().guards[0]);
         }
-        assert_eq!(tor.circuits_built(), 20);
     }
 
     #[test]
@@ -479,20 +450,6 @@ mod tests {
         }
         // The §3.5 hazard: amnesiac boots churn guards.
         assert!(distinct.len() > 2, "guard churn expected: {distinct:?}");
-    }
-
-    #[test]
-    fn guard_rotation_by_age() {
-        let (dir, mut rng) = setup();
-        let mut state = TorState::fresh(&dir, &mut rng);
-        let original = state.guards.clone();
-        // Young state does not rotate.
-        assert!(!state.rotate_if_stale(&dir, &mut rng, GUARD_ROTATION_US - 1, GUARD_ROTATION_US));
-        assert_eq!(state.guards, original);
-        // Past the period it does, and the age resets.
-        assert!(state.rotate_if_stale(&dir, &mut rng, GUARD_ROTATION_US, GUARD_ROTATION_US));
-        assert_eq!(state.chosen_at_us, GUARD_ROTATION_US);
-        assert!(!state.rotate_if_stale(&dir, &mut rng, GUARD_ROTATION_US + 1, GUARD_ROTATION_US));
     }
 
     #[test]

@@ -24,11 +24,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience for numeric rows.
-    pub fn row_f64(&mut self, cells: &[f64]) {
-        self.row(&cells.iter().map(|v| format!("{v:.2}")).collect::<Vec<_>>());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -75,12 +70,12 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = Table::new("Figure X", &["n", "value"]);
-        t.row_f64(&[1.0, 600.0]);
-        t.row_f64(&[2.0, 1256.5]);
+        t.row(&["1".to_string(), "600".to_string()]);
+        t.row(&["2".to_string(), "1256.5".to_string()]);
         let s = t.render();
         assert!(s.starts_with("# Figure X\n"));
-        assert!(s.contains("600.00"));
-        assert!(s.contains("1256.50"));
+        assert!(s.contains("    600\n"));
+        assert!(s.contains(" 1256.5\n"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }

@@ -207,11 +207,6 @@ impl InstalledOs {
         self.kind
     }
 
-    /// Whether the repair pass has run.
-    pub fn is_repaired(&self) -> bool {
-        self.repaired
-    }
-
     /// The OS disk view (reads hit the read-only base; writes COW).
     pub fn disk(&self) -> &UnionFs {
         &self.disk
@@ -274,15 +269,6 @@ impl InstalledOs {
         }
     }
 
-    /// Whether the physical (base) disk was modified — must always be
-    /// false: "no changes the installed OS makes while running under
-    /// Nymix ever persist on the physical disk" (§3.7).
-    pub fn physical_disk_touched(&self) -> bool {
-        // The base layer is index 0; the union never writes below the
-        // top, so this is structurally false — exposed for tests.
-        false
-    }
-
     /// Discards the COW layer (the default, deniable exit path).
     pub fn discard_session(&mut self) {
         if let Some(mut upper) = self.disk.take_upper() {
@@ -327,7 +313,7 @@ mod tests {
     #[test]
     fn linux_needs_no_repair() {
         let mut os = InstalledOs::new(OsKind::Linux);
-        assert!(os.is_repaired());
+        assert!(os.repaired);
         let o = os.repair_and_boot();
         assert_eq!(o.repair_time, SimDuration::ZERO);
         assert!(o.boot_time.as_secs_f64() < 15.0);
@@ -353,7 +339,6 @@ mod tests {
         os.disk_mut()
             .write(&Path::new("/users/owner/new-file"), vec![1; 100])
             .unwrap();
-        assert!(!os.physical_disk_touched());
         assert!(os
             .disk()
             .layer(0)

@@ -25,7 +25,6 @@ pub type UserId = u32;
 pub struct IntersectionAdversary {
     /// The candidate set so far (None = no observation yet).
     candidates: Option<BTreeSet<UserId>>,
-    observations: u32,
 }
 
 impl IntersectionAdversary {
@@ -37,30 +36,16 @@ impl IntersectionAdversary {
     /// Records that a linkable pseudonym message appeared while
     /// `online` users were connected.
     pub fn observe_message(&mut self, online: &BTreeSet<UserId>) {
-        self.observations += 1;
         self.candidates = Some(match self.candidates.take() {
             None => online.clone(),
             Some(prev) => prev.intersection(online).copied().collect(),
         });
     }
 
-    /// Number of observations recorded.
-    pub fn observations(&self) -> u32 {
-        self.observations
-    }
-
     /// The current candidate (possinymity) set size; `usize::MAX`
     /// before any observation.
     pub fn candidate_count(&self) -> usize {
         self.candidates.as_ref().map_or(usize::MAX, BTreeSet::len)
-    }
-
-    /// Whether the adversary has uniquely identified the owner.
-    pub fn deanonymized(&self) -> Option<UserId> {
-        match &self.candidates {
-            Some(set) if set.len() == 1 => set.iter().next().copied(),
-            _ => None,
-        }
     }
 }
 
@@ -101,11 +86,6 @@ impl BuddiesPolicy {
         true
     }
 
-    /// Current anonymity metric shown to the user.
-    pub fn anonymity_set_size(&self) -> usize {
-        self.shadow.candidate_count()
-    }
-
     /// Messages posted / suppressed.
     pub fn counters(&self) -> (u32, u32) {
         (self.posted, self.suppressed)
@@ -129,10 +109,8 @@ mod tests {
         assert_eq!(adv.candidate_count(), 3);
         adv.observe_message(&online(&[2, 3, 9]));
         assert_eq!(adv.candidate_count(), 2);
-        assert_eq!(adv.deanonymized(), None);
         adv.observe_message(&online(&[3, 7]));
-        assert_eq!(adv.deanonymized(), Some(3));
-        assert_eq!(adv.observations(), 4);
+        assert_eq!(adv.candidates, Some(online(&[3])));
     }
 
     #[test]
@@ -150,7 +128,7 @@ mod tests {
         for s in &sessions {
             churny.observe_message(s);
         }
-        assert_eq!(churny.deanonymized(), Some(3));
+        assert_eq!(churny.candidates, Some(online(&[3])));
 
         let stable_population = online(&[3, 10, 11, 12]);
         let mut pinned = IntersectionAdversary::new();
@@ -158,20 +136,19 @@ mod tests {
             pinned.observe_message(&stable_population);
         }
         assert_eq!(pinned.candidate_count(), 4);
-        assert_eq!(pinned.deanonymized(), None);
     }
 
     #[test]
     fn buddies_floor_suppresses_risky_posts() {
         let mut policy = BuddiesPolicy::new(3);
         assert!(policy.try_post(&online(&[1, 2, 3, 4, 5])));
-        assert_eq!(policy.anonymity_set_size(), 5);
+        assert_eq!(policy.shadow.candidate_count(), 5);
         // This post would shrink the set to 2 (< 3): refused.
         assert!(!policy.try_post(&online(&[1, 2, 8])));
-        assert_eq!(policy.anonymity_set_size(), 5, "refusal leaks nothing");
+        assert_eq!(policy.shadow.candidate_count(), 5, "refusal leaks nothing");
         // A compatible window is fine.
         assert!(policy.try_post(&online(&[1, 2, 3, 4])));
-        assert_eq!(policy.anonymity_set_size(), 4);
+        assert_eq!(policy.shadow.candidate_count(), 4);
         assert_eq!(policy.counters(), (2, 1));
     }
 

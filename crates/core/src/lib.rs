@@ -43,6 +43,4 @@ pub use manager::{NymFleet, NymId, NymManager, NymManagerError, SaveKind, Storag
 pub use nymbox::{Nymbox, UsageModel};
 pub use sanivm::SaniVm;
 pub use timing::StartupBreakdown;
-pub use validation::{
-    validate_idle_traffic, validate_isolation, IdleTrafficReport, IsolationReport,
-};
+pub use validation::{validate_isolation, IsolationReport};

@@ -222,7 +222,6 @@ pub(super) fn dest_backend<'a>(
     cloud: &'a mut BTreeMap<String, CloudProvider>,
     disk: &'a mut DiskStore,
     striped: Option<&'a mut StripedStore>,
-    now: SimTime,
     dest: &StorageDest,
     exit: Option<Ip>,
 ) -> Result<DestBackend<'a>, NymManagerError> {
@@ -245,9 +244,7 @@ pub(super) fn dest_backend<'a>(
         StorageDest::Striped => {
             let s = striped
                 .ok_or_else(|| NymManagerError::NoSuchProvider("striped placement".into()))?;
-            // Child providers run on the shared sim clock (outage
-            // deadlines), and observe only the anonymizer's exit.
-            s.set_now(now);
+            // Child providers observe only the anonymizer's exit.
             s.set_observed_ip(exit.expect("striped access rides an anonymizer with an exit"));
             Ok(DestBackend::Striped(s))
         }

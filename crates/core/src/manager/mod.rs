@@ -283,10 +283,7 @@ impl NymManager {
     /// couldn't reach a child and re-materializes missing shards from
     /// surviving ones. `None` if no striped store is configured.
     pub fn repair_striped(&mut self) -> Option<nymix_store::RepairReport> {
-        let clock = self.env.clock;
-        let striped = self.env.striped.as_mut()?;
-        striped.set_now(clock);
-        Some(striped.repair())
+        Some(self.env.striped.as_mut()?.repair())
     }
 
     /// Current simulated time.
@@ -405,7 +402,6 @@ impl NymManager {
         restored: Option<RestoredState>,
         cold: bool,
     ) -> Result<(NymId, StartupBreakdown), NymManagerError> {
-        let scratch = self.scratch_pool.pop().unwrap_or_default();
         let n = self.next_nym;
         let (session, breakdown) = NymSession::instantiate(
             &mut self.env,
@@ -416,7 +412,7 @@ impl NymManager {
             anonymizer,
             restored,
             cold,
-            scratch,
+            &mut self.scratch_pool,
         )?;
         let id = NymId(n);
         self.next_nym += 1;
@@ -552,8 +548,9 @@ impl NymManager {
         };
 
         // The restoring session doesn't exist yet, so the fetch runs on
-        // a pool scratch that then becomes the new session's arena, and
-        // fills the chunk cache the session then takes over: the fetch
+        // a pool scratch, which goes back to the pool for the new
+        // session to check out, and fills the chunk cache the session
+        // then takes over: the fetch
         // checked every chunk id against the resolved bytes, so the next
         // save reuses the ids of every chunk the nym did not touch.
         let mut scratch = self.scratch_pool.pop().unwrap_or_default();
@@ -565,7 +562,6 @@ impl NymManager {
             &mut env.cloud,
             &mut env.disk,
             env.striped.as_mut(),
-            env.clock,
             dest,
             fetch_exit,
         )
@@ -574,13 +570,8 @@ impl NymManager {
             chain::fetch(backend, &label, password, cache, &mut work, &mut scratch)
                 .map_err(Into::into)
         });
-        let (chain, fetched_bytes) = match fetched {
-            Ok(f) => f,
-            Err(e) => {
-                self.scratch_pool.push(scratch);
-                return Err(e);
-            }
-        };
+        self.scratch_pool.push(scratch);
+        let (chain, fetched_bytes) = fetched?;
 
         let ephemeral_fetch = match fetch_cost {
             Some(cost) => {
@@ -619,7 +610,7 @@ impl NymManager {
                 anonymizer_state,
             }),
             false, // Warm start: guards and consensus restored.
-            scratch,
+            &mut self.scratch_pool,
         )?;
         drop(instantiate_span);
         session.browser = browser;
@@ -703,11 +694,6 @@ impl NymManager {
     /// Fabric node of the Internet.
     pub fn internet_node(&self) -> NodeId {
         self.env.internet_node
-    }
-
-    /// Fabric node of the hypervisor.
-    pub fn hypervisor_node(&self) -> NodeId {
-        self.env.hyp_node
     }
 
     /// The DNS database.

@@ -148,6 +148,7 @@ pub(super) fn save_many(
 /// [`save_many`] on `workers` threads, the calling thread among them.
 /// Output is bit-identical at any worker count: every job's randomness
 /// comes from its session's own forked RNG.
+// lint:allow(test-only-pub): manager/tests.rs pins batches at fixed worker counts through it
 pub(super) fn save_many_on(
     env: &mut Environment,
     sessions: &mut BTreeMap<NymId, NymSession>,
@@ -191,7 +192,6 @@ pub(super) fn save_many_on(
                     &mut env.cloud,
                     &mut env.disk,
                     env.striped.as_mut(),
-                    env.clock,
                     req.dest,
                     Some(exit),
                 )?;
@@ -285,7 +285,6 @@ pub(super) fn save_many_on(
         // its chunk objects) or every new one, never a mixture.
         let (dest, exit) = (group[0].0.req.dest, group[0].0.exit_ip);
         let disk_before = env.disk.device_stats();
-        let now = env.clock;
         let cloud_backoff = {
             let staged: Vec<(String, Vec<u8>)> = group
                 .iter_mut()
@@ -300,7 +299,6 @@ pub(super) fn save_many_on(
                 &mut env.cloud,
                 &mut env.disk,
                 env.striped.as_mut(),
-                now,
                 dest,
                 Some(exit),
             )?;

@@ -84,8 +84,9 @@ pub struct NymSession {
 
 impl NymSession {
     /// Builds the nymbox (two VMs, §4.2-homogeneous network wiring,
-    /// §5.1 egress policy) and the session around it. `scratch` comes
-    /// from the manager's pool.
+    /// §5.1 egress policy) and the session around it. Its scratch is
+    /// checked out of `scratch_pool` only once nothing can fail, so a
+    /// refused nymbox leaves the pool as it found it.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn instantiate(
         env: &mut Environment,
@@ -96,7 +97,7 @@ impl NymSession {
         mut anonymizer: Box<dyn Anonymizer>,
         restored: Option<RestoredState>,
         cold: bool,
-        scratch: SealScratch,
+        scratch_pool: &mut Vec<SealScratch>,
     ) -> Result<(Self, StartupBreakdown), NymManagerError> {
         // VMs.
         let anon_vm = env.hv.create_vm(VmConfig::anonvm())?;
@@ -230,7 +231,7 @@ impl NymSession {
                 anonymizer,
                 browser: None,
                 chains: BTreeMap::new(),
-                scratch,
+                scratch: scratch_pool.pop().unwrap_or_default(),
                 seal_rng,
                 chunk_cache: BTreeMap::new(),
             },

@@ -163,6 +163,38 @@ fn wrong_password_fails_restore() {
 }
 
 #[test]
+fn refused_nymboxes_return_their_scratch_to_the_pool() {
+    let mut m = manager();
+    let (id, _) = m
+        .create_nym("a", AnonymizerKind::Tor, UsageModel::Persistent)
+        .unwrap();
+    m.save_nym(id, "pw", &StorageDest::Disk).unwrap();
+    m.destroy_nym(id).unwrap();
+    let pooled = m.scratch_pool.len();
+    assert_eq!(pooled, 1);
+    // Fill the host so that not even a CommVM is admitted.
+    while m.env.hv.create_vm(nymix_vmm::VmConfig::commvm()).is_ok() {}
+    let restored = m.restore_nym(
+        "a",
+        AnonymizerKind::Tor,
+        UsageModel::Persistent,
+        "pw",
+        &StorageDest::Disk,
+    );
+    assert!(
+        matches!(restored, Err(NymManagerError::Hypervisor(_))),
+        "{restored:?}"
+    );
+    assert_eq!(m.scratch_pool.len(), pooled, "refused restore");
+    let created = m.create_nym("c", AnonymizerKind::Tor, UsageModel::Persistent);
+    assert!(
+        matches!(created, Err(NymManagerError::Hypervisor(_))),
+        "{created:?}"
+    );
+    assert_eq!(m.scratch_pool.len(), pooled, "refused create");
+}
+
+#[test]
 fn local_restore_skips_ephemeral_nym() {
     let mut m = manager();
     let (id, _) = m

@@ -45,9 +45,10 @@ pub struct Nymbox {
     pub restored: bool,
 }
 
+#[cfg(test)]
 impl Nymbox {
     /// Whether shutdown should write state back to storage.
-    pub fn saves_on_close(&self) -> bool {
+    fn saves_on_close(&self) -> bool {
         self.model == UsageModel::Persistent
     }
 }

@@ -93,7 +93,7 @@ impl SaniVm {
     }
 
     /// The per-nym inbox directory inside the SaniVM.
-    pub fn nym_inbox(nym_name: &str) -> Path {
+    fn nym_inbox(nym_name: &str) -> Path {
         Path::new(&format!("/outbox/{nym_name}"))
     }
 

@@ -226,7 +226,8 @@ impl ChaCha20 {
 
     /// Repositions the keystream at the start of block `block_counter`,
     /// discarding any buffered partial block.
-    pub fn seek(&mut self, block_counter: u32) {
+    #[cfg(test)]
+    fn seek(&mut self, block_counter: u32) {
         self.state[12] = block_counter;
         self.buf_pos = BLOCK_LEN;
     }
@@ -296,13 +297,6 @@ impl ChaCha20 {
     }
 }
 
-/// Encrypts (or decrypts) `data` in place with the RFC 8439 convention of
-/// starting the keystream at block counter 1 (block 0 is reserved for the
-/// Poly1305 one-time key in the AEAD construction).
-pub fn chacha20_xor(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-    ChaCha20::new(key, nonce, 1).xor_into(data);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,7 +337,8 @@ mod tests {
         ];
         let mut data = *b"Ladies and Gentlemen of the class of '99: If I could offer you \
 only one tip for the future, sunscreen would be it.";
-        chacha20_xor(&key, &nonce, &mut data);
+        // The plaintext starts at block counter 1, as in the AEAD.
+        ChaCha20::new(&key, &nonce, 1).xor_into(&mut data);
         assert_eq!(
             hex(&data),
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
@@ -432,9 +427,9 @@ only one tip for the future, sunscreen would be it.";
         let nonce = [0x24u8; 12];
         let msg: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         let mut work = msg.clone();
-        chacha20_xor(&key, &nonce, &mut work);
+        ChaCha20::new(&key, &nonce, 1).xor_into(&mut work);
         assert_ne!(work, msg);
-        chacha20_xor(&key, &nonce, &mut work);
+        ChaCha20::new(&key, &nonce, 1).xor_into(&mut work);
         assert_eq!(work, msg);
     }
 }

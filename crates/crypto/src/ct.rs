@@ -25,13 +25,6 @@ pub fn eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Selects `a` when `choice` is true, `b` otherwise, without branching on
-/// the choice bit.
-pub fn select_u8(choice: bool, a: u8, b: u8) -> u8 {
-    let mask = (choice as u8).wrapping_neg();
-    (a & mask) | (b & !mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,11 +36,5 @@ mod tests {
         assert!(!eq(b"x", b"y"));
         assert!(!eq(b"x", b"xx"));
         assert!(!eq(b"ax", b"bx"));
-    }
-
-    #[test]
-    fn select_basic() {
-        assert_eq!(select_u8(true, 0xaa, 0x55), 0xaa);
-        assert_eq!(select_u8(false, 0xaa, 0x55), 0x55);
     }
 }

@@ -9,7 +9,7 @@ use crate::hmac::hmac_sha256;
 use crate::sha256::DIGEST_LEN;
 
 /// HKDF-Extract: derives a pseudorandom key from input keying material.
-pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
+fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256(salt, ikm)
 }
 
@@ -18,7 +18,7 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// # Panics
 ///
 /// Panics if `len > 255 * 32`, the RFC 5869 limit.
-pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
+fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * DIGEST_LEN, "HKDF output length limit exceeded");
     let mut out = Vec::with_capacity(len);
     let mut prev: Vec<u8> = Vec::new();

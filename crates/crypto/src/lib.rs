@@ -7,7 +7,7 @@
 //!
 //! * [`sha256`](mod@crate::sha256) — FIPS 180-4 SHA-256.
 //! * [`hmac`] — RFC 2104 HMAC-SHA256.
-//! * [`hkdf`] — RFC 5869 HKDF-SHA256 extract/expand.
+//! * [`hkdf`] — RFC 5869 HKDF-SHA256 key derivation.
 //! * [`pbkdf2`] — RFC 8018 PBKDF2-HMAC-SHA256 password KDF.
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
@@ -22,9 +22,8 @@
 //! built for block-level, zero-copy operation:
 //!
 //! * [`ChaCha20::xor_into`] XORs keystream directly into a caller buffer,
-//!   word-vectorized over 64-byte blocks (4-block batched kernel), with
-//!   [`ChaCha20::seek`] for repositioning. No keystream `Vec` is ever
-//!   allocated.
+//!   word-vectorized over 64-byte blocks (4-block batched kernel). No
+//!   keystream `Vec` is ever allocated.
 //! * [`Poly1305`] is an incremental `update`/`finalize` hasher, so MACs
 //!   stream over scattered slices without a scratch copy.
 //! * [`seal_in_place_detached`] / [`open_in_place_detached`] encrypt and
@@ -100,7 +99,6 @@ pub mod zeroize;
 
 pub use aead::{open, open_in_place_detached, seal, seal_in_place_detached, AeadError};
 pub use chacha20::ChaCha20;
-pub use hkdf::{hkdf_expand, hkdf_extract};
 pub use hmac::{hmac_sha256, HmacKey};
 pub use merkle::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator};
 pub use pbkdf2::{pbkdf2_hmac_sha256, pbkdf2_hmac_sha256_into};

@@ -57,6 +57,7 @@ pub fn leaf_hash_parts(parts: &[&[u8]]) -> Hash {
 /// promote unchanged; the empty set commits to the stable empty-tree
 /// root) — the independent from-scratch oracle its tests compare
 /// against. The caller's buffer is consumed as working memory.
+// lint:allow(test-only-pub): crypto/tests/prop.rs and nymix-store's delta tests pin their trees against it
 pub fn merkle_root_from_leaves(leaves: &mut [Hash]) -> Hash {
     let Some(&first) = leaves.first() else {
         return leaf_hash(b"nymix:empty-merkle-tree");
@@ -153,6 +154,7 @@ impl MerkleAccumulator {
     }
 
     /// Number of committed leaves.
+    // lint:allow(test-only-pub): crypto/tests/prop.rs checks it against its model of the tree
     pub fn leaf_count(&self) -> usize {
         self.leaf_count
     }

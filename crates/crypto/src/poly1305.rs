@@ -331,6 +331,7 @@ impl Poly1305 {
 /// let tag = nymix_crypto::poly1305_tag(&[1u8; 32], b"msg");
 /// assert_eq!(tag.len(), 16);
 /// ```
+// lint:allow(test-only-pub): crypto/tests/prop.rs checks the streaming hasher against this one-shot form
 pub fn poly1305_tag(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
     let mut mac = Poly1305::new(key);
     mac.update(msg);

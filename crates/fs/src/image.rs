@@ -109,11 +109,6 @@ impl BaseImage {
         self.files.iter()
     }
 
-    /// Total content bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.files.values().map(Vec::len).sum()
-    }
-
     /// Materializes the image as a read-only [`Layer`].
     pub fn to_layer(&self) -> Layer {
         let mut layer = Layer::new(LayerKind::Base);
@@ -127,6 +122,10 @@ impl BaseImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn total_bytes(img: &BaseImage) -> usize {
+        img.files().map(|(_, data)| data.len()).sum()
+    }
 
     #[test]
     fn base_image_is_deterministic() {
@@ -143,12 +142,12 @@ mod tests {
         assert!(layer.get(&Path::new("/usr/bin/tor")).is_some());
         assert!(layer.get(&Path::new("/etc/rc.local")).is_some());
         // Chromium dominates; total over 5 MB (scaled 1:20).
-        assert!(img.total_bytes() > 5_000_000);
+        assert!(total_bytes(&img) > 5_000_000);
     }
 
     #[test]
     fn minimal_image_small() {
-        assert!(BaseImage::minimal().total_bytes() < 10_000);
+        assert!(total_bytes(&BaseImage::minimal()) < 10_000);
     }
 
     #[test]

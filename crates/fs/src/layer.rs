@@ -65,8 +65,8 @@ struct Slot {
 /// assert_eq!(l.get(&Path::new("/tmp/x")).unwrap().size(), 4);
 /// let sealed_at = l.generation();
 /// l.put_file(Path::new("/tmp/y"), b"later".to_vec());
-/// let dirty: Vec<_> = l.entries_since(sealed_at).collect();
-/// assert_eq!(dirty.len(), 1);
+/// assert!(l.entry_generation(&Path::new("/tmp/y")) > Some(sealed_at));
+/// assert!(l.entry_generation(&Path::new("/tmp/x")) <= Some(sealed_at));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Layer {
@@ -212,20 +212,14 @@ impl Layer {
     }
 
     /// The generation at which the entry at `path` last changed.
+    // lint:allow(test-only-pub): store/tests/decoders.rs checks decoded layers against the reference build with it
     pub fn entry_generation(&self, path: &Path) -> Option<u64> {
         self.nodes.get(path).map(|s| s.gen)
     }
 
-    /// Entries modified after generation `gen`, in path order.
-    pub fn entries_since(&self, gen: u64) -> impl Iterator<Item = (&Path, &Node)> {
-        self.nodes
-            .iter()
-            .filter(move |(_, s)| s.gen > gen)
-            .map(|(p, s)| (p, &s.node))
-    }
-
     /// Paths removed after generation `gen` (and not re-inserted since),
     /// in path order.
+    // lint:allow(test-only-pub): store/tests/decoders.rs checks that a decoded layer carries no tombstones
     pub fn removed_since(&self, gen: u64) -> impl Iterator<Item = &Path> {
         self.removed
             .iter()
@@ -420,8 +414,8 @@ mod tests {
         l.put_file(Path::new("/c"), vec![2]);
         let g2 = l.generation();
         assert!(g2 > g1);
-        let dirty: Vec<String> = l.entries_since(g1).map(|(p, _)| p.to_string()).collect();
-        assert_eq!(dirty, vec!["/c"]);
+        assert_eq!(l.entry_generation(&Path::new("/c")), Some(g2));
+        assert_eq!(l.entry_generation(&Path::new("/a/b")), Some(g1));
         // Overwriting refreshes the entry's generation.
         l.put_file(Path::new("/a/b"), vec![3]);
         assert!(l.entry_generation(&Path::new("/a/b")).unwrap() > g2);

@@ -64,7 +64,8 @@ impl Path {
 
     /// The file extension (text after the final `.` of the final
     /// component), if any.
-    pub fn extension(&self) -> Option<&str> {
+    #[cfg(test)]
+    fn extension(&self) -> Option<&str> {
         let name = self.file_name()?;
         let (stem, ext) = name.rsplit_once('.')?;
         if stem.is_empty() {

@@ -8,7 +8,9 @@
 
 use std::collections::BTreeSet;
 
-use crate::layer::{Layer, LayerKind, Node};
+#[cfg(test)]
+use crate::layer::LayerKind;
+use crate::layer::{Layer, Node};
 use crate::path::Path;
 
 /// Errors from union filesystem operations.
@@ -104,6 +106,7 @@ impl UnionFs {
     }
 
     /// The configured quota, if any.
+    // lint:allow(test-only-pub): nymix-vmm's vm.rs tests check each VM disk's configured cap with it
     pub fn quota(&self) -> Option<usize> {
         self.quota_bytes
     }
@@ -122,7 +125,8 @@ impl UnionFs {
     }
 
     /// Number of layers in the stack.
-    pub fn layer_count(&self) -> usize {
+    #[cfg(test)]
+    fn layer_count(&self) -> usize {
         self.layers.len()
     }
 
@@ -248,7 +252,8 @@ impl UnionFs {
     }
 
     /// Removes an empty directory (whiteout if present below).
-    pub fn remove_dir(&mut self, path: &Path) -> Result<(), FsError> {
+    #[cfg(test)]
+    fn remove_dir(&mut self, path: &Path) -> Result<(), FsError> {
         match self.lookup(path) {
             Some(Node::Dir) => {}
             Some(_) => return Err(FsError::WrongKind(path.to_string())),
@@ -268,7 +273,8 @@ impl UnionFs {
 
     /// Renames a file (read + write + unlink; directories unsupported,
     /// as in early OverlayFS).
-    pub fn rename(&mut self, from: &Path, to: &Path) -> Result<(), FsError> {
+    #[cfg(test)]
+    fn rename(&mut self, from: &Path, to: &Path) -> Result<(), FsError> {
         let data = self.read(from)?.to_vec();
         self.write(to, data)?;
         self.unlink(from)
@@ -343,6 +349,7 @@ impl UnionFs {
 
     /// RAM consumed by the writable layer (the prototype stores all
     /// writes in RAM; §3.4).
+    // lint:allow(test-only-pub): the vmm, workload and core tests read a VM disk's RAM cost with it
     pub fn upper_bytes(&self) -> usize {
         self.upper().map_or(0, Layer::content_bytes)
     }
@@ -389,7 +396,8 @@ impl UnionFs {
 
 /// Builds the standard Nymix three-layer stack: shared base, role
 /// configuration, fresh RAM-backed writable layer.
-pub fn nymix_stack(base: Layer, config: Layer) -> UnionFs {
+#[cfg(test)]
+fn nymix_stack(base: Layer, config: Layer) -> UnionFs {
     debug_assert_eq!(base.kind(), LayerKind::Base);
     debug_assert_eq!(config.kind(), LayerKind::Config);
     UnionFs::new(vec![base, config, Layer::new(LayerKind::Writable)])

@@ -93,7 +93,8 @@ impl VirtfsShare {
     }
 
     /// Lists host files visible through the share.
-    pub fn visible_files(&self, host: &UnionFs) -> Vec<Path> {
+    #[cfg(test)]
+    fn visible_files(&self, host: &UnionFs) -> Vec<Path> {
         host.walk_files(&self.host_root)
     }
 }

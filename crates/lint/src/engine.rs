@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use crate::classify;
 use crate::diag::{self, Finding};
-use crate::lexer;
+use crate::lexer::{self, Kind, Token};
 use crate::registry::Registry;
 use crate::rules::{self, ids, Ctx};
 
@@ -26,6 +26,7 @@ pub fn run_workspace(root: &Path, reg: &Registry) -> Vec<Finding> {
     let mut seen_trust: Vec<bool> = vec![false; reg.trust_modules.len()];
     let mut seen_secret: Vec<bool> = vec![false; reg.secret_types.len()];
     let mut seen_kernel: Vec<bool> = vec![false; reg.unsafe_kernels.len()];
+    let mut sources = Vec::with_capacity(files.len());
     for path in &files {
         let rel = rel_path(root, path);
         for (i, m) in reg.trust_modules.iter().enumerate() {
@@ -52,8 +53,9 @@ pub fn run_workspace(root: &Path, reg: &Registry) -> Vec<Finding> {
             ));
             continue;
         };
-        lint_file(&rel, &src, reg, &mut findings);
+        sources.push((rel, src));
     }
+    lint_sources(&sources, reg, &mut findings);
     // `registry-stale`: a registered path that matches no file means a
     // rename/delete silently dropped a trust boundary from coverage.
     for (i, m) in reg.trust_modules.iter().enumerate() {
@@ -101,34 +103,113 @@ pub fn run_workspace(root: &Path, reg: &Registry) -> Vec<Finding> {
     findings
 }
 
-/// Lints one file's bytes; appends surviving findings (after
-/// suppression filtering) to `out`.
-pub fn lint_file(rel: &str, src: &[u8], reg: &Registry, out: &mut Vec<Finding>) {
-    let tokens = match lexer::lex(src) {
-        Ok(t) => t,
-        Err(e) => {
-            out.push(Finding::new(
+/// Lints a set of `(workspace-relative path, bytes)` files together:
+/// the per-file rules on each, then the workspace rules over all of
+/// them, then each file's suppressions. A file that a test-only
+/// `mod x;` pulls in is test code throughout. Appends the surviving
+/// findings to `out`.
+// lint:allow(test-only-pub): tests/rules.rs drives the fixture corpus through it
+pub fn lint_sources(files: &[(String, Vec<u8>)], reg: &Registry, out: &mut Vec<Finding>) {
+    let mut lexed = Vec::with_capacity(files.len());
+    for (rel, src) in files {
+        match lexer::lex(src) {
+            Ok(tokens) => lexed.push(Lexed {
+                rel,
+                src,
+                test_mask: classify::test_mask(&tokens, src),
+                tokens,
+            }),
+            Err(e) => out.push(Finding::new(
                 rel,
                 e.line,
                 ids::LEX_ERROR,
                 format!("cannot lex file: {} at byte {}", e.what, e.offset),
-            ));
+            )),
+        }
+    }
+    mask_test_modules(&mut lexed);
+    let ctxs: Vec<Ctx<'_>> = lexed
+        .iter()
+        .map(|f| Ctx {
+            rel: f.rel,
+            src: f.src,
+            tokens: &f.tokens,
+            test_mask: &f.test_mask,
+            reg,
+            is_crate_root: is_crate_root(f.rel),
+        })
+        .collect();
+    let mut raw = vec![Vec::new(); ctxs.len()];
+    for (ctx, raw) in ctxs.iter().zip(&mut raw) {
+        rules::run_all(ctx, raw);
+    }
+    rules::run_workspace(&ctxs, &mut raw);
+    for (ctx, raw) in ctxs.iter().zip(raw) {
+        let sups = classify::suppressions(ctx.tokens, ctx.src);
+        apply_suppressions(ctx.rel, sups, raw, out);
+    }
+}
+
+/// One lexed file and its test mask.
+struct Lexed<'a> {
+    rel: &'a str,
+    src: &'a [u8],
+    tokens: Vec<Token>,
+    test_mask: Vec<bool>,
+}
+
+/// Marks a file that a test-only `mod x;` declares (`#[cfg(test)]
+/// mod tests;`) as test code throughout, to a fixpoint so that a test
+/// module's own `mod y;` files follow it.
+fn mask_test_modules(lexed: &mut [Lexed<'_>]) {
+    loop {
+        let mut pulled = Vec::new();
+        for f in lexed.iter() {
+            for (i, w) in f.tokens.windows(3).enumerate() {
+                if f.test_mask[i]
+                    && w[0].is(f.src, "mod")
+                    && w[1].kind == Kind::Ident
+                    && w[2].is(f.src, ";")
+                {
+                    let name = String::from_utf8_lossy(w[1].text(f.src));
+                    pulled.extend(module_files(f.rel, &name));
+                }
+            }
+        }
+        let mut changed = false;
+        for f in lexed.iter_mut() {
+            if pulled.iter().any(|p| p == f.rel) && f.test_mask.contains(&false) {
+                f.test_mask.fill(true);
+                changed = true;
+            }
+        }
+        if !changed {
             return;
         }
-    };
-    let test_mask = classify::test_mask(&tokens, src);
-    let mut sups = classify::suppressions(&tokens, src);
-    let ctx = Ctx {
-        rel,
-        src,
-        tokens: &tokens,
-        test_mask: &test_mask,
-        reg,
-        is_crate_root: is_crate_root(rel),
-    };
-    let mut raw = Vec::new();
-    rules::run_all(&ctx, &mut raw);
+    }
+}
 
+/// The two files rustc accepts for `mod name;` declared in `parent`.
+fn module_files(parent: &str, name: &str) -> [String; 2] {
+    let stem = parent.trim_end_matches(".rs");
+    let (dir, file) = stem.rsplit_once('/').unwrap_or(("", stem));
+    let base = match file {
+        "lib" | "main" | "mod" if dir.is_empty() => String::new(),
+        "lib" | "main" | "mod" => format!("{dir}/"),
+        _ => format!("{stem}/"),
+    };
+    [format!("{base}{name}.rs"), format!("{base}{name}/mod.rs")]
+}
+
+/// Drops the findings that a well-formed suppression on their line
+/// silences, and appends the rest plus the suppression findings
+/// themselves.
+fn apply_suppressions(
+    rel: &str,
+    mut sups: Vec<classify::Suppression>,
+    raw: Vec<Finding>,
+    out: &mut Vec<Finding>,
+) {
     // Apply suppressions: a finding on a suppression's target line,
     // with a listed rule id, is silenced (and marks the suppression
     // used). Suppressions themselves must be well-formed.
@@ -325,6 +406,43 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lint_file(rel: &str, src: &[u8], reg: &Registry, out: &mut Vec<Finding>) {
+        lint_sources(&[(rel.to_string(), src.to_vec())], reg, out);
+    }
+
+    #[test]
+    fn cfg_test_mod_files_are_test_code() {
+        let reg = Registry::nymix();
+        let parser = b"fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n".to_vec();
+        let lint = |root: &[u8]| {
+            let files = [
+                ("crates/store/src/lib.rs".to_string(), root.to_vec()),
+                ("crates/store/src/lzss.rs".to_string(), parser.clone()),
+            ];
+            let mut out = Vec::new();
+            lint_sources(&files, &reg, &mut out);
+            out.retain(|f| f.rule == ids::PANIC_FREE);
+            out
+        };
+        // Declared as production code, the trust module is policed.
+        let found = lint(b"#![forbid(unsafe_code)]\npub mod lzss;\n");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].file, "crates/store/src/lzss.rs");
+        // Pulled in by a test-only `mod`, it is test code throughout.
+        assert!(lint(b"#![forbid(unsafe_code)]\n#[cfg(test)]\nmod lzss;\n").is_empty());
+    }
+
+    #[test]
+    fn module_files_follow_rustc_lookup() {
+        let tests = |parent| module_files(parent, "tests");
+        assert_eq!(
+            tests("a/src/m/mod.rs"),
+            ["a/src/m/tests.rs", "a/src/m/tests/mod.rs"]
+        );
+        assert_eq!(tests("a/src/m.rs")[0], "a/src/m/tests.rs");
+        assert_eq!(tests("lib.rs")[0], "tests.rs");
+    }
 
     #[test]
     fn crate_root_detection() {

@@ -1,5 +1,6 @@
-//! The rule set. Each rule walks the classified token stream of one
-//! file and pushes [`Finding`]s; rule ids are the names
+//! The rule set. Each per-file rule walks the classified token stream
+//! of one file, and each workspace rule walks all of them, pushing
+//! [`Finding`]s; rule ids are the names
 //! `lint:allow(...)` suppressions use. `LINTS.md` at the repo root
 //! documents every rule's threat-model rationale.
 
@@ -13,6 +14,7 @@ mod obs;
 mod panic_free;
 mod secrets;
 mod taxonomy;
+mod test_only_pub;
 mod unsafe_code;
 
 /// Rule ids, in one place so engine/docs/tests agree on spelling.
@@ -32,6 +34,7 @@ pub mod ids {
     pub const LEX_ERROR: &str = "lex-error";
     pub const REGISTRY_STALE: &str = "registry-stale";
     pub const OBS_LABEL_HYGIENE: &str = "obs-label-hygiene";
+    pub const TEST_ONLY_PUB: &str = "test-only-pub";
 
     /// Every id, for suppression validation and docs.
     pub const ALL: &[&str] = &[
@@ -50,6 +53,7 @@ pub mod ids {
         LEX_ERROR,
         REGISTRY_STALE,
         OBS_LABEL_HYGIENE,
+        TEST_ONLY_PUB,
     ];
 }
 
@@ -111,4 +115,10 @@ pub fn run_all(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
     unsafe_code::run(ctx, out);
     taxonomy::run(ctx, out);
     nonce_ct::run(ctx, out);
+}
+
+/// Runs every workspace rule; `out[i]` collects the findings of
+/// `files[i]`.
+pub fn run_workspace(files: &[Ctx<'_>], out: &mut [Vec<Finding>]) {
+    test_only_pub::run(files, out);
 }

@@ -3,7 +3,8 @@
 //! fixtures live in `tests/fixtures/` (excluded from the workspace
 //! scan — they violate the rules on purpose).
 
-use nymix_lint::engine::lint_file;
+use nymix_lint::diag::Finding;
+use nymix_lint::engine::lint_sources;
 use nymix_lint::registry::{Exemption, Registry, SecretType, Taxonomy, TrustModule};
 use nymix_lint::rules::ids;
 
@@ -49,11 +50,21 @@ fn fixture(name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
 }
 
+/// Lints fixtures together, each as though it sat at its `rel` in
+/// the workspace.
+fn lint_set(files: &[(&str, &str)], reg: &Registry) -> Vec<Finding> {
+    let files: Vec<(String, Vec<u8>)> = files
+        .iter()
+        .map(|(name, rel)| (rel.to_string(), fixture(name)))
+        .collect();
+    let mut out = Vec::new();
+    lint_sources(&files, reg, &mut out);
+    out
+}
+
 /// Lints a fixture as though it sat at `rel` in the workspace.
 fn lint(name: &str, rel: &str) -> Vec<&'static str> {
-    let reg = fixture_registry();
-    let mut out = Vec::new();
-    lint_file(rel, &fixture(name), &reg, &mut out);
+    let out = lint_set(&[(name, rel)], &fixture_registry());
     out.iter().map(|f| f.rule).collect()
 }
 
@@ -302,13 +313,7 @@ fn obs_label_pass_is_clean_and_ignores_tests_and_definitions() {
 fn obs_rule_inert_without_a_vocabulary() {
     let mut reg = fixture_registry();
     reg.obs_labels.clear();
-    let mut out = Vec::new();
-    lint_file(
-        "fixtures/src/metrics.rs",
-        &fixture("obs_label_fail.rs"),
-        &reg,
-        &mut out,
-    );
+    let out = lint_set(&[("obs_label_fail.rs", "fixtures/src/metrics.rs")], &reg);
     assert!(
         !out.iter().any(|f| f.rule == ids::OBS_LABEL_HYGIENE),
         "empty vocabulary must not police: {out:?}"
@@ -337,4 +342,61 @@ fn workspace_scan_reports_stale_registry_entries() {
         stale, 3,
         "one trust module + one secret type + one kernel exemption: {findings:?}"
     );
+}
+
+/// The `test-only-pub` fixture crate: a root, a sibling module, a
+/// `#[cfg(test)] mod` file and an integration test.
+const DEMO_CRATE: &[(&str, &str)] = &[
+    ("test_only_pub_lib.rs", "crates/demo/src/lib.rs"),
+    ("test_only_pub_other.rs", "crates/demo/src/other.rs"),
+    ("test_only_pub_harness.rs", "crates/demo/src/harness.rs"),
+    ("test_only_pub_it.rs", "crates/demo/tests/it.rs"),
+];
+
+/// The names the `test-only-pub` findings flag, and the lines of the
+/// `unused-suppression` findings.
+fn test_only_pub(findings: &[Finding]) -> (Vec<String>, Vec<u32>) {
+    let of = |rule| findings.iter().filter(move |f| f.rule == rule);
+    let names = of(ids::TEST_ONLY_PUB)
+        .filter_map(|f| f.message.split('`').nth(1))
+        .map(|s| s.trim_start_matches("pub fn ").to_string())
+        .collect();
+    (names, of(ids::UNUSED_SUPPRESSION).map(|f| f.line).collect())
+}
+
+#[test]
+fn test_only_pub_flags_every_fn_without_a_production_caller() {
+    let out = lint_set(DEMO_CRATE, &fixture_registry());
+    assert!(
+        out.iter().all(|f| f.file == "crates/demo/src/lib.rs"),
+        "{out:?}"
+    );
+    let (names, _) = test_only_pub(&out);
+    let flagged = [
+        "callerless",
+        "called_in_cfg_test",
+        "called_in_tests_dir",
+        "called_in_test_mod",
+        "reexported",
+        "mentioned_in_comment",
+        "restricted",
+        "qualified",
+    ];
+    assert_eq!(names, flagged, "{out:?}");
+}
+
+#[test]
+fn test_only_pub_allow_silences_and_stale_allow_is_a_finding() {
+    let (names, unused) = test_only_pub(&lint_set(DEMO_CRATE, &fixture_registry()));
+    assert!(!names.iter().any(|n| n.starts_with("allowed")), "{names:?}");
+    // Line 21 allows `allowed_but_called`, which other.rs calls.
+    assert_eq!(unused, [21]);
+}
+
+#[test]
+fn test_only_pub_polices_only_crate_sources_outside_devshims() {
+    for rel in ["crates/devshims/src/lib.rs", "nymbench/src/lib.rs"] {
+        let out = lint_set(&[("test_only_pub_lib.rs", rel)], &fixture_registry());
+        assert!(test_only_pub(&out).0.is_empty(), "{rel}: {out:?}");
+    }
 }

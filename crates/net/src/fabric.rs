@@ -273,21 +273,6 @@ impl Fabric {
         self.nodes[node.0].firewall = firewall;
     }
 
-    /// Node name.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
-    }
-
-    /// IP of an interface.
-    pub fn iface_ip(&self, node: NodeId, iface: usize) -> Ip {
-        self.nodes[node.0].ifaces[iface].ip
-    }
-
-    /// MAC of an interface.
-    pub fn iface_mac(&self, node: NodeId, iface: usize) -> Mac {
-        self.nodes[node.0].ifaces[iface].mac
-    }
-
     /// The capture buffer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer

@@ -6,8 +6,11 @@
 //! AnonVM transmitted no traffic." The [`Tracer`] records every frame
 //! crossing every link so integration tests can assert exactly that.
 
+#[cfg(test)]
 use crate::addr::Ip;
-use crate::fabric::{Packet, Proto};
+use crate::fabric::Packet;
+#[cfg(test)]
+use crate::fabric::Proto;
 
 /// One observed frame on one link.
 #[derive(Debug, Clone)]
@@ -54,35 +57,27 @@ impl Tracer {
     }
 
     /// Frames observed on a given link.
-    pub fn on_link(&self, link: usize) -> Vec<&TraceEntry> {
+    #[cfg(test)]
+    pub(crate) fn on_link(&self, link: usize) -> Vec<&TraceEntry> {
         self.entries.iter().filter(|e| e.link == link).collect()
-    }
-
-    /// Frames transmitted by the named node (on any link).
-    pub fn sent_by(&self, node: &str) -> Vec<&TraceEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.from_node == node)
-            .collect()
-    }
-
-    /// Whether any captured frame satisfies `pred`.
-    pub fn any(&self, pred: impl Fn(&TraceEntry) -> bool) -> bool {
-        self.entries.iter().any(pred)
     }
 
     /// Whether any frame reveals `ip` as a source address — the leak
     /// check: the host's public IP must never appear in AnonVM-visible
     /// traffic, and the AnonVM's IP must never appear on the wide-area
     /// side.
-    pub fn reveals_source_ip(&self, ip: Ip) -> bool {
-        self.any(|e| e.packet.src == ip)
+    #[cfg(test)]
+    fn reveals_source_ip(&self, ip: Ip) -> bool {
+        self.entries.iter().any(|e| e.packet.src == ip)
     }
 
     /// Whether a plaintext DNS query (UDP/53) appears anywhere — the
     /// classic anonymizer-bypass leak.
-    pub fn has_cleartext_dns(&self) -> bool {
-        self.any(|e| e.packet.proto == Proto::Udp && e.packet.dst_port == 53)
+    #[cfg(test)]
+    fn has_cleartext_dns(&self) -> bool {
+        self.entries
+            .iter()
+            .any(|e| e.packet.proto == Proto::Udp && e.packet.dst_port == 53)
     }
 
     /// Clears the capture buffer.
@@ -122,7 +117,6 @@ mod tests {
         );
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.on_link(0).len(), 1);
-        assert_eq!(t.sent_by("commvm").len(), 1);
         assert_eq!(t.entries()[0].seq, 0);
         assert_eq!(t.entries()[1].seq, 1);
     }

@@ -52,8 +52,8 @@ mod snapshot;
 mod trace;
 
 pub use ring::{
-    count, enabled, gauge_set, observe, reset, set_enabled, sim_clock, sim_clock_now,
-    take_thread_events, Event, Phase, NO_LABEL, RING_CAPACITY,
+    count, enabled, gauge_set, observe, reset, set_enabled, sim_clock, Event, Phase, NO_LABEL,
+    RING_CAPACITY,
 };
 pub use snapshot::{snapshot, HistogramSnap, ObsSnapshot, StageSnap};
 pub use trace::{trace_json, validate_trace, TraceSummary};
@@ -104,6 +104,7 @@ impl Span {
     /// [`registry::stage_id`] index) with up to two labels. Prefer
     /// [`span!`](crate::span!), which resolves names at compile time.
     #[inline]
+    // lint:allow(test-only-pub): the `span!` expansion calls it from every instrumented crate
     pub fn enter(stage: usize, labels: [(u16, u64); 2]) -> Span {
         let stage = stage as u16;
         if !enabled() {
@@ -301,6 +302,7 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::take_thread_events;
 
     #[test]
     fn disabled_spans_record_nothing() {

@@ -168,7 +168,7 @@ pub fn enabled() -> bool {
 /// Microseconds since the recorder's wall epoch (pinned at first
 /// enable). Monotonic per thread — `Instant` never goes backwards.
 #[inline]
-pub(crate) fn epoch_us() -> u64 {
+fn epoch_us() -> u64 {
     // Saturating: u64 µs wraps after ~584k years of uptime.
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
@@ -184,13 +184,13 @@ pub fn sim_clock(us: u64) {
 /// This thread's last published simulated clock.
 #[inline]
 #[must_use]
-pub fn sim_clock_now() -> u64 {
+fn sim_clock_now() -> u64 {
     SIM_NOW.with(Cell::get)
 }
 
 /// Runs `f` against this thread's slab, registering one on first use.
 #[inline]
-pub(crate) fn with_slab<R>(f: impl FnOnce(&Slab) -> R) -> R {
+fn with_slab<R>(f: impl FnOnce(&Slab) -> R) -> R {
     SLAB.with(|cell| {
         let slab = cell.get_or_init(|| {
             let slab = Arc::new(Slab::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
@@ -304,8 +304,9 @@ pub(crate) fn record_end(
 /// Drains the **current thread's** event ring, returning events in
 /// record order. Test helper: lets a test inspect exactly what it
 /// emitted without seeing other threads' events.
+#[cfg(test)]
 #[must_use]
-pub fn take_thread_events() -> Vec<Event> {
+pub(crate) fn take_thread_events() -> Vec<Event> {
     with_slab(|s| {
         let Ok(mut ring) = s.ring.lock() else {
             return Vec::new();

@@ -122,7 +122,7 @@ impl Json {
         }
     }
 
-    pub(crate) fn as_u64(&self) -> Option<u64> {
+    fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
@@ -288,7 +288,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-pub(crate) fn read_json(text: &str) -> Result<Json, String> {
+fn read_json(text: &str) -> Result<Json, String> {
     let mut r = Reader {
         bytes: text.as_bytes(),
         pos: 0,
@@ -466,7 +466,7 @@ mod tests {
     fn exported_trace_validates_round_trip() {
         let _g = crate::test_guard();
         crate::set_enabled(true);
-        let _ = crate::take_thread_events();
+        let _ = crate::ring::take_thread_events();
         crate::sim_clock(100);
         {
             let _outer = crate::span!("capture", "session" => 4u64);

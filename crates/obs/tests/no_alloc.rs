@@ -22,7 +22,6 @@ fn disabled_call_sites_never_allocate() {
             nymix_obs::gauge!("placement.repair_queue", i);
             nymix_obs::histogram!("cloud.put_bytes", i);
             nymix_obs::sim_clock(i);
-            std::hint::black_box(nymix_obs::sim_clock_now());
             drop(span);
         }
     });

@@ -32,6 +32,7 @@ const ARCHIVE_MAGIC: &[u8; 4] = b"NARC";
 
 impl PngImage {
     /// A screenshot-like PNG with identifying chunks.
+    // lint:allow(test-only-pub): tests/sanitizer_pipeline.rs drives the container path end to end through it
     pub fn screenshot() -> Self {
         Self {
             width: 320,
@@ -150,7 +151,7 @@ impl PngImage {
 
     /// Scrubs the image: drops all text and private chunks, keeping
     /// pixels (re-encoding, as the rasterize mode does).
-    pub fn scrubbed(&self) -> PngImage {
+    fn scrubbed(&self) -> PngImage {
         PngImage {
             width: self.width,
             height: self.height,
@@ -230,6 +231,7 @@ impl FileArchive {
 
     /// Scrubs every member recursively at `level`; members that stay
     /// risky are *dropped* (with a report entry) rather than leaked.
+    // lint:allow(test-only-pub): tests/sanitizer_pipeline.rs drives the container path end to end through it
     pub fn scrub_members(&self, level: ParanoiaLevel) -> (FileArchive, Vec<(String, ScrubReport)>) {
         let mut out = FileArchive::new();
         let mut reports = Vec::new();
@@ -252,6 +254,7 @@ impl FileArchive {
 
 /// Analyzes any supported byte blob, dispatching across every format
 /// this crate knows (the "suite of scrubbing tools" entry point).
+// lint:allow(test-only-pub): tests/sanitizer_pipeline.rs drives the container path end to end through it
 pub fn analyze_any(bytes: &[u8]) -> Vec<Risk> {
     if let Some(png) = PngImage::parse(bytes) {
         return png.risks();
@@ -276,6 +279,7 @@ pub fn analyze_any(bytes: &[u8]) -> Vec<Risk> {
 
 /// Builds a camera-roll archive for tests/examples: a risky JPEG, a
 /// risky PNG, and an innocuous text file.
+// lint:allow(test-only-pub): tests/sanitizer_pipeline.rs drives the container path end to end through it
 pub fn sample_camera_roll() -> FileArchive {
     let mut archive = FileArchive::new();
     archive.push(

@@ -124,6 +124,7 @@ pub struct PdfDoc {
 
 impl PdfDoc {
     /// A leaked-memo style document.
+    // lint:allow(test-only-pub): the risk, scrub and nymix SaniVM tests build their sample PDF with it
     pub fn memo() -> Self {
         Self {
             author: Some("bob@statepaper.ty".to_string()),
@@ -416,16 +417,6 @@ impl MediaFile {
             _ => None,
         }
     }
-
-    /// Human-readable format name.
-    pub fn format_name(&self) -> &'static str {
-        match self {
-            MediaFile::Jpeg(_) => "jpeg",
-            MediaFile::Pdf(_) => "pdf",
-            MediaFile::Doc(_) => "doc",
-            MediaFile::Unknown(_) => "unknown",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -471,7 +462,6 @@ mod tests {
     fn unknown_passthrough() {
         let f = MediaFile::parse(b"GIF89a....");
         assert!(matches!(f, MediaFile::Unknown(_)));
-        assert_eq!(f.format_name(), "unknown");
         assert_eq!(f.to_bytes(), b"GIF89a....");
     }
 

@@ -198,11 +198,6 @@ pub fn analyze(file: &MediaFile) -> Vec<Risk> {
     risks
 }
 
-/// The highest severity among `risks` (`None` when clean).
-pub fn max_severity(risks: &[Risk]) -> Option<Severity> {
-    risks.iter().map(|r| r.severity).max()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +217,6 @@ mod tests {
         ] {
             assert!(kinds.contains(&expect), "missing {expect:?}");
         }
-        assert_eq!(max_severity(&risks), Some(Severity::High));
         // Sorted by severity, highest first.
         assert_eq!(risks[0].severity, Severity::High);
         assert_eq!(risks[risks.len() - 1].severity, Severity::Low);
@@ -239,7 +233,6 @@ mod tests {
         };
         let risks = analyze(&MediaFile::Jpeg(img));
         assert!(risks.is_empty());
-        assert_eq!(max_severity(&risks), None);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub enum ParanoiaLevel {
 
 impl ParanoiaLevel {
     /// The transforms this level applies, in order.
-    pub fn transforms(self) -> Vec<Transform> {
+    fn transforms(self) -> Vec<Transform> {
         match self {
             ParanoiaLevel::Basic => vec![Transform::StripMetadata],
             ParanoiaLevel::Careful => vec![Transform::StripMetadata, Transform::BlurFaces],

@@ -82,6 +82,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    // lint:allow(test-only-pub): store/tests/lzss_golden.rs draws its pinned corpus with it
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "next_below requires a positive bound");
         // Debiased multiply-shift (Lemire).
@@ -100,6 +101,7 @@ impl Rng {
     }
 
     /// Uniform integer in the inclusive range `[lo, hi]`.
+    // lint:allow(test-only-pub): store/tests/lzss_golden.rs draws its pinned corpus with it
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "range_u64 requires lo <= hi");
         if lo == hi {
@@ -125,31 +127,22 @@ impl Rng {
 
     /// Approximately normal deviate (Irwin–Hall sum of 12 uniforms),
     /// mean `mu`, standard deviation `sigma`.
-    pub fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
+    #[cfg(test)]
+    fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
         let sum: f64 = (0..12).map(|_| self.next_f64()).sum();
         mu + (sum - 6.0) * sigma
     }
 
     /// Exponential deviate with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
+    #[cfg(test)]
+    fn exponential(&mut self, mean: f64) -> f64 {
         let u = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
         -mean * u.ln()
     }
 
-    /// Chooses a uniformly random element of `items`.
-    ///
-    /// Returns `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let i = self.next_below(items.len() as u64) as usize;
-            Some(&items[i])
-        }
-    }
-
     /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+    #[cfg(test)]
+    fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.next_below(i as u64 + 1) as usize;
             items.swap(i, j);

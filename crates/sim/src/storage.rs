@@ -40,35 +40,13 @@ impl DiskProfile {
         }
     }
 
-    /// A 5400 rpm laptop HDD: ~110/120 MB/s streaming, ~12 ms flush
-    /// (cache flush plus on-average half a rotation).
-    pub const fn hdd() -> Self {
-        Self {
-            write_bytes_per_sec: 110.0e6,
-            read_bytes_per_sec: 120.0e6,
-            fsync: SimDuration(12_000),
-            op_overhead: SimDuration(100),
-        }
-    }
-
-    /// A USB 2.0 flash drive (the paper's §3.5 "USB drive" target):
-    /// ~25/30 MB/s, slow ~40 ms flushes on FAT-class firmware.
-    pub const fn usb_flash() -> Self {
-        Self {
-            write_bytes_per_sec: 25.0e6,
-            read_bytes_per_sec: 30.0e6,
-            fsync: SimDuration(40_000),
-            op_overhead: SimDuration(250),
-        }
-    }
-
     /// Time to stream `bytes` of writes (no barrier).
-    pub fn write_time(&self, bytes: u64) -> SimDuration {
+    fn write_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.write_bytes_per_sec)
     }
 
     /// Time to stream `bytes` of reads.
-    pub fn read_time(&self, bytes: u64) -> SimDuration {
+    fn read_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.read_bytes_per_sec)
     }
 
@@ -102,18 +80,6 @@ mod tests {
         // ...and three barriers add 3 ms on top.
         let t = p.io_time(45_000_000, 0, 3, 0);
         assert_eq!(t, SimDuration(103_000));
-    }
-
-    #[test]
-    fn profiles_are_ordered_sanely() {
-        let (ssd, hdd, usb) = (
-            DiskProfile::ssd(),
-            DiskProfile::hdd(),
-            DiskProfile::usb_flash(),
-        );
-        assert!(ssd.fsync < hdd.fsync && hdd.fsync < usb.fsync);
-        assert!(ssd.write_time(1 << 20) < hdd.write_time(1 << 20));
-        assert!(hdd.write_time(1 << 20) < usb.write_time(1 << 20));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ([`crate::chunker`]), names each chunk by its content hash, and
 //! ships only the chunks a save actually changed:
 //!
-//! * A **chunk ID** ([`chunk_id`]) is the domain-separated SHA-256 of
+//! * A **chunk ID** is the domain-separated SHA-256 of
 //!   the chunk's plaintext; equal-length chunks, across records, hash
 //!   four at a time on the `sha256_x4` batch kernel. Given a record's
 //!   previous raw bytes and manifest ([`PrevChunks`]),
@@ -104,7 +104,7 @@ impl From<BackendError> for CasError {
 }
 
 /// The content address of `data`.
-pub fn chunk_id(data: &[u8]) -> ChunkId {
+fn chunk_id(data: &[u8]) -> ChunkId {
     let mut h = Sha256::new();
     h.update(CHUNK_TAG);
     h.update(data);
@@ -154,11 +154,6 @@ impl ChunkManifest {
     /// Total plaintext bytes the manifest describes.
     pub fn total_len(&self) -> usize {
         self.total_len as usize
-    }
-
-    /// Number of chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// `(chunk ID, plaintext length)` entries in record order.
@@ -556,7 +551,7 @@ mod tests {
         let m = ChunkManifest::build(&data);
         assert_eq!(m.total_len(), data.len());
         assert_eq!(m.chunks().map(|(_, l)| l).sum::<usize>(), data.len());
-        assert!(m.chunk_count() > 1);
+        assert!(m.chunks().count() > 1);
         let bytes = m.to_bytes();
         assert_eq!(bytes.len(), m.serialized_len());
         assert_eq!(ChunkManifest::from_bytes(&bytes).unwrap(), m);
@@ -686,7 +681,7 @@ mod tests {
         let m = ChunkManifest::build(&data);
         let up1 = c.upload(&data, &m, &mut index, "nym:cas#e1", &mut backend);
         assert!(up1 > 0);
-        assert_eq!(index.ids().count(), m.chunk_count());
+        assert_eq!(index.ids().count(), m.chunks().count());
 
         // Same content again (another record, another version): every
         // chunk dedups, zero bytes uploaded, the index is unchanged.
@@ -788,17 +783,17 @@ mod tests {
         // A second version sharing a's content adds nothing new.
         assert!(a.chunks().all(|(id, _)| !index.retain(id)));
         index.retain_manifest(&b);
-        assert_eq!(index.ids().count(), a.chunk_count() + b.chunk_count());
+        assert_eq!(index.ids().count(), a.chunks().count() + b.chunks().count());
 
         // Sweeping with b live frees exactly a's chunks.
         let dead = index.mark_and_sweep([&b]);
-        assert_eq!(dead.len(), a.chunk_count());
+        assert_eq!(dead.len(), a.chunks().count());
         assert!(dead.iter().all(|id| a.chunks().any(|(i, _)| i == id)));
-        assert_eq!(index.ids().count(), b.chunk_count());
+        assert_eq!(index.ids().count(), b.chunks().count());
 
         // Mark-and-sweep down to nothing live: b's chunks are swept.
         let swept = index.mark_and_sweep([]);
-        assert_eq!(swept.len(), b.chunk_count());
+        assert_eq!(swept.len(), b.chunks().count());
         assert_eq!(index.ids().count(), 0);
     }
 

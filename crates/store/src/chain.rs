@@ -36,20 +36,20 @@ use crate::{
 pub const EPOCH_RECORD: &str = "snapshot.epoch";
 
 /// Object name of delta slot `index` of chain epoch `epoch`.
-pub fn delta_name(label: &str, epoch: u64, index: usize) -> String {
+fn delta_name(label: &str, epoch: u64, index: usize) -> String {
     format!("{label}#e{epoch}.{index}")
 }
 
 /// Chunk-object namespace of chain epoch `epoch`: its chunks live at
 /// [`cas::chunk_object_name`]`(prefix, id)`.
-pub fn chunk_prefix(label: &str, epoch: u64) -> String {
+fn chunk_prefix(label: &str, epoch: u64) -> String {
     format!("{label}#e{epoch}")
 }
 
 /// The epoch `N` of a chain object of `label`: a delta
 /// `{label}#e{N}.{i}` or a chunk `{label}#e{N}/c/{64 hex}`. `None` for
 /// any other name, a longer label's objects included.
-pub fn object_epoch(name: &str, label: &str) -> Option<u64> {
+fn object_epoch(name: &str, label: &str) -> Option<u64> {
     let rest = name.strip_prefix(label)?.strip_prefix("#e")?;
     let (epoch, tail) = rest.split_at(rest.find(|c: char| !c.is_ascii_digit())?);
     let digits = |s: &str, hex| {

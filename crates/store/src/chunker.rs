@@ -72,7 +72,7 @@ const fn build_gear_table() -> [u64; 256] {
 /// Length of the first chunk of `data` under the gear-hash cut rule.
 /// Returns `data.len()` when no boundary fires before the input ends;
 /// never returns 0 for non-empty input.
-pub fn cut_point(data: &[u8]) -> usize {
+fn cut_point(data: &[u8]) -> usize {
     let n = data.len();
     if n <= MIN_CHUNK {
         return n;

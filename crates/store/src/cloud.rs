@@ -16,7 +16,7 @@ use std::borrow::BorrowMut;
 use std::collections::{BTreeMap, VecDeque};
 
 use nymix_net::Ip;
-use nymix_sim::{SimDuration, SimTime};
+use nymix_sim::SimDuration;
 
 use crate::backend::{BackendError, ObjectBackend};
 
@@ -48,17 +48,16 @@ impl core::fmt::Display for CloudError {
     }
 }
 
-/// A provider's scheduled availability / byzantine state, driven by
-/// the simulation clock ([`CloudProvider::set_now`]). Exactly one mode
-/// is active at a time; [`CloudProvider::heal`] returns to `Healthy`.
+/// A provider's availability / byzantine state. Exactly one mode is
+/// active at a time; [`CloudProvider::heal`] returns to `Healthy`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 enum FaultMode {
     /// Normal operation.
     #[default]
     Healthy,
     /// Down hard: every operation fails [`CloudError::Unavailable`]
-    /// until the deadline passes (or forever when `until` is `None`).
-    Outage { until: Option<SimTime> },
+    /// until healed.
+    Outage,
     /// Persistently shedding write load: every put attempt fails
     /// [`CloudError::Throttled`] until healed (reads still work).
     Throttled,
@@ -205,8 +204,6 @@ pub struct CloudProvider {
     /// Write attempts to let through before the injected faults fire
     /// (puts a fault window mid-batch).
     transient_put_skip: u32,
-    /// The provider's view of simulated time, for scheduled faults.
-    now: SimTime,
     fault: FaultMode,
     /// Per-account object snapshots taken when [`FaultMode::ServeStale`]
     /// was armed.
@@ -225,7 +222,6 @@ impl CloudProvider {
             log: AccessLog::new(),
             transient_put_faults: 0,
             transient_put_skip: 0,
-            now: SimTime::ZERO,
             fault: FaultMode::Healthy,
             stale_snapshot: BTreeMap::new(),
             garbage_buf: Vec::new(),
@@ -235,48 +231,32 @@ impl CloudProvider {
     /// Arms deterministic write-fault injection: the next `n` put
     /// attempts (single or batched) fail with [`CloudError::Throttled`]
     /// before any byte lands, then the provider behaves normally again.
-    /// Tests use this to drive the session retry path.
-    pub fn inject_transient_put_failures(&mut self, n: u32) {
+    /// The tests drive the session retry path with it.
+    #[cfg(test)]
+    pub(crate) fn inject_transient_put_failures(&mut self, n: u32) {
         self.inject_transient_put_failures_after(0, n);
     }
 
-    /// [`CloudProvider::inject_transient_put_failures`], but the first
-    /// `skip` put attempts succeed before the `n` throttled ones fire —
-    /// the window lands mid-batch, which is what the resume-from-
-    /// failed-index regression tests need.
+    /// Arms deterministic write-fault injection: the first `skip` put
+    /// attempts succeed, then the next `n` fail with
+    /// [`CloudError::Throttled`] before any byte lands — the window
+    /// lands mid-batch, which is what the resume-from-failed-index
+    /// regression tests need.
+    // lint:allow(test-only-pub): nymix's manager scenarios put a fault window mid-batch with it
     pub fn inject_transient_put_failures_after(&mut self, skip: u32, n: u32) {
         self.transient_put_skip = skip;
         self.transient_put_faults = n;
     }
 
-    /// Advances the provider's fault clock (scheduled outages expire
-    /// against this).
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
-    /// The provider's current fault-clock reading.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules an outage: every operation fails
-    /// [`CloudError::Unavailable`] until the provider's clock
-    /// ([`CloudProvider::set_now`]) passes `now + duration`.
-    pub fn outage_for(&mut self, duration: SimDuration) {
-        self.fault = FaultMode::Outage {
-            until: Some(self.now + duration),
-        };
-    }
-
     /// Takes the provider down until [`CloudProvider::heal`].
     pub fn outage(&mut self) {
-        self.fault = FaultMode::Outage { until: None };
+        self.fault = FaultMode::Outage;
     }
 
     /// Persistently throttles every write until [`CloudProvider::heal`]
     /// (reads still served) — sessions exhaust their retry budget
     /// against this.
+    // lint:allow(test-only-pub): nymix's manager scenarios throttle one striped child with it
     pub fn throttle(&mut self) {
         self.fault = FaultMode::Throttled;
     }
@@ -285,6 +265,7 @@ impl CloudProvider {
     /// snapshot of every account's objects taken *now*. The bytes are
     /// genuine and hash-valid — just old. Writes keep landing on the
     /// live store.
+    // lint:allow(test-only-pub): nymix's manager scenarios arm a stale striped child with it
     pub fn serve_stale(&mut self) {
         self.stale_snapshot = self
             .accounts
@@ -296,6 +277,7 @@ impl CloudProvider {
 
     /// Arms byzantine garbage serving: every read answers
     /// deterministic wrong bytes of the stored object's length.
+    // lint:allow(test-only-pub): nymix's manager scenarios arm a lying striped child with it
     pub fn serve_garbage(&mut self) {
         self.fault = FaultMode::ServeGarbage;
     }
@@ -306,18 +288,9 @@ impl CloudProvider {
         self.stale_snapshot.clear();
     }
 
-    /// Whether the provider is currently down (outage scheduled and
-    /// not yet expired).
-    pub fn is_down(&self) -> bool {
-        match self.fault {
-            FaultMode::Outage { until } => until.is_none_or(|t| self.now < t),
-            _ => false,
-        }
-    }
-
-    /// Injected write faults not yet consumed.
-    pub fn pending_transient_put_failures(&self) -> u32 {
-        self.transient_put_faults
+    /// Whether the provider is down.
+    fn is_down(&self) -> bool {
+        self.fault == FaultMode::Outage
     }
 
     /// Provider name.
@@ -591,7 +564,8 @@ impl<P: BorrowMut<CloudProvider>> CloudSession<P> {
     }
 
     /// Total simulated backoff accrued by retried writes so far.
-    pub fn accrued_backoff(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn accrued_backoff(&self) -> SimDuration {
         SimDuration(self.backoff_accrued.get())
     }
 
@@ -846,7 +820,7 @@ mod tests {
         );
         assert_eq!(s.accrued_backoff(), SimDuration::ZERO);
         drop(s);
-        assert_eq!(p.pending_transient_put_failures(), 0);
+        assert_eq!(p.transient_put_faults, 0);
     }
 
     #[test]
@@ -934,31 +908,25 @@ mod tests {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "tok");
         p.session("anon", "tok", exit()).put("x", vec![7]).unwrap();
-        p.outage_for(SimDuration::from_secs(60));
+        p.outage();
         assert!(p.is_down());
         {
+            let down = BackendError::Unavailable(CloudError::Unavailable.to_string());
             let mut s = p.session("anon", "tok", exit());
-            assert!(matches!(s.get("x"), Err(BackendError::Unavailable(_))));
-            assert!(matches!(
-                s.put("y", vec![1]),
-                Err(BackendError::Unavailable(_))
-            ));
-            assert!(matches!(
-                s.apply_batch(Vec::new(), vec!["x".into()]),
-                Err(BackendError::Unavailable(_))
-            ));
-            let mut names = Vec::new();
-            assert!(matches!(
-                s.list(&mut names),
-                Err(BackendError::Unavailable(_))
-            ));
+            assert_eq!(s.get("x").unwrap_err(), down);
+            assert_eq!(s.put("y", vec![1]).unwrap_err(), down);
+            assert_eq!(
+                s.apply_batch(Vec::new(), vec!["x".into()]).unwrap_err(),
+                down
+            );
+            assert_eq!(s.list(&mut Vec::new()).unwrap_err(), down);
             // No backoff burned hammering a dead provider: an outage
             // is not a Transient blip.
             assert_eq!(s.accrued_backoff(), SimDuration::ZERO);
         }
-        // The sim clock reaches the deadline — the provider is back,
-        // state intact.
-        p.set_now(SimTime::ZERO + SimDuration::from_secs(60));
+        // The outage ends (an outage's deadline is the `heal` call) —
+        // the provider is back, state intact.
+        p.heal();
         assert!(!p.is_down());
         let mut s = p.session("anon", "tok", exit());
         assert_eq!(s.get("x").unwrap(), Some(&[7u8][..]));
@@ -969,7 +937,6 @@ mod tests {
         let mut p = CloudProvider::new("drive");
         p.create_account("anon", "tok");
         p.outage();
-        p.set_now(SimTime(u64::MAX / 2));
         assert!(p.is_down());
         assert!(matches!(
             p.session("anon", "tok", exit()).get("x"),

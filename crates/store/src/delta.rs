@@ -44,7 +44,7 @@
 
 use std::collections::HashMap;
 
-use nymix_crypto::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator};
+use nymix_crypto::{leaf_hash_parts, MerkleAccumulator};
 
 use crate::archive::{
     clamp_count, len_u16, len_u32, read_name, read_record, write_record, ArchiveError, NymArchive,
@@ -104,8 +104,7 @@ pub struct DeltaArchive {
 
 impl DeltaArchive {
     /// An empty delta committing to a full archive of `full_count`
-    /// records under `root`. Populate with [`DeltaArchive::put`] /
-    /// [`DeltaArchive::mark_removed`].
+    /// records under `root`. Populate with [`DeltaArchive::put`].
     pub fn new(full_count: usize, root: MerkleRoot) -> Self {
         Self {
             full_count: len_u32(full_count),
@@ -162,7 +161,7 @@ impl DeltaArchive {
     /// # Panics
     ///
     /// Panics if `name` exceeds [`MAX_NAME_LEN`] bytes.
-    pub fn mark_removed(&mut self, name: &str) {
+    fn mark_removed(&mut self, name: &str) {
         // lint:allow(panic-free-parser): serializer-side contract on caller-chosen names (documented under # Panics); wire bytes never reach this path
         assert!(
             name.len() <= MAX_NAME_LEN,
@@ -177,21 +176,6 @@ impl DeltaArchive {
     /// The committed Merkle root of the post-replay record set.
     pub fn root(&self) -> &MerkleRoot {
         &self.root
-    }
-
-    /// The committed post-replay record count.
-    pub fn full_count(&self) -> usize {
-        self.full_count as usize
-    }
-
-    /// Dirty `(name, data)` records in insertion order.
-    pub fn dirty_records(&self) -> impl Iterator<Item = (&str, &[u8])> {
-        self.dirty.iter().map(|(n, d)| (n.as_str(), d.as_slice()))
-    }
-
-    /// Names removed since the previous snapshot.
-    pub fn removed_names(&self) -> impl Iterator<Item = &str> {
-        self.removed.iter().map(String::as_str)
     }
 
     /// Total dirty payload bytes (what a delta save actually re-seals).
@@ -428,21 +412,22 @@ fn record_leaf(name: &str, data: &[u8]) -> MerkleRoot {
     leaf_hash_parts(&[&name_len, name.as_bytes(), data])
 }
 
-/// The Merkle root over an archive's full record set: one leaf per
-/// record (`name_len u16 ‖ name ‖ data`), in record order, folded from
-/// scratch. Nothing on the save or restore path calls this; it is the
-/// independent oracle the tests pin [`ArchiveCommitment`] against.
-pub fn archive_merkle_root(archive: &NymArchive) -> MerkleRoot {
-    let mut leaves: Vec<MerkleRoot> = archive
-        .records()
-        .map(|(name, data)| record_leaf(name, data))
-        .collect();
-    merkle_root_from_leaves(&mut leaves)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nymix_crypto::merkle_root_from_leaves;
+
+    /// The Merkle root over an archive's full record set: one leaf per
+    /// record (`name_len u16 ‖ name ‖ data`), in record order, folded
+    /// from scratch. The independent oracle the tests pin
+    /// [`ArchiveCommitment`] against.
+    fn archive_merkle_root(archive: &NymArchive) -> MerkleRoot {
+        let mut leaves: Vec<MerkleRoot> = archive
+            .records()
+            .map(|(name, data)| record_leaf(name, data))
+            .collect();
+        merkle_root_from_leaves(&mut leaves)
+    }
 
     fn base() -> NymArchive {
         let mut a = NymArchive::new();
@@ -468,10 +453,10 @@ mod tests {
         next.remove("meta"); // gone
         let delta = DeltaArchive::diff(&prev, &next);
         assert_eq!(
-            delta.dirty_records().map(|(n, _)| n).collect::<Vec<_>>(),
+            delta.dirty.iter().map(|(n, _)| n).collect::<Vec<_>>(),
             vec!["anonvm.disk", "browser.state"]
         );
-        assert_eq!(delta.removed_names().collect::<Vec<_>>(), vec!["meta"]);
+        assert_eq!(delta.removed, vec!["meta"]);
         // Only the dirty payload rides the wire.
         assert_eq!(delta.payload_bytes(), 350 + 7);
 
@@ -499,7 +484,7 @@ mod tests {
     fn empty_delta_roundtrips_and_verifies() {
         let a = base();
         let delta = DeltaArchive::diff(&a, &a);
-        assert_eq!(delta.dirty_records().count(), 0);
+        assert!(delta.dirty.is_empty());
         assert_eq!(delta.payload_bytes(), 0);
         let delta = DeltaArchive::from_bytes(&delta.to_bytes()).unwrap();
         let mut replayed = a.clone();

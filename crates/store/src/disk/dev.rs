@@ -178,6 +178,7 @@ impl SimDisk {
     }
 
     /// Number of queued writes that have not reached a barrier yet.
+    // lint:allow(test-only-pub): store/tests/{crash,prop}.rs and nymix's manager tests size their crash matrices with it
     pub fn pending_writes(&self) -> usize {
         self.pending.len()
     }
@@ -291,6 +292,7 @@ impl SimDisk {
 
     /// Borrows the durable image of a file, i.e. what a forensic read
     /// of the powered-off media would find.
+    // lint:allow(test-only-pub): store/tests/crash.rs compares recovered images through it
     pub fn durable(&self, file: FileId) -> &[u8] {
         &self.durable[file.idx()]
     }
@@ -299,6 +301,7 @@ impl SimDisk {
     /// decayed cell, a hostile edit), distinct from a crash's lost writes.
     /// `bit` indexes bits little-endian within the file; out-of-range
     /// flips extend the file with zeros first.
+    // lint:allow(test-only-pub): store/tests/{crash,prop}.rs flip media bits with it
     pub fn corrupt_durable_bit(&mut self, file: FileId, bit: usize) {
         let byte = bit / 8;
         let img = &mut self.durable[file.idx()];

@@ -71,6 +71,7 @@ impl CrashMode {
     /// queued writes and a final write of `last_len` bytes: every
     /// whole-write prefix, torn variants of the final write, and the
     /// all-landed case. Exhaustive crash loops iterate this.
+    // lint:allow(test-only-pub): store/tests/{crash,prop}.rs and nymix's manager tests iterate it
     pub fn covering_set(pending: usize, last_len: usize) -> Vec<CrashMode> {
         let mut modes = vec![CrashMode::None];
         for n in 1..=pending {

@@ -298,11 +298,6 @@ impl DiskStore {
     pub fn object_count(&self) -> usize {
         self.index.live.len()
     }
-
-    /// Whether an earlier power loss poisoned this incarnation.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
 }
 
 impl Default for DiskStore {
@@ -476,7 +471,7 @@ mod tests {
         let ops = s.disk().ops();
         s.set_fault_plan(FaultPlan::kill_at_op(ops));
         assert!(s.put("b", b"2".to_vec()).is_err());
-        assert!(s.is_poisoned());
+        assert!(s.poisoned);
         assert!(s.get("a").is_err());
         assert!(s.put("c", b"3".to_vec()).is_err());
         // Recovery path works.

@@ -103,14 +103,12 @@ pub mod sealed;
 pub use archive::NymArchive;
 pub use backend::{BackendError, ObjectBackend};
 pub use cas::{
-    build_manifests, chunk_id, chunk_object_name, seal_new_chunks_into, CasError, ChunkId,
-    ChunkIndex, ChunkManifest, ManifestScratch, PrevChunks, CHUNK_RECORD_THRESHOLD,
+    build_manifests, chunk_object_name, seal_new_chunks_into, CasError, ChunkId, ChunkIndex,
+    ChunkManifest, ManifestScratch, PrevChunks, CHUNK_RECORD_THRESHOLD,
 };
 pub use chunker::{chunks, AVG_CHUNK, MAX_CHUNK, MIN_CHUNK};
 pub use cloud::{AccessLog, CloudError, CloudProvider, CloudSession};
-pub use delta::{
-    archive_merkle_root, ArchiveCommitment, DeltaArchive, DeltaError, DELTA_CHAIN_LIMIT,
-};
+pub use delta::{ArchiveCommitment, DeltaArchive, DeltaError, DELTA_CHAIN_LIMIT};
 pub use disk::{CrashMode, DiskError, DiskStore, FaultPlan, SimDisk};
 pub use local::LocalStore;
 pub use placement::{PlacementStore, RepairReport};

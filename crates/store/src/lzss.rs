@@ -430,6 +430,7 @@ pub fn decompress_into(packed: &[u8], out: &mut Vec<u8>) -> Result<(), LzssError
 }
 
 /// Decompresses a [`compress`] stream.
+// lint:allow(test-only-pub): store/tests/{lzss_golden,prop,no_alloc}.rs round-trip the encoder through it
 pub fn decompress(packed: &[u8]) -> Result<Vec<u8>, LzssError> {
     let mut out = Vec::new();
     decompress_into(packed, &mut out)?;

@@ -50,7 +50,7 @@ const LOG: [u8; 256] = TABLES.1;
 
 /// GF(256) multiplication.
 #[inline]
-pub fn mul(a: u8, b: u8) -> u8 {
+fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         0
     } else {

@@ -54,7 +54,7 @@ pub mod shard;
 use std::collections::{BTreeMap, BTreeSet};
 
 use nymix_net::Ip;
-use nymix_sim::{SimDuration, SimTime};
+use nymix_sim::SimDuration;
 
 use crate::backend::{BackendError, ObjectBackend};
 use crate::cloud::{CloudProvider, CloudSession};
@@ -149,18 +149,20 @@ impl<B: ObjectBackend> PlacementStore<B> {
     }
 
     /// Object names with missing shards, in name order.
-    pub fn queued_objects(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn queued_objects(&self) -> Vec<String> {
         self.repair_queue.keys().cloned().collect()
     }
 
     /// Deletes queued for children that were unreachable when the
     /// delete ran.
-    pub fn pending_delete_count(&self) -> usize {
+    fn pending_delete_count(&self) -> usize {
         self.pending_deletes.values().map(BTreeSet::len).sum()
     }
 
     /// Objects stored on each child (shard counts, by child index).
     /// Full redundancy means every entry equals every other.
+    // lint:allow(test-only-pub): nymix's manager scenarios check full redundancy across children with it
     pub fn shard_counts(&mut self) -> Result<Vec<usize>, BackendError> {
         let mut counts = Vec::with_capacity(self.children.len());
         for child in &mut self.children {
@@ -555,13 +557,6 @@ impl<B: ObjectBackend> ObjectBackend for PlacementStore<B> {
 /// long-lived session, observed (access-logged) at the provider with
 /// the anonymizer exit the manager routes striped traffic through.
 impl PlacementStore<CloudSession<CloudProvider>> {
-    /// Advances every child provider's scheduled-fault clock.
-    pub fn set_now(&mut self, now: SimTime) {
-        for child in &mut self.children {
-            child.provider_mut().set_now(now);
-        }
-    }
-
     /// Routes every child's traffic through `exit` (what the providers
     /// observe).
     pub fn set_observed_ip(&mut self, exit: Ip) {

@@ -85,7 +85,7 @@ impl std::error::Error for HypervisorError {}
 /// ```
 /// use nymix_vmm::{Hypervisor, VmConfig};
 ///
-/// let mut hv = Hypervisor::paper_testbed_minimal();
+/// let mut hv = Hypervisor::paper_testbed();
 /// let anon = hv.create_vm(VmConfig::anonvm()).unwrap();
 /// let comm = hv.create_vm(VmConfig::commvm()).unwrap();
 /// hv.boot(anon).unwrap();
@@ -126,7 +126,8 @@ impl Hypervisor {
     }
 
     /// The paper's testbed with a minimal base image (fast tests).
-    pub fn paper_testbed_minimal() -> Self {
+    #[cfg(test)]
+    fn paper_testbed_minimal() -> Self {
         Self::new(
             calib::HOST_RAM_MIB,
             nymix_fs::BaseImage::minimal().to_layer(),
@@ -138,14 +139,9 @@ impl Hypervisor {
         self.ksm_enabled = enabled;
     }
 
-    /// Whether KSM is on.
-    pub fn ksm_enabled(&self) -> bool {
-        self.ksm_enabled
-    }
-
     /// Builds the role-specific configuration layer (§3.4: network
     /// configuration files, `/etc/rc.local`, window manager startup).
-    pub fn role_config_layer(role: VmRole) -> Layer {
+    fn role_config_layer(role: VmRole) -> Layer {
         let mut layer = Layer::new(LayerKind::Config);
         let (rc, net) = match role {
             VmRole::Anon => (
@@ -221,11 +217,6 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// Ids of all resident VMs.
-    pub fn vm_ids(&self) -> Vec<VmId> {
-        self.vms.keys().copied().collect()
-    }
-
     /// Number of resident VMs.
     pub fn vm_count(&self) -> usize {
         self.vms.len()
@@ -280,7 +271,7 @@ impl Hypervisor {
     /// Free host memory in MiB under the admission model (gross
     /// allocations, not KSM-adjusted — KSM savings are best-effort and
     /// must not be promised to new VMs).
-    pub fn free_memory_mib(&self) -> f64 {
+    fn free_memory_mib(&self) -> f64 {
         let mut reserved = f64::from(self.host_base_mib);
         for vm in self.vms.values() {
             if vm.state() == VmState::ShutDown {

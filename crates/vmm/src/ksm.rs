@@ -33,11 +33,6 @@ impl KsmStats {
     pub fn saved_bytes(&self) -> usize {
         self.pages_sharing * PAGE_SIZE
     }
-
-    /// Bytes of host RAM actually backing the scanned pages.
-    pub fn resident_bytes(&self) -> usize {
-        self.pages_physical * PAGE_SIZE
-    }
 }
 
 /// Scans all page-id slices and computes the merge outcome. Equal ids

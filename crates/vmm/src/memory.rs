@@ -58,11 +58,6 @@ impl VmMemory {
         self.pages.len()
     }
 
-    /// Total bytes.
-    pub fn byte_len(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
-    }
-
     /// Raw content ids (for the KSM scanner).
     pub fn page_ids(&self) -> &[u64] {
         &self.pages
@@ -73,6 +68,7 @@ impl VmMemory {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
+    // lint:allow(test-only-pub): vmm/tests/prop.rs plants page contents for the KSM properties with it
     pub fn set_page(&mut self, index: usize, class: PageClass) {
         self.pages[index] = self.encode(class);
     }
@@ -181,7 +177,6 @@ mod tests {
     fn allocation_rounds_up() {
         let m = VmMemory::allocate(1, PAGE_SIZE * 3 + 1);
         assert_eq!(m.page_count(), 4);
-        assert_eq!(m.byte_len(), 4 * PAGE_SIZE);
     }
 
     #[test]

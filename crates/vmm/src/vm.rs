@@ -58,15 +58,6 @@ impl VmConfig {
         }
     }
 
-    /// The AnonVM sized for the Peacekeeper benchmark (1 GiB RAM).
-    pub fn anonvm_cpu_bench() -> Self {
-        Self {
-            role: VmRole::Anon,
-            ram_mib: 1024,
-            disk_mib: 128,
-        }
-    }
-
     /// The standard CommVM: 128 MiB RAM, 16 MiB disk (§5.2).
     pub fn commvm() -> Self {
         Self {
@@ -102,9 +93,6 @@ pub struct Vm {
     memory: VmMemory,
     disk: UnionFs,
     fingerprint: Fingerprint,
-    /// Fraction of guest RAM resident with OS/base content right after
-    /// boot (shared across VMs); tunable per role.
-    booted: bool,
 }
 
 impl Vm {
@@ -129,7 +117,6 @@ impl Vm {
             memory,
             disk,
             fingerprint,
-            booted: false,
         }
     }
 
@@ -189,12 +176,6 @@ impl Vm {
         self.memory.fill(0, shared, PageClass::Shared(0));
         self.memory.fill(shared, private, PageClass::Unique(0));
         self.state = VmState::Running;
-        self.booted = true;
-    }
-
-    /// Whether `boot` has run.
-    pub fn is_booted(&self) -> bool {
-        self.booted
     }
 
     /// Pauses a running VM (nym save path).
@@ -305,7 +286,6 @@ mod tests {
             VmConfig::anonvm().host_ram_cost_mib() + VmConfig::commvm().host_ram_cost_mib(),
             656
         );
-        assert_eq!(VmConfig::anonvm_cpu_bench().ram_mib, 1024);
     }
 
     #[test]

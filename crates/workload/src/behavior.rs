@@ -2,14 +2,11 @@
 //!
 //! §5.2: "Where applicable, we signed into Web sites and simulated some
 //! typical user behaviors, such as reading the latest news." Behaviours
-//! matter to the resource model because they differ in what they write
-//! (drafts, uploads, downloads) and how much CPU/network they burn
-//! beyond the page load.
+//! matter to the resource model because they differ in how much
+//! CPU/network they burn beyond the page load.
 
-use nymix_fs::Path;
 use nymix_sim::SimDuration;
 
-use crate::browser::BrowserSession;
 use crate::sites::Site;
 
 /// A scripted user action inside a loaded page.
@@ -17,8 +14,8 @@ use crate::sites::Site;
 pub enum Behavior {
     /// Scroll through the latest items (network: incremental fetches).
     ReadLatestNews,
-    /// Compose and submit a post of `len` characters (writes a draft,
-    /// uploads a small body).
+    /// Compose and submit a post of `len` characters (uploads a small
+    /// body).
     Post(usize),
     /// Upload an attachment of `bytes` (e.g. Bob's scrubbed photo).
     Upload(u64),
@@ -64,50 +61,11 @@ impl Behavior {
             },
         }
     }
-
-    /// Executes the behaviour's client-side effects in the browser
-    /// (drafts, downloaded files); returns the cost.
-    pub fn perform(&self, session: &mut BrowserSession<'_>, site: Site) -> BehaviorCost {
-        let cost = self.cost(site);
-        match self {
-            Behavior::Post(len) => {
-                session.write_profile_file(
-                    &Path::new(&format!(
-                        "/home/user/.config/chromium/drafts/{}",
-                        site.profile().domain
-                    )),
-                    vec![b'x'; *len / session.scale() as usize + 1],
-                );
-            }
-            Behavior::Download(bytes) => {
-                session.write_profile_file(
-                    &Path::new("/home/user/Downloads/attachment.bin"),
-                    vec![0xD0; (*bytes / session.scale()).max(1) as usize],
-                );
-            }
-            Behavior::ReadLatestNews | Behavior::Upload(_) => {}
-        }
-        cost
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nymix_fs::Layer;
-    use nymix_sim::Rng;
-    use nymix_vmm::{Vm, VmConfig, VmId};
-
-    fn vm() -> Vm {
-        let mut vm = Vm::new(
-            VmId(1),
-            VmConfig::anonvm(),
-            nymix_fs::BaseImage::minimal().to_layer(),
-            Layer::new(nymix_fs::LayerKind::Config),
-        );
-        vm.boot(0.05, 0.3);
-        vm
-    }
 
     #[test]
     fn costs_scale_with_site_and_kind() {
@@ -118,31 +76,5 @@ mod tests {
         assert!(up.up_bytes > up.down_bytes);
         let down = Behavior::Download(1_000_000).cost(Site::Twitter);
         assert!(down.down_bytes > down.up_bytes);
-    }
-
-    #[test]
-    fn post_leaves_a_draft() {
-        let mut vm = vm();
-        {
-            let mut session = BrowserSession::new(&mut vm, Rng::seed_from(1), 64);
-            session.visit(Site::Twitter);
-            Behavior::Post(280).perform(&mut session, Site::Twitter);
-        }
-        assert!(vm
-            .disk()
-            .exists(&Path::new("/home/user/.config/chromium/drafts/twitter.com")));
-    }
-
-    #[test]
-    fn download_lands_in_downloads() {
-        let mut vm = vm();
-        {
-            let mut session = BrowserSession::new(&mut vm, Rng::seed_from(2), 64);
-            session.visit(Site::Gmail);
-            Behavior::Download(500_000).perform(&mut session, Site::Gmail);
-        }
-        assert!(vm
-            .disk()
-            .exists(&Path::new("/home/user/Downloads/attachment.bin")));
     }
 }

@@ -145,30 +145,6 @@ impl<'a> BrowserSession<'a> {
         }
     }
 
-    /// Logical (unscaled) cache bytes currently stored.
-    pub fn cache_bytes(&self) -> u64 {
-        self.cache_bytes
-    }
-
-    /// The byte-scale divisor this session runs with.
-    pub fn scale(&self) -> u64 {
-        self.scale
-    }
-
-    /// Writes an arbitrary profile-area file (drafts, downloads) —
-    /// used by scripted behaviours.
-    pub fn write_profile_file(&mut self, path: &Path, data: Vec<u8>) {
-        self.vm
-            .disk_mut()
-            .write(path, data)
-            .expect("writable browser profile");
-    }
-
-    /// Number of visits performed.
-    pub fn visits(&self) -> u32 {
-        self.visits
-    }
-
     /// Visits `site`: fetches the page, grows the cache, stores
     /// cookies (and credentials on login sites), dirties guest memory.
     /// Returns the logical bytes fetched over the network.
@@ -188,14 +164,6 @@ impl<'a> BrowserSession<'a> {
         self.vm.dirty_memory_mib(profile.memory_dirty_mib);
         self.visits += 1;
         profile.page_weight + cache_add
-    }
-
-    /// Whether credentials for `domain` are stored ("configure the
-    /// browser to remember login information", §5.3).
-    pub fn has_credentials(&self, domain: &str) -> bool {
-        self.vm
-            .disk()
-            .exists(&Path::new(&format!("{PROFILE_DIR}/logins/{domain}")))
     }
 
     /// Plants an evercookie-style stain: redundant identifiers in
@@ -345,6 +313,13 @@ mod tests {
         )
     }
 
+    /// Whether credentials for `domain` are stored ("configure the
+    /// browser to remember login information", §5.3).
+    fn has_credentials(vm: &Vm, domain: &str) -> bool {
+        vm.disk()
+            .exists(&Path::new(&format!("{PROFILE_DIR}/logins/{domain}")))
+    }
+
     #[test]
     fn visit_writes_cache_and_cookies() {
         let mut vm = vm();
@@ -352,9 +327,9 @@ mod tests {
         let mut b = BrowserSession::new(&mut vm, Rng::seed_from(1), 64);
         let fetched = b.visit(Site::Twitter);
         assert!(fetched > 0);
-        assert_eq!(b.visits(), 1);
-        assert!(b.cache_bytes() >= Site::Twitter.profile().first_visit_cache);
-        assert!(b.has_credentials("twitter.com"));
+        assert_eq!(b.visits, 1);
+        assert!(b.cache_bytes >= Site::Twitter.profile().first_visit_cache);
+        assert!(has_credentials(&vm, "twitter.com"));
         assert!(vm.disk().upper_bytes() > 0);
     }
 
@@ -364,9 +339,9 @@ mod tests {
         vm.boot(0.05, 0.3);
         let mut b = BrowserSession::new(&mut vm, Rng::seed_from(2), 64);
         let first = b.visit(Site::Gmail);
-        let after_first = b.cache_bytes();
+        let after_first = b.cache_bytes;
         let second = b.visit(Site::Gmail);
-        let growth = b.cache_bytes() - after_first;
+        let growth = b.cache_bytes - after_first;
         assert!(second < first);
         assert_eq!(growth, Site::Gmail.profile().revisit_cache_growth);
     }
@@ -381,9 +356,9 @@ mod tests {
             b.visit(Site::Youtube);
         }
         assert!(
-            b.cache_bytes() <= CACHE_CAP_BYTES,
+            b.cache_bytes <= CACHE_CAP_BYTES,
             "cache {} over cap",
-            b.cache_bytes()
+            b.cache_bytes
         );
     }
 
@@ -408,7 +383,7 @@ mod tests {
         vm.boot(0.05, 0.3);
         let mut b = BrowserSession::new(&mut vm, Rng::seed_from(5), 64);
         b.visit(Site::TorBlog);
-        assert!(!b.has_credentials("blog.torproject.org"));
+        assert!(!has_credentials(&vm, "blog.torproject.org"));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use nymix_net::access_transfer;
 use nymix_net::flow::calib as netcal;
 
+#[cfg(test)]
 use crate::sites::Site;
 
 /// A bulk transfer specification.
@@ -31,7 +32,8 @@ impl DownloadSpec {
     }
 
     /// A site page-load transfer (Figure 7's final phase).
-    pub fn page_load(site: Site, overhead: f64) -> Self {
+    #[cfg(test)]
+    fn page_load(site: Site, overhead: f64) -> Self {
         Self {
             bytes: site.profile().page_weight as f64,
             overhead,

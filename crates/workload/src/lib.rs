@@ -30,5 +30,5 @@ pub mod sites;
 pub use behavior::{Behavior, BehaviorCost};
 pub use browser::{BrowserSession, BrowserState, CACHE_CAP_BYTES};
 pub use download::DownloadSpec;
-pub use peacekeeper::{peacekeeper_score, PEACEKEEPER_WORK};
+pub use peacekeeper::PEACEKEEPER_WORK;
 pub use sites::{Site, SiteProfile};

@@ -16,7 +16,7 @@ pub const PEACEKEEPER_WORK: f64 = 30.0;
 pub const SCORE_SCALE: f64 = 90_000.0;
 
 /// Converts an elapsed wall-clock duration into a Peacekeeper score.
-pub fn peacekeeper_score(elapsed_seconds: f64) -> f64 {
+fn peacekeeper_score(elapsed_seconds: f64) -> f64 {
     assert!(elapsed_seconds > 0.0, "elapsed time must be positive");
     SCORE_SCALE / elapsed_seconds
 }
