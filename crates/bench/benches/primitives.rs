@@ -131,9 +131,8 @@ fn bench_seal(c: &mut Criterion) {
     a.put("commvm.disk", media);
     let payload = a.payload_bytes() as u64;
 
-    use nymix_store::{
-        seal_into, unseal_into, ArchiveCommitment, DeltaArchive, SealKey, SealScratch, Sealable,
-    };
+    use nymix_store::cas::{seal_new_chunks_into, ChunkIndex, ChunkManifest};
+    use nymix_store::{seal_into, unseal_into, DeltaArchive, SealKey, SealScratch, Sealable};
     let mut group = c.benchmark_group("seal");
     group.throughput(Throughput::Bytes(payload));
     group.sample_size(10);
@@ -177,125 +176,57 @@ fn bench_seal(c: &mut Criterion) {
         });
     });
 
-    // The incremental save path: same 64 KiB archive plus two small
-    // records, of which only those two are dirty. The measured work is
-    // the whole delta-save critical path as the store pipeline runs it
-    // — it knows the dirty set from capture (layer generation
-    // counters), commits incrementally against the chain's warm
-    // [`ArchiveCommitment`] (O(dirty) leaves + root path, no full-set
-    // rehash), and keyed-seals the delta (no KDF). Compare against
-    // seal_64k (the full re-seal a delta avoids) and the `_scratch`
-    // variant (the pre-incremental diff that re-Merkled everything).
-    let mut prev = a.clone();
-    prev.put("tor.state", vec![0x5a; 1024]);
-    prev.put("meta", b"name=bench;model=Persistent".to_vec());
-    let mut next = prev.clone();
-    next.put("tor.state", vec![0xa5; 1024]);
-    next.put("meta", b"name=bench;model=Persistent;rev=2".to_vec());
-    let dirty_2 = |name: &str| name == "tor.state" || name == "meta";
-    let seal_dirty_2 = |from: &NymArchive,
-                        commitment: &mut ArchiveCommitment,
-                        key: &SealKey,
-                        rng: &mut Rng,
-                        scratch: &mut SealScratch,
-                        out: &mut Vec<u8>| {
-        let root = commitment.update(from, dirty_2);
-        let mut delta = DeltaArchive::new(from.record_count(), root);
-        for name in ["tor.state", "meta"] {
-            delta.put(name, from.get(name).expect("dirty record present").to_vec());
-        }
-        seal_into(
-            Sealable::Delta(&delta),
-            key,
-            "nym:bench#e1.1",
-            rng,
-            scratch,
-            out,
-        );
-        out.len()
-    };
-
-    group.bench_function("delta_save_2dirty_of_64k", |b| {
-        let mut rng = Rng::seed_from(7);
-        let key = SealKey::derive("pw", "nym:bench", &mut rng);
-        let mut scratch = SealScratch::new();
-        let mut out = Vec::new();
-        let mut commitment = ArchiveCommitment::build(&prev);
-        black_box(commitment.root());
-        // Ping-pong between the two versions so every iteration is a
-        // warm 2-dirty update, never a no-op.
-        let mut flip = false;
-        b.iter(|| {
-            let to = if flip { &prev } else { &next };
-            flip = !flip;
-            black_box(seal_dirty_2(
-                black_box(to),
-                &mut commitment,
-                &key,
-                &mut rng,
-                &mut scratch,
-                &mut out,
-            ))
-        });
-    });
-    // The pre-incremental baseline: a from-scratch diff byte-compares
-    // every record and re-Merkles the whole set per save.
-    group.bench_function("delta_save_2dirty_of_64k_scratch", |b| {
-        let mut rng = Rng::seed_from(7);
-        let key = SealKey::derive("pw", "nym:bench", &mut rng);
-        let mut scratch = SealScratch::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            let delta = DeltaArchive::diff(black_box(&prev), black_box(&next));
-            seal_into(
-                Sealable::Delta(&delta),
-                &key,
-                "nym:bench#e1.1",
-                &mut rng,
-                &mut scratch,
-                &mut out,
-            );
-            black_box(out.len())
-        });
-    });
-    // Same two dirty records inside a 1 MiB archive (16 64 KiB layer
-    // records): with the incremental commitment the save cost stays
-    // near-flat in archive size — leaves off the dirty root paths are
-    // cache hits, not rehashes.
+    // The delta save as the store pipeline sees it: the diff and keyed
+    // seal of a stored-form archive, where both disks are already
+    // chunk manifests. Six records, about 4 KiB, like every archive a
+    // nymbench save commits; a 4 KiB write into `anonvm.disk` and a
+    // changed `browser.state` are the two dirty records.
     {
-        let mut prev_1m = NymArchive::new();
-        for i in 0..16u8 {
-            let mut blob = vec![0u8; 64 * 1024];
-            nymix_crypto::ChaCha20::new(&[i; 32], &[i; 12], 0).xor_into(&mut blob);
-            prev_1m.put(&format!("layer.{i:02}"), blob);
-        }
-        prev_1m.put("tor.state", vec![0x5a; 1024]);
-        prev_1m.put("meta", b"name=bench;model=Persistent".to_vec());
-        let mut next_1m = prev_1m.clone();
-        next_1m.put("tor.state", vec![0xa5; 1024]);
-        next_1m.put("meta", b"name=bench;model=Persistent;rev=2".to_vec());
+        let noise = |seed: u8, len: usize| {
+            let mut data = vec![0u8; len];
+            nymix_crypto::ChaCha20::new(&[seed; 32], &[seed; 12], 0).xor_into(&mut data);
+            data
+        };
+        let anonvm = noise(1, 384 * 1024);
+        let mut anonvm_next = anonvm.clone();
+        anonvm_next[192 * 1024..196 * 1024].copy_from_slice(&noise(2, 4096));
+        let mut stored_prev = NymArchive::new();
+        stored_prev.put("anonvm.disk", ChunkManifest::build(&anonvm).to_bytes());
+        stored_prev.put(
+            "commvm.disk",
+            ChunkManifest::build(&noise(3, 128 * 1024)).to_bytes(),
+        );
+        stored_prev.put(
+            "anonymizer.state",
+            b"guard=relay-17;circuit=3;".repeat(40).to_vec(),
+        );
+        stored_prev.put("meta", b"name=bench;model=Persistent".to_vec());
+        stored_prev.put("browser.state", b"cookie=session-1;".repeat(30).to_vec());
+        stored_prev.put("snapshot.epoch", 1u64.to_le_bytes().to_vec());
+        let mut stored_next = stored_prev.clone();
+        stored_next.put("anonvm.disk", ChunkManifest::build(&anonvm_next).to_bytes());
+        stored_next.put("browser.state", b"cookie=session-2;".repeat(30).to_vec());
 
-        group.bench_function("delta_save_2dirty_of_1m", |b| {
+        group.throughput(Throughput::Bytes(stored_next.serialized_len() as u64));
+        group.bench_function("delta_save_2dirty_stored_form", |b| {
             let mut rng = Rng::seed_from(7);
             let key = SealKey::derive("pw", "nym:bench", &mut rng);
             let mut scratch = SealScratch::new();
             let mut out = Vec::new();
-            let mut commitment = ArchiveCommitment::build(&prev_1m);
-            black_box(commitment.root());
-            let mut flip = false;
             b.iter(|| {
-                let to = if flip { &prev_1m } else { &next_1m };
-                flip = !flip;
-                black_box(seal_dirty_2(
-                    black_box(to),
-                    &mut commitment,
+                let delta = DeltaArchive::diff(black_box(&stored_prev), black_box(&stored_next));
+                seal_into(
+                    Sealable::Delta(&delta),
                     &key,
+                    "nym:bench#e1.1",
                     &mut rng,
                     &mut scratch,
                     &mut out,
-                ))
+                );
+                black_box(out.len())
             });
         });
+        group.throughput(Throughput::Bytes(payload));
     }
     // Sub-record chunked deltas vs the record-granular baseline: one
     // 4 KiB write inside an incompressible 64 KiB disk record. The
@@ -303,7 +234,6 @@ fn bench_seal(c: &mut Criterion) {
     // (content-defined boundaries keep the edit local), uploads only
     // the chunks the write touched, and ships a delta carrying the new
     // "NYMC" manifest.
-    use nymix_store::cas::{seal_new_chunks_into, ChunkIndex, ChunkManifest};
     use nymix_store::{chunker, LocalStore, ObjectBackend};
 
     let disk = {
@@ -462,6 +392,14 @@ fn bench_seal(c: &mut Criterion) {
         });
     }
 
+    // Restore replays a delta of two small records onto the 64 KiB
+    // archive.
+    let mut prev = a.clone();
+    prev.put("tor.state", vec![0x5a; 1024]);
+    prev.put("meta", b"name=bench;model=Persistent".to_vec());
+    let mut next = prev.clone();
+    next.put("tor.state", vec![0xa5; 1024]);
+    next.put("meta", b"name=bench;model=Persistent;rev=2".to_vec());
     group.bench_function("delta_restore_replay_64k", |b| {
         let mut rng = Rng::seed_from(7);
         let key = SealKey::derive("pw", "nym:bench", &mut rng);
@@ -481,8 +419,7 @@ fn bench_seal(c: &mut Criterion) {
                 unseal_into(&out, &key, "nym:bench#e1.1", &mut work, &mut scratch).expect("opens");
             let delta = DeltaArchive::from_bytes(bytes).expect("parses");
             let mut base = black_box(&prev).clone();
-            let mut commitment = ArchiveCommitment::build(&base);
-            delta.apply(&mut base, &mut commitment).expect("verifies");
+            delta.apply(&mut base).expect("verifies");
             black_box(base.record_count())
         });
     });

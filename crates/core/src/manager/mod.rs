@@ -473,8 +473,8 @@ impl NymManager {
     /// records are detected from the writable layers' generation
     /// counters without serializing clean state, the chain's
     /// [`nymix_store::SealKey`] skips the per-save PBKDF2, and the
-    /// delta commits to the Merkle root of the full record set so
-    /// restore fails closed on tampering.
+    /// delta commits to the [`nymix_store::records_root`] of the full
+    /// record set so restore fails closed on tampering.
     ///
     /// Falls back to a full save (compaction) when no usable chain
     /// exists, after [`nymix_store::DELTA_CHAIN_LIMIT`] chained deltas,
@@ -709,6 +709,7 @@ impl NymManager {
     /// Applies the §3.5 deterministic-guard extension to a nym: derive
     /// guard choice from the storage location and password so the
     /// ephemeral fetch nym converges on the same entry relays.
+    // lint:allow(test-only-pub): the paper's §3.5 extension, which no save or restore path applies; manager/tests.rs drives it
     pub fn seed_guards_deterministically(
         &mut self,
         id: NymId,

@@ -7,7 +7,7 @@
 
 use nymix::{NymId, NymManager, SaveKind, StorageDest, UsageModel};
 use nymix_anon::AnonymizerKind;
-use nymix_store::{chunker, NymArchive};
+use nymix_store::{chunker, records_root, ChunkManifest, NymArchive};
 use nymix_workload::Site;
 
 /// Runs `f` and returns how many SHA-256 blocks the recorder counted.
@@ -20,10 +20,32 @@ fn blocks_counted(f: impl FnOnce()) -> u64 {
 
 /// The AnonVM disk record exactly as the next save captures it.
 fn anon_record(m: &NymManager, id: NymId) -> Vec<u8> {
-    let vm = m.hypervisor().vm(m.nymbox(id).unwrap().anon_vm).unwrap();
+    disk_record(m, m.nymbox(id).unwrap().anon_vm, "anonvm.disk")
+}
+
+/// Record `name` of `vm`'s writable layer, serialized as a save would.
+fn disk_record(m: &NymManager, vm: nymix_vmm::VmId, name: &str) -> Vec<u8> {
+    let vm = m.hypervisor().vm(vm).unwrap();
     let mut archive = NymArchive::new();
-    archive.replace_layer("anonvm.disk", vm.disk().upper().unwrap());
-    archive.get("anonvm.disk").unwrap().to_vec()
+    archive.replace_layer(name, vm.disk().upper().unwrap());
+    archive.get(name).unwrap().to_vec()
+}
+
+/// SHA-256 blocks of the records root of a six-record stored form
+/// whose disk records are `anon_len` and `comm_len` bytes and whose
+/// other records total `other_len`. Only the encoded length sets the
+/// count, so the other bytes all go into one record.
+fn root_blocks(anon_len: usize, comm_len: usize, other_len: usize) -> u64 {
+    let mut archive = NymArchive::new();
+    archive.put("anonvm.disk", vec![0; anon_len]);
+    archive.put("commvm.disk", vec![0; comm_len]);
+    archive.put("anonymizer.state", vec![0; other_len]);
+    for name in ["meta", "browser.state", "snapshot.epoch"] {
+        archive.put(name, Vec::new());
+    }
+    blocks_counted(|| {
+        std::hint::black_box(records_root(&archive));
+    })
 }
 
 /// SHA-256 blocks one chunk id costs: the 16-byte domain tag, the
@@ -37,10 +59,12 @@ fn id_blocks(chunk: &[u8]) -> u64 {
 /// base holds chunk manifests, so the restore resolves and checks every
 /// chunk and the session caches them; without it the base stores the
 /// records raw and the restored session has nothing to reuse. Returns
-/// the blocks with the AnonVM record before and after the stain. The
-/// nym saves to the cloud, whose writes hash nothing; the journaled
-/// disk would add its frame checksums to the count.
-fn stained_save_after_restore(chunked_base: bool) -> (u64, Vec<u8>, Vec<u8>) {
+/// the blocks with the AnonVM record before and after the stain, the
+/// CommVM record the stain leaves clean, and the bytes of the records
+/// other than the disks. The nym saves to the cloud, whose writes hash
+/// nothing; the journaled disk would add its frame checksums to the
+/// count.
+fn stained_save_after_restore(chunked_base: bool) -> (u64, Vec<u8>, Vec<u8>, Vec<u8>, usize) {
     let dest = StorageDest::Cloud {
         provider: "drive".into(),
         account: "ck".into(),
@@ -71,22 +95,24 @@ fn stained_save_after_restore(chunked_base: bool) -> (u64, Vec<u8>, Vec<u8>) {
     let before = anon_record(&m, id);
     m.inject_stain(id, "reuse-mark").unwrap();
     let after = anon_record(&m, id);
+    let comm = disk_record(&m, m.nymbox(id).unwrap().comm_vm, "commvm.disk");
     let blocks = blocks_counted(|| {
         let (kind, _, _) = m.save_nym_incremental(id, "pw", &dest).unwrap();
         assert_eq!(kind, SaveKind::Delta);
     });
-    (blocks, before, after)
+    let (_, _, other_len) = m.last_save_breakdown().unwrap();
+    (blocks, before, after, comm, other_len)
 }
 
 #[test]
 fn first_save_after_restore_hashes_only_the_changed_chunks() {
     nymix_obs::set_enabled(true);
-    let (cached, before, after) = stained_save_after_restore(true);
-    let (cold, before_cold, after_cold) = stained_save_after_restore(false);
-    nymix_obs::set_enabled(false);
+    let (cached, before, after, comm, other_len) = stained_save_after_restore(true);
+    let (cold, before_cold, after_cold, comm_cold, other_cold) = stained_save_after_restore(false);
     // Both runs save the same bytes; they differ only in what the
     // restored session could prove unchanged.
     assert_eq!((&before, &after), (&before_cold, &after_cold));
+    assert_eq!((&comm, other_len), (&comm_cold, other_cold));
 
     let old: Vec<&[u8]> = chunker::chunks(&before).collect();
     let (kept, changed): (Vec<&[u8]>, Vec<&[u8]>) =
@@ -97,12 +123,22 @@ fn first_save_after_restore_hashes_only_the_changed_chunks() {
         changed.len(),
         kept.len()
     );
+    // Both deltas commit to their stored form. The stain leaves the
+    // CommVM disk clean, so it is not captured again: the cached run
+    // stores it as the manifest its chunked base holds, the cold run
+    // as the raw record its base holds, and the cold records root
+    // hashes those raw bytes too.
+    let manifest_len = |raw: &[u8]| ChunkManifest::build(raw).to_bytes().len();
+    let anon_len = manifest_len(&after);
+    let root_extra = root_blocks(anon_len, comm.len(), other_len)
+        - root_blocks(anon_len, manifest_len(&comm), other_len);
+    nymix_obs::set_enabled(false);
     // The cold save hashed every chunk; the cached one skipped exactly
     // the chunks the stain left alone, and nothing else changed.
     let kept_blocks: u64 = kept.iter().map(|c| id_blocks(c)).sum();
     assert_eq!(
         cold - cached,
-        kept_blocks,
+        kept_blocks + root_extra,
         "cached save hashed {cached} blocks, cold save {cold}"
     );
 }

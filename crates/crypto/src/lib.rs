@@ -1,9 +1,9 @@
 //! Cryptographic primitives for Nymix, implemented from scratch.
 //!
 //! Nymix encrypts quasi-persistent nym state before shipping it to cloud
-//! storage (§3.5 of the paper) and commits to each snapshot with a Merkle
-//! tree so a restore detects any tampered record. This crate provides the
-//! primitives those paths need:
+//! storage (§3.5 of the paper) and commits to each snapshot delta with a
+//! SHA-256 over its full record set so a restore detects any tampered
+//! record. This crate provides the primitives those paths need:
 //!
 //! * [`sha256`](mod@crate::sha256) — FIPS 180-4 SHA-256.
 //! * [`hmac`] — RFC 2104 HMAC-SHA256.
@@ -12,7 +12,6 @@
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
 //! * [`aead`] — RFC 8439 ChaCha20-Poly1305 AEAD.
-//! * [`merkle`] — binary Merkle hash tree over pre-hashed leaves.
 //! * [`ct`] — constant-time comparison helpers.
 //!
 //! # The in-place hot path
@@ -36,12 +35,8 @@
 //!   schedule window, and [`Sha256::update`] compresses aligned input
 //!   directly from the caller's slice (no staging buffer).
 //! * [`sha256_x4`] hashes four equal-length messages (with a shared
-//!   prefix) in one interleaved pass.
-//! * [`MerkleAccumulator`] is the one Merkle tree: a flat node array
-//!   whose interior hashing batches on [`sha256_x4`]. It keeps every
-//!   node cached between root computations, so recommitting after a few
-//!   leaf edits costs O(dirty · log n) hashes instead of O(n) — the
-//!   delta-snapshot save and restore-replay paths both ride on it.
+//!   prefix) in one interleaved pass; content-addressed chunk ids batch
+//!   on it.
 //! * [`HmacKey`] caches the ipad/opad midstates so every MAC under a
 //!   reused key skips the key-block compressions; [`HmacKey::mac32`] is
 //!   the two-compression PBKDF2 iteration shape, and
@@ -91,7 +86,6 @@ pub mod chacha20;
 pub mod ct;
 pub mod hkdf;
 pub mod hmac;
-pub mod merkle;
 pub mod pbkdf2;
 pub mod poly1305;
 pub mod sha256;
@@ -100,7 +94,6 @@ pub mod zeroize;
 pub use aead::{open, open_in_place_detached, seal, seal_in_place_detached, AeadError};
 pub use chacha20::ChaCha20;
 pub use hmac::{hmac_sha256, HmacKey};
-pub use merkle::{leaf_hash_parts, merkle_root_from_leaves, MerkleAccumulator};
 pub use pbkdf2::{pbkdf2_hmac_sha256, pbkdf2_hmac_sha256_into};
 pub use poly1305::{poly1305_tag, Poly1305};
 pub use sha256::{sha256, sha256_backend, sha256_x4, Sha256, ShaBackend};

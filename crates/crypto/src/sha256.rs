@@ -1,8 +1,8 @@
 //! FIPS 180-4 SHA-256.
 //!
-//! Used throughout Nymix: page-content hashing for KSM, Merkle leaves for
-//! the read-only host partition check, and as the compression function
-//! behind HMAC/HKDF/PBKDF2.
+//! Used throughout Nymix: chunk ids and delta commitments in the
+//! snapshot store, the keys of the base image's file content, and as
+//! the compression function behind HMAC/HKDF/PBKDF2.
 //!
 //! # Performance notes
 //!
@@ -24,8 +24,8 @@
 //! * [`sha256`] — one-shot convenience.
 //! * [`sha256_x4`] — four equal-length messages (plus a shared prefix)
 //!   hashed in one interleaved pass. The four lanes step in lockstep so
-//!   the per-lane loops vectorize across lanes; batch Merkle leaf/node
-//!   hashing is built on this.
+//!   the per-lane loops vectorize across lanes; content-addressed chunk
+//!   ids batch on this.
 //!
 //! # Runtime backend dispatch
 //!

@@ -2,7 +2,7 @@
 
 use nymix_crypto::{
     open, open_in_place_detached, poly1305_tag, seal, seal_in_place_detached, ChaCha20, HmacKey,
-    MerkleAccumulator, Poly1305, Sha256,
+    Poly1305, Sha256,
 };
 use proptest::prelude::*;
 
@@ -173,60 +173,6 @@ proptest! {
             h.update(&prefix);
             h.update(&msgs[l]);
             prop_assert_eq!(got[l], h.finalize());
-        }
-    }
-
-    #[test]
-    fn merkle_incremental_equals_scratch(
-        initial in proptest::collection::vec(any::<u8>(), 0..40),
-        ops in proptest::collection::vec((any::<u8>(), any::<u16>()), 0..40)
-    ) {
-        // Model-based: drive a MerkleAccumulator through random dirty
-        // sets *and* leaf-count changes (push/truncate), checking after
-        // every op that its root is bit-identical to a from-scratch
-        // fold over the model leaf vector.
-        use nymix_crypto::{leaf_hash_parts, merkle_root_from_leaves};
-        let mut acc = MerkleAccumulator::new();
-        let mut model: Vec<[u8; 32]> = Vec::new();
-        for b in &initial {
-            let leaf = leaf_hash_parts(&[&[*b]]);
-            acc.push_leaf(leaf);
-            model.push(leaf);
-        }
-        prop_assert_eq!(acc.root(), merkle_root_from_leaves(&mut model.clone()));
-        for (step, (op, arg)) in ops.iter().enumerate() {
-            match op % 4 {
-                0 => {
-                    let leaf = leaf_hash_parts(&[&arg.to_le_bytes(), &[step as u8]]);
-                    acc.push_leaf(leaf);
-                    model.push(leaf);
-                }
-                1 | 2 if !model.is_empty() => {
-                    // Dirty an arbitrary leaf; alternate between warm
-                    // interiors (root queried first, so the O(log n)
-                    // path-update runs) and cold ones.
-                    if op % 2 == 1 {
-                        acc.root();
-                    }
-                    let idx = *arg as usize % model.len();
-                    let leaf = leaf_hash_parts(&[&arg.to_be_bytes(), &(step as u32).to_le_bytes()]);
-                    acc.update_leaf(idx, leaf);
-                    model[idx] = leaf;
-                }
-                3 => {
-                    let len = *arg as usize % (model.len() + 1);
-                    acc.truncate(len);
-                    model.truncate(len);
-                }
-                _ => {}
-            }
-            prop_assert_eq!(
-                acc.root(),
-                merkle_root_from_leaves(&mut model.clone()),
-                "step {}",
-                step
-            );
-            prop_assert_eq!(acc.leaf_count(), model.len());
         }
     }
 

@@ -113,8 +113,8 @@ impl Registry {
                 ),
                 Self::module(
                     "store/src/delta.rs",
-                    "NYMD delta frames: hostile deltas must fail the Merkle commitment \
-                     closed, never panic (PR 3)",
+                    "NYMD delta frames: hostile deltas must fail the record-count and \
+                     records-root checks closed, never panic",
                 ),
                 Self::module(
                     "store/src/cas.rs",

@@ -10,9 +10,9 @@
 //! `pub`/`pub(..)` `fn` in the non-test code of `crates/*/src/**`
 //! (outside `crates/devshims/`) is a finding when its name appears in
 //! the non-test tokens of no other file. Not callers: comments, `use`
-//! and `pub use` statements (a re-export is not a call), test regions,
-//! files under a `tests/` directory and files a test-only `mod x;`
-//! pulls in. Examples, benches and `nymbench/` are callers: they are
+//! and `pub use` statements (a re-export is not a call), the name after
+//! `fn` (another definition of the same name), test regions, files
+//! under a `tests/` directory and files a test-only `mod x;` pulls in. Examples, benches and `nymbench/` are callers: they are
 //! the ledger. Matching is by name, so an unrelated item of the same
 //! name elsewhere hides a finding; it never invents one.
 
@@ -72,7 +72,7 @@ fn is_test_file(rel: &str) -> bool {
 }
 
 /// Indices of the identifier tokens that count as naming something:
-/// production code outside `use` statements.
+/// production code outside `use` statements and `fn` definition sites.
 fn caller_tokens<'a>(ctx: &'a Ctx<'_>) -> impl Iterator<Item = usize> + 'a {
     let mut skip_to = 0;
     (0..ctx.tokens.len()).filter(move |&i| {
@@ -83,7 +83,7 @@ fn caller_tokens<'a>(ctx: &'a Ctx<'_>) -> impl Iterator<Item = usize> + 'a {
             skip_to = statement_end(ctx, i);
             return false;
         }
-        true
+        !ctx.prev_sig(i).is_some_and(|p| ctx.is(p, "fn"))
     })
 }
 

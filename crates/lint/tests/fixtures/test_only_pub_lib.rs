@@ -14,6 +14,7 @@ pub fn called_in_tests_dir() {} // only tests/it.rs calls it
 pub fn called_in_test_mod() {} // only harness.rs, a test module file, calls it
 pub fn reexported() {} // only other.rs's `pub use` names it
 pub fn mentioned_in_comment() {} // only a comment in other.rs names it
+pub fn defined_elsewhere() {} // other.rs only defines a private fn of this name
 pub(crate) fn restricted() {} // restricted visibility is still public surface
 pub const fn qualified() {} // qualifiers between `pub` and `fn` are read through
 // lint:allow(test-only-pub): tests/it.rs drives it as a hook

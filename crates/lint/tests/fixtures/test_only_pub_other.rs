@@ -8,6 +8,8 @@ fn production() {
     crate::allowed_but_called();
 }
 
+fn defined_elsewhere() {}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -72,6 +72,8 @@ pub const COUNTERS: &[&str] = &[
     "placement.repair_passes",
     "placement.shards_rebuilt",
     "placement.deletes_flushed",
+    // Never incremented since the Merkle tree went; nymbench's
+    // `crypto.merkle.cache_hit_ratio` column still reads both names.
     "merkle.cache_hit",
     "merkle.leaf_rehash",
 ];

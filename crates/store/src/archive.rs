@@ -26,19 +26,19 @@
 //!
 //! ```text
 //! delta archive: magic "NYMD" | full_record_count u32 |
-//!                merkle_root [32]u8 | dirty_count u32 | records... |
+//!                records_root [32]u8 | dirty_count u32 | records... |
 //!                removed_count u32 | (name_len u16 | name)...
 //! ```
 //!
-//! `merkle_root` commits to the **entire** record set of the full
-//! archive the delta produces when applied (leaves are
-//! `name_len u16 ‖ name ‖ data` in record order, hashed into the
-//! domain-separated tree of `nymix_crypto::merkle`). Restore replays
-//! base + deltas in order and must reject the result whenever the
-//! recomputed root differs — a tampered, reordered, or stale record
-//! set fails closed. Chains are bounded: after
-//! [`crate::delta::DELTA_CHAIN_LIMIT`] deltas the next save compacts
-//! back to a full "NYM1" archive.
+//! `records_root` commits to the **entire** record set of the full
+//! archive the delta produces when applied: one SHA-256 over the tag
+//! `"nymix:delta:records\0"`, `full_record_count` as u32 LE, then every
+//! record in order in the record encoding above
+//! ([`crate::delta::records_root`]). Restore replays base + deltas in
+//! order and must reject the result whenever the recomputed root
+//! differs — a tampered, reordered, or stale record set fails closed.
+//! Chains are bounded: after [`crate::delta::DELTA_CHAIN_LIMIT`]
+//! deltas the next save compacts back to a full "NYM1" archive.
 //!
 //! ## Chain object names
 //!
@@ -78,8 +78,8 @@
 //! (boundaries are content-defined; see [`crate::chunker`]); the chunks
 //! themselves are sealed individually as `"{label}#e{epoch}/c/{id}"`
 //! objects with that name bound as AEAD data. A manifest-bearing
-//! record rides the NYM1/NYMD encodings unchanged — the Merkle
-//! commitment covers the manifest bytes, each fetched chunk is
+//! record rides the NYM1/NYMD encodings unchanged — the records root
+//! covers the manifest bytes, each fetched chunk is
 //! verified against its ID, and restore resolves manifests back to
 //! payload bytes after replay, failing closed on a missing, tampered,
 //! or transplanted chunk. The parser enforces structural invariants
@@ -213,7 +213,7 @@ impl NymArchive {
     }
 
     /// Replaces a record's data **in place** — record order (which the
-    /// Merkle commitment and delta replay depend on) is preserved, and
+    /// records root and delta replay depend on) is preserved, and
     /// the previous bytes are returned without copying. Appends like
     /// [`NymArchive::put`] when the record doesn't exist.
     ///
@@ -277,7 +277,7 @@ impl NymArchive {
 
     /// [`NymArchive::put_layer`] through [`NymArchive::replace`]:
     /// serializes `layer` into record `name` preserving record order
-    /// (which the Merkle commitment depends on) and returns the
+    /// (which the records root depends on) and returns the
     /// previous bytes without copying — dirty-detection can compare
     /// old vs new stored bytes with no clone.
     ///
@@ -882,7 +882,7 @@ mod tests {
         a.put("b", vec![2]);
         a.put("c", vec![3]);
         // Swapping the middle record's data must not move it: the
-        // Merkle commitment and delta replay both walk record order.
+        // records root and delta replay both walk record order.
         assert_eq!(a.replace("b", vec![9, 9]), Some(vec![2]));
         assert_eq!(a.names(), vec!["a", "b", "c"]);
         assert_eq!(a.get("b"), Some(&[9u8, 9][..]));

@@ -17,7 +17,7 @@
 //! * A **chunk manifest** ([`ChunkManifest`], magic `"NYMC"`) replaces
 //!   the record's bytes inside the archive: the record's total length
 //!   plus the ordered `(chunk ID, length)` list. Manifests ride the
-//!   ordinary NYMD delta path, so the chain's Merkle commitment covers
+//!   ordinary NYMD delta path, so the delta's records root covers
 //!   them and replay fails closed on any tampering.
 //! * The **chunk index** ([`ChunkIndex`]) is the set of chunks the
 //!   live manifests reference; [`seal_new_chunks_into`] skips every
@@ -59,8 +59,8 @@ pub type ChunkId = [u8; 32];
 pub const CHUNK_RECORD_THRESHOLD: usize = 32 * 1024;
 
 /// Domain-separation prefix for chunk IDs, so a chunk hash can never
-/// collide with the Merkle tree's leaf/node hashes or any other SHA-256
-/// use in the system.
+/// collide with a delta's records root or any other SHA-256 use in the
+/// system.
 const CHUNK_TAG: &[u8] = b"nymix:cas:chunk\x00";
 
 const MAGIC: &[u8; 4] = b"NYMC";
@@ -192,7 +192,7 @@ impl ChunkManifest {
     /// as collision armor — a record whose raw bytes accidentally
     /// start with `"NYMC"` will virtually never satisfy all of it, so
     /// manifest detection on restore cannot misfire silently (and the
-    /// chain's Merkle commitment fails closed regardless). Never
+    /// delta's records root fails closed regardless). Never
     /// panics and never over-reserves.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArchiveError> {
         let mut r = Reader::new(bytes);

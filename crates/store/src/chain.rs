@@ -15,7 +15,7 @@
 //!   to chunk manifests, keeps a delta only when it pays, and seals the
 //!   chunks and the blob into the puts and sweeps of one
 //!   [`ObjectBackend::apply_batch`].
-//! * [`fetch`]: the base, the Merkle-verified delta replay and the
+//! * [`fetch`]: the base, the root-verified delta replay and the
 //!   manifest resolution, failing closed with a [`ChainError`] on
 //!   anything missing, tampered or transplanted.
 
@@ -26,9 +26,10 @@ use nymix_sim::Rng;
 
 use crate::backend::{BackendError, ObjectBackend};
 use crate::cas::{self, CasError, ChunkIndex, ChunkManifest, ManifestScratch, PrevChunks};
+use crate::delta::records_root;
 use crate::{
-    seal_into, unseal_into, ArchiveCommitment, DeltaArchive, NymArchive, SealKey, SealScratch,
-    Sealable, CHUNK_RECORD_THRESHOLD, DELTA_CHAIN_LIMIT,
+    seal_into, unseal_into, DeltaArchive, NymArchive, SealKey, SealScratch, Sealable,
+    CHUNK_RECORD_THRESHOLD, DELTA_CHAIN_LIMIT,
 };
 
 /// The base record holding the chain epoch (u64 LE). Every full save
@@ -84,10 +85,6 @@ pub struct Chain {
     archive: NymArchive,
     /// The chunks the live manifests reference.
     chunks: ChunkIndex,
-    /// The Merkle commitment over `archive`, every node cached, so the
-    /// next delta rehashes only dirty records. Derivable: a fetch
-    /// rebuilds it, and it is never stored.
-    commitment: ArchiveCommitment,
 }
 
 impl Chain {
@@ -205,9 +202,8 @@ pub fn list(backend: &mut dyn ObjectBackend, label: &str) -> Result<Listing, Cha
 /// One save of a label, from capture to seal.
 pub struct SavePlan {
     archive: NymArchive,
-    commitment: ArchiveCommitment,
-    /// The carried chain, its archive and commitment taken: they are
-    /// the two fields above when a delta is possible, else dropped.
+    /// The carried chain, its archive taken: it is the field above
+    /// when a delta is possible, else dropped.
     carried: Option<Chain>,
     listing: Listing,
     chunking: bool,
@@ -242,16 +238,10 @@ impl SavePlan {
             && carried
                 .as_ref()
                 .is_some_and(|c| c.delta_count < DELTA_CHAIN_LIMIT);
-        let taken = carried.as_mut().map(|c| {
-            (
-                std::mem::take(&mut c.archive),
-                std::mem::take(&mut c.commitment),
-            )
-        });
-        let (archive, commitment) = taken.filter(|_| delta_ok).unwrap_or_default();
+        let taken = carried.as_mut().map(|c| std::mem::take(&mut c.archive));
+        let archive = taken.filter(|_| delta_ok).unwrap_or_default();
         Self {
             archive,
-            commitment,
             carried,
             listing,
             chunking: incremental,
@@ -332,29 +322,20 @@ impl SavePlan {
     }
 
     /// Builds the delta from the captured records: a record is dirty
-    /// iff its new stored bytes differ from the carried ones, and only
-    /// dirty leaves are rehashed. Keeps the delta only when a delta is
-    /// possible and smaller than the full archive; returns whether it
-    /// kept one.
+    /// iff its new stored bytes differ from the carried ones, and the
+    /// delta commits to the [`records_root`] of the stored form. Keeps
+    /// the delta only when a delta is possible and smaller than the
+    /// full archive; returns whether it kept one.
     pub fn diff(&mut self) -> bool {
         if !self.delta_ok {
             return false;
         }
         let archive = &self.archive;
-        let dirty: Vec<(&'static str, &[u8])> = self
-            .captured
-            .iter()
-            .filter_map(|(name, old)| {
-                let new = archive.get(name)?;
-                (old.as_deref() != Some(new)).then_some((*name, new))
-            })
-            .collect();
-        let root = self
-            .commitment
-            .update(archive, |name| dirty.iter().any(|(n, _)| *n == name));
-        let mut delta = DeltaArchive::new(archive.record_count(), root);
-        for (name, new) in dirty {
-            delta.put(name, new.to_vec());
+        let mut delta = DeltaArchive::new(archive.record_count(), records_root(archive));
+        for (name, old) in &self.captured {
+            if let Some(new) = archive.get(name).filter(|&new| old.as_deref() != Some(new)) {
+                delta.put(name, new.to_vec());
+            }
         }
         if delta.serialized_len() < archive.serialized_len() {
             self.delta = Some(delta);
@@ -389,11 +370,6 @@ impl SavePlan {
                 (carried, _) => {
                     let epoch = self.listing.next_epoch;
                     self.archive.put(EPOCH_RECORD, epoch.to_le_bytes().to_vec());
-                    // Clean carried records keep their cached leaves.
-                    let captured = &self.captured;
-                    self.commitment.update(&self.archive, |name| {
-                        name == EPOCH_RECORD || captured.iter().any(|(n, _)| *n == name)
-                    });
                     let key = SealKey::derive(password, label, rng);
                     let retired = carried.map(|c| (c.epoch, c.chunks));
                     (key, epoch, 0, ChunkIndex::new(), None, retired)
@@ -452,7 +428,6 @@ impl SavePlan {
                 delta_count,
                 archive: self.archive,
                 chunks,
-                commitment: self.commitment,
             },
             puts,
             deletes,
@@ -462,11 +437,11 @@ impl SavePlan {
 }
 
 /// Fetches and verifies `label`'s chain: the base (one KDF from its
-/// salt), the delta slots replayed in order against the base's
-/// commitment, then every manifest's chunks, each checked against its
-/// name-bound seal and content hash. The resolved records go into
-/// `cache`; the returned chain keeps the stored form. Also returns the
-/// sealed bytes fetched.
+/// salt), the delta slots replayed in order, each checked against its
+/// committed record count and root, then every manifest's chunks, each
+/// checked against its name-bound seal and content hash. The resolved
+/// records go into `cache`; the returned chain keeps the stored form.
+/// Also returns the sealed bytes fetched.
 pub fn fetch(
     backend: &mut dyn ObjectBackend,
     label: &str,
@@ -484,7 +459,6 @@ pub fn fetch(
         let bytes = unseal_into(blob, &key, label, work, scratch).map_err(failed)?;
         (key, NymArchive::from_bytes(bytes).map_err(failed)?)
     };
-    let mut commitment = ArchiveCommitment::build(&archive);
     let epoch = archive
         .get(EPOCH_RECORD)
         .and_then(|b| <[u8; 8]>::try_from(b).ok())
@@ -511,7 +485,7 @@ pub fn fetch(
             let bytes = unseal_into(blob, &key, &name, work, scratch).map_err(failed)?;
             DeltaArchive::from_bytes(bytes)
                 .map_err(failed)?
-                .apply(&mut archive, &mut commitment)
+                .apply(&mut archive)
                 .map_err(failed)?;
             delta_count = index;
         }
@@ -550,7 +524,6 @@ pub fn fetch(
         delta_count,
         archive,
         chunks,
-        commitment,
     };
     Ok((chain, fetched))
 }
@@ -642,6 +615,30 @@ mod tests {
             assert_eq!(chain.resolved(&cache, name), Some(&bytes[..]), "{name}");
         }
         assert!(cache.contains_key("disk") && !cache.contains_key("state"));
+    }
+
+    #[test]
+    fn planned_delta_commits_to_the_stored_form_like_diff() {
+        let mut store = LocalStore::new();
+        let (chain, mut records) = base_and_two_deltas(&mut store);
+        let prev = chain.archive.clone();
+        // One byte inside the chunked disk: a delta carrying its new
+        // manifest is smaller than the stored form.
+        records[0].1[CHUNK_RECORD_THRESHOLD] ^= 1;
+        let listing = Listing::of(&chain).unwrap();
+        let mut plan = SavePlan::new(Some(chain), listing, true);
+        for (name, bytes) in &records {
+            plan.capture(name, bytes.clone());
+        }
+        let mut cache = ChunkCache::new();
+        plan.chunk(&mut cache, &mut ManifestScratch::default());
+        assert!(plan.diff());
+        assert!(ChunkManifest::from_bytes(plan.archive().get("disk").unwrap()).is_ok());
+        let planned = plan.delta.as_ref().unwrap();
+        let diffed = DeltaArchive::diff(&prev, plan.archive());
+        assert_eq!(planned.root(), diffed.root());
+        assert_eq!(*planned.root(), records_root(plan.archive()));
+        assert_eq!(planned, &diffed);
     }
 
     #[test]

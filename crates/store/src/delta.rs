@@ -8,43 +8,38 @@
 //! replay tamper-evident:
 //!
 //! ```text
-//! magic "NYMD" | full_record_count u32 | merkle_root [32]u8 |
+//! magic "NYMD" | full_record_count u32 | records_root [32]u8 |
 //! dirty_count u32 | records (name_len u16 | name | data_len u64 | data) |
 //! removed_count u32 | (name_len u16 | name)...
 //! ```
 //!
-//! `merkle_root` commits to the **entire** record set of the full
+//! `records_root` commits to the **entire** record set of the full
 //! archive this delta produces when applied, not just the dirty
-//! records: each leaf is `name_len u16 ‖ name ‖ data` in record order,
-//! hashed through the domain-separated tree of `nymix_crypto::merkle`
-//! (built on the 4-way `sha256_x4` batch kernel). Restore replays
-//! base + deltas in order and [`DeltaArchive::apply`] rejects the
-//! result whenever the recomputed root differs — a tampered record, a
-//! reordered chain, or a delta replayed against the wrong base fails
+//! records: it is [`records_root`], one SHA-256 over a domain tag, the
+//! record count (u32 LE) and every record in order as the archive
+//! encodes it (`name_len u16 ‖ name ‖ data_len u64 ‖ data`). Restore
+//! replays base + deltas in order and [`DeltaArchive::apply`] rejects
+//! the result whenever the recomputed root differs — a tampered record,
+//! a reordered chain, or a delta replayed against the wrong base fails
 //! closed instead of restoring silently-wrong state.
+//!
+//! The root is computed over the chain's stored form, where a chunking
+//! save has turned every record at or above the chunk threshold into a
+//! short manifest, so hashing the whole record set costs a few dozen
+//! SHA-256 blocks per delta saved or replayed. A chain whose base was
+//! saved without chunking keeps its clean records raw, and each of its
+//! deltas hashes them whole.
 //!
 //! Chains are bounded: after [`DELTA_CHAIN_LIMIT`] deltas the next save
 //! compacts back to a full `"NYM1"` archive ([`crate::chain`] owns
 //! chain naming, sealing and compaction).
-//!
-//! Computing `merkle_root` is O(dirty), not O(archive), when the saver
-//! keeps an [`ArchiveCommitment`] warm across saves: the accumulator
-//! caches every leaf hash and interior node, so a save rewrites only
-//! the dirty leaves plus their root paths. The cache is **derivable
-//! state** — rebuilt from the archive bytes on restore
-//! ([`ArchiveCommitment::build`]), never serialized, and bit-identical
-//! to the from-scratch root by construction (property-tested) — so the
-//! `NYMD` wire format above is unchanged and old blobs replay
-//! byte-for-byte.
 //!
 //! Like [`NymArchive::from_bytes`](crate::NymArchive::from_bytes), the
 //! parser treats its input as hostile: overflow-safe bounds checks
 //! everywhere, pre-allocation clamped by the bytes actually present.
 //! Parsing either succeeds or returns an error — never panics.
 
-use std::collections::HashMap;
-
-use nymix_crypto::{leaf_hash_parts, MerkleAccumulator};
+use nymix_crypto::Sha256;
 
 use crate::archive::{
     clamp_count, len_u16, len_u32, read_name, read_record, write_record, ArchiveError, NymArchive,
@@ -56,10 +51,33 @@ use crate::archive::{
 /// most this many replays) and the blast radius of a lost object.
 pub const DELTA_CHAIN_LIMIT: usize = 4;
 
-/// A 32-byte Merkle root over an archive's full record set.
-pub type MerkleRoot = [u8; 32];
+/// The 32-byte [`records_root`] of an archive's full record set.
+pub type RecordsRoot = [u8; 32];
 
 const MAGIC: &[u8; 4] = b"NYMD";
+
+/// Domain tag of [`records_root`]: no other SHA-256 in the stack
+/// starts with it.
+const ROOT_TAG: &[u8] = b"nymix:delta:records\x00";
+
+/// The commitment a delta carries to the archive it produces: SHA-256
+/// over the tag `"nymix:delta:records\0"`, the record count (u32 LE),
+/// then each record in order as `name_len u16 ‖ name ‖ data_len u64 ‖
+/// data`. That is the archive's own record encoding, so the hashed
+/// stream parses back to exactly one record list, order included.
+/// Streams the records through one hasher and allocates nothing.
+pub fn records_root(archive: &NymArchive) -> RecordsRoot {
+    let mut h = Sha256::new();
+    h.update(ROOT_TAG);
+    h.update(&len_u32(archive.record_count()).to_le_bytes());
+    for (name, data) in archive.records() {
+        h.update(&len_u16(name.len()).to_le_bytes());
+        h.update(name.as_bytes());
+        h.update(&(data.len() as u64).to_le_bytes());
+        h.update(data);
+    }
+    h.finalize()
+}
 
 /// Errors from delta parsing and replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +87,7 @@ pub enum DeltaError {
     /// Applying the delta produced a record count other than the one
     /// the delta committed to.
     CountMismatch,
-    /// The recomputed Merkle root over the replayed record set differs
+    /// The recomputed [`records_root`] of the replayed record set differs
     /// from the committed root: tampering, reordering, or a stale base.
     RootMismatch,
 }
@@ -79,7 +97,7 @@ impl core::fmt::Display for DeltaError {
         match self {
             DeltaError::Malformed => write!(f, "malformed delta archive"),
             DeltaError::CountMismatch => write!(f, "replayed record count mismatches commitment"),
-            DeltaError::RootMismatch => write!(f, "merkle root mismatch after replay"),
+            DeltaError::RootMismatch => write!(f, "records root mismatch after replay"),
         }
     }
 }
@@ -92,12 +110,12 @@ impl From<ArchiveError> for DeltaError {
     }
 }
 
-/// The dirty-record set between two snapshots, plus the Merkle
-/// commitment to the full record set after replay.
+/// The dirty-record set between two snapshots, plus the commitment to
+/// the full record set after replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaArchive {
     full_count: u32,
-    root: MerkleRoot,
+    root: RecordsRoot,
     dirty: Vec<(String, Vec<u8>)>,
     removed: Vec<String>,
 }
@@ -105,7 +123,7 @@ pub struct DeltaArchive {
 impl DeltaArchive {
     /// An empty delta committing to a full archive of `full_count`
     /// records under `root`. Populate with [`DeltaArchive::put`].
-    pub fn new(full_count: usize, root: MerkleRoot) -> Self {
+    pub fn new(full_count: usize, root: RecordsRoot) -> Self {
         Self {
             full_count: len_u32(full_count),
             root,
@@ -116,12 +134,11 @@ impl DeltaArchive {
 
     /// Computes the delta turning `prev` into `next`: records whose
     /// bytes changed (or are new), plus removals, committing to
-    /// `next`'s full record set from scratch — O(archive) hashing. The
-    /// store pipeline knows its dirty set from capture and builds its
-    /// deltas with [`DeltaArchive::new`] against a warm
-    /// [`ArchiveCommitment`] instead.
+    /// `next`'s full record set. The store pipeline knows its dirty set
+    /// from capture and builds its deltas with [`DeltaArchive::new`]
+    /// and the same [`records_root`] instead.
     pub fn diff(prev: &NymArchive, next: &NymArchive) -> Self {
-        let mut delta = Self::new(next.record_count(), [0u8; 32]);
+        let mut delta = Self::new(next.record_count(), records_root(next));
         for (name, data) in next.records() {
             if prev.get(name) != Some(data) {
                 delta.put(name, data.to_vec());
@@ -132,7 +149,6 @@ impl DeltaArchive {
                 delta.mark_removed(name);
             }
         }
-        delta.root = ArchiveCommitment::build(next).root();
         delta
     }
 
@@ -173,8 +189,8 @@ impl DeltaArchive {
         }
     }
 
-    /// The committed Merkle root of the post-replay record set.
-    pub fn root(&self) -> &MerkleRoot {
+    /// The committed [`records_root`] of the post-replay record set.
+    pub fn root(&self) -> &RecordsRoot {
         &self.root
     }
 
@@ -186,22 +202,10 @@ impl DeltaArchive {
     /// Replays this delta onto `base` in place: dirty records replace
     /// same-named ones (new names append in delta order), removed names
     /// drop out. The result is then verified against the committed
-    /// record count and Merkle root through `commitment`, which
-    /// rehashes only the leaves this delta touched — O(dirty · log n)
-    /// per link instead of O(archive).
-    ///
-    /// `commitment` must reflect `base` as it was before this call
-    /// (restore builds it once over the parsed base archive with
-    /// [`ArchiveCommitment::build`] and threads it through the whole
-    /// replay chain). On success it reflects the replayed state; on any
-    /// mismatch both `base` and the commitment must be considered
-    /// corrupt and discarded — the method fails closed rather than
-    /// rolling back.
-    pub fn apply(
-        &self,
-        base: &mut NymArchive,
-        commitment: &mut ArchiveCommitment,
-    ) -> Result<(), DeltaError> {
+    /// record count and [`records_root`]. On any mismatch `base` must
+    /// be considered corrupt and discarded — the method fails closed
+    /// rather than rolling back.
+    pub fn apply(&self, base: &mut NymArchive) -> Result<(), DeltaError> {
         for (name, data) in &self.dirty {
             base.put(name, data.clone());
         }
@@ -211,8 +215,7 @@ impl DeltaArchive {
         if base.record_count() != self.full_count as usize {
             return Err(DeltaError::CountMismatch);
         }
-        let root = commitment.update(base, |name| self.dirty.iter().any(|(n, _)| n == name));
-        if root != self.root {
+        if records_root(base) != self.root {
             return Err(DeltaError::RootMismatch);
         }
         Ok(())
@@ -268,7 +271,7 @@ impl DeltaArchive {
             return Err(DeltaError::Malformed);
         }
         let full_count = r.u32()?;
-        let root: MerkleRoot = r.take_array()?;
+        let root: RecordsRoot = r.take_array()?;
         let dirty_count = r.u32()?;
         let mut dirty = Vec::with_capacity(clamp_count(dirty_count, r.remaining(), MIN_RECORD_LEN));
         for _ in 0..dirty_count {
@@ -291,143 +294,9 @@ impl DeltaArchive {
     }
 }
 
-/// A cached Merkle commitment over an archive's record set.
-///
-/// Wraps [`MerkleAccumulator`] with the archive leaf schema (one leaf
-/// per record: `name_len u16 ‖ name ‖ data`, in record order) plus the
-/// record-name list needed to reconcile the cache against an archive
-/// after edits. The cache is **derivable state**: nothing about the
-/// NYMD wire format changes, and a commitment rebuilt from scratch
-/// over the same archive is bit-identical — sessions keep one per
-/// snapshot chain purely to make recommitting O(dirty).
-///
-/// [`ArchiveCommitment::update`] is the single entry point: given the
-/// archive's current state and a dirty predicate, it rehashes exactly
-/// the dirty leaves (`merkle.leaf_rehash` counts them, and
-/// `merkle.cache_hit` the leaves served from cache) and returns the
-/// new root. When the record *shape* changed — names added, removed,
-/// or reordered — it falls back to relinking the whole leaf level,
-/// still reusing cached leaf hashes for clean records carried over by
-/// name.
-///
-/// The dirty predicate is a soundness contract: it must return `true`
-/// for every record whose bytes differ from what this commitment last
-/// saw. An under-reporting caller commits a wrong root — which the
-/// fail-closed replay check then rejects, so the failure mode is a
-/// refused restore, never silently-wrong state.
-#[derive(Debug, Clone, Default)]
-pub struct ArchiveCommitment {
-    /// Record names in committed order, mirroring the archive.
-    names: Vec<String>,
-    acc: MerkleAccumulator,
-}
-
-impl ArchiveCommitment {
-    /// Builds the cache over `archive` from scratch: one full leaf
-    /// pass, the last O(archive) hash this chain pays until the shape
-    /// changes.
-    pub fn build(archive: &NymArchive) -> Self {
-        let mut c = Self::default();
-        for (name, data) in archive.records() {
-            c.names.push(name.to_string());
-            c.acc.push_leaf(record_leaf(name, data));
-        }
-        c.acc.root();
-        c
-    }
-
-    /// The committed root (cached; rebuilds interior nodes only after
-    /// a shape change).
-    pub fn root(&mut self) -> MerkleRoot {
-        self.acc.root()
-    }
-
-    /// Reconciles the cache with `archive` and returns the new root.
-    /// `is_dirty` must flag every record whose bytes changed since the
-    /// last reconciliation (see the type docs for the contract).
-    ///
-    /// Unchanged shape: O(dirty · log n) hashing, allocation-free.
-    /// Changed shape: the leaf level relinks, reusing cached hashes
-    /// for clean same-named records.
-    pub fn update<F: Fn(&str) -> bool>(&mut self, archive: &NymArchive, is_dirty: F) -> MerkleRoot {
-        let same_shape = self.names.len() == archive.record_count()
-            && archive
-                .records()
-                .zip(self.names.iter())
-                .all(|((name, _), cached)| name == cached);
-        if same_shape {
-            let mut rehashed = 0usize;
-            for (i, (name, data)) in archive.records().enumerate() {
-                if is_dirty(name) {
-                    self.acc.update_leaf(i, record_leaf(name, data));
-                    rehashed += 1;
-                }
-            }
-            nymix_obs::counter!("merkle.leaf_rehash", rehashed);
-            nymix_obs::counter!("merkle.cache_hit", self.names.len() - rehashed);
-        } else {
-            // Shape changed: rebuild the leaf level, reusing cached
-            // leaf hashes for clean records carried over by name.
-            let cached: HashMap<&str, MerkleRoot> = self
-                .names
-                .iter()
-                .enumerate()
-                .filter_map(|(i, n)| self.acc.leaf(i).map(|h| (n.as_str(), *h)))
-                .collect();
-            let mut names = Vec::with_capacity(archive.record_count());
-            let mut leaves = Vec::with_capacity(archive.record_count());
-            let mut rehashed = 0usize;
-            for (name, data) in archive.records() {
-                let reused = if is_dirty(name) {
-                    None
-                } else {
-                    cached.get(name)
-                };
-                leaves.push(match reused {
-                    Some(h) => *h,
-                    None => {
-                        rehashed += 1;
-                        record_leaf(name, data)
-                    }
-                });
-                names.push(name.to_string());
-            }
-            nymix_obs::counter!("merkle.leaf_rehash", rehashed);
-            nymix_obs::counter!("merkle.cache_hit", names.len() - rehashed);
-            drop(cached);
-            self.names = names;
-            self.acc.clear();
-            for leaf in leaves {
-                self.acc.push_leaf(leaf);
-            }
-        }
-        self.acc.root()
-    }
-}
-
-/// One commitment leaf: `name_len u16 ‖ name ‖ data`, hashed without
-/// materializing the concatenation.
-fn record_leaf(name: &str, data: &[u8]) -> MerkleRoot {
-    let name_len = len_u16(name.len()).to_le_bytes();
-    leaf_hash_parts(&[&name_len, name.as_bytes(), data])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nymix_crypto::merkle_root_from_leaves;
-
-    /// The Merkle root over an archive's full record set: one leaf per
-    /// record (`name_len u16 ‖ name ‖ data`), in record order, folded
-    /// from scratch. The independent oracle the tests pin
-    /// [`ArchiveCommitment`] against.
-    fn archive_merkle_root(archive: &NymArchive) -> MerkleRoot {
-        let mut leaves: Vec<MerkleRoot> = archive
-            .records()
-            .map(|(name, data)| record_leaf(name, data))
-            .collect();
-        merkle_root_from_leaves(&mut leaves)
-    }
 
     fn base() -> NymArchive {
         let mut a = NymArchive::new();
@@ -437,11 +306,9 @@ mod tests {
         a
     }
 
-    /// Replays `delta` onto `base` the way restore does: through a
-    /// commitment built over the base as parsed.
+    /// Replays `delta` onto `base` the way restore does.
     fn replay(delta: &DeltaArchive, base: &mut NymArchive) -> Result<(), DeltaError> {
-        let mut commitment = ArchiveCommitment::build(base);
-        delta.apply(base, &mut commitment)
+        delta.apply(base)
     }
 
     #[test]
@@ -460,12 +327,10 @@ mod tests {
         // Only the dirty payload rides the wire.
         assert_eq!(delta.payload_bytes(), 350 + 7);
 
+        assert_eq!(*delta.root(), records_root(&next));
         let mut replayed = prev.clone();
-        let mut commitment = ArchiveCommitment::build(&replayed);
-        delta.apply(&mut replayed, &mut commitment).unwrap();
+        delta.apply(&mut replayed).unwrap();
         assert_eq!(replayed, next);
-        // The threaded commitment now reflects the replayed state.
-        assert_eq!(commitment.root(), archive_merkle_root(&next));
     }
 
     #[test]
@@ -500,9 +365,8 @@ mod tests {
         let delta = DeltaArchive::diff(&prev, &next);
 
         // Tamper with a record the delta does NOT carry: the dirty set
-        // authenticates fine record-by-record, and the commitment —
-        // built over the tampered base, as restore would — serves that
-        // record's leaf from cache; only the full-set root catches it.
+        // authenticates fine record-by-record; only the full-set root
+        // catches it.
         let mut stale_base = prev.clone();
         stale_base.put("commvm.disk", vec![0xEE; 200]);
         assert_eq!(
@@ -561,53 +425,31 @@ mod tests {
     }
 
     #[test]
-    fn chained_commitment_updates_match_scratch_roots() {
-        // The save path's O(dirty) commitment: data-only edits (fast
-        // path), new records, and removals (shape-change path) must all
-        // commit to the scratch root, and to what diff commits.
-        let mut prev = base();
-        let mut commitment = ArchiveCommitment::build(&prev);
-        assert_eq!(commitment.root(), archive_merkle_root(&prev));
-
-        // Data-only change: cached shape holds, only one leaf rehashes.
-        let mut next = prev.clone();
-        next.put("anonvm.disk", vec![7; 350]);
-        let root = commitment.update(&next, |name| name == "anonvm.disk");
-        assert_eq!(root, archive_merkle_root(&next));
-        assert_eq!(*DeltaArchive::diff(&prev, &next).root(), root);
-        prev = next;
-
-        // New record + removal: the shape-change path.
-        let mut next = prev.clone();
-        next.put("browser.state", b"cookies".to_vec());
-        next.remove("meta");
-        let root = commitment.update(&next, |name| name == "browser.state");
-        assert_eq!(root, archive_merkle_root(&next));
-        assert_eq!(*DeltaArchive::diff(&prev, &next).root(), root);
-
-        // The commitment now reflects `next` and keeps chaining.
-        let mut last = next.clone();
-        last.put("commvm.disk", vec![3; 64]);
-        let root = commitment.update(&last, |name| name == "commvm.disk");
-        assert_eq!(root, archive_merkle_root(&last));
-    }
-
-    #[test]
-    fn commitment_update_handles_reorder() {
-        // Same name set, different record order: the shape check must
-        // catch it (order is part of the commitment).
-        let a = base();
-        let mut commitment = ArchiveCommitment::build(&a);
-        let mut reordered = NymArchive::new();
-        let records: Vec<_> = a
-            .records()
-            .map(|(n, d)| (n.to_string(), d.to_vec()))
-            .collect();
-        for (name, data) in records.iter().rev() {
-            reordered.put(name, data.clone());
+    fn records_root_covers_order_names_and_boundaries() {
+        let root = |records: &[(&str, &[u8])]| {
+            let mut a = NymArchive::new();
+            for (name, data) in records {
+                a.put(name, data.to_vec());
+            }
+            records_root(&a)
+        };
+        let original = root(&[("ab", b"cd"), ("ef", b"gh")]);
+        for (what, changed) in [
+            ("reorder", root(&[("ef", b"gh"), ("ab", b"cd")])),
+            ("rename", root(&[("ab", b"cd"), ("eF", b"gh")])),
+            ("name byte into data", root(&[("a", b"bcd"), ("ef", b"gh")])),
+            ("data byte into name", root(&[("abc", b"d"), ("ef", b"gh")])),
+            (
+                "byte into next record",
+                root(&[("ab", b"c"), ("def", b"gh")]),
+            ),
+            (
+                "byte into previous record",
+                root(&[("ab", b"cde"), ("f", b"gh")]),
+            ),
+        ] {
+            assert_ne!(changed, original, "{what}");
         }
-        let root = commitment.update(&reordered, |_| false);
-        assert_eq!(root, archive_merkle_root(&reordered));
-        assert_ne!(root, archive_merkle_root(&a));
+        assert_eq!(root(&[("ab", b"cd"), ("ef", b"gh")]), original);
     }
 }

@@ -23,8 +23,9 @@
 //!   any of them, each in a single pass over one [`SealScratch`] arena
 //!   with zero hot-path allocations.
 //! * [`delta`] — incremental snapshots: a [`DeltaArchive`] carries only
-//!   dirty records plus a Merkle-root commitment to the full record
-//!   set; replay verifies the root and fails closed on tampering.
+//!   dirty records plus a commitment to the full record set, one
+//!   SHA-256 over its records ([`records_root`]); replay verifies the
+//!   root and fails closed on tampering.
 //! * [`chunker`] — content-defined chunking (gear-hash rolling window,
 //!   2/8/64 KiB min/avg/max): deterministic, edit-local boundaries so a
 //!   sub-record write dirties O(1) chunks.
@@ -108,7 +109,7 @@ pub use cas::{
 };
 pub use chunker::{chunks, AVG_CHUNK, MAX_CHUNK, MIN_CHUNK};
 pub use cloud::{AccessLog, CloudError, CloudProvider, CloudSession};
-pub use delta::{ArchiveCommitment, DeltaArchive, DeltaError, DELTA_CHAIN_LIMIT};
+pub use delta::{records_root, DeltaArchive, DeltaError, DELTA_CHAIN_LIMIT};
 pub use disk::{CrashMode, DiskError, DiskStore, FaultPlan, SimDisk};
 pub use local::LocalStore;
 pub use placement::{PlacementStore, RepairReport};

@@ -399,7 +399,6 @@ mod tests {
 
     #[test]
     fn delta_seal_roundtrips_under_chain_key() {
-        use crate::delta::ArchiveCommitment;
         let prev = archive();
         let mut next = prev.clone();
         next.put("meta", b"nym=bob;site=twitter;v=2".to_vec());
@@ -423,8 +422,7 @@ mod tests {
         let opened = DeltaArchive::from_bytes(bytes).unwrap();
         assert_eq!(opened, delta);
         let mut replayed = prev.clone();
-        let mut commitment = ArchiveCommitment::build(&replayed);
-        opened.apply(&mut replayed, &mut commitment).unwrap();
+        opened.apply(&mut replayed).unwrap();
         assert_eq!(replayed, next);
     }
 
