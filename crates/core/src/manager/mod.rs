@@ -390,18 +390,6 @@ impl NymManager {
         model: UsageModel,
     ) -> Result<(NymId, StartupBreakdown), NymManagerError> {
         let anonymizer = self.env.build_anonymizer(kind);
-        self.instantiate(name, kind, model, anonymizer, None, true)
-    }
-
-    fn instantiate(
-        &mut self,
-        name: &str,
-        kind: AnonymizerKind,
-        model: UsageModel,
-        anonymizer: Box<dyn Anonymizer>,
-        restored: Option<RestoredState>,
-        cold: bool,
-    ) -> Result<(NymId, StartupBreakdown), NymManagerError> {
         let n = self.next_nym;
         let (session, breakdown) = NymSession::instantiate(
             &mut self.env,
@@ -410,8 +398,7 @@ impl NymManager {
             kind,
             model,
             anonymizer,
-            restored,
-            cold,
+            None,
             &mut self.scratch_pool,
         )?;
         let id = NymId(n);
@@ -609,12 +596,10 @@ impl NymManager {
                 comm_upper,
                 anonymizer_state,
             }),
-            false, // Warm start: guards and consensus restored.
             &mut self.scratch_pool,
         )?;
         drop(instantiate_span);
         session.browser = browser;
-        session.nymbox.restored = true;
         session.chunk_cache = chunk_cache;
 
         // Continue the chain where the restored state left it, so the

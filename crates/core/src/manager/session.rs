@@ -96,7 +96,6 @@ impl NymSession {
         model: UsageModel,
         mut anonymizer: Box<dyn Anonymizer>,
         restored: Option<RestoredState>,
-        cold: bool,
         scratch_pool: &mut Vec<SealScratch>,
     ) -> Result<(Self, StartupBreakdown), NymManagerError> {
         // VMs.
@@ -112,7 +111,9 @@ impl NymSession {
         env.hv.boot(anon_vm)?;
         env.hv.boot(comm_vm)?;
 
-        // Restore saved disk layers and anonymizer state if present.
+        // Restore saved disk layers and anonymizer state if present. A
+        // restored nym starts warm: its guards and consensus come back.
+        let is_restored = restored.is_some();
         if let Some(state) = restored {
             let vm = env.hv.vm_mut(anon_vm)?;
             let _ = vm.take_disk_upper();
@@ -210,7 +211,7 @@ impl NymSession {
         let breakdown = StartupBreakdown {
             ephemeral_fetch: SimDuration::ZERO,
             boot_vm: tcal::ANONVM_BOOT,
-            start_anonymizer: anonymizer.startup_time(cold),
+            start_anonymizer: anonymizer.startup_time(!is_restored),
             load_page: SimDuration::ZERO,
         };
         env.clock += breakdown.boot_vm + breakdown.start_anonymizer;
@@ -226,7 +227,7 @@ impl NymSession {
                     comm_vm,
                     anon_node,
                     comm_node,
-                    restored: false, // restore_nym overwrites after fetch
+                    restored: is_restored,
                 },
                 anonymizer,
                 browser: None,

@@ -114,6 +114,10 @@ fn save_restore_roundtrip_via_cloud() {
     let (id, _) = m
         .create_nym("alice", AnonymizerKind::Tor, UsageModel::Persistent)
         .unwrap();
+    assert!(
+        !m.nymbox(id).unwrap().restored,
+        "a fresh nym is not restored"
+    );
     m.visit_site(id, Site::Twitter).unwrap();
     let dest = StorageDest::Cloud {
         provider: "dropbox".into(),

@@ -44,33 +44,3 @@ pub struct Nymbox {
     /// Whether this nymbox was restored from stored state.
     pub restored: bool,
 }
-
-#[cfg(test)]
-impl Nymbox {
-    /// Whether shutdown should write state back to storage.
-    fn saves_on_close(&self) -> bool {
-        self.model == UsageModel::Persistent
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn saves_on_close_only_for_persistent() {
-        let mk = |model| Nymbox {
-            name: "n".into(),
-            model,
-            anonymizer: AnonymizerKind::Tor,
-            anon_vm: VmId(1),
-            comm_vm: VmId(2),
-            anon_node: NodeId(0),
-            comm_node: NodeId(1),
-            restored: false,
-        };
-        assert!(!mk(UsageModel::Ephemeral).saves_on_close());
-        assert!(mk(UsageModel::Persistent).saves_on_close());
-        assert!(!mk(UsageModel::PreConfigured).saves_on_close());
-    }
-}

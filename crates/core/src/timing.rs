@@ -44,18 +44,6 @@ impl StartupBreakdown {
     pub fn total(&self) -> SimDuration {
         self.ephemeral_fetch + self.boot_vm + self.start_anonymizer + self.load_page
     }
-
-    /// Renders the Figure 7 stacked-bar row.
-    pub fn render(&self, label: &str) -> String {
-        format!(
-            "{label}: boot={:.1}s tor={:.1}s page={:.1}s ephemeral={:.1}s total={:.1}s",
-            self.boot_vm.as_secs_f64(),
-            self.start_anonymizer.as_secs_f64(),
-            self.load_page.as_secs_f64(),
-            self.ephemeral_fetch.as_secs_f64(),
-            self.total().as_secs_f64()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -71,9 +59,6 @@ mod tests {
             load_page: SimDuration::from_secs(3),
         };
         assert_eq!(b.total(), SimDuration::from_secs(38));
-        let row = b.render("Persisted");
-        assert!(row.contains("total=38.0s"));
-        assert!(row.starts_with("Persisted:"));
     }
 
     #[test]

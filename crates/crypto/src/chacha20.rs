@@ -224,14 +224,6 @@ impl ChaCha20 {
         }
     }
 
-    /// Repositions the keystream at the start of block `block_counter`,
-    /// discarding any buffered partial block.
-    #[cfg(test)]
-    fn seek(&mut self, block_counter: u32) {
-        self.state[12] = block_counter;
-        self.buf_pos = BLOCK_LEN;
-    }
-
     /// The next block counter value that would be consumed.
     pub fn counter(&self) -> u32 {
         self.state[12]
@@ -377,23 +369,6 @@ only one tip for the future, sunscreen would be it.";
             let want = block(&key, 3 + i as u32, &nonce);
             assert_eq!(chunk, &want[..chunk.len()], "block {i}");
         }
-    }
-
-    #[test]
-    fn seek_repositions_keystream() {
-        let key = test_key();
-        let nonce = [8u8; 12];
-        let mut direct = [0u8; 64];
-        ChaCha20::new(&key, &nonce, 7).xor_into(&mut direct);
-
-        let mut c = ChaCha20::new(&key, &nonce, 0);
-        let mut scratch = [0u8; 100];
-        c.xor_into(&mut scratch); // consume into a partial block
-        c.seek(7);
-        assert_eq!(c.counter(), 7);
-        let mut seeked = [0u8; 64];
-        c.xor_into(&mut seeked);
-        assert_eq!(direct, seeked);
     }
 
     #[test]

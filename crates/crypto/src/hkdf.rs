@@ -36,22 +36,17 @@ fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
     out
 }
 
-/// One-shot extract-then-expand.
+/// Derives a fixed 32-byte key, convenient for cipher keys: one-shot
+/// extract-then-expand.
 ///
 /// # Examples
 ///
 /// ```
-/// let key = nymix_crypto::hkdf::derive(b"salt", b"master", b"nymix/archive", 32);
-/// assert_eq!(key.len(), 32);
+/// let key = nymix_crypto::hkdf::derive_key32(b"salt", b"master", b"nymix/archive");
+/// assert_ne!(key, nymix_crypto::hkdf::derive_key32(b"salt", b"master", b"nymix/guards"));
 /// ```
-pub fn derive(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    let prk = hkdf_extract(salt, ikm);
-    hkdf_expand(&prk, info, len)
-}
-
-/// Derives a fixed 32-byte key, convenient for cipher keys.
 pub fn derive_key32(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; 32] {
-    let v = derive(salt, ikm, info, 32);
+    let v = hkdf_expand(&hkdf_extract(salt, ikm), info, 32);
     let mut out = [0u8; 32];
     out.copy_from_slice(&v);
     out

@@ -62,19 +62,6 @@ impl Path {
         self.components.last().map(|s| s.as_str())
     }
 
-    /// The file extension (text after the final `.` of the final
-    /// component), if any.
-    #[cfg(test)]
-    fn extension(&self) -> Option<&str> {
-        let name = self.file_name()?;
-        let (stem, ext) = name.rsplit_once('.')?;
-        if stem.is_empty() {
-            None // Dotfiles like `.bashrc` have no extension.
-        } else {
-            Some(ext)
-        }
-    }
-
     /// The containing directory, or `None` for the root.
     pub fn parent(&self) -> Option<Path> {
         if self.components.is_empty() {
@@ -193,13 +180,5 @@ mod tests {
         let rebased = p.rebase(&prefix, &Path::new("/mnt/sani")).unwrap();
         assert_eq!(rebased.to_string(), "/mnt/sani/photos/img.jpg");
         assert!(p.rebase(&Path::new("/var"), &Path::root()).is_none());
-    }
-
-    #[test]
-    fn extension() {
-        assert_eq!(Path::new("/a/img.jpg").extension(), Some("jpg"));
-        assert_eq!(Path::new("/a/archive.tar.gz").extension(), Some("gz"));
-        assert_eq!(Path::new("/a/.bashrc").extension(), None);
-        assert_eq!(Path::new("/a/README").extension(), None);
     }
 }

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeSet;
 
-#[cfg(test)]
-use crate::layer::LayerKind;
 use crate::layer::{Layer, Node};
 use crate::path::Path;
 
@@ -22,8 +20,6 @@ pub enum FsError {
     WrongKind(String),
     /// The union has no writable top layer.
     ReadOnly,
-    /// Directory not empty (for remove_dir).
-    NotEmpty(String),
     /// A parent component is not a directory.
     BadParent(String),
     /// The write would exceed the writable layer's quota (the VM's
@@ -42,7 +38,6 @@ impl core::fmt::Display for FsError {
             FsError::NotFound(p) => write!(f, "not found: {p}"),
             FsError::WrongKind(p) => write!(f, "wrong node kind: {p}"),
             FsError::ReadOnly => write!(f, "filesystem is read-only"),
-            FsError::NotEmpty(p) => write!(f, "directory not empty: {p}"),
             FsError::BadParent(p) => write!(f, "parent is not a directory: {p}"),
             FsError::NoSpace { quota, needed } => {
                 write!(f, "no space: quota {quota} bytes, needed {needed}")
@@ -122,12 +117,6 @@ impl UnionFs {
         } else {
             Ok(())
         }
-    }
-
-    /// Number of layers in the stack.
-    #[cfg(test)]
-    fn layer_count(&self) -> usize {
-        self.layers.len()
     }
 
     /// Immutable access to a layer (0 = base).
@@ -251,35 +240,6 @@ impl UnionFs {
         Ok(())
     }
 
-    /// Removes an empty directory (whiteout if present below).
-    #[cfg(test)]
-    fn remove_dir(&mut self, path: &Path) -> Result<(), FsError> {
-        match self.lookup(path) {
-            Some(Node::Dir) => {}
-            Some(_) => return Err(FsError::WrongKind(path.to_string())),
-            None => return Err(FsError::NotFound(path.to_string())),
-        }
-        if !self.read_dir(path)?.is_empty() {
-            return Err(FsError::NotEmpty(path.to_string()));
-        }
-        let exists_below = self.exists_below_top(path);
-        let top = self.writable_layer()?;
-        top.remove(path);
-        if exists_below {
-            top.put_whiteout(path.clone());
-        }
-        Ok(())
-    }
-
-    /// Renames a file (read + write + unlink; directories unsupported,
-    /// as in early OverlayFS).
-    #[cfg(test)]
-    fn rename(&mut self, from: &Path, to: &Path) -> Result<(), FsError> {
-        let data = self.read(from)?.to_vec();
-        self.write(to, data)?;
-        self.unlink(from)
-    }
-
     /// Lists the names of direct children of `dir`, merged across layers
     /// with whiteouts applied, sorted.
     pub fn read_dir(&self, dir: &Path) -> Result<Vec<String>, FsError> {
@@ -394,19 +354,10 @@ impl UnionFs {
     }
 }
 
-/// Builds the standard Nymix three-layer stack: shared base, role
-/// configuration, fresh RAM-backed writable layer.
-#[cfg(test)]
-fn nymix_stack(base: Layer, config: Layer) -> UnionFs {
-    debug_assert_eq!(base.kind(), LayerKind::Base);
-    debug_assert_eq!(config.kind(), LayerKind::Config);
-    UnionFs::new(vec![base, config, Layer::new(LayerKind::Writable)])
-        .expect("base+config+writable is a valid stack")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::LayerKind;
 
     fn base_with(files: &[(&str, &[u8])]) -> Layer {
         let mut l = Layer::new(LayerKind::Base);
@@ -493,26 +444,6 @@ mod tests {
         fs.unlink(&Path::new("/f")).unwrap();
         fs.write(&Path::new("/f"), b"fresh".to_vec()).unwrap();
         assert_eq!(fs.read(&Path::new("/f")).unwrap(), b"fresh");
-    }
-
-    #[test]
-    fn rename_moves_content() {
-        let mut fs = two_layer(&[("/a", b"data")]);
-        fs.rename(&Path::new("/a"), &Path::new("/b")).unwrap();
-        assert!(!fs.exists(&Path::new("/a")));
-        assert_eq!(fs.read(&Path::new("/b")).unwrap(), b"data");
-    }
-
-    #[test]
-    fn remove_dir_requires_empty() {
-        let mut fs = two_layer(&[("/d/x", b"1")]);
-        assert!(matches!(
-            fs.remove_dir(&Path::new("/d")),
-            Err(FsError::NotEmpty(_))
-        ));
-        fs.unlink(&Path::new("/d/x")).unwrap();
-        fs.remove_dir(&Path::new("/d")).unwrap();
-        assert!(!fs.exists(&Path::new("/d")));
     }
 
     #[test]
@@ -623,17 +554,5 @@ mod tests {
         fs.set_quota(Some(10));
         assert!(fs.read(&Path::new("/big")).is_ok());
         assert!(fs.write(&Path::new("/small"), vec![1; 10]).is_ok());
-    }
-
-    #[test]
-    fn nymix_stack_builder() {
-        let mut base = Layer::new(LayerKind::Base);
-        base.put_file(Path::new("/usr/bin/chromium"), vec![7; 10]);
-        let mut config = Layer::new(LayerKind::Config);
-        config.put_file(Path::new("/etc/rc.local"), b"anonvm".to_vec());
-        let fs = nymix_stack(base, config);
-        assert_eq!(fs.layer_count(), 3);
-        assert!(fs.upper().is_some());
-        assert_eq!(fs.read(&Path::new("/etc/rc.local")).unwrap(), b"anonvm");
     }
 }

@@ -91,12 +91,6 @@ impl VirtfsShare {
         host.write(&host_path, data)?;
         Ok(host_path)
     }
-
-    /// Lists host files visible through the share.
-    #[cfg(test)]
-    fn visible_files(&self, host: &UnionFs) -> Vec<Path> {
-        host.walk_files(&self.host_root)
-    }
 }
 
 #[cfg(test)]
@@ -180,21 +174,5 @@ mod tests {
             .unwrap();
         // Host copy unaffected: no aliasing between VMs.
         assert_eq!(host.read(&Path::new("/outbox/f")).unwrap(), b"orig");
-    }
-
-    #[test]
-    fn visible_files_lists_subtree_only() {
-        let host = fs_with(&[
-            ("/outbox/a", b"1"),
-            ("/outbox/sub/b", b"2"),
-            ("/etc/c", b"3"),
-        ]);
-        let share = VirtfsShare::new(Path::new("/outbox"), Path::new("/in"), ShareMode::ReadOnly);
-        let names: Vec<String> = share
-            .visible_files(&host)
-            .iter()
-            .map(|p| p.to_string())
-            .collect();
-        assert_eq!(names, vec!["/outbox/a", "/outbox/sub/b"]);
     }
 }

@@ -158,10 +158,6 @@ impl Registry {
                     "document/image parsers inside SaniVM: the malware-scrub path runs \
                      on fully hostile files (paper §3.4)",
                 ),
-                Self::module(
-                    "sanitizer/src/containers.rs",
-                    "container (image/zip-shaped) parsers inside SaniVM (paper §3.4)",
-                ),
             ],
             secret_types: vec![
                 Self::secret(

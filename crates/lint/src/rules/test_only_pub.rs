@@ -10,11 +10,13 @@
 //! `pub`/`pub(..)` `fn` in the non-test code of `crates/*/src/**`
 //! (outside `crates/devshims/`) is a finding when its name appears in
 //! the non-test tokens of no other file. Not callers: comments, `use`
-//! and `pub use` statements (a re-export is not a call), the name after
-//! `fn` (another definition of the same name), test regions, files
-//! under a `tests/` directory and files a test-only `mod x;` pulls in. Examples, benches and `nymbench/` are callers: they are
-//! the ledger. Matching is by name, so an unrelated item of the same
-//! name elsewhere hides a finding; it never invents one.
+//! and `pub use` statements (a re-export is not a call), attributes
+//! (`#[derive(..)]` names no function), the name after `fn` (another
+//! definition of the same name), test regions, files under a `tests/`
+//! directory and files a test-only `mod x;` pulls in. Examples, benches
+//! and `nymbench/` are callers: they are the ledger. Matching is by
+//! name, so an unrelated item of the same name elsewhere hides a
+//! finding; it never invents one.
 
 use std::collections::HashMap;
 
@@ -72,11 +74,19 @@ fn is_test_file(rel: &str) -> bool {
 }
 
 /// Indices of the identifier tokens that count as naming something:
-/// production code outside `use` statements and `fn` definition sites.
+/// production code outside `use` statements, attributes and `fn`
+/// definition sites.
 fn caller_tokens<'a>(ctx: &'a Ctx<'_>) -> impl Iterator<Item = usize> + 'a {
     let mut skip_to = 0;
     (0..ctx.tokens.len()).filter(move |&i| {
-        if i < skip_to || ctx.test_mask[i] || ctx.tokens[i].kind != Kind::Ident {
+        if i < skip_to || ctx.test_mask[i] {
+            return false;
+        }
+        if ctx.is(i, "#") {
+            skip_to = attribute_end(ctx, i);
+            return false;
+        }
+        if ctx.tokens[i].kind != Kind::Ident {
             return false;
         }
         if ctx.is(i, "use") {
@@ -85,6 +95,18 @@ fn caller_tokens<'a>(ctx: &'a Ctx<'_>) -> impl Iterator<Item = usize> + 'a {
         }
         !ctx.prev_sig(i).is_some_and(|p| ctx.is(p, "fn"))
     })
+}
+
+/// Index past the `]` that closes the `#[..]` or `#![..]` attribute
+/// whose `#` is at `i`; just past `i` when no attribute starts there.
+fn attribute_end(ctx: &Ctx<'_>, i: usize) -> usize {
+    let mut j = ctx.next_sig(i);
+    if let Some(bang) = j.filter(|&b| ctx.is(b, "!")) {
+        j = ctx.next_sig(bang);
+    }
+    j.filter(|&o| ctx.is(o, "["))
+        .and_then(|o| ctx.matching(o))
+        .map_or(i + 1, |close| close + 1)
 }
 
 /// Index past the `;` that ends the statement starting at `i`.

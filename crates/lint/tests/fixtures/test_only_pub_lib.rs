@@ -17,6 +17,8 @@ pub fn mentioned_in_comment() {} // only a comment in other.rs names it
 pub fn defined_elsewhere() {} // other.rs only defines a private fn of this name
 pub(crate) fn restricted() {} // restricted visibility is still public surface
 pub const fn qualified() {} // qualifiers between `pub` and `fn` are read through
+pub fn derive() {} // only other.rs's `#[derive(..)]` attribute names it
+pub fn warn() {} // only other.rs's inner `#![warn(..)]` attribute names it
 // lint:allow(test-only-pub): tests/it.rs drives it as a hook
 pub fn allowed_hook() {}
 // lint:allow(test-only-pub): stale, since other.rs calls it now

@@ -1,5 +1,7 @@
 //! `test-only-pub` fixture, linted at `crates/demo/src/other.rs`.
 
+#![warn(missing_docs)]
+
 pub use crate::reexported;
 
 fn production() {
@@ -9,6 +11,9 @@ fn production() {
 }
 
 fn defined_elsewhere() {}
+
+#[derive(Debug)]
+struct Marker;
 
 #[cfg(test)]
 mod tests {

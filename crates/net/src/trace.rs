@@ -6,11 +6,7 @@
 //! AnonVM transmitted no traffic." The [`Tracer`] records every frame
 //! crossing every link so integration tests can assert exactly that.
 
-#[cfg(test)]
-use crate::addr::Ip;
 use crate::fabric::Packet;
-#[cfg(test)]
-use crate::fabric::Proto;
 
 /// One observed frame on one link.
 #[derive(Debug, Clone)]
@@ -62,24 +58,6 @@ impl Tracer {
         self.entries.iter().filter(|e| e.link == link).collect()
     }
 
-    /// Whether any frame reveals `ip` as a source address — the leak
-    /// check: the host's public IP must never appear in AnonVM-visible
-    /// traffic, and the AnonVM's IP must never appear on the wide-area
-    /// side.
-    #[cfg(test)]
-    fn reveals_source_ip(&self, ip: Ip) -> bool {
-        self.entries.iter().any(|e| e.packet.src == ip)
-    }
-
-    /// Whether a plaintext DNS query (UDP/53) appears anywhere — the
-    /// classic anonymizer-bypass leak.
-    #[cfg(test)]
-    fn has_cleartext_dns(&self) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.packet.proto == Proto::Udp && e.packet.dst_port == 53)
-    }
-
     /// Clears the capture buffer.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -89,6 +67,8 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::Ip;
+    use crate::fabric::Proto;
 
     fn pkt(src: &str, dst: &str, proto: Proto, port: u16) -> Packet {
         Packet {
@@ -119,16 +99,5 @@ mod tests {
         assert_eq!(t.on_link(0).len(), 1);
         assert_eq!(t.entries()[0].seq, 0);
         assert_eq!(t.entries()[1].seq, 1);
-    }
-
-    #[test]
-    fn leak_predicates() {
-        let mut t = Tracer::new();
-        t.record(0, "a", "b", &pkt("10.0.2.15", "8.8.8.8", Proto::Udp, 53));
-        assert!(t.has_cleartext_dns());
-        assert!(t.reveals_source_ip(Ip::parse("10.0.2.15")));
-        assert!(!t.reveals_source_ip(Ip::parse("1.2.3.4")));
-        t.clear();
-        assert!(!t.has_cleartext_dns());
     }
 }

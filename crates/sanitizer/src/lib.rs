@@ -21,13 +21,10 @@
 //! * [`formats`] — synthetic JPEG/PDF/DOC containers and codecs.
 //! * [`risk`] — the automated risk analyzer.
 //! * [`scrub`](mod@crate::scrub) — the transformations and paranoia-level pipeline.
-//! * [`containers`] — PNG and multi-file archive formats, recursive
-//!   scrubbing, and the any-format analyzer entry point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod containers;
 pub mod formats;
 pub mod risk;
 pub mod scrub;
@@ -36,7 +33,7 @@ pub mod scrub;
 /// synthetic wire formats cap every field at `u32`, and a breach
 /// saturates rather than silently truncating into a length-prefix
 /// confusion (the `panic-free-parser` lint forbids narrowing `as`
-/// casts in [`formats`]/[`containers`]).
+/// casts in [`formats`]).
 pub(crate) fn len_u32(len: usize) -> u32 {
     debug_assert!(
         u32::try_from(len).is_ok(),
@@ -45,7 +42,6 @@ pub(crate) fn len_u32(len: usize) -> u32 {
     u32::try_from(len).unwrap_or(u32::MAX)
 }
 
-pub use containers::{analyze_any, FileArchive, PngImage};
 pub use formats::{DocFile, JpegImage, MediaFile, PdfDoc};
 pub use risk::{analyze, Risk, RiskKind, Severity};
 pub use scrub::{scrub, ParanoiaLevel, ScrubReport, Transform};

@@ -125,30 +125,6 @@ impl Rng {
         self.next_f64() < p.clamp(0.0, 1.0)
     }
 
-    /// Approximately normal deviate (Irwin–Hall sum of 12 uniforms),
-    /// mean `mu`, standard deviation `sigma`.
-    #[cfg(test)]
-    fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        let sum: f64 = (0..12).map(|_| self.next_f64()).sum();
-        mu + (sum - 6.0) * sigma
-    }
-
-    /// Exponential deviate with the given mean.
-    #[cfg(test)]
-    fn exponential(&mut self, mean: f64) -> f64 {
-        let u = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
-    /// Fisher–Yates shuffle in place.
-    #[cfg(test)]
-    fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Fills `buf` with random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {
@@ -212,35 +188,6 @@ mod tests {
         }
         let mean = sum / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut r = Rng::seed_from(5);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "sd {}", var.sqrt());
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = Rng::seed_from(6);
-        let n = 20_000;
-        let mean = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::seed_from(8);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

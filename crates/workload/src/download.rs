@@ -10,9 +10,6 @@
 use nymix_net::access_transfer;
 use nymix_net::flow::calib as netcal;
 
-#[cfg(test)]
-use crate::sites::Site;
-
 /// A bulk transfer specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DownloadSpec {
@@ -27,15 +24,6 @@ impl DownloadSpec {
     pub fn linux_kernel(overhead: f64) -> Self {
         Self {
             bytes: netcal::LINUX_KERNEL_BYTES,
-            overhead,
-        }
-    }
-
-    /// A site page-load transfer (Figure 7's final phase).
-    #[cfg(test)]
-    fn page_load(site: Site, overhead: f64) -> Self {
-        Self {
-            bytes: site.profile().page_weight as f64,
             overhead,
         }
     }
@@ -96,12 +84,5 @@ mod tests {
         let spec = DownloadSpec::linux_kernel(0.0);
         let t = run_parallel_downloads(spec, 1)[0];
         assert!((t - ideal_time(netcal::LINUX_KERNEL_BYTES, 1)).abs() < 0.01);
-    }
-
-    #[test]
-    fn page_load_spec() {
-        let spec = DownloadSpec::page_load(Site::Twitter, 0.12);
-        assert!(spec.bytes > 1e6);
-        assert!(spec.wire_bytes() > spec.bytes);
     }
 }

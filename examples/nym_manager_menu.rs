@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --example nym_manager_menu`
 
-use nymix::{NymManager, NymManagerError, StorageDest, UsageModel};
+use nymix::{NymManager, NymManagerError, StartupBreakdown, StorageDest, UsageModel};
 use nymix_anon::AnonymizerKind;
 use nymix_workload::Site;
 
@@ -38,6 +38,18 @@ enum Command {
     },
 }
 
+/// One Figure 7 stacked-bar row for a nym launch.
+fn startup_row(label: &str, b: &StartupBreakdown) -> String {
+    format!(
+        "{label}: boot={:.1}s tor={:.1}s page={:.1}s ephemeral={:.1}s total={:.1}s",
+        b.boot_vm.as_secs_f64(),
+        b.start_anonymizer.as_secs_f64(),
+        b.load_page.as_secs_f64(),
+        b.ephemeral_fetch.as_secs_f64(),
+        b.total().as_secs_f64()
+    )
+}
+
 fn run(script: Vec<Command>) -> Result<(), NymManagerError> {
     let mut nymix = NymManager::new(31337, 64);
     nymix.register_cloud("dropbox", "pseudonymous-acct", "app-token");
@@ -55,7 +67,7 @@ fn run(script: Vec<Command>) -> Result<(), NymManagerError> {
                     nymix.create_nym(name, AnonymizerKind::Tor, UsageModel::Persistent)?;
                 live.insert(name, id);
                 println!("> start a fresh nym '{name}'");
-                println!("  {}", b.render(name));
+                println!("  {}", startup_row(name, &b));
             }
             Command::Browse { name, site } => {
                 let id = live[name];
@@ -86,7 +98,7 @@ fn run(script: Vec<Command>) -> Result<(), NymManagerError> {
                 )?;
                 live.insert(name, id);
                 println!("> load an existing nym '{name}'");
-                println!("  {}", b.render(name));
+                println!("  {}", startup_row(name, &b));
             }
         }
     }

@@ -1,9 +1,9 @@
-//! Cross-crate sanitizer pipeline tests: camera-roll archives through
-//! the SaniVM into a nymbox, with the §3.6 risk workflow end to end.
+//! Cross-crate sanitizer pipeline tests: host files through the SaniVM
+//! into a nymbox, with the §3.6 risk workflow end to end.
 
+use nymix::sanivm::SaniError;
 use nymix::SaniVm;
 use nymix_fs::{Layer, LayerKind, Path, UnionFs};
-use nymix_sanitizer::containers::{analyze_any, sample_camera_roll, FileArchive, PngImage};
 use nymix_sanitizer::{JpegImage, MediaFile, ParanoiaLevel, RiskKind};
 use nymix_vmm::{Vm, VmConfig, VmId};
 
@@ -27,59 +27,55 @@ fn host_fs(files: &[(&str, Vec<u8>)]) -> UnionFs {
 }
 
 #[test]
-fn camera_roll_risks_are_itemized_per_member() {
-    let roll = sample_camera_roll();
-    let risks = analyze_any(&roll.to_bytes());
-    // The JPEG's GPS and the PNG's Location chunk both surface, tagged
-    // by member name.
-    assert!(risks
-        .iter()
-        .any(|r| r.kind == RiskKind::GpsLocation && r.detail.starts_with("protest.jpg:")));
-    assert!(risks
-        .iter()
-        .any(|r| r.kind == RiskKind::GpsLocation && r.detail.starts_with("screen.png:")));
-    // The unknown text member cannot be certified.
-    assert!(risks
-        .iter()
-        .any(|r| r.kind == RiskKind::UnknownFormat && r.detail.starts_with("notes.txt:")));
-}
+fn sanivm_refuses_formats_it_does_not_parse() {
+    // The MAT-style scrubber parses only its own JPEG/PDF/DOC containers.
+    // Anything else cannot be certified clean, so a transfer without
+    // `force` must refuse it at every level rather than pass its bytes
+    // (here a PNG `tEXt` location chunk, a zip member) through.
+    let mut png = b"\x89PNG\r\n\x1a\n".to_vec();
+    let text = b"Location\x0038.8977,-77.0365";
+    png.extend_from_slice(&(text.len() as u32).to_be_bytes());
+    png.extend_from_slice(b"tEXt");
+    png.extend_from_slice(text);
+    png.extend_from_slice(&[0; 4]); // CRC: never read
+    let zip = b"PK\x03\x04\x14\x00\x00\x00\x08\x00screen.png".to_vec();
+    let text_file = b"meet at the square at noon\n".to_vec();
+    let cases = [
+        ("screen.png", png),
+        ("roll.zip", zip),
+        ("notes.txt", text_file),
+    ];
 
-#[test]
-fn archive_scrub_produces_a_cleanable_subset() {
-    let (clean, reports) = sample_camera_roll().scrub_members(ParanoiaLevel::Paranoid);
-    assert_eq!(clean.members.len(), 2);
-    // Every non-PNG member gets a report; only notes.txt stays risky.
-    assert_eq!(reports.len(), 2);
-    for (name, report) in &reports {
-        assert_eq!(report.clean(), name != "notes.txt", "{name}");
+    for level in [ParanoiaLevel::Basic, ParanoiaLevel::Paranoid] {
+        for (name, bytes) in &cases {
+            let host_path = format!("/dcim/{name}");
+            let mut sani = SaniVm::new();
+            sani.mount_host_fs("cam", host_fs(&[(&host_path, bytes.clone())]));
+            let mut vm = anon_vm();
+            let result = sani.transfer_to_nym(
+                "cam",
+                &Path::new(&host_path),
+                "poster",
+                &mut vm,
+                level,
+                false,
+            );
+            match result {
+                Err(SaniError::StillRisky(report)) => assert!(
+                    report
+                        .risks_after
+                        .iter()
+                        .any(|r| r.kind == RiskKind::UnknownFormat),
+                    "{name} at {level:?}: {report:?}"
+                ),
+                other => panic!("{name} at {level:?} must be refused, got {other:?}"),
+            }
+            assert!(
+                vm.disk().walk_files(&Path::new("/media")).is_empty(),
+                "{name} at {level:?} reached the nymbox"
+            );
+        }
     }
-    for (_, data) in &clean.members {
-        assert!(analyze_any(data).is_empty());
-    }
-    // The cleaned archive round-trips.
-    let parsed = FileArchive::parse(&clean.to_bytes()).expect("parses");
-    assert_eq!(parsed, clean);
-}
-
-#[test]
-fn sanivm_blocks_png_with_location_chunk_at_basic_level() {
-    // PNGs are not understood by the MAT-style scrubber (only by the
-    // container path), so a Basic transfer must refuse them as
-    // unknown-format rather than pass identifying chunks through.
-    let png = PngImage::screenshot().to_bytes();
-    let mut sani = SaniVm::new();
-    sani.mount_host_fs("cam", host_fs(&[("/dcim/screen.png", png)]));
-    let mut vm = anon_vm();
-    let result = sani.transfer_to_nym(
-        "cam",
-        &Path::new("/dcim/screen.png"),
-        "poster",
-        &mut vm,
-        ParanoiaLevel::Basic,
-        false,
-    );
-    assert!(result.is_err(), "risky PNG must not reach the nymbox");
-    assert!(vm.disk().walk_files(&Path::new("/media")).is_empty());
 }
 
 #[test]
