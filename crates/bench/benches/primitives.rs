@@ -1,5 +1,6 @@
 //! Microbenchmarks for the hot primitives behind the experiments:
-//! SHA-256, ChaCha20-Poly1305, LZSS, layer decoding, KSM scanning.
+//! SHA-256, ChaCha20-Poly1305, LZSS, layer decoding, delta capture, KSM
+//! scanning.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
@@ -440,7 +441,65 @@ fn bench_ksm(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_crypto, bench_kdf, bench_seal, bench_ksm);
+fn bench_chunk(c: &mut Criterion) {
+    use nymix_fs::{Layer, LayerKind, Path};
+    use nymix_store::archive::splice_layer;
+    use nymix_store::{build_manifests, ChunkManifest, ManifestScratch, NymArchive, PrevChunks};
+
+    // A delta save's capture and chunk stages over a 768 KiB AnonVM
+    // disk record (707 cache files of 1,056 bytes in 8 site
+    // directories) of which one file changed since the cached record:
+    // the splice copies the rest, and the chunker walks only until its
+    // cuts land on the cached ones again.
+    let body = |i: u32| {
+        let mut nonce = [0u8; 12];
+        nonce[..4].copy_from_slice(&i.to_le_bytes());
+        let mut data = vec![0u8; 1056];
+        nymix_crypto::ChaCha20::new(&[7; 32], &nonce, 0).xor_into(&mut data);
+        data
+    };
+    let path = |i: u32| {
+        Path::new(&format!(
+            "/home/user/.cache/chromium/site-{}/obj-{i:08}",
+            i % 8
+        ))
+    };
+    let mut layer = Layer::new(LayerKind::Writable);
+    for i in 0..707 {
+        layer.put_file(path(i), body(i));
+    }
+    let mut archive = NymArchive::new();
+    archive.put_layer("anonvm.disk", &layer);
+    let cached = archive.get("anonvm.disk").expect("just put").to_vec();
+    let (gen, manifest) = (layer.generation(), ChunkManifest::build(&cached));
+    layer.put_file(path(347), body(10_000));
+
+    let mut group = c.benchmark_group("chunk");
+    group.throughput(Throughput::Bytes(cached.len() as u64));
+    group.bench_function("delta_capture_1dirty_768k", |b| {
+        let (mut runs, mut scratch, mut out) = (Vec::new(), ManifestScratch::default(), Vec::new());
+        b.iter(|| {
+            let record = splice_layer(black_box(&layer), Some((&cached, gen)), &mut runs);
+            let prev = PrevChunks {
+                raw: &cached,
+                manifest: &manifest,
+                copied: &runs,
+            };
+            build_manifests(&[(&record, Some(prev))], &mut scratch, &mut out);
+            black_box(out[0].total_len())
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_crypto,
+    bench_kdf,
+    bench_seal,
+    bench_chunk,
+    bench_ksm
+);
 fn main() {
     // The CI bench-smoke job sets NYMIX_BENCH_SMOKE=1: record obs
     // metrics across the run and emit the merged snapshot, so the

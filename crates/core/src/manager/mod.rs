@@ -581,6 +581,13 @@ impl NymManager {
         let comm_upper = layer("commvm.disk")?;
         let anonymizer_state = record("anonymizer.state").map(<[u8]>::to_vec);
         let browser = record("browser.state").and_then(BrowserState::from_bytes);
+        // Each layer holds its cached record's entries as of the
+        // generation it decoded at: the next save splices from it.
+        for (name, upper) in [("anonvm.disk", &anon_upper), ("commvm.disk", &comm_upper)] {
+            if let Some(cached) = chunk_cache.get_mut(name) {
+                cached.layer_gen = Some(upper.generation());
+            }
+        }
 
         let anonymizer = self.env.build_anonymizer(kind);
         let n = self.next_nym;

@@ -11,14 +11,19 @@
 //!    session's chain, nonce RNG, sealing arena and chunk-id cache
 //!    into its save job. Every fallible step runs before anything
 //!    leaves a session, and a failure resumes whatever it paused.
-//! 2. **Jobs** (worker pool): one job per nym. It serializes its dirty
-//!    layers from a shared borrow of the hypervisor (*capture*) into
-//!    its [`nymix_store::chain::SavePlan`], which converts large
-//!    records to `"NYMC"` manifests against the job's own chunk-id
-//!    cache (a chunk a `memcmp` proves unchanged keeps its id
-//!    unhashed) and diffs the result into a delta (*chunk*). When the
-//!    delta does not pay, the job falls back to a full save and
-//!    re-serializes the clean layers itself. The plan then seals chunk
+//! 2. **Jobs** (worker pool): one job per nym. It captures its dirty
+//!    layers from a shared borrow of the hypervisor into its
+//!    [`nymix_store::chain::SavePlan`] (*capture*): each layer record
+//!    is spliced from the raw record the job's chunk cache holds,
+//!    copying the entries unchanged since the layer generation that
+//!    record serialized and encoding only the changed ones. The plan
+//!    converts large records to `"NYMC"` manifests against the same
+//!    cache and diffs the result into a delta (*chunk*): the chunker
+//!    walks only from each changed run until its cuts land on the
+//!    cached ones again, and a chunk a `memcmp` proves unchanged keeps
+//!    its cached id unhashed. When the delta does not pay, the job
+//!    falls back to a full save and captures the clean layers too,
+//!    each a copy of its cached record. The plan then seals chunk
 //!    objects and the delta or full blob (*seal*).
 //!    `available_parallelism()` threads, the calling thread among
 //!    them, pull jobs off one shared queue. A job owns everything it
@@ -531,7 +536,7 @@ fn run_job<'a>(job: SaveJob<'a, '_>) -> JobOutput<'a> {
         let _span = nymix_obs::span!("capture", "session" => id);
         for &(name, upper, clean) in &layers {
             if !clean {
-                save.capture_layer(name, upper);
+                save.capture_layer(name, upper, &kit.chunk_cache);
             }
         }
         for (name, bytes) in records {
@@ -564,7 +569,7 @@ fn run_job<'a>(job: SaveJob<'a, '_>) -> JobOutput<'a> {
             let _span = nymix_obs::span!("capture", "session" => id);
             for &(name, upper, clean) in &layers {
                 if clean {
-                    save.capture_layer(name, upper);
+                    save.capture_layer(name, upper, &kit.chunk_cache);
                 }
             }
         }

@@ -562,7 +562,7 @@ fn epochless_base_fails_restore_closed() {
         ("commvm.disk", nymbox.comm_vm),
     ] {
         let upper = m.hypervisor().vm(vm).unwrap().disk().upper().unwrap();
-        archive.replace_layer(record, upper);
+        archive.put_layer(record, upper);
     }
     m.destroy_nym(id).unwrap();
     let label = storage_label("ne", &StorageDest::Disk);
@@ -702,7 +702,7 @@ fn chunked_save_dedups_and_roundtrips() {
 fn anon_record(m: &NymManager, id: NymId) -> Vec<u8> {
     let vm = m.hypervisor().vm(m.nymbox(id).unwrap().anon_vm).unwrap();
     let mut archive = nymix_store::NymArchive::new();
-    archive.replace_layer("anonvm.disk", vm.disk().upper().unwrap());
+    archive.put_layer("anonvm.disk", vm.disk().upper().unwrap());
     archive.get("anonvm.disk").unwrap().to_vec()
 }
 
@@ -715,13 +715,13 @@ fn chunk_cache_is_per_session_and_refilled_by_restore() {
     let session = &m.sessions[&id];
     let chain = session.chains.values().next().unwrap();
     assert!(session.chunk_cache.contains_key("anonvm.disk"));
-    for (name, (raw, manifest)) in &session.chunk_cache {
+    for (name, cached) in &session.chunk_cache {
         let stored = ChunkManifest::from_bytes(chain.chain.archive().get(name).unwrap()).unwrap();
-        assert_eq!(*manifest, stored, "{name}");
-        assert_eq!(*manifest, ChunkManifest::build(raw), "{name}");
+        assert_eq!(cached.manifest, stored, "{name}");
+        assert_eq!(cached.manifest, ChunkManifest::build(&cached.raw), "{name}");
     }
     let names: Vec<String> = session.chunk_cache.keys().cloned().collect();
-    assert_eq!(session.chunk_cache["anonvm.disk"].0, anon_record(&m, id));
+    assert_eq!(session.chunk_cache["anonvm.disk"].raw, anon_record(&m, id));
 
     // Destroy drops the cache with the session; a nym recreated under
     // the same name starts with nothing to reuse.
@@ -746,7 +746,7 @@ fn chunk_cache_is_per_session_and_refilled_by_restore() {
         .unwrap();
     let cache = &m.sessions[&id2].chunk_cache;
     assert_eq!(cache.keys().cloned().collect::<Vec<_>>(), names);
-    assert_eq!(cache["anonvm.disk"].0, anon_record(&m, id2));
+    assert_eq!(cache["anonvm.disk"].raw, anon_record(&m, id2));
 
     // Ids are content hashes, not per epoch: the cache survives the
     // compaction that the chain limit forces, refreshed by every save.
@@ -758,7 +758,7 @@ fn chunk_cache_is_per_session_and_refilled_by_restore() {
             .unwrap();
         kinds.push(kind);
         assert_eq!(
-            m.sessions[&id2].chunk_cache["anonvm.disk"].0,
+            m.sessions[&id2].chunk_cache["anonvm.disk"].raw,
             anon_record(&m, id2)
         );
     }
@@ -1271,7 +1271,7 @@ fn layer_records(m: &NymManager, id: NymId) -> [Vec<u8>; 2] {
     [nymbox.anon_vm, nymbox.comm_vm].map(|vm| {
         let mut archive = nymix_store::NymArchive::new();
         let upper = m.hypervisor().vm(vm).unwrap().disk().upper().unwrap();
-        archive.replace_layer("disk", upper);
+        archive.put_layer("disk", upper);
         archive.get("disk").unwrap().to_vec()
     })
 }

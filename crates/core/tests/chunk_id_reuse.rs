@@ -27,7 +27,7 @@ fn anon_record(m: &NymManager, id: NymId) -> Vec<u8> {
 fn disk_record(m: &NymManager, vm: nymix_vmm::VmId, name: &str) -> Vec<u8> {
     let vm = m.hypervisor().vm(vm).unwrap();
     let mut archive = NymArchive::new();
-    archive.replace_layer(name, vm.disk().upper().unwrap());
+    archive.put_layer(name, vm.disk().upper().unwrap());
     archive.get(name).unwrap().to_vec()
 }
 

@@ -217,9 +217,17 @@ impl Layer {
         self.nodes.get(path).map(|s| s.gen)
     }
 
+    /// Entries that changed after generation `gen`, in path order (the
+    /// root among them when a [`Layer::secure_wipe`] came after `gen`).
+    pub fn entries_since(&self, gen: u64) -> impl Iterator<Item = (&Path, &Node)> {
+        self.nodes
+            .iter()
+            .filter(move |(_, s)| s.gen > gen)
+            .map(|(p, s)| (p, &s.node))
+    }
+
     /// Paths removed after generation `gen` (and not re-inserted since),
     /// in path order.
-    // lint:allow(test-only-pub): store/tests/decoders.rs checks that a decoded layer carries no tombstones
     pub fn removed_since(&self, gen: u64) -> impl Iterator<Item = &Path> {
         self.removed
             .iter()
@@ -416,6 +424,8 @@ mod tests {
         assert!(g2 > g1);
         assert_eq!(l.entry_generation(&Path::new("/c")), Some(g2));
         assert_eq!(l.entry_generation(&Path::new("/a/b")), Some(g1));
+        let dirty: Vec<String> = l.entries_since(g1).map(|(p, _)| p.to_string()).collect();
+        assert_eq!(dirty, vec!["/c"]);
         // Overwriting refreshes the entry's generation.
         l.put_file(Path::new("/a/b"), vec![3]);
         assert!(l.entry_generation(&Path::new("/a/b")).unwrap() > g2);

@@ -72,6 +72,9 @@ pub const COUNTERS: &[&str] = &[
     "placement.repair_passes",
     "placement.shards_rebuilt",
     "placement.deletes_flushed",
+    // Bytes the content-defined chunker walked, in the save pipeline's
+    // `chunk` stage (store/src/cas.rs).
+    "chunker.bytes_walked",
     // Never incremented since the Merkle tree went; nymbench's
     // `crypto.merkle.cache_hit_ratio` column still reads both names.
     "merkle.cache_hit",

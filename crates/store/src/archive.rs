@@ -21,6 +21,13 @@
 //! a path twice or a root entry is [`ArchiveError::Malformed`], so
 //! decoding is one pass with no lookups.
 //!
+//! A save builds a layer payload by splicing ([`splice_layer`]): the
+//! entries that have not changed since a cached payload of the same
+//! layer are copied from it in runs, and only the changed entries and
+//! the entry count are encoded. The spliced payload is byte-identical
+//! to encoding every entry; when the cached payload's entries do not
+//! add up to the layer's, every entry is encoded.
+//!
 //! Incremental snapshots ([`crate::delta::DeltaArchive`]) share the
 //! record encoding under a different magic:
 //!
@@ -275,20 +282,6 @@ impl NymArchive {
         self.put(name, serialize_layer(layer));
     }
 
-    /// [`NymArchive::put_layer`] through [`NymArchive::replace`]:
-    /// serializes `layer` into record `name` preserving record order
-    /// (which the records root depends on) and returns the
-    /// previous bytes without copying — dirty-detection can compare
-    /// old vs new stored bytes with no clone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` or any path in `layer` exceeds
-    /// [`MAX_NAME_LEN`] bytes (see [`NymArchive::put`]).
-    pub fn replace_layer(&mut self, name: &str, layer: &Layer) -> Option<Vec<u8>> {
-        self.replace(name, serialize_layer(layer))
-    }
-
     /// Reconstructs a writable layer from record `name`.
     pub fn get_layer(&self, name: &str) -> Result<Layer, ArchiveError> {
         deserialize_layer(self.get(name).ok_or(ArchiveError::Malformed)?)
@@ -410,46 +403,247 @@ pub(crate) fn write_record(out: &mut Vec<u8>, name: &str, data: &[u8]) {
     out.extend_from_slice(data);
 }
 
-/// Serializes `layer`'s entries (all but the root) as a layer payload.
-/// One sizing pass fixes the exact length, so the payload is written
-/// into a single allocation that never grows.
+/// Serializes `layer`'s entries (all but the root) as a layer payload:
+/// [`splice_layer`] with no cached version, so every entry is encoded.
 fn serialize_layer(layer: &Layer) -> Vec<u8> {
-    let entries = || layer.entries().filter(|(p, _)| !p.is_root());
-    let mut count = 0usize;
+    splice_layer(layer, None, &mut Vec::new())
+}
+
+/// A byte run a spliced layer record copies from its cached previous
+/// version: `new[at..at + len] == old[from..from + len]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CopiedRun {
+    /// Offset of the run in the new record.
+    pub at: usize,
+    /// Offset of the run in the cached record.
+    pub from: usize,
+    /// Length of the run.
+    pub len: usize,
+}
+
+/// The layer payload with no entries.
+const EMPTY_LAYER: &[u8] = &[0; 4];
+
+/// Builds `layer`'s record, byte for byte what serializing it whole
+/// writes, from `prev`: a cached record of the same layer and the
+/// [`Layer::generation`] that record serialized. Every entry that
+/// changed after that generation ([`Layer::entries_since`]) is encoded
+/// and the cached entry at its path dropped, so is every cached entry at
+/// a path removed since ([`Layer::removed_since`]), and the runs of
+/// cached entries between them are copied whole. `runs` receives the
+/// copied runs in record order.
+///
+/// `prev` must be a record of this layer as of that generation: one
+/// this function wrote, or one the layer was decoded from. The splice
+/// trusts the generations, as a save trusts an unchanged
+/// [`Layer::generation`] to mean an unchanged layer. With no `prev`, or
+/// a cached record whose entries do not add up to the layer's entry
+/// count, every entry is encoded. Either way the record returned is
+/// one allocation of its exact size.
+///
+/// # Panics
+///
+/// Panics if a path in `layer` exceeds [`MAX_NAME_LEN`] bytes (see
+/// [`NymArchive::put`]).
+pub fn splice_layer(
+    layer: &Layer,
+    prev: Option<(&[u8], u64)>,
+    runs: &mut Vec<CopiedRun>,
+) -> Vec<u8> {
+    if let Some((cached, gen)) = prev {
+        let dirty = layer.entries_since(gen);
+        let (out, whole) = splice(layer, cached, dirty, layer.removed_since(gen), runs);
+        if whole {
+            return out;
+        }
+    }
+    let removed = core::iter::empty();
+    splice(layer, EMPTY_LAYER, layer.entries(), removed, runs).0
+}
+
+/// [`splice_layer`] over the entries `dirty` yields and the paths in
+/// `removed`, both in path order. Also returns whether the record holds
+/// exactly the layer's entries: a `cached` record not of this layer, or
+/// not in the layer payload format, may leave it short or long.
+fn splice<'a>(
+    layer: &'a Layer,
+    cached: &[u8],
+    dirty: impl Iterator<Item = (&'a Path, &'a Node)>,
+    removed: impl Iterator<Item = &'a Path>,
+    runs: &mut Vec<CopiedRun>,
+) -> (Vec<u8>, bool) {
+    runs.clear();
     let mut len = 4usize;
-    for (path, node) in entries() {
+    for (path, node) in layer.entries().filter(|(p, _)| !p.is_root()) {
         let path_len = encoded_path_len(path);
         // lint:allow(panic-free-parser): serializer-side contract on locally built paths, not wire input; fs layer caps component lengths
         assert!(
             path_len <= MAX_NAME_LEN,
             "layer path of {path_len} bytes exceeds the u16 wire limit ({MAX_NAME_LEN})"
         );
-        len += 2 + path_len + 1;
-        if let Node::File(data) = node {
-            len += 8 + data.len();
-        }
-        count += 1;
+        len += 2 + path_len + 1 + node_data_len(node);
     }
+    let count = layer.node_count();
     let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&len_u32(count).to_le_bytes());
-    for (path, node) in entries() {
-        out.extend_from_slice(&len_u16(encoded_path_len(path)).to_le_bytes());
-        for component in path.components() {
-            out.push(b'/');
-            out.extend_from_slice(component.as_bytes());
-        }
-        match node {
-            Node::File(data) => {
-                out.push(0);
-                out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-                out.extend_from_slice(data);
-            }
-            Node::Dir => out.push(1),
-            Node::Whiteout => out.push(2),
+    let mut old = CachedEntries::new(cached);
+    let mut written = 0usize;
+    let dirty = dirty.filter(|(p, _)| !p.is_root());
+    let (mut dirty, mut removed) = (dirty.peekable(), removed.peekable());
+    loop {
+        let event = match (dirty.peek(), removed.peek()) {
+            (Some(&(d, _)), Some(&r)) if r < d => removed.next().map(|r| (r, None)),
+            (Some(_), _) => dirty.next().map(|(d, node)| (d, Some(node))),
+            (None, _) => removed.next().map(|r| (r, None)),
+        };
+        let Some((path, node)) = event else { break };
+        written += old.copy_until(path, &mut out, runs);
+        if let Some(node) = node {
+            write_entry(&mut out, path, node);
+            written += 1;
         }
     }
-    debug_assert_eq!(out.len(), len);
-    out
+    written += old.copy_rest(&mut out, runs);
+    let whole = old.parsed && written == count;
+    debug_assert!(
+        !whole || out.len() == len,
+        "a whole record is its sized length"
+    );
+    (out, whole)
+}
+
+/// Bytes a layer entry's node adds after its tag: the data length and
+/// the data, for a file.
+fn node_data_len(node: &Node) -> usize {
+    match node {
+        Node::File(data) => 8 + data.len(),
+        Node::Dir | Node::Whiteout => 0,
+    }
+}
+
+/// Appends one layer entry in wire encoding.
+fn write_entry(out: &mut Vec<u8>, path: &Path, node: &Node) {
+    out.extend_from_slice(&len_u16(encoded_path_len(path)).to_le_bytes());
+    for component in path.components() {
+        out.push(b'/');
+        out.extend_from_slice(component.as_bytes());
+    }
+    match node {
+        Node::File(data) => {
+            out.push(0);
+            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            out.extend_from_slice(data);
+        }
+        Node::Dir => out.push(1),
+        Node::Whiteout => out.push(2),
+    }
+}
+
+/// A cursor over a cached layer record's entries, found by scanning
+/// their headers, which copies the runs of entries a splice keeps.
+struct CachedEntries<'c> {
+    bytes: &'c [u8],
+    /// Start of the next unscanned entry.
+    pos: usize,
+    /// Start of the run of kept entries not yet copied.
+    run: usize,
+    /// Whether every entry scanned so far parsed.
+    parsed: bool,
+}
+
+impl<'c> CachedEntries<'c> {
+    fn new(bytes: &'c [u8]) -> Self {
+        let start = 4.min(bytes.len());
+        Self {
+            bytes,
+            pos: start,
+            run: start,
+            parsed: bytes.len() >= 4,
+        }
+    }
+
+    /// The next entry's path bytes and end offset, or `None` at the end
+    /// of the record or at an entry that does not parse.
+    fn peek(&mut self) -> Option<(&'c [u8], usize)> {
+        let rest = self.bytes.get(self.pos..).filter(|r| !r.is_empty())?;
+        let mut r = Reader::new(rest);
+        let entry = (|| {
+            let path_len = r.u16()? as usize;
+            let path = r.take(path_len)?;
+            match r.u8()? {
+                0 => {
+                    let len = usize::try_from(r.u64()?).map_err(|_| ArchiveError::Malformed)?;
+                    r.take(len)?;
+                }
+                1 | 2 => {}
+                t => return Err(ArchiveError::BadTag(t)),
+            }
+            Ok(path)
+        })();
+        match entry {
+            Ok(path) => Some((path, self.pos + rest.len() - r.remaining())),
+            Err(_) => {
+                self.parsed = false;
+                None
+            }
+        }
+    }
+
+    /// Keeps every entry whose path sorts before `path` and drops the
+    /// one at `path`, copying the kept run into `out`. Returns the
+    /// entries kept.
+    fn copy_until(&mut self, path: &Path, out: &mut Vec<u8>, runs: &mut Vec<CopiedRun>) -> usize {
+        let mut kept = 0;
+        while let Some((at, end)) = self.peek() {
+            match cmp_encoded(at, path) {
+                core::cmp::Ordering::Less => {
+                    self.pos = end;
+                    kept += 1;
+                }
+                core::cmp::Ordering::Equal => {
+                    self.flush(out, runs);
+                    self.pos = end;
+                    self.run = end;
+                    break;
+                }
+                core::cmp::Ordering::Greater => break,
+            }
+        }
+        self.flush(out, runs);
+        kept
+    }
+
+    /// Keeps every remaining entry. Returns the entries kept.
+    fn copy_rest(&mut self, out: &mut Vec<u8>, runs: &mut Vec<CopiedRun>) -> usize {
+        let mut kept = 0;
+        while let Some((_, end)) = self.peek() {
+            self.pos = end;
+            kept += 1;
+        }
+        self.flush(out, runs);
+        kept
+    }
+
+    /// Copies the pending run of kept entries into `out`.
+    fn flush(&mut self, out: &mut Vec<u8>, runs: &mut Vec<CopiedRun>) {
+        if self.pos > self.run {
+            runs.push(CopiedRun {
+                at: out.len(),
+                from: self.run,
+                len: self.pos - self.run,
+            });
+            out.extend_from_slice(&self.bytes[self.run..self.pos]);
+        }
+        self.run = self.pos;
+    }
+}
+
+/// Orders an encoded path (`/c1/c2/...`) against `path` component by
+/// component, the order layer entries are stored in.
+fn cmp_encoded(encoded: &[u8], path: &Path) -> core::cmp::Ordering {
+    let mut components = encoded.split(|&b| b == b'/');
+    components.next(); // The empty part before the leading `/`.
+    components.cmp(path.components().iter().map(String::as_bytes))
 }
 
 /// Byte length of a non-root path's wire form, `/c1/c2/...` (what its

@@ -13,7 +13,9 @@
 //!   four at a time on the `sha256_x4` batch kernel. Given a record's
 //!   previous raw bytes and manifest ([`PrevChunks`]),
 //!   [`build_manifests`] reuses the id of every chunk a `memcmp` proves
-//!   unchanged, so a save hashes only the chunks an edit touched.
+//!   unchanged, so a save hashes only the chunks an edit touched, and
+//!   runs the chunker only from an edit until its cuts resync with the
+//!   previous ones.
 //! * A **chunk manifest** ([`ChunkManifest`], magic `"NYMC"`) replaces
 //!   the record's bytes inside the archive: the record's total length
 //!   plus the ordered `(chunk ID, length)` list. Manifests ride the
@@ -44,7 +46,7 @@
 use nymix_crypto::{sha256_x4, Sha256};
 use nymix_sim::Rng;
 
-use crate::archive::{clamp_count, len_u32, ArchiveError, Reader};
+use crate::archive::{clamp_count, len_u32, ArchiveError, CopiedRun, Reader};
 use crate::backend::{BackendError, ObjectBackend};
 use crate::chunker::{self, MAX_CHUNK};
 use crate::sealed::{seal_into, unseal_into, SealKey, SealScratch, Sealable, SealedError};
@@ -270,12 +272,23 @@ impl ChunkIndex {
     }
 }
 
-/// A record's previous raw bytes with the manifest built over them:
-/// the proof material [`build_manifests`] reuses chunk ids from. The
-/// manifest's ids must be the true chunk ids of those bytes, as they
-/// are for a manifest `build_manifests` made from them or one whose
-/// every chunk [`fetch_record_into`] checked.
-pub type PrevChunks<'a> = (&'a [u8], &'a ChunkManifest);
+/// A record's previous version: the proof material [`build_manifests`]
+/// reuses chunk ids from.
+#[derive(Debug, Clone, Copy)]
+pub struct PrevChunks<'a> {
+    /// The previous raw bytes.
+    pub raw: &'a [u8],
+    /// The manifest of `raw`. Its ids must be the true chunk ids of
+    /// those bytes, and its cuts the chunker's cuts of them, as they
+    /// are for a manifest `build_manifests` made from them or one
+    /// restored from a chain it made ([`fetch_record_into`] checks
+    /// every id).
+    pub manifest: &'a ChunkManifest,
+    /// Where the new record is expected to copy `raw`, in record order,
+    /// as [`crate::archive::splice_layer`] reports it. Only a hint: a
+    /// wrong run costs a walk, never a wrong id.
+    pub copied: &'a [CopiedRun],
+}
 
 /// Reusable buffers for [`build_manifests`]. Once warm, a build over
 /// records of an unchanged shape allocates nothing.
@@ -285,6 +298,8 @@ pub struct ManifestScratch {
     /// previous version being matched against, sorted: the candidate
     /// lookup for id reuse.
     known: Vec<(u32, u64, usize, usize)>,
+    /// Offset of each chunk of the previous version, in order.
+    cuts: Vec<usize>,
     /// `(length, record, entry, offset)` of every chunk that must be
     /// hashed.
     misses: Vec<(u32, usize, usize, usize)>,
@@ -298,21 +313,45 @@ fn head(chunk: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
+/// The previous version's chunk, as an index into `cuts`, that a new
+/// chunk starting at `pos` may equal: the one starting where the copied
+/// run holding `pos` puts it. `run` is the first run that may hold
+/// `pos`; calls must come in increasing `pos` order.
+fn aligned_cut(copied: &[CopiedRun], run: &mut usize, cuts: &[usize], pos: usize) -> Option<usize> {
+    while copied.get(*run).is_some_and(|r| r.at + r.len <= pos) {
+        *run += 1;
+    }
+    let r = copied.get(*run).filter(|r| r.at <= pos)?;
+    cuts.binary_search(&(r.from + (pos - r.at))).ok()
+}
+
 /// Builds one manifest per record into `out` (resized to match,
 /// reusing its buffers), hashing each byte at most once:
 ///
-/// * **Reuse.** When a record comes with its previous version
-///   ([`PrevChunks`]), a new chunk takes a cached id only when a
-///   cached chunk has the same length and a `memcmp` of the two byte
-///   ranges is equal; candidates are looked up by (length, first 8
-///   bytes). No weaker proof ever reuses an id.
+/// * **Resync.** When a record comes with its previous version
+///   ([`PrevChunks`]), a chunk that starts where a previous chunk does
+///   (at the record's start, or where a copied run puts it) is that
+///   previous chunk, id and all, without running the chunker, once a
+///   `memcmp` proves the bytes equal. The chunk after it is then tried
+///   the same way. Anywhere else the chunker walks, from the last
+///   previous cut before the changed bytes to the first of its cuts
+///   that lands on a previous one. A cut before the end of the bytes
+///   depends only on the bytes up to it, so the cuts are those of a
+///   walk over the whole record. The previous version's last chunk
+///   ends where its bytes end, so it is taken only where the record
+///   ends with it too.
+/// * **Reuse.** A walked chunk takes a cached id only when a cached
+///   chunk has the same length and a `memcmp` of the two byte ranges is
+///   equal; candidates are looked up by (length, first 8 bytes). No
+///   weaker proof ever reuses an id.
 /// * **Batching.** Every chunk that misses is hashed, batched **across
 ///   records**: grouped by length and hashed four lanes at a time on
 ///   `sha256_x4`, so the scalar-hashed remainder shrinks from
 ///   one-per-record-tail to one-per-distinct-length. The store
 ///   pipeline calls this once per nym, over that nym's records only.
 ///
-/// The output equals a build with no previous versions at all.
+/// The output equals a build with no previous versions at all. The
+/// walked bytes are counted in `chunker.bytes_walked`.
 pub fn build_manifests(
     records: &[(&[u8], Option<PrevChunks<'_>>)],
     scratch: &mut ManifestScratch,
@@ -324,44 +363,68 @@ pub fn build_manifests(
         entries: Vec::new(),
     });
     scratch.misses.clear();
+    let mut walked = 0usize;
     for (ri, ((data, prev), manifest)) in records.iter().zip(out.iter_mut()).enumerate() {
         manifest.total_len = data.len() as u64;
         manifest.entries.clear();
         // A previous version whose lengths don't add up proves nothing.
-        let prev = prev.filter(|(raw, m)| m.total_len() == raw.len());
-        let known = &mut scratch.known;
+        let prev = prev.filter(|p| p.manifest.total_len() == p.raw.len());
+        let (raw, entries, copied) = match prev {
+            Some(p) => (p.raw, &p.manifest.entries[..], p.copied),
+            None => (&[][..], &[][..], &[][..]),
+        };
+        let (known, cuts) = (&mut scratch.known, &mut scratch.cuts);
         known.clear();
-        if let Some((raw, m)) = prev {
-            let mut offset = 0usize;
-            for (ei, &(_, len)) in m.entries.iter().enumerate() {
-                let chunk = &raw[offset..offset + len as usize];
-                known.push((len, head(chunk), offset, ei));
-                offset += len as usize;
-            }
-            known.sort_unstable();
-        }
+        cuts.clear();
         let mut offset = 0usize;
-        for (ei, chunk) in chunker::chunks(data).enumerate() {
+        for (ei, &(_, len)) in entries.iter().enumerate() {
+            let chunk = &raw[offset..offset + len as usize];
+            known.push((len, head(chunk), offset, ei));
+            cuts.push(offset);
+            offset += len as usize;
+        }
+        known.sort_unstable();
+        let mut run = 0;
+        // Both versions start with a cut.
+        let mut synced = (!cuts.is_empty()).then_some(0);
+        let mut offset = 0usize;
+        while offset < data.len() {
+            if let Some(k) = synced {
+                let (entry, at) = (entries[k], cuts[k]);
+                let len = entry.1 as usize;
+                let ends = at + len == raw.len();
+                if (!ends || offset + len == data.len())
+                    && data[offset..].get(..len) == Some(&raw[at..at + len])
+                {
+                    manifest.entries.push(entry);
+                    offset += len;
+                    synced = (k + 1 < cuts.len()).then_some(k + 1);
+                    continue;
+                }
+            }
+            let chunk = &data[offset..offset + chunker::cut_point(&data[offset..])];
+            walked += chunk.len();
             let len = len_u32(chunk.len());
             let key = (len, head(chunk));
             let start = known.partition_point(|&(l, h, _, _)| (l, h) < key);
-            let reused = prev.and_then(|(raw, m)| {
-                known[start..]
-                    .iter()
-                    .take_while(|&&(l, h, _, _)| (l, h) == key)
-                    .find(|&&(_, _, at, _)| raw[at..at + chunk.len()] == *chunk)
-                    .map(|&(_, _, _, cached)| m.entries[cached].0)
-            });
+            let reused = known[start..]
+                .iter()
+                .take_while(|&&(l, h, _, _)| (l, h) == key)
+                .find(|&&(_, _, at, _)| raw[at..at + chunk.len()] == *chunk)
+                .map(|&(_, _, _, cached)| entries[cached].0);
             match reused {
                 Some(id) => manifest.entries.push((id, len)),
                 None => {
+                    let ei = manifest.entries.len();
                     manifest.entries.push(([0u8; 32], len));
                     scratch.misses.push((len, ri, ei, offset));
                 }
             }
             offset += chunk.len();
+            synced = aligned_cut(copied, &mut run, cuts, offset);
         }
     }
+    nymix_obs::counter!("chunker.bytes_walked", walked);
     // Equal lengths batch regardless of which record they came from.
     let misses = &mut scratch.misses;
     misses.sort_unstable();

@@ -11,10 +11,10 @@
 //! * [`list`]: which epochs and objects the backend holds under a
 //!   label. The backend is the only chain registry.
 //! * [`SavePlan`]: the next save from a carried [`Chain`] or a
-//!   [`Listing`]. It tracks the captured records, converts large ones
-//!   to chunk manifests, keeps a delta only when it pays, and seals the
-//!   chunks and the blob into the puts and sweeps of one
-//!   [`ObjectBackend::apply_batch`].
+//!   [`Listing`]. It tracks the captured records (each layer spliced
+//!   from its cached record), converts large ones to chunk manifests,
+//!   keeps a delta only when it pays, and seals the chunks and the blob
+//!   into the puts and sweeps of one [`ObjectBackend::apply_batch`].
 //! * [`fetch`]: the base, the root-verified delta replay and the
 //!   manifest resolution, failing closed with a [`ChainError`] on
 //!   anything missing, tampered or transplanted.
@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use nymix_fs::Layer;
 use nymix_sim::Rng;
 
+use crate::archive::{splice_layer, CopiedRun};
 use crate::backend::{BackendError, ObjectBackend};
 use crate::cas::{self, CasError, ChunkIndex, ChunkManifest, ManifestScratch, PrevChunks};
 use crate::delta::records_root;
@@ -66,10 +67,23 @@ fn object_epoch(name: &str, label: &str) -> Option<u64> {
     named.then(|| epoch.parse().ok()).flatten()
 }
 
-/// Per chunked record: the raw bytes it was last chunked from or
-/// resolved to, with their manifest. A save reuses the id of every
-/// chunk a `memcmp` against these bytes proves unchanged.
-pub type ChunkCache = BTreeMap<String, (Vec<u8>, ChunkManifest)>;
+/// One chunked record's raw bytes as it was last chunked from or
+/// resolved to. A save splices a layer record from them and reuses the
+/// id of every chunk a `memcmp` against them proves unchanged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CachedRecord {
+    /// The raw bytes.
+    pub raw: Vec<u8>,
+    /// The manifest of `raw`.
+    pub manifest: ChunkManifest,
+    /// For a layer record, the [`Layer::generation`] whose entries `raw`
+    /// serializes: [`SavePlan::capture_layer`] copies every entry that
+    /// has not changed since. `None` when unknown.
+    pub layer_gen: Option<u64>,
+}
+
+/// The cached raw bytes of each chunked record, by record name.
+pub type ChunkCache = BTreeMap<String, CachedRecord>;
 
 /// One label's chain as of its latest save or restore. Only
 /// [`SavePlan::seal`] and [`fetch`] make one, so its parts agree.
@@ -102,7 +116,7 @@ impl Chain {
     /// a chunked record, else the stored bytes.
     pub fn resolved<'a>(&'a self, cache: &'a ChunkCache, name: &str) -> Option<&'a [u8]> {
         match cache.get(name) {
-            Some((raw, _)) => Some(raw),
+            Some(cached) => Some(&cached.raw),
             None => self.archive.get(name),
         }
     }
@@ -208,11 +222,20 @@ pub struct SavePlan {
     listing: Listing,
     chunking: bool,
     delta_ok: bool,
-    /// `(record name, previous stored bytes)` per captured record.
-    captured: Vec<(&'static str, Option<Vec<u8>>)>,
-    /// `(name, raw bytes, manifest)` per chunk-converted record.
-    chunked: Vec<(String, Vec<u8>, ChunkManifest)>,
+    captured: Vec<Captured>,
+    /// Each chunk-converted record, for the cache once sealed.
+    chunked: Vec<(String, CachedRecord)>,
     delta: Option<DeltaArchive>,
+}
+
+/// One captured record.
+struct Captured {
+    name: &'static str,
+    /// The record's previous stored bytes, for the diff.
+    old: Option<Vec<u8>>,
+    /// For a layer: its generation, and the runs its record copied from
+    /// the cached record.
+    layer: Option<(u64, Vec<CopiedRun>)>,
 }
 
 /// A sealed save: its objects to put and sweep, and the chain it leaves.
@@ -265,19 +288,41 @@ impl SavePlan {
     /// Captures record `name`, keeping its previous bytes for the diff.
     pub fn capture(&mut self, name: &'static str, bytes: Vec<u8>) {
         let old = self.archive.replace(name, bytes);
-        self.captured.push((name, old));
+        self.captured.push(Captured {
+            name,
+            old,
+            layer: None,
+        });
     }
 
-    /// Captures `layer` serialized into record `name`.
-    pub fn capture_layer(&mut self, name: &'static str, layer: &Layer) {
-        let old = self.archive.replace_layer(name, layer);
-        self.captured.push((name, old));
+    /// Captures `layer` serialized into record `name`: spliced
+    /// ([`splice_layer`]) from the record `cache` holds, when it knows
+    /// the layer generation that record serialized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a path in `layer` exceeds
+    /// [`crate::archive::MAX_NAME_LEN`] bytes.
+    pub fn capture_layer(&mut self, name: &'static str, layer: &Layer, cache: &ChunkCache) {
+        let prev = cache
+            .get(name)
+            .and_then(|c| Some((c.raw.as_slice(), c.layer_gen?)));
+        let mut copied = Vec::new();
+        let old = self
+            .archive
+            .replace(name, splice_layer(layer, prev, &mut copied));
+        self.captured.push(Captured {
+            name,
+            old,
+            layer: Some((layer.generation(), copied)),
+        });
     }
 
     /// Converts every captured record at or above the chunk threshold
-    /// that is not yet a manifest into one, reusing the chunk ids
-    /// `cache` proves unchanged. Each conversion consumes its cache
-    /// entry, so the previous raw bytes are freed before sealing.
+    /// that is not yet a manifest into one, resyncing with the cuts and
+    /// reusing the chunk ids of the record `cache` holds. Each
+    /// conversion consumes its cache entry, so the previous raw bytes
+    /// are freed before sealing.
     pub fn chunk(&mut self, cache: &mut ChunkCache, scratch: &mut ManifestScratch) {
         if !self.chunking {
             return;
@@ -285,7 +330,7 @@ impl SavePlan {
         let names: Vec<&'static str> = self
             .captured
             .iter()
-            .map(|(n, _)| *n)
+            .map(|c| c.name)
             .filter(|n| {
                 self.archive.get(n).is_some_and(|d| {
                     d.len() >= CHUNK_RECORD_THRESHOLD && ChunkManifest::from_bytes(d).is_err()
@@ -301,23 +346,37 @@ impl SavePlan {
         if raws.is_empty() {
             return;
         }
-        let prevs: Vec<Option<(Vec<u8>, ChunkManifest)>> =
-            raws.iter().map(|(name, _)| cache.remove(*name)).collect();
+        // Each record's cached version, and for a layer its generation
+        // and the runs its splice copied from that version.
+        let prevs: Vec<_> = raws
+            .iter()
+            .map(|(name, _)| {
+                let captured = self.captured.iter().rev().find(|c| c.name == *name);
+                (cache.remove(*name), captured.and_then(|c| c.layer.as_ref()))
+            })
+            .collect();
         let inputs: Vec<(&[u8], Option<PrevChunks>)> = raws
             .iter()
             .zip(&prevs)
-            .map(|((_, raw), prev)| {
-                (
-                    raw.as_slice(),
-                    prev.as_ref().map(|(r, m)| (r.as_slice(), m)),
-                )
+            .map(|((_, raw), (prev, layer))| {
+                let prev = prev.as_ref().map(|c| PrevChunks {
+                    raw: &c.raw,
+                    manifest: &c.manifest,
+                    copied: layer.map_or(&[][..], |(_, copied)| copied),
+                });
+                (raw.as_slice(), prev)
             })
             .collect();
         let mut manifests = Vec::with_capacity(inputs.len());
         cas::build_manifests(&inputs, scratch, &mut manifests);
-        for ((name, raw), manifest) in raws.into_iter().zip(manifests) {
+        for (((name, raw), manifest), (_, layer)) in raws.into_iter().zip(manifests).zip(&prevs) {
             self.archive.replace(name, manifest.to_bytes());
-            self.chunked.push((name.to_string(), raw, manifest));
+            let cached = CachedRecord {
+                raw,
+                manifest,
+                layer_gen: layer.map(|(gen, _)| *gen),
+            };
+            self.chunked.push((name.to_string(), cached));
         }
     }
 
@@ -332,7 +391,7 @@ impl SavePlan {
         }
         let archive = &self.archive;
         let mut delta = DeltaArchive::new(archive.record_count(), records_root(archive));
-        for (name, old) in &self.captured {
+        for Captured { name, old, .. } in &self.captured {
             if let Some(new) = archive.get(name).filter(|&new| old.as_deref() != Some(new)) {
                 delta.put(name, new.to_vec());
             }
@@ -378,10 +437,10 @@ impl SavePlan {
         let prefix = chunk_prefix(label, epoch);
         let mut puts = Vec::new();
         let mut uploaded = 0;
-        for (_, raw, manifest) in &self.chunked {
+        for (_, cached) in &self.chunked {
             uploaded += cas::seal_new_chunks_into(
-                raw,
-                manifest,
+                &cached.raw,
+                &cached.manifest,
                 &mut chunks,
                 &key,
                 &prefix,
@@ -418,8 +477,8 @@ impl SavePlan {
             );
         }
         deletes.append(&mut self.listing.names);
-        for (name, raw, manifest) in self.chunked {
-            cache.insert(name, (raw, manifest));
+        for (name, cached) in self.chunked {
+            cache.insert(name, cached);
         }
         Sealed {
             chain: Chain {
@@ -516,7 +575,12 @@ pub fn fetch(
             CasError::Backend(e) => e.into(),
             e @ (CasError::ChunkSeal(_) | CasError::ChunkMismatch) => failed(e),
         })?;
-        cache.insert(record.to_string(), (resolved, manifest));
+        let cached = CachedRecord {
+            raw: resolved,
+            manifest,
+            layer_gen: None,
+        };
+        cache.insert(record.to_string(), cached);
     }
     let chain = Chain {
         key,
@@ -729,7 +793,7 @@ mod tests {
         let (restored, cache) = fetch_from(&mut store, &sibling).unwrap();
         assert_eq!(restored.delta_count, 1);
         assert_eq!(restored.archive.get("state"), Some(&b"s=2"[..]));
-        assert_eq!(cache["disk"].0, records[0].1);
+        assert_eq!(cache["disk"].raw, records[0].1);
     }
 
     #[test]

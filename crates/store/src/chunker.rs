@@ -71,8 +71,13 @@ const fn build_gear_table() -> [u64; 256] {
 
 /// Length of the first chunk of `data` under the gear-hash cut rule.
 /// Returns `data.len()` when no boundary fires before the input ends;
-/// never returns 0 for non-empty input.
-fn cut_point(data: &[u8]) -> usize {
+/// never returns 0 for non-empty input. A cut `c < data.len()` depends
+/// only on `data[..c]`: every input that starts with those bytes and is
+/// at least `c` long cuts there too. The input's length only caps where
+/// the strict mask gives way to the loose one and where a cut is
+/// forced, and every such input agrees with `data` on both caps up to
+/// `c`.
+pub(crate) fn cut_point(data: &[u8]) -> usize {
     let n = data.len();
     if n <= MIN_CHUNK {
         return n;

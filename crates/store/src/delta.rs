@@ -200,14 +200,15 @@ impl DeltaArchive {
     }
 
     /// Replays this delta onto `base` in place: dirty records replace
-    /// same-named ones (new names append in delta order), removed names
-    /// drop out. The result is then verified against the committed
-    /// record count and [`records_root`]. On any mismatch `base` must
-    /// be considered corrupt and discarded — the method fails closed
-    /// rather than rolling back.
-    pub fn apply(&self, base: &mut NymArchive) -> Result<(), DeltaError> {
-        for (name, data) in &self.dirty {
-            base.put(name, data.clone());
+    /// same-named ones (new names append in delta order), moved in
+    /// without a copy, and removed names drop out. The result is then
+    /// verified against the committed record count and
+    /// [`records_root`]. On any mismatch `base` must be considered
+    /// corrupt and discarded — the method fails closed rather than
+    /// rolling back.
+    pub fn apply(self, base: &mut NymArchive) -> Result<(), DeltaError> {
+        for (name, data) in self.dirty {
+            base.put(&name, data);
         }
         for name in &self.removed {
             base.remove(name);
@@ -308,7 +309,7 @@ mod tests {
 
     /// Replays `delta` onto `base` the way restore does.
     fn replay(delta: &DeltaArchive, base: &mut NymArchive) -> Result<(), DeltaError> {
-        delta.apply(base)
+        delta.clone().apply(base)
     }
 
     #[test]

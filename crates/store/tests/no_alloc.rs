@@ -11,7 +11,7 @@ use counting_alloc::allocations_in;
 use nymix_sim::Rng;
 use nymix_store::{
     build_manifests, chunker, records_root, seal_into, unseal_into, ChunkManifest, DeltaArchive,
-    ManifestScratch, NymArchive, SealKey, SealScratch, Sealable,
+    ManifestScratch, NymArchive, PrevChunks, SealKey, SealScratch, Sealable,
 };
 
 fn archive() -> NymArchive {
@@ -198,16 +198,18 @@ fn warm_manifest_build_reusing_every_id_is_allocation_free() {
     new.extend_from_slice(&old[a + b..]);
     let old_chunks: Vec<&[u8]> = chunker::chunks(&old).collect();
     assert!(chunker::chunks(&new).all(|c| old_chunks.contains(&c)));
-    let records = [
-        (&new[..], Some((&old[..], &prev))),
-        (&old[..], Some((&old[..], &prev))),
-    ];
+    let prev = PrevChunks {
+        raw: &old,
+        manifest: &prev,
+        copied: &[],
+    };
+    let records = [(&new[..], Some(prev)), (&old[..], Some(prev))];
     let mut scratch = ManifestScratch::default();
     let mut out = Vec::new();
     // Warm-up sizes the lookup, the miss list and both manifests.
     build_manifests(&records, &mut scratch, &mut out);
     assert_eq!(out[0], ChunkManifest::build(&new));
-    assert_eq!(out[1], prev);
+    assert_eq!(out[1], *prev.manifest);
     let n = allocations_in(|| {
         for _ in 0..3 {
             build_manifests(&records, &mut scratch, &mut out);
@@ -304,6 +306,7 @@ fn layer_serialization_allocates_one_buffer_once() {
     // A writable layer serializes into exactly one allocation of its
     // final size: no per-path strings, no entry list, no regrowth.
     use nymix_fs::{Layer, LayerKind, Path};
+    use nymix_store::archive::splice_layer;
     let mut layer = Layer::new(LayerKind::Writable);
     for i in 0..200 {
         layer.put_file(
@@ -315,8 +318,41 @@ fn layer_serialization_allocates_one_buffer_once() {
     layer.put_whiteout(Path::new("/etc/motd"));
     let mut a = NymArchive::new();
     a.put_layer("anonvm.disk", &layer);
-    let mut previous = None;
-    let n = allocations_in(|| previous = a.replace_layer("anonvm.disk", &layer));
+    // With no cached record to splice from, every entry is encoded.
+    let mut record = Vec::new();
+    let n = allocations_in(|| record = splice_layer(&layer, None, &mut Vec::new()));
     assert_eq!(n, 1, "one buffer, allocated once");
-    assert_eq!(previous.as_deref(), a.get("anonvm.disk"));
+    assert_eq!(a.get("anonvm.disk"), Some(&record[..]));
+}
+
+#[test]
+fn splice_of_a_layer_with_one_dirty_entry_allocates_one_buffer() {
+    // A save splices a layer record from its cached previous version:
+    // the clean entries are copied in runs, the one dirty entry is
+    // encoded, and the record is one buffer, allocated once. The list
+    // of copied runs is the caller's, reused warm.
+    use nymix_fs::{Layer, LayerKind, Path};
+    use nymix_store::archive::splice_layer;
+    let mut layer = Layer::new(LayerKind::Writable);
+    for i in 0..200 {
+        layer.put_file(
+            Path::new(&format!("/home/user/.cache/chromium/entry-{i:03}")),
+            vec![i as u8; 300 + i],
+        );
+    }
+    let mut a = NymArchive::new();
+    a.put_layer("anonvm.disk", &layer);
+    let (cached, gen) = (a.get("anonvm.disk").unwrap().to_vec(), layer.generation());
+    layer.put_file(
+        Path::new("/home/user/.cache/chromium/entry-100"),
+        vec![0xEE; 512],
+    );
+    let mut runs = Vec::new();
+    splice_layer(&layer, Some((&cached, gen)), &mut runs);
+    let mut spliced = Vec::new();
+    let n = allocations_in(|| spliced = splice_layer(&layer, Some((&cached, gen)), &mut runs));
+    assert_eq!(n, 1, "one buffer, allocated once");
+    assert_eq!(runs.len(), 2, "the entries before and after the dirty one");
+    a.put_layer("anonvm.disk", &layer);
+    assert_eq!(a.get("anonvm.disk"), Some(&spliced[..]));
 }

@@ -3,7 +3,8 @@
 use nymix_sim::Rng;
 use nymix_store::{
     build_manifests, chunker, lzss, seal_into, unseal_into, ChunkManifest, DeltaArchive,
-    ManifestScratch, NymArchive, SealKey, SealScratch, Sealable, SealedError, MAX_CHUNK,
+    ManifestScratch, NymArchive, PrevChunks, SealKey, SealScratch, Sealable, SealedError,
+    MAX_CHUNK,
 };
 use proptest::prelude::*;
 
@@ -154,8 +155,9 @@ proptest! {
             // (the flip hit bytes outside the commitment's view, i.e.
             // re-encode identically) or fail closed — never panic.
             let mut base = prev.clone();
+            let reencoded = mutated.to_bytes();
             if mutated.apply(&mut base).is_ok() {
-                prop_assert_eq!(mutated.to_bytes(), delta.to_bytes());
+                prop_assert_eq!(reencoded, delta.to_bytes());
             }
         }
     }
@@ -240,6 +242,24 @@ proptest! {
     }
 
     #[test]
+    fn chunker_cut_short_of_the_end_ignores_the_bytes_after_it(
+        data in proptest::collection::vec(any::<u8>(), 0..80_000),
+        constant in any::<bool>(),
+        keep in any::<usize>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..70_000)) {
+        // The resync takes a cached chunk on a memcmp of its own bytes
+        // alone: a cut short of the end must not move with the bytes
+        // after it. Constant input reaches the forced MAX_CHUNK cut.
+        let data = if constant { vec![7u8; data.len() * 2] } else { data };
+        let Some(cut) = chunker::chunks(&data).next().map(<[u8]>::len) else { return; };
+        prop_assume!(cut < data.len());
+        let shorter = &data[..cut + keep % (data.len() - cut + 1)];
+        prop_assert_eq!(chunker::chunks(shorter).next().map(<[u8]>::len), Some(cut));
+        let other = [&data[..cut], &tail[..]].concat();
+        prop_assert_eq!(chunker::chunks(&other).next().map(<[u8]>::len), Some(cut));
+    }
+
+    #[test]
     fn reused_chunk_ids_equal_a_fresh_build(
         len in 20_000usize..80_000,
         seed in any::<u64>(),
@@ -263,11 +283,8 @@ proptest! {
                 2 => drop(data.drain(at..end)),
                 _ => data.extend_from_slice(&noise(fill, n)),
             }
-            build_manifests(
-                &[(&data, Some((&prev.0, &prev.1))), (&prev.0, None)],
-                &mut scratch,
-                &mut out,
-            );
+            let cached = PrevChunks { raw: &prev.0, manifest: &prev.1, copied: &[] };
+            build_manifests(&[(&data, Some(cached)), (&prev.0, None)], &mut scratch, &mut out);
             prop_assert_eq!(&out[0], &ChunkManifest::build(&data));
             prop_assert_eq!(&out[1], &prev.1);
             prev = (data.clone(), out[0].clone());
@@ -295,11 +312,8 @@ proptest! {
         let lens = |m: &ChunkManifest| m.chunks().map(|(_, l)| l).collect::<Vec<_>>();
         prop_assert_eq!(lens(&fresh), lens(&prev));
         let mut out = Vec::new();
-        build_manifests(
-            &[(&new, Some((&old, &prev)))],
-            &mut ManifestScratch::default(),
-            &mut out,
-        );
+        let cached = PrevChunks { raw: &old, manifest: &prev, copied: &[] };
+        build_manifests(&[(&new, Some(cached))], &mut ManifestScratch::default(), &mut out);
         prop_assert_eq!(&out[0], &fresh);
     }
 
@@ -791,4 +805,215 @@ fn noise(seed: u64, len: usize) -> Vec<u8> {
             (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
         })
         .collect()
+}
+
+// Delta capture splices each layer record from its cached previous
+// version and walks the chunker only until it resyncs with the cached
+// cuts. Both must be invisible in the output: the spliced record is the
+// layer's serialization, and the manifests are a fresh build's.
+use nymix_fs::{Layer, LayerKind, Node, Path};
+use nymix_store::archive::{deserialize_layer, splice_layer, CopiedRun};
+
+/// A writable layer of `files` seeded files in five directories.
+fn seeded_layer(files: usize, seed: u64) -> Layer {
+    let mut layer = Layer::new(LayerKind::Writable);
+    for i in 0..files as u64 {
+        let len = (seed.rotate_left(i as u32) % 5_000) as usize;
+        let path = format!("/d{}/f{i:04}", i % 5);
+        layer.put_file(Path::new(&path), noise(seed ^ i, len));
+    }
+    layer
+}
+
+/// The layer's record as a whole serialization writes it.
+fn serialized(layer: &Layer) -> Vec<u8> {
+    let mut archive = NymArchive::new();
+    archive.put_layer("layer", layer);
+    archive.get("layer").unwrap().to_vec()
+}
+
+/// One scripted edit: insert, delete, rewrite in place, resize,
+/// whiteout, remove-then-reinsert, an entry sorting first (the record's
+/// first bytes), or the last entry and one sorting after it (its last
+/// 64 KiB).
+fn edit_layer(layer: &mut Layer, kind: u8, pick: usize, len: usize, fill: u64) {
+    let files: Vec<Path> = layer
+        .entries()
+        .filter(|(_, node)| matches!(node, Node::File(_)))
+        .map(|(path, _)| path.clone())
+        .collect();
+    let new = Path::new(&format!("/d{}/n{fill:016x}", pick % 6));
+    let picked = files
+        .get(pick % files.len().max(1))
+        .cloned()
+        .unwrap_or(new.clone());
+    let size = |layer: &Layer, path: &Path| layer.get(path).map_or(0, Node::size);
+    match kind {
+        0 => layer.put_file(new, noise(fill, len)),
+        // A directory goes while its entries stay, too.
+        1 if fill.is_multiple_of(4) => drop(layer.remove(&Path::new(&format!("/d{}", pick % 5)))),
+        1 => drop(layer.remove(&picked)),
+        2 => {
+            let same = size(layer, &picked);
+            layer.put_file(picked, noise(fill, same));
+        }
+        3 => layer.put_file(picked, noise(fill, len)),
+        4 => layer.put_whiteout(if pick.is_multiple_of(2) { picked } else { new }),
+        5 => {
+            if let Some(node) = layer.remove(&picked) {
+                match node {
+                    Node::File(data) => layer.put_file(picked, data),
+                    Node::Dir => layer.put_dir(picked),
+                    Node::Whiteout => layer.put_whiteout(picked),
+                }
+            }
+        }
+        6 => match files.first() {
+            Some(first) if pick.is_multiple_of(2) => {
+                layer.put_file(first.clone(), noise(fill, len))
+            }
+            _ => layer.put_file(Path::new(&format!("/!{fill:x}")), noise(fill, len)),
+        },
+        _ => {
+            if let Some(last) = files.last() {
+                let mut data = noise(fill, len);
+                data.extend(noise(!fill, size(layer, last)));
+                layer.put_file(last.clone(), data);
+            }
+            if pick.is_multiple_of(2) {
+                layer.put_file(Path::new(&format!("/~{fill:x}")), noise(fill, len));
+            }
+        }
+    }
+}
+
+/// Bytes an entry's node adds after its tag.
+fn node_data_len(node: &Node) -> usize {
+    match node {
+        Node::File(data) => 8 + data.len(),
+        Node::Dir | Node::Whiteout => 0,
+    }
+}
+
+/// Scripted edits: per round, `(kind, pick, len, fill)` steps.
+type Rounds = Vec<Vec<(u8, usize, usize, u64)>>;
+
+fn rounds() -> impl Strategy<Value = Rounds> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u8..8, any::<usize>(), 0usize..6_000, any::<u64>()), 1..5),
+        1..4,
+    )
+}
+
+/// The offset of every chunk of `manifest`, in order.
+fn cuts(manifest: &ChunkManifest) -> Vec<usize> {
+    let mut at = 0;
+    manifest
+        .chunks()
+        .map(|(_, len)| {
+            at += len;
+            at - len
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn splice_equals_serialize_under_scripted_edits(
+        files in 1usize..120, seed in any::<u64>(), rounds in rounds()) {
+        // Each round edits the layer, then splices its record from the
+        // previous round's, as consecutive saves chain the cache.
+        let mut layer = seeded_layer(files, seed);
+        let (mut cached, mut gen) = (serialized(&layer), layer.generation());
+        let mut runs = Vec::new();
+        for script in rounds {
+            for (kind, pick, len, fill) in script {
+                edit_layer(&mut layer, kind, pick, len, fill);
+            }
+            let spliced = splice_layer(&layer, Some((&cached, gen)), &mut runs);
+            prop_assert_eq!(&spliced, &serialized(&layer));
+            // The runs are copies, and they are every byte but the
+            // count and the entries changed since `gen`.
+            for r in &runs {
+                prop_assert_eq!(&spliced[r.at..r.at + r.len], &cached[r.from..r.from + r.len]);
+            }
+            let encoded: usize = layer
+                .entries_since(gen)
+                .filter(|(path, _)| !path.is_root())
+                .map(|(path, node)| 3 + path.to_string().len() + node_data_len(node))
+                .sum();
+            let copied: usize = runs.iter().map(|r| r.len).sum();
+            prop_assert_eq!(4 + encoded + copied, spliced.len());
+            (cached, gen) = (spliced, layer.generation());
+        }
+    }
+
+    #[test]
+    fn splice_after_a_restore_equals_serialize(
+        files in 1usize..120, seed in any::<u64>(), before in rounds(), after in rounds()) {
+        // A restore decodes each layer from its cached record, missing
+        // ancestors included, and the next save splices from that
+        // record as of the decoded generation.
+        let mut layer = seeded_layer(files, seed);
+        for (kind, pick, len, fill) in before.concat() {
+            edit_layer(&mut layer, kind, pick, len, fill);
+        }
+        let cached = serialized(&layer);
+        let mut restored = deserialize_layer(&cached).unwrap();
+        let gen = restored.generation();
+        let mut runs = Vec::new();
+        prop_assert_eq!(splice_layer(&restored, Some((&cached, gen)), &mut runs), serialized(&restored));
+        for (kind, pick, len, fill) in after.concat() {
+            edit_layer(&mut restored, kind, pick, len, fill);
+        }
+        prop_assert_eq!(splice_layer(&restored, Some((&cached, gen)), &mut runs), serialized(&restored));
+    }
+
+    #[test]
+    fn resynced_manifests_equal_a_fresh_build(
+        files in 20usize..120, seed in any::<u64>(), rounds in rounds()) {
+        let mut layer = seeded_layer(files, seed);
+        let (mut cached, mut gen) = (serialized(&layer), layer.generation());
+        let mut manifest = ChunkManifest::build(&cached);
+        let (mut runs, mut scratch, mut out) = (Vec::new(), ManifestScratch::default(), Vec::new());
+        for script in rounds {
+            for (kind, pick, len, fill) in script {
+                edit_layer(&mut layer, kind, pick, len, fill);
+            }
+            let spliced = splice_layer(&layer, Some((&cached, gen)), &mut runs);
+            let prev = PrevChunks { raw: &cached, manifest: &manifest, copied: &runs };
+            build_manifests(&[(&spliced, Some(prev))], &mut scratch, &mut out);
+            prop_assert_eq!(&out[0], &ChunkManifest::build(&spliced));
+            (cached, gen, manifest) = (spliced, layer.generation(), out[0].clone());
+        }
+    }
+
+    #[test]
+    fn resync_proves_every_copied_run_it_is_given(
+        files in 20usize..120, seed in any::<u64>(), script in rounds(),
+        picks in proptest::collection::vec(any::<usize>(), 1..64)) {
+        // Runs that put each new chunk on an arbitrary cached cut: only
+        // the memcmp and the bytes-left rule stand between them and a
+        // wrong chunk.
+        let mut layer = seeded_layer(files, seed);
+        let cached = serialized(&layer);
+        let manifest = ChunkManifest::build(&cached);
+        for (kind, pick, len, fill) in script.concat() {
+            edit_layer(&mut layer, kind, pick, len, fill);
+        }
+        let new = serialized(&layer);
+        let fresh = ChunkManifest::build(&new);
+        let old_cuts = cuts(&manifest);
+        let runs: Vec<CopiedRun> = cuts(&fresh)
+            .into_iter()
+            .zip(picks.iter().cycle())
+            .map(|(at, pick)| CopiedRun { at, from: old_cuts[pick % old_cuts.len()], len: 1 })
+            .collect();
+        let prev = PrevChunks { raw: &cached, manifest: &manifest, copied: &runs };
+        let mut out = Vec::new();
+        build_manifests(&[(&new, Some(prev))], &mut ManifestScratch::default(), &mut out);
+        prop_assert_eq!(&out[0], &fresh);
+    }
 }
