@@ -19,10 +19,18 @@
 //!   consensus fetch and reusing guards;
 //! * the **~12% fixed byte overhead** measured in Figure 5.
 //!
-//! The §3.5 deterministic-guard extension is implemented by
-//! [`TorState::deterministic`]: seeding guard choice from the nym's
-//! storage location and password, so even the throwaway fetch nym picks
-//! the same guards.
+//! §3.5's extension, in which the throwaway fetch nym that loads a
+//! stored nym derives its guards from the storage location and
+//! password, is left out: the fetch nym draws fresh guards
+//! ([`TorState::fresh`]) on every Cloud or Striped restore. A seed
+//! that skips the password KDF would let anyone who sees the guards
+//! test guesses cheaply, and a hardened one adds a PBKDF2 to every
+//! restore, about a third of its wall time today.
+//!
+//! A restore also contacts one guard that may not be in the saved set:
+//! [`TorClient::restore_state`] swaps the guards but keeps the exit of
+//! the client's only circuit, built at bootstrap through a freshly
+//! drawn guard. This holds for every restore, Disk included.
 
 use nymix_net::Ip;
 use nymix_sim::{Rng, SimDuration};
@@ -150,25 +158,6 @@ impl TorState {
     pub fn fresh(directory: &TorDirectory, rng: &mut Rng) -> Self {
         Self {
             guards: Self::pick_guards(directory, rng),
-            chosen_at_us: 0,
-        }
-    }
-
-    /// The §3.5 extension: derives the guard choice deterministically
-    /// from the nym's storage location and password, so the ephemeral
-    /// fetch nym picks the *same* guards as the nym it is fetching.
-    pub fn deterministic(directory: &TorDirectory, storage_location: &str, password: &str) -> Self {
-        let seed_bytes = nymix_crypto::hkdf::derive_key32(
-            storage_location.as_bytes(),
-            password.as_bytes(),
-            b"nymix/tor/guard-seed",
-        );
-        let mut seed8 = [0u8; 8];
-        seed8.copy_from_slice(&seed_bytes[..8]);
-        let seed = u64::from_le_bytes(seed8);
-        let mut rng = Rng::seed_from(seed);
-        Self {
-            guards: Self::pick_guards(directory, &mut rng),
             chosen_at_us: 0,
         }
     }
@@ -428,16 +417,6 @@ mod tests {
         // Figure 7 calibration: cold ≈ 7.2 s, warm ≈ 3.9 s.
         assert!((cold.as_secs_f64() - 7.2).abs() < 0.5, "cold {cold}");
         assert!((warm.as_secs_f64() - 3.95).abs() < 0.5, "warm {warm}");
-    }
-
-    #[test]
-    fn deterministic_guards_match_across_instances() {
-        let (dir, _) = setup();
-        let a = TorState::deterministic(&dir, "dropbox://nyms/alice", "hunter2");
-        let b = TorState::deterministic(&dir, "dropbox://nyms/alice", "hunter2");
-        assert_eq!(a, b);
-        let c = TorState::deterministic(&dir, "dropbox://nyms/alice", "other-pass");
-        assert_ne!(a, c);
     }
 
     #[test]

@@ -17,14 +17,4 @@ proptest! {
             prop_assert!(TorState::from_bytes(&blob[..cut]).is_none());
         }
     }
-
-    /// Deterministic guard seeding is a pure function of
-    /// (location, password).
-    #[test]
-    fn deterministic_guards(loc in "[a-z]{1,16}", pw in "[a-z]{1,16}", seed in any::<u64>()) {
-        let dir = TorDirectory::generate(seed, 50);
-        let a = TorState::deterministic(&dir, &loc, &pw);
-        let b = TorState::deterministic(&dir, &loc, &pw);
-        prop_assert_eq!(a, b);
-    }
 }

@@ -39,7 +39,7 @@ pub mod session;
 
 use std::collections::BTreeMap;
 
-use nymix_anon::tor::{TorDirectory, TorState};
+use nymix_anon::tor::TorDirectory;
 use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::dns::DnsDb;
 use nymix_net::{access_transfer, Fabric, Ip, NodeId};
@@ -441,9 +441,9 @@ impl NymManager {
 
     /// Stores a nym (§3.5 "store nym"): pause, sync, compress, encrypt,
     /// upload through the nym's own CommVM. Returns the sealed size and
-    /// the wall-clock cost. Always seals the full archive (starting a
-    /// fresh chain epoch); see [`NymManager::save_nym_incremental`] for
-    /// the delta path.
+    /// the modeled (simulated) time it costs. Always seals the full
+    /// archive (starting a fresh chain epoch); see
+    /// [`NymManager::save_nym_incremental`] for the delta path.
     pub fn save_nym(
         &mut self,
         id: NymId,
@@ -508,7 +508,14 @@ impl NymManager {
     /// For cloud storage this spins up an ephemeral fetch nym first
     /// ("Nymix starts an ephemeral nym for the purpose of gathering the
     /// nym's state anonymously"), whose cost appears as the
-    /// `ephemeral_fetch` phase.
+    /// `ephemeral_fetch` phase. The fetch nym draws fresh entry guards
+    /// on every restore: §3.5's seeding them from the storage location
+    /// and password is left out, since a seed that skips PBKDF2 is a
+    /// password oracle and one that pays it adds a PBKDF2 per restore.
+    /// The restored client also keeps the exit of a circuit built
+    /// through a fresh guard (see the `nymix_anon::tor` module docs), so
+    /// every restore, Disk included, contacts one guard that may not be
+    /// in the nym's saved set.
     pub fn restore_nym(
         &mut self,
         name: &str,
@@ -696,24 +703,6 @@ impl NymManager {
     /// The relay directory (for guard analysis).
     pub fn directory(&self) -> &TorDirectory {
         &self.env.directory
-    }
-
-    /// Applies the §3.5 deterministic-guard extension to a nym: derive
-    /// guard choice from the storage location and password so the
-    /// ephemeral fetch nym converges on the same entry relays.
-    // lint:allow(test-only-pub): the paper's §3.5 extension, which no save or restore path applies; manager/tests.rs drives it
-    pub fn seed_guards_deterministically(
-        &mut self,
-        id: NymId,
-        storage_location: &str,
-        password: &str,
-    ) -> Result<TorState, NymManagerError> {
-        let env = &self.env;
-        let session = self
-            .sessions
-            .get_mut(&id)
-            .ok_or(NymManagerError::NoSuchNym(id))?;
-        Ok(session.seed_guards_deterministically(env, storage_location, password))
     }
 }
 

@@ -312,7 +312,7 @@ pub(super) fn save_many_on(
                 .apply_batch(staged, deletes)
                 .map_err(ChainError::from)?;
             // Transient-failure retries slept on simulated backoff;
-            // charge it to this batch's wall clock.
+            // charge it to this batch's modeled (simulated) time.
             backend.take_accrued_backoff()
         };
         // Disk saves cost the actual device I/O the batch incurred

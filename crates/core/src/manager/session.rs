@@ -23,7 +23,6 @@
 //!   takes the next epoch and sweeps them. One live session owns each
 //!   chain: a full save or a restore under a label takes it over.
 
-use nymix_anon::tor::TorState;
 use nymix_anon::{Anonymizer, AnonymizerKind};
 use nymix_net::firewall::{Action, Direction, Firewall, Rule};
 use nymix_net::{access_transfer, Ip, Mac, NodeKind};
@@ -325,20 +324,6 @@ impl NymSession {
         let stained = session.has_stain(marker);
         self.browser = Some(session.suspend());
         Ok(stained)
-    }
-
-    /// Applies the §3.5 deterministic-guard extension: derive guard
-    /// choice from the storage location and password so the ephemeral
-    /// fetch nym converges on the same entry relays.
-    pub(super) fn seed_guards_deterministically(
-        &mut self,
-        env: &Environment,
-        storage_location: &str,
-        password: &str,
-    ) -> TorState {
-        let state = TorState::deterministic(&env.directory, storage_location, password);
-        self.anonymizer.restore_state(&state.to_bytes());
-        state
     }
 }
 

@@ -4,6 +4,7 @@
 
 use super::*;
 use fleet::FleetSaveRequest;
+use nymix_anon::tor::TorState;
 use nymix_anon::AnonymizerKind;
 use nymix_sim::SimDuration;
 use nymix_store::{ObjectBackend, DELTA_CHAIN_LIMIT};
@@ -16,6 +17,15 @@ pub(super) fn manager() -> NymManager {
 /// A copy of the object stored on the manager's disk under `name`.
 fn stored(m: &mut NymManager, name: &str) -> Option<Vec<u8>> {
     m.env.disk.get(name).unwrap().map(<[u8]>::to_vec)
+}
+
+/// Gives nym `id` a new guard set drawn from its own `seed`, not the
+/// world RNG, dirtying only its `anonymizer.state` record.
+fn replace_guards(m: &mut NymManager, id: NymId, seed: u64) -> TorState {
+    let state = TorState::fresh(&m.env.directory, &mut nymix_sim::Rng::seed_from(seed));
+    let session = m.sessions.get_mut(&id).unwrap();
+    assert!(session.anonymizer.restore_state(&state.to_bytes()));
+    state
 }
 
 #[test]
@@ -310,8 +320,7 @@ fn incremental_save_seals_only_the_delta() {
     // A tiny change — new guard state dirties only the
     // anonymizer.state record; both disk records stay clean and are
     // neither re-serialized nor re-sealed.
-    m.seed_guards_deterministically(id, "usb://nyms/inc", "pw")
-        .unwrap();
+    let guards = replace_guards(&mut m, id, 1);
     let (kind, delta_size, _) = m
         .save_nym_incremental(id, "pw", &StorageDest::Disk)
         .unwrap();
@@ -343,6 +352,8 @@ fn incremental_save_seals_only_the_delta() {
         )
         .unwrap();
     assert!(m.has_stain(id2, "evercookie-9").unwrap());
+    // So did the guard set the first delta carried.
+    assert_eq!(m.anonymizer(id2).unwrap().save_state(), guards.to_bytes());
     // Credentials from the pre-delta session survived too.
     let vm = m.hypervisor().vm(m.nymbox(id2).unwrap().anon_vm).unwrap();
     assert!(vm.disk().exists(&nymix_fs::Path::new(
@@ -516,8 +527,8 @@ fn withheld_middle_delta_fails_restore_closed() {
         .unwrap();
     // Each delta dirties only the small anonymizer.state record, so no
     // chunk the base references is swept and the base alone restores.
-    for location in ["usb://a", "usb://b"] {
-        m.seed_guards_deterministically(id, location, "pw").unwrap();
+    for seed in [1, 2] {
+        replace_guards(&mut m, id, seed);
         let (kind, _, _) = m
             .save_nym_incremental(id, "pw", &StorageDest::Disk)
             .unwrap();
@@ -960,24 +971,6 @@ fn chunked_cloud_save_hides_user_behind_exit() {
     for entry in provider.access_log() {
         assert_ne!(entry.observed_ip, user_ip, "provider saw the user");
     }
-}
-
-#[test]
-fn deterministic_guard_extension() {
-    let mut m = manager();
-    let (a, _) = m
-        .create_nym("x", AnonymizerKind::Tor, UsageModel::Persistent)
-        .unwrap();
-    let s1 = m
-        .seed_guards_deterministically(a, "dropbox://nyms/x", "pw")
-        .unwrap();
-    let (b, _) = m
-        .create_nym("y", AnonymizerKind::Tor, UsageModel::Ephemeral)
-        .unwrap();
-    let s2 = m
-        .seed_guards_deterministically(b, "dropbox://nyms/x", "pw")
-        .unwrap();
-    assert_eq!(s1, s2, "same location+password must give same guards");
 }
 
 #[test]

@@ -1,14 +1,11 @@
 //! RFC 2104 HMAC-SHA256.
 //!
-//! Two APIs share one implementation:
-//!
-//! * [`hmac_sha256`] — one-shot, for callers that MAC under a fresh key.
-//! * [`HmacKey`] — a precomputed key: the ipad/opad SHA-256 midstates are
-//!   compressed once at construction and replayed for every message, so
-//!   each subsequent MAC costs two compression calls for short messages
-//!   instead of four. PBKDF2 runs its entire inner loop on
-//!   [`HmacKey::mac32`], which is what makes the 10k-iteration KDF
-//!   affordable on every nym save/restore.
+//! [`HmacKey`] is a precomputed key: the ipad/opad SHA-256 midstates are
+//! compressed once at construction and replayed for every message, so
+//! each subsequent MAC costs two compression calls for short messages
+//! instead of four. PBKDF2 runs its entire inner loop on
+//! [`HmacKey::mac32`], which is what makes the 10k-iteration KDF
+//! affordable on every nym save/restore.
 
 use crate::sha256::{compress_blocks, state_to_digest, Sha256, BLOCK_LEN, DIGEST_LEN, INIT_STATE};
 
@@ -20,10 +17,13 @@ use crate::sha256::{compress_blocks, state_to_digest, Sha256, BLOCK_LEN, DIGEST_
 /// # Examples
 ///
 /// ```
-/// use nymix_crypto::{hmac_sha256, HmacKey};
+/// use nymix_crypto::HmacKey;
 ///
 /// let key = HmacKey::new(b"key");
-/// assert_eq!(key.mac(b"msg"), hmac_sha256(b"key", b"msg"));
+/// let mut h = key.hasher();
+/// h.update(b"m");
+/// h.update(b"sg");
+/// assert_eq!(key.finish(h), key.mac(b"msg"));
 /// ```
 pub struct HmacKey {
     /// State after compressing `key ^ ipad`.
@@ -118,18 +118,6 @@ fn padded_32b_block(payload: &[u8; DIGEST_LEN]) -> [u8; BLOCK_LEN] {
     block
 }
 
-/// Computes `HMAC-SHA256(key, msg)`.
-///
-/// # Examples
-///
-/// ```
-/// let mac = nymix_crypto::hmac_sha256(b"key", b"msg");
-/// assert_eq!(mac.len(), 32);
-/// ```
-pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
-    HmacKey::new(key).mac(msg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +155,7 @@ mod tests {
     #[test]
     fn rfc4231_case1() {
         let key = [0x0bu8; 20];
-        let mac = hmac_sha256(&key, b"Hi There");
+        let mac = HmacKey::new(&key).mac(b"Hi There");
         assert_eq!(
             hex(&mac),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
@@ -176,7 +164,7 @@ mod tests {
 
     #[test]
     fn rfc4231_case2() {
-        let mac = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
+        let mac = HmacKey::new(b"Jefe").mac(b"what do ya want for nothing?");
         assert_eq!(
             hex(&mac),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
@@ -187,7 +175,7 @@ mod tests {
     fn rfc4231_case3() {
         let key = [0xaau8; 20];
         let data = [0xddu8; 50];
-        let mac = hmac_sha256(&key, &data);
+        let mac = HmacKey::new(&key).mac(&data);
         assert_eq!(
             hex(&mac),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
@@ -198,10 +186,7 @@ mod tests {
     fn long_key_is_hashed() {
         // RFC 4231 test case 6: 131-byte key.
         let key = [0xaau8; 131];
-        let mac = hmac_sha256(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
+        let mac = HmacKey::new(&key).mac(b"Test Using Larger Than Block-Size Key - Hash Key First");
         assert_eq!(
             hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
@@ -210,7 +195,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_distinct_macs() {
-        assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
+        assert_ne!(HmacKey::new(b"k1").mac(b"m"), HmacKey::new(b"k2").mac(b"m"));
     }
 
     #[test]

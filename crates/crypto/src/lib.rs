@@ -7,7 +7,6 @@
 //!
 //! * [`sha256`](mod@crate::sha256) — FIPS 180-4 SHA-256.
 //! * [`hmac`] — RFC 2104 HMAC-SHA256.
-//! * [`hkdf`] — RFC 5869 HKDF-SHA256 key derivation.
 //! * [`pbkdf2`] — RFC 8018 PBKDF2-HMAC-SHA256 password KDF.
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
@@ -84,7 +83,6 @@
 pub mod aead;
 pub mod chacha20;
 pub mod ct;
-pub mod hkdf;
 pub mod hmac;
 pub mod pbkdf2;
 pub mod poly1305;
@@ -93,7 +91,7 @@ pub mod zeroize;
 
 pub use aead::{open, open_in_place_detached, seal, seal_in_place_detached, AeadError};
 pub use chacha20::ChaCha20;
-pub use hmac::{hmac_sha256, HmacKey};
+pub use hmac::HmacKey;
 pub use pbkdf2::{pbkdf2_hmac_sha256, pbkdf2_hmac_sha256_into};
 pub use poly1305::{poly1305_tag, Poly1305};
 pub use sha256::{sha256, sha256_backend, sha256_x4, Sha256, ShaBackend};

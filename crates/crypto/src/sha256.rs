@@ -2,7 +2,7 @@
 //!
 //! Used throughout Nymix: chunk ids and delta commitments in the
 //! snapshot store, the keys of the base image's file content, and as
-//! the compression function behind HMAC/HKDF/PBKDF2.
+//! the compression function behind HMAC and PBKDF2.
 //!
 //! # Performance notes
 //!
