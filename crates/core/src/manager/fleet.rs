@@ -448,7 +448,7 @@ mod tests {
         let (kind, _, _) = m.save_nym_incremental(a, "pw", &StorageDest::Disk).unwrap();
         assert_eq!(kind, SaveKind::Full); // epoch 1
         let (kind, _, _) = m.save_nym_incremental(b, "pw", &StorageDest::Disk).unwrap();
-        assert_eq!(kind, SaveKind::Full); // epoch 2: b sees a's registry entry
+        assert_eq!(kind, SaveKind::Full); // epoch 2: b's listing finds a's epoch
                                           // a's chain is stale now — its next save must compact, not delta.
         m.inject_stain(a, "stale-chain").unwrap();
         let (kind, _, _) = m.save_nym_incremental(a, "pw", &StorageDest::Disk).unwrap();

@@ -33,9 +33,6 @@
 //! * The compression function is fully unrolled with a rolling 16-word
 //!   schedule window, and [`Sha256::update`] compresses aligned input
 //!   directly from the caller's slice (no staging buffer).
-//! * [`sha256_x4`] hashes four equal-length messages (with a shared
-//!   prefix) in one interleaved pass; content-addressed chunk ids batch
-//!   on it.
 //! * [`HmacKey`] caches the ipad/opad midstates so every MAC under a
 //!   reused key skips the key-block compressions; [`HmacKey::mac32`] is
 //!   the two-compression PBKDF2 iteration shape, and
@@ -44,13 +41,12 @@
 //!
 //! # SHA-256 backend dispatch
 //!
-//! The SHA-256 compression kernels are selected once per process at
+//! The SHA-256 compression kernel is selected once per process at
 //! runtime rather than at compile time, by CPUID alone: SHA-NI where
-//! the CPU has the SHA extensions, otherwise the portable single-stream
-//! and [`sha256_x4`] kernels that every build retains. The SHA-NI
-//! kernel is compiled on every `x86_64` build, with CPUID as its only
-//! guard, and the unit tests check it and the portable four-lane kernel
-//! bit-identical to the portable single-stream kernel. See the
+//! the CPU has the SHA extensions, otherwise the unrolled portable
+//! kernel that every build retains. The SHA-NI kernel is compiled on
+//! every `x86_64` build, with CPUID as its only guard, and the unit
+//! tests check it bit-identical to the portable kernel. See the
 //! [`sha256`](mod@crate::sha256) module docs for the full model;
 //! [`sha256_backend`] reports the selection.
 //!
@@ -94,4 +90,4 @@ pub use chacha20::ChaCha20;
 pub use hmac::HmacKey;
 pub use pbkdf2::{pbkdf2_hmac_sha256, pbkdf2_hmac_sha256_into};
 pub use poly1305::{poly1305_tag, Poly1305};
-pub use sha256::{sha256, sha256_backend, sha256_x4, Sha256, ShaBackend};
+pub use sha256::{sha256, sha256_backend, Sha256, ShaBackend};

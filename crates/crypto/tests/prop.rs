@@ -158,20 +158,4 @@ proptest! {
         // match the from-scratch construction.
         prop_assert_eq!(HmacKey::new(&key).mac32(&msg), hmac_reference(&key, &msg));
     }
-
-    #[test]
-    fn sha256_x4_equals_scalar(prefix in proptest::collection::vec(any::<u8>(), 0..80),
-                               len in 0usize..300,
-                               seed in any::<u64>()) {
-        let msgs: Vec<Vec<u8>> = (0..4).map(|l| {
-            (0..len).map(|i| (seed as usize + l * 31 + i * 7) as u8).collect()
-        }).collect();
-        let got = nymix_crypto::sha256_x4(&prefix, [&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-        for l in 0..4 {
-            let mut h = Sha256::new();
-            h.update(&prefix);
-            h.update(&msgs[l]);
-            prop_assert_eq!(got[l], h.finalize());
-        }
-    }
 }

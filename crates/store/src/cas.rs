@@ -8,11 +8,10 @@
 //! ([`crate::chunker`]), names each chunk by its content hash, and
 //! ships only the chunks a save actually changed:
 //!
-//! * A **chunk ID** is the domain-separated SHA-256 of
-//!   the chunk's plaintext; equal-length chunks, across records, hash
-//!   four at a time on the `sha256_x4` batch kernel. Given a record's
+//! * A **chunk ID** is the domain-separated SHA-256 of the chunk's
+//!   plaintext, hashed where the chunker cuts it. Given a record's
 //!   previous raw bytes and manifest ([`PrevChunks`]),
-//!   [`build_manifests`] reuses the id of every chunk a `memcmp` proves
+//!   [`build_manifest`] reuses the id of every chunk a `memcmp` proves
 //!   unchanged, so a save hashes only the chunks an edit touched, and
 //!   runs the chunker only from an edit until its cuts resync with the
 //!   previous ones.
@@ -43,7 +42,7 @@
 //! in range, lengths summing to the committed total) enforced — it
 //! parses or errors, never panics.
 
-use nymix_crypto::{sha256_x4, Sha256};
+use nymix_crypto::Sha256;
 use nymix_sim::Rng;
 
 use crate::archive::{clamp_count, len_u32, ArchiveError, CopiedRun, Reader};
@@ -136,21 +135,19 @@ pub fn chunk_object_name(prefix: &str, id: &ChunkId) -> String {
 /// magic "NYMC" | total_len u64 | chunk_count u32 |
 /// (chunk_id [32]u8 | chunk_len u32)...
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChunkManifest {
     total_len: u64,
     entries: Vec<(ChunkId, u32)>,
 }
 
 impl ChunkManifest {
-    /// Chunks `data` and builds its manifest: [`build_manifests`] over
-    /// one record, with no previous version to reuse ids from.
+    /// Chunks `data` and builds its manifest: [`build_manifest`] with
+    /// no previous version to reuse ids from.
     pub fn build(data: &[u8]) -> Self {
-        let mut out = Vec::new();
-        build_manifests(&[(data, None)], &mut ManifestScratch::default(), &mut out);
-        out.pop()
-            // lint:allow(panic-free-parser): a builder, not a parser; build_manifests returns one manifest per input
-            .expect("one manifest per record")
+        let mut out = Self::default();
+        build_manifest(data, None, &mut ManifestScratch::default(), &mut out);
+        out
     }
 
     /// Total plaintext bytes the manifest describes.
@@ -272,7 +269,7 @@ impl ChunkIndex {
     }
 }
 
-/// A record's previous version: the proof material [`build_manifests`]
+/// A record's previous version: the proof material [`build_manifest`]
 /// reuses chunk ids from.
 #[derive(Debug, Clone, Copy)]
 pub struct PrevChunks<'a> {
@@ -280,7 +277,7 @@ pub struct PrevChunks<'a> {
     pub raw: &'a [u8],
     /// The manifest of `raw`. Its ids must be the true chunk ids of
     /// those bytes, and its cuts the chunker's cuts of them, as they
-    /// are for a manifest `build_manifests` made from them or one
+    /// are for a manifest `build_manifest` made from them or one
     /// restored from a chain it made ([`fetch_record_into`] checks
     /// every id).
     pub manifest: &'a ChunkManifest,
@@ -290,7 +287,7 @@ pub struct PrevChunks<'a> {
     pub copied: &'a [CopiedRun],
 }
 
-/// Reusable buffers for [`build_manifests`]. Once warm, a build over
+/// Reusable buffers for [`build_manifest`]. Once warm, a build over
 /// records of an unchanged shape allocates nothing.
 #[derive(Debug, Default)]
 pub struct ManifestScratch {
@@ -300,9 +297,6 @@ pub struct ManifestScratch {
     known: Vec<(u32, u64, usize, usize)>,
     /// Offset of each chunk of the previous version, in order.
     cuts: Vec<usize>,
-    /// `(length, record, entry, offset)` of every chunk that must be
-    /// hashed.
-    misses: Vec<(u32, usize, usize, usize)>,
 }
 
 /// A chunk's first 8 bytes as a lookup key (zero-padded when shorter).
@@ -325,10 +319,10 @@ fn aligned_cut(copied: &[CopiedRun], run: &mut usize, cuts: &[usize], pos: usize
     cuts.binary_search(&(r.from + (pos - r.at))).ok()
 }
 
-/// Builds one manifest per record into `out` (resized to match,
-/// reusing its buffers), hashing each byte at most once:
+/// Builds the manifest of `data` into `out`, reusing its buffer,
+/// hashing each byte at most once:
 ///
-/// * **Resync.** When a record comes with its previous version
+/// * **Resync.** When the record comes with its previous version
 ///   ([`PrevChunks`]), a chunk that starts where a previous chunk does
 ///   (at the record's start, or where a copied run puts it) is that
 ///   previous chunk, id and all, without running the chunker, once a
@@ -343,115 +337,70 @@ fn aligned_cut(copied: &[CopiedRun], run: &mut usize, cuts: &[usize], pos: usize
 /// * **Reuse.** A walked chunk takes a cached id only when a cached
 ///   chunk has the same length and a `memcmp` of the two byte ranges is
 ///   equal; candidates are looked up by (length, first 8 bytes). No
-///   weaker proof ever reuses an id.
-/// * **Batching.** Every chunk that misses is hashed, batched **across
-///   records**: grouped by length and hashed four lanes at a time on
-///   `sha256_x4`, so the scalar-hashed remainder shrinks from
-///   one-per-record-tail to one-per-distinct-length. The store
-///   pipeline calls this once per nym, over that nym's records only.
+///   weaker proof ever reuses an id. Every other walked chunk is hashed
+///   where the walk cuts it.
 ///
-/// The output equals a build with no previous versions at all. The
+/// The output equals a build with no previous version at all. The
 /// walked bytes are counted in `chunker.bytes_walked`.
-pub fn build_manifests(
-    records: &[(&[u8], Option<PrevChunks<'_>>)],
+pub fn build_manifest(
+    data: &[u8],
+    prev: Option<PrevChunks<'_>>,
     scratch: &mut ManifestScratch,
-    out: &mut Vec<ChunkManifest>,
+    out: &mut ChunkManifest,
 ) {
-    out.truncate(records.len());
-    out.resize_with(records.len(), || ChunkManifest {
-        total_len: 0,
-        entries: Vec::new(),
-    });
-    scratch.misses.clear();
+    out.total_len = data.len() as u64;
+    out.entries.clear();
+    // A previous version whose lengths don't add up proves nothing.
+    let prev = prev.filter(|p| p.manifest.total_len() == p.raw.len());
+    let (raw, entries, copied) = match prev {
+        Some(p) => (p.raw, &p.manifest.entries[..], p.copied),
+        None => (&[][..], &[][..], &[][..]),
+    };
+    let (known, cuts) = (&mut scratch.known, &mut scratch.cuts);
+    known.clear();
+    cuts.clear();
+    let mut offset = 0usize;
+    for (ei, &(_, len)) in entries.iter().enumerate() {
+        let chunk = &raw[offset..offset + len as usize];
+        known.push((len, head(chunk), offset, ei));
+        cuts.push(offset);
+        offset += len as usize;
+    }
+    known.sort_unstable();
+    let mut run = 0;
+    // Both versions start with a cut.
+    let mut synced = (!cuts.is_empty()).then_some(0);
     let mut walked = 0usize;
-    for (ri, ((data, prev), manifest)) in records.iter().zip(out.iter_mut()).enumerate() {
-        manifest.total_len = data.len() as u64;
-        manifest.entries.clear();
-        // A previous version whose lengths don't add up proves nothing.
-        let prev = prev.filter(|p| p.manifest.total_len() == p.raw.len());
-        let (raw, entries, copied) = match prev {
-            Some(p) => (p.raw, &p.manifest.entries[..], p.copied),
-            None => (&[][..], &[][..], &[][..]),
-        };
-        let (known, cuts) = (&mut scratch.known, &mut scratch.cuts);
-        known.clear();
-        cuts.clear();
-        let mut offset = 0usize;
-        for (ei, &(_, len)) in entries.iter().enumerate() {
-            let chunk = &raw[offset..offset + len as usize];
-            known.push((len, head(chunk), offset, ei));
-            cuts.push(offset);
-            offset += len as usize;
-        }
-        known.sort_unstable();
-        let mut run = 0;
-        // Both versions start with a cut.
-        let mut synced = (!cuts.is_empty()).then_some(0);
-        let mut offset = 0usize;
-        while offset < data.len() {
-            if let Some(k) = synced {
-                let (entry, at) = (entries[k], cuts[k]);
-                let len = entry.1 as usize;
-                let ends = at + len == raw.len();
-                if (!ends || offset + len == data.len())
-                    && data[offset..].get(..len) == Some(&raw[at..at + len])
-                {
-                    manifest.entries.push(entry);
-                    offset += len;
-                    synced = (k + 1 < cuts.len()).then_some(k + 1);
-                    continue;
-                }
+    let mut offset = 0usize;
+    while offset < data.len() {
+        if let Some(k) = synced {
+            let (entry, at) = (entries[k], cuts[k]);
+            let len = entry.1 as usize;
+            let ends = at + len == raw.len();
+            if (!ends || offset + len == data.len())
+                && data[offset..].get(..len) == Some(&raw[at..at + len])
+            {
+                out.entries.push(entry);
+                offset += len;
+                synced = (k + 1 < cuts.len()).then_some(k + 1);
+                continue;
             }
-            let chunk = &data[offset..offset + chunker::cut_point(&data[offset..])];
-            walked += chunk.len();
-            let len = len_u32(chunk.len());
-            let key = (len, head(chunk));
-            let start = known.partition_point(|&(l, h, _, _)| (l, h) < key);
-            let reused = known[start..]
-                .iter()
-                .take_while(|&&(l, h, _, _)| (l, h) == key)
-                .find(|&&(_, _, at, _)| raw[at..at + chunk.len()] == *chunk)
-                .map(|&(_, _, _, cached)| entries[cached].0);
-            match reused {
-                Some(id) => manifest.entries.push((id, len)),
-                None => {
-                    let ei = manifest.entries.len();
-                    manifest.entries.push(([0u8; 32], len));
-                    scratch.misses.push((len, ri, ei, offset));
-                }
-            }
-            offset += chunk.len();
-            synced = aligned_cut(copied, &mut run, cuts, offset);
         }
+        let chunk = &data[offset..offset + chunker::cut_point(&data[offset..])];
+        walked += chunk.len();
+        let len = len_u32(chunk.len());
+        let key = (len, head(chunk));
+        let start = known.partition_point(|&(l, h, _, _)| (l, h) < key);
+        let id = known[start..]
+            .iter()
+            .take_while(|&&(l, h, _, _)| (l, h) == key)
+            .find(|&&(_, _, at, _)| raw[at..at + chunk.len()] == *chunk)
+            .map_or_else(|| chunk_id(chunk), |&(_, _, _, cached)| entries[cached].0);
+        out.entries.push((id, len));
+        offset += chunk.len();
+        synced = aligned_cut(copied, &mut run, cuts, offset);
     }
     nymix_obs::counter!("chunker.bytes_walked", walked);
-    // Equal lengths batch regardless of which record they came from.
-    let misses = &mut scratch.misses;
-    misses.sort_unstable();
-    let chunk_at = |&(len, ri, _, offset): &(u32, usize, usize, usize)| {
-        &records[ri].0[offset..offset + len as usize]
-    };
-    for run in misses.chunk_by(|a, b| a.0 == b.0) {
-        let mut quads = run.chunks_exact(4);
-        for quad in &mut quads {
-            let ids = sha256_x4(
-                CHUNK_TAG,
-                [
-                    chunk_at(&quad[0]),
-                    chunk_at(&quad[1]),
-                    chunk_at(&quad[2]),
-                    chunk_at(&quad[3]),
-                ],
-            );
-            for (&(_, ri, ei, _), id) in quad.iter().zip(ids) {
-                out[ri].entries[ei].0 = id;
-            }
-        }
-        for miss in quads.remainder() {
-            let (_, ri, ei, _) = *miss;
-            out[ri].entries[ei].0 = chunk_id(chunk_at(miss));
-        }
-    }
 }
 
 /// Seals every chunk of `data` that `index` doesn't already hold,
@@ -622,8 +571,9 @@ mod tests {
 
     #[test]
     fn manifest_ids_match_scalar_hashing() {
-        // The x4-batched build must produce the same IDs as hashing
-        // each chunk alone (uniform chunk lengths hit the batch path).
+        // Uniform bytes never fire a content-defined cut: every chunk
+        // but the tail is max-capped, and each must still carry the id
+        // of its own bytes.
         let data = vec![7u8; 4 * MAX_CHUNK + 100];
         let m = ChunkManifest::build(&data);
         let mut offset = 0;
@@ -634,10 +584,10 @@ mod tests {
     }
 
     #[test]
-    fn build_manifests_matches_per_record_build() {
-        // Cross-record batching must be invisible in the output: same
-        // IDs, same lengths, same order as hashing each record's chunks
-        // one by one.
+    fn build_manifest_matches_chunker_oracle() {
+        // One scratch and one output across records of every shape:
+        // same IDs, same lengths, same order as hashing each record's
+        // chunks one by one.
         let records: Vec<Vec<u8>> = vec![
             noise(21, 150_000),
             noise(22, 40_000),
@@ -645,11 +595,9 @@ mod tests {
             noise(23, 33_000),
             Vec::new(),
         ];
-        let inputs: Vec<(&[u8], Option<PrevChunks>)> =
-            records.iter().map(|r| (r.as_slice(), None)).collect();
-        let mut batched = Vec::new();
-        build_manifests(&inputs, &mut ManifestScratch::default(), &mut batched);
-        for (data, manifest) in records.iter().zip(&batched) {
+        let (mut scratch, mut manifest) = (ManifestScratch::default(), ChunkManifest::default());
+        for data in &records {
+            build_manifest(data, None, &mut scratch, &mut manifest);
             let oracle: Vec<(ChunkId, usize)> = chunker::chunks(data)
                 .map(|c| (chunk_id(c), c.len()))
                 .collect();

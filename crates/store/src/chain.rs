@@ -327,49 +327,31 @@ impl SavePlan {
         if !self.chunking {
             return;
         }
-        let names: Vec<&'static str> = self
-            .captured
-            .iter()
-            .map(|c| c.name)
-            .filter(|n| {
-                self.archive.get(n).is_some_and(|d| {
-                    d.len() >= CHUNK_RECORD_THRESHOLD && ChunkManifest::from_bytes(d).is_err()
-                })
-            })
-            .collect();
-        // Swap the raw bytes out rather than copying them; the in-place
-        // replace keeps record order, which the commitment depends on.
-        let raws: Vec<(&'static str, Vec<u8>)> = names
-            .into_iter()
-            .filter_map(|n| Some((n, self.archive.replace(n, Vec::new())?)))
-            .collect();
-        if raws.is_empty() {
-            return;
-        }
-        // Each record's cached version, and for a layer its generation
-        // and the runs its splice copied from that version.
-        let prevs: Vec<_> = raws
-            .iter()
-            .map(|(name, _)| {
-                let captured = self.captured.iter().rev().find(|c| c.name == *name);
-                (cache.remove(*name), captured.and_then(|c| c.layer.as_ref()))
-            })
-            .collect();
-        let inputs: Vec<(&[u8], Option<PrevChunks>)> = raws
-            .iter()
-            .zip(&prevs)
-            .map(|((_, raw), (prev, layer))| {
-                let prev = prev.as_ref().map(|c| PrevChunks {
-                    raw: &c.raw,
-                    manifest: &c.manifest,
-                    copied: layer.map_or(&[][..], |(_, copied)| copied),
-                });
-                (raw.as_slice(), prev)
-            })
-            .collect();
-        let mut manifests = Vec::with_capacity(inputs.len());
-        cas::build_manifests(&inputs, scratch, &mut manifests);
-        for (((name, raw), manifest), (_, layer)) in raws.into_iter().zip(manifests).zip(&prevs) {
+        for Captured { name, .. } in &self.captured {
+            let raw_record = self.archive.get(name).is_some_and(|d| {
+                d.len() >= CHUNK_RECORD_THRESHOLD && ChunkManifest::from_bytes(d).is_err()
+            });
+            if !raw_record {
+                continue;
+            }
+            // Swap the raw bytes out rather than copying them; the
+            // in-place replace keeps record order, which the commitment
+            // depends on.
+            let raw = self.archive.replace(name, Vec::new()).unwrap_or_default();
+            // The record's cached version, and for a layer its
+            // generation and the runs its splice copied from that
+            // version, from the last capture of `name`: the one the
+            // archive holds.
+            let old = cache.remove(*name);
+            let captured = self.captured.iter().rev().find(|c| c.name == *name);
+            let layer = captured.and_then(|c| c.layer.as_ref());
+            let prev = old.as_ref().map(|c| PrevChunks {
+                raw: &c.raw,
+                manifest: &c.manifest,
+                copied: layer.map_or(&[][..], |(_, copied)| copied),
+            });
+            let mut manifest = ChunkManifest::default();
+            cas::build_manifest(&raw, prev, scratch, &mut manifest);
             self.archive.replace(name, manifest.to_bytes());
             let cached = CachedRecord {
                 raw,

@@ -104,7 +104,7 @@ pub mod sealed;
 pub use archive::NymArchive;
 pub use backend::{BackendError, ObjectBackend};
 pub use cas::{
-    build_manifests, chunk_object_name, seal_new_chunks_into, CasError, ChunkId, ChunkIndex,
+    build_manifest, chunk_object_name, seal_new_chunks_into, CasError, ChunkId, ChunkIndex,
     ChunkManifest, ManifestScratch, PrevChunks, CHUNK_RECORD_THRESHOLD,
 };
 pub use chunker::{chunks, AVG_CHUNK, MAX_CHUNK, MIN_CHUNK};

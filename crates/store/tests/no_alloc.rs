@@ -10,7 +10,7 @@ use counting_alloc::allocations_in;
 
 use nymix_sim::Rng;
 use nymix_store::{
-    build_manifests, chunker, records_root, seal_into, unseal_into, ChunkManifest, DeltaArchive,
+    build_manifest, chunker, records_root, seal_into, unseal_into, ChunkManifest, DeltaArchive,
     ManifestScratch, NymArchive, PrevChunks, SealKey, SealScratch, Sealable,
 };
 
@@ -175,8 +175,8 @@ fn warm_manifest_build_reusing_every_id_is_allocation_free() {
     // session's cache: the record's first two chunks trade places, so
     // every chunk is still one the previous version held (cuts depend
     // only on a chunk's own bytes) but at another offset. Beside it, a
-    // record equal to its previous version. Once the lookup, miss and
-    // output buffers are warm, the build allocates nothing.
+    // record equal to its previous version. Once the lookup and output
+    // buffers are warm, the build allocates nothing.
     let mut old = vec![0u8; 256 * 1024];
     let mut x = 0x0DDB_A11Cu64;
     for b in old.iter_mut() {
@@ -203,16 +203,21 @@ fn warm_manifest_build_reusing_every_id_is_allocation_free() {
         manifest: &prev,
         copied: &[],
     };
-    let records = [(&new[..], Some(prev)), (&old[..], Some(prev))];
+    let records = [&new[..], &old[..]];
     let mut scratch = ManifestScratch::default();
-    let mut out = Vec::new();
-    // Warm-up sizes the lookup, the miss list and both manifests.
-    build_manifests(&records, &mut scratch, &mut out);
+    let mut out = [ChunkManifest::default(), ChunkManifest::default()];
+    let build = |scratch: &mut ManifestScratch, out: &mut [ChunkManifest; 2]| {
+        for (data, manifest) in records.iter().zip(out.iter_mut()) {
+            build_manifest(data, Some(prev), scratch, manifest);
+        }
+    };
+    // Warm-up sizes the lookup and both manifests.
+    build(&mut scratch, &mut out);
     assert_eq!(out[0], ChunkManifest::build(&new));
     assert_eq!(out[1], *prev.manifest);
     let n = allocations_in(|| {
         for _ in 0..3 {
-            build_manifests(&records, &mut scratch, &mut out);
+            build(&mut scratch, &mut out);
             std::hint::black_box(&out[0]);
         }
     });

@@ -2,7 +2,7 @@
 
 use nymix_sim::Rng;
 use nymix_store::{
-    build_manifests, chunker, lzss, seal_into, unseal_into, ChunkManifest, DeltaArchive,
+    build_manifest, chunker, lzss, seal_into, unseal_into, ChunkManifest, DeltaArchive,
     ManifestScratch, NymArchive, PrevChunks, SealKey, SealScratch, Sealable, SealedError,
     MAX_CHUNK,
 };
@@ -268,12 +268,12 @@ proptest! {
         // Each step edits the record (overwrite, insert, delete or
         // append), then builds its manifest reusing ids from the
         // previous version, the way consecutive saves chain the cache.
-        // Batched beside it, the previous version with no cache must
+        // With the same scratch, the previous version with no cache must
         // rebuild its own manifest.
         let mut data = noise(seed, len);
         let mut prev = (data.clone(), ChunkManifest::build(&data));
         let mut scratch = ManifestScratch::default();
-        let mut out = Vec::new();
+        let (mut out, mut rebuilt) = (ChunkManifest::default(), ChunkManifest::default());
         for (kind, at, n, fill) in edits {
             let at = at % (data.len() + 1);
             let end = (at + n).min(data.len());
@@ -284,10 +284,11 @@ proptest! {
                 _ => data.extend_from_slice(&noise(fill, n)),
             }
             let cached = PrevChunks { raw: &prev.0, manifest: &prev.1, copied: &[] };
-            build_manifests(&[(&data, Some(cached)), (&prev.0, None)], &mut scratch, &mut out);
-            prop_assert_eq!(&out[0], &ChunkManifest::build(&data));
-            prop_assert_eq!(&out[1], &prev.1);
-            prev = (data.clone(), out[0].clone());
+            build_manifest(&data, Some(cached), &mut scratch, &mut out);
+            build_manifest(&prev.0, None, &mut scratch, &mut rebuilt);
+            prop_assert_eq!(&out, &ChunkManifest::build(&data));
+            prop_assert_eq!(&rebuilt, &prev.1);
+            prev = (data.clone(), out.clone());
         }
     }
 
@@ -311,10 +312,10 @@ proptest! {
         let fresh = ChunkManifest::build(&new);
         let lens = |m: &ChunkManifest| m.chunks().map(|(_, l)| l).collect::<Vec<_>>();
         prop_assert_eq!(lens(&fresh), lens(&prev));
-        let mut out = Vec::new();
+        let mut out = ChunkManifest::default();
         let cached = PrevChunks { raw: &old, manifest: &prev, copied: &[] };
-        build_manifests(&[(&new, Some(cached))], &mut ManifestScratch::default(), &mut out);
-        prop_assert_eq!(&out[0], &fresh);
+        build_manifest(&new, Some(cached), &mut ManifestScratch::default(), &mut out);
+        prop_assert_eq!(&out, &fresh);
     }
 
     // NYMC manifests ride inside archives fetched from untrusted
@@ -977,16 +978,17 @@ proptest! {
         let mut layer = seeded_layer(files, seed);
         let (mut cached, mut gen) = (serialized(&layer), layer.generation());
         let mut manifest = ChunkManifest::build(&cached);
-        let (mut runs, mut scratch, mut out) = (Vec::new(), ManifestScratch::default(), Vec::new());
+        let (mut runs, mut scratch) = (Vec::new(), ManifestScratch::default());
+        let mut out = ChunkManifest::default();
         for script in rounds {
             for (kind, pick, len, fill) in script {
                 edit_layer(&mut layer, kind, pick, len, fill);
             }
             let spliced = splice_layer(&layer, Some((&cached, gen)), &mut runs);
             let prev = PrevChunks { raw: &cached, manifest: &manifest, copied: &runs };
-            build_manifests(&[(&spliced, Some(prev))], &mut scratch, &mut out);
-            prop_assert_eq!(&out[0], &ChunkManifest::build(&spliced));
-            (cached, gen, manifest) = (spliced, layer.generation(), out[0].clone());
+            build_manifest(&spliced, Some(prev), &mut scratch, &mut out);
+            prop_assert_eq!(&out, &ChunkManifest::build(&spliced));
+            (cached, gen, manifest) = (spliced, layer.generation(), out.clone());
         }
     }
 
@@ -1012,8 +1014,8 @@ proptest! {
             .map(|(at, pick)| CopiedRun { at, from: old_cuts[pick % old_cuts.len()], len: 1 })
             .collect();
         let prev = PrevChunks { raw: &cached, manifest: &manifest, copied: &runs };
-        let mut out = Vec::new();
-        build_manifests(&[(&new, Some(prev))], &mut ManifestScratch::default(), &mut out);
-        prop_assert_eq!(&out[0], &fresh);
+        let mut out = ChunkManifest::default();
+        build_manifest(&new, Some(prev), &mut ManifestScratch::default(), &mut out);
+        prop_assert_eq!(&out, &fresh);
     }
 }
