@@ -3,11 +3,11 @@
 //! [`HmacKey`] is a precomputed key: the ipad/opad SHA-256 midstates are
 //! compressed once at construction and replayed for every message, so
 //! each subsequent MAC costs two compression calls for short messages
-//! instead of four. PBKDF2 runs its entire inner loop on
-//! [`HmacKey::mac32`], which is what makes the 10k-iteration KDF
-//! affordable on every nym save/restore.
+//! instead of four. PBKDF2 hands the midstates to the SHA-256 kernel's
+//! chain loop, which runs all of its `U_{n+1} = HMAC(P, U_n)` steps on
+//! words at two compressions each.
 
-use crate::sha256::{compress_blocks, state_to_digest, Sha256, BLOCK_LEN, DIGEST_LEN, INIT_STATE};
+use crate::sha256::{compress_blocks, pbkdf2_chain, Sha256, BLOCK_LEN, DIGEST_LEN, INIT_STATE};
 
 /// A precomputed HMAC-SHA256 key.
 ///
@@ -40,10 +40,6 @@ impl Drop for HmacKey {
         crate::zeroize::wipe_words(&mut self.outer);
     }
 }
-
-/// Bit length of the single-block messages [`HmacKey::mac32`] and the
-/// outer hash consume: one key pad block plus a 32-byte payload.
-const PADDED_32B_BITS: u64 = ((BLOCK_LEN + DIGEST_LEN) * 8) as u64;
 
 impl HmacKey {
     /// Precomputes the midstates for `key` (hashed first if longer than
@@ -79,9 +75,12 @@ impl HmacKey {
         Sha256::from_midstate(self.inner, BLOCK_LEN as u64)
     }
 
-    /// Completes a streaming MAC started with [`HmacKey::hasher`].
+    /// Completes a streaming MAC started with [`HmacKey::hasher`]: the
+    /// outer hash of the inner digest, resumed from the opad midstate.
     pub fn finish(&self, inner: Sha256) -> [u8; DIGEST_LEN] {
-        self.outer_digest(&inner.finalize())
+        let mut outer = Sha256::from_midstate(self.outer, BLOCK_LEN as u64);
+        outer.update(&inner.finalize());
+        outer.finalize()
     }
 
     /// Computes `HMAC-SHA256(key, msg)`.
@@ -91,31 +90,11 @@ impl HmacKey {
         self.finish(h)
     }
 
-    /// MAC of a 32-byte message in exactly two compression calls — the
-    /// PBKDF2 iteration shape (`U_{n+1} = HMAC(P, U_n)`).
-    pub fn mac32(&self, msg: &[u8; DIGEST_LEN]) -> [u8; DIGEST_LEN] {
-        let mut state = self.inner;
-        compress_blocks(&mut state, &padded_32b_block(msg));
-        self.outer_digest(&state_to_digest(&state))
+    /// Runs `rounds` PBKDF2 iterations under this key on digest words:
+    /// `U ← HMAC(P, U)`, then `T ^= U`, two compressions each.
+    pub(crate) fn pbkdf2_chain(&self, u: &mut [u32; 8], t: &mut [u32; 8], rounds: u32) {
+        pbkdf2_chain(&self.inner, &self.outer, u, t, rounds);
     }
-
-    /// The outer hash: one compression of `inner_digest` padded to a
-    /// block, resumed from the opad midstate.
-    fn outer_digest(&self, inner_digest: &[u8; DIGEST_LEN]) -> [u8; DIGEST_LEN] {
-        let mut state = self.outer;
-        compress_blocks(&mut state, &padded_32b_block(inner_digest));
-        state_to_digest(&state)
-    }
-}
-
-/// Builds the final SHA-256 block for a 32-byte payload that follows one
-/// already-compressed block: payload ‖ 0x80 ‖ zeros ‖ bit length.
-fn padded_32b_block(payload: &[u8; DIGEST_LEN]) -> [u8; BLOCK_LEN] {
-    let mut block = [0u8; BLOCK_LEN];
-    block[..DIGEST_LEN].copy_from_slice(payload);
-    block[DIGEST_LEN] = 0x80;
-    block[BLOCK_LEN - 8..].copy_from_slice(&PADDED_32B_BITS.to_be_bytes());
-    block
 }
 
 #[cfg(test)]
@@ -212,14 +191,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mac32_matches_general_path() {
-        let hk = HmacKey::new(b"pbkdf2-key");
-        let msg = [0x42u8; 32];
-        assert_eq!(hk.mac32(&msg), hk.mac(&msg));
-        assert_eq!(hk.mac32(&msg), hmac_naive(b"pbkdf2-key", &msg));
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //!   schedule window, and [`Sha256::update`] compresses aligned input
 //!   directly from the caller's slice (no staging buffer).
 //! * [`HmacKey`] caches the ipad/opad midstates so every MAC under a
-//!   reused key skips the key-block compressions; [`HmacKey::mac32`] is
-//!   the two-compression PBKDF2 iteration shape, and
+//!   reused key skips the key-block compressions.
 //!   [`pbkdf2_hmac_sha256_into`] derives keys into a caller buffer with
-//!   a multi-part salt and no allocation.
+//!   a multi-part salt and no allocation, and runs its iterations as one
+//!   word-level loop inside the SHA-256 kernel from those midstates,
+//!   two compressions per iteration with no byte round trip.
 //!
 //! # SHA-256 backend dispatch
 //!

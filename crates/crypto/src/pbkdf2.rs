@@ -5,14 +5,19 @@
 //! with"). PBKDF2 slows down offline guessing if a cloud provider or a
 //! confiscating adversary obtains the encrypted archive.
 //!
-//! The iteration loop runs on [`HmacKey::mac32`]: the password's
-//! ipad/opad midstates are compressed once up front, so every
-//! `U_{n+1} = HMAC(P, U_n)` step costs two SHA-256 compressions instead
-//! of the four a from-scratch HMAC pays. Sealing latency is linear in
-//! this loop, so the midstate cache directly halves save/restore time.
+//! The password's ipad/opad midstates are compressed once up front
+//! ([`HmacKey`]), so every `U_{n+1} = HMAC(P, U_n)` step costs two
+//! SHA-256 compressions instead of the four a from-scratch HMAC pays.
+//! The iterations after `U_1` run as one loop inside the dispatched
+//! SHA-256 kernel: U, the accumulator T and both midstates stay as
+//! words (SHA-NI registers) from the first iteration to the last, and
+//! each digest is fed straight back in as the next message words with
+//! the constant padding words, so no iteration builds a byte block or
+//! serializes a digest. One derivation is 20,000 serially dependent
+//! compressions, and every restore that reads a sealed chain pays one.
 
 use crate::hmac::HmacKey;
-use crate::sha256::DIGEST_LEN;
+use crate::sha256::{be_words, state_to_digest, DIGEST_LEN};
 
 /// Derives key material from `password` and a salt supplied as
 /// concatenated `salt_parts`, writing exactly `out.len()` bytes into
@@ -42,17 +47,16 @@ pub fn pbkdf2_hmac_sha256_into(
             h.update(part);
         }
         h.update(&block_index.to_be_bytes());
-        let mut u = key.finish(h);
+        let mut u1 = key.finish(h);
+        let mut u: [u32; 8] = be_words(&u1);
         let mut acc = u;
-        for _ in 1..iterations {
-            u = key.mac32(&u);
-            for (a, b) in acc.iter_mut().zip(u.iter()) {
-                *a ^= b;
-            }
-        }
-        chunk.copy_from_slice(&acc[..chunk.len()]);
-        crate::zeroize::wipe_bytes(&mut u);
-        crate::zeroize::wipe_bytes(&mut acc);
+        key.pbkdf2_chain(&mut u, &mut acc, iterations - 1);
+        let mut t = state_to_digest(&acc);
+        chunk.copy_from_slice(&t[..chunk.len()]);
+        crate::zeroize::wipe_bytes(&mut u1);
+        crate::zeroize::wipe_words(&mut u);
+        crate::zeroize::wipe_words(&mut acc);
+        crate::zeroize::wipe_bytes(&mut t);
         block_index = block_index.wrapping_add(1);
     }
 }

@@ -23,6 +23,13 @@
 //!   partial-block buffer.
 //! * [`sha256`] — one-shot convenience.
 //!
+//! Each kernel has one round body (`compress_words` here, `compress`
+//! in SHA-NI), and two loops run on it: the block loop behind both
+//! entry points, and the PBKDF2 chain loop (`pbkdf2_chain`), which
+//! runs a derivation's `U_{n+1} = HMAC(P, U_n)` iterations from the
+//! HMAC midstates on words, feeding each digest straight back in as
+//! message words.
+//!
 //! # Runtime backend dispatch
 //!
 //! PR 2's notes document how a single compile-time codegen target made
@@ -33,17 +40,18 @@
 //! is the only selector: no setting can change it. There is one role,
 //! a single stream, and one kernel per platform for it: SHA-NI
 //! (hardware rounds) where the CPU has the SHA extensions, otherwise
-//! the unrolled portable kernel.
+//! the unrolled portable kernel. The same selection routes the block
+//! loop and the PBKDF2 chain loop.
 //!
 //! The SHA-NI kernel lives in a cfg-isolated child module (`shani`)
 //! compiled on every `x86_64` build; CPUID dispatch is its only
-//! guard, and its kernel function is `#[target_feature]`-fenced, so a
+//! guard, and its kernel functions are `#[target_feature]`-fenced, so a
 //! baseline x86-64 build carries it too. It is the only unsafe code in
 //! the workspace, and `nymix-lint` carries it as a registered,
 //! reason-required `unsafe-kernel` exemption. The portable kernel
 //! remains the bit-identical floor on every target; the unit tests call
-//! each kernel directly, so every test run checks the portable kernel
-//! and, on a CPU that has it, SHA-NI against it. The
+//! each kernel's two loops directly, so every test run checks the
+//! portable kernel and, on a CPU that has it, SHA-NI against it. The
 //! selection is exported as the `crypto.sha256.backend` gauge when it
 //! is made (and again by [`sha256_backend`], which reports it).
 
@@ -305,12 +313,22 @@ macro_rules! sched16 {
     }};
 }
 
+/// Reads `N` big-endian words from the front of `bytes`: a block's
+/// message words, or a digest's state words.
 #[inline(always)]
-fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
-    let mut w = [0u32; 16];
-    for (t, chunk) in block.chunks_exact(4).enumerate() {
-        w[t] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+pub(crate) fn be_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
+    let mut words = [0u32; N];
+    for (word, chunk) in words.iter_mut().zip(bytes.chunks_exact(4)) {
+        *word = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
     }
+    words
+}
+
+/// The portable round body: compresses the message words `w` into
+/// `state` (64 rounds plus the feed-forward add). The block loop and
+/// the PBKDF2 chain loop both run on it.
+#[inline(always)]
+fn compress_words(state: &mut [u32; 8], mut w: [u32; 16]) {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
     rnd16!(w, 0, a, b, c, d, e, f, g, h);
     sched16!(w);
@@ -333,7 +351,45 @@ fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 /// kernel takes when the runtime CPU check says no.
 fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
     for block in data.chunks_exact(BLOCK_LEN) {
-        compress_block(state, block.try_into().expect("exact chunk"));
+        compress_words(state, be_words(block));
+    }
+}
+
+/// Message words 8..16 of the block that follows an HMAC key pad block
+/// when the payload is one 32-byte digest (words 0..8): the `0x80` pad
+/// byte, zeros, and the 768-bit message length.
+pub(crate) const PAD_32B: [u32; 8] = [
+    0x8000_0000,
+    0,
+    0,
+    0,
+    0,
+    0,
+    0,
+    ((BLOCK_LEN + DIGEST_LEN) * 8) as u32,
+];
+
+/// The portable PBKDF2 chain loop (see [`pbkdf2_chain`]) — also the
+/// SHA-NI chain's fallback when the runtime CPU check says no.
+fn pbkdf2_chain_portable(
+    inner: &[u32; 8],
+    outer: &[u32; 8],
+    u: &mut [u32; 8],
+    t: &mut [u32; 8],
+    rounds: u32,
+) {
+    let mut w = [0u32; 16];
+    w[8..].copy_from_slice(&PAD_32B);
+    for _ in 0..rounds {
+        w[..8].copy_from_slice(u);
+        let mut state = *inner;
+        compress_words(&mut state, w);
+        w[..8].copy_from_slice(&state);
+        *u = *outer;
+        compress_words(u, w);
+        for (t, u) in t.iter_mut().zip(u.iter()) {
+            *t ^= u;
+        }
     }
 }
 
@@ -354,6 +410,30 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
         }
     }
     compress_blocks_portable(state, data);
+}
+
+/// Runs `rounds` PBKDF2 iterations from an HMAC key's `inner`/`outer`
+/// midstates, all on words: `U ← HMAC(P, U)`, then `T ^= U`. Each
+/// iteration is two compressions, and the digest words of one are the
+/// message words of the next, so nothing is converted to or from bytes
+/// inside the loop. Routed through the dispatched backend like
+/// [`compress_blocks`], and counted once per call.
+pub(crate) fn pbkdf2_chain(
+    inner: &[u32; 8],
+    outer: &[u32; 8],
+    u: &mut [u32; 8],
+    t: &mut [u32; 8],
+    rounds: u32,
+) {
+    nymix_obs::counter!("crypto.sha256.blocks", 2 * u64::from(rounds));
+    if backend() == ShaBackend::ShaNi {
+        #[cfg(target_arch = "x86_64")]
+        {
+            shani::pbkdf2_chain(inner, outer, u, t, rounds);
+            return;
+        }
+    }
+    pbkdf2_chain_portable(inner, outer, u, t, rounds);
 }
 
 /// Serializes a state into the big-endian digest byte order.
@@ -521,10 +601,7 @@ static BACKEND: AtomicU8 = AtomicU8::new(0);
 /// The kernel CPUID says this build and CPU can run.
 fn select_backend() -> ShaBackend {
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("sha")
-        && std::is_x86_feature_detected!("ssse3")
-        && std::is_x86_feature_detected!("sse4.1")
-    {
+    if shani::cpu_has_shani() {
         return ShaBackend::ShaNi;
     }
     ShaBackend::Portable
@@ -671,6 +748,25 @@ mod tests {
             let mut want = state;
             compress_blocks_portable(&mut want, data);
             prop_assert_eq!(got, want, "{} blocks", data.len() / BLOCK_LEN);
+        }
+
+        /// The SHA-NI and portable PBKDF2 chain loops agree from any
+        /// midstates and starting U, in both U and the accumulator T.
+        #[test]
+        #[cfg(target_arch = "x86_64")]
+        fn shani_chain_matches_portable(
+            inner in any::<[u32; 8]>(),
+            outer in any::<[u32; 8]>(),
+            u in any::<[u32; 8]>(),
+            t in any::<[u32; 8]>(),
+            rounds in 0u32..40
+        ) {
+            let (mut got_u, mut got_t) = (u, t);
+            shani::pbkdf2_chain(&inner, &outer, &mut got_u, &mut got_t, rounds);
+            let (mut want_u, mut want_t) = (u, t);
+            pbkdf2_chain_portable(&inner, &outer, &mut want_u, &mut want_t, rounds);
+            prop_assert_eq!(got_u, want_u, "U after {} rounds", rounds);
+            prop_assert_eq!(got_t, want_t, "T after {} rounds", rounds);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Pins the `crypto.sha256.blocks` counter to the message's block
 //! structure: however `Sha256::update` is fed, every compression is
-//! counted. This binary holds one test on purpose — it turns the
+//! counted, and a PBKDF2 derivation counts every compression of its
+//! iteration chain. This binary holds one test on purpose — it turns the
 //! process-global recorder on, and a sibling test hashing on another
 //! harness thread would land in the measured window.
 
@@ -42,5 +43,15 @@ fn split_update_counts_the_same_blocks_as_one_shot() {
         });
         assert_eq!(split_count, one_shot, "split at {split}");
     }
+    // A 10,000-iteration, 32-byte derivation: two key pad blocks, U_1's
+    // inner and outer blocks, then two compressions for each of the
+    // 9,999 further iterations. Benchmarks compare counted blocks
+    // across versions, so the chain loop must count exactly these.
+    let kdf = blocks_counted(|| {
+        let mut out = [0u8; 32];
+        nymix_crypto::pbkdf2_hmac_sha256_into(b"password", &[b"nym:", b"salt"], 10_000, &mut out);
+        black_box(out);
+    });
+    assert_eq!(kdf, 2 + 2 + 2 * 9_999);
     nymix_obs::set_enabled(false);
 }

@@ -1,6 +1,7 @@
 //! Pins the allocation-freedom of the crypto hot path: once buffers exist,
-//! `ChaCha20::apply`/`xor_into`, the incremental `Poly1305`, and the
-//! in-place AEAD must never touch the heap.
+//! `ChaCha20::apply`/`xor_into`, the incremental `Poly1305`, the
+//! in-place AEAD and the PBKDF2 derivation into a caller buffer must
+//! never touch the heap.
 
 #[path = "../../devshims/counting_alloc.rs"]
 mod counting_alloc;
@@ -44,4 +45,18 @@ fn in_place_aead_is_allocation_free() {
             .expect("roundtrip");
     });
     assert_eq!(n, 0, "in-place AEAD seal/open must not allocate");
+}
+
+#[test]
+fn pbkdf2_into_is_allocation_free() {
+    let mut out = [0u8; 40];
+    let n = allocations_in(|| {
+        nymix_crypto::pbkdf2_hmac_sha256_into(
+            b"pw",
+            &[b"nym:alice", &[0], b"random"],
+            100,
+            &mut out,
+        );
+    });
+    assert_eq!(n, 0, "pbkdf2_hmac_sha256_into must not allocate");
 }

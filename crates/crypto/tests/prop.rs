@@ -1,8 +1,8 @@
 //! Property-based tests for the crypto primitives.
 
 use nymix_crypto::{
-    open, open_in_place_detached, poly1305_tag, seal, seal_in_place_detached, ChaCha20, HmacKey,
-    Poly1305, Sha256,
+    open, open_in_place_detached, pbkdf2_hmac_sha256_into, poly1305_tag, seal,
+    seal_in_place_detached, ChaCha20, HmacKey, Poly1305, Sha256,
 };
 use proptest::prelude::*;
 
@@ -22,6 +22,30 @@ fn hmac_reference(key: &[u8], msg: &[u8]) -> [u8; 32] {
     outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner.finalize());
     outer.finalize()
+}
+
+/// Literal RFC 8018 §5.2 PBKDF2 on [`hmac_reference`]: every `U_j` is a
+/// from-scratch HMAC of the previous one's bytes, and each output
+/// block `T_i` is their XOR.
+fn pbkdf2_reference(password: &[u8], salt: &[u8], iterations: u32, len: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut block_index = 1u32;
+    while out.len() < len {
+        let mut msg = salt.to_vec();
+        msg.extend_from_slice(&block_index.to_be_bytes());
+        let mut u = hmac_reference(password, &msg);
+        let mut t = u;
+        for _ in 1..iterations {
+            u = hmac_reference(password, &u);
+            for (t, u) in t.iter_mut().zip(&u) {
+                *t ^= u;
+            }
+        }
+        out.extend_from_slice(&t);
+        block_index += 1;
+    }
+    out.truncate(len);
+    out
 }
 
 proptest! {
@@ -152,10 +176,24 @@ proptest! {
     }
 
     #[test]
-    fn hmac_mac32_equals_naive(key in proptest::collection::vec(any::<u8>(), 0..150),
-                               msg in any::<[u8; 32]>()) {
-        // The PBKDF2 iteration shape: the two-compression fast path must
-        // match the from-scratch construction.
-        prop_assert_eq!(HmacKey::new(&key).mac32(&msg), hmac_reference(&key, &msg));
+    fn pbkdf2_equals_reference(password in proptest::collection::vec(any::<u8>(), 0..150),
+                               salt in proptest::collection::vec(any::<u8>(), 0..80),
+                               cuts in proptest::collection::vec(0usize..80, 0..4),
+                               iterations in 1u32..65,
+                               len in 1usize..101) {
+        // Passwords over 64 bytes take HMAC's hashed-key path, and
+        // lengths past 32 bytes derive more than one block.
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(salt.len())).collect();
+        cuts.sort_unstable();
+        let mut parts: Vec<&[u8]> = Vec::new();
+        let mut start = 0;
+        for cut in cuts {
+            parts.push(&salt[start..cut]);
+            start = cut;
+        }
+        parts.push(&salt[start..]);
+        let mut out = vec![0u8; len];
+        pbkdf2_hmac_sha256_into(&password, &parts, iterations, &mut out);
+        prop_assert_eq!(out, pbkdf2_reference(&password, &salt, iterations, len));
     }
 }
